@@ -5,6 +5,11 @@ construction; functions are opaque handles into that store.  Reduction
 (no node with identical children, no duplicate nodes) is maintained by
 construction, so handle equality is function equality.
 
+Besides the boolean connectives, restriction and quantification, the
+manager computes the relational product `and_exists` (the conjunction
+quantified on the fly, never built) and a one-level variable `shift`,
+which is how the symbolic engine evaluates priority.
+
 Deliberately small: no complement edges, no garbage collection, no
 dynamic reordering.  The unique table and the operation cache grow
 monotonically for the life of the manager; long-running processes
@@ -299,33 +304,57 @@ class BddManager:
 
     def exists(self, f: BddRef, names: Iterable[str]) -> BddRef:
         """Existential quantification over `names`."""
-        u = self._node(f)
-        levels = frozenset(self.level_of(n) for n in names)
-        if not levels:
-            return self._ref(u)
-        token = self._quant_tokens.setdefault(levels, len(self._quant_tokens))
-        top = max(levels)
-        var, lo, hi = self._var, self._lo, self._hi
-        cache = self._cache
+        return self.and_exists(f, self.true, names)
 
-        def rec(u: int) -> int:
-            if var[u] > top:
-                return u
-            key = ("exists", token, u)
+    def and_exists(self, f: BddRef, g: BddRef, names: Iterable[str]) -> BddRef:
+        """exists(f & g, names) in one pass that quantifies while it
+        conjoins, so the conjunction is never built: the relational
+        product of Burch et al., as CUDD's Cudd_bddAndAbstract."""
+        u, v = self._node(f), self._node(g)
+        levels = frozenset(self.level_of(n) for n in names)
+        token = self._quant_tokens.setdefault(levels, len(self._quant_tokens))
+        top = max(levels, default=-1)
+        var, cache = self._var, self._cache
+
+        def rec(u: int, v: int) -> int:
+            if u == FALSE or v == FALSE:
+                return FALSE
+            if var[u] > top and var[v] > top:
+                return self._and(u, v)
+            if u > v:
+                u, v = v, u
+            key = ("and_exists", token, u, v)
             r = cache.get(key)
-            if r is not None:
-                return r
-            lvl = var[u]
-            l = rec(lo[u])
-            h = rec(hi[u])
-            if lvl in levels:
-                r = self._or(l, h)
-            else:
-                r = self._mk(lvl, l, h)
-            cache[key] = r
+            if r is None:
+                lvl = min(var[u], var[v])
+                (u0, u1), (v0, v1) = self._cofactors(u, lvl), self._cofactors(v, lvl)
+                l = rec(u0, v0)
+                if lvl not in levels:
+                    r = self._mk(lvl, l, rec(u1, v1))
+                else:
+                    r = l if l == TRUE else self._or(l, rec(u1, v1))
+                cache[key] = r
             return r
 
-        return self._ref(rec(u))
+        return self._ref(rec(u, v))
+
+    def shift(self, f: BddRef) -> BddRef:
+        """f with every variable renamed to the next one in the order: a
+        structural copy one level down, with no apply."""
+        var, lo, hi, cache = self._var, self._lo, self._hi, self._cache
+        last = self._leaf_level - 1
+
+        def rec(u: int) -> int:
+            if u <= TRUE:
+                return u
+            r = cache.get(("shift", u))
+            if r is None:
+                if var[u] == last:
+                    raise BddError("the last variable of the order has no successor")
+                r = cache[("shift", u)] = self._mk(var[u] + 1, rec(lo[u]), rec(hi[u]))
+            return r
+
+        return self._ref(rec(self._node(f)))
 
     # -- inspection ----------------------------------------------------
 

@@ -9,14 +9,22 @@ of each port for priorities):
 - connectors: per connector, its causal rules conjoined with the root
   clause and with the negation of every port foreign to the connector;
   the system-wide function is the disjunction over connectors;
-- priority: pairs (a, a') rendered over unprimed/primed port copies;
-  under maximal progress the pair set is the strict-subset relation
-  within the pool, which factors algebraically and never needs to be
-  enumerated.
+- priority: a static relation R(P, P') between an interaction over the
+  plain port copies and a dominator over the primed copies.  Under
+  maximal progress R is the strict-subset relation, a chain of a few
+  nodes per port that never mentions the pool; explicit pairs are
+  rendered as full minterms.
 
-A step restricts the system function by the current state valuation,
-subtracts interactions dominated by some active higher-priority
-interaction, and picks one satisfying valuation of the remainder.
+A step restricts the behavior by the current state valuation and
+conjoins the connectors, giving the enabled function g.  The possible
+dominators are g itself, plus any active interaction that an explicit
+pair lists as a dominator outside the pool (it need only be active).
+Moving them onto the primed copies is a one-level shift, since each
+primed port follows its port in the order; the dominated set is then
+one relational product excluded(P) = exists P'. dominators(P') &
+R(P, P'), and the step picks one satisfying valuation of g & ~excluded.
+No primed behavior, primed connectors or pool-sized priority function
+is built.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from . import boolfunc as bf
 from .bdd import BddManager, BddRef
@@ -56,8 +64,9 @@ def state_var(atom: AtomicBehavior, state: str) -> str:
 
 
 def variable_order(system: SystemModel) -> tuple[str, ...]:
-    """Per atom: its state variables, then each port adjacent to its
-    primed copy.  Keeps related variables close and state blocks cheap."""
+    """Per atom: its state variables, then each port directly followed
+    by its primed copy.  Keeps related variables close and state blocks
+    cheap, and makes priming a port a one-level `BddManager.shift`."""
     order: list[str] = []
     for atom in system.atoms:
         for s in atom.states:
@@ -68,9 +77,7 @@ def variable_order(system: SystemModel) -> tuple[str, ...]:
     return tuple(order)
 
 
-def encode_atom(
-    atom: AtomicBehavior, mgr: BddManager, port_name: Callable[[str], str] = lambda p: p
-) -> BddRef:
+def encode_atom(atom: AtomicBehavior, mgr: BddManager) -> BddRef:
     """Behavior of one atom: state-consistent firings or idleness."""
     parts: list[BddRef] = []
     for q in atom.states:
@@ -79,54 +86,43 @@ def encode_atom(
         if not labels:
             continue
         firings = mgr.or_all(
-            mgr.cube({port_name(p): p in lbl for p in atom.ports}) for lbl in labels
+            mgr.cube({p: p in lbl for p in atom.ports}) for lbl in labels
         )
         parts.append(onehot & firings)
-    idle = mgr.cube({port_name(p): False for p in atom.ports})
+    idle = mgr.cube({p: False for p in atom.ports})
     return mgr.or_all(parts) | idle
 
 
-def encode_behavior(
-    system: SystemModel, mgr: BddManager, port_name: Callable[[str], str] = lambda p: p
-) -> BddRef:
-    return mgr.and_all(encode_atom(atom, mgr, port_name) for atom in system.atoms)
+def encode_behavior(system: SystemModel, mgr: BddManager) -> BddRef:
+    return mgr.and_all(encode_atom(atom, mgr) for atom in system.atoms)
 
 
-def _expr_bdd(mgr: BddManager, expr: bf.BoolExpr, port_name: Callable[[str], str]) -> BddRef:
+def _expr_bdd(mgr: BddManager, expr: bf.BoolExpr) -> BddRef:
     if isinstance(expr, bf.Var):
-        return mgr.var(port_name(expr.name))
+        return mgr.var(expr.name)
     if isinstance(expr, bf.Const):
         return mgr.true if expr.value else mgr.false
     if isinstance(expr, bf.Not):
-        return ~_expr_bdd(mgr, expr.arg, port_name)
+        return ~_expr_bdd(mgr, expr.arg)
     if isinstance(expr, bf.And):
-        return mgr.and_all(_expr_bdd(mgr, a, port_name) for a in expr.args)
+        return mgr.and_all(_expr_bdd(mgr, a) for a in expr.args)
     if isinstance(expr, bf.Or):
-        return mgr.or_all(_expr_bdd(mgr, a, port_name) for a in expr.args)
+        return mgr.or_all(_expr_bdd(mgr, a) for a in expr.args)
     raise TypeError(f"not a boolean expression: {expr!r}")
 
 
-def encode_connector(
-    conn: Connector,
-    all_ports: tuple[str, ...],
-    mgr: BddManager,
-    port_name: Callable[[str], str] = lambda p: p,
-) -> BddRef:
+def encode_connector(conn: Connector, all_ports: tuple[str, ...], mgr: BddManager) -> BddRef:
     """Causal rules of one connector, with foreign ports forced false."""
     sup = support(conn.term)
     rules, root_clause = causal_rules(tau(conn.term))
     expr = rules_to_formula(rules, root_clause, sup)
-    inside = _expr_bdd(mgr, expr, port_name)
-    outside = mgr.cube({port_name(p): False for p in all_ports if p not in sup})
+    inside = _expr_bdd(mgr, expr)
+    outside = mgr.cube({p: False for p in all_ports if p not in sup})
     return inside & outside
 
 
-def encode_connectors(
-    system: SystemModel, mgr: BddManager, port_name: Callable[[str], str] = lambda p: p
-) -> BddRef:
-    return mgr.or_all(
-        encode_connector(c, system.all_ports, mgr, port_name) for c in system.connectors
-    )
+def encode_connectors(system: SystemModel, mgr: BddManager) -> BddRef:
+    return mgr.or_all(encode_connector(c, system.all_ports, mgr) for c in system.connectors)
 
 
 def encode_priority_pairs(
@@ -144,19 +140,13 @@ def encode_priority_pairs(
     return mgr.or_all(disjuncts)
 
 
-def _maxprog_priority(system: SystemModel, mgr: BddManager, connector_fn: BddRef) -> BddRef:
-    """Maximal progress without pair enumeration.
-
-    The pair set is {(a, a') in gamma^2 | a strictly below a'}, so the
-    relation is: both copies satisfy the connector function and the
-    plain copy is a strict subset of the primed copy.  Canonicity makes
-    this the same node the minterm route would build.
-    """
-    primed_fn = encode_connectors(system, mgr, prime)
-    ports = system.all_ports
+def encode_strict_subset(ports: tuple[str, ...], mgr: BddManager) -> BddRef:
+    """Maximal progress's relation: the plain copy is a strict subset of
+    the primed copy.  It does not mention the pool; the step supplies
+    only pool interactions as dominators."""
     subset = mgr.and_all(mgr.var(p).implies(mgr.var(prime(p))) for p in ports)
     equal = mgr.and_all(~(mgr.var(p) ^ mgr.var(prime(p))) for p in ports)
-    return connector_fn & primed_fn & subset & ~equal
+    return subset & ~equal
 
 
 @dataclass
@@ -166,8 +156,8 @@ class SystemEncoding:
     behavior_fn: BddRef         # all atoms consistent with their state
     connector_fn: BddRef        # valuations that are pool interactions
     system_fn: BddRef           # behavior & connectors
-    priority_fn: BddRef         # domination pairs over plain/primed ports
-    primed_behavior_fn: BddRef  # behavior over primed port copies
+    priority_fn: BddRef         # R: (a, dominator) over plain/primed ports
+    dominator_fn: BddRef        # the pool, plus listed dominators outside it
     port_names: tuple[str, ...]
     primed_names: tuple[str, ...]
 
@@ -200,11 +190,15 @@ class SystemEncoding:
     def survivor_fn(self, state: GlobalState) -> BddRef:
         m = self.manager
         asg = self.state_assignment(state)
-        g = m.restrict_many(self.behavior_fn, asg) & self.connector_fn
+        active = m.restrict_many(self.behavior_fn, asg)
+        g = active & self.connector_fn
         if self.priority_fn == m.false:
             return g
-        dom = self.priority_fn & m.restrict_many(self.primed_behavior_fn, asg)
-        excluded = m.exists(dom, self.primed_names)
+        # without listed dominators outside the pool this is g again, an
+        # op-cache hit; the full-state restriction leaves only plain ports,
+        # each of which the shift moves onto its primed copy
+        dominators = m.shift(active & self.dominator_fn)
+        excluded = m.and_exists(dominators, self.priority_fn, self.primed_names)
         return g & ~excluded
 
     def survivors(self, state: GlobalState) -> frozenset[Interaction]:
@@ -219,30 +213,30 @@ def build(system: SystemModel) -> SystemEncoding:
     mgr = BddManager(variable_order(system))
     behavior = encode_behavior(system, mgr)
     connector_fn = encode_connectors(system, mgr)
-    system_fn = behavior & connector_fn
     pr = system.priority
+    ports = system.all_ports
+    dominator_fn = connector_fn
     if pr is None:
         priority_fn = mgr.false
     elif isinstance(pr, MaximalProgress):
-        priority_fn = _maxprog_priority(system, mgr, connector_fn)
+        priority_fn = encode_strict_subset(ports, mgr)
     elif isinstance(pr, ExplicitPairs):
-        priority_fn = encode_priority_pairs(
-            effective_pairs(pr, system.gamma), system.all_ports, mgr)
+        pairs = effective_pairs(pr, system.gamma)
+        priority_fn = encode_priority_pairs(pairs, ports, mgr)
+        # a listed dominator need only be active, not offered by a connector
+        outside = {hi for _, hi in pairs} - system.gamma
+        dominator_fn = mgr.or_all(
+            [connector_fn, *(mgr.cube({p: p in hi for p in ports}) for hi in outside)])
     else:
         raise TypeError(f"unknown priority model: {pr!r}")
-    if priority_fn == mgr.false:
-        primed_behavior = mgr.false
-    else:
-        primed_behavior = encode_behavior(system, mgr, prime)
-    ports = system.all_ports
     return SystemEncoding(
         system=system,
         manager=mgr,
         behavior_fn=behavior,
         connector_fn=connector_fn,
-        system_fn=system_fn,
+        system_fn=behavior & connector_fn,
         priority_fn=priority_fn,
-        primed_behavior_fn=primed_behavior,
+        dominator_fn=dominator_fn,
         port_names=ports,
         primed_names=tuple(prime(p) for p in ports),
     )
@@ -253,16 +247,13 @@ class SymbolicEngine:
 
     The per-step work is a restriction of the precomputed functions by
     the current state plus one satisfying-assignment pick; the pool is
-    never enumerated.  `greedy_progress` switches the maximal-progress
-    pick to repeated extension of an initial pick instead of the
-    domination subtraction; survivor queries are unaffected.
+    never enumerated.
     """
 
-    def __init__(self, system: SystemModel, seed: int = 0, greedy_progress: bool = False):
+    def __init__(self, system: SystemModel, seed: int = 0):
         self.encoding = build(system)
         self.system = system
         self.seed = seed
-        self.greedy = greedy_progress and isinstance(system.priority, MaximalProgress)
         self.state: GlobalState = system.initial_state()
         self.steps_taken = 0
         self._rng = random.Random(seed)
@@ -282,32 +273,9 @@ class SymbolicEngine:
             return None
         return frozenset(p for p in self.encoding.port_names if assignment[p])
 
-    def _pick_greedy(self, state: GlobalState) -> Optional[Interaction]:
-        enc = self.encoding
-        m = enc.manager
-        g = enc.enabled_fn(state)
-        a = self._pick(g)
-        if a is None:
-            return None
-        while True:
-            for p in enc.port_names:
-                if p in a:
-                    continue
-                extended = g & m.cube({q: True for q in a | {p}})
-                if extended != m.false:
-                    bigger = self._pick(extended)
-                    assert bigger is not None and bigger > a
-                    a = bigger
-                    break
-            else:
-                return a
-
     def step(self) -> Optional[tuple[Interaction, GlobalState]]:
         """Fire one surviving interaction; None signals deadlock."""
-        if self.greedy:
-            a = self._pick_greedy(self.state)
-        else:
-            a = self._pick(self.encoding.survivor_fn(self.state))
+        a = self._pick(self.encoding.survivor_fn(self.state))
         if a is None:
             return None
         nxt = list(self.state)

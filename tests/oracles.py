@@ -80,3 +80,19 @@ def bdd_table(mgr, f, names):
         if mgr.evaluate(f, asg):
             out |= 1 << i
     return out
+
+
+def transfer(f, dst):
+    """Rebuild f node by node in manager `dst`, which names the same
+    variables, so that functions from two managers can be compared as
+    handles of one."""
+    src = f.manager
+    memo = {0: dst.false, 1: dst.true}
+
+    def rec(u):
+        if u not in memo:
+            top = dst.var(src.variables[src._var[u]])
+            memo[u] = dst.ite(top, rec(src._hi[u]), rec(src._lo[u]))
+        return memo[u]
+
+    return rec(f.node)

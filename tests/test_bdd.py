@@ -123,6 +123,81 @@ class TestAgainstTruthTables:
         assert mgr.exists(f & ~c, ["b"]) == (a & ~c)
 
 
+class TestRelationalProduct:
+    NAMES = ["a", "b", "c", "d", "e"]
+
+    def table_bdd(self, mgr, table, names):
+        n = len(names)
+        return mgr.or_all(
+            mgr.cube({nm: bool((i >> (n - 1 - k)) & 1) for k, nm in enumerate(names)})
+            for i in range(1 << n) if table & (1 << i))
+
+    def exists_table(self, table, names, quantified):
+        # a row survives if some row differing only in quantified bits is set
+        n = len(names)
+        mask = sum(1 << (n - 1 - names.index(q)) for q in quantified)
+        out = 0
+        for i in range(1 << n):
+            if any(table & (1 << (i & ~mask | j)) for j in range(1 << n) if j & ~mask == 0):
+                out |= 1 << i
+        return out
+
+    def test_and_exists_against_tables(self):
+        mgr = BddManager(self.NAMES)
+        rng = random.Random(17)
+        # level-skipping sets, and several sets over the same operands so
+        # that a cache key without the set would return a stale result
+        name_sets = [[], ["a"], ["e"], ["b", "d"], ["a", "c", "e"], ["c"], self.NAMES]
+        for _ in range(40):
+            t1, t2 = rng.getrandbits(32), rng.getrandbits(32)
+            if rng.random() < 0.3:
+                t2 |= t1  # overlapping operands reach the early-true cut
+            f = self.table_bdd(mgr, t1, self.NAMES)
+            g = self.table_bdd(mgr, t2, self.NAMES)
+            for names in name_sets:
+                table = self.exists_table(t1 & t2, self.NAMES, names)
+                want = self.table_bdd(mgr, table, self.NAMES)
+                assert mgr.and_exists(f, g, names) == want
+                assert mgr.and_exists(g, f, names) == want
+                assert mgr.exists(f & g, names) == want
+        mgr.audit()
+
+    def test_and_exists_with_constants(self):
+        mgr = BddManager(self.NAMES)
+        f = mgr.var("a") & mgr.var("c")
+        assert mgr.and_exists(f, mgr.true, ["a"]) == mgr.var("c")
+        assert mgr.and_exists(f, mgr.false, ["a"]) == mgr.false
+        assert mgr.and_exists(f, ~f, ["a", "c"]) == mgr.false
+        assert mgr.and_exists(mgr.true, mgr.true, ["b"]) == mgr.true
+
+    def test_shift_is_the_truth_table_rename(self):
+        mgr = BddManager(self.NAMES)
+        rng = random.Random(23)
+        for _ in range(40):
+            t = rng.getrandbits(16)
+            f = self.table_bdd(mgr, t, self.NAMES[:-1])
+            shifted = mgr.shift(f)
+            assert shifted == self.table_bdd(mgr, t, self.NAMES[1:])
+            assert bdd_table(mgr, shifted, self.NAMES[1:]) == t
+            assert mgr.node_count(shifted) == mgr.node_count(f)
+        assert mgr.shift(mgr.true) == mgr.true and mgr.shift(mgr.false) == mgr.false
+        mgr.audit()
+
+    def test_shift_past_last_variable_rejected(self):
+        mgr = BddManager(self.NAMES)
+        with pytest.raises(BddError):
+            mgr.shift(mgr.var("a") | mgr.var("e"))
+
+    def test_mixed_managers_rejected(self):
+        mgr, other = BddManager(self.NAMES), BddManager(self.NAMES)
+        with pytest.raises(BddError):
+            mgr.and_exists(mgr.var("a"), other.var("b"), ["a"])
+        with pytest.raises(BddError):
+            mgr.and_exists(other.var("a"), mgr.var("b"), ["a"])
+        with pytest.raises(BddError):
+            mgr.shift(other.var("a"))
+
+
 class TestCubes:
     def test_cube_node_count_matches_width(self, mgr):
         # one internal node per literal

@@ -4,19 +4,29 @@ import pytest
 
 from portsync.bdd import BddManager
 from portsync.generators import gen_bus, gen_tasks, modulo8, random_system
-from portsync.model import MaximalProgress, ValidationError, survivors
+from portsync.connectors import PortLeaf
+from portsync.model import (
+    AtomicBehavior,
+    Connector,
+    ExplicitPairs,
+    MaximalProgress,
+    SystemModel,
+    Transition,
+    ValidationError,
+    effective_pairs,
+    reachable,
+    survivors,
+)
 from portsync.symbolic import (
     SymbolicEngine,
     build,
     encode_atom,
-    encode_behavior,
-    encode_priority_pairs,
-    prime,
+    encode_strict_subset,
     state_var,
     variable_order,
 )
 
-from oracles import all_states, oracle_survivors
+from oracles import all_states, oracle_survivors, transfer
 
 
 def test_variable_order_groups_atoms(mod8):
@@ -56,14 +66,46 @@ def test_enabled_fn_matches_restricted_system_fn(mod8):
         assert enc.enabled_fn(state) == direct
 
 
-def test_maxprog_priority_equals_materialized_pairs():
-    for sysm in (modulo8(), gen_bus(1), gen_tasks(2, 1)):
+def test_maxprog_survivor_fn_equals_materialized_pairs():
+    # maximal progress (strict-subset relation) and its pairs written out
+    # (minterm relation) must give the same survivor function node at
+    # every reachable state
+    systems = [modulo8(), gen_bus(1), gen_bus(3), gen_tasks(2, 1), gen_tasks(3, 2)]
+    systems += [r for r in map(random_system, range(60)) if isinstance(r.priority, MaximalProgress)]
+    for sysm in systems:
+        pairs = effective_pairs(sysm.priority, sysm.gamma)
         enc = build(sysm)
-        pool = sorted(sysm.gamma, key=sorted)
-        pairs = tuple(
-            (a, b) for a in pool for b in pool if a < b)
-        explicit = encode_priority_pairs(pairs, sysm.all_ports, enc.manager)
-        assert enc.priority_fn == explicit
+        explicit = build(SystemModel(sysm.name, sysm.atoms, sysm.connectors, ExplicitPairs(pairs)))
+        for state in reachable(sysm, bound=300).states:
+            fn = enc.survivor_fn(state)
+            assert transfer(explicit.survivor_fn(state), enc.manager) == fn
+            assert frozenset(enc.manager.iter_models(fn, enc.port_names)) == survivors(sysm, state)
+
+
+def test_pair_dominator_outside_pool_is_activity_checked():
+    # y dominates x and no connector offers y: x still loses while the
+    # y transition is locally active
+    fz = frozenset
+    atom = AtomicBehavior("A", ("s0", "s1"), "s0", ("x", "y"),
+                          (Transition("s0", fz("x"), "s1"), Transition("s1", fz("y"), "s0")))
+    sysm = SystemModel("m", (atom,), (Connector("cx", PortLeaf("x")),),
+                       ExplicitPairs(((fz("x"), fz("y")),)))
+    enc = build(sysm)
+    assert enc.survivors(("s0",)) == survivors(sysm, ("s0",)) == {fz("x")}
+    atom = AtomicBehavior("A", ("s0", "s1"), "s0", ("x", "y"),
+                          (Transition("s0", fz("x"), "s1"), Transition("s0", fz("y"), "s1")))
+    sysm = SystemModel("m", (atom,), sysm.connectors, sysm.priority)
+    enc = build(sysm)
+    assert enc.survivors(("s0",)) == survivors(sysm, ("s0",)) == frozenset()
+
+
+def test_maxprog_relation_is_strict_subset():
+    sysm = modulo8()
+    enc = build(sysm)
+    assert enc.priority_fn == encode_strict_subset(sysm.all_ports, enc.manager)
+    # per port three nodes while the copies are equal so far and two once
+    # the inclusion is strict, less four at the last port: linear in ports
+    assert enc.node_counts()["fp_nodes"] == 5 * len(sysm.all_ports) - 4
 
 
 def test_survivors_match_core_semantics(mod8, broadcast_system):
@@ -123,14 +165,6 @@ class TestEngine:
         tr = eng.run(10)
         assert tr.deadlocked
         assert len(tr) == 1
-
-    def test_greedy_progress_agrees_on_broadcast(self, broadcast_system):
-        plain = SymbolicEngine(broadcast_system, seed=3)
-        greedy = SymbolicEngine(broadcast_system, seed=3, greedy_progress=True)
-        # unique maximal interaction: both must fire the full broadcast
-        a_plain = plain.step()[0]
-        a_greedy = greedy.step()[0]
-        assert a_plain == a_greedy == frozenset({"s", "r1", "r2", "r3"})
 
     def test_trace_total_time_recorded(self, mod8):
         tr = SymbolicEngine(mod8, seed=0).run(4)
