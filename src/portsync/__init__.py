@@ -28,10 +28,8 @@ from .connectors import (
     OneLeaf,
     PortLeaf,
     ZeroLeaf,
-    bool_to_interactions,
     fusion,
     interactions_of,
-    interactions_to_bool,
     normalize_binary,
     support,
 )
@@ -80,11 +78,10 @@ __all__ = [
     "NotEnabledError", "OneLeaf", "PortLeaf", "RandomBounds",
     "SymbolicEngine", "SystemEncoding", "SystemModel", "Trace",
     "Transition", "ValidationError", "ZeroLeaf",
-    "act", "bool_to_interactions", "build", "canonical", "causal_rules",
-    "check_equivalence", "ct_interactions", "effective_pairs", "enabled",
-    "filter_priority", "format_tree", "fusion", "gen_bus", "gen_tasks",
-    "interactions_of", "interactions_to_bool", "modulo8",
-    "normalize_binary", "parse", "random_monomial_term", "random_system",
+    "act", "build", "canonical", "causal_rules", "check_equivalence",
+    "ct_interactions", "effective_pairs", "enabled", "filter_priority",
+    "format_tree", "fusion", "gen_bus", "gen_tasks", "interactions_of",
+    "modulo8", "normalize_binary", "parse", "random_monomial_term", "random_system",
     "reachable", "rules_to_formula", "serialize", "step", "successors",
     "support", "survivors", "tau", "validate",
 ]

@@ -10,9 +10,16 @@ manager computes the relational product `and_exists` (the conjunction
 quantified on the fly, never built) and a one-level variable `shift`,
 which is how the symbolic engine evaluates priority.
 
+The unique table and the computed tables (one per operation: and, or,
+ite, not, shift, and one per quantified variable set of `and_exists`,
+as in Brace, Rudell and Bryant, DAC 1990) are dicts keyed by ints that
+pack the operand node ids, `NODE_BITS` bits each.  A node's support is
+memoised as a bitmask over levels, and each picked root's sorted support
+levels next to it.
+
 Deliberately small: no complement edges, no garbage collection, no
-dynamic reordering.  The unique table and the operation cache grow
-monotonically for the life of the manager; long-running processes
+dynamic reordering.  The node store, the tables and the support memos
+grow monotonically for the life of the manager; long-running processes
 should create a fresh manager per encoding.
 """
 
@@ -25,9 +32,18 @@ from typing import Iterable, Iterator, Mapping, Sequence
 FALSE = 0
 TRUE = 1
 
+NODE_BITS = 32              # width of one node id in a packed table key
+MAX_NODES = 1 << NODE_BITS  # node ids the packing can hold
+
 
 class BddError(Exception):
     pass
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits of `mask`, ascending."""
+    digits = bin(mask)[:1:-1]  # least significant first, "0b" dropped
+    return tuple([i for i, d in enumerate(digits) if d == "1"])
 
 
 class BddRef:
@@ -92,9 +108,14 @@ class BddManager:
         self._var: list[int] = [n, n]
         self._lo: list[int] = [-1, -1]
         self._hi: list[int] = [-1, -1]
-        self._unique: dict[tuple[int, int, int], int] = {}
-        self._cache: dict[tuple, int] = {}
-        self._quant_tokens: dict[frozenset[int], int] = {}
+        self._unique: dict[int, int] = {}
+        self._tables: dict[str, dict[int, int]] = {
+            op: {} for op in ("and", "or", "ite", "not", "shift")}
+        # quantified name set -> (its levels, the and_exists table)
+        self._exists_tables: dict[frozenset[str], tuple[frozenset[int], dict[int, int]]] = {}
+        self._support_masks: dict[int, int] = {}
+        self._sorted_supports: dict[int, tuple[int, ...]] = {}
+        self._mk, self._and, self._or, self._ite, self._not = self._kernel()
         self.false = BddRef(self, FALSE)
         self.true = BddRef(self, TRUE)
         # recursion depth tracks the order length, one frame per level
@@ -126,18 +147,96 @@ class BddManager:
             raise BddError("operand belongs to a different manager")
         return f.node
 
-    def _mk(self, level: int, lo: int, hi: int) -> int:
-        if lo == hi:
-            return lo
-        key = (level, lo, hi)
-        u = self._unique.get(key)
-        if u is None:
-            u = len(self._var)
-            self._var.append(level)
-            self._lo.append(lo)
-            self._hi.append(hi)
-            self._unique[key] = u
-        return u
+    def _kernel(self):
+        """The node constructor and the recursive connectives, as closures
+        over the node arrays and their tables; each recursion splits the
+        cofactors of its top level inline."""
+        var, lo, hi, unique = self._var, self._lo, self._hi, self._unique
+        t_and, t_or, t_ite, t_not = (self._tables[op] for op in ("and", "or", "ite", "not"))
+        B = NODE_BITS
+
+        def mk(level: int, l: int, h: int) -> int:
+            if l == h:
+                return l
+            key = (level << B | l) << B | h
+            u = unique.get(key)
+            if u is None:
+                u = len(var)
+                if u >= MAX_NODES:
+                    raise BddError(f"node store full: {MAX_NODES} nodes")
+                var.append(level)
+                lo.append(l)
+                hi.append(h)
+                unique[key] = u
+            return u
+
+        def and_(f: int, g: int) -> int:
+            if f > g:
+                f, g = g, f
+            if f <= TRUE:  # false absorbs, true is the unit
+                return g if f else FALSE
+            if f == g:
+                return f
+            key = f << B | g
+            r = t_and.get(key)
+            if r is None:
+                vf, vg = var[f], var[g]
+                if vf == vg:
+                    r = mk(vf, and_(lo[f], lo[g]), and_(hi[f], hi[g]))
+                elif vf < vg:
+                    r = mk(vf, and_(lo[f], g), and_(hi[f], g))
+                else:
+                    r = mk(vg, and_(f, lo[g]), and_(f, hi[g]))
+                t_and[key] = r
+            return r
+
+        def or_(f: int, g: int) -> int:
+            if f > g:
+                f, g = g, f
+            if f <= TRUE:  # true absorbs, false is the unit
+                return TRUE if f else g
+            if f == g:
+                return f
+            key = f << B | g
+            r = t_or.get(key)
+            if r is None:
+                vf, vg = var[f], var[g]
+                if vf == vg:
+                    r = mk(vf, or_(lo[f], lo[g]), or_(hi[f], hi[g]))
+                elif vf < vg:
+                    r = mk(vf, or_(lo[f], g), or_(hi[f], g))
+                else:
+                    r = mk(vg, or_(f, lo[g]), or_(f, hi[g]))
+                t_or[key] = r
+            return r
+
+        def ite(f: int, g: int, h: int) -> int:
+            if f <= TRUE:
+                return g if f else h
+            if g == h:
+                return g
+            if g == TRUE and h == FALSE:
+                return f
+            key = ((f << B | g) << B) | h
+            r = t_ite.get(key)
+            if r is None:
+                top = min(var[f], var[g], var[h])
+                f0, f1 = (lo[f], hi[f]) if var[f] == top else (f, f)
+                g0, g1 = (lo[g], hi[g]) if var[g] == top else (g, g)
+                h0, h1 = (lo[h], hi[h]) if var[h] == top else (h, h)
+                r = t_ite[key] = mk(top, ite(f0, g0, h0), ite(f1, g1, h1))
+            return r
+
+        def not_(u: int) -> int:
+            # no complement edges: negation copies the graph, terminals swapped
+            if u <= TRUE:
+                return TRUE - u
+            r = t_not.get(u)
+            if r is None:
+                r = t_not[u] = mk(var[u], not_(lo[u]), not_(hi[u]))
+            return r
+
+        return mk, and_, or_, ite, not_
 
     # -- construction ------------------------------------------------
 
@@ -162,7 +261,7 @@ class BddManager:
         elif op == "or":
             r = self._or(u, v)
         elif op == "xor":
-            r = self._ite(u, self._ite(v, FALSE, TRUE), v)
+            r = self._ite(u, self._not(v), v)
         elif op == "implies":
             r = self._ite(u, v, TRUE)
         else:
@@ -170,84 +269,10 @@ class BddManager:
         return self._ref(r)
 
     def not_(self, f: BddRef) -> BddRef:
-        # negation is ite(f, false, true); no complement edges
-        return self._ref(self._ite(self._node(f), FALSE, TRUE))
+        return self._ref(self._not(self._node(f)))
 
     def ite(self, f: BddRef, g: BddRef, h: BddRef) -> BddRef:
         return self._ref(self._ite(self._node(f), self._node(g), self._node(h)))
-
-    def _cofactors(self, u: int, level: int) -> tuple[int, int]:
-        if self._var[u] == level:
-            return self._lo[u], self._hi[u]
-        return u, u
-
-    def _ite(self, f: int, g: int, h: int) -> int:
-        if f == TRUE:
-            return g
-        if f == FALSE:
-            return h
-        if g == h:
-            return g
-        if g == TRUE and h == FALSE:
-            return f
-        key = ("ite", f, g, h)
-        r = self._cache.get(key)
-        if r is not None:
-            return r
-        var = self._var
-        top = min(var[f], var[g], var[h])
-        f0, f1 = self._cofactors(f, top)
-        g0, g1 = self._cofactors(g, top)
-        h0, h1 = self._cofactors(h, top)
-        r = self._mk(top, self._ite(f0, g0, h0), self._ite(f1, g1, h1))
-        self._cache[key] = r
-        return r
-
-    def _and(self, f: int, g: int) -> int:
-        if f == FALSE or g == FALSE:
-            return FALSE
-        if f == TRUE:
-            return g
-        if g == TRUE:
-            return f
-        if f == g:
-            return f
-        if f > g:
-            f, g = g, f
-        key = ("and", f, g)
-        r = self._cache.get(key)
-        if r is not None:
-            return r
-        var = self._var
-        top = min(var[f], var[g])
-        f0, f1 = self._cofactors(f, top)
-        g0, g1 = self._cofactors(g, top)
-        r = self._mk(top, self._and(f0, g0), self._and(f1, g1))
-        self._cache[key] = r
-        return r
-
-    def _or(self, f: int, g: int) -> int:
-        if f == TRUE or g == TRUE:
-            return TRUE
-        if f == FALSE:
-            return g
-        if g == FALSE:
-            return f
-        if f == g:
-            return f
-        if f > g:
-            f, g = g, f
-        key = ("or", f, g)
-        r = self._cache.get(key)
-        if r is not None:
-            return r
-        var = self._var
-        top = min(var[f], var[g])
-        f0, f1 = self._cofactors(f, top)
-        g0, g1 = self._cofactors(g, top)
-        r = self._mk(top, self._or(f0, g0), self._or(f1, g1))
-        self._cache[key] = r
-        return r
 
     def and_all(self, fs: Iterable[BddRef]) -> BddRef:
         return self._fold(self._and, TRUE, fs)
@@ -311,29 +336,37 @@ class BddManager:
         conjoins, so the conjunction is never built: the relational
         product of Burch et al., as CUDD's Cudd_bddAndAbstract."""
         u, v = self._node(f), self._node(g)
-        levels = frozenset(self.level_of(n) for n in names)
-        token = self._quant_tokens.setdefault(levels, len(self._quant_tokens))
+        quantified = frozenset(names)
+        entry = self._exists_tables.get(quantified)
+        if entry is None:
+            levels = frozenset(self.level_of(n) for n in quantified)
+            entry = self._exists_tables[quantified] = (levels, {})
+        levels, table = entry
         top = max(levels, default=-1)
-        var, cache = self._var, self._cache
+        var, lo, hi = self._var, self._lo, self._hi
+        mk, and_, or_ = self._mk, self._and, self._or
+        B = NODE_BITS
 
         def rec(u: int, v: int) -> int:
-            if u == FALSE or v == FALSE:
-                return FALSE
-            if var[u] > top and var[v] > top:
-                return self._and(u, v)
             if u > v:
                 u, v = v, u
-            key = ("and_exists", token, u, v)
-            r = cache.get(key)
+            if u == FALSE:
+                return FALSE
+            vu, vv = var[u], var[v]
+            if vu > top and vv > top:
+                return and_(u, v)
+            key = u << B | v
+            r = table.get(key)
             if r is None:
-                lvl = min(var[u], var[v])
-                (u0, u1), (v0, v1) = self._cofactors(u, lvl), self._cofactors(v, lvl)
+                lvl = vu if vu < vv else vv
+                u0, u1 = (lo[u], hi[u]) if vu == lvl else (u, u)
+                v0, v1 = (lo[v], hi[v]) if vv == lvl else (v, v)
                 l = rec(u0, v0)
                 if lvl not in levels:
-                    r = self._mk(lvl, l, rec(u1, v1))
+                    r = mk(lvl, l, rec(u1, v1))
                 else:
-                    r = l if l == TRUE else self._or(l, rec(u1, v1))
-                cache[key] = r
+                    r = l if l == TRUE else or_(l, rec(u1, v1))
+                table[key] = r
             return r
 
         return self._ref(rec(u, v))
@@ -341,17 +374,17 @@ class BddManager:
     def shift(self, f: BddRef) -> BddRef:
         """f with every variable renamed to the next one in the order: a
         structural copy one level down, with no apply."""
-        var, lo, hi, cache = self._var, self._lo, self._hi, self._cache
+        var, lo, hi, table, mk = self._var, self._lo, self._hi, self._tables["shift"], self._mk
         last = self._leaf_level - 1
 
         def rec(u: int) -> int:
             if u <= TRUE:
                 return u
-            r = cache.get(("shift", u))
+            r = table.get(u)
             if r is None:
                 if var[u] == last:
                     raise BddError("the last variable of the order has no successor")
-                r = cache[("shift", u)] = self._mk(var[u] + 1, rec(lo[u]), rec(hi[u]))
+                r = table[u] = mk(var[u] + 1, rec(lo[u]), rec(hi[u]))
             return r
 
         return self._ref(rec(self._node(f)))
@@ -382,11 +415,30 @@ class BddManager:
         """Internal nodes reachable from f (terminals excluded)."""
         return len(self._reachable(self._node(f)))
 
-    def support(self, f: BddRef) -> frozenset[str]:
-        return frozenset(self._names[self._var[v]] for v in self._reachable(self._node(f)))
+    def _support_mask(self, u: int) -> int:
+        """Bit l is set iff level l is tested somewhere below u; memoised
+        per node, so a shared subgraph is walked once."""
+        masks, var, lo, hi = self._support_masks, self._var, self._lo, self._hi
 
-    def _support_levels(self, u: int) -> set[int]:
-        return {self._var[v] for v in self._reachable(u)}
+        def rec(u: int) -> int:
+            if u <= TRUE:
+                return 0
+            m = masks.get(u)
+            if m is None:
+                m = masks[u] = 1 << var[u] | rec(lo[u]) | rec(hi[u])
+            return m
+
+        return rec(u)
+
+    def _support_levels(self, u: int) -> tuple[int, ...]:
+        """The support of u as ascending levels, memoised per root."""
+        levels = self._sorted_supports.get(u)
+        if levels is None:
+            levels = self._sorted_supports[u] = _bits(self._support_mask(u))
+        return levels
+
+    def support(self, f: BddRef) -> frozenset[str]:
+        return frozenset(self._names[l] for l in self._support_levels(self._node(f)))
 
     def pick_sat(self, f: BddRef, seed: int = 0) -> dict[str, bool] | None:
         """One satisfying assignment, or None if f is false.
@@ -400,10 +452,11 @@ class BddManager:
         if u == FALSE:
             return None
         rng = random.Random(seed)
-        sup = self._support_levels(u)
-        out: dict[str, bool] = {}
-        var, lo, hi = self._var, self._lo, self._hi
-        for lvl, name in enumerate(self._names):
+        names, var, lo, hi = self._names, self._var, self._lo, self._hi
+        out = dict.fromkeys(names, False)
+        # every level the descent meets is in the support, so coins are
+        # drawn in level order exactly as a walk over all levels would
+        for lvl in self._support_levels(u):
             if var[u] == lvl:
                 l, h = lo[u], hi[u]
                 if l == FALSE:
@@ -412,12 +465,10 @@ class BddManager:
                     take = False
                 else:
                     take = rng.random() < 0.5
-                out[name] = take
                 u = h if take else l
-            elif lvl in sup:
-                out[name] = rng.random() < 0.5
             else:
-                out[name] = False
+                take = rng.random() < 0.5
+            out[names[lvl]] = take
         if u != TRUE:
             raise BddError("descent did not reach the true terminal")
         return out
@@ -431,9 +482,9 @@ class BddManager:
         u = self._node(f)
         lvls = sorted(self.level_of(n) for n in set(names))
         by_level = {self._level[n]: n for n in names}
-        missing = self._support_levels(u) - set(lvls)
+        missing = self._support_mask(u) & ~sum(1 << lvl for lvl in lvls)
         if missing:
-            lost = sorted(self._names[l] for l in missing)
+            lost = [self._names[l] for l in _bits(missing)]
             raise BddError(f"model variables must cover the support; missing {lost}")
         var, lo, hi = self._var, self._lo, self._hi
 
@@ -458,6 +509,8 @@ class BddManager:
 
     def audit(self) -> None:
         """Check ordering, reduction, and unique-table consistency."""
+        if len(self._var) > MAX_NODES:
+            raise BddError("node ids exceed the packed-key width")
         for u in range(2, len(self._var)):
             lvl, lo, hi = self._var[u], self._lo[u], self._hi[u]
             if lo == hi:
@@ -465,7 +518,7 @@ class BddManager:
             for child in (lo, hi):
                 if child > TRUE and self._var[child] <= lvl:
                     raise BddError(f"node {u} violates the variable order")
-            if self._unique.get((lvl, lo, hi)) != u:
+            if self._unique.get((lvl << NODE_BITS | lo) << NODE_BITS | hi) != u:
                 raise BddError(f"node {u} missing from the unique table")
         if len(self._unique) != len(self._var) - 2:
             raise BddError("unique table and node store disagree")

@@ -2,14 +2,17 @@
 
 Timing covers the run loop only; engine construction (pool
 materialization, encoding) happens before the clock starts.  Each
-measurement does one untimed warm-up run, then `repetitions` timed runs
-from a reset engine; the reported row is the median repetition by total
-time.  Symbolic rows carry the node counts of the encoded functions,
-enumerative rows leave them empty.
+measurement does one untimed warm-up run, then `repetitions` timed runs,
+each on a freshly built engine, so that no timed step replays a
+trajectory whose survivor functions an engine has already cached; the
+warm-up has an engine of its own.  The reported row is the median
+repetition by total time.  Symbolic rows carry the node counts of the
+encoded functions, enumerative rows leave them empty.
 """
 
 from __future__ import annotations
 
+import gc
 import statistics
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -88,13 +91,16 @@ def bench(
     if repetitions < 1:
         raise ValueError("repetitions must be positive")
     system = make_system(example, n, m)
-    runner = make_engine(system, engine, seed)
     warm = steps if warmup_steps is None else warmup_steps
     if warm:
-        runner.run(warm)
+        make_engine(system, engine, seed).run(warm)
     samples: list[tuple[int, int]] = []  # (total_ns, executed)
     for _ in range(repetitions):
-        runner.reset()
+        # free the last engine before building the next: a BDD manager
+        # holds reference cycles, so only the collector reclaims it
+        runner = None
+        gc.collect()
+        runner = make_engine(system, engine, seed)
         trace = runner.run(steps)
         samples.append((trace.total_ns, len(trace)))
     median_total = statistics.median(t for t, _ in samples)

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .boolfunc import BoolExpr, Var, conj, disj, evaluate, neg, variables
-
 Interaction = frozenset[str]
 
 AcTerm = Union["PortLeaf", "ZeroLeaf", "OneLeaf", "Fusion"]
@@ -145,43 +143,3 @@ def normalize_binary(term: AcTerm) -> AcTerm:
 def interaction_key(a: Interaction) -> tuple[int, tuple[str, ...]]:
     """Deterministic sort key for interactions (size, then lexicographic)."""
     return (len(a), tuple(sorted(a)))
-
-
-def interactions_to_bool(gamma: Iterable[Interaction], universe: Iterable[str]) -> BoolExpr:
-    """Characteristic function of an interaction set over a port universe.
-
-    Each interaction becomes a full minterm; ports outside the
-    interaction are negated, so valuations and interactions are in
-    bijection.
-    """
-    names = sorted(set(universe))
-    name_set = set(names)
-    minterms = []
-    for a in sorted(set(gamma), key=interaction_key):
-        if not a <= name_set:
-            raise ValueError(f"interaction {sorted(a)} not within universe {names}")
-        lits = [Var(p) if p in a else neg(Var(p)) for p in names]
-        minterms.append(conj(lits))
-    return disj(minterms)
-
-
-def bool_to_interactions(expr: BoolExpr, universe: Iterable[str]) -> frozenset[Interaction]:
-    """Satisfying valuations of `expr` over `universe`, read as interactions."""
-    names = sorted(set(universe))
-    extra = variables(expr) - set(names)
-    if extra:
-        raise ValueError(f"expression mentions ports outside the universe: {sorted(extra)}")
-    out: set[Interaction] = set()
-
-    def walk(idx: int, acc: set[str]) -> None:
-        if idx == len(names):
-            if evaluate(expr, frozenset(acc)):
-                out.add(frozenset(acc))
-            return
-        walk(idx + 1, acc)
-        acc.add(names[idx])
-        walk(idx + 1, acc)
-        acc.discard(names[idx])
-
-    walk(0, set())
-    return frozenset(out)

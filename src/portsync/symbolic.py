@@ -15,23 +15,27 @@ of each port for priorities):
   nodes per port that never mentions the pool; explicit pairs are
   rendered as full minterms.
 
-A step restricts the behavior by the current state valuation and
-conjoins the connectors, giving the enabled function g.  The possible
+The build also keeps each atom's behavior restricted to each of its
+control states.  A step conjoins the current states' local behaviors (a
+balanced fold, so after a move only the ands along the changed atoms'
+path are new work), which is the behavior restricted to the state, and
+then the connectors, giving the enabled function g.  The possible
 dominators are g itself, plus any active interaction that an explicit
 pair lists as a dominator outside the pool (it need only be active).
 Moving them onto the primed copies is a one-level shift, since each
 primed port follows its port in the order; the dominated set is then
 one relational product excluded(P) = exists P'. dominators(P') &
-R(P, P'), and the step picks one satisfying valuation of g & ~excluded.
-No primed behavior, primed connectors or pool-sized priority function
-is built.
+R(P, P'), and the survivor function is g & ~excluded.  It is memoised
+per global state, so a revisited state costs one dict lookup, and the
+step picks one of its satisfying valuations.  No primed behavior, primed
+connectors or pool-sized priority function is built.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import boolfunc as bf
@@ -91,6 +95,13 @@ def encode_atom(atom: AtomicBehavior, mgr: BddManager) -> BddRef:
         parts.append(onehot & firings)
     idle = mgr.cube({p: False for p in atom.ports})
     return mgr.or_all(parts) | idle
+
+
+def encode_local(atom: AtomicBehavior, mgr: BddManager) -> dict[str, BddRef]:
+    """The atom's behavior restricted to each of its control states."""
+    f = encode_atom(atom, mgr)
+    return {q: mgr.restrict_many(f, {state_var(atom, s): s == q for s in atom.states})
+            for q in atom.states}
 
 
 def encode_behavior(system: SystemModel, mgr: BddManager) -> BddRef:
@@ -158,8 +169,11 @@ class SystemEncoding:
     system_fn: BddRef           # behavior & connectors
     priority_fn: BddRef         # R: (a, dominator) over plain/primed ports
     dominator_fn: BddRef        # the pool, plus listed dominators outside it
+    local_behavior: tuple[dict[str, BddRef], ...]  # per atom: control state -> restricted f_atom
     port_names: tuple[str, ...]
     primed_names: tuple[str, ...]
+    _survivor_memo: dict[GlobalState, BddRef] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def node_counts(self) -> dict[str, int]:
         m = self.manager
@@ -177,29 +191,35 @@ class SystemEncoding:
                 out[state_var(atom, s)] = s == current
         return out
 
-    # Only the behavior factors mention state variables, so each step
-    # restricts those and conjoins the static port-only functions; the
-    # manager's operation cache then reuses everything below the atoms
-    # whose state did not change since some earlier step.
+    # Each atom's local behavior mentions only its own ports, so their
+    # conjunction is restrict(f_B, state) (the same canonical node), and
+    # the manager's op cache reuses every and below the atoms whose state
+    # did not change since some earlier step.
+
+    def active_fn(self, state: GlobalState) -> BddRef:
+        return self.manager.and_all(
+            local[q] for local, q in zip(self.local_behavior, state))
 
     def enabled_fn(self, state: GlobalState) -> BddRef:
-        m = self.manager
-        asg = self.state_assignment(state)
-        return m.restrict_many(self.behavior_fn, asg) & self.connector_fn
+        return self.active_fn(state) & self.connector_fn
 
     def survivor_fn(self, state: GlobalState) -> BddRef:
+        fn = self._survivor_memo.get(state)
+        if fn is not None:
+            return fn
         m = self.manager
-        asg = self.state_assignment(state)
-        active = m.restrict_many(self.behavior_fn, asg)
-        g = active & self.connector_fn
-        if self.priority_fn == m.false:
-            return g
-        # without listed dominators outside the pool this is g again, an
-        # op-cache hit; the full-state restriction leaves only plain ports,
-        # each of which the shift moves onto its primed copy
-        dominators = m.shift(active & self.dominator_fn)
-        excluded = m.and_exists(dominators, self.priority_fn, self.primed_names)
-        return g & ~excluded
+        fn = g = self.enabled_fn(state)
+        if self.priority_fn != m.false:
+            # the dominators are g, plus any active listed dominator
+            # outside the pool; the state is restricted away, so only plain
+            # ports remain, each of which the shift moves onto its primed copy
+            dominators = g
+            if self.dominator_fn != self.connector_fn:
+                dominators = self.active_fn(state) & self.dominator_fn
+            excluded = m.and_exists(m.shift(dominators), self.priority_fn, self.primed_names)
+            fn = g & ~excluded
+        self._survivor_memo[state] = fn
+        return fn
 
     def survivors(self, state: GlobalState) -> frozenset[Interaction]:
         fn = self.survivor_fn(state)
@@ -237,6 +257,7 @@ def build(system: SystemModel) -> SystemEncoding:
         system_fn=behavior & connector_fn,
         priority_fn=priority_fn,
         dominator_fn=dominator_fn,
+        local_behavior=tuple(encode_local(atom, mgr) for atom in system.atoms),
         port_names=ports,
         primed_names=tuple(prime(p) for p in ports),
     )
@@ -245,9 +266,9 @@ def build(system: SystemModel) -> SystemEncoding:
 class SymbolicEngine:
     """Stepper that works on the encoded system only.
 
-    The per-step work is a restriction of the precomputed functions by
-    the current state plus one satisfying-assignment pick; the pool is
-    never enumerated.
+    The per-step work is the survivor function of the current state,
+    looked up or composed from the precomputed functions, plus one
+    satisfying-assignment pick; the pool is never enumerated.
     """
 
     def __init__(self, system: SystemModel, seed: int = 0):

@@ -6,6 +6,7 @@ transition relations, priority filtering recomputes domination from
 scratch, and state spaces come from the raw product of state sets.
 """
 
+import random
 from itertools import product
 
 from portsync.model import MaximalProgress, ExplicitPairs
@@ -79,6 +80,30 @@ def bdd_table(mgr, f, names):
         }
         if mgr.evaluate(f, asg):
             out |= 1 << i
+    return out
+
+
+def reference_pick_sat(mgr, f, seed=0):
+    """BddManager.pick_sat as first written: the support from a walk over
+    every node below f, then one pass over every level of the order,
+    drawing a coin at each branching node and each skipped support level."""
+    u = f.node
+    if u == 0:
+        return None
+    rng = random.Random(seed)
+    sup = {mgr._var[v] for v in mgr._reachable(u)}
+    out = {}
+    for lvl, name in enumerate(mgr.variables):
+        if mgr._var[u] == lvl:
+            lo, hi = mgr._lo[u], mgr._hi[u]
+            take = True if lo == 0 else False if hi == 0 else rng.random() < 0.5
+            out[name] = take
+            u = hi if take else lo
+        elif lvl in sup:
+            out[name] = rng.random() < 0.5
+        else:
+            out[name] = False
+    assert u == 1
     return out
 
 

@@ -6,10 +6,10 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from portsync import boolfunc as bf
+from portsync import bdd, boolfunc as bf
 from portsync.bdd import BddError, BddManager
 
-from oracles import bdd_table
+from oracles import bdd_table, reference_pick_sat
 
 
 @pytest.fixture
@@ -198,6 +198,24 @@ class TestRelationalProduct:
             mgr.shift(other.var("a"))
 
 
+class TestPackedKeys:
+    def test_node_store_full_raises(self, monkeypatch):
+        # a node id past the packed keys' width is refused, not allocated
+        monkeypatch.setattr(bdd, "MAX_NODES", 6)
+        mgr = BddManager(list("abcdefgh"))
+        with pytest.raises(BddError, match="node store full"):
+            mgr.and_all(mgr.var(n) for n in "abcdefgh")
+        assert mgr.total_nodes() == 4
+        mgr.audit()
+
+    def test_audit_checks_unique_table(self, mgr):
+        mgr.var("a") & mgr.var("b")
+        mgr.audit()
+        mgr._unique.pop(next(iter(mgr._unique)))
+        with pytest.raises(BddError, match="missing from the unique table"):
+            mgr.audit()
+
+
 class TestCubes:
     def test_cube_node_count_matches_width(self, mgr):
         # one internal node per literal
@@ -239,6 +257,25 @@ class TestPickSat:
             asg = mgr.pick_sat(f, seed=seed)
             seen.add((asg["a"], asg["b"]))
         assert seen == {(True, False), (False, True), (True, True)}
+
+    def test_matches_reference_on_level_skipping_supports(self):
+        # the pick visits support levels only; coins and result must be
+        # those of a walk over every level
+        names = [f"v{i}" for i in range(12)]
+        mgr = BddManager(names)
+        rng = random.Random(3)
+        skipping = 0
+        for _ in range(60):
+            used = sorted(rng.sample(range(12), rng.randint(1, 8)))
+            f = mgr.or_all(
+                mgr.cube({names[i]: rng.random() < 0.5 for i in used if rng.random() < 0.7})
+                for _ in range(rng.randint(1, 5)))
+            levels = sorted(names.index(n) for n in mgr.support(f))
+            if levels and levels != list(range(levels[0], levels[-1] + 1)):
+                skipping += 1
+            for seed in range(30):
+                assert mgr.pick_sat(f, seed=seed) == reference_pick_sat(mgr, f, seed)
+        assert skipping > 20
 
     def test_nonsupport_defaults_false(self, mgr):
         f = mgr.var("a")

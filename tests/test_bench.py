@@ -52,6 +52,24 @@ def test_bench_symbolic_record_has_node_counts():
     assert rec.fc_nodes > 0 and rec.fp_nodes > 0
 
 
+def test_bench_times_fresh_engines(monkeypatch):
+    # the warm-up and each timed repetition run on an engine of their own
+    # that has taken no step and cached no survivor function, so no timed
+    # step replays an earlier trajectory
+    started = []
+    run = SymbolicEngine.run
+
+    def recording_run(self, steps):
+        started.append((self, self.steps_taken, len(self.encoding._survivor_memo)))
+        return run(self, steps)
+
+    monkeypatch.setattr(SymbolicEngine, "run", recording_run)
+    bench("bus", 1, None, steps=10, seed=0, engine="symbolic",
+          repetitions=2, warmup_steps=5)
+    assert [(taken, cached) for _, taken, cached in started] == [(0, 0)] * 3
+    assert len({id(engine) for engine, _, _ in started}) == 3
+
+
 def test_bench_rejects_zero_steps():
     with pytest.raises(ValueError):
         bench("bus", 1, None, steps=0, seed=0, engine="enum")

@@ -1,4 +1,4 @@
-"""Connector term semantics: interaction sets, normalization, boolean maps."""
+"""Connector term semantics: interaction sets and normalization."""
 
 import random
 from itertools import combinations
@@ -6,18 +6,15 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from portsync.boolfunc import evaluate
 from portsync.connectors import (
     Factor,
     Fusion,
     OneLeaf,
     PortLeaf,
     ZeroLeaf,
-    bool_to_interactions,
     fusion,
     interaction_key,
     interactions_of,
-    interactions_to_bool,
     normalize_binary,
     support,
 )
@@ -141,39 +138,3 @@ def test_normalize_binary_preserves_interactions(seed):
     norm = normalize_binary(term)
     assert interactions_of(norm) == interactions_of(term)
     assert binary_shape(norm)
-
-
-class TestBooleanBijection:
-    def test_exhaustive_up_to_three_ports(self):
-        for n in range(4):
-            universe = [f"u{i}" for i in range(n)]
-            subsets = [frozenset(c)
-                       for k in range(n + 1)
-                       for c in combinations(universe, k)]
-            for bits in range(1 << len(subsets)):
-                gamma = frozenset(
-                    s for i, s in enumerate(subsets) if bits & (1 << i))
-                f = interactions_to_bool(gamma, universe)
-                assert bool_to_interactions(f, universe) == gamma
-            if n == 2:  # 16 subsets of the powerset checked above
-                assert len(subsets) == 4
-
-    def test_random_four_ports(self):
-        rng = random.Random(7)
-        universe = ["a", "b", "c", "d"]
-        subsets = [frozenset(c)
-                   for k in range(5)
-                   for c in combinations(universe, k)]
-        for _ in range(200):
-            gamma = frozenset(s for s in subsets if rng.random() < 0.4)
-            f = interactions_to_bool(gamma, universe)
-            assert bool_to_interactions(f, universe) == gamma
-
-    def test_formula_models_are_the_interactions(self):
-        gamma = interactions_of(BC)
-        universe = sorted(support(BC))
-        f = interactions_to_bool(gamma, universe)
-        for k in range(5):
-            for c in combinations(universe, k):
-                a = frozenset(c)
-                assert evaluate(f, a) == (a in gamma)

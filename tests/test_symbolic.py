@@ -26,7 +26,7 @@ from portsync.symbolic import (
     variable_order,
 )
 
-from oracles import all_states, oracle_survivors, transfer
+from oracles import all_states, oracle_survivors, reference_pick_sat, transfer
 
 
 def test_variable_order_groups_atoms(mod8):
@@ -57,13 +57,33 @@ def test_system_function_conjunction(mod8):
     assert enc.system_fn == (enc.behavior_fn & enc.connector_fn)
 
 
-def test_enabled_fn_matches_restricted_system_fn(mod8):
-    # the engine restricts factors separately; must equal restricting f_S
-    enc = build(mod8)
-    m = enc.manager
-    for state in all_states(mod8):
-        direct = m.restrict_many(enc.system_fn, enc.state_assignment(state))
-        assert enc.enabled_fn(state) == direct
+def test_enabled_fn_matches_restricted_system_fn():
+    # the engine conjoins the atoms' local behaviors; that must be the node
+    # of restricting f_B (and f_S) by the whole state, and the memoised
+    # survivor function must be the one a fresh encoding computes with
+    # its memo empty
+    systems = [modulo8(), gen_bus(3), gen_tasks(3, 2), *map(random_system, range(60))]
+    for sysm in systems:
+        enc, fresh = build(sysm), build(sysm)
+        m = enc.manager
+        for state in reachable(sysm, bound=300).states:
+            asg = enc.state_assignment(state)
+            assert enc.active_fn(state) == m.restrict_many(enc.behavior_fn, asg)
+            assert enc.enabled_fn(state) == m.restrict_many(enc.system_fn, asg)
+            fn = enc.survivor_fn(state)
+            assert enc.survivor_fn(state) is fn
+            fresh._survivor_memo.clear()
+            assert transfer(fresh.survivor_fn(state), m) == fn
+
+
+def test_pick_matches_reference_on_survivor_functions():
+    for sysm in (modulo8(), gen_bus(3), gen_tasks(3, 2)):
+        enc = build(sysm)
+        m = enc.manager
+        for state in reachable(sysm, bound=300).states:
+            fn = enc.survivor_fn(state)
+            for seed in range(8):
+                assert m.pick_sat(fn, seed=seed) == reference_pick_sat(m, fn, seed)
 
 
 def test_maxprog_survivor_fn_equals_materialized_pairs():
