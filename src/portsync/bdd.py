@@ -15,10 +15,10 @@ ite, not, shift, and one per quantified variable set of `and_exists`,
 as in Brace, Rudell and Bryant, DAC 1990) are dicts keyed by ints that
 pack the operand node ids, `NODE_BITS` bits each.  A node's support is
 memoised as a bitmask over levels, and each picked root's sorted support
-levels next to it.
+levels next to it; a node's model count is memoised too.
 
 Deliberately small: no complement edges, no garbage collection, no
-dynamic reordering.  The node store, the tables and the support memos
+dynamic reordering.  The node store, the tables and the per-node memos
 grow monotonically for the life of the manager; long-running processes
 should create a fresh manager per encoding.
 """
@@ -115,6 +115,7 @@ class BddManager:
         self._exists_tables: dict[frozenset[str], tuple[frozenset[int], dict[int, int]]] = {}
         self._support_masks: dict[int, int] = {}
         self._sorted_supports: dict[int, tuple[int, ...]] = {}
+        self._sat_counts: dict[int, int] = {FALSE: 0, TRUE: 1}
         self._mk, self._and, self._or, self._ite, self._not = self._kernel()
         self.false = BddRef(self, FALSE)
         self.true = BddRef(self, TRUE)
@@ -440,20 +441,36 @@ class BddManager:
     def support(self, f: BddRef) -> frozenset[str]:
         return frozenset(self._names[l] for l in self._support_levels(self._node(f)))
 
-    def pick_sat(self, f: BddRef, seed: int = 0) -> dict[str, bool] | None:
-        """One satisfying assignment, or None if f is false.
+    def sat_count(self, f: BddRef) -> int:
+        """Number of satisfying assignments over all the manager's
+        variables, from a per-node memo of the count over the levels from
+        the node's own down; each skipped level doubles a count."""
+        counts, var, lo, hi = self._sat_counts, self._var, self._lo, self._hi
 
-        Total over the manager's variables.  At each node a non-forced
-        branch is chosen by a seeded coin; support variables skipped on
-        the chosen path are also randomized, variables outside the
-        support default to false.  Deterministic in (f, seed, order).
+        def rec(u: int) -> int:
+            c = counts.get(u)
+            if c is None:
+                l, h, v = lo[u], hi[u], var[u] + 1
+                c = counts[u] = (rec(l) << var[l] - v) + (rec(h) << var[h] - v)
+            return c
+
+        u = self._node(f)
+        return rec(u) << var[u]
+
+    def pick_sat(self, f: BddRef, seed: int = 0) -> frozenset[str] | None:
+        """The true variables of one satisfying assignment, or None if f is false.
+
+        At each node a non-forced branch is chosen by a seeded coin;
+        support variables skipped on the chosen path are also randomized,
+        variables outside the support are false.  Deterministic in
+        (f, seed, order).
         """
         u = self._node(f)
         if u == FALSE:
             return None
         rng = random.Random(seed)
         names, var, lo, hi = self._names, self._var, self._lo, self._hi
-        out = dict.fromkeys(names, False)
+        out = []
         # every level the descent meets is in the support, so coins are
         # drawn in level order exactly as a walk over all levels would
         for lvl in self._support_levels(u):
@@ -468,10 +485,11 @@ class BddManager:
                 u = h if take else l
             else:
                 take = rng.random() < 0.5
-            out[names[lvl]] = take
+            if take:
+                out.append(names[lvl])
         if u != TRUE:
             raise BddError("descent did not reach the true terminal")
-        return out
+        return frozenset(out)
 
     def iter_models(self, f: BddRef, names: Sequence[str]) -> Iterator[frozenset[str]]:
         """All satisfying valuations over `names` as sets of true variables.

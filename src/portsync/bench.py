@@ -2,7 +2,8 @@
 
 Timing covers the run loop only; engine construction (pool
 materialization, encoding) happens before the clock starts.  Each
-measurement does one untimed warm-up run, then `repetitions` timed runs,
+measurement does one untimed warm-up run (200 steps unless told
+otherwise, enough to warm the interpreter), then `repetitions` timed runs,
 each on a freshly built engine, so that no timed step replays a
 trajectory whose survivor functions an engine has already cached; the
 warm-up has an engine of its own.  The reported row is the median
@@ -83,7 +84,7 @@ def bench(
     seed: int,
     engine: str,
     repetitions: int = 1,
-    warmup_steps: Optional[int] = None,
+    warmup_steps: int = 200,
 ) -> BenchRecord:
     """One benchmark point; returns the median repetition."""
     if steps < 1:
@@ -91,9 +92,8 @@ def bench(
     if repetitions < 1:
         raise ValueError("repetitions must be positive")
     system = make_system(example, n, m)
-    warm = steps if warmup_steps is None else warmup_steps
-    if warm:
-        make_engine(system, engine, seed).run(warm)
+    if warmup_steps:
+        make_engine(system, engine, seed).run(warmup_steps)
     samples: list[tuple[int, int]] = []  # (total_ns, executed)
     for _ in range(repetitions):
         # free the last engine before building the next: a BDD manager

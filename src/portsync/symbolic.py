@@ -15,19 +15,25 @@ of each port for priorities):
   nodes per port that never mentions the pool; explicit pairs are
   rendered as full minterms.
 
+Atoms linked by a connector or an explicit priority pair form one
+independent component, encoded on its own over its own ports in the
+shared manager (a system of one component is its own only component).
+
 The build also keeps each atom's behavior restricted to each of its
-control states.  A step conjoins the current states' local behaviors (a
-balanced fold, so after a move only the ands along the changed atoms'
-path are new work), which is the behavior restricted to the state, and
-then the connectors, giving the enabled function g.  The possible
-dominators are g itself, plus any active interaction that an explicit
-pair lists as a dominator outside the pool (it need only be active).
-Moving them onto the primed copies is a one-level shift, since each
-primed port follows its port in the order; the dominated set is then
-one relational product excluded(P) = exists P'. dominators(P') &
-R(P, P'), and the survivor function is g & ~excluded.  It is memoised
-per global state, so a revisited state costs one dict lookup, and the
-step picks one of its satisfying valuations.  No primed behavior, primed
+control states.  A component's survivor function at its local state
+conjoins the current states' local behaviors (a balanced fold, so after
+a move only the ands along the changed atoms' path are new work), which
+is the behavior restricted to the state, and then the connectors, giving
+the enabled function g.  The possible dominators are g itself, plus any
+active interaction that an explicit pair lists as a dominator outside
+the pool (it need only be active).  Moving them onto the primed copies
+is a one-level shift, since each primed port follows its port in the
+order; the dominated set is then one relational product excluded(P) =
+exists P'. dominators(P') & R(P, P'), and the survivor function is
+g & ~excluded.  It is memoised per local state, bounding the memo by
+the sum of the components' local state spaces, not their product.  A
+step draws a component that has survivors, weighted by survivor counts,
+and picks one of its satisfying valuations.  No primed behavior, primed
 connectors or pool-sized priority function is built.
 """
 
@@ -36,7 +42,8 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from operator import itemgetter
+from typing import Callable, Optional
 
 from . import boolfunc as bf
 from .bdd import BddManager, BddRef
@@ -79,6 +86,22 @@ def variable_order(system: SystemModel) -> tuple[str, ...]:
             order.append(p)
             order.append(prime(p))
     return tuple(order)
+
+
+def components(system: SystemModel) -> tuple[tuple[int, ...], ...]:
+    """Atom indices of each independent component, in atom order: the owners
+    of each connector's support and of both sides of each explicit effective
+    pair are joined (maximal progress joins nothing: a dominated interaction
+    lies inside its dominator's connector)."""
+    groups = [support(c.term) for c in system.connectors]
+    if isinstance(system.priority, ExplicitPairs):
+        groups += [lo | hi for lo, hi in system.priority.closure]
+    label = list(range(len(system.atoms)))  # each atom's component, as its least atom
+    for ports in groups:
+        joined = {label[system.port_owner[p]] for p in ports}
+        if len(joined) > 1:
+            label = [min(joined) if k in joined else k for k in label]
+    return tuple(tuple(i for i, k in enumerate(label) if k == c) for c in dict.fromkeys(label))
 
 
 def encode_atom(atom: AtomicBehavior, mgr: BddManager) -> BddRef:
@@ -172,8 +195,17 @@ class SystemEncoding:
     local_behavior: tuple[dict[str, BddRef], ...]  # per atom: control state -> restricted f_atom
     port_names: tuple[str, ...]
     primed_names: tuple[str, ...]
+    # the independent components (this encoding itself if one), and how
+    # an encoding reads its own atoms' states out of a system state
+    components: tuple["SystemEncoding", ...] = field(default=(), repr=False, compare=False)
+    local_state: Callable[[GlobalState], GlobalState] = field(
+        default=itemgetter(slice(None)), repr=False, compare=False)
     _survivor_memo: dict[GlobalState, BddRef] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not self.components:
+            self.components = (self,)
 
     def node_counts(self) -> dict[str, int]:
         m = self.manager
@@ -222,17 +254,16 @@ class SystemEncoding:
         return fn
 
     def survivors(self, state: GlobalState) -> frozenset[Interaction]:
-        fn = self.survivor_fn(state)
-        return frozenset(self.manager.iter_models(fn, self.port_names))
+        """The union of the components' model sets at their local states."""
+        return frozenset(a for c in self.components
+                         for a in c.manager.iter_models(c.survivor_fn(c.local_state(state)), c.port_names))
 
 
-def build(system: SystemModel) -> SystemEncoding:
-    diags = validate(system)
-    if diags:
-        raise ValidationError(diags)
-    mgr = BddManager(variable_order(system))
-    behavior = encode_behavior(system, mgr)
-    connector_fn = encode_connectors(system, mgr)
+def _encode(system: SystemModel, mgr: BddManager, local_behavior: tuple[dict[str, BddRef], ...],
+            behavior: Optional[BddRef] = None, connector_fn: Optional[BddRef] = None) -> SystemEncoding:
+    """The encoding of a system, or of one of its components, in `mgr`."""
+    behavior = encode_behavior(system, mgr) if behavior is None else behavior
+    connector_fn = encode_connectors(system, mgr) if connector_fn is None else connector_fn
     pr = system.priority
     ports = system.all_ports
     dominator_fn = connector_fn
@@ -257,18 +288,51 @@ def build(system: SystemModel) -> SystemEncoding:
         system_fn=behavior & connector_fn,
         priority_fn=priority_fn,
         dominator_fn=dominator_fn,
-        local_behavior=tuple(encode_local(atom, mgr) for atom in system.atoms),
+        local_behavior=local_behavior,
         port_names=ports,
         primed_names=tuple(prime(p) for p in ports),
     )
 
 
+def build(system: SystemModel) -> SystemEncoding:
+    diags = validate(system)
+    if diags:
+        raise ValidationError(diags)
+    mgr = BddManager(variable_order(system))
+    local = tuple(encode_local(atom, mgr) for atom in system.atoms)
+    parts = components(system)
+    if len(parts) == 1:
+        return _encode(system, mgr, local)
+    encs = []
+    for atoms in parts:
+        # the sub-system of the component's atoms, connectors and pairs
+        def ours(ports: frozenset[str]) -> bool:
+            return any(system.port_owner[p] in atoms for p in ports)
+        pr = system.priority
+        if isinstance(pr, ExplicitPairs):
+            pr = ExplicitPairs(frozenset(ab for ab in pr.closure if ours(ab[0] | ab[1])))
+        sub = SystemModel(system.name, tuple(system.atoms[i] for i in atoms),
+                          tuple(c for c in system.connectors if ours(support(c.term))), pr)
+        enc = _encode(sub, mgr, tuple(local[i] for i in atoms))
+        enc.local_state = itemgetter(*atoms) if len(atoms) > 1 else itemgetter(slice(atoms[0], atoms[0] + 1))
+        encs.append(enc)
+    # a pool interaction of the system is one of a component's, with
+    # every port outside that component false
+    connector_fn = mgr.or_all(
+        e.connector_fn & mgr.cube({p: False for p in system.all_ports if p not in e.system.port_owner})
+        for e in encs)
+    enc = _encode(system, mgr, local, mgr.and_all(e.behavior_fn for e in encs), connector_fn)
+    enc.components = tuple(encs)
+    return enc
+
+
 class SymbolicEngine:
     """Stepper that works on the encoded system only.
 
-    The per-step work is the survivor function of the current state,
-    looked up or composed from the precomputed functions, plus one
-    satisfying-assignment pick; the pool is never enumerated.
+    The per-step work is each component's survivor function at its local
+    state, looked up or composed from the precomputed functions, a
+    weighted draw of a component, and one satisfying-assignment pick; the
+    pool is never enumerated.
     """
 
     def __init__(self, system: SystemModel, seed: int = 0):
@@ -278,7 +342,13 @@ class SymbolicEngine:
         self.state: GlobalState = system.initial_state()
         self.steps_taken = 0
         self._rng = random.Random(seed)
-        self._port_set = frozenset(system.all_ports)
+        # per component: local-state reader, encoding, (survivor function,
+        # survivor count) by local state, and the shift from a count over all
+        # variables to one over its ports (None: one component, no draw)
+        comps = self.encoding.components
+        width = len(self.encoding.manager.variables)
+        self._parts = tuple((c.local_state, c, {}, width - len(c.port_names) if len(comps) > 1 else None)
+                            for c in comps)
 
     def reset(self) -> None:
         self.state = self.system.initial_state()
@@ -288,23 +358,27 @@ class SymbolicEngine:
     def survivors(self, state: Optional[GlobalState] = None) -> frozenset[Interaction]:
         return self.encoding.survivors(self.state if state is None else state)
 
-    def _pick(self, fn: BddRef) -> Optional[Interaction]:
-        assignment = self.encoding.manager.pick_sat(fn, seed=self._rng.getrandbits(64))
-        if assignment is None:
-            return None
-        return frozenset(p for p in self.encoding.port_names if assignment[p])
-
     def step(self) -> Optional[tuple[Interaction, GlobalState]]:
-        """Fire one surviving interaction; None signals deadlock."""
-        a = self._pick(self.encoding.survivor_fn(self.state))
-        if a is None:
+        """Fire one surviving interaction; None signals deadlock.  The
+        component is drawn weighted by survivor counts, if several have any."""
+        state = self.state
+        live = []
+        for local, enc, table, shift in self._parts:
+            key = local(state)
+            entry = table.get(key)
+            if entry is None:
+                fn = enc.survivor_fn(key)
+                count = fn != enc.manager.false if shift is None else enc.manager.sat_count(fn) >> shift
+                entry = table[key] = (fn, count)
+            if entry[1]:
+                live.append(entry)
+        if not live:
             return None
-        nxt = list(self.state)
-        for i, atom in enumerate(self.system.atoms):
-            share = a & atom.port_set
-            if not share:
-                continue
-            targets = atom.targets(self.state[i], share)
+        fn = live[0][0] if len(live) == 1 else self._rng.choices(live, [w for _, w in live])[0][0]
+        a = self.encoding.manager.pick_sat(fn, seed=self._rng.getrandbits(64))
+        atoms, nxt = self.system.atoms, list(state)
+        for i in sorted({self.system.port_owner[p] for p in a}):
+            targets = atoms[i].targets(state[i], a & atoms[i].port_set)
             nxt[i] = targets[0] if len(targets) == 1 else self._rng.choice(sorted(targets))
         self.state = tuple(nxt)
         self.steps_taken += 1

@@ -86,7 +86,8 @@ def bdd_table(mgr, f, names):
 def reference_pick_sat(mgr, f, seed=0):
     """BddManager.pick_sat as first written: the support from a walk over
     every node below f, then one pass over every level of the order,
-    drawing a coin at each branching node and each skipped support level."""
+    drawing a coin at each branching node and each skipped support level.
+    Returns the set of variables set true."""
     u = f.node
     if u == 0:
         return None
@@ -104,7 +105,7 @@ def reference_pick_sat(mgr, f, seed=0):
         else:
             out[name] = False
     assert u == 1
-    return out
+    return frozenset(name for name, value in out.items() if value)
 
 
 def transfer(f, dst):

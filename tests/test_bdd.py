@@ -239,15 +239,14 @@ class TestCubes:
 class TestPickSat:
     def test_none_on_false(self, mgr):
         assert mgr.pick_sat(mgr.false) is None
-        assert mgr.pick_sat(mgr.true) == {
-            "a": False, "b": False, "c": False, "d": False}
+        assert mgr.pick_sat(mgr.true) == frozenset()
 
     def test_pick_satisfies(self, mgr):
         rng = random.Random(5)
         f = (mgr.var("a") | mgr.var("b")) & (mgr.var("c") ^ mgr.var("d"))
         for seed in range(50):
             asg = mgr.pick_sat(f, seed=seed)
-            assert mgr.evaluate(f, asg)
+            assert mgr.evaluate(f, dict.fromkeys(asg, True))
 
     def test_all_models_reachable(self, mgr):
         # p OR q has three models; every one must come up over seeds
@@ -255,7 +254,7 @@ class TestPickSat:
         seen = set()
         for seed in range(1000):
             asg = mgr.pick_sat(f, seed=seed)
-            seen.add((asg["a"], asg["b"]))
+            seen.add(("a" in asg, "b" in asg))
         assert seen == {(True, False), (False, True), (True, True)}
 
     def test_matches_reference_on_level_skipping_supports(self):
@@ -280,9 +279,31 @@ class TestPickSat:
     def test_nonsupport_defaults_false(self, mgr):
         f = mgr.var("a")
         for seed in range(20):
-            asg = mgr.pick_sat(f, seed=seed)
-            assert asg["a"] is True
-            assert asg["b"] is False and asg["c"] is False and asg["d"] is False
+            assert mgr.pick_sat(f, seed=seed) == {"a"}
+
+
+class TestSatCount:
+    def test_matches_truth_tables_on_level_skipping_supports(self):
+        # models over every variable of the manager: each level a path
+        # skips (above the root, between nodes, below the last test)
+        # doubles the count
+        names = [f"v{i}" for i in range(8)]
+        mgr = BddManager(names)
+        rng = random.Random(9)
+        skipping = 0
+        for _ in range(80):
+            used = sorted(rng.sample(range(8), rng.randint(1, 5)))
+            rows = rng.getrandbits(1 << len(used))
+            f = mgr.or_all(
+                mgr.cube({names[i]: bool(row >> k & 1) for k, i in enumerate(used)})
+                for row in range(1 << len(used)) if rows >> row & 1)
+            levels = sorted(names.index(n) for n in mgr.support(f))
+            if levels and levels != list(range(levels[0], 8)):
+                skipping += 1
+            assert mgr.sat_count(f) == bin(bdd_table(mgr, f, names)).count("1")
+        assert skipping > 40
+        assert mgr.sat_count(mgr.false) == 0
+        assert mgr.sat_count(mgr.true) == 256
 
 
 class TestIterModels:

@@ -70,6 +70,22 @@ def test_bench_times_fresh_engines(monkeypatch):
     assert len({id(engine) for engine, _, _ in started}) == 3
 
 
+def test_default_warmup_is_fixed(monkeypatch):
+    # the warm-up runs on an engine of its own, so it only warms the
+    # interpreter: a fixed 200 steps, however many steps are timed
+    lengths = []
+    run = EnumEngine.run
+
+    def recording_run(self, steps):
+        lengths.append(steps)
+        return run(self, steps)
+
+    monkeypatch.setattr(EnumEngine, "run", recording_run)
+    bench("bus", 1, None, steps=1000, seed=0, engine="enum")
+    bench("bus", 1, None, steps=10, seed=0, engine="enum")
+    assert lengths == [200, 1000, 200, 10]
+
+
 def test_bench_rejects_zero_steps():
     with pytest.raises(ValueError):
         bench("bus", 1, None, steps=0, seed=0, engine="enum")

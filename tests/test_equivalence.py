@@ -41,6 +41,19 @@ def test_corrupted_encoding_reports_divergence(mod8):
     assert "divergence" in report.summary()
 
 
+def test_corrupted_component_reports_divergence():
+    # bus2 is two independent clusters, each stepped by its own encoding
+    sysm = gen_bus(2)
+    enc = build(sysm)
+    assert len(enc.components) == 2
+    enc.components[1].connector_fn = enc.manager.false  # sabotage one cluster
+    report = check_equivalence(sysm, encoding=enc)
+    assert not report.equivalent
+    d = report.divergences[0]
+    # the intact cluster still offers its survivors
+    assert frozenset() < d.symbolic_survivors < d.enum_survivors
+
+
 def test_random_systems_equivalent():
     for seed in range(15):
         report = check_equivalence(random_system(seed), bound=2000)

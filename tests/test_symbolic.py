@@ -20,7 +20,10 @@ from portsync.model import (
 from portsync.symbolic import (
     SymbolicEngine,
     build,
+    components,
     encode_atom,
+    encode_behavior,
+    encode_connectors,
     encode_strict_subset,
     state_var,
     variable_order,
@@ -126,6 +129,83 @@ def test_maxprog_relation_is_strict_subset():
     # per port three nodes while the copies are equal so far and two once
     # the inclusion is strict, less four at the last port: linear in ports
     assert enc.node_counts()["fp_nodes"] == 5 * len(sysm.all_ports) - 4
+
+
+def _two_loops(priority):
+    # atoms A (port x) and B (port y), each offered alone by a connector
+    fz = frozenset
+    atoms = tuple(AtomicBehavior(n, ("s",), "s", (p,), (Transition("s", fz(p), "s"),))
+                  for n, p in (("A", "x"), ("B", "y")))
+    conns = (Connector("cx", PortLeaf("x")), Connector("cy", PortLeaf("y")))
+    return SystemModel("two", atoms, conns, priority)
+
+
+def test_components():
+    assert components(gen_bus(3)) == ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11))
+    assert components(gen_tasks(3, 2)) == (tuple(range(5)),)
+    assert components(_two_loops(None)) == ((0,), (1,))
+    assert components(_two_loops(MaximalProgress())) == ((0,), (1,))
+    # a listed pair links the atoms of both of its sides
+    linked = _two_loops(ExplicitPairs(frozenset({(frozenset("x"), frozenset("y"))})))
+    assert components(linked) == ((0, 1),)
+    enc = build(linked)
+    assert enc.components == (enc,)
+    assert enc.survivors(("s", "s")) == survivors(linked, ("s", "s")) == {frozenset("y")}
+
+
+def test_component_survivors_match_system():
+    # survivors() joins the components' model sets; each
+    # component's survivor function is the system's with every port
+    # outside the component false; the assembled f_C and f_B are the
+    # nodes a direct encoding of the whole system gives
+    randoms = [r for r in map(random_system, range(60)) if len(components(r)) > 1]
+    assert len(randoms) > 20
+    bus = gen_bus(3)
+    pairs = ExplicitPairs(effective_pairs(bus.priority, bus.gamma))
+    for sysm in (bus, SystemModel(bus.name, bus.atoms, bus.connectors, pairs), *randoms):
+        enc = build(sysm)
+        m = enc.manager
+        assert len(enc.components) == len(components(sysm))
+        assert enc.connector_fn == encode_connectors(sysm, m)
+        assert enc.behavior_fn == encode_behavior(sysm, m)
+        for state in reachable(sysm, bound=300).states:
+            assert enc.survivors(state) == survivors(sysm, state)
+            whole = enc.survivor_fn(state)
+            for c in enc.components:
+                outside = {p: False for p in sysm.all_ports if p not in c.port_names}
+                assert c.survivor_fn(c.local_state(state)) == m.restrict_many(whole, outside)
+
+
+def test_every_live_component_gets_picked():
+    # over many seeds at one state, the draw reaches every component
+    # that has survivors
+    sysm = gen_bus(3)
+    state = ("B", "A", "A", "A", "B", "B", "A", "A", "A", "A", "A", "B")
+    enc = build(sysm)
+    live = {k for k, c in enumerate(enc.components)
+            if c.survivor_fn(c.local_state(state)) != enc.manager.false}
+    assert len(live) == 3
+    picked = set()
+    for seed in range(60):
+        eng = SymbolicEngine(sysm, seed=seed)
+        eng.state = state
+        a, _ = eng.step()
+        assert a in survivors(sysm, state)
+        picked.add(next(k for k, c in enumerate(enc.components) if a <= set(c.port_names)))
+    assert picked == live
+
+
+def test_component_draw_is_weighted_by_survivor_counts():
+    # A offers one survivor over one port, B three over three ports: the
+    # draw must follow the survivor counts (1:3), not the model counts
+    # over all variables
+    fz = frozenset
+    a = AtomicBehavior("A", ("s",), "s", ("x",), (Transition("s", fz("x"), "s"),))
+    ports = ("y1", "y2", "y3")
+    b = AtomicBehavior("B", ("s",), "s", ports, tuple(Transition("s", fz([p]), "s") for p in ports))
+    sysm = SystemModel("ab", (a, b), tuple(Connector(p, PortLeaf(p)) for p in ("x", *ports)))
+    firsts = [SymbolicEngine(sysm, seed=seed).step()[0] for seed in range(400)]
+    assert 70 < firsts.count(fz("x")) < 130
 
 
 def test_survivors_match_core_semantics(mod8, broadcast_system):
