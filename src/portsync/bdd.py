@@ -6,12 +6,12 @@ construction; functions are opaque handles into that store.  Reduction
 construction, so handle equality is function equality.
 
 Besides the boolean connectives, restriction and quantification, the
-manager computes the relational product `and_exists` (the conjunction
-quantified on the fly, never built) and a one-level variable `shift`,
-which is how the symbolic engine evaluates priority.
+manager computes maximal models (`maximal`, for maximal progress) and
+the relational product `and_exists` (the conjunction quantified on the
+fly, never built) with a one-level `shift`, for explicit priority pairs.
 
 The unique table and the computed tables (one per operation: and, or,
-ite, not, shift, and one per quantified variable set of `and_exists`,
+ite, not, shift, and one per variable set of `and_exists` or `maximal`,
 as in Brace, Rudell and Bryant, DAC 1990) are dicts keyed by ints that
 pack the operand node ids, `NODE_BITS` bits each.  A node's support is
 memoised as a bitmask over levels, and each picked root's sorted support
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 import sys
+from bisect import bisect_left
 from typing import Iterable, Iterator, Mapping, Sequence
 
 FALSE = 0
@@ -113,6 +114,8 @@ class BddManager:
             op: {} for op in ("and", "or", "ite", "not", "shift")}
         # quantified name set -> (its levels, the and_exists table)
         self._exists_tables: dict[frozenset[str], tuple[frozenset[int], dict[int, int]]] = {}
+        # name set -> (its sorted levels, as a set, the `maximal` and `out` tables)
+        self._maximal_tables: dict[frozenset[str], tuple[list[int], frozenset[int], dict, dict]] = {}
         self._support_masks: dict[int, int] = {}
         self._sorted_supports: dict[int, tuple[int, ...]] = {}
         self._sat_counts: dict[int, int] = {FALSE: 0, TRUE: 1}
@@ -390,6 +393,50 @@ class BddManager:
 
         return self._ref(rec(self._node(f)))
 
+    def maximal(self, f: BddRef, names: Iterable[str]) -> BddRef:
+        """The models of f over `names` that no other model of f strictly
+        contains, by one memoised recursion per node (Coudert and Madre,
+        DAC 1992); other variables are parameters.  At a name level, max(u)
+        is max(u1) high and max(u0) & out(u1) low; out(u), the complement of
+        u's down-closure, is built directly, so nothing is negated.  A name
+        level an edge skips is a don't-care, which `lift` sets true."""
+        key = frozenset(names)
+        entry = self._maximal_tables.get(key)
+        if entry is None:
+            levels = sorted(self.level_of(n) for n in key)
+            entry = self._maximal_tables[key] = (
+                levels, frozenset(levels), {FALSE: FALSE, TRUE: TRUE}, {FALSE: TRUE, TRUE: FALSE})
+        levels, is_name, t_max, t_out = entry
+        var, lo, hi, mk, and_ = self._var, self._lo, self._hi, self._mk, self._and
+
+        def lift(r: int, top: int, below: int) -> int:
+            # the name levels in [top, below), true above r; a false r stays false
+            i, j = bisect_left(levels, top), bisect_left(levels, below)
+            while r != FALSE and j > i:
+                j -= 1
+                r = mk(levels[j], FALSE, r)
+            return r
+
+        def out(u: int) -> int:
+            r = t_out.get(u)
+            if r is None:
+                o1 = out(hi[u])
+                r = t_out[u] = mk(var[u], and_(out(lo[u]), o1) if var[u] in is_name else out(lo[u]), o1)
+            return r
+
+        def rec(u: int) -> int:
+            r = t_max.get(u)
+            if r is None:
+                lvl, u0, u1 = var[u], lo[u], hi[u]
+                l = lift(rec(u0), lvl + 1, var[u0])
+                if lvl in is_name and u1 != FALSE and l != FALSE:
+                    l = and_(l, out(u1))
+                r = t_max[u] = mk(lvl, l, lift(rec(u1), lvl + 1, var[u1]))
+            return r
+
+        u = self._node(f)
+        return self._ref(lift(rec(u), 0, var[u]))
+
     # -- inspection ----------------------------------------------------
 
     def evaluate(self, f: BddRef, assignment: Mapping[str, bool]) -> bool:
@@ -540,17 +587,3 @@ class BddManager:
                 raise BddError(f"node {u} missing from the unique table")
         if len(self._unique) != len(self._var) - 2:
             raise BddError("unique table and node store disagree")
-
-    def to_dot(self, f: BddRef, name: str = "bdd") -> str:
-        """GraphViz rendering; dashed edges are low branches."""
-        u = self._node(f)
-        lines = [f"digraph {name} {{", "  node [shape=circle];",
-                 '  n0 [shape=box, label="0"];', '  n1 [shape=box, label="1"];']
-        for v in sorted(self._reachable(u), key=lambda v: (self._var[v], v)):
-            lines.append(f'  n{v} [label="{self._names[self._var[v]]}"];')
-            lines.append(f"  n{v} -> n{self._lo[v]} [style=dashed];")
-            lines.append(f"  n{v} -> n{self._hi[v]};")
-        if u <= TRUE:
-            lines.append(f"  // function is the {'true' if u else 'false'} terminal")
-        lines.append("}")
-        return "\n".join(lines)

@@ -9,11 +9,10 @@ of each port for priorities):
 - connectors: per connector, its causal rules conjoined with the root
   clause and with the negation of every port foreign to the connector;
   the system-wide function is the disjunction over connectors;
-- priority: a static relation R(P, P') between an interaction over the
-  plain port copies and a dominator over the primed copies.  Under
-  maximal progress R is the strict-subset relation, a chain of a few
-  nodes per port that never mentions the pool; explicit pairs are
-  rendered as full minterms.
+- priority: for explicit pairs, a static relation R(P, P') between an
+  interaction over the plain port copies and a dominator over the primed
+  copies, as full minterms.  Maximal progress needs no relation: its R,
+  the strict-subset relation, is built only to report `fp_nodes`.
 
 Atoms linked by a connector or an explicit priority pair form one
 independent component, encoded on its own over its own ports in the
@@ -24,16 +23,17 @@ control states.  A component's survivor function at its local state
 conjoins the current states' local behaviors (a balanced fold, so after
 a move only the ands along the changed atoms' path are new work), which
 is the behavior restricted to the state, and then the connectors, giving
-the enabled function g.  The possible dominators are g itself, plus any
-active interaction that an explicit pair lists as a dominator outside
-the pool (it need only be active).  Moving them onto the primed copies
-is a one-level shift, since each primed port follows its port in the
-order; the dominated set is then one relational product excluded(P) =
-exists P'. dominators(P') & R(P, P'), and the survivor function is
-g & ~excluded.  It is memoised per local state, bounding the memo by
-the sum of the components' local state spaces, not their product.  A
-step draws a component that has survivors, weighted by survivor counts,
-and picks one of its satisfying valuations.  No primed behavior, primed
+the enabled function g.  Under maximal progress the survivor function
+holds g's maximal models (`BddManager.maximal`).  Under explicit pairs the
+possible dominators are g and any active interaction a pair lists as a
+dominator outside the pool.  A one-level shift moves them onto the
+primed copies, each primed port following its port in the order; the
+dominated set is the relational product excluded(P) = exists P'.
+dominators(P') & R(P, P'), and the survivor function is g & ~excluded.
+It is memoised per local state, bounding the memo by the sum of the
+components' local state spaces, not their product.  A step draws a
+component that has survivors, weighted by survivor counts, and picks
+one of its satisfying valuations.  No primed behavior, primed
 connectors or pool-sized priority function is built.
 """
 
@@ -176,8 +176,7 @@ def encode_priority_pairs(
 
 def encode_strict_subset(ports: tuple[str, ...], mgr: BddManager) -> BddRef:
     """Maximal progress's relation: the plain copy is a strict subset of
-    the primed copy.  It does not mention the pool; the step supplies
-    only pool interactions as dominators."""
+    the primed copy.  Only `fp_nodes` reads it; the step takes maximal models."""
     subset = mgr.and_all(mgr.var(p).implies(mgr.var(prime(p))) for p in ports)
     equal = mgr.and_all(~(mgr.var(p) ^ mgr.var(prime(p))) for p in ports)
     return subset & ~equal
@@ -190,7 +189,7 @@ class SystemEncoding:
     behavior_fn: BddRef         # all atoms consistent with their state
     connector_fn: BddRef        # valuations that are pool interactions
     system_fn: BddRef           # behavior & connectors
-    priority_fn: BddRef         # R: (a, dominator) over plain/primed ports
+    pairs_fn: BddRef            # explicit pairs' R over plain/primed ports, else false
     dominator_fn: BddRef        # the pool, plus listed dominators outside it
     local_behavior: tuple[dict[str, BddRef], ...]  # per atom: control state -> restricted f_atom
     port_names: tuple[str, ...]
@@ -206,6 +205,13 @@ class SystemEncoding:
     def __post_init__(self) -> None:
         if not self.components:
             self.components = (self,)
+
+    @property
+    def priority_fn(self) -> BddRef:
+        """R over plain/primed ports; maximal progress's, read by no step, is built here."""
+        if isinstance(self.system.priority, MaximalProgress):
+            return encode_strict_subset(self.port_names, self.manager)
+        return self.pairs_fn
 
     def node_counts(self) -> dict[str, int]:
         m = self.manager
@@ -241,14 +247,16 @@ class SystemEncoding:
             return fn
         m = self.manager
         fn = g = self.enabled_fn(state)
-        if self.priority_fn != m.false:
+        if isinstance(self.system.priority, MaximalProgress):
+            fn = m.maximal(g, self.port_names)
+        elif self.pairs_fn != m.false:
             # the dominators are g, plus any active listed dominator
             # outside the pool; the state is restricted away, so only plain
             # ports remain, each of which the shift moves onto its primed copy
             dominators = g
             if self.dominator_fn != self.connector_fn:
                 dominators = self.active_fn(state) & self.dominator_fn
-            excluded = m.and_exists(m.shift(dominators), self.priority_fn, self.primed_names)
+            excluded = m.and_exists(m.shift(dominators), self.pairs_fn, self.primed_names)
             fn = g & ~excluded
         self._survivor_memo[state] = fn
         return fn
@@ -267,18 +275,15 @@ def _encode(system: SystemModel, mgr: BddManager, local_behavior: tuple[dict[str
     pr = system.priority
     ports = system.all_ports
     dominator_fn = connector_fn
-    if pr is None:
-        priority_fn = mgr.false
-    elif isinstance(pr, MaximalProgress):
-        priority_fn = encode_strict_subset(ports, mgr)
-    elif isinstance(pr, ExplicitPairs):
+    pairs_fn = mgr.false
+    if isinstance(pr, ExplicitPairs):
         pairs = effective_pairs(pr, system.gamma)
-        priority_fn = encode_priority_pairs(pairs, ports, mgr)
+        pairs_fn = encode_priority_pairs(pairs, ports, mgr)
         # a listed dominator need only be active, not offered by a connector
         outside = {hi for _, hi in pairs} - system.gamma
         dominator_fn = mgr.or_all(
             [connector_fn, *(mgr.cube({p: p in hi for p in ports}) for hi in outside)])
-    else:
+    elif pr is not None and not isinstance(pr, MaximalProgress):
         raise TypeError(f"unknown priority model: {pr!r}")
     return SystemEncoding(
         system=system,
@@ -286,7 +291,7 @@ def _encode(system: SystemModel, mgr: BddManager, local_behavior: tuple[dict[str
         behavior_fn=behavior,
         connector_fn=connector_fn,
         system_fn=behavior & connector_fn,
-        priority_fn=priority_fn,
+        pairs_fn=pairs_fn,
         dominator_fn=dominator_fn,
         local_behavior=local_behavior,
         port_names=ports,

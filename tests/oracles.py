@@ -122,3 +122,16 @@ def transfer(f, dst):
         return memo[u]
 
     return rec(f.node)
+
+
+def skipped_levels(f, names):
+    """The levels of `names` that an edge of f jumps over: from the top
+    of the order to the root, from a node to a child, or down to the
+    true leaf."""
+    mgr, u = f.manager, f.node
+    if u == 0:
+        return set()
+    levels = {mgr.level_of(n) for n in names}
+    edges = [(-1, u)] + [(mgr._var[v], c) for v in mgr._reachable(u)
+                         for c in (mgr._lo[v], mgr._hi[v]) if c != 0]
+    return {l for top, child in edges for l in levels if top < l < mgr._var[child]}

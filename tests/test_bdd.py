@@ -198,6 +198,67 @@ class TestRelationalProduct:
             mgr.shift(other.var("a"))
 
 
+class TestMaximal:
+    # four names interleaved with other levels, as the symbolic order puts
+    # state variables before an atom's ports and a primed copy after each
+    ORDER = ["s", "a", "a'", "b", "b'", "t", "c", "c'", "d", "d'"]
+    NAMES = ["a", "b", "c", "d"]
+
+    def brute(self, mgr, f, free, names):
+        """f's models over `free` that no model equal outside `names`
+        strictly contains inside `names`, as a disjunction of minterms."""
+        rows = [dict(zip(free, bits)) for bits in product((False, True), repeat=len(free))]
+        models = [r for r in rows if mgr.evaluate(f, r)]
+
+        def below(r, s):
+            return (r != s and all(s[v] for v in names if r[v])
+                    and all(r[v] == s[v] for v in free if v not in names))
+
+        return mgr.or_all(mgr.cube(r) for r in models if not any(below(r, s) for s in models))
+
+    def random_fn(self, mgr, rng, free):
+        used = sorted(rng.sample(free, rng.randint(1, len(free))), key=mgr.level_of)
+        rows = rng.getrandbits(1 << len(used))
+        return mgr.or_all(
+            mgr.cube({v: bool(row >> k & 1) for k, v in enumerate(used)})
+            for row in range(1 << len(used)) if rows >> row & 1)
+
+    def test_against_brute_force_on_level_skipping_functions(self):
+        mgr = BddManager(self.ORDER)
+        rng = random.Random(29)
+        level = {n: mgr.level_of(n) for n in self.NAMES}
+        above = between = below = 0
+        for _ in range(150):
+            f = self.random_fn(mgr, rng, self.NAMES)
+            assert mgr.maximal(f, self.NAMES) == self.brute(mgr, f, self.NAMES, self.NAMES)
+            sup = sorted(level[n] for n in mgr.support(f))
+            if sup:
+                skipped = set(level.values()) - set(sup)
+                above += any(l < sup[0] for l in skipped)
+                between += any(sup[0] < l < sup[-1] for l in skipped)
+                below += any(l > sup[-1] for l in skipped)
+        assert above > 20 and between > 20 and below > 20
+        mgr.audit()
+
+    def test_constants(self):
+        mgr = BddManager(self.ORDER)
+        assert mgr.maximal(mgr.false, self.NAMES) == mgr.false
+        assert mgr.maximal(mgr.true, self.NAMES) == mgr.cube({n: True for n in self.NAMES})
+        assert mgr.maximal(mgr.true, []) == mgr.true
+
+    def test_two_name_sets_on_one_manager(self):
+        # the same functions under a second name set, whose other
+        # variables are parameters, must not read the first set's tables
+        mgr = BddManager(self.ORDER)
+        rng = random.Random(31)
+        free = ["a", "a'", "b", "c", "d"]
+        for _ in range(60):
+            f = self.random_fn(mgr, rng, free)
+            for names in (self.NAMES, ["a", "c"], self.NAMES):
+                assert mgr.maximal(f, names) == self.brute(mgr, f, free, names)
+        mgr.audit()
+
+
 class TestPackedKeys:
     def test_node_store_full_raises(self, monkeypatch):
         # a node id past the packed keys' width is refused, not allocated
