@@ -15,7 +15,9 @@ ite, not, shift, and one per variable set of `and_exists` or `maximal`,
 as in Brace, Rudell and Bryant, DAC 1990) are dicts keyed by ints that
 pack the operand node ids, `NODE_BITS` bits each.  A node's support is
 memoised as a bitmask over levels, and each picked root's sorted support
-levels next to it; a node's model count is memoised too.
+levels next to it; a node's model count is memoised too.  `iter_models`
+walks nodes depth first on one shared path, expanding the name levels an
+edge skips, with the levels of each name sequence memoised.
 
 Deliberately small: no complement edges, no garbage collection, no
 dynamic reordering.  The node store, the tables and the per-node memos
@@ -119,6 +121,7 @@ class BddManager:
         self._support_masks: dict[int, int] = {}
         self._sorted_supports: dict[int, tuple[int, ...]] = {}
         self._sat_counts: dict[int, int] = {FALSE: 0, TRUE: 1}
+        self._model_names: dict[tuple[str, ...], tuple[list[str], dict[int, int], int]] = {}
         self._mk, self._and, self._or, self._ite, self._not = self._kernel()
         self.false = BddRef(self, FALSE)
         self.true = BddRef(self, TRUE)
@@ -541,36 +544,49 @@ class BddManager:
     def iter_models(self, f: BddRef, names: Sequence[str]) -> Iterator[frozenset[str]]:
         """All satisfying valuations over `names` as sets of true variables.
 
-        `names` must cover the support of f; variables skipped on a path
-        are expanded both ways.
+        `names` must cover the support of f.  One depth-first walk over
+        the nodes keeps a single path of true names; a name level that an
+        edge skips is expanded both ways.
         """
-        u = self._node(f)
-        lvls = sorted(self.level_of(n) for n in set(names))
-        by_level = {self._level[n]: n for n in names}
-        missing = self._support_mask(u) & ~sum(1 << lvl for lvl in lvls)
+        root = self._node(f)
+        entry = self._model_names.get(key := tuple(names))
+        if entry is None:
+            levels = sorted(self.level_of(n) for n in set(key))
+            entry = self._model_names[key] = (  # names by position, positions by level, level mask
+                [self._names[l] for l in levels], {l: k for k, l in enumerate([*levels, self._leaf_level])},
+                sum(1 << l for l in levels))
+        by_pos, pos_of, mask = entry
+        missing = self._support_mask(root) & ~mask
         if missing:
             lost = [self._names[l] for l in _bits(missing)]
             raise BddError(f"model variables must cover the support; missing {lost}")
         var, lo, hi = self._var, self._lo, self._hi
 
-        def rec(u: int, idx: int) -> Iterator[frozenset[str]]:
-            if u == FALSE:
-                return
-            if idx == len(lvls):
-                yield frozenset()
-                return
-            lvl = lvls[idx]
-            name = by_level[lvl]
-            if u > TRUE and var[u] == lvl:
-                yield from rec(lo[u], idx + 1)
-                for m in rec(hi[u], idx + 1):
-                    yield m | {name}
-            else:
-                for m in rec(u, idx + 1):
-                    yield m
-                    yield m | {name}
+        def walk() -> Iterator[frozenset[str]]:
+            path: list[str] = []
+            stack = [(root, 0, 0)] if root != FALSE else []  # node, next name position, path length
+            while stack:
+                u, i, depth = stack.pop()
+                del path[depth:]
+                while True:
+                    if i < pos_of[var[u]]:  # name i skipped: false later, true now
+                        stack.append((u, i + 1, len(path)))
+                        path.append(by_pos[i])
+                    elif u == TRUE:
+                        yield frozenset(path)
+                        break
+                    else:
+                        l, u = lo[u], hi[u]
+                        if u == FALSE:  # name i false
+                            u = l
+                            i += 1
+                            continue
+                        if l != FALSE:
+                            stack.append((l, i + 1, len(path)))
+                        path.append(by_pos[i])
+                    i += 1
 
-        return rec(u, 0)
+        return walk()
 
     def audit(self) -> None:
         """Check ordering, reduction, and unique-table consistency."""

@@ -10,26 +10,25 @@ this engine is the baseline the symbolic one is measured against -- and
 
 from __future__ import annotations
 
-import random
-import time
 from typing import Optional
 
 from .connectors import Interaction
 from .model import (
+    Engine,
     GlobalState,
     SystemModel,
-    Trace,
     ValidationError,
     effective_pairs,
     sorted_interactions,
     validate,
 )
+from .model import step as fire
 
 # participation plan: which atom must take which exact label
 _Plan = tuple[tuple[int, Interaction], ...]
 
 
-class EnumEngine:
+class EnumEngine(Engine):
     def __init__(self, system: SystemModel, seed: int = 0):
         diags = validate(system)
         if diags:
@@ -37,15 +36,9 @@ class EnumEngine:
         self.system = system
         self.seed = seed
         self.pool: tuple[Interaction, ...] = sorted_interactions(system.gamma)
-        self.state: GlobalState = system.initial_state()
-        self.steps_taken = 0
-        self.activity_checks = 0   # pool scans
-        self.priority_checks = 0   # dominator activity probes
-        self._rng = random.Random(seed)
+        self.reset()
         self._labels = [atom.labels_from for atom in system.atoms]
-        self._targets = [atom.moves for atom in system.atoms]
         self._plans: list[_Plan] = [self._plan(a) for a in self.pool]
-        self._plan_of = dict(zip(self.pool, self._plans))
         pairs = effective_pairs(system.priority, system.gamma)
         dominators: dict[Interaction, list[_Plan]] = {a: [] for a in self.pool}
         for lo, hi in sorted(pairs, key=lambda ab: (sorted(ab[0]), sorted(ab[1]))):
@@ -64,11 +57,9 @@ class EnumEngine:
         return all(label in labels[i][state[i]] for i, label in plan)
 
     def reset(self) -> None:
-        self.state = self.system.initial_state()
-        self.steps_taken = 0
-        self.activity_checks = 0
-        self.priority_checks = 0
-        self._rng = random.Random(self.seed)
+        super().reset()
+        self.activity_checks = 0   # pool scans
+        self.priority_checks = 0   # dominator activity probes
 
     def survivors(self, state: Optional[GlobalState] = None) -> frozenset[Interaction]:
         """Active pool interactions not dominated by an active one.
@@ -96,26 +87,6 @@ class EnumEngine:
         if not survivors:
             return None
         a = self._rng.choice(survivors)
-        state = self.state
-        targets_of = self._targets
-        nxt = list(state)
-        for i, label in self._plan_of[a]:
-            targets = targets_of[i][(state[i], label)]
-            nxt[i] = targets[0] if len(targets) == 1 else self._rng.choice(sorted(targets))
-        self.state = tuple(nxt)
+        self.state = fire(self.system, self.state, a, self._rng)
         self.steps_taken += 1
         return a, self.state
-
-    def run(self, steps: int) -> Trace:
-        initial = self.state
-        entries: list[tuple[Interaction, GlobalState]] = []
-        deadlocked = False
-        t0 = time.perf_counter_ns()
-        for _ in range(steps):
-            result = self.step()
-            if result is None:
-                deadlocked = True
-                break
-            entries.append(result)
-        total = time.perf_counter_ns() - t0
-        return Trace(initial=initial, steps=tuple(entries), deadlocked=deadlocked, total_ns=total)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 import re
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Union
@@ -177,6 +178,33 @@ class Trace:
         return tuple(a for a, _ in self.steps)
 
 
+class Engine:
+    """The reset and the run loop both engines share, over their `system`,
+    `seed` and `step()`, which fires one interaction and returns it with
+    the new state, or None on deadlock."""
+
+    state: GlobalState
+
+    def reset(self) -> None:
+        self.state = self.system.initial_state()
+        self.steps_taken = 0
+        self._rng = random.Random(self.seed)
+
+    def run(self, steps: int) -> Trace:
+        initial = self.state
+        entries: list[tuple[Interaction, GlobalState]] = []
+        deadlocked = False
+        t0 = time.perf_counter_ns()
+        for _ in range(steps):
+            result = self.step()
+            if result is None:
+                deadlocked = True
+                break
+            entries.append(result)
+        total = time.perf_counter_ns() - t0
+        return Trace(initial=initial, steps=tuple(entries), deadlocked=deadlocked, total_ns=total)
+
+
 def validate(system: SystemModel) -> list[Diagnostic]:
     """Structural well-formedness; each diagnostic names the violated invariant."""
     diags: list[Diagnostic] = []
@@ -256,23 +284,31 @@ def validate(system: SystemModel) -> list[Diagnostic]:
     return diags
 
 
+def _moves(system: SystemModel, state: GlobalState, a: Interaction) -> Optional[list[tuple[int, tuple[str, ...]]]]:
+    """Per atom owning a port of `a`, in atom order: its index and its
+    targets on its share a & ports(atom); None if some owner has none."""
+    if len(state) != len(system.atoms):
+        raise ValueError("state arity does not match the number of atoms")
+    owner = system.port_owner
+    try:
+        owners = sorted({owner[p] for p in a})
+    except KeyError as exc:
+        raise ValueError(f"port {exc.args[0]!r} does not belong to the system") from None
+    moves = []
+    for i in owners:
+        atom = system.atoms[i]
+        targets = atom.targets(state[i], a & atom.port_set)
+        if not targets:
+            return None
+        moves.append((i, targets))
+    return moves
+
+
 def act(system: SystemModel, state: GlobalState, a: Interaction) -> bool:
     """Is `a` active at `state`: every owning atom has a transition whose
     label equals exactly its share a & ports(atom)?  Atoms with no share
     do not constrain.  The empty interaction is vacuously active."""
-    if len(state) != len(system.atoms):
-        raise ValueError("state arity does not match the number of atoms")
-    owner = system.port_owner
-    for p in a:
-        if p not in owner:
-            raise ValueError(f"port {p!r} does not belong to the system")
-    for i, atom in enumerate(system.atoms):
-        share = a & atom.port_set
-        if not share:
-            continue
-        if not atom.targets(state[i], share):
-            return False
-    return True
+    return _moves(system, state, a) is not None
 
 
 def enabled(system: SystemModel, state: GlobalState) -> frozenset[Interaction]:
@@ -323,6 +359,14 @@ def survivors(system: SystemModel, state: GlobalState) -> frozenset[Interaction]
     return filter_priority(system, state, enabled(system, state))
 
 
+def _enabled_moves(system: SystemModel, state: GlobalState, a: Interaction) -> list[tuple[int, tuple[str, ...]]]:
+    """`_moves` of a non-empty `a`; NotEnabledError unless it is enabled."""
+    moves = _moves(system, state, a) if a in system.gamma else None
+    if moves is None:
+        raise NotEnabledError(f"interaction {sorted(a)} is not enabled at {state}")
+    return moves
+
+
 def step(
     system: SystemModel,
     state: GlobalState,
@@ -334,24 +378,9 @@ def step(
     identity.  Raises NotEnabledError if `a` is not enabled."""
     if not a:
         return state
-    if a not in system.gamma or not act(system, state, a):
-        raise NotEnabledError(f"interaction {sorted(a)} is not enabled at {state}")
-    return _advance(system, state, a, rng)
-
-
-def _advance(
-    system: SystemModel, state: GlobalState, a: Interaction, rng: Optional[random.Random]
-) -> GlobalState:
     nxt = list(state)
-    for i, atom in enumerate(system.atoms):
-        share = a & atom.port_set
-        if not share:
-            continue
-        targets = atom.targets(state[i], share)
-        if len(targets) == 1 or rng is None:
-            nxt[i] = targets[0]
-        else:
-            nxt[i] = rng.choice(sorted(targets))
+    for i, targets in _enabled_moves(system, state, a):
+        nxt[i] = targets[0] if len(targets) == 1 or rng is None else rng.choice(sorted(targets))
     return tuple(nxt)
 
 
@@ -359,14 +388,8 @@ def successors(system: SystemModel, state: GlobalState, a: Interaction) -> froze
     """All states reachable by firing `a` (per-atom target choices expanded)."""
     if not a:
         return frozenset((state,))
-    if a not in system.gamma or not act(system, state, a):
-        raise NotEnabledError(f"interaction {sorted(a)} is not enabled at {state}")
     outs: list[GlobalState] = [state]
-    for i, atom in enumerate(system.atoms):
-        share = a & atom.port_set
-        if not share:
-            continue
-        targets = atom.targets(state[i], share)
+    for i, targets in _enabled_moves(system, state, a):
         outs = [s[:i] + (t,) + s[i + 1:] for s in outs for t in targets]
     return frozenset(outs)
 

@@ -6,9 +6,10 @@ of each port for priorities):
 - behavior: per atom, a disjunct per control state (one-hot state cube
   conjoined with the port minterms of its outgoing transitions) plus an
   idle disjunct with all the atom's ports false;
-- connectors: per connector, its causal rules conjoined with the root
-  clause and with the negation of every port foreign to the connector;
-  the system-wide function is the disjunction over connectors;
+- connectors: per connector, its causal rules and root clause over its
+  own ports; the system-wide function is their disjunction with every
+  port foreign to a connector false, built by a balanced union-join
+  (`union_join`) that never widens a connector to all ports;
 - priority: for explicit pairs, a static relation R(P, P') between an
   interaction over the plain port copies and a dominator over the primed
   copies, as full minterms.  Maximal progress needs no relation: its R,
@@ -17,6 +18,7 @@ of each port for priorities):
 Atoms linked by a connector or an explicit priority pair form one
 independent component, encoded on its own over its own ports in the
 shared manager (a system of one component is its own only component).
+f_S = behavior & connectors, read by no step, is built on demand.
 
 The build also keeps each atom's behavior restricted to each of its
 control states.  A component's survivor function at its local state
@@ -39,11 +41,10 @@ connectors or pool-sized priority function is built.
 
 from __future__ import annotations
 
-import random
-import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from . import boolfunc as bf
 from .bdd import BddManager, BddRef
@@ -52,15 +53,15 @@ from .connectors import Interaction, support
 from .model import (
     AtomicBehavior,
     Connector,
+    Engine,
     ExplicitPairs,
     GlobalState,
     MaximalProgress,
     SystemModel,
-    Trace,
     ValidationError,
-    effective_pairs,
     validate,
 )
+from .model import step as fire
 
 PRIME = "'"
 
@@ -145,18 +146,39 @@ def _expr_bdd(mgr: BddManager, expr: bf.BoolExpr) -> BddRef:
     raise TypeError(f"not a boolean expression: {expr!r}")
 
 
-def encode_connector(conn: Connector, all_ports: tuple[str, ...], mgr: BddManager) -> BddRef:
-    """Causal rules of one connector, with foreign ports forced false."""
-    sup = support(conn.term)
-    rules, root_clause = causal_rules(tau(conn.term))
-    expr = rules_to_formula(rules, root_clause, sup)
-    inside = _expr_bdd(mgr, expr)
-    outside = mgr.cube({p: False for p in all_ports if p not in sup})
-    return inside & outside
+def union_join(parts: Iterable[tuple[Iterable[str], BddRef]], ports: Iterable[str], mgr: BddManager) -> BddRef:
+    """The disjunction of the parts, each (its support U, a function G over
+    U) widened to `ports` with every port outside U false, without widening
+    any part: a balanced fold joins (U1, G1) and (U2, G2) into (U1 | U2,
+    G1 & none(U2 - U1) | G2 & none(U1 - U2)) and closes the root with
+    none(ports - U); no part gives false.  Leaves sorted by their deepest
+    support level, then their highest, share ports with their neighbours;
+    the order changes the time only, not the node."""
+    def none(names: Iterable[str]) -> BddRef:
+        return mgr.cube(dict.fromkeys(names, False))
+
+    def deepest_then_highest(part: tuple[frozenset[str], BddRef]) -> tuple[int, int]:
+        levels = [mgr.level_of(p) for p in part[0]] or [-1]
+        return max(levels), min(levels)
+
+    nodes = sorted(((frozenset(sup), g) for sup, g in parts), key=deepest_then_highest)
+    while len(nodes) > 1:
+        nxt = [(u1 | u2, (g1 & none(u2 - u1)) | (g2 & none(u1 - u2)))
+               for (u1, g1), (u2, g2) in zip(nodes[::2], nodes[1::2])]
+        nodes = nxt + nodes[len(nxt) * 2:]
+    sup, g = nodes[0] if nodes else ((), mgr.false)
+    return g & none(p for p in ports if p not in sup)
 
 
 def encode_connectors(system: SystemModel, mgr: BddManager) -> BddRef:
-    return mgr.or_all(encode_connector(c, system.all_ports, mgr) for c in system.connectors)
+    """The pool as a function over all ports: each connector's causal rules
+    over its own ports, joined by `union_join`."""
+    def leaf(conn: Connector) -> tuple[frozenset[str], BddRef]:
+        sup = support(conn.term)
+        rules, root_clause = causal_rules(tau(conn.term))
+        return sup, _expr_bdd(mgr, rules_to_formula(rules, root_clause, sup))
+
+    return union_join(map(leaf, system.connectors), system.all_ports, mgr)
 
 
 def encode_priority_pairs(
@@ -188,9 +210,6 @@ class SystemEncoding:
     manager: BddManager
     behavior_fn: BddRef         # all atoms consistent with their state
     connector_fn: BddRef        # valuations that are pool interactions
-    system_fn: BddRef           # behavior & connectors
-    pairs_fn: BddRef            # explicit pairs' R over plain/primed ports, else false
-    dominator_fn: BddRef        # the pool, plus listed dominators outside it
     local_behavior: tuple[dict[str, BddRef], ...]  # per atom: control state -> restricted f_atom
     port_names: tuple[str, ...]
     primed_names: tuple[str, ...]
@@ -205,6 +224,28 @@ class SystemEncoding:
     def __post_init__(self) -> None:
         if not self.components:
             self.components = (self,)
+
+    # f_S and, with several components, the system-level priority inputs
+    # are read by no step: each is built when first asked for
+
+    @cached_property
+    def system_fn(self) -> BddRef:
+        return self.behavior_fn & self.connector_fn
+
+    @cached_property
+    def pairs_fn(self) -> BddRef:
+        """The explicit pairs' R over plain/primed ports, else false."""
+        pr = self.system.priority
+        if not isinstance(pr, ExplicitPairs):
+            return self.manager.false
+        return encode_priority_pairs(pr.closure, self.port_names, self.manager)
+
+    @cached_property
+    def dominator_fn(self) -> BddRef:
+        """The pool, plus the listed dominators outside it: they need only be active."""
+        m, pr = self.manager, self.system.priority
+        outside = {hi for _, hi in pr.closure} - self.system.gamma if isinstance(pr, ExplicitPairs) else ()
+        return m.or_all([self.connector_fn, *(m.cube({p: p in hi for p in self.port_names}) for hi in outside)])
 
     @property
     def priority_fn(self) -> BddRef:
@@ -267,71 +308,42 @@ class SystemEncoding:
                          for a in c.manager.iter_models(c.survivor_fn(c.local_state(state)), c.port_names))
 
 
-def _encode(system: SystemModel, mgr: BddManager, local_behavior: tuple[dict[str, BddRef], ...],
-            behavior: Optional[BddRef] = None, connector_fn: Optional[BddRef] = None) -> SystemEncoding:
-    """The encoding of a system, or of one of its components, in `mgr`."""
-    behavior = encode_behavior(system, mgr) if behavior is None else behavior
-    connector_fn = encode_connectors(system, mgr) if connector_fn is None else connector_fn
-    pr = system.priority
-    ports = system.all_ports
-    dominator_fn = connector_fn
-    pairs_fn = mgr.false
-    if isinstance(pr, ExplicitPairs):
-        pairs = effective_pairs(pr, system.gamma)
-        pairs_fn = encode_priority_pairs(pairs, ports, mgr)
-        # a listed dominator need only be active, not offered by a connector
-        outside = {hi for _, hi in pairs} - system.gamma
-        dominator_fn = mgr.or_all(
-            [connector_fn, *(mgr.cube({p: p in hi for p in ports}) for hi in outside)])
-    elif pr is not None and not isinstance(pr, MaximalProgress):
-        raise TypeError(f"unknown priority model: {pr!r}")
-    return SystemEncoding(
-        system=system,
-        manager=mgr,
-        behavior_fn=behavior,
-        connector_fn=connector_fn,
-        system_fn=behavior & connector_fn,
-        pairs_fn=pairs_fn,
-        dominator_fn=dominator_fn,
-        local_behavior=local_behavior,
-        port_names=ports,
-        primed_names=tuple(prime(p) for p in ports),
-    )
-
-
 def build(system: SystemModel) -> SystemEncoding:
     diags = validate(system)
     if diags:
         raise ValidationError(diags)
+    if system.priority is not None and not isinstance(system.priority, (MaximalProgress, ExplicitPairs)):
+        raise TypeError(f"unknown priority model: {system.priority!r}")
     mgr = BddManager(variable_order(system))
     local = tuple(encode_local(atom, mgr) for atom in system.atoms)
     parts = components(system)
-    if len(parts) == 1:
-        return _encode(system, mgr, local)
     encs = []
     for atoms in parts:
         # the sub-system of the component's atoms, connectors and pairs
         def ours(ports: frozenset[str]) -> bool:
             return any(system.port_owner[p] in atoms for p in ports)
-        pr = system.priority
-        if isinstance(pr, ExplicitPairs):
-            pr = ExplicitPairs(frozenset(ab for ab in pr.closure if ours(ab[0] | ab[1])))
-        sub = SystemModel(system.name, tuple(system.atoms[i] for i in atoms),
-                          tuple(c for c in system.connectors if ours(support(c.term))), pr)
-        enc = _encode(sub, mgr, tuple(local[i] for i in atoms))
-        enc.local_state = itemgetter(*atoms) if len(atoms) > 1 else itemgetter(slice(atoms[0], atoms[0] + 1))
-        encs.append(enc)
+        sub, pr, reader = system, system.priority, itemgetter(slice(None))
+        if len(parts) > 1:
+            if isinstance(pr, ExplicitPairs):
+                pr = ExplicitPairs(frozenset(ab for ab in pr.closure if ours(ab[0] | ab[1])))
+            sub = SystemModel(system.name, tuple(system.atoms[i] for i in atoms),
+                              tuple(c for c in system.connectors if ours(support(c.term))), pr)
+            reader = itemgetter(*atoms) if len(atoms) > 1 else itemgetter(slice(atoms[0], atoms[0] + 1))
+        e = SystemEncoding(sub, mgr, encode_behavior(sub, mgr), encode_connectors(sub, mgr),
+                           tuple(local[i] for i in atoms), sub.all_ports, tuple(map(prime, sub.all_ports)),
+                           local_state=reader)
+        e.pairs_fn, e.dominator_fn  # the step reads these: build them with the encoding
+        encs.append(e)
+    if len(encs) == 1:
+        return encs[0]
     # a pool interaction of the system is one of a component's, with
     # every port outside that component false
-    connector_fn = mgr.or_all(
-        e.connector_fn & mgr.cube({p: False for p in system.all_ports if p not in e.system.port_owner})
-        for e in encs)
-    enc = _encode(system, mgr, local, mgr.and_all(e.behavior_fn for e in encs), connector_fn)
-    enc.components = tuple(encs)
-    return enc
+    return SystemEncoding(system, mgr, mgr.and_all(e.behavior_fn for e in encs),
+                          union_join(((e.port_names, e.connector_fn) for e in encs), system.all_ports, mgr),
+                          local, system.all_ports, tuple(map(prime, system.all_ports)), tuple(encs))
 
 
-class SymbolicEngine:
+class SymbolicEngine(Engine):
     """Stepper that works on the encoded system only.
 
     The per-step work is each component's survivor function at its local
@@ -344,9 +356,7 @@ class SymbolicEngine:
         self.encoding = build(system)
         self.system = system
         self.seed = seed
-        self.state: GlobalState = system.initial_state()
-        self.steps_taken = 0
-        self._rng = random.Random(seed)
+        self.reset()
         # per component: local-state reader, encoding, (survivor function,
         # survivor count) by local state, and the shift from a count over all
         # variables to one over its ports (None: one component, no draw)
@@ -354,11 +364,6 @@ class SymbolicEngine:
         width = len(self.encoding.manager.variables)
         self._parts = tuple((c.local_state, c, {}, width - len(c.port_names) if len(comps) > 1 else None)
                             for c in comps)
-
-    def reset(self) -> None:
-        self.state = self.system.initial_state()
-        self.steps_taken = 0
-        self._rng = random.Random(self.seed)
 
     def survivors(self, state: Optional[GlobalState] = None) -> frozenset[Interaction]:
         return self.encoding.survivors(self.state if state is None else state)
@@ -381,24 +386,6 @@ class SymbolicEngine:
             return None
         fn = live[0][0] if len(live) == 1 else self._rng.choices(live, [w for _, w in live])[0][0]
         a = self.encoding.manager.pick_sat(fn, seed=self._rng.getrandbits(64))
-        atoms, nxt = self.system.atoms, list(state)
-        for i in sorted({self.system.port_owner[p] for p in a}):
-            targets = atoms[i].targets(state[i], a & atoms[i].port_set)
-            nxt[i] = targets[0] if len(targets) == 1 else self._rng.choice(sorted(targets))
-        self.state = tuple(nxt)
+        self.state = fire(self.system, state, a, self._rng)
         self.steps_taken += 1
         return a, self.state
-
-    def run(self, steps: int) -> Trace:
-        initial = self.state
-        entries: list[tuple[Interaction, GlobalState]] = []
-        deadlocked = False
-        t0 = time.perf_counter_ns()
-        for _ in range(steps):
-            result = self.step()
-            if result is None:
-                deadlocked = True
-                break
-            entries.append(result)
-        total = time.perf_counter_ns() - t0
-        return Trace(initial=initial, steps=tuple(entries), deadlocked=deadlocked, total_ns=total)

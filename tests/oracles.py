@@ -3,13 +3,17 @@
 Everything here is written directly from the definitions, on purpose
 duplicating none of the library code paths: enabledness walks the atom
 transition relations, priority filtering recomputes domination from
-scratch, and state spaces come from the raw product of state sets.
+scratch, and state spaces come from the raw product of state sets.  The
+BDD references keep earlier, simpler versions of library routines.
 """
 
 import random
 from itertools import product
 
+from portsync.causal import causal_rules, rules_to_formula, tau
+from portsync.connectors import support
 from portsync.model import MaximalProgress, ExplicitPairs
+from portsync.symbolic import _expr_bdd
 
 
 def all_states(system):
@@ -30,6 +34,20 @@ def oracle_act(system, state, interaction):
 
 def oracle_enabled(system, state):
     return {a for a in system.gamma if oracle_act(system, state, a)}
+
+
+def oracle_successors(system, state, interaction):
+    """Every product of the owning atoms' targets on their shares; empty
+    if some owner has no matching transition."""
+    choices = []
+    for atom, current in zip(system.atoms, state):
+        label = frozenset(interaction & atom.port_set)
+        if not label:
+            choices.append([current])
+        else:
+            choices.append([t.target for t in atom.transitions
+                            if t.source == current and t.label == label])
+    return set(product(*choices))
 
 
 def _oracle_pairs(system):
@@ -135,3 +153,18 @@ def skipped_levels(f, names):
     edges = [(-1, u)] + [(mgr._var[v], c) for v in mgr._reachable(u)
                          for c in (mgr._lo[v], mgr._hi[v]) if c != 0]
     return {l for top, child in edges for l in levels if top < l < mgr._var[child]}
+
+
+def encode_connector(conn, all_ports, mgr):
+    """Causal rules of one connector, with foreign ports forced false."""
+    sup = support(conn.term)
+    rules, root_clause = causal_rules(tau(conn.term))
+    inside = _expr_bdd(mgr, rules_to_formula(rules, root_clause, sup))
+    outside = mgr.cube({p: False for p in all_ports if p not in sup})
+    return inside & outside
+
+
+def reference_connector_fn(system, mgr):
+    """f_C as first written: every connector widened to all ports, then
+    one disjunction."""
+    return mgr.or_all(encode_connector(c, system.all_ports, mgr) for c in system.connectors)

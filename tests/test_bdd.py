@@ -382,6 +382,36 @@ class TestIterModels:
                         n for k, n in enumerate(names) if (i >> (3 - k)) & 1))
             assert got == want
 
+    def test_expands_skipped_name_levels(self):
+        # names interleaved with other variables, out of order and with a
+        # repeat; functions skip name levels above the root, between
+        # nodes and below the last test, and no model comes twice
+        order = [f"v{i}" for i in range(8)]
+        mgr = BddManager(order)
+        names = ["v6", "v0", "v3", "v5", "v1", "v3"]
+        distinct = sorted(set(names))
+        rng = random.Random(5)
+
+        def models(f):
+            return {frozenset(n for n, bit in zip(distinct, bits) if bit)
+                    for bits in product((False, True), repeat=len(distinct))
+                    if mgr.evaluate(f, dict(zip(distinct, bits)))}
+
+        skipping = 0
+        for _ in range(80):
+            used = rng.sample(distinct, rng.randint(1, 4))
+            rows = rng.getrandbits(1 << len(used))
+            f = mgr.or_all(
+                mgr.cube({n: bool(row >> k & 1) for k, n in enumerate(used)})
+                for row in range(1 << len(used)) if rows >> row & 1)
+            got = list(mgr.iter_models(f, names))
+            assert len(got) == len(set(got))
+            assert set(got) == models(f)
+            skipping += len(mgr.support(f)) < len(distinct) and f != mgr.false
+        assert skipping > 40
+        assert list(mgr.iter_models(mgr.false, names)) == []
+        assert len(set(mgr.iter_models(mgr.true, names))) == 1 << len(distinct)
+
     def test_requires_support_coverage(self, mgr):
         f = mgr.var("a") & mgr.var("b")
         with pytest.raises(BddError):

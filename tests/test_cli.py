@@ -97,8 +97,9 @@ class TestStatsAndGen:
     def test_stats_prints_node_counts(self, model_file, capsys):
         assert main(["stats", model_file]) == EXIT_OK
         out = capsys.readouterr().out
-        for key in ("fb_nodes", "fc_nodes", "fs_nodes", "fp_nodes"):
-            assert key in out
+        assert out.splitlines() == [
+            "system modulo8: 3 atoms, 6 ports, 4 pool interactions",
+            "fb_nodes=21", "fc_nodes=9", "fs_nodes=23", "fp_nodes=26"]
 
     def test_gen_bus_then_run(self, tmp_path):
         path = tmp_path / "bus.bip-lite"

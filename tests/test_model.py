@@ -1,5 +1,7 @@
 """Core model: activation, priority filtering, stepping, reachability."""
 
+import random
+
 import pytest
 
 from portsync.connectors import PortLeaf, Factor, Fusion
@@ -25,7 +27,7 @@ from portsync.model import (
 )
 from portsync.generators import gen_bus, modulo8, random_system
 
-from oracles import all_states, oracle_enabled, oracle_survivors
+from oracles import all_states, oracle_enabled, oracle_successors, oracle_survivors
 
 
 def fz(*names):
@@ -214,6 +216,25 @@ class TestAgainstProductOracle:
     def test_random_small(self):
         for seed in range(20):
             self.run_system(random_system(seed))
+
+
+def test_successors_match_oracle_on_random_systems():
+    # every owning atom's nondeterministic targets are expanded; a pool
+    # interaction that is not enabled raises
+    branching = 0
+    for sysm in map(random_system, range(60)):
+        for state in reachable(sysm, bound=300).states:
+            for a in sysm.gamma:
+                want = oracle_successors(sysm, state, a)
+                assert act(sysm, state, a) == bool(want)
+                if want:
+                    assert successors(sysm, state, a) == want
+                    assert step(sysm, state, a, random.Random(0)) in want
+                    branching += len(want) > 1
+                else:
+                    with pytest.raises(NotEnabledError):
+                        successors(sysm, state, a)
+    assert branching > 0
 
 
 def test_sorted_interactions_is_stable():

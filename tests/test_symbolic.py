@@ -26,10 +26,13 @@ from portsync.symbolic import (
     encode_connectors,
     encode_strict_subset,
     state_var,
+    union_join,
     variable_order,
 )
+from portsync.connectors import support
 
-from oracles import all_states, oracle_survivors, reference_pick_sat, skipped_levels, transfer
+from oracles import (all_states, oracle_survivors, reference_connector_fn, reference_pick_sat,
+                     skipped_levels, transfer)
 
 
 def test_variable_order_groups_atoms(mod8):
@@ -53,6 +56,57 @@ def test_connector_function_models_are_gamma(mod8):
         enc = build(sysm)
         got = set(enc.manager.iter_models(enc.connector_fn, enc.port_names))
         assert got == set(sysm.gamma)
+
+
+def test_connector_fn_is_the_widened_disjunction():
+    # the union-join gives the node of every connector widened to all
+    # ports and or-ed, for one component or several, with ports that no
+    # connector uses and with a single connector
+    systems = [modulo8(), *map(gen_bus, (1, 2, 3)), gen_tasks(2, 1), gen_tasks(3, 2), gen_tasks(4, 4),
+               *map(random_system, range(60))]
+    unused = single = 0
+    for sysm in systems:
+        enc = build(sysm)
+        want = reference_connector_fn(sysm, enc.manager)
+        assert enc.connector_fn == want
+        assert encode_connectors(sysm, enc.manager) == want
+        unused += bool(set(sysm.all_ports) - {p for c in sysm.connectors for p in support(c.term)})
+        single += len(sysm.connectors) == 1
+    assert unused > 10 and single > 10
+
+
+def test_no_connector_gives_false():
+    bus = gen_bus(2)
+    sysm = SystemModel(bus.name, bus.atoms, (), None)
+    enc = build(sysm)
+    m = enc.manager
+    assert enc.connector_fn == encode_connectors(sysm, m) == union_join((), sysm.all_ports, m) == m.false
+    assert enc.survivors(sysm.initial_state()) == frozenset()
+
+
+def test_node_counts_are_pinned():
+    # the union-join and the on-demand f_S and priority inputs change no node
+    bus = gen_bus(4)
+    pairs = SystemModel(bus.name, bus.atoms, bus.connectors, ExplicitPairs(effective_pairs(bus.priority, bus.gamma)))
+    assert build(bus).node_counts() == {"fs_nodes": 197, "fb_nodes": 96, "fc_nodes": 74, "fp_nodes": 156}
+    assert build(pairs).node_counts() == {"fs_nodes": 197, "fb_nodes": 96, "fc_nodes": 74, "fp_nodes": 223}
+    assert build(gen_tasks(4, 4)).node_counts() == {
+        "fs_nodes": 2334, "fb_nodes": 604, "fc_nodes": 1220, "fp_nodes": 356}
+
+
+def test_build_leaves_what_no_step_reads_unbuilt():
+    # f_S and, with several components, the system-level priority inputs
+    # wait for a reader; every component's priority inputs are built
+    bus = gen_bus(3)
+    pairs = SystemModel(bus.name, bus.atoms, bus.connectors, ExplicitPairs(effective_pairs(bus.priority, bus.gamma)))
+    for sysm in (gen_tasks(3, 2), bus, pairs):
+        enc = build(sysm)
+        assert "system_fn" not in vars(enc)
+        for c in enc.components:
+            assert {"pairs_fn", "dominator_fn"} <= set(vars(c))
+        if len(enc.components) > 1:
+            assert not {"pairs_fn", "dominator_fn"} & set(vars(enc))
+        assert enc.system_fn == enc.behavior_fn & enc.connector_fn
 
 
 def test_system_function_conjunction(mod8):
