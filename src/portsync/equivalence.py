@@ -1,9 +1,10 @@
 """Differential check: enumerative vs symbolic survivor sets.
 
-Walks the reachable state space (bounded BFS) and compares, at every
-visited state, the survivor set computed by the enumerative engine with
-the one read off the symbolic encoding.  Exploration follows the union
-of both answers so a divergence in either direction is still expanded.
+Walks the reachable state space (`model.walk`, a bounded BFS) and
+compares, at every visited state, the survivor set computed by the
+enumerative engine with the one read off the symbolic encoding.
+Exploration follows the union of both answers so a divergence in either
+direction is still expanded.
 
 An explicitly supplied encoding is compared as-is; that is the hook for
 the corrupted-encoding negative control in the tests.
@@ -11,13 +12,12 @@ the corrupted-encoding negative control in the tests.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .connectors import Interaction
 from .enumerative import EnumEngine
-from .model import GlobalState, SystemModel, successors
+from .model import GlobalState, SystemModel, successors, walk
 from .symbolic import SystemEncoding, build
 
 
@@ -59,26 +59,17 @@ def check_equivalence(
 ) -> EquivalenceReport:
     enum_engine = EnumEngine(system)
     enc = encoding if encoding is not None else build(system)
-    init = system.initial_state()
-    seen: set[GlobalState] = {init}
-    queue: deque[GlobalState] = deque((init,))
     report = EquivalenceReport(system_name=system.name, states_checked=0, truncated=False)
-    while queue:
-        state = queue.popleft()
+
+    def expand(state: GlobalState) -> Iterator[GlobalState]:
         report.states_checked += 1
         from_enum = enum_engine.survivors(state)
         from_symbolic = enc.survivors(state)
         if from_enum != from_symbolic:
             report.divergences.append(Divergence(state, from_enum, from_symbolic))
         for a in from_enum | from_symbolic:
-            if not a:
-                continue
-            for nxt in successors(system, state, a) if a in system.gamma else ():
-                if nxt not in seen:
-                    if len(seen) >= bound:
-                        # stop growing the frontier, still check what was found
-                        report.truncated = True
-                        continue
-                    seen.add(nxt)
-                    queue.append(nxt)
+            if a in system.gamma:  # never the empty interaction
+                yield from successors(system, state, a)
+
+    report.truncated = walk(system, bound, expand).truncated
     return report

@@ -18,9 +18,10 @@ from __future__ import annotations
 import random
 import re
 import time
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .connectors import AcTerm, Interaction, interaction_key, interactions_of, support
 
@@ -400,26 +401,30 @@ class ReachableSet:
     truncated: bool
 
 
-def reachable(system: SystemModel, bound: int = 100000) -> ReachableSet:
-    """BFS over priority-filtered steps, truncated at `bound` states."""
+def walk(system: SystemModel, bound: int, expand: Callable[[GlobalState], Iterable[GlobalState]]) -> ReachableSet:
+    """Breadth-first walk from the initial state over `expand`, which
+    yields a state's successors.  Past `bound` states no new state is
+    taken (the set is truncated), but the states already queued are
+    still expanded."""
     init = system.initial_state()
     seen: set[GlobalState] = {init}
-    frontier = [init]
+    queue: deque[GlobalState] = deque((init,))
     truncated = False
-    while frontier:
-        nxt: list[GlobalState] = []
-        for s in frontier:
-            for a in survivors(system, s):
-                for t in successors(system, s, a):
-                    if t in seen:
-                        continue
-                    if len(seen) >= bound:
-                        truncated = True
-                        return ReachableSet(frozenset(seen), truncated)
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
+    while queue:
+        for t in expand(queue.popleft()):
+            if t in seen:
+                continue
+            if len(seen) >= bound:
+                truncated = True
+                continue
+            seen.add(t)
+            queue.append(t)
     return ReachableSet(frozenset(seen), truncated)
+
+
+def reachable(system: SystemModel, bound: int = 100000) -> ReachableSet:
+    """BFS over priority-filtered steps, truncated at `bound` states."""
+    return walk(system, bound, lambda s: (t for a in survivors(system, s) for t in successors(system, s, a)))
 
 
 def sorted_interactions(pool: Iterable[Interaction]) -> tuple[Interaction, ...]:

@@ -3,40 +3,42 @@
 Encoding, over one variable per state and per port (plus a primed copy
 of each port for priorities):
 
-- behavior: per atom, a disjunct per control state (one-hot state cube
-  conjoined with the port minterms of its outgoing transitions) plus an
-  idle disjunct with all the atom's ports false;
+- behavior: per atom and control state, its local behavior: the port
+  minterms of the labels it fires from that state, or idleness (all its
+  ports false); f_B joins them under one-hot state cubes;
 - connectors: per connector, its causal rules and root clause over its
   own ports; the system-wide function is their disjunction with every
   port foreign to a connector false, built by a balanced union-join
   (`union_join`) that never widens a connector to all ports;
 - priority: for explicit pairs, a static relation R(P, P') between an
   interaction over the plain port copies and a dominator over the primed
-  copies, as full minterms.  Maximal progress needs no relation: its R,
-  the strict-subset relation, is built only to report `fp_nodes`.
+  copies, joined the same way from one cube per pair over its own ports.
+  Maximal progress needs no relation: its R, the strict-subset
+  relation, is built only to report `fp_nodes`.
 
 Atoms linked by a connector or an explicit priority pair form one
 independent component, encoded on its own over its own ports in the
 shared manager (a system of one component is its own only component).
-f_S = behavior & connectors, read by no step, is built on demand.
+Each function is built on first read, and the build reads only what a
+step reads: each component's local behaviors, f_C and priority inputs.
 
-The build also keeps each atom's behavior restricted to each of its
-control states.  A component's survivor function at its local state
-conjoins the current states' local behaviors (a balanced fold, so after
-a move only the ands along the changed atoms' path are new work), which
-is the behavior restricted to the state, and then the connectors, giving
-the enabled function g.  Under maximal progress the survivor function
-holds g's maximal models (`BddManager.maximal`).  Under explicit pairs the
-possible dominators are g and any active interaction a pair lists as a
-dominator outside the pool.  A one-level shift moves them onto the
-primed copies, each primed port following its port in the order; the
-dominated set is the relational product excluded(P) = exists P'.
-dominators(P') & R(P, P'), and the survivor function is g & ~excluded.
-It is memoised per local state, bounding the memo by the sum of the
-components' local state spaces, not their product.  A step draws a
-component that has survivors, weighted by survivor counts, and picks
-one of its satisfying valuations.  No primed behavior, primed
-connectors or pool-sized priority function is built.
+A component's survivor function at its local state conjoins the current
+states' local behaviors (a balanced fold, so after a move only the ands
+along the changed atoms' path are new work), which is the behavior
+restricted to the state, and then the connectors, giving the enabled
+function g.  Under maximal progress the survivor function holds g's
+maximal models (`BddManager.maximal`).  Under explicit pairs the
+possible dominators are the active interactions of the pool and any
+active interaction a pair lists as a dominator outside the pool.  A
+one-level shift moves them onto the primed copies, each primed port
+following its port in the order; the dominated set is the relational
+product excluded(P) = exists P'. dominators(P') & R(P, P'), and the
+survivor function is g & ~excluded.  It is memoised per local state,
+bounding the memo by the sum of the components' local state spaces, not
+their product.  A step draws a component that has survivors, weighted
+by survivor counts, and picks one of its satisfying valuations.  No
+primed behavior, primed connectors or pool-sized priority function is
+built.
 """
 
 from __future__ import annotations
@@ -105,27 +107,19 @@ def components(system: SystemModel) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(i for i, k in enumerate(label) if k == c) for c in dict.fromkeys(label))
 
 
+def encode_local(atom: AtomicBehavior, mgr: BddManager) -> dict[str, BddRef]:
+    """The atom's behavior at each of its control states: a firing of a
+    label from that state, or idleness."""
+    idle = mgr.cube(dict.fromkeys(atom.ports, False))
+    return {q: mgr.or_all([*(mgr.cube({p: p in lbl for p in atom.ports}) for lbl in atom.labels_from[q]), idle])
+            for q in atom.states}
+
+
 def encode_atom(atom: AtomicBehavior, mgr: BddManager) -> BddRef:
     """Behavior of one atom: state-consistent firings or idleness."""
-    parts: list[BddRef] = []
-    for q in atom.states:
-        onehot = mgr.cube({state_var(atom, s): s == q for s in atom.states})
-        labels = atom.labels_from.get(q, frozenset())
-        if not labels:
-            continue
-        firings = mgr.or_all(
-            mgr.cube({p: p in lbl for p in atom.ports}) for lbl in labels
-        )
-        parts.append(onehot & firings)
-    idle = mgr.cube({p: False for p in atom.ports})
-    return mgr.or_all(parts) | idle
-
-
-def encode_local(atom: AtomicBehavior, mgr: BddManager) -> dict[str, BddRef]:
-    """The atom's behavior restricted to each of its control states."""
-    f = encode_atom(atom, mgr)
-    return {q: mgr.restrict_many(f, {state_var(atom, s): s == q for s in atom.states})
-            for q in atom.states}
+    idle = mgr.cube(dict.fromkeys(atom.ports, False))
+    return mgr.or_all([*(mgr.cube({state_var(atom, s): s == q for s in atom.states}) & f
+                         for q, f in encode_local(atom, mgr).items()), idle])
 
 
 def encode_behavior(system: SystemModel, mgr: BddManager) -> BddRef:
@@ -186,14 +180,14 @@ def encode_priority_pairs(
     all_ports: tuple[str, ...],
     mgr: BddManager,
 ) -> BddRef:
-    """Priority relation as full minterms: a over the plain copies, its
-    dominator over the primed copies."""
-    disjuncts = []
-    for lo, hi in sorted(pairs, key=lambda ab: (sorted(ab[0]), sorted(ab[1]))):
-        assignment: dict[str, bool] = {p: p in lo for p in all_ports}
-        assignment.update({prime(p): p in hi for p in all_ports})
-        disjuncts.append(mgr.cube(assignment))
-    return mgr.or_all(disjuncts)
+    """Priority relation: per pair (lo, hi), lo over the plain copies and
+    hi over the primed copies of their ports, joined by `union_join`; no
+    pair gives false."""
+    def leaf(lo: Interaction, hi: Interaction) -> tuple[list[str], BddRef]:
+        sup = lo | hi
+        return [*sup, *map(prime, sup)], mgr.cube({**{p: p in lo for p in sup}, **{prime(p): p in hi for p in sup}})
+
+    return union_join((leaf(lo, hi) for lo, hi in pairs), [*all_ports, *map(prime, all_ports)], mgr)
 
 
 def encode_strict_subset(ports: tuple[str, ...], mgr: BddManager) -> BddRef:
@@ -208,11 +202,6 @@ def encode_strict_subset(ports: tuple[str, ...], mgr: BddManager) -> BddRef:
 class SystemEncoding:
     system: SystemModel
     manager: BddManager
-    behavior_fn: BddRef         # all atoms consistent with their state
-    connector_fn: BddRef        # valuations that are pool interactions
-    local_behavior: tuple[dict[str, BddRef], ...]  # per atom: control state -> restricted f_atom
-    port_names: tuple[str, ...]
-    primed_names: tuple[str, ...]
     # the independent components (this encoding itself if one), and how
     # an encoding reads its own atoms' states out of a system state
     components: tuple["SystemEncoding", ...] = field(default=(), repr=False, compare=False)
@@ -225,8 +214,31 @@ class SystemEncoding:
         if not self.components:
             self.components = (self,)
 
-    # f_S and, with several components, the system-level priority inputs
+    # f_B, f_S and, with several components, the system-level functions
     # are read by no step: each is built when first asked for
+
+    @cached_property
+    def port_names(self) -> tuple[str, ...]:
+        return self.system.all_ports
+
+    @cached_property
+    def primed_names(self) -> tuple[str, ...]:
+        return tuple(map(prime, self.port_names))
+
+    @cached_property
+    def local_behavior(self) -> tuple[dict[str, BddRef], ...]:
+        """Per atom: control state -> the atom's behavior there."""
+        return tuple(encode_local(atom, self.manager) for atom in self.system.atoms)
+
+    @cached_property
+    def behavior_fn(self) -> BddRef:
+        """f_B: all atoms consistent with their state."""
+        return encode_behavior(self.system, self.manager)
+
+    @cached_property
+    def connector_fn(self) -> BddRef:
+        """f_C: the valuations that are pool interactions."""
+        return encode_connectors(self.system, self.manager)
 
     @cached_property
     def system_fn(self) -> BddRef:
@@ -287,17 +299,15 @@ class SystemEncoding:
         if fn is not None:
             return fn
         m = self.manager
-        fn = g = self.enabled_fn(state)
+        active = self.active_fn(state)
+        fn = g = active & self.connector_fn
         if isinstance(self.system.priority, MaximalProgress):
             fn = m.maximal(g, self.port_names)
         elif self.pairs_fn != m.false:
-            # the dominators are g, plus any active listed dominator
-            # outside the pool; the state is restricted away, so only plain
-            # ports remain, each of which the shift moves onto its primed copy
-            dominators = g
-            if self.dominator_fn != self.connector_fn:
-                dominators = self.active_fn(state) & self.dominator_fn
-            excluded = m.and_exists(m.shift(dominators), self.pairs_fn, self.primed_names)
+            # the dominators are the active pool interactions (g) and listed
+            # dominators outside the pool; the state is restricted away, so only
+            # plain ports remain, each of which the shift moves onto its primed copy
+            excluded = m.and_exists(m.shift(active & self.dominator_fn), self.pairs_fn, self.primed_names)
             fn = g & ~excluded
         self._survivor_memo[state] = fn
         return fn
@@ -315,32 +325,25 @@ def build(system: SystemModel) -> SystemEncoding:
     if system.priority is not None and not isinstance(system.priority, (MaximalProgress, ExplicitPairs)):
         raise TypeError(f"unknown priority model: {system.priority!r}")
     mgr = BddManager(variable_order(system))
-    local = tuple(encode_local(atom, mgr) for atom in system.atoms)
     parts = components(system)
-    encs = []
-    for atoms in parts:
-        # the sub-system of the component's atoms, connectors and pairs
-        def ours(ports: frozenset[str]) -> bool:
-            return any(system.port_owner[p] in atoms for p in ports)
-        sub, pr, reader = system, system.priority, itemgetter(slice(None))
-        if len(parts) > 1:
+    if len(parts) == 1:
+        encs = [SystemEncoding(system, mgr)]
+    else:
+        encs = []
+        for atoms in parts:
+            # the sub-system of the component's atoms, connectors and pairs
+            def ours(ports: frozenset[str]) -> bool:
+                return any(system.port_owner[p] in atoms for p in ports)
+            pr = system.priority
             if isinstance(pr, ExplicitPairs):
                 pr = ExplicitPairs(frozenset(ab for ab in pr.closure if ours(ab[0] | ab[1])))
             sub = SystemModel(system.name, tuple(system.atoms[i] for i in atoms),
                               tuple(c for c in system.connectors if ours(support(c.term))), pr)
             reader = itemgetter(*atoms) if len(atoms) > 1 else itemgetter(slice(atoms[0], atoms[0] + 1))
-        e = SystemEncoding(sub, mgr, encode_behavior(sub, mgr), encode_connectors(sub, mgr),
-                           tuple(local[i] for i in atoms), sub.all_ports, tuple(map(prime, sub.all_ports)),
-                           local_state=reader)
-        e.pairs_fn, e.dominator_fn  # the step reads these: build them with the encoding
-        encs.append(e)
-    if len(encs) == 1:
-        return encs[0]
-    # a pool interaction of the system is one of a component's, with
-    # every port outside that component false
-    return SystemEncoding(system, mgr, mgr.and_all(e.behavior_fn for e in encs),
-                          union_join(((e.port_names, e.connector_fn) for e in encs), system.all_ports, mgr),
-                          local, system.all_ports, tuple(map(prime, system.all_ports)), tuple(encs))
+            encs.append(SystemEncoding(sub, mgr, local_state=reader))
+    for e in encs:
+        e.local_behavior, e.connector_fn, e.pairs_fn, e.dominator_fn  # what a step reads
+    return encs[0] if len(encs) == 1 else SystemEncoding(system, mgr, tuple(encs))
 
 
 class SymbolicEngine(Engine):

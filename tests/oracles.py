@@ -13,7 +13,7 @@ from itertools import product
 from portsync.causal import causal_rules, rules_to_formula, tau
 from portsync.connectors import support
 from portsync.model import MaximalProgress, ExplicitPairs
-from portsync.symbolic import _expr_bdd
+from portsync.symbolic import _expr_bdd, prime
 
 
 def all_states(system):
@@ -168,3 +168,14 @@ def reference_connector_fn(system, mgr):
     """f_C as first written: every connector widened to all ports, then
     one disjunction."""
     return mgr.or_all(encode_connector(c, system.all_ports, mgr) for c in system.connectors)
+
+
+def reference_priority_pairs(pairs, all_ports, mgr):
+    """Explicit pairs' R as first written: per pair one minterm over every
+    plain and primed port, then one disjunction."""
+    disjuncts = []
+    for lo, hi in sorted(pairs, key=lambda ab: (sorted(ab[0]), sorted(ab[1]))):
+        assignment = {p: p in lo for p in all_ports}
+        assignment.update({prime(p): p in hi for p in all_ports})
+        disjuncts.append(mgr.cube(assignment))
+    return mgr.or_all(disjuncts)

@@ -2,6 +2,7 @@
 
 from portsync.equivalence import check_equivalence
 from portsync.generators import gen_bus, gen_tasks, modulo8, random_system
+from portsync.model import reachable
 from portsync.symbolic import build
 
 
@@ -58,3 +59,18 @@ def test_random_systems_equivalent():
     for seed in range(15):
         report = check_equivalence(random_system(seed), bound=2000)
         assert report.equivalent, report.summary()
+
+
+def test_check_walks_the_reachable_states():
+    # `check` and `reachable` share one walk: past the bound it takes no
+    # new state but still expands the queued ones
+    systems = [modulo8(), gen_bus(3), gen_tasks(3, 2), gen_tasks(4, 2), *map(random_system, range(60))]
+    truncated = 0
+    for sysm in systems:
+        for bound in (5, 30, 300, 10**5):
+            report, reach = check_equivalence(sysm, bound=bound), reachable(sysm, bound=bound)
+            assert report.equivalent
+            assert report.states_checked == len(reach.states) <= bound
+            assert report.truncated == reach.truncated
+            truncated += reach.truncated
+    assert truncated > 5

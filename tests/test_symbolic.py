@@ -24,6 +24,8 @@ from portsync.symbolic import (
     encode_atom,
     encode_behavior,
     encode_connectors,
+    encode_local,
+    encode_priority_pairs,
     encode_strict_subset,
     state_var,
     union_join,
@@ -32,7 +34,11 @@ from portsync.symbolic import (
 from portsync.connectors import support
 
 from oracles import (all_states, oracle_survivors, reference_connector_fn, reference_pick_sat,
-                     skipped_levels, transfer)
+                     reference_priority_pairs, skipped_levels, transfer)
+
+
+def _pairs_written_out(sysm):
+    return SystemModel(sysm.name, sysm.atoms, sysm.connectors, ExplicitPairs(effective_pairs(sysm.priority, sysm.gamma)))
 
 
 def test_variable_order_groups_atoms(mod8):
@@ -49,6 +55,18 @@ def test_counter_component_formula(mod8):
     p, q = mgr.var("p"), mgr.var("q")
     want = (l1 & ~l2 & p & ~q) | (~l1 & l2 & p & q) | (~p & ~q)
     assert encode_atom(b1, mgr) == want
+
+
+def test_local_behavior_is_the_atom_restricted_to_its_state():
+    # built from the labels per control state, each local behavior is
+    # the node of the atom's behavior restricted to that state
+    for sysm in (modulo8(), gen_bus(3), gen_tasks(3, 2), *map(random_system, range(60))):
+        m = BddManager(variable_order(sysm))
+        for atom in sysm.atoms:
+            f, local = encode_atom(atom, m), encode_local(atom, m)
+            assert list(local) == list(atom.states)
+            for q in atom.states:
+                assert local[q] == m.restrict_many(f, {state_var(atom, s): s == q for s in atom.states})
 
 
 def test_connector_function_models_are_gamma(mod8):
@@ -95,18 +113,37 @@ def test_node_counts_are_pinned():
 
 
 def test_build_leaves_what_no_step_reads_unbuilt():
-    # f_S and, with several components, the system-level priority inputs
-    # wait for a reader; every component's priority inputs are built
+    # the build reads what a step reads, each component's local
+    # behaviors, f_C and priority inputs; f_B, f_S and, with several
+    # components, the system-level functions wait for a reader
     bus = gen_bus(3)
-    pairs = SystemModel(bus.name, bus.atoms, bus.connectors, ExplicitPairs(effective_pairs(bus.priority, bus.gamma)))
-    for sysm in (gen_tasks(3, 2), bus, pairs):
+    for sysm in (gen_tasks(3, 2), bus, _pairs_written_out(bus)):
         enc = build(sysm)
-        assert "system_fn" not in vars(enc)
+        assert not {"behavior_fn", "system_fn"} & set(vars(enc))
         for c in enc.components:
-            assert {"pairs_fn", "dominator_fn"} <= set(vars(c))
+            assert {"local_behavior", "connector_fn", "pairs_fn", "dominator_fn"} <= set(vars(c))
+            assert not {"behavior_fn", "system_fn"} & set(vars(c))
         if len(enc.components) > 1:
-            assert not {"pairs_fn", "dominator_fn"} & set(vars(enc))
+            assert not {"local_behavior", "connector_fn", "pairs_fn", "dominator_fn"} & set(vars(enc))
         assert enc.system_fn == enc.behavior_fn & enc.connector_fn
+
+
+def test_pairs_fn_is_the_minterm_disjunction():
+    # R joined from one cube per pair over the copies of its own ports is
+    # the node of the pairs' full minterms, system-wide and per component
+    systems = [_pairs_written_out(s) for s in (gen_bus(3), gen_tasks(3, 2), gen_tasks(4, 4))]
+    systems += [r for r in map(random_system, range(60)) if isinstance(r.priority, ExplicitPairs)]
+    for sysm in systems:
+        enc = build(sysm)
+        m = enc.manager
+        pairs = sysm.priority.closure
+        assert enc.pairs_fn == encode_priority_pairs(pairs, sysm.all_ports, m)
+        assert enc.pairs_fn == reference_priority_pairs(pairs, sysm.all_ports, m)
+        for c in enc.components:
+            assert c.pairs_fn == reference_priority_pairs(c.system.priority.closure, c.port_names, m)
+    no_pairs = frozenset()
+    assert encode_priority_pairs(no_pairs, sysm.all_ports, m) == reference_priority_pairs(no_pairs, sysm.all_ports, m)
+    assert encode_priority_pairs(no_pairs, sysm.all_ports, m) == m.false
 
 
 def test_system_function_conjunction(mod8):
