@@ -8,7 +8,10 @@ construction, so handle equality is function equality.
 Besides the boolean connectives, restriction and quantification, the
 manager computes maximal models (`maximal`, for maximal progress) and
 the relational product `and_exists` (the conjunction quantified on the
-fly, never built) with a one-level `shift`, for explicit priority pairs.
+fly, never built) with a one-level `shift`, for explicit priority pairs,
+and model counts, picks and model sets for the engines.  Operations
+that only tests need (evaluation along a path, support names, a
+three-operand `ite`) live with the tests' oracles.
 
 The unique table and the computed tables (one per operation: and, or,
 ite, not, shift, and one per variable set of `and_exists` or `maximal`,
@@ -278,9 +281,6 @@ class BddManager:
     def not_(self, f: BddRef) -> BddRef:
         return self._ref(self._not(self._node(f)))
 
-    def ite(self, f: BddRef, g: BddRef, h: BddRef) -> BddRef:
-        return self._ref(self._ite(self._node(f), self._node(g), self._node(h)))
-
     def and_all(self, fs: Iterable[BddRef]) -> BddRef:
         return self._fold(self._and, TRUE, fs)
 
@@ -442,14 +442,6 @@ class BddManager:
 
     # -- inspection ----------------------------------------------------
 
-    def evaluate(self, f: BddRef, assignment: Mapping[str, bool]) -> bool:
-        """Follow the path for `assignment`; missing variables read as false."""
-        u = self._node(f)
-        while u > TRUE:
-            name = self._names[self._var[u]]
-            u = self._hi[u] if assignment.get(name, False) else self._lo[u]
-        return u == TRUE
-
     def _reachable(self, u: int) -> set[int]:
         seen: set[int] = set()
         stack = [u]
@@ -487,9 +479,6 @@ class BddManager:
         if levels is None:
             levels = self._sorted_supports[u] = _bits(self._support_mask(u))
         return levels
-
-    def support(self, f: BddRef) -> frozenset[str]:
-        return frozenset(self._names[l] for l in self._support_levels(self._node(f)))
 
     def sat_count(self, f: BddRef) -> int:
         """Number of satisfying assignments over all the manager's

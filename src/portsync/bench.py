@@ -2,13 +2,13 @@
 
 Timing covers the run loop only; engine construction (pool
 materialization, encoding) happens before the clock starts.  Each
-measurement does one untimed warm-up run (200 steps unless told
-otherwise, enough to warm the interpreter), then `repetitions` timed runs,
-each on a freshly built engine, so that no timed step replays a
-trajectory whose survivor functions an engine has already cached; the
-warm-up has an engine of its own.  The reported row is the median
-repetition by total time.  Symbolic rows carry the node counts of the
-encoded functions, enumerative rows leave them empty.
+measurement does one untimed warm-up run of `WARMUP_STEPS` steps, enough
+to warm the interpreter, then `repetitions` timed runs, each on a freshly
+built engine, so that no timed step replays a trajectory whose survivor
+functions an engine has already cached; the warm-up has an engine of its
+own.  The reported row is the median repetition by total time.  Symbolic
+rows carry the node counts of the encoded functions, enumerative rows
+leave them empty.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ CSV_HEADER = "example,engine,n,m,steps,total_ns,mean_step_ns,fs_nodes,fb_nodes,f
 
 EXAMPLES = ("bus", "tasks")
 ENGINES = ("enum", "symbolic")
+WARMUP_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,6 @@ def bench(
     seed: int,
     engine: str,
     repetitions: int = 1,
-    warmup_steps: int = 200,
 ) -> BenchRecord:
     """One benchmark point; returns the median repetition."""
     if steps < 1:
@@ -92,8 +92,7 @@ def bench(
     if repetitions < 1:
         raise ValueError("repetitions must be positive")
     system = make_system(example, n, m)
-    if warmup_steps:
-        make_engine(system, engine, seed).run(warmup_steps)
+    make_engine(system, engine, seed).run(WARMUP_STEPS)
     samples: list[tuple[int, int]] = []  # (total_ns, executed)
     for _ in range(repetitions):
         # free the last engine before building the next: a BDD manager

@@ -33,12 +33,18 @@ active interaction a pair lists as a dominator outside the pool.  A
 one-level shift moves them onto the primed copies, each primed port
 following its port in the order; the dominated set is the relational
 product excluded(P) = exists P'. dominators(P') & R(P, P'), and the
-survivor function is g & ~excluded.  It is memoised per local state,
-bounding the memo by the sum of the components' local state spaces, not
-their product.  A step draws a component that has survivors, weighted
-by survivor counts, and picks one of its satisfying valuations.  No
-primed behavior, primed connectors or pool-sized priority function is
-built.
+survivor function is g & ~excluded.
+
+Each component keeps one survivor table: per local state, the survivor
+function, whether it has a survivor, and its number of models over the
+component's own ports (`sat_count` over every variable, shifted right by
+the variables outside those ports), counted on the first draw among two
+or more live components that needs it.  The tables hold at most the sum
+of the components' local state spaces, not their product.  `survivors`
+(which `check` reads) and the step read the same entries: a step draws
+a live component weighted by these counts (with one live component there
+is no draw), and picks one of its satisfying valuations.  No primed
+behavior, primed connectors or pool-sized priority function is built.
 """
 
 from __future__ import annotations
@@ -207,7 +213,10 @@ class SystemEncoding:
     components: tuple["SystemEncoding", ...] = field(default=(), repr=False, compare=False)
     local_state: Callable[[GlobalState], GlobalState] = field(
         default=itemgetter(slice(None)), repr=False, compare=False)
-    _survivor_memo: dict[GlobalState, BddRef] = field(
+    # local state -> [survivor function, whether it has a survivor, its
+    # number of survivors over our ports (None until a draw needs it), this
+    # encoding, which counts them]: the one memo the step and `survivors` read
+    survivor_table: dict[GlobalState, list] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -291,13 +300,11 @@ class SystemEncoding:
         return self.manager.and_all(
             local[q] for local, q in zip(self.local_behavior, state))
 
-    def enabled_fn(self, state: GlobalState) -> BddRef:
-        return self.active_fn(state) & self.connector_fn
-
     def survivor_fn(self, state: GlobalState) -> BddRef:
-        fn = self._survivor_memo.get(state)
-        if fn is not None:
-            return fn
+        """The survivor function at a local state; a miss enters it in `survivor_table`."""
+        entry = self.survivor_table.get(state)
+        if entry is not None:
+            return entry[0]
         m = self.manager
         active = self.active_fn(state)
         fn = g = active & self.connector_fn
@@ -309,8 +316,15 @@ class SystemEncoding:
             # plain ports remain, each of which the shift moves onto its primed copy
             excluded = m.and_exists(m.shift(active & self.dominator_fn), self.pairs_fn, self.primed_names)
             fn = g & ~excluded
-        self._survivor_memo[state] = fn
+        self.survivor_table[state] = [fn, fn != m.false, None, self]
         return fn
+
+    def survivor_count(self, entry: list) -> int:
+        """Fill in a `survivor_table` entry's number of survivors: its function
+        mentions only our ports, so each other variable doubles its model count."""
+        m = self.manager
+        entry[2] = m.sat_count(entry[0]) >> (len(m.variables) - len(self.port_names))
+        return entry[2]
 
     def survivors(self, state: GlobalState) -> frozenset[Interaction]:
         """The union of the components' model sets at their local states."""
@@ -349,10 +363,10 @@ def build(system: SystemModel) -> SystemEncoding:
 class SymbolicEngine(Engine):
     """Stepper that works on the encoded system only.
 
-    The per-step work is each component's survivor function at its local
-    state, looked up or composed from the precomputed functions, a
-    weighted draw of a component, and one satisfying-assignment pick; the
-    pool is never enumerated.
+    The per-step work is each component's survivor-table entry at its
+    local state (composed by `survivor_fn` on a miss), a draw of a live
+    component weighted by the entries' counts, and one satisfying-assignment
+    pick; the pool is never enumerated.
     """
 
     def __init__(self, system: SystemModel, seed: int = 0):
@@ -360,34 +374,28 @@ class SymbolicEngine(Engine):
         self.system = system
         self.seed = seed
         self.reset()
-        # per component: local-state reader, encoding, (survivor function,
-        # survivor count) by local state, and the shift from a count over all
-        # variables to one over its ports (None: one component, no draw)
-        comps = self.encoding.components
-        width = len(self.encoding.manager.variables)
-        self._parts = tuple((c.local_state, c, {}, width - len(c.port_names) if len(comps) > 1 else None)
-                            for c in comps)
-
-    def survivors(self, state: Optional[GlobalState] = None) -> frozenset[Interaction]:
-        return self.encoding.survivors(self.state if state is None else state)
+        # each component's local-state reader and its own survivor table,
+        # bound once so that a table hit looks up no attribute
+        self._components = tuple((c.local_state, c.survivor_table, c) for c in self.encoding.components)
 
     def step(self) -> Optional[tuple[Interaction, GlobalState]]:
         """Fire one surviving interaction; None signals deadlock.  The
         component is drawn weighted by survivor counts, if several have any."""
         state = self.state
         live = []
-        for local, enc, table, shift in self._parts:
+        for local, table, c in self._components:
             key = local(state)
             entry = table.get(key)
             if entry is None:
-                fn = enc.survivor_fn(key)
-                count = fn != enc.manager.false if shift is None else enc.manager.sat_count(fn) >> shift
-                entry = table[key] = (fn, count)
+                c.survivor_fn(key)
+                entry = table[key]
             if entry[1]:
                 live.append(entry)
         if not live:
             return None
-        fn = live[0][0] if len(live) == 1 else self._rng.choices(live, [w for _, w in live])[0][0]
+        if len(live) > 1:  # an entry is counted on the first draw it takes part in
+            live = self._rng.choices(live, [e[2] if e[2] is not None else e[3].survivor_count(e) for e in live])
+        fn = live[0][0]
         a = self.encoding.manager.pick_sat(fn, seed=self._rng.getrandbits(64))
         self.state = fire(self.system, state, a, self._rng)
         self.steps_taken += 1

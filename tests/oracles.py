@@ -4,14 +4,15 @@ Everything here is written directly from the definitions, on purpose
 duplicating none of the library code paths: enabledness walks the atom
 transition relations, priority filtering recomputes domination from
 scratch, and state spaces come from the raw product of state sets.  The
-BDD references keep earlier, simpler versions of library routines.
+BDD references keep earlier, simpler versions of library routines, and
+the kernel operations that only tests need (`evaluate`, `support`, `ite`).
 """
 
 import random
 from itertools import product
 
 from portsync.causal import causal_rules, rules_to_formula, tau
-from portsync.connectors import support
+from portsync.connectors import support as term_support
 from portsync.model import MaximalProgress, ExplicitPairs
 from portsync.symbolic import _expr_bdd, prime
 
@@ -87,6 +88,26 @@ def oracle_survivors(system, state):
     }
 
 
+def evaluate(f, assignment):
+    """Follow f's path for `assignment`; missing variables read as false."""
+    mgr, u = f.manager, f.node
+    while u > 1:
+        name = mgr._names[mgr._var[u]]
+        u = mgr._hi[u] if assignment.get(name, False) else mgr._lo[u]
+    return u == 1
+
+
+def support(f):
+    """The names of the variables that some node below f tests."""
+    mgr = f.manager
+    return frozenset(mgr._names[mgr._var[u]] for u in mgr._reachable(f.node))
+
+
+def ite(f, g, h):
+    """If f then g else h, from the connectives."""
+    return (f & g) | (~f & h)
+
+
 def bdd_table(mgr, f, names):
     """Truth table of f over `names` as an int, row i = assignment bits
     of i with names[0] as the most significant bit."""
@@ -96,7 +117,7 @@ def bdd_table(mgr, f, names):
         asg = {
             name: bool((i >> (n - 1 - k)) & 1) for k, name in enumerate(names)
         }
-        if mgr.evaluate(f, asg):
+        if evaluate(f, asg):
             out |= 1 << i
     return out
 
@@ -136,7 +157,7 @@ def transfer(f, dst):
     def rec(u):
         if u not in memo:
             top = dst.var(src.variables[src._var[u]])
-            memo[u] = dst.ite(top, rec(src._hi[u]), rec(src._lo[u]))
+            memo[u] = ite(top, rec(src._hi[u]), rec(src._lo[u]))
         return memo[u]
 
     return rec(f.node)
@@ -157,7 +178,7 @@ def skipped_levels(f, names):
 
 def encode_connector(conn, all_ports, mgr):
     """Causal rules of one connector, with foreign ports forced false."""
-    sup = support(conn.term)
+    sup = term_support(conn.term)
     rules, root_clause = causal_rules(tau(conn.term))
     inside = _expr_bdd(mgr, rules_to_formula(rules, root_clause, sup))
     outside = mgr.cube({p: False for p in all_ports if p not in sup})

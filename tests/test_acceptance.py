@@ -210,7 +210,7 @@ def test_criterion_8_engine_scaling_trend():
                           ("bus", 8, None), ("bus", 16, None)):
         for engine in ("enum", "symbolic"):
             rec = bench(example, n, m, steps=10_000, seed=7,
-                        engine=engine, repetitions=1, warmup_steps=200)
+                        engine=engine, repetitions=1)
             mean[(example, n, engine)] = rec.mean_step_ns
     ratios = {
         "tasks_enum": mean[("tasks", 16, "enum")] / mean[("tasks", 8, "enum")],

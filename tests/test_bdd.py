@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from portsync import bdd, boolfunc as bf
 from portsync.bdd import BddError, BddManager
 
-from oracles import bdd_table, reference_pick_sat
+from oracles import bdd_table, evaluate, reference_pick_sat, support
 
 
 @pytest.fixture
@@ -24,8 +24,8 @@ class TestBasics:
 
     def test_var_and_evaluate(self, mgr):
         a = mgr.var("a")
-        assert mgr.evaluate(a, {"a": True, "b": False, "c": False, "d": False})
-        assert not mgr.evaluate(a, {"a": False, "b": True, "c": True, "d": True})
+        assert evaluate(a, {"a": True, "b": False, "c": False, "d": False})
+        assert not evaluate(a, {"a": False, "b": True, "c": True, "d": True})
 
     def test_unknown_variable(self, mgr):
         with pytest.raises(BddError):
@@ -57,7 +57,7 @@ class TestCanonicity:
         a, b = mgr.var("a"), mgr.var("b")
         f = (a & b) | (~a & b)  # independent of a
         assert f == b
-        assert mgr.support(f) == frozenset({"b"})
+        assert support(f) == frozenset({"b"})
 
     def test_audit_after_workload(self, mgr):
         rng = random.Random(1)
@@ -112,8 +112,8 @@ class TestAgainstTruthTables:
                     asg = dict(zip(self.NAMES, asg_bits))
                     forced0 = dict(asg, **{name: False})
                     forced1 = dict(asg, **{name: True})
-                    assert mgr.evaluate(lo, asg) == mgr.evaluate(f, forced0)
-                    assert mgr.evaluate(hi, asg) == mgr.evaluate(f, forced1)
+                    assert evaluate(lo, asg) == evaluate(f, forced0)
+                    assert evaluate(hi, asg) == evaluate(f, forced1)
                 assert mgr.exists(f, [name]) == lo | hi
 
     def test_exists_multiple(self, mgr):
@@ -208,7 +208,7 @@ class TestMaximal:
         """f's models over `free` that no model equal outside `names`
         strictly contains inside `names`, as a disjunction of minterms."""
         rows = [dict(zip(free, bits)) for bits in product((False, True), repeat=len(free))]
-        models = [r for r in rows if mgr.evaluate(f, r)]
+        models = [r for r in rows if evaluate(f, r)]
 
         def below(r, s):
             return (r != s and all(s[v] for v in names if r[v])
@@ -231,7 +231,7 @@ class TestMaximal:
         for _ in range(150):
             f = self.random_fn(mgr, rng, self.NAMES)
             assert mgr.maximal(f, self.NAMES) == self.brute(mgr, f, self.NAMES, self.NAMES)
-            sup = sorted(level[n] for n in mgr.support(f))
+            sup = sorted(level[n] for n in support(f))
             if sup:
                 skipped = set(level.values()) - set(sup)
                 above += any(l < sup[0] for l in skipped)
@@ -283,8 +283,8 @@ class TestCubes:
         asg = {"a": True, "c": False, "d": True}
         f = mgr.cube(asg)
         assert mgr.node_count(f) == 3
-        assert mgr.evaluate(f, {"a": True, "b": False, "c": False, "d": True})
-        assert not mgr.evaluate(f, {"a": True, "b": False, "c": True, "d": True})
+        assert evaluate(f, {"a": True, "b": False, "c": False, "d": True})
+        assert not evaluate(f, {"a": True, "b": False, "c": True, "d": True})
 
     def test_empty_cube(self, mgr):
         assert mgr.cube({}) == mgr.true
@@ -307,7 +307,7 @@ class TestPickSat:
         f = (mgr.var("a") | mgr.var("b")) & (mgr.var("c") ^ mgr.var("d"))
         for seed in range(50):
             asg = mgr.pick_sat(f, seed=seed)
-            assert mgr.evaluate(f, dict.fromkeys(asg, True))
+            assert evaluate(f, dict.fromkeys(asg, True))
 
     def test_all_models_reachable(self, mgr):
         # p OR q has three models; every one must come up over seeds
@@ -330,7 +330,7 @@ class TestPickSat:
             f = mgr.or_all(
                 mgr.cube({names[i]: rng.random() < 0.5 for i in used if rng.random() < 0.7})
                 for _ in range(rng.randint(1, 5)))
-            levels = sorted(names.index(n) for n in mgr.support(f))
+            levels = sorted(names.index(n) for n in support(f))
             if levels and levels != list(range(levels[0], levels[-1] + 1)):
                 skipping += 1
             for seed in range(30):
@@ -358,7 +358,7 @@ class TestSatCount:
             f = mgr.or_all(
                 mgr.cube({names[i]: bool(row >> k & 1) for k, i in enumerate(used)})
                 for row in range(1 << len(used)) if rows >> row & 1)
-            levels = sorted(names.index(n) for n in mgr.support(f))
+            levels = sorted(names.index(n) for n in support(f))
             if levels and levels != list(range(levels[0], 8)):
                 skipping += 1
             assert mgr.sat_count(f) == bin(bdd_table(mgr, f, names)).count("1")
@@ -395,7 +395,7 @@ class TestIterModels:
         def models(f):
             return {frozenset(n for n, bit in zip(distinct, bits) if bit)
                     for bits in product((False, True), repeat=len(distinct))
-                    if mgr.evaluate(f, dict(zip(distinct, bits)))}
+                    if evaluate(f, dict(zip(distinct, bits)))}
 
         skipping = 0
         for _ in range(80):
@@ -407,7 +407,7 @@ class TestIterModels:
             got = list(mgr.iter_models(f, names))
             assert len(got) == len(set(got))
             assert set(got) == models(f)
-            skipping += len(mgr.support(f)) < len(distinct) and f != mgr.false
+            skipping += len(support(f)) < len(distinct) and f != mgr.false
         assert skipping > 40
         assert list(mgr.iter_models(mgr.false, names)) == []
         assert len(set(mgr.iter_models(mgr.true, names))) == 1 << len(distinct)
@@ -423,7 +423,7 @@ def test_deep_conjunction_no_recursion_blowup():
     mgr = BddManager(names)
     f = mgr.and_all([mgr.var(n) for n in names])
     assert mgr.node_count(f) == 400
-    assert mgr.evaluate(f, {n: True for n in names})
+    assert evaluate(f, {n: True for n in names})
 
 
 @st.composite
@@ -462,4 +462,4 @@ def test_bdd_agrees_with_formula_evaluation(e):
     for bits in product([False, True], repeat=4):
         asg = dict(zip(names, bits))
         want = bf.evaluate(e, {n for n, b in asg.items() if b})
-        assert mgr.evaluate(f, asg) == want
+        assert evaluate(f, asg) == want

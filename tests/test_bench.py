@@ -34,8 +34,7 @@ def test_make_engine_dispatch(mod8):
 
 
 def test_bench_enum_record():
-    rec = bench("bus", 1, None, steps=50, seed=3, engine="enum",
-                warmup_steps=5)
+    rec = bench("bus", 1, None, steps=50, seed=3, engine="enum")
     assert rec.example == "bus" and rec.engine == "enum"
     assert rec.n == 1 and rec.m is None
     assert rec.steps == 50
@@ -45,8 +44,7 @@ def test_bench_enum_record():
 
 
 def test_bench_symbolic_record_has_node_counts():
-    rec = bench("tasks", 2, 1, steps=20, seed=0, engine="symbolic",
-                warmup_steps=5)
+    rec = bench("tasks", 2, 1, steps=20, seed=0, engine="symbolic")
     assert rec.m == 1
     assert rec.fs_nodes > 0 and rec.fb_nodes > 0
     assert rec.fc_nodes > 0 and rec.fp_nodes > 0
@@ -60,12 +58,11 @@ def test_bench_times_fresh_engines(monkeypatch):
     run = SymbolicEngine.run
 
     def recording_run(self, steps):
-        started.append((self, self.steps_taken, len(self.encoding._survivor_memo)))
+        started.append((self, self.steps_taken, sum(len(c.survivor_table) for c in self.encoding.components)))
         return run(self, steps)
 
     monkeypatch.setattr(SymbolicEngine, "run", recording_run)
-    bench("bus", 1, None, steps=10, seed=0, engine="symbolic",
-          repetitions=2, warmup_steps=5)
+    bench("bus", 1, None, steps=10, seed=0, engine="symbolic", repetitions=2)
     assert [(taken, cached) for _, taken, cached in started] == [(0, 0)] * 3
     assert len({id(engine) for engine, _, _ in started}) == 3
 
@@ -92,8 +89,7 @@ def test_bench_rejects_zero_steps():
 
 
 def test_repetitions_take_median():
-    rec = bench("bus", 1, None, steps=30, seed=1, engine="enum",
-                repetitions=3, warmup_steps=5)
+    rec = bench("bus", 1, None, steps=30, seed=1, engine="enum", repetitions=3)
     assert rec.steps == 30  # one row out, median by total time
 
 
@@ -107,8 +103,7 @@ def test_csv_row_formatting():
 
 
 def test_write_csv(tmp_path):
-    rec = bench("bus", 1, None, steps=10, seed=0, engine="symbolic",
-                warmup_steps=2)
+    rec = bench("bus", 1, None, steps=10, seed=0, engine="symbolic")
     out = tmp_path / "r.csv"
     write_csv([rec], str(out))
     lines = out.read_text().strip().splitlines()

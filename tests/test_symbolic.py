@@ -163,11 +163,28 @@ def test_enabled_fn_matches_restricted_system_fn():
         for state in reachable(sysm, bound=300).states:
             asg = enc.state_assignment(state)
             assert enc.active_fn(state) == m.restrict_many(enc.behavior_fn, asg)
-            assert enc.enabled_fn(state) == m.restrict_many(enc.system_fn, asg)
+            assert enc.active_fn(state) & enc.connector_fn == m.restrict_many(enc.system_fn, asg)
             fn = enc.survivor_fn(state)
-            assert enc.survivor_fn(state) is fn
-            fresh._survivor_memo.clear()
+            assert enc.survivor_fn(state) is fn is enc.survivor_table[state][0]
+            fresh.survivor_table.clear()
             assert transfer(fresh.survivor_fn(state), m) == fn
+
+
+def test_survivor_table_counts_models_over_component_ports():
+    # the count the step draws components by is the number of models over
+    # the component's own ports, on one- and multi-component systems alike
+    bus = gen_bus(3)
+    randoms = [r for r in map(random_system, range(60)) if len(components(r)) > 1]
+    for sysm in (bus, _pairs_written_out(bus), gen_tasks(3, 2), *randoms):
+        enc = build(sysm)
+        for state in reachable(sysm, bound=300).states:
+            for c in enc.components:
+                key = c.local_state(state)
+                fn = c.survivor_fn(key)
+                entry = c.survivor_table[key]
+                n = len(list(c.manager.iter_models(fn, c.port_names)))
+                assert entry[:2] == [fn, n > 0] and entry[3] is c
+                assert c.survivor_count(entry) == n and entry[2] == n
 
 
 def test_pick_matches_reference_on_survivor_functions():
@@ -195,7 +212,7 @@ def test_maxprog_survivor_fn_equals_materialized_pairs():
         explicit = build(SystemModel(sysm.name, sysm.atoms, sysm.connectors, ExplicitPairs(pairs)))
         for state in reachable(sysm, bound=300).states:
             fn = enc.survivor_fn(state)
-            skipping += bool(skipped_levels(enc.enabled_fn(state), enc.port_names))
+            skipping += bool(skipped_levels(enc.active_fn(state) & enc.connector_fn, enc.port_names))
             assert transfer(explicit.survivor_fn(state), enc.manager) == fn
             assert frozenset(enc.manager.iter_models(fn, enc.port_names)) == survivors(sysm, state)
     assert skipping > 0
