@@ -496,18 +496,19 @@ class BddManager:
         u = self._node(f)
         return rec(u) << var[u]
 
-    def pick_sat(self, f: BddRef, seed: int = 0) -> frozenset[str] | None:
+    def pick_sat(self, f: BddRef, rng: random.Random) -> frozenset[str] | None:
         """The true variables of one satisfying assignment, or None if f is false.
 
-        At each node a non-forced branch is chosen by a seeded coin;
-        support variables skipped on the chosen path are also randomized,
-        variables outside the support are false.  Deterministic in
-        (f, seed, order).
+        At each node a non-forced branch is chosen by a fair coin from
+        `rng`; support variables skipped on the chosen path are also
+        randomized, variables outside the support are false.  Coins are
+        drawn in level order, one per support level that is not forced,
+        so the pick is deterministic in (f, the state of rng, order).
         """
         u = self._node(f)
         if u == FALSE:
             return None
-        rng = random.Random(seed)
+        coin = rng.random
         names, var, lo, hi = self._names, self._var, self._lo, self._hi
         out = []
         # every level the descent meets is in the support, so coins are
@@ -520,10 +521,10 @@ class BddManager:
                 elif h == FALSE:
                     take = False
                 else:
-                    take = rng.random() < 0.5
+                    take = coin() < 0.5
                 u = h if take else l
             else:
-                take = rng.random() < 0.5
+                take = coin() < 0.5
             if take:
                 out.append(names[lvl])
         if u != TRUE:

@@ -41,10 +41,13 @@ component's own ports (`sat_count` over every variable, shifted right by
 the variables outside those ports), counted on the first draw among two
 or more live components that needs it.  The tables hold at most the sum
 of the components' local state spaces, not their product.  `survivors`
-(which `check` reads) and the step read the same entries: a step draws
-a live component weighted by these counts (with one live component there
-is no draw), and picks one of its satisfying valuations.  No primed
-behavior, primed connectors or pool-sized priority function is built.
+(which `check` reads) and the step read the same entries.  The engine
+keeps each component's entry from its last step; a fired interaction lies
+in the drawn component's ports, so the next step re-reads only that
+component's entry.  A step draws a live component weighted by these counts
+(with one live component there is no draw), and picks one of its
+satisfying valuations with coins from the engine's own generator.  No
+primed behavior, primed connectors or pool-sized priority function is built.
 """
 
 from __future__ import annotations
@@ -320,10 +323,12 @@ class SystemEncoding:
         return fn
 
     def survivor_count(self, entry: list) -> int:
-        """Fill in a `survivor_table` entry's number of survivors: its function
-        mentions only our ports, so each other variable doubles its model count."""
-        m = self.manager
-        entry[2] = m.sat_count(entry[0]) >> (len(m.variables) - len(self.port_names))
+        """A `survivor_table` entry's number of survivors, filled in on the first
+        call: its function mentions only our ports, so each other variable
+        doubles its model count."""
+        if entry[2] is None:
+            m = self.manager
+            entry[2] = m.sat_count(entry[0]) >> (len(m.variables) - len(self.port_names))
         return entry[2]
 
     def survivors(self, state: GlobalState) -> frozenset[Interaction]:
@@ -363,10 +368,16 @@ def build(system: SystemModel) -> SystemEncoding:
 class SymbolicEngine(Engine):
     """Stepper that works on the encoded system only.
 
-    The per-step work is each component's survivor-table entry at its
-    local state (composed by `survivor_fn` on a miss), a draw of a live
-    component weighted by the entries' counts, and one satisfying-assignment
-    pick; the pool is never enumerated.
+    The per-step work is one survivor-table entry: that of the component
+    the last step moved, at its new local state (composed by `survivor_fn`
+    on a miss); the other components' entries are kept from the last step.
+    A step whose state is not the one the last step fired to (a reset, or
+    a state set from outside) reads every component.  Then a live
+    component is drawn weighted by the entries' counts (the live list and
+    the counts are kept too, and rebuilt only when the moved component
+    gains or loses its last survivor), and one satisfying assignment is
+    picked with coins from the engine's generator; the pool is never
+    enumerated.
     """
 
     def __init__(self, system: SystemModel, seed: int = 0):
@@ -377,26 +388,53 @@ class SymbolicEngine(Engine):
         # each component's local-state reader and its own survivor table,
         # bound once so that a table hit looks up no attribute
         self._components = tuple((c.local_state, c.survivor_table, c) for c in self.encoding.components)
+        # each component's entry as our last step read it, the state that step
+        # fired to and the component it moved: at that state only the moved
+        # component's entry can differ; and the live components' indices and,
+        # once a draw has needed them, their survivor counts
+        self._entries = [None] * len(self._components)
+        self._fired_to = None
+        self._moved = 0
+        self._live = None
+        self._weights = None
+
+    def _read(self, k: int, state: GlobalState) -> list:
+        """Component k's survivor-table entry at its local state in `state`."""
+        local, table, c = self._components[k]
+        key = local(state)
+        entry = table.get(key)
+        if entry is None:
+            c.survivor_fn(key)
+            entry = table[key]
+        return entry
 
     def step(self) -> Optional[tuple[Interaction, GlobalState]]:
         """Fire one surviving interaction; None signals deadlock.  The
         component is drawn weighted by survivor counts, if several have any."""
-        state = self.state
-        live = []
-        for local, table, c in self._components:
-            key = local(state)
-            entry = table.get(key)
-            if entry is None:
-                c.survivor_fn(key)
-                entry = table[key]
-            if entry[1]:
-                live.append(entry)
+        state, entries = self.state, self._entries
+        if state is self._fired_to:
+            k = self._moved
+            old, new = entries[k], self._read(k, state)
+            entries[k] = new
+            if new[1] != old[1]:
+                self._live = None
+            elif new[1] and self._weights is not None:
+                self._weights[self._live.index(k)] = new[3].survivor_count(new)
+        else:  # reset, or a state set from outside: read every component
+            entries[:] = [self._read(k, state) for k in range(len(entries))]
+            self._live = None
+        if self._live is None:
+            self._live, self._weights = [k for k, e in enumerate(entries) if e[1]], None
+        live = self._live
         if not live:
             return None
+        k = live[0]
         if len(live) > 1:  # an entry is counted on the first draw it takes part in
-            live = self._rng.choices(live, [e[2] if e[2] is not None else e[3].survivor_count(e) for e in live])
-        fn = live[0][0]
-        a = self.encoding.manager.pick_sat(fn, seed=self._rng.getrandbits(64))
+            if self._weights is None:
+                self._weights = [e[3].survivor_count(e) for e in map(entries.__getitem__, live)]
+            k, = self._rng.choices(live, self._weights)
+        a = self.encoding.manager.pick_sat(entries[k][0], self._rng)
         self.state = fire(self.system, state, a, self._rng)
+        self._fired_to, self._moved = self.state, k
         self.steps_taken += 1
         return a, self.state

@@ -8,7 +8,6 @@ BDD references keep earlier, simpler versions of library routines, and
 the kernel operations that only tests need (`evaluate`, `support`, `ite`).
 """
 
-import random
 from itertools import product
 
 from portsync.causal import causal_rules, rules_to_formula, tau
@@ -122,15 +121,14 @@ def bdd_table(mgr, f, names):
     return out
 
 
-def reference_pick_sat(mgr, f, seed=0):
+def reference_pick_sat(mgr, f, rng):
     """BddManager.pick_sat as first written: the support from a walk over
     every node below f, then one pass over every level of the order,
-    drawing a coin at each branching node and each skipped support level.
-    Returns the set of variables set true."""
+    drawing a coin from `rng` at each branching node and each skipped
+    support level.  Returns the set of variables set true."""
     u = f.node
     if u == 0:
         return None
-    rng = random.Random(seed)
     sup = {mgr._var[v] for v in mgr._reachable(u)}
     out = {}
     for lvl, name in enumerate(mgr.variables):

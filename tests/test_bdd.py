@@ -299,14 +299,13 @@ class TestCubes:
 
 class TestPickSat:
     def test_none_on_false(self, mgr):
-        assert mgr.pick_sat(mgr.false) is None
-        assert mgr.pick_sat(mgr.true) == frozenset()
+        assert mgr.pick_sat(mgr.false, random.Random(0)) is None
+        assert mgr.pick_sat(mgr.true, random.Random(0)) == frozenset()
 
     def test_pick_satisfies(self, mgr):
-        rng = random.Random(5)
         f = (mgr.var("a") | mgr.var("b")) & (mgr.var("c") ^ mgr.var("d"))
         for seed in range(50):
-            asg = mgr.pick_sat(f, seed=seed)
+            asg = mgr.pick_sat(f, random.Random(seed))
             assert evaluate(f, dict.fromkeys(asg, True))
 
     def test_all_models_reachable(self, mgr):
@@ -314,13 +313,20 @@ class TestPickSat:
         f = mgr.var("a") | mgr.var("b")
         seen = set()
         for seed in range(1000):
-            asg = mgr.pick_sat(f, seed=seed)
+            asg = mgr.pick_sat(f, random.Random(seed))
             seen.add(("a" in asg, "b" in asg))
         assert seen == {(True, False), (False, True), (True, True)}
 
+    def test_draws_from_the_given_generator(self, mgr):
+        # successive picks from one generator go on drawing from it
+        f = mgr.var("a") | mgr.var("b")
+        rng = random.Random(4)
+        seen = {mgr.pick_sat(f, rng) for _ in range(200)}
+        assert seen == {frozenset("a"), frozenset("b"), frozenset("ab")}
+
     def test_matches_reference_on_level_skipping_supports(self):
-        # the pick visits support levels only; coins and result must be
-        # those of a walk over every level
+        # the pick visits support levels only; coins, result and the
+        # generator's state afterwards must be those of a walk over every level
         names = [f"v{i}" for i in range(12)]
         mgr = BddManager(names)
         rng = random.Random(3)
@@ -334,13 +340,15 @@ class TestPickSat:
             if levels and levels != list(range(levels[0], levels[-1] + 1)):
                 skipping += 1
             for seed in range(30):
-                assert mgr.pick_sat(f, seed=seed) == reference_pick_sat(mgr, f, seed)
+                ours, ref = random.Random(seed), random.Random(seed)
+                assert mgr.pick_sat(f, ours) == reference_pick_sat(mgr, f, ref)
+                assert ours.getstate() == ref.getstate()
         assert skipping > 20
 
     def test_nonsupport_defaults_false(self, mgr):
         f = mgr.var("a")
         for seed in range(20):
-            assert mgr.pick_sat(f, seed=seed) == {"a"}
+            assert mgr.pick_sat(f, random.Random(seed)) == {"a"}
 
 
 class TestSatCount:

@@ -1,5 +1,8 @@
 """Boolean encoding and the symbolic engine."""
 
+import operator
+import random
+
 import pytest
 
 from portsync.bdd import BddManager
@@ -194,7 +197,9 @@ def test_pick_matches_reference_on_survivor_functions():
         for state in reachable(sysm, bound=300).states:
             fn = enc.survivor_fn(state)
             for seed in range(8):
-                assert m.pick_sat(fn, seed=seed) == reference_pick_sat(m, fn, seed)
+                ours, ref = random.Random(seed), random.Random(seed)
+                assert m.pick_sat(fn, ours) == reference_pick_sat(m, fn, ref)
+                assert ours.getstate() == ref.getstate()
 
 
 def test_maxprog_survivor_fn_equals_materialized_pairs():
@@ -319,6 +324,68 @@ def test_component_draw_is_weighted_by_survivor_counts():
     sysm = SystemModel("ab", (a, b), tuple(Connector(p, PortLeaf(p)) for p in ("x", *ports)))
     firsts = [SymbolicEngine(sysm, seed=seed).step()[0] for seed in range(400)]
     assert 70 < firsts.count(fz("x")) < 130
+
+
+def _read_every_component(enc, state):
+    """Each component's survivor-table entry at its local state in `state`."""
+    entries = []
+    for c in enc.components:
+        key = c.local_state(state)
+        c.survivor_fn(key)
+        entries.append(c.survivor_table[key])
+    return entries
+
+
+def test_incremental_step_equals_a_full_read():
+    # the step re-reads only the component the last step moved: at every
+    # step its entries, live components and weights must be those of a fresh
+    # read of every component, also after a reset and after the state is set
+    # from outside, and it must fire what an engine that reads every
+    # component at every step fires
+    randoms = [r for r in map(random_system, range(400))
+               if len(components(r)) > 1 and len(reachable(r, bound=10).states) > 2]
+    assert len(randoms) >= 5
+    for sysm in (gen_bus(3), gen_bus(16), *randoms):
+        eng, full = SymbolicEngine(sysm, seed=5), SymbolicEngine(sysm, seed=5)
+
+        def steps(n):
+            for _ in range(n):
+                before = eng.state
+                full.state = tuple(list(full.state))  # equal, but not the tuple its step produced
+                result = eng.step()
+                assert result == full.step()
+                fresh = _read_every_component(eng.encoding, before)
+                assert all(map(operator.is_, eng._entries, fresh))
+                live = [k for k, e in enumerate(fresh) if e[1]]
+                assert eng._live == live
+                if len(live) > 1:
+                    assert eng._weights == [e[3].survivor_count(e) for e in map(fresh.__getitem__, live)]
+                if result is None:
+                    return
+
+        steps(100)
+        eng.reset()
+        full.reset()
+        steps(50)
+        other = max(reachable(sysm, bound=200).states - {eng.state})
+        eng.state = full.state = other
+        steps(50)
+
+
+def test_incremental_step_reports_deadlock():
+    # two independent atoms that fire once each: the third step re-reads
+    # the component the second moved and finds no component live
+    fz = frozenset
+    atoms = tuple(AtomicBehavior(n, ("s", "t"), "s", (p,), (Transition("s", fz(p), "t"),))
+                  for n, p in (("A", "x"), ("B", "y")))
+    sysm = SystemModel("ab", atoms, tuple(Connector(p, PortLeaf(p)) for p in "xy"))
+    eng = SymbolicEngine(sysm, seed=0)
+    assert len(eng.encoding.components) == 2
+    assert {eng.step()[0], eng.step()[0]} == {fz("x"), fz("y")}
+    assert eng.step() is None and eng.step() is None
+    assert eng.state == ("t", "t")
+    eng.reset()
+    assert len(eng.run(5)) == 2
 
 
 def test_survivors_match_core_semantics(mod8, broadcast_system):
