@@ -5,17 +5,19 @@ construction; functions are opaque handles into that store.  Reduction
 (no node with identical children, no duplicate nodes) is maintained by
 construction, so handle equality is function equality.
 
-Besides the boolean connectives, restriction and quantification, the
-manager computes maximal models (`maximal`, for maximal progress) and
-the relational product `and_exists` (the conjunction quantified on the
-fly, never built) with a one-level `shift`, for explicit priority pairs,
+The kernel has one recursion per job: and, or and not build every other
+connective (xor, implies), a cofactor is the relational product
+`and_exists` (the conjunction quantified on the fly, never built) of the
+function with the assignment's cube, and `balanced` folds every n-ary
+join.  Besides these the manager computes maximal models (`maximal`, for
+maximal progress) and a one-level `shift`, for explicit priority pairs,
 and model counts, picks and model sets for the engines.  Operations
 that only tests need (evaluation along a path, support names, a
 three-operand `ite`) live with the tests' oracles.
 
 The unique table and the computed tables (one per operation: and, or,
-ite, not, shift, and one per variable set of `and_exists` or `maximal`,
-as in Brace, Rudell and Bryant, DAC 1990) are dicts keyed by ints that
+not, shift, and one per variable set of `and_exists` or `maximal`, as
+in Brace, Rudell and Bryant, DAC 1990) are dicts keyed by ints that
 pack the operand node ids, `NODE_BITS` bits each.  A node's support is
 memoised as a bitmask over levels, and each picked root's sorted support
 levels next to it; a node's model count is memoised too.  `iter_models`
@@ -44,6 +46,17 @@ MAX_NODES = 1 << NODE_BITS  # node ids the packing can hold
 
 class BddError(Exception):
     pass
+
+
+def balanced(op, items: Iterable, unit):
+    """op folded over `items` pairwise, level by level, so that
+    intermediate results stay small; an odd item out moves up last.
+    `unit` if there are no items."""
+    items = list(items)
+    while len(items) > 1:
+        pairs = [op(a, b) for a, b in zip(items[::2], items[1::2])]
+        items = pairs + items[len(pairs) * 2:]
+    return items[0] if items else unit
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -116,7 +129,7 @@ class BddManager:
         self._hi: list[int] = [-1, -1]
         self._unique: dict[int, int] = {}
         self._tables: dict[str, dict[int, int]] = {
-            op: {} for op in ("and", "or", "ite", "not", "shift")}
+            op: {} for op in ("and", "or", "not", "shift")}
         # quantified name set -> (its levels, the and_exists table)
         self._exists_tables: dict[frozenset[str], tuple[frozenset[int], dict[int, int]]] = {}
         # name set -> (its sorted levels, as a set, the `maximal` and `out` tables)
@@ -125,7 +138,7 @@ class BddManager:
         self._sorted_supports: dict[int, tuple[int, ...]] = {}
         self._sat_counts: dict[int, int] = {FALSE: 0, TRUE: 1}
         self._model_names: dict[tuple[str, ...], tuple[list[str], dict[int, int], int]] = {}
-        self._mk, self._and, self._or, self._ite, self._not = self._kernel()
+        self._mk, self._and, self._or, self._not = self._kernel()
         self.false = BddRef(self, FALSE)
         self.true = BddRef(self, TRUE)
         # recursion depth tracks the order length, one frame per level
@@ -162,7 +175,7 @@ class BddManager:
         over the node arrays and their tables; each recursion splits the
         cofactors of its top level inline."""
         var, lo, hi, unique = self._var, self._lo, self._hi, self._unique
-        t_and, t_or, t_ite, t_not = (self._tables[op] for op in ("and", "or", "ite", "not"))
+        t_and, t_or, t_not = (self._tables[op] for op in ("and", "or", "not"))
         B = NODE_BITS
 
         def mk(level: int, l: int, h: int) -> int:
@@ -220,23 +233,6 @@ class BddManager:
                 t_or[key] = r
             return r
 
-        def ite(f: int, g: int, h: int) -> int:
-            if f <= TRUE:
-                return g if f else h
-            if g == h:
-                return g
-            if g == TRUE and h == FALSE:
-                return f
-            key = ((f << B | g) << B) | h
-            r = t_ite.get(key)
-            if r is None:
-                top = min(var[f], var[g], var[h])
-                f0, f1 = (lo[f], hi[f]) if var[f] == top else (f, f)
-                g0, g1 = (lo[g], hi[g]) if var[g] == top else (g, g)
-                h0, h1 = (lo[h], hi[h]) if var[h] == top else (h, h)
-                r = t_ite[key] = mk(top, ite(f0, g0, h0), ite(f1, g1, h1))
-            return r
-
         def not_(u: int) -> int:
             # no complement edges: negation copies the graph, terminals swapped
             if u <= TRUE:
@@ -246,7 +242,7 @@ class BddManager:
                 r = t_not[u] = mk(var[u], not_(lo[u]), not_(hi[u]))
             return r
 
-        return mk, and_, or_, ite, not_
+        return mk, and_, or_, not_
 
     # -- construction ------------------------------------------------
 
@@ -266,14 +262,15 @@ class BddManager:
 
     def apply(self, op: str, f: BddRef, g: BddRef) -> BddRef:
         u, v = self._node(f), self._node(g)
+        and_, or_, not_ = self._and, self._or, self._not
         if op == "and":
-            r = self._and(u, v)
+            r = and_(u, v)
         elif op == "or":
-            r = self._or(u, v)
+            r = or_(u, v)
         elif op == "xor":
-            r = self._ite(u, self._not(v), v)
+            r = or_(and_(u, not_(v)), and_(not_(u), v))
         elif op == "implies":
-            r = self._ite(u, v, TRUE)
+            r = or_(not_(u), v)
         else:
             raise BddError(f"unknown operator {op!r}")
         return self._ref(r)
@@ -288,16 +285,7 @@ class BddManager:
         return self._fold(self._or, FALSE, fs)
 
     def _fold(self, op, unit: int, fs: Iterable[BddRef]) -> BddRef:
-        # balanced reduction keeps intermediate results small
-        nodes = [self._node(f) for f in fs]
-        if not nodes:
-            return self._ref(unit)
-        while len(nodes) > 1:
-            nxt = [op(nodes[i], nodes[i + 1]) for i in range(0, len(nodes) - 1, 2)]
-            if len(nodes) % 2:
-                nxt.append(nodes[-1])
-            nodes = nxt
-        return self._ref(nodes[0])
+        return self._ref(balanced(op, map(self._node, fs), unit))
 
     # -- cofactor and quantification ----------------------------------
 
@@ -305,34 +293,9 @@ class BddManager:
         return self.restrict_many(f, {name: value})
 
     def restrict_many(self, f: BddRef, assignment: Mapping[str, bool]) -> BddRef:
-        """Cofactor by a partial assignment in one pass."""
-        u = self._node(f)
-        if not assignment:
-            return self._ref(u)
-        levels = {self.level_of(n): bool(v) for n, v in assignment.items()}
-        top = max(levels)
-        var, lo, hi = self._var, self._lo, self._hi
-        mk = self._mk
-        memo: dict[int, int] = {}
-
-        def rec(u: int) -> int:
-            if var[u] > top:
-                return u
-            r = memo.get(u)
-            if r is not None:
-                return r
-            lvl = var[u]
-            val = levels.get(lvl)
-            if val is None:
-                r = mk(lvl, rec(lo[u]), rec(hi[u]))
-            elif val:
-                r = rec(hi[u])
-            else:
-                r = rec(lo[u])
-            memo[u] = r
-            return r
-
-        return self._ref(rec(u))
+        """Cofactor by a partial assignment: the relational product of f
+        with the assignment's cube over the assigned names."""
+        return self.and_exists(f, self.cube(assignment), assignment)
 
     def exists(self, f: BddRef, names: Iterable[str]) -> BddRef:
         """Existential quantification over `names`."""

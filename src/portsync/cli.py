@@ -21,8 +21,8 @@ from typing import Optional
 from . import bench as bench_mod
 from . import dsl
 from .equivalence import check_equivalence
-from .generators import RandomBounds, gen_bus, gen_tasks, random_system
-from .model import SystemModel, Trace, ValidationError
+from .generators import RandomBounds, random_system
+from .model import SystemModel, Trace
 from .symbolic import build
 
 EXIT_OK = 0
@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("file")
 
     p_gen = sub.add_parser("gen", help="write a model file")
-    p_gen.add_argument("family", choices=("bus", "tasks", "random"))
+    p_gen.add_argument("family", choices=(*bench_mod.EXAMPLES, "random"))
     p_gen.add_argument("--n", type=int, default=2)
     p_gen.add_argument("--m", type=int, default=1)
     p_gen.add_argument("--seed", type=int, default=0)
@@ -106,13 +106,7 @@ def _write_trace(path: str, trace: Trace) -> None:
 
 def _cmd_run(args) -> int:
     system = _load(args.file)
-    try:
-        engine = bench_mod.make_engine(system, args.engine, args.seed)
-    except ValidationError as exc:
-        for d in exc.diagnostics:
-            print(f"{args.file}: {d}", file=sys.stderr)
-        return EXIT_DIAGNOSTICS
-    trace = engine.run(args.steps)
+    trace = bench_mod.make_engine(system, args.engine, args.seed).run(args.steps)
     if args.trace:
         _write_trace(args.trace, trace)
     for i, (a, state) in enumerate(trace.steps, start=1):
@@ -150,13 +144,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_stats(args) -> int:
     system = _load(args.file)
-    try:
-        encoding = build(system)
-    except ValidationError as exc:
-        for d in exc.diagnostics:
-            print(f"{args.file}: {d}", file=sys.stderr)
-        return EXIT_DIAGNOSTICS
-    counts = encoding.node_counts()
+    counts = build(system).node_counts()
     print(f"system {system.name}: {len(system.atoms)} atoms, "
           f"{len(system.all_ports)} ports, {len(system.gamma)} pool interactions")
     for key in ("fb_nodes", "fc_nodes", "fs_nodes", "fp_nodes"):
@@ -165,13 +153,11 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.family == "bus":
-        system = gen_bus(args.n)
-    elif args.family == "tasks":
-        system = gen_tasks(args.n, args.m)
-    else:
+    if args.family == "random":
         bounds = RandomBounds(args.max_atoms, args.max_states, args.max_ports, args.max_depth)
         system = random_system(args.seed, bounds)
+    else:
+        system = bench_mod.make_system(args.family, args.n, args.m)
     dsl.save(system, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK

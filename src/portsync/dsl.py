@@ -23,7 +23,7 @@ up to whitespace: parse(serialize(m)) == m for any valid model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .connectors import AcTerm, Factor, Fusion, PortLeaf, fusion
 from .model import (
@@ -68,15 +68,6 @@ class Token:
     text: str
     line: int
     col: int
-
-
-@dataclass
-class SourceModel:
-    """Parse result with enough source info to locate later diagnostics."""
-
-    text: str
-    system: SystemModel
-    locations: dict[str, tuple[int, int]] = field(default_factory=dict)
 
 
 def _lex(text: str) -> list[Token]:
@@ -221,8 +212,6 @@ class _Parser:
         self.expect_keyword("ports")
         port_toks = self.namelist()
         self.expect_punct(";")
-        for t in port_toks:
-            self.locations.setdefault(f"port:{t.text}", (t.line, t.col))
         self.expect_keyword("states")
         states: list[str] = []
         init: str | None = None
@@ -245,7 +234,7 @@ class _Parser:
         assert init is not None
         transitions: list[Transition] = []
         while self.at_keyword("trans"):
-            transitions.append(self.trans())
+            transitions.append(self.trans(name_tok.text))
         self.expect_punct("}")
         return AtomicBehavior(
             name=name_tok.text,
@@ -255,14 +244,15 @@ class _Parser:
             transitions=tuple(transitions),
         )
 
-    def trans(self) -> Transition:
-        self.expect_keyword("trans")
+    def trans(self, atom: str) -> Transition:
+        kw = self.expect_keyword("trans")
         src = self.expect_name()
         self.expect_punct("-[")
         label = self.namelist()
         self.expect_punct("]->")
         dst = self.expect_name()
         self.expect_punct(";")
+        self.locations[f"atom:{atom} trans {src.text}->{dst.text}"] = (kw.line, kw.col)
         return Transition(source=src.text, label=frozenset(t.text for t in label), target=dst.text)
 
     def connector(self) -> Connector:
@@ -323,7 +313,7 @@ class _Parser:
         return ExplicitPairs(frozenset(pairs))
 
 
-def parse_source(text: str) -> SourceModel:
+def parse(text: str) -> SystemModel:
     """Parse and validate; raises DslError with located diagnostics."""
     parser = _Parser(_lex(text))
     system = parser.system()
@@ -335,11 +325,7 @@ def parse_source(text: str) -> SourceModel:
             line, col = parser.locations.get(key, (0, 0))
             located.append(DslDiagnostic(line, col, str(d)))
         raise DslError(located)
-    return SourceModel(text=text, system=system, locations=parser.locations)
-
-
-def parse(text: str) -> SystemModel:
-    return parse_source(text).system
+    return system
 
 
 def load(path: str) -> SystemModel:

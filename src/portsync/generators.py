@@ -253,7 +253,7 @@ def random_system(seed: int, bounds: RandomBounds = RandomBounds()) -> SystemMod
         if len(pool) >= 2:
             for _ in range(rng.randint(1, 3)):
                 lo, hi = rng.sample(pool, 2)
-                if not _creates_cycle(pairs, lo, hi):
+                if all(a != b for a, b in ExplicitPairs(frozenset(pairs | {(lo, hi)})).closure):
                     pairs.add((lo, hi))
         if pairs:
             priority = ExplicitPairs(frozenset(pairs))
@@ -265,26 +265,3 @@ def random_system(seed: int, bounds: RandomBounds = RandomBounds()) -> SystemMod
             priority=priority,
         )
     return system
-
-
-def _creates_cycle(
-    pairs: set[tuple[frozenset[str], frozenset[str]]],
-    lo: frozenset[str],
-    hi: frozenset[str],
-) -> bool:
-    if lo == hi:
-        return True
-    succ: dict[frozenset[str], set[frozenset[str]]] = {}
-    for a, b in pairs | {(lo, hi)}:
-        succ.setdefault(a, set()).add(b)
-    seen: set[frozenset[str]] = set()
-    stack = [lo]
-    while stack:
-        cur = stack.pop()
-        for nxt in succ.get(cur, ()):
-            if nxt == lo:
-                return True
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False

@@ -58,7 +58,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from . import boolfunc as bf
-from .bdd import BddManager, BddRef
+from .bdd import BddManager, BddRef, balanced
 from .causal import causal_rules, rules_to_formula, tau
 from .connectors import Interaction, support
 from .model import (
@@ -152,7 +152,7 @@ def _expr_bdd(mgr: BddManager, expr: bf.BoolExpr) -> BddRef:
 def union_join(parts: Iterable[tuple[Iterable[str], BddRef]], ports: Iterable[str], mgr: BddManager) -> BddRef:
     """The disjunction of the parts, each (its support U, a function G over
     U) widened to `ports` with every port outside U false, without widening
-    any part: a balanced fold joins (U1, G1) and (U2, G2) into (U1 | U2,
+    any part: the `balanced` fold joins (U1, G1) and (U2, G2) into (U1 | U2,
     G1 & none(U2 - U1) | G2 & none(U1 - U2)) and closes the root with
     none(ports - U); no part gives false.  Leaves sorted by their deepest
     support level, then their highest, share ports with their neighbours;
@@ -164,12 +164,12 @@ def union_join(parts: Iterable[tuple[Iterable[str], BddRef]], ports: Iterable[st
         levels = [mgr.level_of(p) for p in part[0]] or [-1]
         return max(levels), min(levels)
 
-    nodes = sorted(((frozenset(sup), g) for sup, g in parts), key=deepest_then_highest)
-    while len(nodes) > 1:
-        nxt = [(u1 | u2, (g1 & none(u2 - u1)) | (g2 & none(u1 - u2)))
-               for (u1, g1), (u2, g2) in zip(nodes[::2], nodes[1::2])]
-        nodes = nxt + nodes[len(nxt) * 2:]
-    sup, g = nodes[0] if nodes else ((), mgr.false)
+    def join(a: tuple[frozenset[str], BddRef], b: tuple[frozenset[str], BddRef]):
+        (u1, g1), (u2, g2) = a, b
+        return u1 | u2, (g1 & none(u2 - u1)) | (g2 & none(u1 - u2))
+
+    leaves = sorted(((frozenset(sup), g) for sup, g in parts), key=deepest_then_highest)
+    sup, g = balanced(join, leaves, (frozenset(), mgr.false))
     return g & none(p for p in ports if p not in sup)
 
 
@@ -203,8 +203,8 @@ def encode_strict_subset(ports: tuple[str, ...], mgr: BddManager) -> BddRef:
     """Maximal progress's relation: the plain copy is a strict subset of
     the primed copy.  Only `fp_nodes` reads it; the step takes maximal models."""
     subset = mgr.and_all(mgr.var(p).implies(mgr.var(prime(p))) for p in ports)
-    equal = mgr.and_all(~(mgr.var(p) ^ mgr.var(prime(p))) for p in ports)
-    return subset & ~equal
+    grows = mgr.or_all(~mgr.var(p) & mgr.var(prime(p)) for p in ports)
+    return subset & grows
 
 
 @dataclass

@@ -5,7 +5,8 @@ duplicating none of the library code paths: enabledness walks the atom
 transition relations, priority filtering recomputes domination from
 scratch, and state spaces come from the raw product of state sets.  The
 BDD references keep earlier, simpler versions of library routines, and
-the kernel operations that only tests need (`evaluate`, `support`, `ite`).
+the kernel operations that only tests need (`evaluate`, `support`, and
+`ite`, built from and/or/not as the kernel builds xor and implies).
 """
 
 from itertools import product

@@ -65,6 +65,13 @@ class TestRun:
                      "--steps", "1", "--seed", "0"]) == EXIT_DIAGNOSTICS
         assert capsys.readouterr().err
 
+    def test_validation_error_names_the_transition_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.bip-lite"
+        path.write_text("system x {\n  atom A {\n    ports p;\n    states a init;\n"
+                        "    trans a -[ p ]-> c;\n  }\n  connector k = p;\n}\n")
+        assert main(["run", str(path), "--steps", "1"]) == EXIT_DIAGNOSTICS
+        assert f"{path}:5:5: atom A trans a->c: endpoint not a declared state" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_equivalent_model(self, model_file, capsys):

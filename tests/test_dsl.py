@@ -8,7 +8,6 @@ from portsync.dsl import (
     FILE_EXTENSION,
     load,
     parse,
-    parse_source,
     save,
     serialize,
 )
@@ -127,12 +126,6 @@ class TestDiagnostics:
         src = SMALL.replace("trans off -[ go ]-> on;",
                             "trans off -[ go ]-> missing;")
         self.expect_error(src, "missing")
-
-
-def test_parse_source_keeps_text():
-    sm = parse_source(SMALL)
-    assert sm.system.name == "tiny"
-    assert sm.text == SMALL
 
 
 @settings(max_examples=300, deadline=None)

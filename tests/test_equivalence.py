@@ -1,8 +1,10 @@
 """Cross-engine agreement over explored state spaces."""
 
+import random
+
 from portsync.equivalence import check_equivalence
 from portsync.generators import gen_bus, gen_tasks, modulo8, random_system
-from portsync.model import reachable
+from portsync.model import ExplicitPairs, SystemModel, reachable
 from portsync.symbolic import build
 
 
@@ -59,6 +61,24 @@ def test_random_systems_equivalent():
     for seed in range(15):
         report = check_equivalence(random_system(seed), bound=2000)
         assert report.equivalent, report.summary()
+
+
+def test_random_pairs_with_a_dominator_outside_the_pool_equivalent():
+    # a listed dominator that no connector offers need only be locally
+    # active to exclude its pool interaction
+    checked = 0
+    for seed in range(300):
+        sysm = random_system(seed)
+        outside = sorted({t.label for atom in sysm.atoms for t in atom.transitions} - sysm.gamma, key=sorted)
+        if not isinstance(sysm.priority, ExplicitPairs) or not outside:
+            continue
+        rng = random.Random(seed)
+        pair = (rng.choice(sorted(sysm.gamma, key=sorted)), rng.choice(outside))
+        sysm = SystemModel(sysm.name, sysm.atoms, sysm.connectors, ExplicitPairs(sysm.priority.pairs | {pair}))
+        report = check_equivalence(sysm, bound=2000)
+        assert report.equivalent, (seed, report.summary())
+        checked += 1
+    assert checked >= 15
 
 
 def test_check_walks_the_reachable_states():
