@@ -234,7 +234,7 @@ class _Parser:
         assert init is not None
         transitions: list[Transition] = []
         while self.at_keyword("trans"):
-            transitions.append(self.trans(name_tok.text))
+            transitions.append(self.trans(name_tok.text, len(transitions) + 1))
         self.expect_punct("}")
         return AtomicBehavior(
             name=name_tok.text,
@@ -244,7 +244,8 @@ class _Parser:
             transitions=tuple(transitions),
         )
 
-    def trans(self, atom: str) -> Transition:
+    def trans(self, atom: str, n: int) -> Transition:
+        """The atom's n-th transition, located as `validate` names it."""
         kw = self.expect_keyword("trans")
         src = self.expect_name()
         self.expect_punct("-[")
@@ -252,7 +253,7 @@ class _Parser:
         self.expect_punct("]->")
         dst = self.expect_name()
         self.expect_punct(";")
-        self.locations[f"atom:{atom} trans {src.text}->{dst.text}"] = (kw.line, kw.col)
+        self.locations[f"atom:{atom} trans #{n} {src.text}->{dst.text}"] = (kw.line, kw.col)
         return Transition(source=src.text, label=frozenset(t.text for t in label), target=dst.text)
 
     def connector(self) -> Connector:

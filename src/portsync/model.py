@@ -246,8 +246,8 @@ def validate(system: SystemModel) -> list[Diagnostic]:
             else:
                 seen_ports[p] = atom.name
         state_set = set(atom.states)
-        for t in atom.transitions:
-            tw = f"{where} trans {t.source}->{t.target}"
+        for n, t in enumerate(atom.transitions, 1):
+            tw = f"{where} trans #{n} {t.source}->{t.target}"  # the n-th: endpoints may repeat
             if t.source not in state_set or t.target not in state_set:
                 diags.append(Diagnostic("transition-endpoints", tw, "endpoint not a declared state"))
             if not t.label:

@@ -22,18 +22,25 @@ shared manager (a system of one component is its own only component).
 Each function is built on first read, and the build reads only what a
 step reads: each component's local behaviors, f_C and priority inputs.
 
-A component's survivor function at its local state conjoins the current
-states' local behaviors (a balanced fold, so after a move only the ands
-along the changed atoms' path are new work), which is the behavior
-restricted to the state, and then the connectors, giving the enabled
-function g.  Under maximal progress the survivor function holds g's
-maximal models (`BddManager.maximal`).  Under explicit pairs the
-possible dominators are the active interactions of the pool and any
-active interaction a pair lists as a dominator outside the pool.  A
-one-level shift moves them onto the primed copies, each primed port
-following its port in the order; the dominated set is the relational
-product excluded(P) = exists P'. dominators(P') & R(P, P'), and the
-survivor function is g & ~excluded.
+A component's survivor function at its local state conjoins the
+connectors with the current states' local behaviors, whose conjunction
+is the behavior restricted to the state, giving the enabled function g.
+It takes one `BddManager.and_local` with the atoms that own ports as
+blocks: each local behavior mentions only its atom's ports and holds
+when they are all false (idleness), which `and_local` checks.  So a node
+of f_C that can no longer fire an atom is left as it is by that atom's
+behavior, and the result at a node is memoised by the behaviors of the
+atoms it can still fire only: a node that cannot fire the atoms that
+moved keeps its entry.  Under maximal progress the survivor function
+holds g's maximal models (`BddManager.maximal`).  Under explicit pairs
+the possible dominators are the active interactions of the pool and any
+active interaction a pair lists as a dominator outside the pool: the
+same `and_local` over the pool and those dominators (g itself, from the
+table, when there are none outside).  A one-level shift moves them onto
+the primed copies, each primed port following its port in the order;
+the dominated set is the relational product
+excluded(P) = exists P'. dominators(P') & R(P, P'), and the survivor
+function is g & ~excluded.
 
 Each component keeps one survivor table: per local state, the survivor
 function, whether it has a survivor, and its number of models over the
@@ -52,8 +59,10 @@ primed behavior, primed connectors or pool-sized priority function is built.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
@@ -294,14 +303,13 @@ class SystemEncoding:
                 out[state_var(atom, s)] = s == current
         return out
 
-    # Each atom's local behavior mentions only its own ports, so their
-    # conjunction is restrict(f_B, state) (the same canonical node), and
-    # the manager's op cache reuses every and below the atoms whose state
-    # did not change since some earlier step.
-
-    def active_fn(self, state: GlobalState) -> BddRef:
-        return self.manager.and_all(
-            local[q] for local, q in zip(self.local_behavior, state))
+    @cached_property
+    def local_blocks(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """The atoms that own ports and each one's port levels, the blocks
+        of `BddManager.and_local`; a port-less atom's local behavior is true."""
+        atoms = self.system.atoms
+        owners = tuple(i for i, atom in enumerate(atoms) if atom.ports)
+        return owners, tuple(tuple(sorted(map(self.manager.level_of, atoms[i].ports))) for i in owners)
 
     def survivor_fn(self, state: GlobalState) -> BddRef:
         """The survivor function at a local state; a miss enters it in `survivor_table`."""
@@ -309,15 +317,20 @@ class SystemEncoding:
         if entry is not None:
             return entry[0]
         m = self.manager
-        active = self.active_fn(state)
-        fn = g = active & self.connector_fn
+        # each atom's local behavior mentions only its own ports and holds
+        # when it is idle, so their conjunction, restrict(f_B, state), can be
+        # conjoined with a function block by block
+        owners, blocks = self.local_blocks
+        factors = [self.local_behavior[i][state[i]] for i in owners]
+        fn = g = m.and_local(self.connector_fn, blocks, factors)
         if isinstance(self.system.priority, MaximalProgress):
             fn = m.maximal(g, self.port_names)
         elif self.pairs_fn != m.false:
             # the dominators are the active pool interactions (g) and listed
             # dominators outside the pool; the state is restricted away, so only
             # plain ports remain, each of which the shift moves onto its primed copy
-            excluded = m.and_exists(m.shift(active & self.dominator_fn), self.pairs_fn, self.primed_names)
+            dominators = m.and_local(self.dominator_fn, blocks, factors)
+            excluded = m.and_exists(m.shift(dominators), self.pairs_fn, self.primed_names)
             fn = g & ~excluded
         self.survivor_table[state] = [fn, fn != m.false, None, self]
         return fn
@@ -373,9 +386,10 @@ class SymbolicEngine(Engine):
     on a miss); the other components' entries are kept from the last step.
     A step whose state is not the one the last step fired to (a reset, or
     a state set from outside) reads every component.  Then a live
-    component is drawn weighted by the entries' counts (the live list and
-    the counts are kept too, and rebuilt only when the moved component
-    gains or loses its last survivor), and one satisfying assignment is
+    component is drawn weighted by the entries' counts (the live list, the
+    counts and their running sums are kept too, rebuilt only when the moved
+    component gains or loses its last survivor, and the sums redone only
+    when its count changes), and one satisfying assignment is
     picked with coins from the engine's generator; the pool is never
     enumerated.
     """
@@ -391,12 +405,13 @@ class SymbolicEngine(Engine):
         # each component's entry as our last step read it, the state that step
         # fired to and the component it moved: at that state only the moved
         # component's entry can differ; and the live components' indices and,
-        # once a draw has needed them, their survivor counts
+        # once a draw has needed them, their survivor counts and running sums
         self._entries = [None] * len(self._components)
         self._fired_to = None
         self._moved = 0
         self._live = None
         self._weights = None
+        self._cum = None
 
     def _read(self, k: int, state: GlobalState) -> list:
         """Component k's survivor-table entry at its local state in `state`."""
@@ -419,7 +434,10 @@ class SymbolicEngine(Engine):
             if new[1] != old[1]:
                 self._live = None
             elif new[1] and self._weights is not None:
-                self._weights[self._live.index(k)] = new[3].survivor_count(new)
+                i, w = self._live.index(k), new[3].survivor_count(new)
+                if w != self._weights[i]:
+                    self._weights[i] = w
+                    self._cum = list(accumulate(self._weights))
         else:  # reset, or a state set from outside: read every component
             entries[:] = [self._read(k, state) for k in range(len(entries))]
             self._live = None
@@ -432,7 +450,9 @@ class SymbolicEngine(Engine):
         if len(live) > 1:  # an entry is counted on the first draw it takes part in
             if self._weights is None:
                 self._weights = [e[3].survivor_count(e) for e in map(entries.__getitem__, live)]
-            k, = self._rng.choices(live, self._weights)
+                self._cum = list(accumulate(self._weights))
+            cum = self._cum  # the draw of `random.Random.choices(live, weights)`
+            k = live[bisect(cum, self._rng.random() * cum[-1], 0, len(cum) - 1)]
         a = self.encoding.manager.pick_sat(entries[k][0], self._rng)
         self.state = fire(self.system, state, a, self._rng)
         self._fired_to, self._moved = self.state, k

@@ -199,3 +199,9 @@ def reference_priority_pairs(pairs, all_ports, mgr):
         assignment.update({prime(p): p in hi for p in all_ports})
         disjuncts.append(mgr.cube(assignment))
     return mgr.or_all(disjuncts)
+
+
+def active_fn(enc, state):
+    """The conjunction of the atoms' local behaviors at `state`, folded:
+    restrict(f_B, state), as the survivor function once built it."""
+    return enc.manager.and_all(local[q] for local, q in zip(enc.local_behavior, state))

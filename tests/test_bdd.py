@@ -198,6 +198,15 @@ class TestRelationalProduct:
             mgr.shift(other.var("a"))
 
 
+def random_fn(mgr, rng, free):
+    """A random function of a random nonempty subset of `free`."""
+    used = sorted(rng.sample(free, rng.randint(1, len(free))), key=mgr.level_of)
+    rows = rng.getrandbits(1 << len(used))
+    return mgr.or_all(
+        mgr.cube({v: bool(row >> k & 1) for k, v in enumerate(used)})
+        for row in range(1 << len(used)) if rows >> row & 1)
+
+
 class TestMaximal:
     # four names interleaved with other levels, as the symbolic order puts
     # state variables before an atom's ports and a primed copy after each
@@ -216,20 +225,13 @@ class TestMaximal:
 
         return mgr.or_all(mgr.cube(r) for r in models if not any(below(r, s) for s in models))
 
-    def random_fn(self, mgr, rng, free):
-        used = sorted(rng.sample(free, rng.randint(1, len(free))), key=mgr.level_of)
-        rows = rng.getrandbits(1 << len(used))
-        return mgr.or_all(
-            mgr.cube({v: bool(row >> k & 1) for k, v in enumerate(used)})
-            for row in range(1 << len(used)) if rows >> row & 1)
-
     def test_against_brute_force_on_level_skipping_functions(self):
         mgr = BddManager(self.ORDER)
         rng = random.Random(29)
         level = {n: mgr.level_of(n) for n in self.NAMES}
         above = between = below = 0
         for _ in range(150):
-            f = self.random_fn(mgr, rng, self.NAMES)
+            f = random_fn(mgr, rng, self.NAMES)
             assert mgr.maximal(f, self.NAMES) == self.brute(mgr, f, self.NAMES, self.NAMES)
             sup = sorted(level[n] for n in support(f))
             if sup:
@@ -253,10 +255,64 @@ class TestMaximal:
         rng = random.Random(31)
         free = ["a", "a'", "b", "c", "d"]
         for _ in range(60):
-            f = self.random_fn(mgr, rng, free)
+            f = random_fn(mgr, rng, free)
             for names in (self.NAMES, ["a", "c"], self.NAMES):
                 assert mgr.maximal(f, names) == self.brute(mgr, f, free, names)
         mgr.audit()
+
+
+class TestAndLocal:
+    # blocks of levels with levels outside every block around and between
+    # them, as an atom's ports sit among state variables and primed copies
+    ORDER = [f"v{i}" for i in range(9)]
+
+    def random_blocks(self, rng):
+        levels = sorted(rng.sample(range(len(self.ORDER)), rng.randint(1, 7)))
+        cuts = sorted(rng.sample(range(1, len(levels)), rng.randint(0, len(levels) - 1)))
+        return [tuple(levels[a:b]) for a, b in zip([0, *cuts], [*cuts, len(levels)])]
+
+    def random_factor(self, mgr, rng, block):
+        names = [self.ORDER[l] for l in block]
+        if rng.random() < 0.15:
+            return mgr.true
+        return random_fn(mgr, rng, names) | mgr.cube(dict.fromkeys(names, False))
+
+    def test_equals_the_conjunction_on_random_partitions(self):
+        # one manager for every partition: the result table is shared, the
+        # relevance memo is per partition
+        mgr = BddManager(self.ORDER)
+        rng = random.Random(41)
+        for _ in range(400):
+            blocks = self.random_blocks(rng)
+            factors = [self.random_factor(mgr, rng, b) for b in blocks]
+            f = random_fn(mgr, rng, self.ORDER) if rng.random() >= 0.05 else rng.choice([mgr.true, mgr.false])
+            assert mgr.and_local(f, blocks, factors) == f & mgr.and_all(factors)
+        assert len(mgr._local_tables) > 20
+        mgr.audit()
+
+    def test_precondition_is_checked(self):
+        mgr = BddManager(self.ORDER)
+        v = [mgr.var(n) for n in self.ORDER]
+        f = v[0] | v[4]
+        with pytest.raises(BddError, match="false where its block is all false"):
+            mgr.and_local(f, [(0, 1), (3, 4)], [mgr.true, v[3] | v[4]])
+        with pytest.raises(BddError, match="false where its block is all false"):
+            mgr.and_local(f, [(0, 1)], [mgr.false])
+        with pytest.raises(BddError, match=r"mentions \['v2'\] outside its block"):
+            mgr.and_local(f, [(0, 1), (3, 4)], [~v[0] | v[2], mgr.true])
+        for blocks in ([(1, 0)], [(0, 3), (2,)], [(0, 1), (1, 2)], [(0, 9)]):
+            with pytest.raises(BddError, match="sorted, disjoint"):
+                mgr.and_local(f, blocks, [mgr.true] * len(blocks))
+        with pytest.raises(BddError, match="one block per factor"):
+            mgr.and_local(f, [(0,)], [])
+        # a factor that failed is not taken as checked; one that passed
+        # under one block is checked again under another
+        with pytest.raises(BddError):
+            mgr.and_local(f, [(3, 4)], [v[3] | v[4]])
+        g = ~v[3] | v[4]
+        assert mgr.and_local(f, [(0, 1), (3, 4)], [mgr.true, g]) == f & g
+        with pytest.raises(BddError, match="outside its block"):
+            mgr.and_local(f, [(0, 1), (3, 4)], [g, mgr.true])
 
 
 class TestPackedKeys:

@@ -70,7 +70,18 @@ class TestRun:
         path.write_text("system x {\n  atom A {\n    ports p;\n    states a init;\n"
                         "    trans a -[ p ]-> c;\n  }\n  connector k = p;\n}\n")
         assert main(["run", str(path), "--steps", "1"]) == EXIT_DIAGNOSTICS
-        assert f"{path}:5:5: atom A trans a->c: endpoint not a declared state" in capsys.readouterr().err
+        assert f"{path}:5:5: atom A trans #1 a->c: endpoint not a declared state" in capsys.readouterr().err
+
+    def test_transitions_with_the_same_endpoints_name_their_own_lines(self, tmp_path, capsys):
+        path = tmp_path / "bad.bip-lite"
+        path.write_text("system x {\n  atom A {\n    ports p, q;\n    states a init, b;\n"
+                        "    trans a -[ z ]-> b;\n    trans a -[ q ]-> b;\n    trans b -[ y ]-> a;\n  }\n"
+                        "  connector k = p;\n}\n")
+        assert main(["check", str(path)]) == EXIT_DIAGNOSTICS
+        err = capsys.readouterr().err
+        assert f"{path}:5:5: atom A trans #1 a->b: label uses foreign ports ['z']" in err
+        assert f"{path}:7:5: atom A trans #3 b->a: label uses foreign ports ['y']" in err
+        assert "trans #2" not in err
 
 
 class TestCheck:

@@ -19,6 +19,7 @@ from portsync.model import (
     effective_pairs,
     reachable,
     survivors,
+    validate,
 )
 from portsync.symbolic import (
     SymbolicEngine,
@@ -35,8 +36,9 @@ from portsync.symbolic import (
     variable_order,
 )
 from portsync.connectors import support
+from portsync.equivalence import check_equivalence
 
-from oracles import (all_states, oracle_survivors, reference_connector_fn, reference_pick_sat,
+from oracles import (active_fn, all_states, oracle_survivors, reference_connector_fn, reference_pick_sat,
                      reference_priority_pairs, skipped_levels, transfer)
 
 
@@ -155,8 +157,8 @@ def test_system_function_conjunction(mod8):
 
 
 def test_enabled_fn_matches_restricted_system_fn():
-    # the engine conjoins the atoms' local behaviors; that must be the node
-    # of restricting f_B (and f_S) by the whole state, and the memoised
+    # the atoms' local behaviors conjoin to the node of restricting f_B
+    # (and f_S) by the whole state, and the memoised
     # survivor function must be the one a fresh encoding computes with
     # its memo empty
     systems = [modulo8(), gen_bus(3), gen_tasks(3, 2), *map(random_system, range(60))]
@@ -165,12 +167,67 @@ def test_enabled_fn_matches_restricted_system_fn():
         m = enc.manager
         for state in reachable(sysm, bound=300).states:
             asg = enc.state_assignment(state)
-            assert enc.active_fn(state) == m.restrict_many(enc.behavior_fn, asg)
-            assert enc.active_fn(state) & enc.connector_fn == m.restrict_many(enc.system_fn, asg)
+            assert active_fn(enc, state) == m.restrict_many(enc.behavior_fn, asg)
+            assert active_fn(enc, state) & enc.connector_fn == m.restrict_many(enc.system_fn, asg)
             fn = enc.survivor_fn(state)
             assert enc.survivor_fn(state) is fn is enc.survivor_table[state][0]
             fresh.survivor_table.clear()
             assert transfer(fresh.survivor_fn(state), m) == fn
+
+
+def _with_portless_atom(sysm):
+    """sysm with an atom that owns no port between its first atom and the rest."""
+    idle = AtomicBehavior("Z", ("z0", "z1"), "z1", (), ())
+    return SystemModel(sysm.name, (sysm.atoms[0], idle, *sysm.atoms[1:]), sysm.connectors, sysm.priority)
+
+
+def _dominator_outside_pool():
+    # {y, w} dominates x, and no connector offers it: x loses while A can
+    # fire y and B can fire w; the pair joins A and B in one component
+    fz = frozenset
+    a = AtomicBehavior("A", ("s0", "s1"), "s0", ("x", "y"),
+                       (Transition("s0", fz("x"), "s1"), Transition("s0", fz("y"), "s0"),
+                        Transition("s1", fz("y"), "s0")))
+    b = AtomicBehavior("B", ("b0", "b1"), "b0", ("w",), (Transition("b0", fz("w"), "b1"),))
+    return SystemModel("m", (a, b), (Connector("cx", PortLeaf("x")), Connector("cw", PortLeaf("w"))),
+                       ExplicitPairs(((fz("x"), fz("yw")),)))
+
+
+def test_local_conjunction_is_the_folded_one():
+    # and_local over the atoms that own ports gives the node of the fold of
+    # every atom's local behavior conjoined with f_C, and with the
+    # dominators, per component and for the system-level encoding, whose
+    # port-less atom sits between two blocks
+    bus = gen_bus(3)
+    systems = [bus, gen_tasks(3, 2), _pairs_written_out(bus), _dominator_outside_pool(),
+               _with_portless_atom(bus), _with_portless_atom(_pairs_written_out(gen_bus(2))),
+               *map(random_system, range(8))]
+    outside = portless = 0
+    for sysm in systems:
+        enc = build(sysm)
+        m = enc.manager
+        encodings = [*enc.components, enc] if len(enc.components) > 1 else [enc]
+        outside += any(c.dominator_fn != c.connector_fn for c in encodings)
+        portless += any(len(c.local_blocks[0]) < len(c.system.atoms) for c in encodings)
+        for state in reachable(sysm, bound=300).states:
+            for c in encodings:
+                key = c.local_state(state)
+                owners, blocks = c.local_blocks
+                factors = [c.local_behavior[i][key[i]] for i in owners]
+                active = active_fn(c, key)
+                for f in (c.connector_fn, c.dominator_fn):
+                    assert m.and_local(f, blocks, factors) == active & f
+            assert frozenset(m.iter_models(enc.survivor_fn(state), enc.port_names)) == \
+                oracle_survivors(sysm, state) == enc.survivors(state)
+    assert outside >= 1 and portless >= 2
+
+
+def test_portless_atom_steps_and_checks():
+    for sysm in (_with_portless_atom(gen_bus(2)), _with_portless_atom(gen_tasks(2, 1))):
+        assert validate(sysm) == []
+        trace = SymbolicEngine(sysm, seed=5).run(200)
+        assert len(trace) == 200 and not trace.deadlocked
+        assert check_equivalence(sysm).equivalent
 
 
 def test_survivor_table_counts_models_over_component_ports():
@@ -217,7 +274,7 @@ def test_maxprog_survivor_fn_equals_materialized_pairs():
         explicit = build(SystemModel(sysm.name, sysm.atoms, sysm.connectors, ExplicitPairs(pairs)))
         for state in reachable(sysm, bound=300).states:
             fn = enc.survivor_fn(state)
-            skipping += bool(skipped_levels(enc.active_fn(state) & enc.connector_fn, enc.port_names))
+            skipping += bool(skipped_levels(active_fn(enc, state) & enc.connector_fn, enc.port_names))
             assert transfer(explicit.survivor_fn(state), enc.manager) == fn
             assert frozenset(enc.manager.iter_models(fn, enc.port_names)) == survivors(sysm, state)
     assert skipping > 0
