@@ -129,6 +129,11 @@ class Connector:
     name: str
     term: AcTerm
 
+    @cached_property
+    def port_set(self) -> frozenset[str]:
+        """The ports the term mentions, computed once."""
+        return support(self.term)
+
 
 @dataclass(frozen=True)
 class SystemModel:
@@ -265,7 +270,7 @@ def validate(system: SystemModel) -> list[Diagnostic]:
         if conn.name in seen_connectors:
             diags.append(Diagnostic("unique-connector-names", where, "duplicate connector name"))
         seen_connectors.add(conn.name)
-        unbound = sorted(support(conn.term) - all_ports)
+        unbound = sorted(conn.port_set - all_ports)
         if unbound:
             diags.append(Diagnostic("bound-ports", where, f"unbound ports {unbound}"))
 

@@ -19,10 +19,22 @@ of each port for priorities):
 Atoms linked by a connector or an explicit priority pair form one
 independent component, encoded on its own over its own ports in the
 shared manager (a system of one component is its own only component).
+A component is split into port groups: ports linked by a connector's
+support, an explicit pair or one transition label, where a group whose
+owners all own ports of another group merges into it (one union-find
+pass finds both).  An interaction and its dominators lie in one group,
+so a component's survivors are the disjoint union of its groups'.  A
+component of two or more groups encodes each group over its owners
+projected onto it (their ports and labels in the group) and joins the
+groups' survivor functions by a union-join whose shape and none cubes are
+built once; each group keeps a survivor table keyed by its owners'
+states, a state standing for every state of its atom that offers the same
+labels inside the group.  A component of one group is its own only group.
 Each function is built on first read, and the build reads only what a
-step reads: each component's local behaviors, f_C and priority inputs.
+step reads: each group's local behaviors, f_C and priority inputs, and
+the join of a component of several groups.
 
-A component's survivor function at its local state conjoins the
+A group's survivor function at its local state conjoins the
 connectors with the current states' local behaviors, whose conjunction
 is the behavior restricted to the state, giving the enabled function g.
 It takes one `BddManager.and_local` with the atoms that own ports as
@@ -42,9 +54,9 @@ the dominated set is the relational product
 excluded(P) = exists P'. dominators(P') & R(P, P'), and the survivor
 function is g & ~excluded.
 
-Each component keeps one survivor table: per local state, the survivor
-function, whether it has a survivor, and its number of models over the
-component's own ports (`sat_count` over every variable, shifted right by
+Each component and each group keeps one survivor table: per local
+state, the survivor function, whether it has a survivor, and its number
+of models over the component's own ports (`sat_count` over every variable, shifted right by
 the variables outside those ports), counted on the first draw among two
 or more live components that needs it.  The tables hold at most the sum
 of the components' local state spaces, not their product.  `survivors`
@@ -64,12 +76,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from operator import itemgetter
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import boolfunc as bf
 from .bdd import BddManager, BddRef, balanced
 from .causal import causal_rules, rules_to_formula, tau
-from .connectors import Interaction, support
+from .connectors import Interaction, interaction_key
 from .model import (
     AtomicBehavior,
     Connector,
@@ -109,20 +121,74 @@ def variable_order(system: SystemModel) -> tuple[str, ...]:
     return tuple(order)
 
 
-def components(system: SystemModel) -> tuple[tuple[int, ...], ...]:
-    """Atom indices of each independent component, in atom order: the owners
-    of each connector's support and of both sides of each explicit effective
-    pair are joined (maximal progress joins nothing: a dominated interaction
-    lies inside its dominator's connector)."""
-    groups = [support(c.term) for c in system.connectors]
+def _partition(system: SystemModel) -> list[tuple[tuple[int, ...], tuple[tuple[str, ...], ...]]]:
+    """Each independent component's atom indices and port groups, in atom
+    and port order, from one union-find pass over the ports.  Ports are
+    linked by a connector's support, by both sides of an explicit effective
+    pair and by one transition label; the atoms that own ports of one group
+    form one component (maximal progress links nothing: a dominated
+    interaction lies inside its dominator's connector).  A group whose
+    owners all own ports of another group merges into that group: every
+    change of its key changes the larger group's key too, so on its own it
+    would save no miss and add a join to each."""
+    ports, owner = system.all_ports, system.port_owner
+    at = {p: k for k, p in enumerate(ports)}
+    parent = list(range(len(ports)))  # each root is the least port of its group
+
+    def find(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = k = parent[parent[k]]
+        return k
+
+    links = [c.port_set for c in system.connectors]
+    links += [t.label for atom in system.atoms for t in atom.transitions]
     if isinstance(system.priority, ExplicitPairs):
-        groups += [lo | hi for lo, hi in system.priority.closure]
-    label = list(range(len(system.atoms)))  # each atom's component, as its least atom
-    for ports in groups:
-        joined = {label[system.port_owner[p]] for p in ports}
+        links += [lo | hi for lo, hi in system.priority.closure]
+    for link in links:
+        roots = {find(at[p]) for p in link}
+        if len(roots) > 1:
+            r = min(roots)
+            for x in roots:
+                parent[x] = r
+    groups: dict[int, list[str]] = {}
+    for k, p in enumerate(ports):
+        groups.setdefault(find(k), []).append(p)
+    # atoms joined by a group, each labelled with the least atom of its component
+    label = list(range(len(system.atoms)))
+    for group in groups.values():
+        joined = {label[owner[p]] for p in group}
         if len(joined) > 1:
             label = [min(joined) if k in joined else k for k in label]
-    return tuple(tuple(i for i, k in enumerate(label) if k == c) for c in dict.fromkeys(label))
+    # per component its atoms and its kept groups' owners and ports; a group
+    # is never below one of another component, and it is met after every
+    # group that has more owners
+    comps: dict[int, tuple[list[int], list[tuple[frozenset[int], list[str]]]]] = {
+        c: ([], []) for c in dict.fromkeys(label)}
+    for i, c in enumerate(label):
+        comps[c][0].append(i)
+    for owners, group in sorted(((frozenset(owner[p] for p in g), g) for g in groups.values()),
+                                key=lambda og: -len(og[0])):
+        kept = comps[label[owner[group[0]]]][1]
+        into = next((k for k in kept if owners <= k[0]), None)
+        if into is None:
+            kept.append((owners, group))
+        else:
+            into[1].extend(group)
+    parts = []
+    for atoms, kept in comps.values():
+        merged = sorted((sorted(g, key=at.__getitem__) for _, g in kept), key=lambda g: at[g[0]])
+        parts.append((tuple(atoms), tuple(map(tuple, merged))))
+    return parts
+
+
+def components(system: SystemModel) -> tuple[tuple[int, ...], ...]:
+    """Atom indices of each independent component, in atom order."""
+    return tuple(atoms for atoms, _ in _partition(system))
+
+
+def port_groups(system: SystemModel) -> tuple[tuple[tuple[str, ...], ...], ...]:
+    """Each component's port groups, each in port order."""
+    return tuple(groups for _, groups in _partition(system))
 
 
 def encode_local(atom: AtomicBehavior, mgr: BddManager) -> dict[str, BddRef]:
@@ -158,37 +224,54 @@ def _expr_bdd(mgr: BddManager, expr: bf.BoolExpr) -> BddRef:
     raise TypeError(f"not a boolean expression: {expr!r}")
 
 
-def union_join(parts: Iterable[tuple[Iterable[str], BddRef]], ports: Iterable[str], mgr: BddManager) -> BddRef:
-    """The disjunction of the parts, each (its support U, a function G over
-    U) widened to `ports` with every port outside U false, without widening
-    any part: the `balanced` fold joins (U1, G1) and (U2, G2) into (U1 | U2,
-    G1 & none(U2 - U1) | G2 & none(U1 - U2)) and closes the root with
-    none(ports - U); no part gives false.  Leaves sorted by their deepest
-    support level, then their highest, share ports with their neighbours;
-    the order changes the time only, not the node."""
+def union_join_plan(supports: Sequence[Iterable[str]], ports: Iterable[str],
+                    mgr: BddManager) -> Callable[[Sequence[BddRef]], BddRef]:
+    """The disjunction of functions G_k, each over its support U_k =
+    supports[k], widened to `ports` with every port outside U_k false,
+    without widening any of them: the `balanced` fold joins (U1, G1) and
+    (U2, G2) into (U1 | U2, G1 & none(U2 - U1) | G2 & none(U1 - U2)) and
+    closes the root with none(ports - U); no function gives false.  The
+    fold's shape and its none cubes are built here, once, and the returned
+    join takes the G_k in the order of `supports`.  Leaves sorted by their
+    deepest support level, then their highest, share ports with their
+    neighbours; the order changes the time only, not the node."""
     def none(names: Iterable[str]) -> BddRef:
         return mgr.cube(dict.fromkeys(names, False))
 
-    def deepest_then_highest(part: tuple[frozenset[str], BddRef]) -> tuple[int, int]:
-        levels = [mgr.level_of(p) for p in part[0]] or [-1]
+    def deepest_then_highest(leaf: tuple[frozenset[str], int]) -> tuple[int, int]:
+        levels = [mgr.level_of(p) for p in leaf[0]] or [-1]
         return max(levels), min(levels)
 
-    def join(a: tuple[frozenset[str], BddRef], b: tuple[frozenset[str], BddRef]):
-        (u1, g1), (u2, g2) = a, b
-        return u1 | u2, (g1 & none(u2 - u1)) | (g2 & none(u1 - u2))
+    def plan(a: tuple[frozenset[str], object], b: tuple[frozenset[str], object]):
+        (u1, t1), (u2, t2) = a, b
+        return u1 | u2, (t1, none(u2 - u1), t2, none(u1 - u2))
 
-    leaves = sorted(((frozenset(sup), g) for sup, g in parts), key=deepest_then_highest)
-    sup, g = balanced(join, leaves, (frozenset(), mgr.false))
-    return g & none(p for p in ports if p not in sup)
+    leaves = sorted(((frozenset(sup), k) for k, sup in enumerate(supports)), key=deepest_then_highest)
+    sup, tree = balanced(plan, leaves, (frozenset(), None))
+    close = none(p for p in ports if p not in sup)
+
+    def fold(t, gs: Sequence[BddRef]) -> BddRef:
+        if type(t) is int:
+            return gs[t]
+        t1, c1, t2, c2 = t
+        return (fold(t1, gs) & c1) | (fold(t2, gs) & c2)
+
+    return lambda gs: mgr.false if tree is None else fold(tree, gs) & close
+
+
+def union_join(parts: Iterable[tuple[Iterable[str], BddRef]], ports: Iterable[str], mgr: BddManager) -> BddRef:
+    """The disjunction of the parts, each (its support U, a function G over
+    U), by `union_join_plan`."""
+    parts = list(parts)
+    return union_join_plan([u for u, _ in parts], ports, mgr)([g for _, g in parts])
 
 
 def encode_connectors(system: SystemModel, mgr: BddManager) -> BddRef:
     """The pool as a function over all ports: each connector's causal rules
     over its own ports, joined by `union_join`."""
     def leaf(conn: Connector) -> tuple[frozenset[str], BddRef]:
-        sup = support(conn.term)
         rules, root_clause = causal_rules(tau(conn.term))
-        return sup, _expr_bdd(mgr, rules_to_formula(rules, root_clause, sup))
+        return conn.port_set, _expr_bdd(mgr, rules_to_formula(rules, root_clause, conn.port_set))
 
     return union_join(map(leaf, system.connectors), system.all_ports, mgr)
 
@@ -199,13 +282,15 @@ def encode_priority_pairs(
     mgr: BddManager,
 ) -> BddRef:
     """Priority relation: per pair (lo, hi), lo over the plain copies and
-    hi over the primed copies of their ports, joined by `union_join`; no
-    pair gives false."""
+    hi over the primed copies of their ports, joined by `union_join` in
+    the pairs' sorted order, so that every process builds the same nodes;
+    no pair gives false."""
     def leaf(lo: Interaction, hi: Interaction) -> tuple[list[str], BddRef]:
         sup = lo | hi
         return [*sup, *map(prime, sup)], mgr.cube({**{p: p in lo for p in sup}, **{prime(p): p in hi for p in sup}})
 
-    return union_join((leaf(lo, hi) for lo, hi in pairs), [*all_ports, *map(prime, all_ports)], mgr)
+    return union_join((leaf(lo, hi) for lo, hi in sorted(pairs, key=lambda ab: (interaction_key(ab[0]), interaction_key(ab[1])))),
+                      [*all_ports, *map(prime, all_ports)], mgr)
 
 
 def encode_strict_subset(ports: tuple[str, ...], mgr: BddManager) -> BddRef:
@@ -221,10 +306,13 @@ class SystemEncoding:
     system: SystemModel
     manager: BddManager
     # the independent components (this encoding itself if one), and how
-    # an encoding reads its own atoms' states out of a system state
+    # an encoding reads its own atoms' states out of a system state (a
+    # group: out of its component's local state, as its key)
     components: tuple["SystemEncoding", ...] = field(default=(), repr=False, compare=False)
     local_state: Callable[[GlobalState], GlobalState] = field(
         default=itemgetter(slice(None)), repr=False, compare=False)
+    # the component's port groups (this encoding itself if one)
+    groups: tuple["SystemEncoding", ...] = field(default=(), repr=False, compare=False)
     # local state -> [survivor function, whether it has a survivor, its
     # number of survivors over our ports (None until a draw needs it), this
     # encoding, which counts them]: the one memo the step and `survivors` read
@@ -234,6 +322,8 @@ class SystemEncoding:
     def __post_init__(self) -> None:
         if not self.components:
             self.components = (self,)
+        if not self.groups:
+            self.groups = (self,)
 
     # f_B, f_S and, with several components, the system-level functions
     # are read by no step: each is built when first asked for
@@ -278,7 +368,8 @@ class SystemEncoding:
         """The pool, plus the listed dominators outside it: they need only be active."""
         m, pr = self.manager, self.system.priority
         outside = {hi for _, hi in pr.closure} - self.system.gamma if isinstance(pr, ExplicitPairs) else ()
-        return m.or_all([self.connector_fn, *(m.cube({p: p in hi for p in self.port_names}) for hi in outside)])
+        return m.or_all([self.connector_fn, *(m.cube({p: p in hi for p in self.port_names})
+                                              for hi in sorted(outside, key=interaction_key))])
 
     @property
     def priority_fn(self) -> BddRef:
@@ -311,27 +402,39 @@ class SystemEncoding:
         owners = tuple(i for i, atom in enumerate(atoms) if atom.ports)
         return owners, tuple(tuple(sorted(map(self.manager.level_of, atoms[i].ports))) for i in owners)
 
+    @cached_property
+    def group_join(self) -> Callable[[Sequence[BddRef]], BddRef]:
+        """The union-join of the groups' survivor functions, in group order."""
+        return union_join_plan([g.port_names for g in self.groups], self.port_names, self.manager)
+
     def survivor_fn(self, state: GlobalState) -> BddRef:
         """The survivor function at a local state; a miss enters it in `survivor_table`."""
         entry = self.survivor_table.get(state)
         if entry is not None:
             return entry[0]
         m = self.manager
-        # each atom's local behavior mentions only its own ports and holds
-        # when it is idle, so their conjunction, restrict(f_B, state), can be
-        # conjoined with a function block by block
-        owners, blocks = self.local_blocks
-        factors = [self.local_behavior[i][state[i]] for i in owners]
-        fn = g = m.and_local(self.connector_fn, blocks, factors)
-        if isinstance(self.system.priority, MaximalProgress):
-            fn = m.maximal(g, self.port_names)
-        elif self.pairs_fn != m.false:
-            # the dominators are the active pool interactions (g) and listed
-            # dominators outside the pool; the state is restricted away, so only
-            # plain ports remain, each of which the shift moves onto its primed copy
-            dominators = m.and_local(self.dominator_fn, blocks, factors)
-            excluded = m.and_exists(m.shift(dominators), self.pairs_fn, self.primed_names)
-            fn = g & ~excluded
+        if len(self.groups) > 1:
+            # an interaction and every interaction that dominates it share a
+            # port, so they lie in one group: the survivors are the disjoint
+            # union of the groups' survivors
+            fn = self.group_join([g.survivor_fn(g.local_state(state)) for g in self.groups])
+        else:
+            # each atom's local behavior mentions only its own ports and holds
+            # when it is idle, so their conjunction, restrict(f_B, state), can
+            # be conjoined with a function block by block
+            owners, blocks = self.local_blocks
+            factors = [self.local_behavior[i][state[i]] for i in owners]
+            fn = g = m.and_local(self.connector_fn, blocks, factors)
+            if isinstance(self.system.priority, MaximalProgress):
+                fn = m.maximal(g, self.port_names)
+            elif self.pairs_fn != m.false:
+                # the dominators are the active pool interactions (g) and listed
+                # dominators outside the pool; the state is restricted away, so
+                # only plain ports remain, each of which the shift moves onto its
+                # primed copy
+                dominators = m.and_local(self.dominator_fn, blocks, factors)
+                excluded = m.and_exists(m.shift(dominators), self.pairs_fn, self.primed_names)
+                fn = g & ~excluded
         self.survivor_table[state] = [fn, fn != m.false, None, self]
         return fn
 
@@ -350,6 +453,41 @@ class SystemEncoding:
                          for a in c.manager.iter_models(c.survivor_fn(c.local_state(state)), c.port_names))
 
 
+def _sub_system(system: SystemModel, atoms: tuple[int, ...], ports: frozenset[str]) -> SystemModel:
+    """The atoms' sub-system projected onto `ports`: each atom keeps its
+    ports among them and the transitions whose labels lie among them, with
+    the connectors and explicit pairs on them."""
+    def project(atom: AtomicBehavior) -> AtomicBehavior:
+        if atom.port_set <= ports:
+            return atom
+        return AtomicBehavior(atom.name, atom.states, atom.init, tuple(p for p in atom.ports if p in ports),
+                              tuple(t for t in atom.transitions if t.label <= ports))
+
+    pr = system.priority
+    if isinstance(pr, ExplicitPairs):
+        pr = ExplicitPairs(frozenset(ab for ab in pr.closure if (ab[0] | ab[1]) & ports))
+    return SystemModel(system.name, tuple(project(system.atoms[i]) for i in atoms),
+                       tuple(c for c in system.connectors if c.port_set & ports), pr)
+
+
+def _group(component: SystemModel, ports: tuple[str, ...], mgr: BddManager) -> SystemEncoding:
+    """One port group of a component, encoded over the atoms that own its
+    ports, projected onto it.  Its key is read out of the component's local
+    state: each owner's state becomes the first of its states that offers
+    the same labels inside the group, so the group's table is shared by
+    the states that differ only outside it."""
+    ours = frozenset(ports)
+    atoms = tuple(j for j, atom in enumerate(component.atoms) if atom.port_set & ours)
+    sub = _sub_system(component, atoms, ours)
+
+    def first_alike(atom: AtomicBehavior) -> dict[str, str]:
+        seen: dict[frozenset[Interaction], str] = {}
+        return {q: seen.setdefault(atom.labels_from[q], q) for q in atom.states}
+
+    readers = tuple(zip(atoms, map(first_alike, sub.atoms)))
+    return SystemEncoding(sub, mgr, local_state=lambda state: tuple([r[state[j]] for j, r in readers]))
+
+
 def build(system: SystemModel) -> SystemEncoding:
     diags = validate(system)
     if diags:
@@ -357,24 +495,20 @@ def build(system: SystemModel) -> SystemEncoding:
     if system.priority is not None and not isinstance(system.priority, (MaximalProgress, ExplicitPairs)):
         raise TypeError(f"unknown priority model: {system.priority!r}")
     mgr = BddManager(variable_order(system))
-    parts = components(system)
-    if len(parts) == 1:
-        encs = [SystemEncoding(system, mgr)]
-    else:
-        encs = []
-        for atoms in parts:
-            # the sub-system of the component's atoms, connectors and pairs
-            def ours(ports: frozenset[str]) -> bool:
-                return any(system.port_owner[p] in atoms for p in ports)
-            pr = system.priority
-            if isinstance(pr, ExplicitPairs):
-                pr = ExplicitPairs(frozenset(ab for ab in pr.closure if ours(ab[0] | ab[1])))
-            sub = SystemModel(system.name, tuple(system.atoms[i] for i in atoms),
-                              tuple(c for c in system.connectors if ours(support(c.term))), pr)
+    parts = _partition(system)
+    encs = []
+    for atoms, groups in parts:
+        sub, reader = system, itemgetter(slice(None))
+        if len(parts) > 1:  # the sub-system of the component's atoms, connectors and pairs
+            sub = _sub_system(system, atoms, frozenset(p for i in atoms for p in system.atoms[i].ports))
             reader = itemgetter(*atoms) if len(atoms) > 1 else itemgetter(slice(atoms[0], atoms[0] + 1))
-            encs.append(SystemEncoding(sub, mgr, local_state=reader))
-    for e in encs:
-        e.local_behavior, e.connector_fn, e.pairs_fn, e.dominator_fn  # what a step reads
+        encs.append(SystemEncoding(sub, mgr, local_state=reader,
+                                   groups=tuple(_group(sub, g, mgr) for g in groups) if len(groups) > 1 else ()))
+    for e in encs:  # what a step reads
+        if len(e.groups) > 1:
+            e.group_join
+        for g in e.groups:
+            g.local_behavior, g.connector_fn, g.pairs_fn, g.dominator_fn
     return encs[0] if len(encs) == 1 else SystemEncoding(system, mgr, tuple(encs))
 
 

@@ -205,3 +205,18 @@ def active_fn(enc, state):
     """The conjunction of the atoms' local behaviors at `state`, folded:
     restrict(f_B, state), as the survivor function once built it."""
     return enc.manager.and_all(local[q] for local, q in zip(enc.local_behavior, state))
+
+
+def whole_survivor_fn(enc, state):
+    """An encoding's survivor function at its local state over the whole
+    encoding at once, whatever its port groups: the folded local behaviors
+    conjoined with f_C (and with the dominators), then the maximal models
+    or the pairs' exclusion."""
+    m = enc.manager
+    active = active_fn(enc, state)
+    g = active & enc.connector_fn
+    if isinstance(enc.system.priority, MaximalProgress):
+        return m.maximal(g, enc.port_names)
+    if enc.pairs_fn == m.false:
+        return g
+    return g & ~m.and_exists(m.shift(active & enc.dominator_fn), enc.pairs_fn, enc.primed_names)

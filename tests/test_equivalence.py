@@ -45,16 +45,19 @@ def test_corrupted_encoding_reports_divergence(mod8):
 
 
 def test_corrupted_component_reports_divergence():
-    # bus2 is two independent clusters, each stepped by its own encoding
-    sysm = gen_bus(2)
-    enc = build(sysm)
-    assert len(enc.components) == 2
-    enc.components[1].connector_fn = enc.manager.false  # sabotage one cluster
-    report = check_equivalence(sysm, encoding=enc)
-    assert not report.equivalent
-    d = report.divergences[0]
-    # the intact cluster still offers its survivors
-    assert frozenset() < d.symbolic_survivors < d.enum_survivors
+    # bus2 is two independent clusters, each stepped by its own encoding,
+    # which is its only port group; tasks 3x2 is one component of two
+    # groups, one per processor, each with its own f_C
+    for sysm, k in ((gen_bus(2), 1), (gen_tasks(3, 2), 0)):
+        enc = build(sysm)
+        groups = enc.components[k].groups
+        assert (len(enc.components), len(groups)) == ((2, 1) if k else (1, 2))
+        groups[-1].connector_fn = enc.manager.false  # sabotage one cluster, or one processor
+        report = check_equivalence(sysm, encoding=enc)
+        assert not report.equivalent
+        d = report.divergences[0]
+        # the intact cluster or processor still offers its survivors
+        assert frozenset() < d.symbolic_survivors < d.enum_survivors
 
 
 def test_random_systems_equivalent():

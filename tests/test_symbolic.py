@@ -1,13 +1,18 @@
 """Boolean encoding and the symbolic engine."""
 
 import operator
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from portsync.bdd import BddManager
-from portsync.generators import gen_bus, gen_tasks, modulo8, random_system
-from portsync.connectors import PortLeaf
+import portsync
+from portsync.generators import RandomBounds, gen_bus, gen_tasks, modulo8, random_system
+from portsync.connectors import Factor, Fusion, PortLeaf
 from portsync.model import (
     AtomicBehavior,
     Connector,
@@ -31,6 +36,7 @@ from portsync.symbolic import (
     encode_local,
     encode_priority_pairs,
     encode_strict_subset,
+    port_groups,
     state_var,
     union_join,
     variable_order,
@@ -39,7 +45,7 @@ from portsync.connectors import support
 from portsync.equivalence import check_equivalence
 
 from oracles import (active_fn, all_states, oracle_survivors, reference_connector_fn, reference_pick_sat,
-                     reference_priority_pairs, skipped_levels, transfer)
+                     reference_priority_pairs, skipped_levels, transfer, whole_survivor_fn)
 
 
 def _pairs_written_out(sysm):
@@ -118,19 +124,45 @@ def test_node_counts_are_pinned():
 
 
 def test_build_leaves_what_no_step_reads_unbuilt():
-    # the build reads what a step reads, each component's local
-    # behaviors, f_C and priority inputs; f_B, f_S and, with several
+    # the build reads what a step reads: each port group's local behaviors,
+    # f_C and priority inputs (a component of one group is its own group),
+    # and the join of a component of several groups; f_B, f_S, the own
+    # functions of a component of several groups and, with several
     # components, the system-level functions wait for a reader
-    bus = gen_bus(3)
-    for sysm in (gen_tasks(3, 2), bus, _pairs_written_out(bus)):
+    bus, tasks = gen_bus(3), gen_tasks(3, 2)
+    joined = 0
+    for sysm in (tasks, _pairs_written_out(tasks), bus, _pairs_written_out(bus)):
         enc = build(sysm)
         assert not {"behavior_fn", "system_fn"} & set(vars(enc))
         for c in enc.components:
-            assert {"local_behavior", "connector_fn", "pairs_fn", "dominator_fn"} <= set(vars(c))
-            assert not {"behavior_fn", "system_fn"} & set(vars(c))
+            for g in c.groups:
+                assert {"local_behavior", "connector_fn", "pairs_fn", "dominator_fn"} <= set(vars(g))
+                assert not {"behavior_fn", "system_fn"} & set(vars(g))
+            if len(c.groups) > 1:
+                joined += 1
+                assert "group_join" in vars(c)
+                assert not {"local_behavior", "connector_fn", "pairs_fn", "dominator_fn"} & set(vars(c))
         if len(enc.components) > 1:
             assert not {"local_behavior", "connector_fn", "pairs_fn", "dominator_fn"} & set(vars(enc))
         assert enc.system_fn == enc.behavior_fn & enc.connector_fn
+    assert joined == 2
+
+
+def test_pairs_build_is_the_same_in_every_process():
+    # the explicit pairs are joined in a sorted order, not in the order of
+    # a frozenset of strings: the build makes the same nodes under every
+    # string hash seed
+    code = ("from portsync.generators import gen_tasks\n"
+            "from portsync.model import ExplicitPairs, SystemModel, effective_pairs\n"
+            "from portsync.symbolic import build\n"
+            "s = gen_tasks(8, 2)\n"
+            "s = SystemModel(s.name, s.atoms, s.connectors, ExplicitPairs(effective_pairs(s.priority, s.gamma)))\n"
+            "print(build(s).manager.total_nodes())\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(portsync.__file__).resolve().parents[1])}
+    counts = {subprocess.run([sys.executable, "-c", code], env={**env, "PYTHONHASHSEED": seed},
+                             capture_output=True, text=True, check=True).stdout
+              for seed in ("1", "2", "3")}
+    assert len(counts) == 1, counts
 
 
 def test_pairs_fn_is_the_minterm_disjunction():
@@ -326,6 +358,81 @@ def test_components():
     enc = build(linked)
     assert enc.components == (enc,)
     assert enc.survivors(("s", "s")) == survivors(linked, ("s", "s")) == {frozenset("y")}
+
+
+def _three_atoms(priority=None):
+    # A owns x and w, B owns y and v, C owns z; connectors {x, y}, {v} and {w, z}
+    fz = frozenset
+    atoms = tuple(AtomicBehavior(n, ("s",), "s", ports, tuple(Transition("s", fz([p]), "s") for p in ports))
+                  for n, ports in (("A", ("x", "w")), ("B", ("y", "v")), ("C", ("z",))))
+    xy = Fusion((Factor(PortLeaf("x")), Factor(PortLeaf("y"))))
+    wz = Fusion((Factor(PortLeaf("w")), Factor(PortLeaf("z"))))
+    return SystemModel("three", atoms, (Connector("cxy", xy), Connector("cv", PortLeaf("v")), Connector("cwz", wz)),
+                       priority)
+
+
+def test_port_groups():
+    # ports are linked by a connector's support, an explicit pair and a
+    # transition label; a group whose owners all own ports of another group
+    # merges into it, so each bus cluster is one group (its claims' owners
+    # are among the bus's), and tasks makes one group per processor
+    p = port_groups(gen_tasks(8, 4))
+    assert len(p) == 1 and [len(g) for g in p[0]] == [34] * 4
+    assert p[0][0] == (*(f"{x}1_{j}" for j in range(1, 9) for x in "bfpr"), "go1", "halt1")
+    assert [len(c) for c in port_groups(_pairs_written_out(gen_tasks(8, 2)))] == [2]
+    assert port_groups(gen_bus(2)) == tuple((tuple(f"{x}{i}_{k}" for i in range(1, 5) for x in "cs"),)
+                                            for k in (1, 2))
+    # {v}, owned by B alone, merges into {x, y}, owned by A and B; {w, z}
+    # keeps apart, as C owns none of the others
+    assert port_groups(_three_atoms()) == ((("x", "y", "v"), ("w", "z")),)
+    # a pair links the groups of both of its sides, and so does a label
+    fz = frozenset
+    assert port_groups(_three_atoms(ExplicitPairs(fz({(fz("v"), fz("z"))})))) == ((("x", "w", "y", "v", "z"),),)
+    assert port_groups(_two_loops(None)) == ((("x",),), (("y",),))
+    assert port_groups(_two_loops(ExplicitPairs(fz({(fz("x"), fz("y"))})))) == ((("x", "y"),),)
+    a = AtomicBehavior("A", ("s",), "s", ("x", "y"), (Transition("s", fz("xy"), "s"),))
+    one_label = SystemModel("m", (a,), (Connector("cx", PortLeaf("x")), Connector("cy", PortLeaf("y"))))
+    assert port_groups(one_label) == ((("x", "y"),),)
+
+
+def test_group_key_shares_states_that_offer_the_same_labels():
+    # a task waiting on processor 2 offers nothing to processor 1, as a
+    # task running on processor 2 does: processor 1's group keys them alike
+    sysm = gen_tasks(3, 2)
+    enc = build(sysm)
+    one, two = enc.groups
+    assert [a.name for a in one.system.atoms] == ["T1", "T2", "T3", "P1"]
+    assert one.system.atoms[0].ports == ("b1_1", "f1_1", "p1_1", "r1_1")
+    state = sysm.initial_state()
+    waiting, running = ("w2", *state[1:]), ("c2", *state[1:])
+    assert one.local_state(waiting) == one.local_state(running) == ("c2", "s", "s", "l0")
+    assert two.local_state(waiting) != two.local_state(running)
+    enc.survivor_fn(waiting)
+    enc.survivor_fn(running)
+    assert len(enc.survivor_table) == 2 and len(one.survivor_table) == 1 and len(two.survivor_table) == 2
+
+
+def test_group_join_is_the_whole_component_function():
+    # a component of several port groups joins its groups' survivor
+    # functions: the node is the one the whole component gives, at every
+    # reachable state (every state of the small random systems)
+    bounds = RandomBounds(max_atoms=5, max_ports=4)
+    randoms = [r for r in (random_system(seed, bounds) for seed in range(1500))
+               if any(len(c) > 1 for c in port_groups(r))]
+    assert len(randoms) >= 10
+    named = [gen_tasks(3, 2), gen_tasks(4, 2), gen_bus(3), _three_atoms()]
+    cases = [(s, reachable(s, bound=300).states) for s in (*named, *map(_pairs_written_out, named))]
+    cases += [(r, all_states(r)) for r in randoms]
+    joined = 0
+    for sysm, states in cases:
+        enc = build(sysm)
+        joined += sum(len(c.groups) > 1 for c in enc.components)
+        for state in states:
+            for c in enc.components:
+                key = c.local_state(state)
+                assert c.survivor_fn(key) == whole_survivor_fn(c, key)
+            assert enc.survivors(state) == survivors(sysm, state)
+    assert joined >= 6 + len(randoms)
 
 
 def test_component_survivors_match_system():
