@@ -11,11 +11,12 @@ connective (xor, implies), a cofactor is the relational product
 function with the assignment's cube, and `balanced` folds every n-ary
 join.  Besides these the manager computes a conjunction with factors
 over disjoint blocks of levels (`and_local`, for the survivor function),
-maximal models (`maximal`, for maximal progress) and a one-level
-`shift`, for explicit priority pairs, and model counts, picks and model
-sets for the engines.  Operations
-that only tests need (evaluation along a path, support names, a
-three-operand `ite`) live with the tests' oracles.
+the join of functions over disjoint groups of names, built node by node
+down their all-false path (`disjoint_join`, for port groups), maximal
+models (`maximal`, for maximal progress) and a one-level `shift`, for
+explicit priority pairs, and model counts, picks and model sets for the
+engines.  Operations that only tests need (evaluation along a path,
+support names, a three-operand `ite`) live with the tests' oracles.
 
 The unique table and the computed tables (one per operation: and, or,
 not, shift, `and_local`, and one per variable set of `and_exists` or
@@ -41,7 +42,7 @@ from __future__ import annotations
 import random
 import sys
 from bisect import bisect_left
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 FALSE = 0
 TRUE = 1
@@ -413,6 +414,61 @@ class BddManager:
             g = self._lo[g]
         if g == FALSE:
             raise BddError(f"factor {j} is false where its block is all false")
+
+    def disjoint_join(self, groups: Sequence[Iterable[str]]) -> Callable[[Sequence[BddRef]], BddRef]:
+        """The join fs -> F of functions fs[j] over disjoint groups[j] of
+        names: each model of an fs[j] with the other groups' names false.  A
+        call builds F node by node down the all-false path, as apply builds
+        its result (Bryant 1986): at a level of group j the high edge is j's
+        high cofactor with the other groups' later names false, the low edge
+        the join from the next level with j's low cofactor, until at most one
+        cofactor is not false; every node a call allocates lies in F.  The
+        levels, their owners and each group's none-cube chains are built
+        here; a call checks only that no cofactor tests a level it passed."""
+        sets = [frozenset(map(self.level_of, g)) for g in groups]
+        chain = sorted((l, j) for j, s in enumerate(sets) for l in s)
+        levels, owner = [l for l, _ in chain], [j for _, j in chain]
+        if len(set(levels)) != len(levels):
+            raise BddError("disjoint_join groups must be disjoint")
+        n = len(levels)
+        var, lo, hi, mk, and_ = self._var, self._lo, self._hi, self._mk, self._and
+        # none_except[j][i]: every name from position i on false, but group j's
+        none_except = [[TRUE] * (n + 1) for _ in sets]
+        for j, row in enumerate(none_except):
+            for i in range(n - 1, -1, -1):
+                row[i] = row[i + 1] if owner[i] == j else mk(levels[i], row[i + 1], FALSE)
+        # per position its level, its owner and the owner's none cube below it
+        steps = [(l, j, none_except[j][i + 1]) for i, (l, j) in enumerate(chain)]
+        levels.append(self._leaf_level)
+
+        def join(fs: Sequence[BddRef]) -> BddRef:
+            t = [self._node(f) for f in fs]
+            if len(t) != len(sets):
+                raise BddError("disjoint_join needs one function per group")
+            live, edges = len(t) - t.count(FALSE), []
+            for lvl, j, rest in steps:
+                if live < 2:
+                    break
+                h = u = t[j]
+                if var[u] == lvl:
+                    t[j], h = lo[u], hi[u]
+                    live -= t[j] == FALSE
+                elif var[u] < lvl:
+                    raise BddError(f"function {j} tests {self._names[var[u]]!r} outside its group")
+                edges.append(and_(h, rest))
+            # live cofactors past the last level are true; a lone one is the rest
+            i = len(edges)
+            r = TRUE if live > 1 else FALSE
+            for j, u in enumerate(t):
+                if var[u] < levels[i]:
+                    raise BddError(f"function {j} tests {self._names[var[u]]!r} outside its group")
+                if u != FALSE and live == 1:
+                    r = and_(u, none_except[j][i])
+            for lvl, h in zip(reversed(levels[:i]), reversed(edges)):
+                r = mk(lvl, r, h)
+            return self._ref(r)
+
+        return join
 
     # -- cofactor and quantification ----------------------------------
 

@@ -26,13 +26,13 @@ pass finds both).  An interaction and its dominators lie in one group,
 so a component's survivors are the disjoint union of its groups'.  A
 component of two or more groups encodes each group over its owners
 projected onto it (their ports and labels in the group) and joins the
-groups' survivor functions by a union-join whose shape and none cubes are
-built once; each group keeps a survivor table keyed by its owners'
-states, a state standing for every state of its atom that offers the same
-labels inside the group.  A component of one group is its own only group.
-Each function is built on first read, and the build reads only what a
-step reads: each group's local behaviors, f_C and priority inputs, and
-the join of a component of several groups.
+groups' survivor functions in one pass down the path that sets every
+port false (`BddManager.disjoint_join`); each group keeps a survivor table
+keyed by its owners' states, a state standing for every state of its atom
+that offers the same labels inside the group.  A component of one group
+is its own only group.  Each function is built on first read, and the
+build reads only what a step reads: each group's local behaviors, f_C
+and priority inputs, and the join of a component of several groups.
 
 A group's survivor function at its local state conjoins the
 connectors with the current states' local behaviors, whose conjunction
@@ -224,46 +224,28 @@ def _expr_bdd(mgr: BddManager, expr: bf.BoolExpr) -> BddRef:
     raise TypeError(f"not a boolean expression: {expr!r}")
 
 
-def union_join_plan(supports: Sequence[Iterable[str]], ports: Iterable[str],
-                    mgr: BddManager) -> Callable[[Sequence[BddRef]], BddRef]:
-    """The disjunction of functions G_k, each over its support U_k =
-    supports[k], widened to `ports` with every port outside U_k false,
+def union_join(parts: Iterable[tuple[Iterable[str], BddRef]], ports: Iterable[str], mgr: BddManager) -> BddRef:
+    """The disjunction of the parts, each (its support U_k, a function G_k
+    over U_k), widened to `ports` with every port outside U_k false,
     without widening any of them: the `balanced` fold joins (U1, G1) and
     (U2, G2) into (U1 | U2, G1 & none(U2 - U1) | G2 & none(U1 - U2)) and
-    closes the root with none(ports - U); no function gives false.  The
-    fold's shape and its none cubes are built here, once, and the returned
-    join takes the G_k in the order of `supports`.  Leaves sorted by their
-    deepest support level, then their highest, share ports with their
-    neighbours; the order changes the time only, not the node."""
+    closes the root with none(ports - U); no part gives false.  Leaves
+    sorted by their deepest support level, then their highest, share ports
+    with their neighbours; the order changes the time only, not the node."""
     def none(names: Iterable[str]) -> BddRef:
         return mgr.cube(dict.fromkeys(names, False))
 
-    def deepest_then_highest(leaf: tuple[frozenset[str], int]) -> tuple[int, int]:
+    def deepest_then_highest(leaf: tuple[frozenset[str], BddRef]) -> tuple[int, int]:
         levels = [mgr.level_of(p) for p in leaf[0]] or [-1]
         return max(levels), min(levels)
 
-    def plan(a: tuple[frozenset[str], object], b: tuple[frozenset[str], object]):
-        (u1, t1), (u2, t2) = a, b
-        return u1 | u2, (t1, none(u2 - u1), t2, none(u1 - u2))
+    def join(a: tuple[frozenset[str], BddRef], b: tuple[frozenset[str], BddRef]) -> tuple[frozenset[str], BddRef]:
+        (u1, g1), (u2, g2) = a, b
+        return u1 | u2, (g1 & none(u2 - u1)) | (g2 & none(u1 - u2))
 
-    leaves = sorted(((frozenset(sup), k) for k, sup in enumerate(supports)), key=deepest_then_highest)
-    sup, tree = balanced(plan, leaves, (frozenset(), None))
-    close = none(p for p in ports if p not in sup)
-
-    def fold(t, gs: Sequence[BddRef]) -> BddRef:
-        if type(t) is int:
-            return gs[t]
-        t1, c1, t2, c2 = t
-        return (fold(t1, gs) & c1) | (fold(t2, gs) & c2)
-
-    return lambda gs: mgr.false if tree is None else fold(tree, gs) & close
-
-
-def union_join(parts: Iterable[tuple[Iterable[str], BddRef]], ports: Iterable[str], mgr: BddManager) -> BddRef:
-    """The disjunction of the parts, each (its support U, a function G over
-    U), by `union_join_plan`."""
-    parts = list(parts)
-    return union_join_plan([u for u, _ in parts], ports, mgr)([g for _, g in parts])
+    leaves = sorted(((frozenset(u), g) for u, g in parts), key=deepest_then_highest)
+    sup, fn = balanced(join, leaves, (frozenset(), mgr.false))
+    return fn & none(p for p in ports if p not in sup)
 
 
 def encode_connectors(system: SystemModel, mgr: BddManager) -> BddRef:
@@ -404,8 +386,9 @@ class SystemEncoding:
 
     @cached_property
     def group_join(self) -> Callable[[Sequence[BddRef]], BddRef]:
-        """The union-join of the groups' survivor functions, in group order."""
-        return union_join_plan([g.port_names for g in self.groups], self.port_names, self.manager)
+        """The join of the groups' survivor functions, in group order: they
+        mention disjoint ports, which together are ours."""
+        return self.manager.disjoint_join([g.port_names for g in self.groups])
 
     def survivor_fn(self, state: GlobalState) -> BddRef:
         """The survivor function at a local state; a miss enters it in `survivor_table`."""

@@ -6,14 +6,18 @@ transition relations, priority filtering recomputes domination from
 scratch, and state spaces come from the raw product of state sets.  The
 BDD references keep earlier, simpler versions of library routines, and
 the kernel operations that only tests need (`evaluate`, `support`, and
-`ite`, built from and/or/not as the kernel builds xor and implies).
+`ite`, built from and/or/not as the kernel builds xor and implies).  One
+seeded system family (`hub_system`) gives components of several port
+groups, which the random generator almost never makes.
 """
 
+import random
 from itertools import product
 
 from portsync.causal import causal_rules, rules_to_formula, tau
-from portsync.connectors import support as term_support
-from portsync.model import MaximalProgress, ExplicitPairs
+from portsync.connectors import Factor, fusion, interaction_key, interactions_of, support as term_support
+from portsync.generators import random_monomial_term
+from portsync.model import AtomicBehavior, Connector, ExplicitPairs, MaximalProgress, SystemModel, Transition
 from portsync.symbolic import _expr_bdd, prime
 
 
@@ -106,6 +110,39 @@ def support(f):
 def ite(f, g, h):
     """If f then g else h, from the connectives."""
     return (f & g) | (~f & h)
+
+
+def hub_system(seed):
+    """A seeded random system in which one atom, the hub, joins connectors
+    on disjoint ports: its ports fall into two or three parts, each part
+    shares connectors with one spoke atom only, and each hub transition
+    fires inside one part, so the component has a port group per part."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 3)
+    parts = [[f"h{i}_{j}" for j in range(rng.randint(1, 2))] for i in range(n)]
+
+    def atom(name, ports, labels):
+        states = tuple(f"{name}q{j}" for j in range(rng.randint(1, 3)))
+        trans = dict.fromkeys(Transition(s, frozenset(rng.sample(lbl, rng.randint(1, len(lbl)))), rng.choice(states))
+                              for s in states for lbl in rng.sample(labels, rng.randint(1, len(labels))))
+        return AtomicBehavior(name, states, states[0], tuple(ports), tuple(trans))
+
+    atoms = [atom("H", [p for part in parts for p in part], parts)]
+    connectors, pools = [], []
+    for i, part in enumerate(parts):
+        own = [f"s{i}_{j}" for j in range(rng.randint(1, 2))]
+        atoms.append(atom(f"S{i}", own, [own]))
+        terms = [fusion(Factor(random_monomial_term(rng, ports, 2), rng.random() < 0.5) for ports in (part, own))
+                 for _ in range(rng.randint(1, 2))]
+        connectors += [Connector(f"c{i}_{c}", term) for c, term in enumerate(terms)]
+        pools.append(sorted(set().union(*map(interactions_of, terms)) - {frozenset()}, key=interaction_key))
+    priority, roll = None, rng.random()
+    if roll < 0.4:
+        priority = MaximalProgress()
+    elif roll < 0.7:  # one pair inside each of some parts keeps the groups apart
+        pairs = {tuple(rng.sample(pool, 2)) for pool in pools if len(pool) > 1 and rng.random() < 0.7}
+        priority = ExplicitPairs(frozenset(pairs)) if pairs else None
+    return SystemModel(f"hub{seed}", tuple(atoms), tuple(connectors), priority)
 
 
 def bdd_table(mgr, f, names):

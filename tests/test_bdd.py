@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from portsync import bdd, boolfunc as bf
 from portsync.bdd import BddError, BddManager
+from portsync.symbolic import union_join
 
 from oracles import bdd_table, evaluate, reference_pick_sat, support
 
@@ -313,6 +314,66 @@ class TestAndLocal:
         assert mgr.and_local(f, [(0, 1), (3, 4)], [mgr.true, g]) == f & g
         with pytest.raises(BddError, match="outside its block"):
             mgr.and_local(f, [(0, 1), (3, 4)], [g, mgr.true])
+
+
+class TestDisjointJoin:
+    # groups of names interleaved with each other and with levels outside
+    # every group, as a component's port groups interleave in the order
+    ORDER = [f"v{i}" for i in range(10)]
+
+    def random_groups(self, rng):
+        names = rng.sample(self.ORDER, rng.randint(1, len(self.ORDER)))
+        k = rng.randint(1, min(4, len(names)))
+        owner = [rng.randrange(k) for _ in names]
+        owner[:k] = range(k)  # no group is empty
+        return [[n for n, j in zip(names, owner) if j == g] for g in range(k)]
+
+    def random_member(self, mgr, rng, group):
+        roll = rng.random()
+        if roll < 0.1:
+            return mgr.false
+        if roll < 0.2:
+            return mgr.true  # tests none of its names
+        f = random_fn(mgr, rng, group)
+        if roll < 0.45:  # accepts the valuation that sets every name false
+            f = f | mgr.cube(dict.fromkeys(group, False))
+        return f
+
+    def test_equals_the_union_join_fold(self):
+        # the node of the fold, and every node the join allocates lies in it
+        mgr = BddManager(self.ORDER)
+        rng = random.Random(53)
+        singles = 0
+        for _ in range(300):
+            groups = self.random_groups(rng)
+            singles += len(groups) == 1
+            join = mgr.disjoint_join(groups)
+            for _ in range(3):
+                fs = [self.random_member(mgr, rng, g) for g in groups]
+                before = mgr.total_nodes() + 2  # the first id a new node takes
+                F = join(fs)
+                assert set(range(before, mgr.total_nodes() + 2)) <= mgr._reachable(F.node)
+                assert F == union_join(zip(groups, fs), [n for g in groups for n in g], mgr)
+        assert singles > 10
+        mgr.audit()
+
+    def test_a_function_outside_its_group_is_refused(self):
+        mgr = BddManager(["x", "a", "b", "c", "d", "y"])
+        v = {n: mgr.var(n) for n in mgr.variables}
+        join = mgr.disjoint_join([["a", "c"], ["b", "d"]])
+        assert join([v["a"] | v["c"], v["d"]]) == (v["a"] | v["c"]) & ~v["b"] & ~v["d"] | ~v["a"] & ~v["c"] & v["d"]
+        with pytest.raises(BddError, match=r"function 0 tests 'b' outside its group"):
+            join([v["b"], v["d"]])  # a level of the other group
+        with pytest.raises(BddError, match=r"function 1 tests 'x' outside its group"):
+            join([v["a"], v["x"] & v["d"]])  # a level of no group, met after the walk stops
+        with pytest.raises(BddError, match=r"function 1 tests 'x' outside its group"):
+            join([mgr.true, v["x"]])  # met at the group's next level
+        with pytest.raises(BddError, match=r"function 1 tests 'y' outside its group"):
+            join([mgr.true, v["y"]])  # below every level of a group
+        with pytest.raises(BddError, match="one function per group"):
+            join([v["a"]])
+        with pytest.raises(BddError, match="must be disjoint"):
+            mgr.disjoint_join([["a", "b"], ["b"]])
 
 
 class TestPackedKeys:

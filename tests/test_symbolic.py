@@ -44,7 +44,7 @@ from portsync.symbolic import (
 from portsync.connectors import support
 from portsync.equivalence import check_equivalence
 
-from oracles import (active_fn, all_states, oracle_survivors, reference_connector_fn, reference_pick_sat,
+from oracles import (active_fn, all_states, hub_system, oracle_survivors, reference_connector_fn, reference_pick_sat,
                      reference_priority_pairs, skipped_levels, transfer, whole_survivor_fn)
 
 
@@ -423,16 +423,42 @@ def test_group_join_is_the_whole_component_function():
     named = [gen_tasks(3, 2), gen_tasks(4, 2), gen_bus(3), _three_atoms()]
     cases = [(s, reachable(s, bound=300).states) for s in (*named, *map(_pairs_written_out, named))]
     cases += [(r, all_states(r)) for r in randoms]
-    joined = 0
+    hubs = [hub_system(seed) for seed in range(40)]  # one atom joins connectors on disjoint ports
+    cases += [(h, all_states(h)) for h in hubs]
+    joined = hubs_joined = 0
     for sysm, states in cases:
         enc = build(sysm)
         joined += sum(len(c.groups) > 1 for c in enc.components)
+        hubs_joined += sysm in hubs and any(len(c.groups) > 1 for c in enc.components)
         for state in states:
             for c in enc.components:
                 key = c.local_state(state)
                 assert c.survivor_fn(key) == whole_survivor_fn(c, key)
             assert enc.survivors(state) == survivors(sysm, state)
     assert joined >= 6 + len(randoms)
+    assert hubs_joined >= 20
+
+
+def test_a_group_join_allocates_only_nodes_of_its_result():
+    # the join is built down the path that sets every port false: each node
+    # it allocates lies in the joined function, where a fold of widened
+    # functions would leave its intermediates behind
+    joins = 0
+    for sysm in (gen_tasks(4, 2), gen_tasks(8, 4)):
+        engine = SymbolicEngine(sysm, seed=3)
+        m = engine.encoding.manager
+        for c in engine.encoding.components:
+            if len(c.groups) > 1:
+                def checked(fs, join=c.group_join, m=m):
+                    nonlocal joins
+                    before = m.total_nodes() + 2  # the first id a new node takes
+                    F = join(fs)
+                    assert set(range(before, m.total_nodes() + 2)) <= m._reachable(F.node)
+                    joins += 1
+                    return F
+                c.group_join = checked
+        engine.run(200)
+    assert joins > 100
 
 
 def test_component_survivors_match_system():
