@@ -11,12 +11,14 @@ connective (xor, implies), a cofactor is the relational product
 function with the assignment's cube, and `balanced` folds every n-ary
 join.  Besides these the manager computes a conjunction with factors
 over disjoint blocks of levels (`and_local`, for the survivor function),
-the join of functions over disjoint groups of names, built node by node
-down their all-false path (`disjoint_join`, for port groups), maximal
-models (`maximal`, for maximal progress) and a one-level `shift`, for
-explicit priority pairs, and model counts, picks and model sets for the
-engines.  Operations that only tests need (evaluation along a path,
-support names, a three-operand `ite`) live with the tests' oracles.
+the pick of the join of functions over disjoint groups of names, read
+from the groups' functions down their all-false path without building
+the join (`disjoint_pick`, for port groups), maximal models (`maximal`,
+for maximal progress) and a one-level `shift`, for explicit priority
+pairs, and model counts, picks and model sets for the engines.
+Operations that only tests need (evaluation along a path, support names,
+a three-operand `ite`) live with the tests' oracles.  A per-call
+recursive closure drops its name on return, leaving no cycle to collect.
 
 The unique table and the computed tables (one per operation: and, or,
 not, shift, `and_local`, and one per variable set of `and_exists` or
@@ -369,7 +371,8 @@ class BddManager:
                 memo[key] = r
             return r
 
-        return self._ref(below(u, 0))
+        r, below, walk = below(u, 0), None, None
+        return self._ref(r)
 
     def _local_partition(self, blocks: tuple[tuple[int, ...], ...]) -> tuple:
         """For `and_local`: the blocks' levels in order; upto[i], the bits of
@@ -415,38 +418,37 @@ class BddManager:
         if g == FALSE:
             raise BddError(f"factor {j} is false where its block is all false")
 
-    def disjoint_join(self, groups: Sequence[Iterable[str]]) -> Callable[[Sequence[BddRef]], BddRef]:
-        """The join fs -> F of functions fs[j] over disjoint groups[j] of
-        names: each model of an fs[j] with the other groups' names false.  A
-        call builds F node by node down the all-false path, as apply builds
-        its result (Bryant 1986): at a level of group j the high edge is j's
-        high cofactor with the other groups' later names false, the low edge
-        the join from the next level with j's low cofactor, until at most one
-        cofactor is not false; every node a call allocates lies in F.  The
-        levels, their owners and each group's none-cube chains are built
-        here; a call checks only that no cofactor tests a level it passed."""
+    def disjoint_pick(self, groups: Sequence[Iterable[str]]) -> tuple[Callable, Callable]:
+        """`pick_sat` of the join F of functions fs[j] over disjoint
+        groups[j] of names (each model of an fs[j] with the other groups'
+        names false), unbuilt: plan(fs) -> p, allocating no node, then
+        pick(p, rng).  No fs[j] may hold where its names are all false
+        (`plan` checks), so F is a chain down its all-false path: at a level
+        of group j the high edge is j's high cofactor with the other groups'
+        later names false, the low edge the chain on with j's low cofactor,
+        until one cofactor (the tail) is left.  A group dies on the chain by
+        a high edge that tests every later name of the others, so F tests
+        every name unless the chain is empty.  `pick` draws a coin per chain
+        level with a high cofactor until one comes up high, then descends
+        that cofactor, or the tail, over its group's later names."""
         sets = [frozenset(map(self.level_of, g)) for g in groups]
         chain = sorted((l, j) for j, s in enumerate(sets) for l in s)
-        levels, owner = [l for l, _ in chain], [j for _, j in chain]
-        if len(set(levels)) != len(levels):
-            raise BddError("disjoint_join groups must be disjoint")
-        n = len(levels)
-        var, lo, hi, mk, and_ = self._var, self._lo, self._hi, self._mk, self._and
-        # none_except[j][i]: every name from position i on false, but group j's
-        none_except = [[TRUE] * (n + 1) for _ in sets]
-        for j, row in enumerate(none_except):
-            for i in range(n - 1, -1, -1):
-                row[i] = row[i + 1] if owner[i] == j else mk(levels[i], row[i + 1], FALSE)
-        # per position its level, its owner and the owner's none cube below it
-        steps = [(l, j, none_except[j][i + 1]) for i, (l, j) in enumerate(chain)]
-        levels.append(self._leaf_level)
+        if len({l for l, _ in chain}) != len(chain):
+            raise BddError("disjoint_pick groups must be disjoint")
+        own = [sorted(s) for s in sets]
+        # per position: its owner's later levels and its name
+        steps = [(own[j][own[j].index(l) + 1:], {self._names[l]}) for l, j in chain]
+        ends = [l for l, _ in chain] + [self._leaf_level]
+        var, lo, hi, names = self._var, self._lo, self._hi, self._names
 
-        def join(fs: Sequence[BddRef]) -> BddRef:
+        def plan(fs: Sequence[BddRef]) -> tuple[list[int], int, int] | None:
             t = [self._node(f) for f in fs]
             if len(t) != len(sets):
-                raise BddError("disjoint_join needs one function per group")
-            live, edges = len(t) - t.count(FALSE), []
-            for lvl, j, rest in steps:
+                raise BddError("disjoint_pick needs one function per group")
+            live, highs = len(t) - t.count(FALSE), []
+            if not live:
+                return None
+            for lvl, j in chain:
                 if live < 2:
                     break
                 h = u = t[j]
@@ -454,21 +456,34 @@ class BddManager:
                     t[j], h = lo[u], hi[u]
                     live -= t[j] == FALSE
                 elif var[u] < lvl:
-                    raise BddError(f"function {j} tests {self._names[var[u]]!r} outside its group")
-                edges.append(and_(h, rest))
-            # live cofactors past the last level are true; a lone one is the rest
-            i = len(edges)
-            r = TRUE if live > 1 else FALSE
+                    raise BddError(f"function {j} tests {names[var[u]]!r} outside its group")
+                highs.append(h)
             for j, u in enumerate(t):
-                if var[u] < levels[i]:
-                    raise BddError(f"function {j} tests {self._names[var[u]]!r} outside its group")
-                if u != FALSE and live == 1:
-                    r = and_(u, none_except[j][i])
-            for lvl, h in zip(reversed(levels[:i]), reversed(edges)):
-                r = mk(lvl, r, h)
-            return self._ref(r)
+                if var[u] < ends[len(highs)]:
+                    raise BddError(f"function {j} tests {names[var[u]]!r} outside its group")
+            if live > 1:
+                raise BddError("two functions hold where every name is false")
+            tail = next(j for j, u in enumerate(t) if u != FALSE)
+            u = t[tail]
+            while u > TRUE:
+                u = lo[u]
+            if u == TRUE:
+                raise BddError(f"function {tail} holds where its names are all false")
+            return highs, tail, t[tail]
 
-        return join
+        def pick(p: tuple[list[int], int, int] | None, rng: random.Random) -> frozenset[str] | None:
+            if p is None:
+                return None
+            highs, j, u = p
+            if not highs:
+                return self.pick_sat(self._ref(u), rng)
+            coin = rng.random
+            for (later, name), h in zip(steps, highs):
+                if h != FALSE and coin() < 0.5:
+                    return self.pick_sat(self._ref(h), rng, later) | name
+            return self.pick_sat(self._ref(u), rng, own[j][bisect_left(own[j], ends[len(highs)]):])
+
+        return plan, pick
 
     # -- cofactor and quantification ----------------------------------
 
@@ -522,7 +537,8 @@ class BddManager:
                 table[key] = r
             return r
 
-        return self._ref(rec(u, v))
+        r, rec = rec(u, v), None
+        return self._ref(r)
 
     def shift(self, f: BddRef) -> BddRef:
         """f with every variable renamed to the next one in the order: a
@@ -540,7 +556,8 @@ class BddManager:
                 r = table[u] = mk(var[u] + 1, rec(lo[u]), rec(hi[u]))
             return r
 
-        return self._ref(rec(self._node(f)))
+        r, rec = rec(self._node(f)), None
+        return self._ref(r)
 
     def maximal(self, f: BddRef, names: Iterable[str]) -> BddRef:
         """The models of f over `names` that no other model of f strictly
@@ -584,7 +601,8 @@ class BddManager:
             return r
 
         u = self._node(f)
-        return self._ref(lift(rec(u), 0, var[u]))
+        r, rec, out = lift(rec(u), 0, var[u]), None, None
+        return self._ref(r)
 
     # -- inspection ----------------------------------------------------
 
@@ -617,7 +635,8 @@ class BddManager:
                 m = masks[u] = 1 << var[u] | rec(lo[u]) | rec(hi[u])
             return m
 
-        return rec(u)
+        m, rec = rec(u), None
+        return m
 
     def _support_levels(self, u: int) -> tuple[int, ...]:
         """The support of u as ascending levels, memoised per root."""
@@ -640,9 +659,10 @@ class BddManager:
             return c
 
         u = self._node(f)
-        return rec(u) << var[u]
+        c, rec = rec(u), None
+        return c << var[u]
 
-    def pick_sat(self, f: BddRef, rng: random.Random) -> frozenset[str] | None:
+    def pick_sat(self, f: BddRef, rng: random.Random, levels: Sequence[int] | None = None) -> frozenset[str] | None:
         """The true variables of one satisfying assignment, or None if f is false.
 
         At each node a non-forced branch is chosen by a fair coin from
@@ -650,6 +670,7 @@ class BddManager:
         randomized, variables outside the support are false.  Coins are
         drawn in level order, one per support level that is not forced,
         so the pick is deterministic in (f, the state of rng, order).
+        `levels`, ascending and covering the support, stand for it if given.
         """
         u = self._node(f)
         if u == FALSE:
@@ -659,7 +680,7 @@ class BddManager:
         out = []
         # every level the descent meets is in the support, so coins are
         # drawn in level order exactly as a walk over all levels would
-        for lvl in self._support_levels(u):
+        for lvl in self._support_levels(u) if levels is None else levels:
             if var[u] == lvl:
                 l, h = lo[u], hi[u]
                 if l == FALSE:

@@ -25,14 +25,16 @@ owners all own ports of another group merges into it (one union-find
 pass finds both).  An interaction and its dominators lie in one group,
 so a component's survivors are the disjoint union of its groups'.  A
 component of two or more groups encodes each group over its owners
-projected onto it (their ports and labels in the group) and joins the
-groups' survivor functions in one pass down the path that sets every
-port false (`BddManager.disjoint_join`); each group keeps a survivor table
-keyed by its owners' states, a state standing for every state of its atom
-that offers the same labels inside the group.  A component of one group
-is its own only group.  Each function is built on first read, and the
-build reads only what a step reads: each group's local behaviors, f_C
-and priority inputs, and the join of a component of several groups.
+projected onto it (their ports and labels in the group); each group keeps
+a survivor table keyed by its owners' states, a state standing for every
+state of its atom that offers the same labels inside the group.  The
+groups' join is never built: the component is live if a group is, counts
+the sum of their counts, and draws the coins of a pick from the join
+with `BddManager.disjoint_pick` over the groups' functions.  A component
+of one group is its own only group.  Each function is built on first
+read, and the build reads only what a step reads: each group's local
+behaviors, f_C and priority inputs, and the group pick of a component of
+several groups.
 
 A group's survivor function at its local state conjoins the
 connectors with the current states' local behaviors, whose conjunction
@@ -55,12 +57,14 @@ excluded(P) = exists P'. dominators(P') & R(P, P'), and the survivor
 function is g & ~excluded.
 
 Each component and each group keeps one survivor table: per local
-state, the survivor function, whether it has a survivor, and its number
-of models over the component's own ports (`sat_count` over every variable, shifted right by
-the variables outside those ports), counted on the first draw among two
-or more live components that needs it.  The tables hold at most the sum
-of the components' local state spaces, not their product.  `survivors`
-(which `check` reads) and the step read the same entries.  The engine
+state, the survivor function (with several groups, the plan of its pick
+and the groups' entries), whether it has a survivor, and its number of
+models over the component's own ports (`sat_count` over every variable,
+shifted right by the variables outside those ports; with several groups,
+the sum of theirs), counted on the first draw among two or more live
+components that needs it.  The tables hold at most the sum of the
+components' local state spaces, not their product.  `survivors` (which
+`check` reads) and the step read the same entries.  The engine
 keeps each component's entry from its last step; a fired interaction lies
 in the drawn component's ports, so the next step re-reads only that
 component's entry.  A step draws a live component weighted by these counts
@@ -76,7 +80,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from . import boolfunc as bf
 from .bdd import BddManager, BddRef, balanced
@@ -295,9 +299,11 @@ class SystemEncoding:
         default=itemgetter(slice(None)), repr=False, compare=False)
     # the component's port groups (this encoding itself if one)
     groups: tuple["SystemEncoding", ...] = field(default=(), repr=False, compare=False)
-    # local state -> [survivor function, whether it has a survivor, its
-    # number of survivors over our ports (None until a draw needs it), this
-    # encoding, which counts them]: the one memo the step and `survivors` read
+    # local state -> [survivor function (with several groups, the plan of
+    # our group pick), whether it has a survivor, its number of survivors
+    # over our ports (None until a draw needs it), this encoding, which
+    # counts them, None (or the groups' entries)]: the one memo the step
+    # and `survivors` read
     survivor_table: dict[GlobalState, list] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -385,22 +391,29 @@ class SystemEncoding:
         return owners, tuple(tuple(sorted(map(self.manager.level_of, atoms[i].ports))) for i in owners)
 
     @cached_property
-    def group_join(self) -> Callable[[Sequence[BddRef]], BddRef]:
-        """The join of the groups' survivor functions, in group order: they
-        mention disjoint ports, which together are ours."""
-        return self.manager.disjoint_join([g.port_names for g in self.groups])
+    def group_pick(self) -> tuple[Callable, Callable]:
+        """The plan and the pick of the join of the groups' survivor
+        functions, in group order: they mention disjoint ports, which
+        together are ours, and none holds where every port is false."""
+        return self.manager.disjoint_pick([g.port_names for g in self.groups])
 
-    def survivor_fn(self, state: GlobalState) -> BddRef:
-        """The survivor function at a local state; a miss enters it in `survivor_table`."""
+    def survivor_fn(self, state: GlobalState) -> BddRef | tuple[BddRef, ...]:
+        """The survivor function at a local state, or with several groups
+        theirs in group order; a miss enters it in `survivor_table`."""
         entry = self.survivor_table.get(state)
         if entry is not None:
-            return entry[0]
+            return entry[0] if entry[4] is None else tuple(e[0] for e in entry[4])
         m = self.manager
         if len(self.groups) > 1:
             # an interaction and every interaction that dominates it share a
             # port, so they lie in one group: the survivors are the disjoint
             # union of the groups' survivors
-            fn = self.group_join([g.survivor_fn(g.local_state(state)) for g in self.groups])
+            keys = [g.local_state(state) for g in self.groups]
+            fns = tuple(g.survivor_fn(key) for g, key in zip(self.groups, keys))
+            entries = [g.survivor_table[key] for g, key in zip(self.groups, keys)]
+            plan = self.group_pick[0](fns)
+            self.survivor_table[state] = [plan, plan is not None, None, self, entries]
+            return fns
         else:
             # each atom's local behavior mentions only its own ports and holds
             # when it is idle, so their conjunction, restrict(f_B, state), can
@@ -418,22 +431,27 @@ class SystemEncoding:
                 dominators = m.and_local(self.dominator_fn, blocks, factors)
                 excluded = m.and_exists(m.shift(dominators), self.pairs_fn, self.primed_names)
                 fn = g & ~excluded
-        self.survivor_table[state] = [fn, fn != m.false, None, self]
+        self.survivor_table[state] = [fn, fn != m.false, None, self, None]
         return fn
 
     def survivor_count(self, entry: list) -> int:
         """A `survivor_table` entry's number of survivors, filled in on the first
         call: its function mentions only our ports, so each other variable
-        doubles its model count."""
+        doubles its model count; with several groups, the sum of theirs."""
         if entry[2] is None:
             m = self.manager
-            entry[2] = m.sat_count(entry[0]) >> (len(m.variables) - len(self.port_names))
+            entry[2] = (m.sat_count(entry[0]) >> (len(m.variables) - len(self.port_names)) if entry[4] is None
+                        else sum(e[3].survivor_count(e) for e in entry[4]))
         return entry[2]
 
     def survivors(self, state: GlobalState) -> frozenset[Interaction]:
-        """The union of the components' model sets at their local states."""
-        return frozenset(a for c in self.components
-                         for a in c.manager.iter_models(c.survivor_fn(c.local_state(state)), c.port_names))
+        """The union of the components' groups' model sets at their local states."""
+        out: list[Interaction] = []
+        for c in self.components:
+            fns = c.survivor_fn(c.local_state(state))
+            for g, fn in zip(c.groups, fns) if len(c.groups) > 1 else [(c, fns)]:
+                out += c.manager.iter_models(fn, g.port_names)
+        return frozenset(out)
 
 
 def _sub_system(system: SystemModel, atoms: tuple[int, ...], ports: frozenset[str]) -> SystemModel:
@@ -489,7 +507,7 @@ def build(system: SystemModel) -> SystemEncoding:
                                    groups=tuple(_group(sub, g, mgr) for g in groups) if len(groups) > 1 else ()))
     for e in encs:  # what a step reads
         if len(e.groups) > 1:
-            e.group_join
+            e.group_pick
         for g in e.groups:
             g.local_behavior, g.connector_fn, g.pairs_fn, g.dominator_fn
     return encs[0] if len(encs) == 1 else SystemEncoding(system, mgr, tuple(encs))
@@ -570,7 +588,8 @@ class SymbolicEngine(Engine):
                 self._cum = list(accumulate(self._weights))
             cum = self._cum  # the draw of `random.Random.choices(live, weights)`
             k = live[bisect(cum, self._rng.random() * cum[-1], 0, len(cum) - 1)]
-        a = self.encoding.manager.pick_sat(entries[k][0], self._rng)
+        e = entries[k]
+        a = self.encoding.manager.pick_sat(e[0], self._rng) if e[4] is None else e[3].group_pick[1](e[0], self._rng)
         self.state = fire(self.system, state, a, self._rng)
         self._fired_to, self._moved = self.state, k
         self.steps_taken += 1

@@ -8,7 +8,9 @@ BDD references keep earlier, simpler versions of library routines, and
 the kernel operations that only tests need (`evaluate`, `support`, and
 `ite`, built from and/or/not as the kernel builds xor and implies).  One
 seeded system family (`hub_system`) gives components of several port
-groups, which the random generator almost never makes.
+groups, which the random generator almost never makes; the engine never
+builds such a component's survivor function, which `joined_survivor_fn`
+builds from its groups' functions.
 """
 
 import random
@@ -18,7 +20,7 @@ from portsync.causal import causal_rules, rules_to_formula, tau
 from portsync.connectors import Factor, fusion, interaction_key, interactions_of, support as term_support
 from portsync.generators import random_monomial_term
 from portsync.model import AtomicBehavior, Connector, ExplicitPairs, MaximalProgress, SystemModel, Transition
-from portsync.symbolic import _expr_bdd, prime
+from portsync.symbolic import _expr_bdd, prime, union_join
 
 
 def all_states(system):
@@ -257,3 +259,14 @@ def whole_survivor_fn(enc, state):
     if enc.pairs_fn == m.false:
         return g
     return g & ~m.and_exists(m.shift(active & enc.dominator_fn), enc.pairs_fn, enc.primed_names)
+
+
+def joined_survivor_fn(enc, state):
+    """An encoding's survivor function at its local state as one function:
+    with several port groups, the union-join of the groups' functions over
+    the encoding's ports, which the engine picks from and counts without
+    building it."""
+    fn = enc.survivor_fn(state)
+    if len(enc.groups) == 1:
+        return fn
+    return union_join(((g.port_names, f) for g, f in zip(enc.groups, fn)), enc.port_names, enc.manager)

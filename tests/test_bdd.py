@@ -316,7 +316,7 @@ class TestAndLocal:
             mgr.and_local(f, [(0, 1), (3, 4)], [g, mgr.true])
 
 
-class TestDisjointJoin:
+class TestDisjointPick:
     # groups of names interleaved with each other and with levels outside
     # every group, as a component's port groups interleave in the order
     ORDER = [f"v{i}" for i in range(10)]
@@ -329,51 +329,76 @@ class TestDisjointJoin:
         return [[n for n, j in zip(names, owner) if j == g] for g in range(k)]
 
     def random_member(self, mgr, rng, group):
-        roll = rng.random()
-        if roll < 0.1:
+        # false, or a function that rejects the valuation setting every
+        # name of the group false; it may skip some of the group's levels
+        if rng.random() < 0.15:
             return mgr.false
-        if roll < 0.2:
-            return mgr.true  # tests none of its names
-        f = random_fn(mgr, rng, group)
-        if roll < 0.45:  # accepts the valuation that sets every name false
-            f = f | mgr.cube(dict.fromkeys(group, False))
-        return f
+        return random_fn(mgr, rng, group) & ~mgr.cube(dict.fromkeys(group, False))
 
-    def test_equals_the_union_join_fold(self):
-        # the node of the fold, and every node the join allocates lies in it
+    def test_picks_what_pick_sat_of_the_join_picks(self):
+        # the same pick and the same generator state after it as pick_sat
+        # of the union-join, and a plan allocates no node
         mgr = BddManager(self.ORDER)
         rng = random.Random(53)
-        singles = 0
+        singles = skips = picks = 0
         for _ in range(300):
             groups = self.random_groups(rng)
             singles += len(groups) == 1
-            join = mgr.disjoint_join(groups)
+            plan, pick = mgr.disjoint_pick(groups)
             for _ in range(3):
                 fs = [self.random_member(mgr, rng, g) for g in groups]
-                before = mgr.total_nodes() + 2  # the first id a new node takes
-                F = join(fs)
-                assert set(range(before, mgr.total_nodes() + 2)) <= mgr._reachable(F.node)
-                assert F == union_join(zip(groups, fs), [n for g in groups for n in g], mgr)
-        assert singles > 10
+                skips += any(f != mgr.false and set(g) - support(f) for g, f in zip(groups, fs))
+                before = mgr.total_nodes()
+                p = plan(fs)
+                assert mgr.total_nodes() == before
+                F = union_join(zip(groups, fs), [n for g in groups for n in g], mgr)
+                for seed in range(4):
+                    ours, ref = random.Random(seed), random.Random(seed)
+                    assert pick(p, ours) == mgr.pick_sat(F, ref)
+                    assert ours.random() == ref.random()
+                    picks += F != mgr.false
+        assert singles > 10 and skips > 100 and picks > 1500
         mgr.audit()
 
     def test_a_function_outside_its_group_is_refused(self):
         mgr = BddManager(["x", "a", "b", "c", "d", "y"])
         v = {n: mgr.var(n) for n in mgr.variables}
-        join = mgr.disjoint_join([["a", "c"], ["b", "d"]])
-        assert join([v["a"] | v["c"], v["d"]]) == (v["a"] | v["c"]) & ~v["b"] & ~v["d"] | ~v["a"] & ~v["c"] & v["d"]
+        plan, pick = mgr.disjoint_pick([["a", "c"], ["b", "d"]])
+        F = (v["a"] | v["c"]) & ~v["b"] & ~v["d"] | ~v["a"] & ~v["c"] & v["d"]
+        for seed in range(8):
+            assert pick(plan([v["a"] | v["c"], v["d"]]), random.Random(seed)) == mgr.pick_sat(F, random.Random(seed))
         with pytest.raises(BddError, match=r"function 0 tests 'b' outside its group"):
-            join([v["b"], v["d"]])  # a level of the other group
+            plan([v["b"], v["d"]])  # a level of the other group
         with pytest.raises(BddError, match=r"function 1 tests 'x' outside its group"):
-            join([v["a"], v["x"] & v["d"]])  # a level of no group, met after the walk stops
+            plan([v["a"], v["x"] & v["d"]])  # a level of no group, met after the walk stops
         with pytest.raises(BddError, match=r"function 1 tests 'x' outside its group"):
-            join([mgr.true, v["x"]])  # met at the group's next level
-        with pytest.raises(BddError, match=r"function 1 tests 'y' outside its group"):
-            join([mgr.true, v["y"]])  # below every level of a group
+            plan([v["c"], v["x"]])  # met at the group's next level
+        p = plan([v["a"] & v["c"], v["b"] & v["y"]])  # below every level of a group: the tail's descent meets it
+        with pytest.raises(BddError, match="did not reach the true terminal"):
+            for seed in range(8):
+                pick(p, random.Random(seed))
         with pytest.raises(BddError, match="one function per group"):
-            join([v["a"]])
+            plan([v["a"]])
         with pytest.raises(BddError, match="must be disjoint"):
-            mgr.disjoint_join([["a", "b"], ["b"]])
+            mgr.disjoint_pick([["a", "b"], ["b"]])
+
+    def test_a_function_that_accepts_all_false_is_refused(self):
+        mgr = BddManager(["a", "b", "c", "d"])
+        v = {n: mgr.var(n) for n in mgr.variables}
+        plan, _ = mgr.disjoint_pick([["a", "c"], ["b", "d"]])
+        with pytest.raises(BddError, match="two functions hold"):
+            plan([mgr.true, mgr.true])  # both live past the last level
+        with pytest.raises(BddError, match="two functions hold"):
+            plan([~v["a"], v["b"] | ~v["d"]])
+        with pytest.raises(BddError, match="function 0 holds"):
+            plan([mgr.true, v["b"]])  # the tail, after the other dies on the chain
+        with pytest.raises(BddError, match="function 1 holds"):
+            plan([mgr.false, v["b"] | ~v["d"]])  # the tail of an empty chain
+        assert plan([mgr.false, mgr.false]) is None
+        plan, pick = mgr.disjoint_pick([["a", "b", "c", "d"]])
+        with pytest.raises(BddError, match="function 0 holds"):
+            plan([~v["a"]])
+        assert pick(plan([mgr.false]), random.Random(0)) is None
 
 
 class TestPackedKeys:

@@ -1,5 +1,6 @@
 """Boolean encoding and the symbolic engine."""
 
+import gc
 import operator
 import os
 import random
@@ -44,8 +45,8 @@ from portsync.symbolic import (
 from portsync.connectors import support
 from portsync.equivalence import check_equivalence
 
-from oracles import (active_fn, all_states, hub_system, oracle_survivors, reference_connector_fn, reference_pick_sat,
-                     reference_priority_pairs, skipped_levels, transfer, whole_survivor_fn)
+from oracles import (active_fn, all_states, hub_system, joined_survivor_fn, oracle_survivors, reference_connector_fn,
+                     reference_pick_sat, reference_priority_pairs, skipped_levels, transfer, whole_survivor_fn)
 
 
 def _pairs_written_out(sysm):
@@ -126,7 +127,7 @@ def test_node_counts_are_pinned():
 def test_build_leaves_what_no_step_reads_unbuilt():
     # the build reads what a step reads: each port group's local behaviors,
     # f_C and priority inputs (a component of one group is its own group),
-    # and the join of a component of several groups; f_B, f_S, the own
+    # and the group pick of a component of several groups; f_B, f_S, the own
     # functions of a component of several groups and, with several
     # components, the system-level functions wait for a reader
     bus, tasks = gen_bus(3), gen_tasks(3, 2)
@@ -140,7 +141,7 @@ def test_build_leaves_what_no_step_reads_unbuilt():
                 assert not {"behavior_fn", "system_fn"} & set(vars(g))
             if len(c.groups) > 1:
                 joined += 1
-                assert "group_join" in vars(c)
+                assert "group_pick" in vars(c)
                 assert not {"local_behavior", "connector_fn", "pairs_fn", "dominator_fn"} & set(vars(c))
         if len(enc.components) > 1:
             assert not {"local_behavior", "connector_fn", "pairs_fn", "dominator_fn"} & set(vars(enc))
@@ -201,10 +202,12 @@ def test_enabled_fn_matches_restricted_system_fn():
             asg = enc.state_assignment(state)
             assert active_fn(enc, state) == m.restrict_many(enc.behavior_fn, asg)
             assert active_fn(enc, state) & enc.connector_fn == m.restrict_many(enc.system_fn, asg)
-            fn = enc.survivor_fn(state)
-            assert enc.survivor_fn(state) is fn is enc.survivor_table[state][0]
-            fresh.survivor_table.clear()
-            assert transfer(fresh.survivor_fn(state), m) == fn
+            fns, entry = enc.survivor_fn(state), enc.survivor_table[state]
+            kept = entry[0] if entry[4] is None else tuple(e[0] for e in entry[4])  # several groups: theirs
+            assert enc.survivor_fn(state) == fns == kept
+            for g in (fresh, *fresh.groups):
+                g.survivor_table.clear()
+            assert transfer(joined_survivor_fn(fresh, state), m) == joined_survivor_fn(enc, state)
 
 
 def _with_portless_atom(sysm):
@@ -249,7 +252,7 @@ def test_local_conjunction_is_the_folded_one():
                 active = active_fn(c, key)
                 for f in (c.connector_fn, c.dominator_fn):
                     assert m.and_local(f, blocks, factors) == active & f
-            assert frozenset(m.iter_models(enc.survivor_fn(state), enc.port_names)) == \
+            assert frozenset(m.iter_models(joined_survivor_fn(enc, state), enc.port_names)) == \
                 oracle_survivors(sysm, state) == enc.survivors(state)
     assert outside >= 1 and portless >= 2
 
@@ -264,7 +267,8 @@ def test_portless_atom_steps_and_checks():
 
 def test_survivor_table_counts_models_over_component_ports():
     # the count the step draws components by is the number of models over
-    # the component's own ports, on one- and multi-component systems alike
+    # the component's own ports, on one- and multi-component systems alike;
+    # a component of several groups keeps its groups' entries and sums them
     bus = gen_bus(3)
     randoms = [r for r in map(random_system, range(60)) if len(components(r)) > 1]
     for sysm in (bus, _pairs_written_out(bus), gen_tasks(3, 2), *randoms):
@@ -272,10 +276,14 @@ def test_survivor_table_counts_models_over_component_ports():
         for state in reachable(sysm, bound=300).states:
             for c in enc.components:
                 key = c.local_state(state)
-                fn = c.survivor_fn(key)
+                fn = joined_survivor_fn(c, key)
                 entry = c.survivor_table[key]
                 n = len(list(c.manager.iter_models(fn, c.port_names)))
-                assert entry[:2] == [fn, n > 0] and entry[3] is c
+                if entry[4] is None:
+                    assert entry[0] == fn
+                else:
+                    assert all(map(operator.is_, entry[4], (g.survivor_table[g.local_state(key)] for g in c.groups)))
+                assert entry[1] == (n > 0) and entry[3] is c
                 assert c.survivor_count(entry) == n and entry[2] == n
 
 
@@ -284,7 +292,7 @@ def test_pick_matches_reference_on_survivor_functions():
         enc = build(sysm)
         m = enc.manager
         for state in reachable(sysm, bound=300).states:
-            fn = enc.survivor_fn(state)
+            fn = joined_survivor_fn(enc, state)
             for seed in range(8):
                 ours, ref = random.Random(seed), random.Random(seed)
                 assert m.pick_sat(fn, ours) == reference_pick_sat(m, fn, ref)
@@ -305,9 +313,9 @@ def test_maxprog_survivor_fn_equals_materialized_pairs():
         enc = build(sysm)
         explicit = build(SystemModel(sysm.name, sysm.atoms, sysm.connectors, ExplicitPairs(pairs)))
         for state in reachable(sysm, bound=300).states:
-            fn = enc.survivor_fn(state)
+            fn = joined_survivor_fn(enc, state)
             skipping += bool(skipped_levels(active_fn(enc, state) & enc.connector_fn, enc.port_names))
-            assert transfer(explicit.survivor_fn(state), enc.manager) == fn
+            assert transfer(joined_survivor_fn(explicit, state), enc.manager) == fn
             assert frozenset(enc.manager.iter_models(fn, enc.port_names)) == survivors(sysm, state)
     assert skipping > 0
 
@@ -413,9 +421,9 @@ def test_group_key_shares_states_that_offer_the_same_labels():
 
 
 def test_group_join_is_the_whole_component_function():
-    # a component of several port groups joins its groups' survivor
-    # functions: the node is the one the whole component gives, at every
-    # reachable state (every state of the small random systems)
+    # the union-join of a component's port groups' survivor functions is
+    # the node the whole component gives, at every reachable state (every
+    # state of the small random systems)
     bounds = RandomBounds(max_atoms=5, max_ports=4)
     randoms = [r for r in (random_system(seed, bounds) for seed in range(1500))
                if any(len(c) > 1 for c in port_groups(r))]
@@ -433,32 +441,79 @@ def test_group_join_is_the_whole_component_function():
         for state in states:
             for c in enc.components:
                 key = c.local_state(state)
-                assert c.survivor_fn(key) == whole_survivor_fn(c, key)
+                assert joined_survivor_fn(c, key) == whole_survivor_fn(c, key)
             assert enc.survivors(state) == survivors(sysm, state)
     assert joined >= 6 + len(randoms)
     assert hubs_joined >= 20
 
 
-def test_a_group_join_allocates_only_nodes_of_its_result():
-    # the join is built down the path that sets every port false: each node
-    # it allocates lies in the joined function, where a fold of widened
-    # functions would leave its intermediates behind
-    joins = 0
+def test_group_pick_is_pick_sat_of_the_join():
+    # the engine picks from a component of several groups the interaction
+    # pick_sat picks from the union-join of its groups' functions, and leaves
+    # the generator where pick_sat leaves it
+    hubs = [hub_system(seed) for seed in range(40)]
+    cases = [(s, reachable(s, bound=2000).states) for s in (gen_tasks(3, 2), gen_tasks(4, 2))]
+    cases += [(h, all_states(h)) for h in hubs]
+    picks = 0
+    for sysm, states in cases:
+        eng = SymbolicEngine(sysm)
+        (c,) = eng.encoding.components  # tasks and hubs are one component each
+        if len(c.groups) == 1:
+            continue
+        m, pick = c.manager, c.group_pick[1]
+        for state in states:
+            F, entry = joined_survivor_fn(c, state), c.survivor_table[state]
+            for seed in range(3):
+                ours, ref = random.Random(seed), random.Random(seed)
+                assert pick(entry[0], ours) == m.pick_sat(F, ref)
+                assert ours.getstate() == ref.getstate()
+                eng.state, ref = state, random.Random(seed)
+                eng._rng.seed(seed)
+                result = eng.step()
+                assert (result and result[0]) == m.pick_sat(F, ref)
+                picks += result is not None
+    assert picks > 1500
+
+
+def test_a_component_miss_whose_groups_hit_allocates_no_node():
+    # the engine never builds a component's join: once every group of the
+    # component has an entry at the new state, the component's miss only
+    # plans its pick
+    misses = 0
     for sysm in (gen_tasks(4, 2), gen_tasks(8, 4)):
         engine = SymbolicEngine(sysm, seed=3)
         m = engine.encoding.manager
         for c in engine.encoding.components:
             if len(c.groups) > 1:
-                def checked(fs, join=c.group_join, m=m):
-                    nonlocal joins
-                    before = m.total_nodes() + 2  # the first id a new node takes
-                    F = join(fs)
-                    assert set(range(before, m.total_nodes() + 2)) <= m._reachable(F.node)
-                    joins += 1
-                    return F
-                c.group_join = checked
-        engine.run(200)
-    assert joins > 100
+                def checked(state, c=c, fill=c.survivor_fn):
+                    nonlocal misses
+                    if state not in c.survivor_table and all(g.local_state(state) in g.survivor_table
+                                                             for g in c.groups):
+                        before = m.total_nodes()
+                        fill(state)
+                        assert m.total_nodes() == before
+                        misses += 1
+                    return fill(state)
+                c.survivor_fn = checked
+        engine.run(3000)
+    assert misses > 100
+
+
+def test_steps_leave_no_reference_cycles():
+    # the kernel's per-call recursions are closures that refer to
+    # themselves; each is cleared before its call returns, so stepping
+    # leaves nothing for the cycle collector
+    tasks = gen_tasks(4, 2)
+    for sysm in (tasks, gen_bus(4), _pairs_written_out(tasks)):
+        engine = SymbolicEngine(sysm, seed=1)
+        engine.step()
+        gc.collect()
+        gc.disable()
+        try:
+            engine.run(300)
+            assert gc.collect() == 0, sysm.name
+        finally:
+            gc.enable()
 
 
 def test_component_survivors_match_system():
