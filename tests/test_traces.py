@@ -9,9 +9,10 @@ import hashlib
 
 import pytest
 
+from portsync.connectors import Factor, Fusion, PortLeaf
 from portsync.enumerative import EnumEngine
 from portsync.generators import gen_bus, gen_tasks
-from portsync.model import ExplicitPairs, SystemModel, effective_pairs
+from portsync.model import AtomicBehavior, Connector, ExplicitPairs, SystemModel, Transition, effective_pairs
 from portsync.symbolic import SymbolicEngine
 
 
@@ -20,10 +21,35 @@ def _tasks_pairs(n, m):
     return SystemModel(s.name, s.atoms, s.connectors, ExplicitPairs(effective_pairs(s.priority, s.gamma)))
 
 
+def _renamed(s, tag):
+    """s with every atom, port and connector name prefixed by `tag`."""
+    def term(t):
+        if isinstance(t, PortLeaf):
+            return PortLeaf(tag + t.port)
+        if isinstance(t, Fusion):
+            return Fusion(tuple(Factor(term(f.term), f.trigger) for f in t.factors))
+        return t
+
+    atoms = tuple(AtomicBehavior(tag + a.name, a.states, a.init, tuple(tag + p for p in a.ports),
+                                 tuple(Transition(t.source, frozenset(tag + p for p in t.label), t.target)
+                                       for t in a.transitions))
+                  for a in s.atoms)
+    return SystemModel(tag + s.name, atoms, tuple(Connector(tag + c.name, term(c.term)) for c in s.connectors),
+                       s.priority)
+
+
+def _tasks_twice(n, m):
+    # two independent tasks systems: a draw among two components, each of
+    # m port groups, then a pick inside the drawn one
+    a, b = _renamed(gen_tasks(n, m), "x"), _renamed(gen_tasks(n, m), "y")
+    return SystemModel(f"tasks{n}x{m}_twice", a.atoms + b.atoms, a.connectors + b.connectors, a.priority)
+
+
 CASES = {
     "tasks8x4": (lambda: gen_tasks(8, 4), 200),
     "bus16": (lambda: gen_bus(16), 500),
     "tasks8x2-pairs": (lambda: _tasks_pairs(8, 2), 400),
+    "tasks3x2-twice": (lambda: _tasks_twice(3, 2), 400),
 }
 
 # sha256 of the fired interactions, one line per step of sorted ports
@@ -40,6 +66,10 @@ PINNED = {
     ("tasks8x2-pairs", "enum", 7): "70bb404b5de8d5924c3a72a19fd21ffc01774a4e4c3370fc1d44d3f3019579c8",
     ("tasks8x2-pairs", "sym", 1): "f8143c970bf84b7c5487a823b72cb1fe410d46da4d9d25287d2465ac03dee66a",
     ("tasks8x2-pairs", "sym", 7): "45411130bb3d067bff58a338f5d97ae477919562dd51ba496af694e9123c4206",
+    ("tasks3x2-twice", "enum", 1): "28bcee7cd5aa0f264b535d4a5927840ef114e82edefdb4a0ca490929592f8b19",
+    ("tasks3x2-twice", "enum", 7): "e3539531707a828eac4380947a6b078dc779de80e43592acd6e40b0d58a5d0d8",
+    ("tasks3x2-twice", "sym", 1): "e33513ee8114c8a57971ff0991cbbe751b82e11a2a2a5c22c65a7526b17e65e5",
+    ("tasks3x2-twice", "sym", 7): "996816be4e3f083b58114508af796e94dca7895366effacad37761c42ec03d13",
 }
 
 
