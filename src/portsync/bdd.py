@@ -11,11 +11,12 @@ connective (xor, implies), a cofactor is the relational product
 function with the assignment's cube, and `balanced` folds every n-ary
 join.  Besides these the manager computes a conjunction with factors
 over disjoint blocks of levels (`and_local`, for the survivor function),
-the pick of the join of functions over disjoint groups of names, read
-from the groups' functions down their all-false path without building
-the join (`disjoint_pick`, for port groups), maximal models (`maximal`,
-for maximal progress) and a one-level `shift`, for explicit priority
-pairs, and model counts, picks and model sets for the engines.
+the pick of the join of functions over disjoint groups of names, which
+walks the groups' functions down the join's all-false path as it draws
+its coins and never builds the join (`disjoint_pick`, for port groups),
+maximal models (`maximal`, for maximal progress) and a one-level
+`shift`, for explicit priority pairs, and model counts, picks and model
+sets for the engines.
 Operations that only tests need (evaluation along a path, support names,
 a three-operand `ite`) live with the tests' oracles.  A per-call
 recursive closure drops its name on return, leaving no cycle to collect.
@@ -418,72 +419,71 @@ class BddManager:
         if g == FALSE:
             raise BddError(f"factor {j} is false where its block is all false")
 
-    def disjoint_pick(self, groups: Sequence[Iterable[str]]) -> tuple[Callable, Callable]:
+    def disjoint_pick(self, groups: Sequence[Iterable[str]]) -> Callable:
         """`pick_sat` of the join F of functions fs[j] over disjoint
         groups[j] of names (each model of an fs[j] with the other groups'
-        names false), unbuilt: plan(fs) -> p, allocating no node, then
-        pick(p, rng).  No fs[j] may hold where its names are all false
-        (`plan` checks), so F is a chain down its all-false path: at a level
-        of group j the high edge is j's high cofactor with the other groups'
-        later names false, the low edge the chain on with j's low cofactor,
-        until one cofactor (the tail) is left.  A group dies on the chain by
-        a high edge that tests every later name of the others, so F tests
-        every name unless the chain is empty.  `pick` draws a coin per chain
-        level with a high cofactor until one comes up high, then descends
-        that cofactor, or the tail, over its group's later names."""
+        names false), unbuilt: pick(fs, rng) allocates no node.  No fs[j]
+        may hold where its names are all false, so F is a chain down its
+        all-false path: at a level of group j the high edge is j's high
+        cofactor with the other groups' later names false, the low edge the
+        chain on with j's low cofactor, until one cofactor (the tail) is
+        left.  A group dies on the chain by a high edge that tests every
+        later name of the others, so F tests every name unless the chain is
+        empty.  The pick walks the chain, keeping each group's cofactor and
+        the number of groups still live, and draws a coin at each level
+        whose high cofactor is not false; on the first high coin it descends
+        that cofactor over its group's later names.  Once one group is left
+        it descends the tail over its group's names from there, or over the
+        tail's support if the walk stopped at once.  What the walk meets is
+        checked: a level outside its group, two functions live past the
+        chain, a tail that holds where its names are all false."""
         sets = [frozenset(map(self.level_of, g)) for g in groups]
         chain = sorted((l, j) for j, s in enumerate(sets) for l in s)
         if len({l for l, _ in chain}) != len(chain):
             raise BddError("disjoint_pick groups must be disjoint")
         own = [sorted(s) for s in sets]
-        # per position: its owner's later levels and its name
-        steps = [(own[j][own[j].index(l) + 1:], {self._names[l]}) for l, j in chain]
+        # per position: its level, its owner, the owner's later levels and its name
+        steps = [(l, j, own[j][own[j].index(l) + 1:], {self._names[l]}) for l, j in chain]
         ends = [l for l, _ in chain] + [self._leaf_level]
-        var, lo, hi, names = self._var, self._lo, self._hi, self._names
+        var, lo, hi, names, ref, pick_sat = self._var, self._lo, self._hi, self._names, self._ref, self.pick_sat
 
-        def plan(fs: Sequence[BddRef]) -> tuple[list[int], int, int] | None:
+        def outside(j: int, u: int) -> BddError:
+            return BddError(f"function {j} tests {names[var[u]]!r} outside its group")
+
+        def pick(fs: Sequence[BddRef], rng: random.Random) -> frozenset[str] | None:
             t = [self._node(f) for f in fs]
             if len(t) != len(sets):
                 raise BddError("disjoint_pick needs one function per group")
-            live, highs = len(t) - t.count(FALSE), []
+            live = len(t) - t.count(FALSE)
             if not live:
                 return None
-            for lvl, j in chain:
+            coin, n = rng.random, 0
+            for lvl, j, later, name in steps:
                 if live < 2:
                     break
+                n += 1
                 h = u = t[j]
                 if var[u] == lvl:
                     t[j], h = lo[u], hi[u]
                     live -= t[j] == FALSE
                 elif var[u] < lvl:
-                    raise BddError(f"function {j} tests {names[var[u]]!r} outside its group")
-                highs.append(h)
+                    raise outside(j, u)
+                if h != FALSE and coin() < 0.5:
+                    return pick_sat(ref(h), rng, later) | name
             for j, u in enumerate(t):
-                if var[u] < ends[len(highs)]:
-                    raise BddError(f"function {j} tests {names[var[u]]!r} outside its group")
+                if var[u] < ends[n]:
+                    raise outside(j, u)
             if live > 1:
                 raise BddError("two functions hold where every name is false")
-            tail = next(j for j, u in enumerate(t) if u != FALSE)
-            u = t[tail]
+            j = next(j for j, u in enumerate(t) if u != FALSE)
+            u = t[j]
             while u > TRUE:
                 u = lo[u]
             if u == TRUE:
-                raise BddError(f"function {tail} holds where its names are all false")
-            return highs, tail, t[tail]
+                raise BddError(f"function {j} holds where its names are all false")
+            return pick_sat(ref(t[j]), rng, own[j][bisect_left(own[j], ends[n]):] if n else None)
 
-        def pick(p: tuple[list[int], int, int] | None, rng: random.Random) -> frozenset[str] | None:
-            if p is None:
-                return None
-            highs, j, u = p
-            if not highs:
-                return self.pick_sat(self._ref(u), rng)
-            coin = rng.random
-            for (later, name), h in zip(steps, highs):
-                if h != FALSE and coin() < 0.5:
-                    return self.pick_sat(self._ref(h), rng, later) | name
-            return self.pick_sat(self._ref(u), rng, own[j][bisect_left(own[j], ends[len(highs)]):])
-
-        return plan, pick
+        return pick
 
     # -- cofactor and quantification ----------------------------------
 

@@ -17,24 +17,22 @@ of each port for priorities):
   relation, is built only to report `fp_nodes`.
 
 Atoms linked by a connector or an explicit priority pair form one
-independent component, encoded on its own over its own ports in the
-shared manager (a system of one component is its own only component).
-A component is split into port groups: ports linked by a connector's
-support, an explicit pair or one transition label, where a group whose
-owners all own ports of another group merges into it (one union-find
-pass finds both).  An interaction and its dominators lie in one group,
-so a component's survivors are the disjoint union of its groups'.  A
-component of two or more groups encodes each group over its owners
-projected onto it (their ports and labels in the group); each group keeps
-a survivor table keyed by its owners' states, a state standing for every
-state of its atom that offers the same labels inside the group.  The
-groups' join is never built: the component is live if a group is, counts
-the sum of their counts, and draws the coins of a pick from the join
-with `BddManager.disjoint_pick` over the groups' functions.  A component
-of one group is its own only group.  Each function is built on first
-read, and the build reads only what a step reads: each group's local
-behaviors, f_C and priority inputs, and the group pick of a component of
-several groups.
+independent component (`Component`), which is split into port groups:
+ports linked by a connector's support, an explicit pair or one transition
+label, where a group whose owners all own ports of another group merges
+into it (one union-find pass finds both).  Each group is encoded on its
+own in the shared manager, over its owners projected onto it (their
+ports and labels in the group), and keeps a survivor table keyed by its
+owners' states read out of the system state, a state standing for every
+state of its atom that offers the same labels inside the group.  An
+interaction and its dominators lie in one group, so a component's
+survivors are the disjoint union of its groups'.  Their join is never
+built: a component is live if a group is, counts the sum of their
+counts, and picks from its groups' functions the interaction `pick_sat`
+picks from the join (`BddManager.disjoint_pick`; with one group,
+`pick_sat` of its function).  Each function is built on first read, and
+the build reads only what a step reads: each group's local behaviors,
+f_C and priority inputs.
 
 A group's survivor function at its local state conjoins the
 connectors with the current states' local behaviors, whose conjunction
@@ -56,21 +54,22 @@ the dominated set is the relational product
 excluded(P) = exists P'. dominators(P') & R(P, P'), and the survivor
 function is g & ~excluded.
 
-Each component and each group keeps one survivor table: per local
-state, the survivor function (with several groups, the plan of its pick
-and the groups' entries), whether it has a survivor, and its number of
-models over the component's own ports (`sat_count` over every variable,
-shifted right by the variables outside those ports; with several groups,
-the sum of theirs), counted on the first draw among two or more live
-components that needs it.  The tables hold at most the sum of the
-components' local state spaces, not their product.  `survivors` (which
-`check` reads) and the step read the same entries.  The engine
-keeps each component's entry from its last step; a fired interaction lies
-in the drawn component's ports, so the next step re-reads only that
-component's entry.  A step draws a live component weighted by these counts
-(with one live component there is no draw), and picks one of its
-satisfying valuations with coins from the engine's own generator.  No
-primed behavior, primed connectors or pool-sized priority function is built.
+Each group keeps one survivor table: per key, the survivor function,
+whether it has a survivor, and its number of models over the group's own
+ports (`sat_count` over every variable, shifted right by the variables
+outside those ports).  Each component keeps one too, keyed by its atoms'
+states: its groups' functions, whether one has a survivor, the sum of
+their counts and the groups' entries.  A count is filled in on the first
+draw among two or more live components that needs it.  The tables hold
+at most the sum of the components' local state spaces, not their
+product.  `survivors` (which `check` reads) and the step read the same
+group entries.  The engine keeps each component's entry from its last
+step; a fired interaction lies in the drawn component's ports, so the
+next step re-reads only that component's entry.  A step draws a live
+component weighted by these counts (with one live component there is no
+draw), and picks one of its satisfying valuations with coins from the
+engine's own generator.  No primed behavior, primed connectors or
+pool-sized priority function is built.
 """
 
 from __future__ import annotations
@@ -129,12 +128,13 @@ def _partition(system: SystemModel) -> list[tuple[tuple[int, ...], tuple[tuple[s
     """Each independent component's atom indices and port groups, in atom
     and port order, from one union-find pass over the ports.  Ports are
     linked by a connector's support, by both sides of an explicit effective
-    pair and by one transition label; the atoms that own ports of one group
+    pair and by one transition label.  A group whose owners all own ports
+    of another group merges into that group: every change of its key
+    changes the larger group's key too, so on its own it would only add a
+    table read to each miss.  The atoms that own ports of one kept group
     form one component (maximal progress links nothing: a dominated
-    interaction lies inside its dominator's connector).  A group whose
-    owners all own ports of another group merges into that group: every
-    change of its key changes the larger group's key too, so on its own it
-    would save no miss and add a join to each."""
+    interaction lies inside its dominator's connector); a merged group
+    shares atoms with the group it merges into, so both are in one."""
     ports, owner = system.all_ports, system.port_owner
     at = {p: k for k, p in enumerate(ports)}
     parent = list(range(len(ports)))  # each root is the least port of its group
@@ -157,32 +157,28 @@ def _partition(system: SystemModel) -> list[tuple[tuple[int, ...], tuple[tuple[s
     groups: dict[int, list[str]] = {}
     for k, p in enumerate(ports):
         groups.setdefault(find(k), []).append(p)
-    # atoms joined by a group, each labelled with the least atom of its component
-    label = list(range(len(system.atoms)))
-    for group in groups.values():
-        joined = {label[owner[p]] for p in group}
-        if len(joined) > 1:
-            label = [min(joined) if k in joined else k for k in label]
-    # per component its atoms and its kept groups' owners and ports; a group
-    # is never below one of another component, and it is met after every
-    # group that has more owners
-    comps: dict[int, tuple[list[int], list[tuple[frozenset[int], list[str]]]]] = {
-        c: ([], []) for c in dict.fromkeys(label)}
-    for i, c in enumerate(label):
-        comps[c][0].append(i)
+    # the kept groups' owners and ports; a group is met after every group
+    # that has more owners
+    kept: list[tuple[frozenset[int], list[str]]] = []
     for owners, group in sorted(((frozenset(owner[p] for p in g), g) for g in groups.values()),
                                 key=lambda og: -len(og[0])):
-        kept = comps[label[owner[group[0]]]][1]
         into = next((k for k in kept if owners <= k[0]), None)
         if into is None:
             kept.append((owners, group))
         else:
             into[1].extend(group)
-    parts = []
-    for atoms, kept in comps.values():
-        merged = sorted((sorted(g, key=at.__getitem__) for _, g in kept), key=lambda g: at[g[0]])
-        parts.append((tuple(atoms), tuple(map(tuple, merged))))
-    return parts
+    # atoms joined by a kept group, each labelled with the least atom of its component
+    label = list(range(len(system.atoms)))
+    for owners, _ in kept:
+        joined = {label[i] for i in owners}
+        if len(joined) > 1:
+            label = [min(joined) if k in joined else k for k in label]
+    parts: dict[int, tuple[list[int], list[tuple[str, ...]]]] = {c: ([], []) for c in dict.fromkeys(label)}
+    for i, c in enumerate(label):
+        parts[c][0].append(i)
+    for group in sorted((sorted(g, key=at.__getitem__) for _, g in kept), key=lambda g: at[g[0]]):
+        parts[label[owner[group[0]]]][1].append(tuple(group))
+    return [(tuple(atoms), tuple(kept)) for atoms, kept in parts.values()]
 
 
 def components(system: SystemModel) -> tuple[tuple[int, ...], ...]:
@@ -289,32 +285,22 @@ def encode_strict_subset(ports: tuple[str, ...], mgr: BddManager) -> BddRef:
 
 @dataclass
 class SystemEncoding:
+    """A (sub-)system's functions; the whole system's encoding also holds
+    its independent components, and a port group's is read by the step."""
     system: SystemModel
     manager: BddManager
-    # the independent components (this encoding itself if one), and how
-    # an encoding reads its own atoms' states out of a system state (a
-    # group: out of its component's local state, as its key)
-    components: tuple["SystemEncoding", ...] = field(default=(), repr=False, compare=False)
+    # the whole system's independent components, and how an encoding reads
+    # its own atoms' states out of a system state (a group: its key)
+    components: tuple["Component", ...] = field(default=(), repr=False, compare=False)
     local_state: Callable[[GlobalState], GlobalState] = field(
         default=itemgetter(slice(None)), repr=False, compare=False)
-    # the component's port groups (this encoding itself if one)
-    groups: tuple["SystemEncoding", ...] = field(default=(), repr=False, compare=False)
-    # local state -> [survivor function (with several groups, the plan of
-    # our group pick), whether it has a survivor, its number of survivors
-    # over our ports (None until a draw needs it), this encoding, which
-    # counts them, None (or the groups' entries)]: the one memo the step
-    # and `survivors` read
+    # local state -> [survivor function, whether it has a survivor, its
+    # number of survivors over our ports (None until a draw needs it)]
     survivor_table: dict[GlobalState, list] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if not self.components:
-            self.components = (self,)
-        if not self.groups:
-            self.groups = (self,)
-
-    # f_B, f_S and, with several components, the system-level functions
-    # are read by no step: each is built when first asked for
+    # f_B, f_S and the whole system's own functions are read by no step:
+    # each is built when first asked for
 
     @cached_property
     def port_names(self) -> tuple[str, ...]:
@@ -390,101 +376,113 @@ class SystemEncoding:
         owners = tuple(i for i, atom in enumerate(atoms) if atom.ports)
         return owners, tuple(tuple(sorted(map(self.manager.level_of, atoms[i].ports))) for i in owners)
 
-    @cached_property
-    def group_pick(self) -> tuple[Callable, Callable]:
-        """The plan and the pick of the join of the groups' survivor
-        functions, in group order: they mention disjoint ports, which
-        together are ours, and none holds where every port is false."""
-        return self.manager.disjoint_pick([g.port_names for g in self.groups])
-
-    def survivor_fn(self, state: GlobalState) -> BddRef | tuple[BddRef, ...]:
-        """The survivor function at a local state, or with several groups
-        theirs in group order; a miss enters it in `survivor_table`."""
+    def survivor_fn(self, state: GlobalState) -> BddRef:
+        """The survivor function at a local state; a miss enters it in
+        `survivor_table`."""
         entry = self.survivor_table.get(state)
         if entry is not None:
-            return entry[0] if entry[4] is None else tuple(e[0] for e in entry[4])
+            return entry[0]
+        # each atom's local behavior mentions only its own ports and holds
+        # when it is idle, so their conjunction, restrict(f_B, state), can
+        # be conjoined with a function block by block
         m = self.manager
-        if len(self.groups) > 1:
-            # an interaction and every interaction that dominates it share a
-            # port, so they lie in one group: the survivors are the disjoint
-            # union of the groups' survivors
-            keys = [g.local_state(state) for g in self.groups]
-            fns = tuple(g.survivor_fn(key) for g, key in zip(self.groups, keys))
-            entries = [g.survivor_table[key] for g, key in zip(self.groups, keys)]
-            plan = self.group_pick[0](fns)
-            self.survivor_table[state] = [plan, plan is not None, None, self, entries]
-            return fns
-        else:
-            # each atom's local behavior mentions only its own ports and holds
-            # when it is idle, so their conjunction, restrict(f_B, state), can
-            # be conjoined with a function block by block
-            owners, blocks = self.local_blocks
-            factors = [self.local_behavior[i][state[i]] for i in owners]
-            fn = g = m.and_local(self.connector_fn, blocks, factors)
-            if isinstance(self.system.priority, MaximalProgress):
-                fn = m.maximal(g, self.port_names)
-            elif self.pairs_fn != m.false:
-                # the dominators are the active pool interactions (g) and listed
-                # dominators outside the pool; the state is restricted away, so
-                # only plain ports remain, each of which the shift moves onto its
-                # primed copy
-                dominators = m.and_local(self.dominator_fn, blocks, factors)
-                excluded = m.and_exists(m.shift(dominators), self.pairs_fn, self.primed_names)
-                fn = g & ~excluded
-        self.survivor_table[state] = [fn, fn != m.false, None, self, None]
+        owners, blocks = self.local_blocks
+        factors = [self.local_behavior[i][state[i]] for i in owners]
+        fn = g = m.and_local(self.connector_fn, blocks, factors)
+        if isinstance(self.system.priority, MaximalProgress):
+            fn = m.maximal(g, self.port_names)
+        elif self.pairs_fn != m.false:
+            # the dominators are the active pool interactions (g) and listed
+            # dominators outside the pool; the state is restricted away, so
+            # only plain ports remain, each of which the shift moves onto its
+            # primed copy
+            dominators = m.and_local(self.dominator_fn, blocks, factors)
+            excluded = m.and_exists(m.shift(dominators), self.pairs_fn, self.primed_names)
+            fn = g & ~excluded
+        self.survivor_table[state] = [fn, fn != m.false, None]
         return fn
 
     def survivor_count(self, entry: list) -> int:
         """A `survivor_table` entry's number of survivors, filled in on the first
         call: its function mentions only our ports, so each other variable
-        doubles its model count; with several groups, the sum of theirs."""
+        doubles its model count."""
         if entry[2] is None:
             m = self.manager
-            entry[2] = (m.sat_count(entry[0]) >> (len(m.variables) - len(self.port_names)) if entry[4] is None
-                        else sum(e[3].survivor_count(e) for e in entry[4]))
+            entry[2] = m.sat_count(entry[0]) >> (len(m.variables) - len(self.port_names))
         return entry[2]
 
     def survivors(self, state: GlobalState) -> frozenset[Interaction]:
-        """The union of the components' groups' model sets at their local states."""
+        """The union of the components' groups' model sets at their keys."""
         out: list[Interaction] = []
         for c in self.components:
-            fns = c.survivor_fn(c.local_state(state))
-            for g, fn in zip(c.groups, fns) if len(c.groups) > 1 else [(c, fns)]:
-                out += c.manager.iter_models(fn, g.port_names)
+            for g in c.groups:
+                out += self.manager.iter_models(g.survivor_fn(g.local_state(state)), g.port_names)
         return frozenset(out)
 
 
-def _sub_system(system: SystemModel, atoms: tuple[int, ...], ports: frozenset[str]) -> SystemModel:
-    """The atoms' sub-system projected onto `ports`: each atom keeps its
-    ports among them and the transitions whose labels lie among them, with
-    the connectors and explicit pairs on them."""
-    def project(atom: AtomicBehavior) -> AtomicBehavior:
-        if atom.port_set <= ports:
-            return atom
-        return AtomicBehavior(atom.name, atom.states, atom.init, tuple(p for p in atom.ports if p in ports),
-                              tuple(t for t in atom.transitions if t.label <= ports))
+class Component:
+    """An independent component: its atoms, whose states key its survivor
+    table, and its port groups, whose survivors' disjoint union are its
+    own.  The groups mention disjoint ports and no group's function holds
+    where its ports are all false, so `pick` draws from the groups'
+    functions what `pick_sat` draws from their join."""
 
-    pr = system.priority
-    if isinstance(pr, ExplicitPairs):
-        pr = ExplicitPairs(frozenset(ab for ab in pr.closure if (ab[0] | ab[1]) & ports))
-    return SystemModel(system.name, tuple(project(system.atoms[i]) for i in atoms),
-                       tuple(c for c in system.connectors if c.port_set & ports), pr)
+    def __init__(self, atoms: tuple[int, ...], groups: tuple[SystemEncoding, ...], manager: BddManager):
+        self.groups, self.manager = groups, manager
+        self.local_state = itemgetter(*atoms)
+        # local state -> [the groups' survivor functions, whether one has a
+        # survivor, their number of survivors (None until a draw needs it),
+        # the groups' entries]: the memo the step reads
+        self.survivor_table: dict[GlobalState, list] = {}
+        pick_sat = manager.pick_sat
+        self.pick = (manager.disjoint_pick([g.port_names for g in groups]) if len(groups) != 1
+                     else lambda fns, rng: pick_sat(fns[0], rng))
+
+    def entry(self, state: GlobalState) -> list:
+        """Our `survivor_table` entry at our local state in a system state;
+        a miss reads each group's entry at its key."""
+        entry = self.survivor_table.get(key := self.local_state(state))
+        if entry is None:
+            keys = [g.local_state(state) for g in self.groups]
+            fns = tuple(g.survivor_fn(k) for g, k in zip(self.groups, keys))
+            entries = [g.survivor_table[k] for g, k in zip(self.groups, keys)]
+            entry = self.survivor_table[key] = [fns, any(e[1] for e in entries), None, entries]
+        return entry
+
+    def survivor_count(self, entry: list) -> int:
+        """A `survivor_table` entry's number of survivors, the sum of its
+        groups', filled in on the first call."""
+        if entry[2] is None:
+            entry[2] = sum(g.survivor_count(e) for g, e in zip(self.groups, entry[3]))
+        return entry[2]
 
 
-def _group(component: SystemModel, ports: tuple[str, ...], mgr: BddManager) -> SystemEncoding:
-    """One port group of a component, encoded over the atoms that own its
-    ports, projected onto it.  Its key is read out of the component's local
-    state: each owner's state becomes the first of its states that offers
-    the same labels inside the group, so the group's table is shared by
-    the states that differ only outside it."""
+def _group(system: SystemModel, ports: tuple[str, ...], mgr: BddManager) -> SystemEncoding:
+    """One port group, encoded over the atoms that own its ports projected
+    onto it: each keeps its ports in the group and the transitions whose
+    labels lie in it, with the connectors and explicit pairs on the group.
+    Its key is read out of the system state: each owner's state becomes
+    the first of its states that offers the same labels inside the group,
+    so the group's table is shared by the states that differ only outside
+    it."""
     ours = frozenset(ports)
-    atoms = tuple(j for j, atom in enumerate(component.atoms) if atom.port_set & ours)
-    sub = _sub_system(component, atoms, ours)
+    atoms = tuple(j for j, atom in enumerate(system.atoms) if atom.port_set & ours)
+
+    def project(atom: AtomicBehavior) -> AtomicBehavior:
+        if atom.port_set <= ours:
+            return atom
+        return AtomicBehavior(atom.name, atom.states, atom.init, tuple(p for p in atom.ports if p in ours),
+                              tuple(t for t in atom.transitions if t.label <= ours))
 
     def first_alike(atom: AtomicBehavior) -> dict[str, str]:
         seen: dict[frozenset[Interaction], str] = {}
         return {q: seen.setdefault(atom.labels_from[q], q) for q in atom.states}
 
+    pr = system.priority
+    if isinstance(pr, ExplicitPairs):
+        pr = ExplicitPairs(frozenset(ab for ab in pr.closure if (ab[0] | ab[1]) & ours))
+    sub = SystemModel(system.name, tuple(project(system.atoms[i]) for i in atoms),
+                      tuple(c for c in system.connectors if c.port_set & ours), pr)
     readers = tuple(zip(atoms, map(first_alike, sub.atoms)))
     return SystemEncoding(sub, mgr, local_state=lambda state: tuple([r[state[j]] for j, r in readers]))
 
@@ -496,29 +494,21 @@ def build(system: SystemModel) -> SystemEncoding:
     if system.priority is not None and not isinstance(system.priority, (MaximalProgress, ExplicitPairs)):
         raise TypeError(f"unknown priority model: {system.priority!r}")
     mgr = BddManager(variable_order(system))
-    parts = _partition(system)
-    encs = []
-    for atoms, groups in parts:
-        sub, reader = system, itemgetter(slice(None))
-        if len(parts) > 1:  # the sub-system of the component's atoms, connectors and pairs
-            sub = _sub_system(system, atoms, frozenset(p for i in atoms for p in system.atoms[i].ports))
-            reader = itemgetter(*atoms) if len(atoms) > 1 else itemgetter(slice(atoms[0], atoms[0] + 1))
-        encs.append(SystemEncoding(sub, mgr, local_state=reader,
-                                   groups=tuple(_group(sub, g, mgr) for g in groups) if len(groups) > 1 else ()))
-    for e in encs:  # what a step reads
-        if len(e.groups) > 1:
-            e.group_pick
-        for g in e.groups:
+    parts = tuple(Component(atoms, tuple(_group(system, g, mgr) for g in groups), mgr)
+                  for atoms, groups in _partition(system))
+    for c in parts:  # what a step reads
+        for g in c.groups:
             g.local_behavior, g.connector_fn, g.pairs_fn, g.dominator_fn
-    return encs[0] if len(encs) == 1 else SystemEncoding(system, mgr, tuple(encs))
+    return SystemEncoding(system, mgr, parts)
 
 
 class SymbolicEngine(Engine):
     """Stepper that works on the encoded system only.
 
     The per-step work is one survivor-table entry: that of the component
-    the last step moved, at its new local state (composed by `survivor_fn`
-    on a miss); the other components' entries are kept from the last step.
+    the last step moved, at its new local state (read from its groups'
+    entries by `Component.entry` on a miss); the other components' entries
+    are kept from the last step.
     A step whose state is not the one the last step fired to (a reset, or
     a state set from outside) reads every component.  Then a live
     component is drawn weighted by the entries' counts (the live list, the
@@ -534,7 +524,7 @@ class SymbolicEngine(Engine):
         self.system = system
         self.seed = seed
         self.reset()
-        # each component's local-state reader and its own survivor table,
+        # each component's local-state reader, its survivor table and itself,
         # bound once so that a table hit looks up no attribute
         self._components = tuple((c.local_state, c.survivor_table, c) for c in self.encoding.components)
         # each component's entry as our last step read it, the state that step
@@ -551,12 +541,8 @@ class SymbolicEngine(Engine):
     def _read(self, k: int, state: GlobalState) -> list:
         """Component k's survivor-table entry at its local state in `state`."""
         local, table, c = self._components[k]
-        key = local(state)
-        entry = table.get(key)
-        if entry is None:
-            c.survivor_fn(key)
-            entry = table[key]
-        return entry
+        entry = table.get(local(state))
+        return c.entry(state) if entry is None else entry
 
     def step(self) -> Optional[tuple[Interaction, GlobalState]]:
         """Fire one surviving interaction; None signals deadlock.  The
@@ -569,7 +555,7 @@ class SymbolicEngine(Engine):
             if new[1] != old[1]:
                 self._live = None
             elif new[1] and self._weights is not None:
-                i, w = self._live.index(k), new[3].survivor_count(new)
+                i, w = self._live.index(k), self.encoding.components[k].survivor_count(new)
                 if w != self._weights[i]:
                     self._weights[i] = w
                     self._cum = list(accumulate(self._weights))
@@ -584,12 +570,11 @@ class SymbolicEngine(Engine):
         k = live[0]
         if len(live) > 1:  # an entry is counted on the first draw it takes part in
             if self._weights is None:
-                self._weights = [e[3].survivor_count(e) for e in map(entries.__getitem__, live)]
+                self._weights = [self.encoding.components[j].survivor_count(entries[j]) for j in live]
                 self._cum = list(accumulate(self._weights))
             cum = self._cum  # the draw of `random.Random.choices(live, weights)`
             k = live[bisect(cum, self._rng.random() * cum[-1], 0, len(cum) - 1)]
-        e = entries[k]
-        a = self.encoding.manager.pick_sat(e[0], self._rng) if e[4] is None else e[3].group_pick[1](e[0], self._rng)
+        a = self.encoding.components[k].pick(entries[k][0], self._rng)
         self.state = fire(self.system, state, a, self._rng)
         self._fired_to, self._moved = self.state, k
         self.steps_taken += 1

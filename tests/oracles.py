@@ -9,7 +9,7 @@ the kernel operations that only tests need (`evaluate`, `support`, and
 `ite`, built from and/or/not as the kernel builds xor and implies).  One
 seeded system family (`hub_system`) gives components of several port
 groups, which the random generator almost never makes; the engine never
-builds such a component's survivor function, which `joined_survivor_fn`
+builds a component's survivor function, which `joined_survivor_fn`
 builds from its groups' functions.
 """
 
@@ -20,7 +20,7 @@ from portsync.causal import causal_rules, rules_to_formula, tau
 from portsync.connectors import Factor, fusion, interaction_key, interactions_of, support as term_support
 from portsync.generators import random_monomial_term
 from portsync.model import AtomicBehavior, Connector, ExplicitPairs, MaximalProgress, SystemModel, Transition
-from portsync.symbolic import _expr_bdd, prime, union_join
+from portsync.symbolic import Component, _expr_bdd, prime, union_join
 
 
 def all_states(system):
@@ -261,12 +261,20 @@ def whole_survivor_fn(enc, state):
     return g & ~m.and_exists(m.shift(active & enc.dominator_fn), enc.pairs_fn, enc.primed_names)
 
 
-def joined_survivor_fn(enc, state):
-    """An encoding's survivor function at its local state as one function:
-    with several port groups, the union-join of the groups' functions over
-    the encoding's ports, which the engine picks from and counts without
-    building it."""
-    fn = enc.survivor_fn(state)
-    if len(enc.groups) == 1:
-        return fn
-    return union_join(((g.port_names, f) for g, f in zip(enc.groups, fn)), enc.port_names, enc.manager)
+def port_groups_of(x):
+    """The port groups of a component, or of every component of an encoding."""
+    return x.groups if isinstance(x, Component) else [g for c in x.components for g in c.groups]
+
+
+def ports_of(x):
+    """The ports of a component, or of every component of an encoding."""
+    return [p for g in port_groups_of(x) for p in g.port_names]
+
+
+def joined_survivor_fn(x, state):
+    """The survivor function of a component, or of a whole encoding, at a
+    system state as one function: the union-join of its port groups'
+    functions over its ports, which the engine picks from and counts
+    without building it."""
+    groups = port_groups_of(x)
+    return union_join(((g.port_names, g.survivor_fn(g.local_state(state))) for g in groups), ports_of(x), x.manager)

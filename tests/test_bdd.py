@@ -316,6 +316,14 @@ class TestAndLocal:
             mgr.and_local(f, [(0, 1), (3, 4)], [g, mgr.true])
 
 
+class AlwaysLow:
+    """A generator whose every coin comes up low, so that a pick walks the
+    whole chain and meets every guard."""
+
+    def random(self):
+        return 0.5
+
+
 class TestDisjointPick:
     # groups of names interleaved with each other and with levels outside
     # every group, as a component's port groups interleave in the order
@@ -337,24 +345,23 @@ class TestDisjointPick:
 
     def test_picks_what_pick_sat_of_the_join_picks(self):
         # the same pick and the same generator state after it as pick_sat
-        # of the union-join, and a plan allocates no node
+        # of the union-join, and a pick allocates no node
         mgr = BddManager(self.ORDER)
         rng = random.Random(53)
         singles = skips = picks = 0
         for _ in range(300):
             groups = self.random_groups(rng)
             singles += len(groups) == 1
-            plan, pick = mgr.disjoint_pick(groups)
+            pick = mgr.disjoint_pick(groups)
             for _ in range(3):
                 fs = [self.random_member(mgr, rng, g) for g in groups]
                 skips += any(f != mgr.false and set(g) - support(f) for g, f in zip(groups, fs))
-                before = mgr.total_nodes()
-                p = plan(fs)
-                assert mgr.total_nodes() == before
                 F = union_join(zip(groups, fs), [n for g in groups for n in g], mgr)
                 for seed in range(4):
                     ours, ref = random.Random(seed), random.Random(seed)
-                    assert pick(p, ours) == mgr.pick_sat(F, ref)
+                    before = mgr.total_nodes()
+                    assert pick(fs, ours) == mgr.pick_sat(F, ref)
+                    assert mgr.total_nodes() == before
                     assert ours.random() == ref.random()
                     picks += F != mgr.false
         assert singles > 10 and skips > 100 and picks > 1500
@@ -363,42 +370,40 @@ class TestDisjointPick:
     def test_a_function_outside_its_group_is_refused(self):
         mgr = BddManager(["x", "a", "b", "c", "d", "y"])
         v = {n: mgr.var(n) for n in mgr.variables}
-        plan, pick = mgr.disjoint_pick([["a", "c"], ["b", "d"]])
+        pick, low = mgr.disjoint_pick([["a", "c"], ["b", "d"]]), AlwaysLow()
         F = (v["a"] | v["c"]) & ~v["b"] & ~v["d"] | ~v["a"] & ~v["c"] & v["d"]
         for seed in range(8):
-            assert pick(plan([v["a"] | v["c"], v["d"]]), random.Random(seed)) == mgr.pick_sat(F, random.Random(seed))
+            assert pick([v["a"] | v["c"], v["d"]], random.Random(seed)) == mgr.pick_sat(F, random.Random(seed))
         with pytest.raises(BddError, match=r"function 0 tests 'b' outside its group"):
-            plan([v["b"], v["d"]])  # a level of the other group
+            pick([v["b"], v["d"]], low)  # a level of the other group
         with pytest.raises(BddError, match=r"function 1 tests 'x' outside its group"):
-            plan([v["a"], v["x"] & v["d"]])  # a level of no group, met after the walk stops
+            pick([v["a"], v["x"] & v["d"]], low)  # a level of no group, met after the walk stops
         with pytest.raises(BddError, match=r"function 1 tests 'x' outside its group"):
-            plan([v["c"], v["x"]])  # met at the group's next level
-        p = plan([v["a"] & v["c"], v["b"] & v["y"]])  # below every level of a group: the tail's descent meets it
+            pick([v["c"], v["x"]], low)  # met at the group's next level
         with pytest.raises(BddError, match="did not reach the true terminal"):
-            for seed in range(8):
-                pick(p, random.Random(seed))
+            pick([v["a"] & v["c"], v["b"] & v["y"]], low)  # below every level of a group: the tail's descent meets it
         with pytest.raises(BddError, match="one function per group"):
-            plan([v["a"]])
+            pick([v["a"]], low)
         with pytest.raises(BddError, match="must be disjoint"):
             mgr.disjoint_pick([["a", "b"], ["b"]])
 
     def test_a_function_that_accepts_all_false_is_refused(self):
         mgr = BddManager(["a", "b", "c", "d"])
         v = {n: mgr.var(n) for n in mgr.variables}
-        plan, _ = mgr.disjoint_pick([["a", "c"], ["b", "d"]])
+        pick, low = mgr.disjoint_pick([["a", "c"], ["b", "d"]]), AlwaysLow()
         with pytest.raises(BddError, match="two functions hold"):
-            plan([mgr.true, mgr.true])  # both live past the last level
+            pick([mgr.true, mgr.true], low)  # both live past the last level
         with pytest.raises(BddError, match="two functions hold"):
-            plan([~v["a"], v["b"] | ~v["d"]])
+            pick([~v["a"], v["b"] | ~v["d"]], low)
         with pytest.raises(BddError, match="function 0 holds"):
-            plan([mgr.true, v["b"]])  # the tail, after the other dies on the chain
+            pick([mgr.true, v["b"]], low)  # the tail, after the other dies on the chain
         with pytest.raises(BddError, match="function 1 holds"):
-            plan([mgr.false, v["b"] | ~v["d"]])  # the tail of an empty chain
-        assert plan([mgr.false, mgr.false]) is None
-        plan, pick = mgr.disjoint_pick([["a", "b", "c", "d"]])
+            pick([mgr.false, v["b"] | ~v["d"]], low)  # the tail of an empty chain
+        assert pick([mgr.false, mgr.false], low) is None
+        pick = mgr.disjoint_pick([["a", "b", "c", "d"]])
         with pytest.raises(BddError, match="function 0 holds"):
-            plan([~v["a"]])
-        assert pick(plan([mgr.false]), random.Random(0)) is None
+            pick([~v["a"]], low)
+        assert pick([mgr.false], random.Random(0)) is None
 
 
 class TestPackedKeys:
@@ -566,6 +571,13 @@ class TestIterModels:
         f = mgr.var("a") & mgr.var("b")
         with pytest.raises(BddError):
             list(mgr.iter_models(f, ["a"]))
+
+    def test_reports_the_names_missing_from_the_support(self, mgr):
+        # c is tested and left out of the names; b is named and never tested
+        f = mgr.var("a") & ~mgr.var("c") | mgr.var("d")
+        with pytest.raises(BddError, match=r"must cover the support; missing \['c'\]"):
+            mgr.iter_models(f, ["d", "b", "a"])
+        assert len(list(mgr.iter_models(f, ["d", "c", "b", "a"]))) == 10
 
 
 def test_deep_conjunction_no_recursion_blowup():

@@ -36,7 +36,9 @@ def test_truncation_is_flagged_not_fatal():
 
 def test_corrupted_encoding_reports_divergence(mod8):
     enc = build(mod8)
-    enc.connector_fn = enc.manager.false  # sabotage: symbolic sees no pool
+    (c,) = enc.components
+    (group,) = c.groups
+    group.connector_fn = enc.manager.false  # sabotage the group the step reads: symbolic sees no pool
     report = check_equivalence(mod8, encoding=enc)
     assert not report.equivalent
     d = report.divergences[0]
@@ -45,9 +47,9 @@ def test_corrupted_encoding_reports_divergence(mod8):
 
 
 def test_corrupted_component_reports_divergence():
-    # bus2 is two independent clusters, each stepped by its own encoding,
-    # which is its only port group; tasks 3x2 is one component of two
-    # groups, one per processor, each with its own f_C
+    # bus2 is two independent clusters, each a component of one port
+    # group; tasks 3x2 is one component of two groups, one per processor,
+    # each with its own f_C
     for sysm, k in ((gen_bus(2), 1), (gen_tasks(3, 2), 0)):
         enc = build(sysm)
         groups = enc.components[k].groups

@@ -45,8 +45,9 @@ from portsync.symbolic import (
 from portsync.connectors import support
 from portsync.equivalence import check_equivalence
 
-from oracles import (active_fn, all_states, hub_system, joined_survivor_fn, oracle_survivors, reference_connector_fn,
-                     reference_pick_sat, reference_priority_pairs, skipped_levels, transfer, whole_survivor_fn)
+from oracles import (active_fn, all_states, hub_system, joined_survivor_fn, oracle_survivors, port_groups_of, ports_of,
+                     reference_connector_fn, reference_pick_sat, reference_priority_pairs, skipped_levels, transfer,
+                     whole_survivor_fn)
 
 
 def _pairs_written_out(sysm):
@@ -126,25 +127,21 @@ def test_node_counts_are_pinned():
 
 def test_build_leaves_what_no_step_reads_unbuilt():
     # the build reads what a step reads: each port group's local behaviors,
-    # f_C and priority inputs (a component of one group is its own group),
-    # and the group pick of a component of several groups; f_B, f_S, the own
-    # functions of a component of several groups and, with several
-    # components, the system-level functions wait for a reader
+    # f_C and priority inputs, and each component's pick; f_B, f_S and the
+    # whole system's own functions wait for a reader, and so does every
+    # function of a system of one component of one group
     bus, tasks = gen_bus(3), gen_tasks(3, 2)
     joined = 0
-    for sysm in (tasks, _pairs_written_out(tasks), bus, _pairs_written_out(bus)):
+    for sysm in (tasks, _pairs_written_out(tasks), bus, _pairs_written_out(bus), modulo8()):
         enc = build(sysm)
-        assert not {"behavior_fn", "system_fn"} & set(vars(enc))
+        assert not {"behavior_fn", "system_fn", "local_behavior", "connector_fn", "pairs_fn", "dominator_fn"} \
+            & set(vars(enc))
         for c in enc.components:
+            assert callable(c.pick)
             for g in c.groups:
                 assert {"local_behavior", "connector_fn", "pairs_fn", "dominator_fn"} <= set(vars(g))
                 assert not {"behavior_fn", "system_fn"} & set(vars(g))
-            if len(c.groups) > 1:
-                joined += 1
-                assert "group_pick" in vars(c)
-                assert not {"local_behavior", "connector_fn", "pairs_fn", "dominator_fn"} & set(vars(c))
-        if len(enc.components) > 1:
-            assert not {"local_behavior", "connector_fn", "pairs_fn", "dominator_fn"} & set(vars(enc))
+            joined += len(c.groups) > 1
         assert enc.system_fn == enc.behavior_fn & enc.connector_fn
     assert joined == 2
 
@@ -168,7 +165,7 @@ def test_pairs_build_is_the_same_in_every_process():
 
 def test_pairs_fn_is_the_minterm_disjunction():
     # R joined from one cube per pair over the copies of its own ports is
-    # the node of the pairs' full minterms, system-wide and per component
+    # the node of the pairs' full minterms, system-wide and per port group
     systems = [_pairs_written_out(s) for s in (gen_bus(3), gen_tasks(3, 2), gen_tasks(4, 4))]
     systems += [r for r in map(random_system, range(60)) if isinstance(r.priority, ExplicitPairs)]
     for sysm in systems:
@@ -177,8 +174,8 @@ def test_pairs_fn_is_the_minterm_disjunction():
         pairs = sysm.priority.closure
         assert enc.pairs_fn == encode_priority_pairs(pairs, sysm.all_ports, m)
         assert enc.pairs_fn == reference_priority_pairs(pairs, sysm.all_ports, m)
-        for c in enc.components:
-            assert c.pairs_fn == reference_priority_pairs(c.system.priority.closure, c.port_names, m)
+        for g in port_groups_of(enc):
+            assert g.pairs_fn == reference_priority_pairs(g.system.priority.closure, g.port_names, m)
     no_pairs = frozenset()
     assert encode_priority_pairs(no_pairs, sysm.all_ports, m) == reference_priority_pairs(no_pairs, sysm.all_ports, m)
     assert encode_priority_pairs(no_pairs, sysm.all_ports, m) == m.false
@@ -191,9 +188,10 @@ def test_system_function_conjunction(mod8):
 
 def test_enabled_fn_matches_restricted_system_fn():
     # the atoms' local behaviors conjoin to the node of restricting f_B
-    # (and f_S) by the whole state, and the memoised
-    # survivor function must be the one a fresh encoding computes with
-    # its memo empty
+    # (and f_S) by the whole state; the memoised survivor functions, the
+    # whole system's and its groups' (which a component's entry keeps),
+    # must be those a fresh encoding computes with its memos empty, and
+    # the groups' union-join the whole system's
     systems = [modulo8(), gen_bus(3), gen_tasks(3, 2), *map(random_system, range(60))]
     for sysm in systems:
         enc, fresh = build(sysm), build(sysm)
@@ -202,12 +200,15 @@ def test_enabled_fn_matches_restricted_system_fn():
             asg = enc.state_assignment(state)
             assert active_fn(enc, state) == m.restrict_many(enc.behavior_fn, asg)
             assert active_fn(enc, state) & enc.connector_fn == m.restrict_many(enc.system_fn, asg)
-            fns, entry = enc.survivor_fn(state), enc.survivor_table[state]
-            kept = entry[0] if entry[4] is None else tuple(e[0] for e in entry[4])  # several groups: theirs
-            assert enc.survivor_fn(state) == fns == kept
-            for g in (fresh, *fresh.groups):
+            fn, entry = enc.survivor_fn(state), enc.survivor_table[state]
+            assert enc.survivor_fn(state) == fn == entry[0]
+            for c in enc.components:
+                entry = c.entry(state)
+                assert c.entry(state) is entry and entry[0] == tuple(e[0] for e in entry[3])
+            for g in (fresh, *port_groups_of(fresh)):
                 g.survivor_table.clear()
-            assert transfer(joined_survivor_fn(fresh, state), m) == joined_survivor_fn(enc, state)
+            assert transfer(fresh.survivor_fn(state), m) == fn
+            assert transfer(joined_survivor_fn(fresh, state), m) == joined_survivor_fn(enc, state) == fn
 
 
 def _with_portless_atom(sysm):
@@ -231,7 +232,7 @@ def _dominator_outside_pool():
 def test_local_conjunction_is_the_folded_one():
     # and_local over the atoms that own ports gives the node of the fold of
     # every atom's local behavior conjoined with f_C, and with the
-    # dominators, per component and for the system-level encoding, whose
+    # dominators, per port group and for the system-level encoding, whose
     # port-less atom sits between two blocks
     bus = gen_bus(3)
     systems = [bus, gen_tasks(3, 2), _pairs_written_out(bus), _dominator_outside_pool(),
@@ -241,7 +242,7 @@ def test_local_conjunction_is_the_folded_one():
     for sysm in systems:
         enc = build(sysm)
         m = enc.manager
-        encodings = [*enc.components, enc] if len(enc.components) > 1 else [enc]
+        encodings = [*port_groups_of(enc), enc]
         outside += any(c.dominator_fn != c.connector_fn for c in encodings)
         portless += any(len(c.local_blocks[0]) < len(c.system.atoms) for c in encodings)
         for state in reachable(sysm, bound=300).states:
@@ -268,22 +269,20 @@ def test_portless_atom_steps_and_checks():
 def test_survivor_table_counts_models_over_component_ports():
     # the count the step draws components by is the number of models over
     # the component's own ports, on one- and multi-component systems alike;
-    # a component of several groups keeps its groups' entries and sums them
+    # a component keeps its groups' entries and sums their counts
     bus = gen_bus(3)
     randoms = [r for r in map(random_system, range(60)) if len(components(r)) > 1]
     for sysm in (bus, _pairs_written_out(bus), gen_tasks(3, 2), *randoms):
         enc = build(sysm)
         for state in reachable(sysm, bound=300).states:
             for c in enc.components:
-                key = c.local_state(state)
-                fn = joined_survivor_fn(c, key)
-                entry = c.survivor_table[key]
-                n = len(list(c.manager.iter_models(fn, c.port_names)))
-                if entry[4] is None:
-                    assert entry[0] == fn
-                else:
-                    assert all(map(operator.is_, entry[4], (g.survivor_table[g.local_state(key)] for g in c.groups)))
-                assert entry[1] == (n > 0) and entry[3] is c
+                entry = c.entry(state)
+                assert c.survivor_table[c.local_state(state)] is entry
+                fn = joined_survivor_fn(c, state)
+                n = len(list(c.manager.iter_models(fn, ports_of(c))))
+                assert all(map(operator.is_, entry[3], (g.survivor_table[g.local_state(state)] for g in c.groups)))
+                assert entry[0] == tuple(e[0] for e in entry[3])
+                assert entry[1] == (n > 0)
                 assert c.survivor_count(entry) == n and entry[2] == n
 
 
@@ -364,7 +363,8 @@ def test_components():
     linked = _two_loops(ExplicitPairs(frozenset({(frozenset("x"), frozenset("y"))})))
     assert components(linked) == ((0, 1),)
     enc = build(linked)
-    assert enc.components == (enc,)
+    (c,) = enc.components
+    assert [g.port_names for g in c.groups] == [("x", "y")]
     assert enc.survivors(("s", "s")) == survivors(linked, ("s", "s")) == {frozenset("y")}
 
 
@@ -408,22 +408,24 @@ def test_group_key_shares_states_that_offer_the_same_labels():
     # task running on processor 2 does: processor 1's group keys them alike
     sysm = gen_tasks(3, 2)
     enc = build(sysm)
-    one, two = enc.groups
+    (c,) = enc.components
+    one, two = c.groups
     assert [a.name for a in one.system.atoms] == ["T1", "T2", "T3", "P1"]
     assert one.system.atoms[0].ports == ("b1_1", "f1_1", "p1_1", "r1_1")
     state = sysm.initial_state()
     waiting, running = ("w2", *state[1:]), ("c2", *state[1:])
     assert one.local_state(waiting) == one.local_state(running) == ("c2", "s", "s", "l0")
     assert two.local_state(waiting) != two.local_state(running)
-    enc.survivor_fn(waiting)
-    enc.survivor_fn(running)
-    assert len(enc.survivor_table) == 2 and len(one.survivor_table) == 1 and len(two.survivor_table) == 2
+    c.entry(waiting)
+    c.entry(running)
+    assert len(c.survivor_table) == 2 and len(one.survivor_table) == 1 and len(two.survivor_table) == 2
 
 
 def test_group_join_is_the_whole_component_function():
     # the union-join of a component's port groups' survivor functions is
-    # the node the whole component gives, at every reachable state (every
-    # state of the small random systems)
+    # the node the whole system gives with every port outside the component
+    # false, at every reachable state (every state of the small random
+    # systems)
     bounds = RandomBounds(max_atoms=5, max_ports=4)
     randoms = [r for r in (random_system(seed, bounds) for seed in range(1500))
                if any(len(c) > 1 for c in port_groups(r))]
@@ -438,19 +440,21 @@ def test_group_join_is_the_whole_component_function():
         enc = build(sysm)
         joined += sum(len(c.groups) > 1 for c in enc.components)
         hubs_joined += sysm in hubs and any(len(c.groups) > 1 for c in enc.components)
+        m = enc.manager
         for state in states:
+            whole = whole_survivor_fn(enc, state)
             for c in enc.components:
-                key = c.local_state(state)
-                assert joined_survivor_fn(c, key) == whole_survivor_fn(c, key)
+                outside = {p: False for p in sysm.all_ports if p not in ports_of(c)}
+                assert joined_survivor_fn(c, state) == m.restrict_many(whole, outside)
             assert enc.survivors(state) == survivors(sysm, state)
     assert joined >= 6 + len(randoms)
     assert hubs_joined >= 20
 
 
 def test_group_pick_is_pick_sat_of_the_join():
-    # the engine picks from a component of several groups the interaction
-    # pick_sat picks from the union-join of its groups' functions, and leaves
-    # the generator where pick_sat leaves it
+    # the engine picks from a component the interaction pick_sat picks from
+    # the union-join of its groups' functions, allocates no node, and
+    # leaves the generator where pick_sat leaves it
     hubs = [hub_system(seed) for seed in range(40)]
     cases = [(s, reachable(s, bound=2000).states) for s in (gen_tasks(3, 2), gen_tasks(4, 2))]
     cases += [(h, all_states(h)) for h in hubs]
@@ -458,14 +462,14 @@ def test_group_pick_is_pick_sat_of_the_join():
     for sysm, states in cases:
         eng = SymbolicEngine(sysm)
         (c,) = eng.encoding.components  # tasks and hubs are one component each
-        if len(c.groups) == 1:
-            continue
-        m, pick = c.manager, c.group_pick[1]
+        m = c.manager
         for state in states:
-            F, entry = joined_survivor_fn(c, state), c.survivor_table[state]
+            F, entry = joined_survivor_fn(c, state), c.entry(state)
             for seed in range(3):
                 ours, ref = random.Random(seed), random.Random(seed)
-                assert pick(entry[0], ours) == m.pick_sat(F, ref)
+                before = m.total_nodes()
+                assert c.pick(entry[0], ours) == m.pick_sat(F, ref)
+                assert m.total_nodes() == before
                 assert ours.getstate() == ref.getstate()
                 eng.state, ref = state, random.Random(seed)
                 eng._rng.seed(seed)
@@ -478,23 +482,23 @@ def test_group_pick_is_pick_sat_of_the_join():
 def test_a_component_miss_whose_groups_hit_allocates_no_node():
     # the engine never builds a component's join: once every group of the
     # component has an entry at the new state, the component's miss only
-    # plans its pick
+    # reads them
     misses = 0
     for sysm in (gen_tasks(4, 2), gen_tasks(8, 4)):
         engine = SymbolicEngine(sysm, seed=3)
         m = engine.encoding.manager
         for c in engine.encoding.components:
             if len(c.groups) > 1:
-                def checked(state, c=c, fill=c.survivor_fn):
+                def checked(state, c=c, fill=c.entry):
                     nonlocal misses
-                    if state not in c.survivor_table and all(g.local_state(state) in g.survivor_table
-                                                             for g in c.groups):
+                    if c.local_state(state) not in c.survivor_table and all(
+                            g.local_state(state) in g.survivor_table for g in c.groups):
                         before = m.total_nodes()
                         fill(state)
                         assert m.total_nodes() == before
                         misses += 1
                     return fill(state)
-                c.survivor_fn = checked
+                c.entry = checked
         engine.run(3000)
     assert misses > 100
 
@@ -517,10 +521,10 @@ def test_steps_leave_no_reference_cycles():
 
 
 def test_component_survivors_match_system():
-    # survivors() joins the components' model sets; each
-    # component's survivor function is the system's with every port
-    # outside the component false; the assembled f_C and f_B are the
-    # nodes a direct encoding of the whole system gives
+    # survivors() joins the components' groups' model sets; the union-join
+    # of each component's groups' survivor functions is the system's with
+    # every port outside the component false; the assembled f_C and f_B
+    # are the nodes a direct encoding of the whole system gives
     randoms = [r for r in map(random_system, range(60)) if len(components(r)) > 1]
     assert len(randoms) > 20
     bus = gen_bus(3)
@@ -535,8 +539,8 @@ def test_component_survivors_match_system():
             assert enc.survivors(state) == survivors(sysm, state)
             whole = enc.survivor_fn(state)
             for c in enc.components:
-                outside = {p: False for p in sysm.all_ports if p not in c.port_names}
-                assert c.survivor_fn(c.local_state(state)) == m.restrict_many(whole, outside)
+                outside = {p: False for p in sysm.all_ports if p not in ports_of(c)}
+                assert joined_survivor_fn(c, state) == m.restrict_many(whole, outside)
 
 
 def test_every_live_component_gets_picked():
@@ -545,8 +549,7 @@ def test_every_live_component_gets_picked():
     sysm = gen_bus(3)
     state = ("B", "A", "A", "A", "B", "B", "A", "A", "A", "A", "A", "B")
     enc = build(sysm)
-    live = {k for k, c in enumerate(enc.components)
-            if c.survivor_fn(c.local_state(state)) != enc.manager.false}
+    live = {k for k, c in enumerate(enc.components) if c.entry(state)[1]}
     assert len(live) == 3
     picked = set()
     for seed in range(60):
@@ -554,7 +557,7 @@ def test_every_live_component_gets_picked():
         eng.state = state
         a, _ = eng.step()
         assert a in survivors(sysm, state)
-        picked.add(next(k for k, c in enumerate(enc.components) if a <= set(c.port_names)))
+        picked.add(next(k for k, c in enumerate(enc.components) if a <= set(ports_of(c))))
     assert picked == live
 
 
@@ -583,16 +586,6 @@ def test_component_draw_is_weighted_by_survivor_counts():
     assert 70 < firsts.count(fz("x")) < 130
 
 
-def _read_every_component(enc, state):
-    """Each component's survivor-table entry at its local state in `state`."""
-    entries = []
-    for c in enc.components:
-        key = c.local_state(state)
-        c.survivor_fn(key)
-        entries.append(c.survivor_table[key])
-    return entries
-
-
 def test_incremental_step_equals_a_full_read():
     # the step re-reads only the component the last step moved: at every
     # step its entries, live components and weights must be those of a fresh
@@ -611,12 +604,12 @@ def test_incremental_step_equals_a_full_read():
                 full.state = tuple(list(full.state))  # equal, but not the tuple its step produced
                 result = eng.step()
                 assert result == full.step()
-                fresh = _read_every_component(eng.encoding, before)
+                fresh = [c.entry(before) for c in eng.encoding.components]
                 assert all(map(operator.is_, eng._entries, fresh))
                 live = [k for k, e in enumerate(fresh) if e[1]]
                 assert eng._live == live
                 if len(live) > 1:
-                    assert eng._weights == [e[3].survivor_count(e) for e in map(fresh.__getitem__, live)]
+                    assert eng._weights == [eng.encoding.components[k].survivor_count(fresh[k]) for k in live]
                 if result is None:
                     return
 
