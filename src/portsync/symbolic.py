@@ -422,9 +422,9 @@ class SystemEncoding:
 
 class Component:
     """An independent component: its atoms, whose states key its survivor
-    table, and its port groups, whose survivors' disjoint union are its
-    own.  The groups mention disjoint ports and no group's function holds
-    where its ports are all false, so `pick` draws from the groups'
+    table, and its port groups, whose survivor sets are disjoint and make
+    up its own.  The groups mention disjoint ports and no group's function
+    holds where its ports are all false, so `pick` draws from the groups'
     functions what `pick_sat` draws from their join."""
 
     def __init__(self, atoms: tuple[int, ...], groups: tuple[SystemEncoding, ...], manager: BddManager):
@@ -443,17 +443,19 @@ class Component:
         a miss reads each group's entry at its key."""
         entry = self.survivor_table.get(key := self.local_state(state))
         if entry is None:
-            keys = [g.local_state(state) for g in self.groups]
-            fns = tuple(g.survivor_fn(k) for g, k in zip(self.groups, keys))
-            entries = [g.survivor_table[k] for g, k in zip(self.groups, keys)]
-            entry = self.survivor_table[key] = [fns, any(e[1] for e in entries), None, entries]
+            entries = []
+            for g in self.groups:
+                g.survivor_fn(k := g.local_state(state))  # fills the group's entry on a miss
+                entries.append(g.survivor_table[k])
+            fns = tuple([e[0] for e in entries])
+            entry = self.survivor_table[key] = [fns, any([e[1] for e in entries]), None, entries]
         return entry
 
     def survivor_count(self, entry: list) -> int:
         """A `survivor_table` entry's number of survivors, the sum of its
         groups', filled in on the first call."""
         if entry[2] is None:
-            entry[2] = sum(g.survivor_count(e) for g, e in zip(self.groups, entry[3]))
+            entry[2] = sum(map(SystemEncoding.survivor_count, self.groups, entry[3]))
         return entry[2]
 
 
@@ -464,7 +466,8 @@ def _group(system: SystemModel, ports: tuple[str, ...], mgr: BddManager) -> Syst
     Its key is read out of the system state: each owner's state becomes
     the first of its states that offers the same labels inside the group,
     so the group's table is shared by the states that differ only outside
-    it."""
+    it.  Where no two states of an owner are alike (every bus cluster),
+    the key is the owners' states, read by one `itemgetter`."""
     ours = frozenset(ports)
     atoms = tuple(j for j, atom in enumerate(system.atoms) if atom.port_set & ours)
 
@@ -484,7 +487,10 @@ def _group(system: SystemModel, ports: tuple[str, ...], mgr: BddManager) -> Syst
     sub = SystemModel(system.name, tuple(project(system.atoms[i]) for i in atoms),
                       tuple(c for c in system.connectors if c.port_set & ours), pr)
     readers = tuple(zip(atoms, map(first_alike, sub.atoms)))
-    return SystemEncoding(sub, mgr, local_state=lambda state: tuple([r[state[j]] for j, r in readers]))
+    if any(q != a for _, r in readers for q, a in r.items()):
+        return SystemEncoding(sub, mgr, local_state=lambda state: tuple([r[state[j]] for j, r in readers]))
+    return SystemEncoding(sub, mgr, local_state=itemgetter(*atoms) if len(atoms) > 1 else
+                          itemgetter(slice(atoms[0], atoms[0] + 1)))
 
 
 def build(system: SystemModel) -> SystemEncoding:
@@ -494,12 +500,12 @@ def build(system: SystemModel) -> SystemEncoding:
     if system.priority is not None and not isinstance(system.priority, (MaximalProgress, ExplicitPairs)):
         raise TypeError(f"unknown priority model: {system.priority!r}")
     mgr = BddManager(variable_order(system))
-    parts = tuple(Component(atoms, tuple(_group(system, g, mgr) for g in groups), mgr)
+    comps = tuple(Component(atoms, tuple(_group(system, g, mgr) for g in groups), mgr)
                   for atoms, groups in _partition(system))
-    for c in parts:  # what a step reads
+    for c in comps:  # what a step reads
         for g in c.groups:
             g.local_behavior, g.connector_fn, g.pairs_fn, g.dominator_fn
-    return SystemEncoding(system, mgr, parts)
+    return SystemEncoding(system, mgr, comps)
 
 
 class SymbolicEngine(Engine):
@@ -541,8 +547,7 @@ class SymbolicEngine(Engine):
     def _read(self, k: int, state: GlobalState) -> list:
         """Component k's survivor-table entry at its local state in `state`."""
         local, table, c = self._components[k]
-        entry = table.get(local(state))
-        return c.entry(state) if entry is None else entry
+        return table.get(local(state)) or c.entry(state)  # an entry is a non-empty list
 
     def step(self) -> Optional[tuple[Interaction, GlobalState]]:
         """Fire one surviving interaction; None signals deadlock.  The
