@@ -411,9 +411,9 @@ class BddManager:
 
     def _check_local(self, g: int, block: tuple[int, ...], j: int) -> None:
         """`and_local`'s precondition on factor j."""
-        outside = sorted({self._var[v] for v in self._reachable(g)} - set(block))
+        outside = self._support_mask(g) & ~sum(1 << l for l in block)
         if outside:
-            raise BddError(f"factor {j} mentions {[self._names[l] for l in outside]} outside its block")
+            raise BddError(f"factor {j} mentions {[self._names[l] for l in _bits(outside)]} outside its block")
         while g > TRUE:
             g = self._lo[g]
         if g == FALSE:

@@ -24,9 +24,6 @@ from .model import (
 )
 from .model import step as fire
 
-# participation plan: which atom must take which exact label
-_Plan = tuple[tuple[int, Interaction], ...]
-
 
 class EnumEngine(Engine):
     def __init__(self, system: SystemModel, seed: int = 0):
@@ -38,21 +35,16 @@ class EnumEngine(Engine):
         self.pool: tuple[Interaction, ...] = sorted_interactions(system.gamma)
         self.reset()
         self._labels = [atom.labels_from for atom in system.atoms]
-        self._plans: list[_Plan] = [self._plan(a) for a in self.pool]
+        # participation plans: which atom must take which exact label
+        self._plans = [system.shares(a) for a in self.pool]
         pairs = effective_pairs(system.priority, system.gamma)
-        dominators: dict[Interaction, list[_Plan]] = {a: [] for a in self.pool}
+        dominators: dict[Interaction, list] = {a: [] for a in self.pool}
         for lo, hi in sorted(pairs, key=lambda ab: (sorted(ab[0]), sorted(ab[1]))):
             if lo in dominators:
-                dominators[lo].append(self._plan(hi))
+                dominators[lo].append(system.shares(hi))
         self._dominators = {a: tuple(ps) for a, ps in dominators.items()}
 
-    def _plan(self, a: Interaction) -> _Plan:
-        shares: dict[int, set[str]] = {}
-        for p in a:
-            shares.setdefault(self.system.port_owner[p], set()).add(p)
-        return tuple((i, frozenset(ps)) for i, ps in sorted(shares.items()))
-
-    def _active(self, plan: _Plan, state: GlobalState) -> bool:
+    def _active(self, plan: tuple[tuple[int, Interaction], ...], state: GlobalState) -> bool:
         labels = self._labels
         return all(label in labels[i][state[i]] for i, label in plan)
 

@@ -87,6 +87,10 @@ class AtomicBehavior:
             out.setdefault(t.source, set()).add(t.label)
         return {s: frozenset(v) for s, v in out.items()}
 
+    @cached_property
+    def label_of(self) -> dict[Interaction, Interaction]:
+        return {t.label: t.label for t in self.transitions}
+
     def targets(self, state: str, label: Interaction) -> tuple[str, ...]:
         return self.moves.get((state, label), ())
 
@@ -162,6 +166,26 @@ class SystemModel:
             out |= interactions_of(c.term)
         out.discard(frozenset())
         return frozenset(out)
+
+    @cached_property
+    def _shares(self) -> dict[Interaction, tuple[tuple[int, Interaction], ...]]:
+        return {}
+
+    def shares(self, a: Interaction) -> tuple[tuple[int, Interaction], ...]:
+        """Per atom owning a port of `a`, in atom order: its index and its
+        share a & ports(atom), the atom's own label object where it is one
+        (so a label lookup hits by identity); memoised.  ValueError names a
+        port of `a` that no atom owns."""
+        out = self._shares.get(a)
+        if out is None:
+            owner = self.port_owner
+            try:
+                owners = sorted({owner[p] for p in a})
+            except KeyError as exc:
+                raise ValueError(f"port {exc.args[0]!r} does not belong to the system") from None
+            atoms = self.atoms
+            out = self._shares[a] = tuple((i, atoms[i].label_of.get(s := a & atoms[i].port_set, s)) for i in owners)
+        return out
 
     def initial_state(self) -> GlobalState:
         return tuple(atom.init for atom in self.atoms)
@@ -295,15 +319,9 @@ def _moves(system: SystemModel, state: GlobalState, a: Interaction) -> Optional[
     targets on its share a & ports(atom); None if some owner has none."""
     if len(state) != len(system.atoms):
         raise ValueError("state arity does not match the number of atoms")
-    owner = system.port_owner
-    try:
-        owners = sorted({owner[p] for p in a})
-    except KeyError as exc:
-        raise ValueError(f"port {exc.args[0]!r} does not belong to the system") from None
-    moves = []
-    for i in owners:
-        atom = system.atoms[i]
-        targets = atom.targets(state[i], a & atom.port_set)
+    atoms, moves = system.atoms, []
+    for i, share in system.shares(a):
+        targets = atoms[i].targets(state[i], share)
         if not targets:
             return None
         moves.append((i, targets))
@@ -367,8 +385,8 @@ def survivors(system: SystemModel, state: GlobalState) -> frozenset[Interaction]
 
 def _enabled_moves(system: SystemModel, state: GlobalState, a: Interaction) -> list[tuple[int, tuple[str, ...]]]:
     """`_moves` of a non-empty `a`; NotEnabledError unless it is enabled."""
-    moves = _moves(system, state, a) if a in system.gamma else None
-    if moves is None:
+    moves = _moves(system, state, a)
+    if moves is None or a not in system.gamma:
         raise NotEnabledError(f"interaction {sorted(a)} is not enabled at {state}")
     return moves
 
@@ -381,7 +399,8 @@ def step(
 ) -> GlobalState:
     """Fire `a` at `state`; nondeterministic targets resolved by `rng`
     (first declared target if None).  The empty interaction is the
-    identity.  Raises NotEnabledError if `a` is not enabled."""
+    identity.  Raises NotEnabledError if `a` is not enabled, ValueError
+    on a port no atom owns or a state of the wrong arity."""
     if not a:
         return state
     nxt = list(state)

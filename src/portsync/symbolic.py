@@ -54,22 +54,21 @@ the dominated set is the relational product
 excluded(P) = exists P'. dominators(P') & R(P, P'), and the survivor
 function is g & ~excluded.
 
-Each group keeps one survivor table: per key, the survivor function,
-whether it has a survivor, and its number of models over the group's own
-ports (`sat_count` over every variable, shifted right by the variables
-outside those ports).  Each component keeps one too, keyed by its atoms'
-states: its groups' functions, whether one has a survivor, the sum of
-their counts and the groups' entries.  A count is filled in on the first
-draw among two or more live components that needs it.  The tables hold
-at most the sum of the components' local state spaces, not their
-product.  `survivors` (which `check` reads) and the step read the same
-group entries.  The engine keeps each component's entry from its last
-step; a fired interaction lies in the drawn component's ports, so the
-next step re-reads only that component's entry.  A step draws a live
-component weighted by these counts (with one live component there is no
-draw), and picks one of its satisfying valuations with coins from the
-engine's own generator.  No primed behavior, primed connectors or
-pool-sized priority function is built.
+Each group keeps a survivor table, and no other table is kept: per key,
+the survivor function, whether it has a survivor, and its number of
+models over the group's own ports (`sat_count` over every variable,
+shifted right by the variables outside those ports).  A count is filled
+in on the first draw among two or more live components that needs it.
+The tables hold at most the sum of the groups' local state spaces, not
+their product.  `survivors` (which `check` reads) and the step read the
+same entries.  The engine keeps each component's group entries from its
+last step; a fired interaction lies in the drawn component's ports, so
+the next step re-reads only that component's groups.  A step draws a
+live component (one with a live group) weighted by the sum of its
+groups' counts (with one live component there is no draw), and picks one
+of its satisfying valuations with coins from the engine's own generator.
+No primed behavior, primed connectors or pool-sized priority function
+is built.
 """
 
 from __future__ import annotations
@@ -99,6 +98,7 @@ from .model import (
 from .model import step as fire
 
 PRIME = "'"
+_has_survivor = itemgetter(1)  # of a survivor-table entry
 
 
 def prime(port: str) -> str:
@@ -411,6 +411,12 @@ class SystemEncoding:
             entry[2] = m.sat_count(entry[0]) >> (len(m.variables) - len(self.port_names))
         return entry[2]
 
+    def entry(self, state: GlobalState) -> list:
+        """Our `survivor_table` entry at our key in a system state;
+        `survivor_fn` fills it in on a miss."""
+        self.survivor_fn(key := self.local_state(state))
+        return self.survivor_table[key]
+
     def survivors(self, state: GlobalState) -> frozenset[Interaction]:
         """The union of the components' groups' model sets at their keys."""
         out: list[Interaction] = []
@@ -421,42 +427,32 @@ class SystemEncoding:
 
 
 class Component:
-    """An independent component: its atoms, whose states key its survivor
-    table, and its port groups, whose survivor sets are disjoint and make
-    up its own.  The groups mention disjoint ports and no group's function
-    holds where its ports are all false, so `pick` draws from the groups'
-    functions what `pick_sat` draws from their join."""
+    """An independent component: its port groups, whose survivor sets are
+    disjoint and make up its own, and its pick.  The groups mention
+    disjoint ports and no group's function holds where its ports are all
+    false, so `pick` draws from the groups' functions what `pick_sat`
+    draws from their join."""
 
-    def __init__(self, atoms: tuple[int, ...], groups: tuple[SystemEncoding, ...], manager: BddManager):
+    def __init__(self, groups: tuple[SystemEncoding, ...], manager: BddManager):
         self.groups, self.manager = groups, manager
-        self.local_state = itemgetter(*atoms)
-        # local state -> [the groups' survivor functions, whether one has a
-        # survivor, their number of survivors (None until a draw needs it),
-        # the groups' entries]: the memo the step reads
-        self.survivor_table: dict[GlobalState, list] = {}
+        # each group's key reader, its survivor table and itself, bound once
+        # so that a table hit looks up no attribute
+        self._readers = tuple((g.local_state, g.survivor_table, g) for g in groups)
         pick_sat = manager.pick_sat
         self.pick = (manager.disjoint_pick([g.port_names for g in groups]) if len(groups) != 1
                      else lambda fns, rng: pick_sat(fns[0], rng))
 
-    def entry(self, state: GlobalState) -> list:
-        """Our `survivor_table` entry at our local state in a system state;
-        a miss reads each group's entry at its key."""
-        entry = self.survivor_table.get(key := self.local_state(state))
-        if entry is None:
-            entries = []
-            for g in self.groups:
-                g.survivor_fn(k := g.local_state(state))  # fills the group's entry on a miss
-                entries.append(g.survivor_table[k])
-            fns = tuple([e[0] for e in entries])
-            entry = self.survivor_table[key] = [fns, any([e[1] for e in entries]), None, entries]
-        return entry
+    def entries(self, state: GlobalState) -> list[list]:
+        """Each group's `survivor_table` entry at its key in a system state."""
+        out = []
+        for read, table, g in self._readers:
+            out.append(table.get(read(state)) or g.entry(state))  # an entry is a non-empty list
+        return out
 
-    def survivor_count(self, entry: list) -> int:
-        """A `survivor_table` entry's number of survivors, the sum of its
-        groups', filled in on the first call."""
-        if entry[2] is None:
-            entry[2] = sum(map(SystemEncoding.survivor_count, self.groups, entry[3]))
-        return entry[2]
+    def survivor_count(self, entries: list[list]) -> int:
+        """The sum of the groups' numbers of survivors in their `entries`,
+        each filled in on its first call."""
+        return sum(map(SystemEncoding.survivor_count, self.groups, entries))
 
 
 def _group(system: SystemModel, ports: tuple[str, ...], mgr: BddManager) -> SystemEncoding:
@@ -500,8 +496,7 @@ def build(system: SystemModel) -> SystemEncoding:
     if system.priority is not None and not isinstance(system.priority, (MaximalProgress, ExplicitPairs)):
         raise TypeError(f"unknown priority model: {system.priority!r}")
     mgr = BddManager(variable_order(system))
-    comps = tuple(Component(atoms, tuple(_group(system, g, mgr) for g in groups), mgr)
-                  for atoms, groups in _partition(system))
+    comps = tuple(Component(tuple(_group(system, g, mgr) for g in groups), mgr) for _, groups in _partition(system))
     for c in comps:  # what a step reads
         for g in c.groups:
             g.local_behavior, g.connector_fn, g.pairs_fn, g.dominator_fn
@@ -511,13 +506,13 @@ def build(system: SystemModel) -> SystemEncoding:
 class SymbolicEngine(Engine):
     """Stepper that works on the encoded system only.
 
-    The per-step work is one survivor-table entry: that of the component
-    the last step moved, at its new local state (read from its groups'
-    entries by `Component.entry` on a miss); the other components' entries
-    are kept from the last step.
+    The per-step work is reading the port groups' survivor-table entries
+    of the component the last step moved, at their keys in the new state
+    (`Component.entries`); the other components' entries are kept from the
+    last step.
     A step whose state is not the one the last step fired to (a reset, or
     a state set from outside) reads every component.  Then a live
-    component is drawn weighted by the entries' counts (the live list, the
+    component is drawn weighted by its groups' counts (the live list, the
     counts and their running sums are kept too, rebuilt only when the moved
     component gains or loses its last survivor, and the sums redone only
     when its count changes), and one satisfying assignment is
@@ -530,56 +525,48 @@ class SymbolicEngine(Engine):
         self.system = system
         self.seed = seed
         self.reset()
-        # each component's local-state reader, its survivor table and itself,
-        # bound once so that a table hit looks up no attribute
-        self._components = tuple((c.local_state, c.survivor_table, c) for c in self.encoding.components)
-        # each component's entry as our last step read it, the state that step
-        # fired to and the component it moved: at that state only the moved
-        # component's entry can differ; and the live components' indices and,
-        # once a draw has needed them, their survivor counts and running sums
-        self._entries = [None] * len(self._components)
+        # each component's group entries as our last step read them, the state
+        # that step fired to and the component it moved: at that state only the
+        # moved component's entries can differ; and the live components' indices
+        # and, once a draw has needed them, their survivor counts and running sums
+        self._entries = [None] * len(self.encoding.components)
         self._fired_to = None
         self._moved = 0
         self._live = None
         self._weights = None
         self._cum = None
 
-    def _read(self, k: int, state: GlobalState) -> list:
-        """Component k's survivor-table entry at its local state in `state`."""
-        local, table, c = self._components[k]
-        return table.get(local(state)) or c.entry(state)  # an entry is a non-empty list
-
     def step(self) -> Optional[tuple[Interaction, GlobalState]]:
         """Fire one surviving interaction; None signals deadlock.  The
         component is drawn weighted by survivor counts, if several have any."""
-        state, entries = self.state, self._entries
+        state, entries, comps = self.state, self._entries, self.encoding.components
         if state is self._fired_to:
             k = self._moved
-            old, new = entries[k], self._read(k, state)
-            entries[k] = new
-            if new[1] != old[1]:
+            new = entries[k] = comps[k].entries(state)
+            live = any(map(_has_survivor, new))
+            if live != (k in self._live):
                 self._live = None
-            elif new[1] and self._weights is not None:
-                i, w = self._live.index(k), self.encoding.components[k].survivor_count(new)
+            elif live and self._weights is not None:
+                i, w = self._live.index(k), comps[k].survivor_count(new)
                 if w != self._weights[i]:
                     self._weights[i] = w
                     self._cum = list(accumulate(self._weights))
         else:  # reset, or a state set from outside: read every component
-            entries[:] = [self._read(k, state) for k in range(len(entries))]
+            entries[:] = [c.entries(state) for c in comps]
             self._live = None
         if self._live is None:
-            self._live, self._weights = [k for k, e in enumerate(entries) if e[1]], None
+            self._live, self._weights = [k for k, es in enumerate(entries) if any(map(_has_survivor, es))], None
         live = self._live
         if not live:
             return None
         k = live[0]
         if len(live) > 1:  # an entry is counted on the first draw it takes part in
             if self._weights is None:
-                self._weights = [self.encoding.components[j].survivor_count(entries[j]) for j in live]
+                self._weights = [comps[j].survivor_count(entries[j]) for j in live]
                 self._cum = list(accumulate(self._weights))
             cum = self._cum  # the draw of `random.Random.choices(live, weights)`
             k = live[bisect(cum, self._rng.random() * cum[-1], 0, len(cum) - 1)]
-        a = self.encoding.components[k].pick(entries[k][0], self._rng)
+        a = comps[k].pick([e[0] for e in entries[k]], self._rng)
         self.state = fire(self.system, state, a, self._rng)
         self._fired_to, self._moved = self.state, k
         self.steps_taken += 1

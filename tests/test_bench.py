@@ -58,7 +58,7 @@ def test_bench_times_fresh_engines(monkeypatch):
     run = SymbolicEngine.run
 
     def recording_run(self, steps):
-        started.append((self, self.steps_taken, sum(len(c.survivor_table) for c in self.encoding.components)))
+        started.append((self, self.steps_taken, sum(len(g.survivor_table) for c in self.encoding.components for g in c.groups)))
         return run(self, steps)
 
     monkeypatch.setattr(SymbolicEngine, "run", recording_run)

@@ -55,6 +55,31 @@ class TestModulo8Basics:
         with pytest.raises(ValueError):
             act(mod8, mod8.initial_state(), fz("nope"))
 
+    def test_input_checks_name_the_fault(self, mod8):
+        # a foreign port is named, whether or not the rest of the
+        # interaction is in the pool, and a state must have one entry per atom
+        s0 = mod8.initial_state()
+        for call in (act, step, successors):
+            for a in (fz("nope"), fz("p", "nope")):
+                with pytest.raises(ValueError, match="port 'nope' does not belong to the system"):
+                    call(mod8, s0, a)
+            for state in (s0[:2], (*s0, "l1")):
+                with pytest.raises(ValueError, match="state arity"):
+                    call(mod8, state, fz("p"))
+
+    def test_shares_split_an_interaction_in_atom_order(self, mod8):
+        a = fz("u", "t", "r", "q", "p")
+        shares = mod8.shares(a)
+        assert shares == ((0, fz("p", "q")), (1, fz("r")), (2, fz("t", "u")))
+        assert mod8.shares(a) is shares
+        assert mod8.shares(frozenset()) == ()
+        for sysm in map(random_system, range(20)):
+            for a in sysm.gamma:
+                shares = sysm.shares(a)
+                assert shares == tuple((i, a & atom.port_set) for i, atom in enumerate(sysm.atoms) if a & atom.port_set)
+                # a share that is one of its atom's labels is the label itself
+                assert all(s is sysm.atoms[i].label_of.get(s, s) for i, s in shares)
+
     def test_maxprog_pairs(self, mod8):
         pairs = effective_pairs(mod8.priority, mod8.gamma)
         assert len(pairs) == 6  # strict subset pairs among 4 chained sets

@@ -189,7 +189,7 @@ def test_system_function_conjunction(mod8):
 def test_enabled_fn_matches_restricted_system_fn():
     # the atoms' local behaviors conjoin to the node of restricting f_B
     # (and f_S) by the whole state; the memoised survivor functions, the
-    # whole system's and its groups' (which a component's entry keeps),
+    # whole system's and its groups' (a component's entries are theirs),
     # must be those a fresh encoding computes with its memos empty, and
     # the groups' union-join the whole system's
     systems = [modulo8(), gen_bus(3), gen_tasks(3, 2), *map(random_system, range(60))]
@@ -203,8 +203,9 @@ def test_enabled_fn_matches_restricted_system_fn():
             fn, entry = enc.survivor_fn(state), enc.survivor_table[state]
             assert enc.survivor_fn(state) == fn == entry[0]
             for c in enc.components:
-                entry = c.entry(state)
-                assert c.entry(state) is entry and entry[0] == tuple(e[0] for e in entry[3])
+                entries = c.entries(state)
+                assert all(map(operator.is_, c.entries(state), entries))
+                assert all(map(operator.is_, entries, (g.survivor_table[g.local_state(state)] for g in c.groups)))
             for g in (fresh, *port_groups_of(fresh)):
                 g.survivor_table.clear()
             assert transfer(fresh.survivor_fn(state), m) == fn
@@ -269,21 +270,19 @@ def test_portless_atom_steps_and_checks():
 def test_survivor_table_counts_models_over_component_ports():
     # the count the step draws components by is the number of models over
     # the component's own ports, on one- and multi-component systems alike;
-    # a component keeps its groups' entries and sums their counts
+    # a component reads its groups' entries and sums their counts
     bus = gen_bus(3)
     randoms = [r for r in map(random_system, range(60)) if len(components(r)) > 1]
     for sysm in (bus, _pairs_written_out(bus), gen_tasks(3, 2), *randoms):
         enc = build(sysm)
         for state in reachable(sysm, bound=300).states:
             for c in enc.components:
-                entry = c.entry(state)
-                assert c.survivor_table[c.local_state(state)] is entry
+                entries = c.entries(state)
+                assert all(map(operator.is_, entries, (g.survivor_table[g.local_state(state)] for g in c.groups)))
                 fn = joined_survivor_fn(c, state)
                 n = len(list(c.manager.iter_models(fn, ports_of(c))))
-                assert all(map(operator.is_, entry[3], (g.survivor_table[g.local_state(state)] for g in c.groups)))
-                assert entry[0] == tuple(e[0] for e in entry[3])
-                assert entry[1] == (n > 0)
-                assert c.survivor_count(entry) == n and entry[2] == n
+                assert any(e[1] for e in entries) == (n > 0)
+                assert c.survivor_count(entries) == n == sum(e[2] for e in entries)
 
 
 def test_pick_matches_reference_on_survivor_functions():
@@ -416,9 +415,9 @@ def test_group_key_shares_states_that_offer_the_same_labels():
     waiting, running = ("w2", *state[1:]), ("c2", *state[1:])
     assert one.local_state(waiting) == one.local_state(running) == ("c2", "s", "s", "l0")
     assert two.local_state(waiting) != two.local_state(running)
-    c.entry(waiting)
-    c.entry(running)
-    assert len(c.survivor_table) == 2 and len(one.survivor_table) == 1 and len(two.survivor_table) == 2
+    c.entries(waiting)
+    c.entries(running)
+    assert len(one.survivor_table) == 1 and len(two.survivor_table) == 2
 
 
 def test_group_join_is_the_whole_component_function():
@@ -464,11 +463,11 @@ def test_group_pick_is_pick_sat_of_the_join():
         (c,) = eng.encoding.components  # tasks and hubs are one component each
         m = c.manager
         for state in states:
-            F, entry = joined_survivor_fn(c, state), c.entry(state)
+            F, fns = joined_survivor_fn(c, state), [e[0] for e in c.entries(state)]
             for seed in range(3):
                 ours, ref = random.Random(seed), random.Random(seed)
                 before = m.total_nodes()
-                assert c.pick(entry[0], ours) == m.pick_sat(F, ref)
+                assert c.pick(fns, ours) == m.pick_sat(F, ref)
                 assert m.total_nodes() == before
                 assert ours.getstate() == ref.getstate()
                 eng.state, ref = state, random.Random(seed)
@@ -481,26 +480,25 @@ def test_group_pick_is_pick_sat_of_the_join():
 
 def test_a_component_miss_whose_groups_hit_allocates_no_node():
     # the engine never builds a component's join: once every group of the
-    # component has an entry at the new state, the component's miss only
+    # component has an entry at the new state, reading the component only
     # reads them
-    misses = 0
+    reads = 0
     for sysm in (gen_tasks(4, 2), gen_tasks(8, 4)):
         engine = SymbolicEngine(sysm, seed=3)
         m = engine.encoding.manager
         for c in engine.encoding.components:
             if len(c.groups) > 1:
-                def checked(state, c=c, fill=c.entry):
-                    nonlocal misses
-                    if c.local_state(state) not in c.survivor_table and all(
-                            g.local_state(state) in g.survivor_table for g in c.groups):
+                def checked(state, c=c, read=c.entries):
+                    nonlocal reads
+                    if all(g.local_state(state) in g.survivor_table for g in c.groups):
                         before = m.total_nodes()
-                        fill(state)
+                        read(state)
                         assert m.total_nodes() == before
-                        misses += 1
-                    return fill(state)
-                c.entry = checked
+                        reads += 1
+                    return read(state)
+                c.entries = checked
         engine.run(3000)
-    assert misses > 100
+    assert reads > 100
 
 
 def test_steps_leave_no_reference_cycles():
@@ -549,7 +547,7 @@ def test_every_live_component_gets_picked():
     sysm = gen_bus(3)
     state = ("B", "A", "A", "A", "B", "B", "A", "A", "A", "A", "A", "B")
     enc = build(sysm)
-    live = {k for k, c in enumerate(enc.components) if c.entry(state)[1]}
+    live = {k for k, c in enumerate(enc.components) if any(e[1] for e in c.entries(state))}
     assert len(live) == 3
     picked = set()
     for seed in range(60):
@@ -604,9 +602,9 @@ def test_incremental_step_equals_a_full_read():
                 full.state = tuple(list(full.state))  # equal, but not the tuple its step produced
                 result = eng.step()
                 assert result == full.step()
-                fresh = [c.entry(before) for c in eng.encoding.components]
-                assert all(map(operator.is_, eng._entries, fresh))
-                live = [k for k, e in enumerate(fresh) if e[1]]
+                fresh = [c.entries(before) for c in eng.encoding.components]
+                assert [list(map(id, es)) for es in eng._entries] == [list(map(id, es)) for es in fresh]
+                live = [k for k, es in enumerate(fresh) if any(e[1] for e in es)]
                 assert eng._live == live
                 if len(live) > 1:
                     assert eng._weights == [eng.encoding.components[k].survivor_count(fresh[k]) for k in live]
