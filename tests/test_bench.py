@@ -58,7 +58,8 @@ def test_bench_times_fresh_engines(monkeypatch):
     run = SymbolicEngine.run
 
     def recording_run(self, steps):
-        started.append((self, self.steps_taken, sum(len(g.survivor_table) for c in self.encoding.components for g in c.groups)))
+        cached = sum(len(g.survivor_table) for c in self.encoding.components for g in c.groups)
+        started.append((self, self.steps_taken, cached))
         return run(self, steps)
 
     monkeypatch.setattr(SymbolicEngine, "run", recording_run)
