@@ -45,11 +45,24 @@ def _tasks_twice(n, m):
     return SystemModel(f"tasks{n}x{m}_twice", a.atoms + b.atoms, a.connectors + b.connectors, a.priority)
 
 
+def _bus_with_a_moved_trigger(n, k):
+    # bus n with cluster k's bus connector changed: its first sender a
+    # synchron, its last a trigger; every other cluster is a renamed copy
+    # of the first, and cluster k differs from them only in that connector
+    s = gen_bus(n)
+    sends = [f"s{i}_{k}" for i in range(1, 5)]
+    moved = Fusion((Factor(PortLeaf(sends[0])), *(Factor(PortLeaf(p), True) for p in sends[1:])))
+    return SystemModel(f"{s.name}_moved{k}", s.atoms,
+                       tuple(Connector(c.name, moved) if c.name == f"bus_{k}" else c for c in s.connectors),
+                       s.priority)
+
+
 CASES = {
     "tasks8x4": (lambda: gen_tasks(8, 4), 200),
     "bus16": (lambda: gen_bus(16), 500),
     "tasks8x2-pairs": (lambda: _tasks_pairs(8, 2), 400),
     "tasks3x2-twice": (lambda: _tasks_twice(3, 2), 400),
+    "bus5-moved3": (lambda: _bus_with_a_moved_trigger(5, 3), 500),
 }
 
 # sha256 of the fired interactions, one line per step of sorted ports
@@ -70,6 +83,10 @@ PINNED = {
     ("tasks3x2-twice", "enum", 7): "e3539531707a828eac4380947a6b078dc779de80e43592acd6e40b0d58a5d0d8",
     ("tasks3x2-twice", "sym", 1): "e33513ee8114c8a57971ff0991cbbe751b82e11a2a2a5c22c65a7526b17e65e5",
     ("tasks3x2-twice", "sym", 7): "996816be4e3f083b58114508af796e94dca7895366effacad37761c42ec03d13",
+    ("bus5-moved3", "enum", 1): "dc6b3056d0f662807d83027328d7dbfb7f8563fa95b280350b9abcf9f23e5036",
+    ("bus5-moved3", "enum", 7): "4d7ac1112cd237985cabacbe47319d02bcfc1e06e1c8d3d70cdab1bdfc5e91de",
+    ("bus5-moved3", "sym", 1): "cc5586b168f4e586fcd6cb3966e28f24a722682c3867f56dabff23f328485f2e",
+    ("bus5-moved3", "sym", 7): "aa2ae6ffcabc19cc12db5c62eb44834066c4de2e59d24b158beab0bdba3497bb",
 }
 
 
