@@ -139,7 +139,10 @@ class BddManager:
         self._hi: list[int] = [-1, -1]
         self._unique: dict[int, int] = {}
         self._tables: dict[str, dict[int, int]] = {
-            op: {} for op in ("and", "or", "not", "shift", "and_local")}
+            op: {} for op in ("and", "or", "not", "and_local")}
+        # level map -> the rename table, None for the identity
+        self._rename_tables: dict[tuple[int, ...], dict[int, int] | None] = {}
+        self._next_levels = tuple(range(1, n + 1))
         # quantified name set -> (its levels, the and_exists table)
         self._exists_tables: dict[frozenset[str], tuple[frozenset[int], dict[int, int]]] = {}
         # name set -> (its sorted levels, as a set, the `maximal` and `out` tables)
@@ -540,24 +543,40 @@ class BddManager:
         r, rec = rec(u, v), None
         return self._ref(r)
 
-    def shift(self, f: BddRef) -> BddRef:
-        """f with every variable renamed to the next one in the order: a
-        structural copy one level down, with no apply."""
-        var, lo, hi, table, mk = self._var, self._lo, self._hi, self._tables["shift"], self._mk
-        last = self._leaf_level - 1
+    def rename(self, f: BddRef, levels: Sequence[int]) -> BddRef:
+        """f with the variable at each level l moved to level levels[l]: a
+        structural copy with no apply, memoised per map.  Renaming the
+        levels f tests in an order-preserving way keeps the copy reduced
+        and ordered; a node whose copy would leave the order is refused.
+        Under the identity map the copy is f itself."""
+        u, levels = self._node(f), tuple(levels)
+        table = self._rename_tables.get(levels, False)
+        if table is False:
+            n = self._leaf_level
+            if len(levels) != n or not all(0 <= l <= n for l in levels):
+                raise BddError("a rename maps each level of the order to a level")
+            table = self._rename_tables[levels] = None if levels == tuple(range(n)) else {}
+        if table is None:
+            return f
+        var, lo, hi, mk, names = self._var, self._lo, self._hi, self._mk, self._names
 
         def rec(u: int) -> int:
             if u <= TRUE:
                 return u
             r = table.get(u)
             if r is None:
-                if var[u] == last:
-                    raise BddError("the last variable of the order has no successor")
-                r = table[u] = mk(var[u] + 1, rec(lo[u]), rec(hi[u]))
+                l, h, v = rec(lo[u]), rec(hi[u]), levels[var[u]]
+                if v >= var[l] or v >= var[h]:
+                    raise BddError(f"renaming {names[var[u]]!r} to level {v} leaves the order")
+                r = table[u] = mk(v, l, h)
             return r
 
-        r, rec = rec(self._node(f)), None
+        r, rec = rec(u), None
         return self._ref(r)
+
+    def shift(self, f: BddRef) -> BddRef:
+        """f with every variable renamed to the next one in the order."""
+        return self.rename(f, self._next_levels)
 
     def maximal(self, f: BddRef, names: Iterable[str]) -> BddRef:
         """The models of f over `names` that no other model of f strictly

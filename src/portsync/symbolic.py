@@ -83,7 +83,7 @@ from typing import Callable, Iterable, Optional
 from . import boolfunc as bf
 from .bdd import BddManager, BddRef, balanced
 from .causal import causal_rules, rules_to_formula, tau
-from .connectors import Interaction, interaction_key
+from .connectors import AcTerm, Fusion, Interaction, PortLeaf, interaction_key
 from .model import (
     AtomicBehavior,
     Connector,
@@ -294,6 +294,12 @@ class SystemEncoding:
     components: tuple["Component", ...] = field(default=(), repr=False, compare=False)
     local_state: Callable[[GlobalState], GlobalState] = field(
         default=itemgetter(slice(None)), repr=False, compare=False)
+    # a group's class: its representative, which encodes the functions of
+    # the class, the representative's key for each of our keys, and the
+    # level map that copies its functions onto our ports
+    representative: Optional["SystemEncoding"] = field(default=None, repr=False, compare=False)
+    rep_key: Callable[[GlobalState], GlobalState] = field(default=tuple, repr=False, compare=False)
+    rep_levels: tuple[int, ...] = field(default=(), repr=False, compare=False)
     # local state -> [survivor function, whether it has a survivor, its
     # number of survivors over our ports (None until a draw needs it)]
     survivor_table: dict[GlobalState, list] = field(
@@ -407,22 +413,33 @@ class SystemEncoding:
         call: its function mentions only our ports, so each other variable
         doubles its model count."""
         if entry[2] is None:
-            m = self.manager
-            entry[2] = m.sat_count(entry[0]) >> (len(m.variables) - len(self.port_names))
+            entry[2] = self.manager.sat_count(entry[0]) >> self._count_shift
         return entry[2]
 
+    @cached_property
+    def _count_shift(self) -> int:
+        return len(self.manager.variables) - len(self.port_names)
+
     def entry(self, state: GlobalState) -> list:
-        """Our `survivor_table` entry at our key in a system state;
-        `survivor_fn` fills it in on a miss."""
-        self.survivor_fn(key := self.local_state(state))
-        return self.survivor_table[key]
+        """Our `survivor_table` entry at our key in a system state.  A miss
+        reads our representative's survivor function at its key for ours
+        (`survivor_fn`, filled in on a miss there) and copies it onto our
+        ports with its count: our identity copy, if we represent our class."""
+        table, key = self.survivor_table, self.local_state(state)
+        entry = table.get(key)
+        if entry is None:
+            rep, rep_key = self.representative, self.rep_key(key)
+            fn = rep.survivor_fn(rep_key)
+            _, live, count = rep.survivor_table[rep_key]
+            entry = table.setdefault(key, [self.manager.rename(fn, self.rep_levels), live, count])
+        return entry
 
     def survivors(self, state: GlobalState) -> frozenset[Interaction]:
         """The union of the components' groups' model sets at their keys."""
         out: list[Interaction] = []
         for c in self.components:
             for g in c.groups:
-                out += self.manager.iter_models(g.survivor_fn(g.local_state(state)), g.port_names)
+                out += self.manager.iter_models(g.entry(state)[0], g.port_names)
         return frozenset(out)
 
 
@@ -455,7 +472,16 @@ class Component:
         return sum(map(SystemEncoding.survivor_count, self.groups, entries))
 
 
-def _group(system: SystemModel, ports: tuple[str, ...], mgr: BddManager) -> SystemEncoding:
+def _ranked_term(term: AcTerm, rank: dict[str, int]):
+    """A connector term with each port written as its rank."""
+    if isinstance(term, PortLeaf):
+        return rank[term.port]
+    if isinstance(term, Fusion):
+        return tuple((_ranked_term(f.term, rank), f.trigger) for f in term.factors)
+    return term
+
+
+def _group(system: SystemModel, ports: tuple[str, ...], mgr: BddManager, classes: dict) -> SystemEncoding:
     """One port group, encoded over the atoms that own its ports projected
     onto it: each keeps its ports in the group and the transitions whose
     labels lie in it, with the connectors and explicit pairs on the group.
@@ -463,7 +489,16 @@ def _group(system: SystemModel, ports: tuple[str, ...], mgr: BddManager) -> Syst
     the first of its states that offers the same labels inside the group,
     so the group's table is shared by the states that differ only outside
     it.  Where no two states of an owner are alike (every bus cluster),
-    the key is the owners' states, read by one `itemgetter`."""
+    the key is the owners' states, read by one `itemgetter`.
+
+    Its class is `classes[signature]`, whose first group represents it.
+    The signature names nothing: with the ports ranked by level, it holds
+    per owner its port ranks and the ranked label sets its states offer,
+    the connector terms and explicit pairs over ranks, and the priority
+    kind.  The rank-preserving rename of ports is thus an isomorphism of
+    the sub-systems; it maps our key to the representative's (per owner,
+    the first state offering the same ranked labels) and its functions
+    onto ours."""
     ours = frozenset(ports)
     atoms = tuple(j for j, atom in enumerate(system.atoms) if atom.port_set & ours)
 
@@ -473,20 +508,34 @@ def _group(system: SystemModel, ports: tuple[str, ...], mgr: BddManager) -> Syst
         return AtomicBehavior(atom.name, atom.states, atom.init, tuple(p for p in atom.ports if p in ours),
                               tuple(t for t in atom.transitions if t.label <= ours))
 
-    def first_alike(atom: AtomicBehavior) -> dict[str, str]:
-        seen: dict[frozenset[Interaction], str] = {}
-        return {q: seen.setdefault(atom.labels_from[q], q) for q in atom.states}
-
     pr = system.priority
     if isinstance(pr, ExplicitPairs):
         pr = ExplicitPairs(frozenset(ab for ab in pr.closure if (ab[0] | ab[1]) & ours))
     sub = SystemModel(system.name, tuple(project(system.atoms[i]) for i in atoms),
                       tuple(c for c in system.connectors if c.port_set & ours), pr)
-    readers = tuple(zip(atoms, map(first_alike, sub.atoms)))
-    if any(q != a for _, r in readers for q, a in r.items()):
-        return SystemEncoding(sub, mgr, local_state=lambda state: tuple([r[state[j]] for j, r in readers]))
-    return SystemEncoding(sub, mgr, local_state=itemgetter(*atoms) if len(atoms) > 1 else
-                          itemgetter(slice(atoms[0], atoms[0] + 1)))
+    rank = {p: r for r, p in enumerate(ports)}  # port order is level order
+
+    def ranked(ps: Iterable[str]) -> frozenset[int]:
+        return frozenset(map(rank.__getitem__, ps))
+
+    offers = [{q: frozenset(map(ranked, atom.labels_from[q])) for q in atom.states} for atom in sub.atoms]
+    firsts = [{o: q for q, o in reversed(offer.items())} for offer in offers]  # each offer's first state
+    signature = (tuple((tuple(map(rank.__getitem__, a.ports)), frozenset(o)) for a, o in zip(sub.atoms, firsts)),
+                 frozenset(_ranked_term(c.term, rank) for c in sub.connectors),
+                 frozenset((ranked(lo), ranked(hi)) for lo, hi in pr.closure) if isinstance(pr, ExplicitPairs)
+                 else type(pr))
+    readers = tuple((j, {q: first[o] for q, o in offer.items()}) for j, offer, first in zip(atoms, offers, firsts))
+    if any(len(first) < len(offer) for offer, first in zip(offers, firsts)):
+        enc = SystemEncoding(sub, mgr, local_state=lambda state: tuple([r[state[j]] for j, r in readers]))
+    else:
+        enc = SystemEncoding(sub, mgr, local_state=itemgetter(*atoms) if len(atoms) > 1 else
+                             itemgetter(slice(atoms[0], atoms[0] + 1)))
+    rep, rep_firsts = classes.setdefault(signature, (enc, firsts))
+    to_rep = [{q: their[o] for q, o in offer.items()} for offer, their in zip(offers, rep_firsts)]
+    enc.representative, enc.rep_key = rep, lambda key: tuple([m[q] for m, q in zip(to_rep, key)])
+    copy = dict(zip(map(mgr.level_of, rep.port_names), map(mgr.level_of, ports)))
+    enc.rep_levels = tuple(copy.get(l, l) for l in range(len(mgr.variables)))
+    return enc
 
 
 def build(system: SystemModel) -> SystemEncoding:
@@ -496,10 +545,11 @@ def build(system: SystemModel) -> SystemEncoding:
     if system.priority is not None and not isinstance(system.priority, (MaximalProgress, ExplicitPairs)):
         raise TypeError(f"unknown priority model: {system.priority!r}")
     mgr = BddManager(variable_order(system))
-    comps = tuple(Component(tuple(_group(system, g, mgr) for g in groups), mgr) for _, groups in _partition(system))
-    for c in comps:  # what a step reads
-        for g in c.groups:
-            g.local_behavior, g.connector_fn, g.pairs_fn, g.dominator_fn
+    classes: dict = {}  # signature -> its representative and its owners' first state per offer
+    comps = tuple(Component(tuple(_group(system, g, mgr, classes) for g in groups), mgr)
+                  for _, groups in _partition(system))
+    for rep, _ in classes.values():  # what a step reads
+        rep.local_behavior, rep.connector_fn, rep.pairs_fn, rep.dominator_fn
     return SystemEncoding(system, mgr, comps)
 
 

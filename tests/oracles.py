@@ -8,16 +8,17 @@ BDD references keep earlier, simpler versions of library routines, and
 the kernel operations that only tests need (`evaluate`, `support`, and
 `ite`, built from and/or/not as the kernel builds xor and implies).  One
 seeded system family (`hub_system`) gives components of several port
-groups, which the random generator almost never makes; the engine never
-builds a component's survivor function, which `joined_survivor_fn`
-builds from its groups' functions.
+groups, which the random generator almost never makes, and
+`moved_trigger` makes one of several isomorphic clusters differ from the
+others in one connector; the engine never builds a component's survivor
+function, which `joined_survivor_fn` builds from its groups' functions.
 """
 
 import random
 from itertools import product
 
 from portsync.causal import causal_rules, rules_to_formula, tau
-from portsync.connectors import Factor, fusion, interaction_key, interactions_of, support as term_support
+from portsync.connectors import Factor, Fusion, fusion, interaction_key, interactions_of, support as term_support
 from portsync.generators import random_monomial_term
 from portsync.model import AtomicBehavior, Connector, ExplicitPairs, MaximalProgress, SystemModel, Transition
 from portsync.symbolic import Component, _expr_bdd, prime, union_join
@@ -147,6 +148,16 @@ def hub_system(seed):
     return SystemModel(f"hub{seed}", tuple(atoms), tuple(connectors), priority)
 
 
+def moved_trigger(system, name):
+    """`system` with connector `name`'s first factor a synchron and its
+    other factors triggers."""
+    def moved(term):
+        return Fusion(tuple(Factor(f.term, k > 0) for k, f in enumerate(term.factors)))
+
+    return SystemModel(system.name, system.atoms, tuple(Connector(c.name, moved(c.term)) if c.name == name else c
+                                                        for c in system.connectors), system.priority)
+
+
 def bdd_table(mgr, f, names):
     """Truth table of f over `names` as an int, row i = assignment bits
     of i with names[0] as the most significant bit."""
@@ -274,7 +285,7 @@ def ports_of(x):
 def joined_survivor_fn(x, state):
     """The survivor function of a component, or of a whole encoding, at a
     system state as one function: the union-join of its port groups'
-    functions over its ports, which the engine picks from and counts
-    without building it."""
+    functions over its ports (their entries, as the step reads them),
+    which the engine picks from and counts without building it."""
     groups = port_groups_of(x)
-    return union_join(((g.port_names, g.survivor_fn(g.local_state(state))) for g in groups), ports_of(x), x.manager)
+    return union_join(((g.port_names, g.entry(state)[0]) for g in groups), ports_of(x), x.manager)

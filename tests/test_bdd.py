@@ -189,6 +189,47 @@ class TestRelationalProduct:
         with pytest.raises(BddError):
             mgr.shift(mgr.var("a") | mgr.var("e"))
 
+    def test_rename_is_the_truth_table_rename(self):
+        # an order-preserving map of the levels a function tests moves its
+        # truth table onto the target names, node for node; the identity
+        # map returns the function itself
+        mgr = BddManager(self.NAMES)
+        n, rng = len(self.NAMES), random.Random(29)
+        for _ in range(60):
+            src = sorted(rng.sample(range(n), rng.randint(1, 4)))
+            dst = sorted(rng.sample(range(n), len(src)))
+            t = rng.getrandbits(1 << len(src))
+            f = self.table_bdd(mgr, t, [self.NAMES[l] for l in src])
+            levels = list(range(n))
+            for a, b in zip(src, dst):
+                levels[a] = b
+            renamed = mgr.rename(f, levels)
+            assert bdd_table(mgr, renamed, [self.NAMES[l] for l in dst]) == t
+            assert renamed == self.table_bdd(mgr, t, [self.NAMES[l] for l in dst])
+            assert mgr.node_count(renamed) == mgr.node_count(f)
+            assert mgr.rename(f, range(n)) is f
+        mgr.audit()
+
+    def test_shift_is_the_rename_by_one_level(self):
+        mgr = BddManager(self.NAMES)
+        rng = random.Random(31)
+        for _ in range(20):
+            f = self.table_bdd(mgr, rng.getrandbits(16), self.NAMES[:-1])
+            assert mgr.shift(f) == mgr.rename(f, range(1, len(self.NAMES) + 1))
+
+    def test_rename_out_of_order_rejected(self):
+        mgr = BddManager(self.NAMES)
+        f = mgr.var("a") & ~mgr.var("c")
+        with pytest.raises(BddError):  # a below c
+            mgr.rename(f, [3, 1, 1, 3, 4])
+        with pytest.raises(BddError):  # a and c on one level
+            mgr.rename(f, [1, 1, 1, 3, 4])
+        with pytest.raises(BddError):  # a map of some levels only
+            mgr.rename(f, [1, 2, 3])
+        with pytest.raises(BddError):  # past the last level
+            mgr.rename(f, [0, 1, 2, 3, 6])
+        assert mgr.rename(f, [1, 1, 3, 3, 4]) == mgr.var("b") & ~mgr.var("d")
+
     def test_mixed_managers_rejected(self):
         mgr, other = BddManager(self.NAMES), BddManager(self.NAMES)
         with pytest.raises(BddError):
@@ -197,6 +238,8 @@ class TestRelationalProduct:
             mgr.and_exists(other.var("a"), mgr.var("b"), ["a"])
         with pytest.raises(BddError):
             mgr.shift(other.var("a"))
+        with pytest.raises(BddError):
+            mgr.rename(other.var("a"), range(len(self.NAMES)))
 
 
 def random_fn(mgr, rng, free):

@@ -7,6 +7,8 @@ from portsync.generators import gen_bus, gen_tasks, modulo8, random_system
 from portsync.model import ExplicitPairs, SystemModel, reachable
 from portsync.symbolic import build
 
+from oracles import moved_trigger
+
 
 def test_modulo8_equivalent(mod8):
     report = check_equivalence(mod8)
@@ -46,20 +48,46 @@ def test_corrupted_encoding_reports_divergence(mod8):
     assert "divergence" in report.summary()
 
 
+def _without(sysm, name):
+    """sysm without the connector called `name`."""
+    return SystemModel(sysm.name, sysm.atoms, tuple(c for c in sysm.connectors if c.name != name), sysm.priority)
+
+
 def test_corrupted_component_reports_divergence():
-    # bus2 is two independent clusters, each a component of one port
-    # group; tasks 3x2 is one component of two groups, one per processor,
-    # each with its own f_C
-    for sysm, k in ((gen_bus(2), 1), (gen_tasks(3, 2), 0)):
+    # bus2 with one bus trigger moved is two independent clusters, each a
+    # component of one port group, that are not isomorphic; tasks 3x2 less
+    # one connector on processor 2 is one component of two groups, one per
+    # processor, that are not isomorphic either; so each group represents
+    # its own class and encodes its own f_C
+    for sysm, k in ((moved_trigger(gen_bus(2), "bus_2"), 1), (_without(gen_tasks(3, 2), "beg_2_over_1_2"), 0)):
         enc = build(sysm)
         groups = enc.components[k].groups
         assert (len(enc.components), len(groups)) == ((2, 1) if k else (1, 2))
+        assert all(g.representative is g for c in enc.components for g in c.groups)
         groups[-1].connector_fn = enc.manager.false  # sabotage one cluster, or one processor
         report = check_equivalence(sysm, encoding=enc)
         assert not report.equivalent
         d = report.divergences[0]
         # the intact cluster or processor still offers its survivors
         assert frozenset() < d.symbolic_survivors < d.enum_survivors
+
+
+def test_corrupted_representative_diverges_in_its_whole_class():
+    # bus3's clusters form one class: every cluster copies the first one's
+    # functions, so sabotaging the first silences all three, and sabotaging
+    # another cluster, which encodes nothing of its own, changes nothing
+    sysm = gen_bus(3)
+    enc = build(sysm)
+    groups = [c.groups[0] for c in enc.components]
+    assert all(g.representative is groups[0] for g in groups)
+    groups[1].connector_fn = enc.manager.false
+    assert check_equivalence(sysm, encoding=enc).equivalent
+    enc = build(sysm)
+    enc.components[0].groups[0].connector_fn = enc.manager.false
+    report = check_equivalence(sysm, encoding=enc)
+    d = report.divergences[0]
+    assert d.symbolic_survivors == frozenset()
+    assert all(any(a & set(g.port_names) for a in d.enum_survivors) for g in groups)
 
 
 def test_random_systems_equivalent():

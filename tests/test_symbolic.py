@@ -45,8 +45,8 @@ from portsync.symbolic import (
 from portsync.connectors import support
 from portsync.equivalence import check_equivalence
 
-from oracles import (active_fn, all_states, hub_system, joined_survivor_fn, oracle_survivors, port_groups_of, ports_of,
-                     reference_connector_fn, reference_pick_sat, reference_priority_pairs, skipped_levels, transfer,
+from oracles import (active_fn, all_states, hub_system, joined_survivor_fn, moved_trigger, oracle_survivors,
+                     port_groups_of, ports_of, reference_connector_fn, reference_pick_sat, reference_priority_pairs, skipped_levels, transfer,
                      whole_survivor_fn)
 
 
@@ -126,24 +126,26 @@ def test_node_counts_are_pinned():
 
 
 def test_build_leaves_what_no_step_reads_unbuilt():
-    # the build reads what a step reads: each port group's local behaviors,
-    # f_C and priority inputs, and each component's pick; f_B, f_S and the
+    # the build reads what a step reads: each class representative's local
+    # behaviors, f_C and priority inputs, and each component's pick; a group
+    # that copies its representative builds none of them; f_B, f_S and the
     # whole system's own functions wait for a reader, and so does every
     # function of a system of one component of one group
     bus, tasks = gen_bus(3), gen_tasks(3, 2)
-    joined = 0
+    step_reads = {"local_behavior", "connector_fn", "pairs_fn", "dominator_fn"}
+    joined = copies = 0
     for sysm in (tasks, _pairs_written_out(tasks), bus, _pairs_written_out(bus), modulo8()):
         enc = build(sysm)
-        assert not {"behavior_fn", "system_fn", "local_behavior", "connector_fn", "pairs_fn", "dominator_fn"} \
-            & set(vars(enc))
+        assert not {"behavior_fn", "system_fn", *step_reads} & set(vars(enc))
         for c in enc.components:
             assert callable(c.pick)
             for g in c.groups:
-                assert {"local_behavior", "connector_fn", "pairs_fn", "dominator_fn"} <= set(vars(g))
+                assert step_reads & set(vars(g)) == (step_reads if g.representative is g else set())
                 assert not {"behavior_fn", "system_fn"} & set(vars(g))
+                copies += g.representative is not g
             joined += len(c.groups) > 1
         assert enc.system_fn == enc.behavior_fn & enc.connector_fn
-    assert joined == 2
+    assert joined == 2 and copies == 6
 
 
 def test_pairs_build_is_the_same_in_every_process():
@@ -415,9 +417,95 @@ def test_group_key_shares_states_that_offer_the_same_labels():
     waiting, running = ("w2", *state[1:]), ("c2", *state[1:])
     assert one.local_state(waiting) == one.local_state(running) == ("c2", "s", "s", "l0")
     assert two.local_state(waiting) != two.local_state(running)
+    # the processors' groups form one class: processor 2's keys map to the
+    # keys of processor 1's group, where its tasks offer the same ranked
+    # labels, and processor 1's table holds those entries beside its own
+    assert two.representative is one
+    assert two.rep_key(two.local_state(waiting)) == ("w1", "s", "s", "l0")
+    assert two.rep_key(two.local_state(running)) == ("c1", "s", "s", "l0")
     c.entries(waiting)
     c.entries(running)
-    assert len(one.survivor_table) == 1 and len(two.survivor_table) == 2
+    assert len(one.survivor_table) == 3 and len(two.survivor_table) == 2
+
+
+def _cluster_changed(change):
+    """bus2, and bus2 with its pairs written out, each passed through
+    `change`, which changes the second cluster."""
+    return change(gen_bus(2)), change(_pairs_written_out(gen_bus(2)))
+
+
+def _classes(enc):
+    """The groups of each class, the classes in the order of their representatives."""
+    classes: dict[int, list] = {}
+    for g in port_groups_of(enc):
+        classes.setdefault(id(g.representative), []).append(g)
+    return list(classes.values())
+
+
+def test_isomorphic_groups_form_one_class():
+    # every port group of the benchmark's systems is a copy of the first
+    # under an order-preserving rename of its ports
+    for sysm, n in ((gen_bus(16), 16), (gen_tasks(8, 4), 4), (_pairs_written_out(gen_tasks(8, 2)), 2)):
+        (members,) = _classes(build(sysm))
+        assert len(members) == n
+        assert members[0].rep_levels == tuple(range(len(members[0].manager.variables)))  # the identity
+
+
+def test_nearly_isomorphic_groups_keep_apart():
+    # a cluster of bus2 changed in one respect is not a copy of the other:
+    # each stays a class of its own, and the engines still agree
+    fz = frozenset
+
+    def extra_label(s):  # member1_2 can also send from A
+        atoms = tuple(AtomicBehavior(a.name, a.states, a.init, a.ports,
+                                     (*a.transitions, Transition("A", fz({"s1_2"}), "A")))
+                      if a.name == "member1_2" else a for a in s.atoms)
+        return SystemModel(s.name, atoms, s.connectors, s.priority)
+
+    def pair_dropped(s):  # one pair inside cluster 2 that no other pair implies
+        pairs = s.priority.pairs
+        lo, hi = next(ab for ab in sorted(pairs, key=sorted) if "s1_2" in ab[0] | ab[1]
+                      and len(ExplicitPairs(pairs - {ab}).closure) < len(pairs))
+        return SystemModel(s.name, s.atoms, s.connectors, ExplicitPairs(pairs - {(lo, hi)}))
+
+    def outside_dominator(s):  # two claims of cluster 2 together dominate one of them
+        pair = (fz({"c1_2"}), fz({"c1_2", "c2_2"}))
+        return SystemModel(s.name, s.atoms, s.connectors, ExplicitPairs(s.priority.pairs | {pair}))
+
+    def owners_swapped(s):  # member4_2, the bus's synchron, before member1_2
+        atoms = list(s.atoms)
+        atoms[4], atoms[7] = atoms[7], atoms[4]
+        return SystemModel(s.name, tuple(atoms), s.connectors, s.priority)
+
+    assert [len(_classes(build(s))) for s in (gen_bus(2), _pairs_written_out(gen_bus(2)))] == [1, 1]
+    cases = [*_cluster_changed(lambda s: moved_trigger(s, "bus_2")), *_cluster_changed(extra_label),
+             *_cluster_changed(owners_swapped)]
+    cases += [change(_pairs_written_out(gen_bus(2))) for change in (pair_dropped, outside_dominator)]
+    for sysm in cases:
+        assert [len(members) for members in _classes(build(sysm))] == [1, 1]
+        assert check_equivalence(sysm).equivalent
+
+
+def test_copied_group_function_is_its_own_sub_systems():
+    # a group's entry is its representative's survivor function renamed onto
+    # its ports; it must be the node its own sub-system encodes, at each key
+    # that a reachable state (every state of the hub systems) gives it; bus
+    # 4's clusters are independent copies of bus 1, so the states that put
+    # each cluster in the same reachable state of bus 1 give every group
+    # each key that a reachable state gives it
+    bus1 = reachable(gen_bus(1)).states
+    cases = [(gen_tasks(3, 2), reachable(gen_tasks(3, 2)).states), (gen_bus(4), [s * 4 for s in bus1])]
+    cases += [(h, all_states(h)) for h in map(hub_system, range(40))]
+    cases += [(r, reachable(r, bound=300).states) for r in map(random_system, range(300))]
+    copies = keys = 0
+    for sysm, states in cases:
+        enc = build(sysm)
+        for g in port_groups_of(enc):
+            copies += g.representative is not g
+            for key, state in {g.local_state(s): s for s in states}.items():
+                assert g.entry(state)[0] == whole_survivor_fn(g, key)
+                keys += 1
+    assert copies >= 10 and keys > 800
 
 
 def test_group_join_is_the_whole_component_function():
