@@ -14,16 +14,18 @@ over disjoint blocks of levels (`and_local`, for the survivor function),
 the pick of the join of functions over disjoint groups of names, which
 walks the groups' functions down the join's all-false path as it draws
 its coins and never builds the join (`disjoint_pick`, for port groups),
-maximal models (`maximal`, for maximal progress) and a one-level
-`shift`, for explicit priority pairs, and model counts, picks and model
+maximal models (`maximal`, for maximal progress), a structural copy
+under an order-preserving map of levels (`rename`: a port group's copy
+of its class representative's function, and `shift`, the rename by one
+level, for explicit priority pairs), and model counts, picks and model
 sets for the engines.
 Operations that only tests need (evaluation along a path, support names,
 a three-operand `ite`) live with the tests' oracles.  A per-call
 recursive closure drops its name on return, leaving no cycle to collect.
 
 The unique table and the computed tables (one per operation: and, or,
-not, shift, `and_local`, and one per variable set of `and_exists` or
-`maximal`, as in Brace, Rudell and Bryant, DAC 1990) are dicts keyed by
+not, `and_local`, and one per variable set of `and_exists` or `maximal`
+and per level map of `rename`, as in Brace, Rudell and Bryant, DAC 1990) are dicts keyed by
 ints that pack the operand node ids, `NODE_BITS` bits each.  A node's
 support is memoised as a bitmask over levels, and each picked root's
 sorted support levels next to it; a node's model count is memoised too,

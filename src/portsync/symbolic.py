@@ -20,19 +20,25 @@ Atoms linked by a connector or an explicit priority pair form one
 independent component (`Component`), which is split into port groups:
 ports linked by a connector's support, an explicit pair or one transition
 label, where a group whose owners all own ports of another group merges
-into it (one union-find pass finds both).  Each group is encoded on its
-own in the shared manager, over its owners projected onto it (their
-ports and labels in the group), and keeps a survivor table keyed by its
-owners' states read out of the system state, a state standing for every
-state of its atom that offers the same labels inside the group.  An
-interaction and its dominators lie in one group, so a component's
-survivors are the disjoint union of its groups'.  Their join is never
-built: a component is live if a group is, counts the sum of their
-counts, and picks from its groups' functions the interaction `pick_sat`
-picks from the join (`BddManager.disjoint_pick`; with one group,
+into it (one union-find pass finds both).  Each group stands for its
+owners projected onto it (their ports and labels in the group) and keeps
+a survivor table keyed by its owners' states read out of the system
+state, a state standing for every state of its atom that offers the same
+labels inside the group.  Groups that are copies of one another under an
+order-preserving renaming of their ports form a class: their signatures,
+written over the ranks of their ports, agree.  Only the first group of a
+class, its representative, is encoded in the shared manager; a group
+fills a miss from the representative's table at the matching key and
+copies the function onto its own ports (`BddManager.rename`, the
+identity for a representative), which gives the very node its own
+encoding would.  An interaction and its dominators lie in one group, so
+a component's survivors are the disjoint union of its groups'.  Their
+join is never built: a component is live if a group is, counts the sum
+of their counts, and picks from its groups' functions the interaction
+`pick_sat` picks from the join (`BddManager.disjoint_pick`; with one group,
 `pick_sat` of its function).  Each function is built on first read, and
-the build reads only what a step reads: each group's local behaviors,
-f_C and priority inputs.
+the build reads only what a step reads: each representative's local
+behaviors, f_C and priority inputs.
 
 A group's survivor function at its local state conjoins the
 connectors with the current states' local behaviors, whose conjunction
@@ -48,13 +54,14 @@ holds g's maximal models (`BddManager.maximal`).  Under explicit pairs
 the possible dominators are the active interactions of the pool and any
 active interaction a pair lists as a dominator outside the pool: the
 same `and_local` over the pool and those dominators (g itself, from the
-table, when there are none outside).  A one-level shift moves them onto
-the primed copies, each primed port following its port in the order;
-the dominated set is the relational product
+table, when there are none outside).  A one-level rename (`shift`)
+moves them onto the primed copies, each primed port following its port
+in the order; the dominated set is the relational product
 excluded(P) = exists P'. dominators(P') & R(P, P'), and the survivor
 function is g & ~excluded.
 
-Each group keeps a survivor table, and no other table is kept: per key,
+Each group keeps a survivor table, and no other table is kept (a
+representative's also holds the entries its class's misses read): per key,
 the survivor function, whether it has a survivor, and its number of
 models over the group's own ports (`sat_count` over every variable,
 shifted right by the variables outside those ports).  A count is filled
@@ -424,7 +431,7 @@ class SystemEncoding:
         """Our `survivor_table` entry at our key in a system state.  A miss
         reads our representative's survivor function at its key for ours
         (`survivor_fn`, filled in on a miss there) and copies it onto our
-        ports with its count: our identity copy, if we represent our class."""
+        ports with its count: the identity copy, if we represent our class."""
         table, key = self.survivor_table, self.local_state(state)
         entry = table.get(key)
         if entry is None:
@@ -530,8 +537,8 @@ def _group(system: SystemModel, ports: tuple[str, ...], mgr: BddManager, classes
     else:
         enc = SystemEncoding(sub, mgr, local_state=itemgetter(*atoms) if len(atoms) > 1 else
                              itemgetter(slice(atoms[0], atoms[0] + 1)))
-    rep, rep_firsts = classes.setdefault(signature, (enc, firsts))
-    to_rep = [{q: their[o] for q, o in offer.items()} for offer, their in zip(offers, rep_firsts)]
+    rep, their = classes.setdefault(signature, (enc, firsts))
+    to_rep = [{q: first[o] for q, o in offer.items()} for offer, first in zip(offers, their)]
     enc.representative, enc.rep_key = rep, lambda key: tuple([m[q] for m, q in zip(to_rep, key)])
     copy = dict(zip(map(mgr.level_of, rep.port_names), map(mgr.level_of, ports)))
     enc.rep_levels = tuple(copy.get(l, l) for l in range(len(mgr.variables)))

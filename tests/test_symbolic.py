@@ -46,8 +46,8 @@ from portsync.connectors import support
 from portsync.equivalence import check_equivalence
 
 from oracles import (active_fn, all_states, hub_system, joined_survivor_fn, moved_trigger, oracle_survivors,
-                     port_groups_of, ports_of, reference_connector_fn, reference_pick_sat, reference_priority_pairs, skipped_levels, transfer,
-                     whole_survivor_fn)
+                     port_groups_of, ports_of, reference_connector_fn, reference_pick_sat, reference_priority_pairs,
+                     skipped_levels, transfer, whole_survivor_fn)
 
 
 def _pairs_written_out(sysm):
