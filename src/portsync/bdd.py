@@ -15,18 +15,19 @@ the pick of the join of functions over disjoint groups of names, which
 walks the groups' functions down the join's all-false path as it draws
 its coins and never builds the join (`disjoint_pick`, for port groups),
 maximal models (`maximal`, for maximal progress), a structural copy
-under an order-preserving map of levels (`rename`: a port group's copy
-of its class representative's function, and `shift`, the rename by one
-level, for explicit priority pairs), and model counts, picks and model
-sets for the engines.
+under an order-preserving map of levels (one rename recursion: a copy
+function bound once per map by `renaming`, which copies a class's
+function onto a port group's ports where a pick or a check reads it, and
+`shift`, the rename by one level, for explicit priority pairs), and model
+counts, picks and model sets for the engines.
 Operations that only tests need (evaluation along a path, support names,
 a three-operand `ite`) live with the tests' oracles.  A per-call
 recursive closure drops its name on return, leaving no cycle to collect.
 
 The unique table and the computed tables (one per operation: and, or,
-not, `and_local`, and one per variable set of `and_exists` or `maximal`
-and per level map of `rename`, as in Brace, Rudell and Bryant, DAC 1990) are dicts keyed by
-ints that pack the operand node ids, `NODE_BITS` bits each.  A node's
+not, `and_local`, one per variable set of `and_exists` or `maximal` and
+one per bound rename, as in Brace, Rudell and Bryant, DAC 1990) are dicts
+keyed by ints that pack the operand node ids, `NODE_BITS` bits each.  A node's
 support is memoised as a bitmask over levels, and each picked root's
 sorted support levels next to it; a node's model count is memoised too,
 and per block partition of `and_local` its relevant blocks, with the
@@ -73,8 +74,12 @@ def balanced(op, items: Iterable, unit):
 
 def _bits(mask: int) -> tuple[int, ...]:
     """Positions of the set bits of `mask`, ascending."""
-    digits = bin(mask)[:1:-1]  # least significant first, "0b" dropped
-    return tuple([i for i, d in enumerate(digits) if d == "1"])
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 class BddRef:
@@ -142,9 +147,8 @@ class BddManager:
         self._unique: dict[int, int] = {}
         self._tables: dict[str, dict[int, int]] = {
             op: {} for op in ("and", "or", "not", "and_local")}
-        # level map -> the rename table, None for the identity
-        self._rename_tables: dict[tuple[int, ...], dict[int, int] | None] = {}
-        self._next_levels = tuple(range(1, n + 1))
+        # `shift`'s level map and its rename table
+        self._next_levels, self._shift_table = tuple(range(1, n + 1)), {}
         # quantified name set -> (its levels, the and_exists table)
         self._exists_tables: dict[frozenset[str], tuple[frozenset[int], dict[int, int]]] = {}
         # name set -> (its sorted levels, as a set, the `maximal` and `out` tables)
@@ -155,7 +159,7 @@ class BddManager:
         self._sorted_supports: dict[int, tuple[int, ...]] = {}
         self._sat_counts: dict[int, int] = {FALSE: 0, TRUE: 1}
         self._model_names: dict[tuple[str, ...], tuple[list[str], dict[int, int], int]] = {}
-        self._mk, self._and, self._or, self._not = self._kernel()
+        self._mk, self._and, self._or, self._not, self._rename = self._kernel()
         self.false = BddRef(self, FALSE)
         self.true = BddRef(self, TRUE)
         # recursion depth tracks the order length, one frame per level
@@ -188,10 +192,10 @@ class BddManager:
         return f.node
 
     def _kernel(self):
-        """The node constructor and the recursive connectives, as closures
-        over the node arrays and their tables; each recursion splits the
-        cofactors of its top level inline."""
-        var, lo, hi, unique = self._var, self._lo, self._hi, self._unique
+        """The node constructor, the recursive connectives and the rename, as
+        closures over the node arrays and their tables; each recursion splits
+        the cofactors of its top level inline."""
+        var, lo, hi, unique, names = self._var, self._lo, self._hi, self._unique, self._names
         t_and, t_or, t_not = (self._tables[op] for op in ("and", "or", "not"))
         B = NODE_BITS
 
@@ -259,7 +263,19 @@ class BddManager:
                 r = t_not[u] = mk(var[u], not_(lo[u]), not_(hi[u]))
             return r
 
-        return mk, and_, or_, not_
+        def rename(u: int, levels: tuple[int, ...], table: dict[int, int]) -> int:
+            # u with the variable at each level l moved to levels[l], memoised in table
+            if u <= TRUE:
+                return u
+            r = table.get(u)
+            if r is None:
+                l, h, v = rename(lo[u], levels, table), rename(hi[u], levels, table), levels[var[u]]
+                if v >= var[l] or v >= var[h]:
+                    raise BddError(f"renaming {names[var[u]]!r} to level {v} leaves the order")
+                r = table[u] = mk(v, l, h)
+            return r
+
+        return mk, and_, or_, not_, rename
 
     # -- construction ------------------------------------------------
 
@@ -545,40 +561,29 @@ class BddManager:
         r, rec = rec(u, v), None
         return self._ref(r)
 
-    def rename(self, f: BddRef, levels: Sequence[int]) -> BddRef:
-        """f with the variable at each level l moved to level levels[l]: a
-        structural copy with no apply, memoised per map.  Renaming the
-        levels f tests in an order-preserving way keeps the copy reduced
-        and ordered; a node whose copy would leave the order is refused.
-        Under the identity map the copy is f itself."""
-        u, levels = self._node(f), tuple(levels)
-        table = self._rename_tables.get(levels, False)
-        if table is False:
-            n = self._leaf_level
-            if len(levels) != n or not all(0 <= l <= n for l in levels):
-                raise BddError("a rename maps each level of the order to a level")
-            table = self._rename_tables[levels] = None if levels == tuple(range(n)) else {}
-        if table is None:
-            return f
-        var, lo, hi, mk, names = self._var, self._lo, self._hi, self._mk, self._names
+    def renaming(self, levels: Sequence[int]) -> Callable[[BddRef], BddRef]:
+        """The copy that moves the variable at each level l of a function to
+        level levels[l]: a structural copy with no apply, memoised in a table
+        of its own, so that a call hashes no map.  Renaming the levels a
+        function tests in an order-preserving way keeps the copy reduced and
+        ordered; a node whose copy would leave the order is refused.  Under
+        the identity map the copy of f is f itself."""
+        levels, n = tuple(levels), self._leaf_level
+        if len(levels) != n or not all(0 <= l <= n for l in levels):
+            raise BddError("a rename maps each level of the order to a level")
+        node, ref, rename = self._node, self._ref, self._rename
+        table = None if levels == tuple(range(n)) else {}
 
-        def rec(u: int) -> int:
-            if u <= TRUE:
-                return u
-            r = table.get(u)
-            if r is None:
-                l, h, v = rec(lo[u]), rec(hi[u]), levels[var[u]]
-                if v >= var[l] or v >= var[h]:
-                    raise BddError(f"renaming {names[var[u]]!r} to level {v} leaves the order")
-                r = table[u] = mk(v, l, h)
-            return r
+        def copy(f: BddRef) -> BddRef:
+            u = node(f)
+            return f if table is None else ref(rename(u, levels, table))
 
-        r, rec = rec(u), None
-        return self._ref(r)
+        return copy
 
     def shift(self, f: BddRef) -> BddRef:
-        """f with every variable renamed to the next one in the order."""
-        return self.rename(f, self._next_levels)
+        """f with every variable renamed to the next one in the order: the
+        rename by one level."""
+        return self._ref(self._rename(self._node(f), self._next_levels, self._shift_table))
 
     def maximal(self, f: BddRef, names: Iterable[str]) -> BddRef:
         """The models of f over `names` that no other model of f strictly

@@ -21,24 +21,24 @@ independent component (`Component`), which is split into port groups:
 ports linked by a connector's support, an explicit pair or one transition
 label, where a group whose owners all own ports of another group merges
 into it (one union-find pass finds both).  Each group stands for its
-owners projected onto it (their ports and labels in the group) and keeps
-a survivor table keyed by its owners' states read out of the system
-state, a state standing for every state of its atom that offers the same
-labels inside the group.  Groups that are copies of one another under an
-order-preserving renaming of their ports form a class: their signatures,
-written over the ranks of their ports, agree.  Only the first group of a
-class, its representative, is encoded in the shared manager; a group
-fills a miss from the representative's table at the matching key and
-copies the function onto its own ports (`BddManager.rename`, the
-identity for a representative), which gives the very node its own
-encoding would.  An interaction and its dominators lie in one group, so
-a component's survivors are the disjoint union of its groups'.  Their
-join is never built: a component is live if a group is, counts the sum
-of their counts, and picks from its groups' functions the interaction
-`pick_sat` picks from the join (`BddManager.disjoint_pick`; with one group,
-`pick_sat` of its function).  Each function is built on first read, and
-the build reads only what a step reads: each representative's local
-behaviors, f_C and priority inputs.
+owners projected onto it (their ports and labels in the group).  Groups
+that are copies of one another under an order-preserving renaming of
+their ports form a class: their signatures, written over the ranks of
+their ports, agree.  Only the first group of a class, its
+representative, is encoded in the shared manager.  Each group reads the
+class's one survivor table at its class key: per owner, the
+representative's first state that offers the same ranked labels.  A
+group's function is the entry's copy onto its own ports (a bound
+`BddManager.renaming`, the identity for the representative), the very
+node its own encoding would give, made only where the pick or
+`survivors` reads it.  An interaction and its dominators lie in one
+group, so a component's survivors are the disjoint union of its groups'.
+Their join is never built: a component is live if a group is, counts the
+sum of their counts, and picks from its groups' functions the
+interaction `pick_sat` picks from the join (`BddManager.disjoint_pick`;
+with one group, `pick_sat` of its function).  Each function is built on
+first read, and the build reads only what a step reads: each
+representative's local behaviors, f_C and priority inputs.
 
 A group's survivor function at its local state conjoins the
 connectors with the current states' local behaviors, whose conjunction
@@ -60,20 +60,21 @@ in the order; the dominated set is the relational product
 excluded(P) = exists P'. dominators(P') & R(P, P'), and the survivor
 function is g & ~excluded.
 
-Each group keeps a survivor table, and no other table is kept (a
-representative's also holds the entries its class's misses read): per key,
-the survivor function, whether it has a survivor, and its number of
-models over the group's own ports (`sat_count` over every variable,
-shifted right by the variables outside those ports).  A count is filled
-in on the first draw among two or more live components that needs it.
-The tables hold at most the sum of the groups' local state spaces, not
-their product.  `survivors` (which `check` reads) and the step read the
-same entries.  The engine keeps each component's group entries from its
-last step; a fired interaction lies in the drawn component's ports, so
-the next step re-reads only that component's groups.  A step draws a
-live component (one with a live group) weighted by the sum of its
-groups' counts (with one live component there is no draw), and picks one
-of its satisfying valuations with coins from the engine's own generator.
+Each class keeps one survivor table, and no other table is kept: per
+class key, the survivor function, whether it has a survivor, and its
+number of models over a group's own ports (`sat_count` over every
+variable, shifted right by the variables outside those ports).  A count
+is filled in once per entry, on the first draw among two or more live
+components that needs it.  The tables hold at most the sum of the
+classes' local state spaces, not their product.  `survivors` (which
+`check` reads) and the step read the same entries, and enter
+`survivor_fn` only on a miss.  The engine keeps each component's group
+entries from its last step; a fired interaction lies in the drawn
+component's ports, so the next step re-reads only that component's
+groups.  A step draws a live component (one with a live group) weighted
+by the sum of its groups' counts (with one live component there is no
+draw), and picks one of its satisfying valuations with coins from the
+engine's own generator.
 No primed behavior, primed connectors or pool-sized priority function
 is built.
 """
@@ -296,17 +297,14 @@ class SystemEncoding:
     its independent components, and a port group's is read by the step."""
     system: SystemModel
     manager: BddManager
-    # the whole system's independent components, and how an encoding reads
-    # its own atoms' states out of a system state (a group: its key)
+    # the whole system's independent components
     components: tuple["Component", ...] = field(default=(), repr=False, compare=False)
-    local_state: Callable[[GlobalState], GlobalState] = field(
-        default=itemgetter(slice(None)), repr=False, compare=False)
     # a group's class: its representative, which encodes the functions of
-    # the class, the representative's key for each of our keys, and the
-    # level map that copies its functions onto our ports
+    # the class and keeps its survivor table, how we read our class key out
+    # of a system state, and the copy of the class's functions onto our ports
     representative: Optional["SystemEncoding"] = field(default=None, repr=False, compare=False)
-    rep_key: Callable[[GlobalState], GlobalState] = field(default=tuple, repr=False, compare=False)
-    rep_levels: tuple[int, ...] = field(default=(), repr=False, compare=False)
+    key: Callable[[GlobalState], GlobalState] = field(default=itemgetter(slice(None)), repr=False, compare=False)
+    copy: Optional[Callable[[BddRef], BddRef]] = field(default=None, repr=False, compare=False)
     # local state -> [survivor function, whether it has a survivor, its
     # number of survivors over our ports (None until a draw needs it)]
     survivor_table: dict[GlobalState, list] = field(
@@ -390,11 +388,7 @@ class SystemEncoding:
         return owners, tuple(tuple(sorted(map(self.manager.level_of, atoms[i].ports))) for i in owners)
 
     def survivor_fn(self, state: GlobalState) -> BddRef:
-        """The survivor function at a local state; a miss enters it in
-        `survivor_table`."""
-        entry = self.survivor_table.get(state)
-        if entry is not None:
-            return entry[0]
+        """The survivor function at a local state, entered in `survivor_table`."""
         # each atom's local behavior mentions only its own ports and holds
         # when it is idle, so their conjunction, restrict(f_B, state), can
         # be conjoined with a function block by block
@@ -427,26 +421,19 @@ class SystemEncoding:
     def _count_shift(self) -> int:
         return len(self.manager.variables) - len(self.port_names)
 
-    def entry(self, state: GlobalState) -> list:
-        """Our `survivor_table` entry at our key in a system state.  A miss
-        reads our representative's survivor function at its key for ours
-        (`survivor_fn`, filled in on a miss there) and copies it onto our
-        ports with its count: the identity copy, if we represent our class."""
-        table, key = self.survivor_table, self.local_state(state)
-        entry = table.get(key)
-        if entry is None:
-            rep, rep_key = self.representative, self.rep_key(key)
-            fn = rep.survivor_fn(rep_key)
-            _, live, count = rep.survivor_table[rep_key]
-            entry = table.setdefault(key, [self.manager.rename(fn, self.rep_levels), live, count])
-        return entry
+    def entry(self, key: GlobalState) -> list:
+        """Our `survivor_table` entry at a local state; `survivor_fn` fills a miss."""
+        if key not in self.survivor_table:
+            self.survivor_fn(key)
+        return self.survivor_table[key]
 
     def survivors(self, state: GlobalState) -> frozenset[Interaction]:
-        """The union of the components' groups' model sets at their keys."""
+        """The union of the components' groups' model sets: each group's
+        class entry at its key, copied onto its ports."""
         out: list[Interaction] = []
         for c in self.components:
-            for g in c.groups:
-                out += self.manager.iter_models(g.entry(state)[0], g.port_names)
+            for g, e in zip(c.groups, c.entries(state)):
+                out += self.manager.iter_models(g.copy(e[0]), g.port_names)
         return frozenset(out)
 
 
@@ -454,23 +441,27 @@ class Component:
     """An independent component: its port groups, whose survivor sets are
     disjoint and make up its own, and its pick.  The groups mention
     disjoint ports and no group's function holds where its ports are all
-    false, so `pick` draws from the groups' functions what `pick_sat`
-    draws from their join."""
+    false, so `pick(entries, rng)` draws from the groups' functions, each
+    copied onto its ports, what `pick_sat` draws from their join."""
 
     def __init__(self, groups: tuple[SystemEncoding, ...], manager: BddManager):
         self.groups, self.manager = groups, manager
-        # each group's key reader, its survivor table and itself, bound once
-        # so that a table hit looks up no attribute
-        self._readers = tuple((g.local_state, g.survivor_table, g) for g in groups)
-        pick_sat = manager.pick_sat
-        self.pick = (manager.disjoint_pick([g.port_names for g in groups]) if len(groups) != 1
-                     else lambda fns, rng: pick_sat(fns[0], rng))
+        # each group's key reader, its class table and its representative,
+        # bound once so that a table hit looks up no attribute
+        self._readers = tuple((g.key, g.representative.survivor_table, g.representative) for g in groups)
+        copies, pick_sat = tuple(g.copy for g in groups), manager.pick_sat
+        if len(groups) == 1:
+            (copy,) = copies
+            self.pick = lambda entries, rng: pick_sat(copy(entries[0][0]), rng)
+        else:
+            join = manager.disjoint_pick([g.port_names for g in groups])
+            self.pick = lambda entries, rng: join([copy(e[0]) for copy, e in zip(copies, entries)], rng)
 
     def entries(self, state: GlobalState) -> list[list]:
-        """Each group's `survivor_table` entry at its key in a system state."""
+        """Each group's class-table entry at its key in a system state."""
         out = []
-        for read, table, g in self._readers:
-            out.append(table.get(read(state)) or g.entry(state))  # an entry is a non-empty list
+        for key, table, rep in self._readers:
+            out.append(table.get(key(state)) or rep.entry(key(state)))  # an entry is a non-empty list
         return out
 
     def survivor_count(self, entries: list[list]) -> int:
@@ -492,20 +483,19 @@ def _group(system: SystemModel, ports: tuple[str, ...], mgr: BddManager, classes
     """One port group, encoded over the atoms that own its ports projected
     onto it: each keeps its ports in the group and the transitions whose
     labels lie in it, with the connectors and explicit pairs on the group.
-    Its key is read out of the system state: each owner's state becomes
-    the first of its states that offers the same labels inside the group,
-    so the group's table is shared by the states that differ only outside
-    it.  Where no two states of an owner are alike (every bus cluster),
-    the key is the owners' states, read by one `itemgetter`.
 
     Its class is `classes[signature]`, whose first group represents it.
     The signature names nothing: with the ports ranked by level, it holds
     per owner its port ranks and the ranked label sets its states offer,
     the connector terms and explicit pairs over ranks, and the priority
     kind.  The rank-preserving rename of ports is thus an isomorphism of
-    the sub-systems; it maps our key to the representative's (per owner,
-    the first state offering the same ranked labels) and its functions
-    onto ours."""
+    the sub-systems: it maps the representative's functions onto ours
+    (`copy`), and our key reader maps each owner's state straight to the
+    representative's first state offering the same ranked labels.  So the
+    class table is shared by the states that differ only outside a group
+    and by the groups of the class.  Where every such map is the identity
+    (every bus cluster), the key is the owners' states, read by one
+    `itemgetter`."""
     ours = frozenset(ports)
     atoms = tuple(j for j, atom in enumerate(system.atoms) if atom.port_set & ours)
 
@@ -531,17 +521,15 @@ def _group(system: SystemModel, ports: tuple[str, ...], mgr: BddManager, classes
                  frozenset(_ranked_term(c.term, rank) for c in sub.connectors),
                  frozenset((ranked(lo), ranked(hi)) for lo, hi in pr.closure) if isinstance(pr, ExplicitPairs)
                  else type(pr))
-    readers = tuple((j, {q: first[o] for q, o in offer.items()}) for j, offer, first in zip(atoms, offers, firsts))
-    if any(len(first) < len(offer) for offer, first in zip(offers, firsts)):
-        enc = SystemEncoding(sub, mgr, local_state=lambda state: tuple([r[state[j]] for j, r in readers]))
+    enc = SystemEncoding(sub, mgr)
+    enc.representative, their = classes.setdefault(signature, (enc, firsts))
+    readers = tuple((j, {q: first[o] for q, o in offer.items()}) for j, offer, first in zip(atoms, offers, their))
+    if all(q == r[q] for _, r in readers for q in r):
+        enc.key = itemgetter(*atoms) if len(atoms) > 1 else itemgetter(slice(atoms[0], atoms[0] + 1))
     else:
-        enc = SystemEncoding(sub, mgr, local_state=itemgetter(*atoms) if len(atoms) > 1 else
-                             itemgetter(slice(atoms[0], atoms[0] + 1)))
-    rep, their = classes.setdefault(signature, (enc, firsts))
-    to_rep = [{q: first[o] for q, o in offer.items()} for offer, first in zip(offers, their)]
-    enc.representative, enc.rep_key = rep, lambda key: tuple([m[q] for m, q in zip(to_rep, key)])
-    copy = dict(zip(map(mgr.level_of, rep.port_names), map(mgr.level_of, ports)))
-    enc.rep_levels = tuple(copy.get(l, l) for l in range(len(mgr.variables)))
+        enc.key = lambda state: tuple([r[state[j]] for j, r in readers])
+    levels = dict(zip(map(mgr.level_of, enc.representative.port_names), map(mgr.level_of, ports)))
+    enc.copy = mgr.renaming([levels.get(l, l) for l in range(len(mgr.variables))])
     return enc
 
 
@@ -563,18 +551,18 @@ def build(system: SystemModel) -> SystemEncoding:
 class SymbolicEngine(Engine):
     """Stepper that works on the encoded system only.
 
-    The per-step work is reading the port groups' survivor-table entries
-    of the component the last step moved, at their keys in the new state
-    (`Component.entries`); the other components' entries are kept from the
-    last step.
+    The per-step work is reading the class-table entries of the port
+    groups of the component the last step moved, at their keys in the new
+    state (`Component.entries`); the other components' entries are kept
+    from the last step.
     A step whose state is not the one the last step fired to (a reset, or
     a state set from outside) reads every component.  Then a live
     component is drawn weighted by its groups' counts (the live list, the
     counts and their running sums are kept too, rebuilt only when the moved
     component gains or loses its last survivor, and the sums redone only
-    when its count changes), and one satisfying assignment is
-    picked with coins from the engine's generator; the pool is never
-    enumerated.
+    when its count changes), and one satisfying assignment is picked from
+    its groups' functions, copied onto their ports, with coins from the
+    engine's generator; the pool is never enumerated.
     """
 
     def __init__(self, system: SystemModel, seed: int = 0):
@@ -623,7 +611,7 @@ class SymbolicEngine(Engine):
                 self._cum = list(accumulate(self._weights))
             cum = self._cum  # the draw of `random.Random.choices(live, weights)`
             k = live[bisect(cum, self._rng.random() * cum[-1], 0, len(cum) - 1)]
-        a = comps[k].pick([e[0] for e in entries[k]], self._rng)
+        a = comps[k].pick(entries[k], self._rng)
         self.state = fire(self.system, state, a, self._rng)
         self._fired_to, self._moved = self.state, k
         self.steps_taken += 1

@@ -282,10 +282,18 @@ def ports_of(x):
     return [p for g in port_groups_of(x) for p in g.port_names]
 
 
+def own_state(enc, system, state):
+    """An encoding's own atoms' states read out of a state of `system`."""
+    at = {a.name: i for i, a in enumerate(system.atoms)}
+    return tuple(state[at[a.name]] for a in enc.system.atoms)
+
+
 def joined_survivor_fn(x, state):
     """The survivor function of a component, or of a whole encoding, at a
     system state as one function: the union-join of its port groups'
-    functions over its ports (their entries, as the step reads them),
-    which the engine picks from and counts without building it."""
-    groups = port_groups_of(x)
-    return union_join(((g.port_names, g.entry(state)[0]) for g in groups), ports_of(x), x.manager)
+    functions over its ports (their class entries copied onto their ports,
+    as the pick reads them), which the engine picks from and counts
+    without building it."""
+    comps = [x] if isinstance(x, Component) else x.components
+    parts = [(g.port_names, g.copy(e[0])) for c in comps for g, e in zip(c.groups, c.entries(state))]
+    return union_join(parts, ports_of(x), x.manager)

@@ -209,8 +209,10 @@ def test_criterion_8_engine_scaling_trend():
     for example, n, m in (("tasks", 8, 4), ("tasks", 16, 4),
                           ("bus", 8, None), ("bus", 16, None)):
         for engine in ("enum", "symbolic"):
+            # the median of three repetitions, so one burst of host load
+            # does not move a ratio
             rec = bench(example, n, m, steps=10_000, seed=7,
-                        engine=engine, repetitions=1)
+                        engine=engine, repetitions=3)
             mean[(example, n, engine)] = rec.mean_step_ns
     ratios = {
         "tasks_enum": mean[("tasks", 16, "enum")] / mean[("tasks", 8, "enum")],

@@ -191,8 +191,9 @@ class TestRelationalProduct:
 
     def test_rename_is_the_truth_table_rename(self):
         # an order-preserving map of the levels a function tests moves its
-        # truth table onto the target names, node for node; the identity
-        # map returns the function itself
+        # truth table onto the target names, node for node, and a second
+        # call of the bound copy gives the same node; the identity map
+        # returns the function itself
         mgr = BddManager(self.NAMES)
         n, rng = len(self.NAMES), random.Random(29)
         for _ in range(60):
@@ -203,11 +204,12 @@ class TestRelationalProduct:
             levels = list(range(n))
             for a, b in zip(src, dst):
                 levels[a] = b
-            renamed = mgr.rename(f, levels)
+            copy = mgr.renaming(levels)
+            renamed = copy(f)
             assert bdd_table(mgr, renamed, [self.NAMES[l] for l in dst]) == t
-            assert renamed == self.table_bdd(mgr, t, [self.NAMES[l] for l in dst])
+            assert renamed == self.table_bdd(mgr, t, [self.NAMES[l] for l in dst]) == copy(f)
             assert mgr.node_count(renamed) == mgr.node_count(f)
-            assert mgr.rename(f, range(n)) is f
+            assert mgr.renaming(range(n))(f) is f
         mgr.audit()
 
     def test_shift_is_the_rename_by_one_level(self):
@@ -215,20 +217,20 @@ class TestRelationalProduct:
         rng = random.Random(31)
         for _ in range(20):
             f = self.table_bdd(mgr, rng.getrandbits(16), self.NAMES[:-1])
-            assert mgr.shift(f) == mgr.rename(f, range(1, len(self.NAMES) + 1))
+            assert mgr.shift(f) == mgr.renaming(range(1, len(self.NAMES) + 1))(f)
 
     def test_rename_out_of_order_rejected(self):
         mgr = BddManager(self.NAMES)
         f = mgr.var("a") & ~mgr.var("c")
         with pytest.raises(BddError):  # a below c
-            mgr.rename(f, [3, 1, 1, 3, 4])
+            mgr.renaming([3, 1, 1, 3, 4])(f)
         with pytest.raises(BddError):  # a and c on one level
-            mgr.rename(f, [1, 1, 1, 3, 4])
+            mgr.renaming([1, 1, 1, 3, 4])(f)
         with pytest.raises(BddError):  # a map of some levels only
-            mgr.rename(f, [1, 2, 3])
+            mgr.renaming([1, 2, 3])
         with pytest.raises(BddError):  # past the last level
-            mgr.rename(f, [0, 1, 2, 3, 6])
-        assert mgr.rename(f, [1, 1, 3, 3, 4]) == mgr.var("b") & ~mgr.var("d")
+            mgr.renaming([0, 1, 2, 3, 6])
+        assert mgr.renaming([1, 1, 3, 3, 4])(f) == mgr.var("b") & ~mgr.var("d")
 
     def test_mixed_managers_rejected(self):
         mgr, other = BddManager(self.NAMES), BddManager(self.NAMES)
@@ -239,7 +241,7 @@ class TestRelationalProduct:
         with pytest.raises(BddError):
             mgr.shift(other.var("a"))
         with pytest.raises(BddError):
-            mgr.rename(other.var("a"), range(len(self.NAMES)))
+            mgr.renaming(range(len(self.NAMES)))(other.var("a"))
 
 
 def random_fn(mgr, rng, free):
@@ -539,6 +541,13 @@ class TestPickSat:
         f = mgr.var("a")
         for seed in range(20):
             assert mgr.pick_sat(f, random.Random(seed)) == {"a"}
+
+    def test_support_levels_are_the_set_bits(self):
+        # the pick walks a root's support as the ascending set bits of its
+        # support mask, on masks as wide as bus16's order and wider
+        rng = random.Random(37)
+        for mask in (0, 1, 1 << 383, *(rng.getrandbits(rng.randint(1, 400)) for _ in range(60))):
+            assert bdd._bits(mask) == tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 class TestSatCount:

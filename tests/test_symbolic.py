@@ -29,6 +29,7 @@ from portsync.model import (
 )
 from portsync.symbolic import (
     SymbolicEngine,
+    SystemEncoding,
     build,
     components,
     encode_atom,
@@ -46,8 +47,8 @@ from portsync.connectors import support
 from portsync.equivalence import check_equivalence
 
 from oracles import (active_fn, all_states, hub_system, joined_survivor_fn, moved_trigger, oracle_survivors,
-                     port_groups_of, ports_of, reference_connector_fn, reference_pick_sat, reference_priority_pairs,
-                     skipped_levels, transfer, whole_survivor_fn)
+                     own_state, port_groups_of, ports_of, reference_connector_fn, reference_pick_sat,
+                     reference_priority_pairs, skipped_levels, transfer, whole_survivor_fn)
 
 
 def _pairs_written_out(sysm):
@@ -207,7 +208,8 @@ def test_enabled_fn_matches_restricted_system_fn():
             for c in enc.components:
                 entries = c.entries(state)
                 assert all(map(operator.is_, c.entries(state), entries))
-                assert all(map(operator.is_, entries, (g.survivor_table[g.local_state(state)] for g in c.groups)))
+                assert all(map(operator.is_, entries, (g.representative.survivor_table[g.key(state)]
+                                                              for g in c.groups)))
             for g in (fresh, *port_groups_of(fresh)):
                 g.survivor_table.clear()
             assert transfer(fresh.survivor_fn(state), m) == fn
@@ -250,7 +252,7 @@ def test_local_conjunction_is_the_folded_one():
         portless += any(len(c.local_blocks[0]) < len(c.system.atoms) for c in encodings)
         for state in reachable(sysm, bound=300).states:
             for c in encodings:
-                key = c.local_state(state)
+                key = own_state(c, sysm, state)
                 owners, blocks = c.local_blocks
                 factors = [c.local_behavior[i][key[i]] for i in owners]
                 active = active_fn(c, key)
@@ -280,7 +282,8 @@ def test_survivor_table_counts_models_over_component_ports():
         for state in reachable(sysm, bound=300).states:
             for c in enc.components:
                 entries = c.entries(state)
-                assert all(map(operator.is_, entries, (g.survivor_table[g.local_state(state)] for g in c.groups)))
+                assert all(map(operator.is_, entries, (g.representative.survivor_table[g.key(state)]
+                                                              for g in c.groups)))
                 fn = joined_survivor_fn(c, state)
                 n = len(list(c.manager.iter_models(fn, ports_of(c))))
                 assert any(e[1] for e in entries) == (n > 0)
@@ -415,17 +418,69 @@ def test_group_key_shares_states_that_offer_the_same_labels():
     assert one.system.atoms[0].ports == ("b1_1", "f1_1", "p1_1", "r1_1")
     state = sysm.initial_state()
     waiting, running = ("w2", *state[1:]), ("c2", *state[1:])
-    assert one.local_state(waiting) == one.local_state(running) == ("c2", "s", "s", "l0")
-    assert two.local_state(waiting) != two.local_state(running)
-    # the processors' groups form one class: processor 2's keys map to the
-    # keys of processor 1's group, where its tasks offer the same ranked
-    # labels, and processor 1's table holds those entries beside its own
+    assert one.key(waiting) == one.key(running) == ("c2", "s", "s", "l0")
+    # the processors' groups form one class, whose table processor 1's
+    # group keeps: processor 2's group reads it at the states of processor
+    # 1's group where its tasks offer the same ranked labels
     assert two.representative is one
-    assert two.rep_key(two.local_state(waiting)) == ("w1", "s", "s", "l0")
-    assert two.rep_key(two.local_state(running)) == ("c1", "s", "s", "l0")
+    assert two.key(waiting) == ("w1", "s", "s", "l0")
+    assert two.key(running) == ("c1", "s", "s", "l0")
     c.entries(waiting)
     c.entries(running)
-    assert len(one.survivor_table) == 3 and len(two.survivor_table) == 2
+    assert len(one.survivor_table) == 3 and len(two.survivor_table) == 0
+
+
+def test_one_survivor_table_per_class():
+    # bus16's clusters form one class: after a run only the representative
+    # keeps a table, with at most one entry per state of its cluster that a
+    # run meets (16 at seed 7)
+    engine = SymbolicEngine(gen_bus(16), seed=7)
+    engine.run(2000)
+    groups = port_groups_of(engine.encoding)
+    rep = groups[0]
+    assert all(g.representative is rep for g in groups)
+    assert all(not g.survivor_table for g in groups[1:])
+    assert 0 < len(rep.survivor_table) <= 16
+
+
+def test_survivor_fn_is_entered_once_per_class_table_miss(monkeypatch):
+    # the step and the check read a class table first and enter
+    # survivor_fn only at a key the table does not hold, which fills it
+    entered = []
+    survivor_fn = SystemEncoding.survivor_fn
+
+    def counted(self, state):
+        assert state not in self.survivor_table
+        entered.append(self)
+        return survivor_fn(self, state)
+
+    monkeypatch.setattr(SystemEncoding, "survivor_fn", counted)
+    systems = (gen_bus(4), gen_tasks(4, 2), _pairs_written_out(gen_tasks(3, 2)))
+    for sysm in systems:
+        engine, checked = SymbolicEngine(sysm, seed=7), build(sysm)
+        for enc, run in ((engine.encoding, lambda: engine.run(500)),
+                         (checked, lambda: check_equivalence(sysm, encoding=checked))):
+            del entered[:]
+            run()
+            assert len(entered) == sum(len(g.survivor_table) for g in port_groups_of(enc)) > 0
+
+
+def test_one_class_entry_gives_each_group_its_copy():
+    # at the initial state of tasks 3x2 both processors' groups read one
+    # class entry; each copies its function onto its own ports, and the
+    # component counts the entry once per group
+    sysm = gen_tasks(3, 2)
+    state = sysm.initial_state()
+    enc = build(sysm)
+    (c,) = enc.components
+    one, two = c.groups
+    first, second = c.entries(state)
+    assert first is second and first[1]
+    fns = [one.copy(first[0]), two.copy(first[0])]
+    assert fns[0] is first[0] and fns[1] != fns[0]
+    assert [set(enc.manager.iter_models(f, g.port_names)) for f, g in zip(fns, c.groups)] == \
+        [{a for a in survivors(sysm, state) if a <= set(g.port_names)} for g in c.groups]
+    assert c.survivor_count([first, second]) == 2 * first[2] == len(survivors(sysm, state))
 
 
 def _cluster_changed(change):
@@ -448,7 +503,9 @@ def test_isomorphic_groups_form_one_class():
     for sysm, n in ((gen_bus(16), 16), (gen_tasks(8, 4), 4), (_pairs_written_out(gen_tasks(8, 2)), 2)):
         (members,) = _classes(build(sysm))
         assert len(members) == n
-        assert members[0].rep_levels == tuple(range(len(members[0].manager.variables)))  # the identity
+        rep, other = members[0], members[-1]
+        assert rep.copy(rep.connector_fn) is rep.connector_fn  # the identity
+        assert other.copy(rep.connector_fn) == other.connector_fn
 
 
 def test_nearly_isomorphic_groups_keep_apart():
@@ -487,12 +544,12 @@ def test_nearly_isomorphic_groups_keep_apart():
 
 
 def test_copied_group_function_is_its_own_sub_systems():
-    # a group's entry is its representative's survivor function renamed onto
-    # its ports; it must be the node its own sub-system encodes, at each key
-    # that a reachable state (every state of the hub systems) gives it; bus
-    # 4's clusters are independent copies of bus 1, so the states that put
-    # each cluster in the same reachable state of bus 1 give every group
-    # each key that a reachable state gives it
+    # a group's function is its class entry copied onto its ports; it must
+    # be the node its own sub-system encodes, at its owners' states in each
+    # reachable state (every state of the hub systems); bus 4's clusters are
+    # independent copies of bus 1, so the states that put each cluster in
+    # the same reachable state of bus 1 give every group each of its owners'
+    # states that a reachable state gives it
     bus1 = reachable(gen_bus(1)).states
     cases = [(gen_tasks(3, 2), reachable(gen_tasks(3, 2)).states), (gen_bus(4), [s * 4 for s in bus1])]
     cases += [(h, all_states(h)) for h in map(hub_system, range(40))]
@@ -500,11 +557,16 @@ def test_copied_group_function_is_its_own_sub_systems():
     copies = keys = 0
     for sysm, states in cases:
         enc = build(sysm)
-        for g in port_groups_of(enc):
-            copies += g.representative is not g
-            for key, state in {g.local_state(s): s for s in states}.items():
-                assert g.entry(state)[0] == whole_survivor_fn(g, key)
-                keys += 1
+        copies += sum(g.representative is not g for g in port_groups_of(enc))
+        seen = set()
+        for c in enc.components:
+            for state in states:
+                for g, e in zip(c.groups, c.entries(state)):
+                    key = own_state(g, sysm, state)
+                    if (g.port_names, key) not in seen:
+                        seen.add((g.port_names, key))
+                        assert g.copy(e[0]) == whole_survivor_fn(g, key)
+        keys += len(seen)
     assert copies >= 10 and keys > 800
 
 
@@ -551,11 +613,11 @@ def test_group_pick_is_pick_sat_of_the_join():
         (c,) = eng.encoding.components  # tasks and hubs are one component each
         m = c.manager
         for state in states:
-            F, fns = joined_survivor_fn(c, state), [e[0] for e in c.entries(state)]
+            F, entries = joined_survivor_fn(c, state), c.entries(state)
             for seed in range(3):
                 ours, ref = random.Random(seed), random.Random(seed)
                 before = m.total_nodes()
-                assert c.pick(fns, ours) == m.pick_sat(F, ref)
+                assert c.pick(entries, ours) == m.pick_sat(F, ref)
                 assert m.total_nodes() == before
                 assert ours.getstate() == ref.getstate()
                 eng.state, ref = state, random.Random(seed)
@@ -578,7 +640,7 @@ def test_a_component_miss_whose_groups_hit_allocates_no_node():
             if len(c.groups) > 1:
                 def checked(state, c=c, read=c.entries):
                     nonlocal reads
-                    if all(g.local_state(state) in g.survivor_table for g in c.groups):
+                    if all(g.key(state) in g.representative.survivor_table for g in c.groups):
                         before = m.total_nodes()
                         read(state)
                         assert m.total_nodes() == before
