@@ -11,29 +11,25 @@ connective (xor, implies), a cofactor is the relational product
 function with the assignment's cube, and `balanced` folds every n-ary
 join.  Besides these the manager computes a conjunction with factors
 over disjoint blocks of levels (`and_local`, for the survivor function),
-the pick of the join of functions over disjoint groups of names, which
-walks the groups' functions down the join's all-false path as it draws
-its coins and never builds the join (`disjoint_pick`, for port groups),
-maximal models (`maximal`, for maximal progress), a structural copy
-under an order-preserving map of levels (one rename recursion: a copy
-function bound once per map by `renaming`, which copies a class's
-function onto a port group's ports where a pick or a check reads it, and
-`shift`, the rename by one level, for explicit priority pairs), and model
-counts, picks and model sets for the engines.
+maximal models (`maximal`, for maximal progress), the rename by one
+level (`shift`, for explicit priority pairs: a structural copy under an
+order-preserving map of levels, by the kernel's rename recursion), and
+model counts, uniform picks and model sets over a sequence of names for
+the engines.
 Operations that only tests need (evaluation along a path, support names,
 a three-operand `ite`) live with the tests' oracles.  A per-call
 recursive closure drops its name on return, leaving no cycle to collect.
 
 The unique table and the computed tables (one per operation: and, or,
 not, `and_local`, one per variable set of `and_exists` or `maximal` and
-one per bound rename, as in Brace, Rudell and Bryant, DAC 1990) are dicts
-keyed by ints that pack the operand node ids, `NODE_BITS` bits each.  A node's
-support is memoised as a bitmask over levels, and each picked root's
-sorted support levels next to it; a node's model count is memoised too,
-and per block partition of `and_local` its relevant blocks, with the
-factor nodes already checked against the partition.  `iter_models`
-walks nodes depth first on one shared path, expanding the name levels an
-edge skips, with the levels of each name sequence memoised.
+one for `shift`, as in Brace, Rudell and Bryant, DAC 1990) are dicts
+keyed by ints that pack the operand node ids, `NODE_BITS` bits each.  A
+node's support is memoised as a bitmask over levels, its model count and
+the odds of its high branch in a pick too, and per block partition of
+`and_local` its relevant blocks, with the factor nodes already checked
+against the partition.  `pick_sat` and `iter_models` walk a name
+sequence's levels, memoised per sequence; `iter_models` walks nodes
+depth first on one shared path, expanding the name levels an edge skips.
 
 Deliberately small: no complement edges, no garbage collection, no
 dynamic reordering.  The node store, the tables (the `and_local`
@@ -48,7 +44,7 @@ from __future__ import annotations
 import random
 import sys
 from bisect import bisect_left
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 FALSE = 0
 TRUE = 1
@@ -156,9 +152,9 @@ class BddManager:
         # and_local's blocks -> its per-level block masks, relevance memo and checked factors
         self._local_tables: dict[tuple[tuple[int, ...], ...], tuple] = {}
         self._support_masks: dict[int, int] = {}
-        self._sorted_supports: dict[int, tuple[int, ...]] = {}
         self._sat_counts: dict[int, int] = {FALSE: 0, TRUE: 1}
-        self._model_names: dict[tuple[str, ...], tuple[list[str], dict[int, int], int]] = {}
+        self._model_names: dict[tuple[str, ...], tuple] = {}
+        self._pick_odds: dict[int, float] = {}
         self._mk, self._and, self._or, self._not, self._rename = self._kernel()
         self.false = BddRef(self, FALSE)
         self.true = BddRef(self, TRUE)
@@ -440,72 +436,6 @@ class BddManager:
         if g == FALSE:
             raise BddError(f"factor {j} is false where its block is all false")
 
-    def disjoint_pick(self, groups: Sequence[Iterable[str]]) -> Callable:
-        """`pick_sat` of the join F of functions fs[j] over disjoint
-        groups[j] of names (each model of an fs[j] with the other groups'
-        names false), unbuilt: pick(fs, rng) allocates no node.  No fs[j]
-        may hold where its names are all false, so F is a chain down its
-        all-false path: at a level of group j the high edge is j's high
-        cofactor with the other groups' later names false, the low edge the
-        chain on with j's low cofactor, until one cofactor (the tail) is
-        left.  A group dies on the chain by a high edge that tests every
-        later name of the others, so F tests every name unless the chain is
-        empty.  The pick walks the chain, keeping each group's cofactor and
-        the number of groups still live, and draws a coin at each level
-        whose high cofactor is not false; on the first high coin it descends
-        that cofactor over its group's later names.  Once one group is left
-        it descends the tail over its group's names from there, or over the
-        tail's support if the walk stopped at once.  What the walk meets is
-        checked: a level outside its group, two functions live past the
-        chain, a tail that holds where its names are all false."""
-        sets = [frozenset(map(self.level_of, g)) for g in groups]
-        chain = sorted((l, j) for j, s in enumerate(sets) for l in s)
-        if len({l for l, _ in chain}) != len(chain):
-            raise BddError("disjoint_pick groups must be disjoint")
-        own = [sorted(s) for s in sets]
-        # per position: its level, its owner, the owner's later levels and its name
-        steps = [(l, j, own[j][own[j].index(l) + 1:], {self._names[l]}) for l, j in chain]
-        ends = [l for l, _ in chain] + [self._leaf_level]
-        var, lo, hi, names, ref, pick_sat = self._var, self._lo, self._hi, self._names, self._ref, self.pick_sat
-
-        def outside(j: int, u: int) -> BddError:
-            return BddError(f"function {j} tests {names[var[u]]!r} outside its group")
-
-        def pick(fs: Sequence[BddRef], rng: random.Random) -> frozenset[str] | None:
-            t = [self._node(f) for f in fs]
-            if len(t) != len(sets):
-                raise BddError("disjoint_pick needs one function per group")
-            live = len(t) - t.count(FALSE)
-            if not live:
-                return None
-            coin, n = rng.random, 0
-            for lvl, j, later, name in steps:
-                if live < 2:
-                    break
-                n += 1
-                h = u = t[j]
-                if var[u] == lvl:
-                    t[j], h = lo[u], hi[u]
-                    live -= t[j] == FALSE
-                elif var[u] < lvl:
-                    raise outside(j, u)
-                if h != FALSE and coin() < 0.5:
-                    return pick_sat(ref(h), rng, later) | name
-            for j, u in enumerate(t):
-                if var[u] < ends[n]:
-                    raise outside(j, u)
-            if live > 1:
-                raise BddError("two functions hold where every name is false")
-            j = next(j for j, u in enumerate(t) if u != FALSE)
-            u = t[j]
-            while u > TRUE:
-                u = lo[u]
-            if u == TRUE:
-                raise BddError(f"function {j} holds where its names are all false")
-            return pick_sat(ref(t[j]), rng, own[j][bisect_left(own[j], ends[n]):] if n else None)
-
-        return pick
-
     # -- cofactor and quantification ----------------------------------
 
     def restrict(self, f: BddRef, name: str, value: bool) -> BddRef:
@@ -560,25 +490,6 @@ class BddManager:
 
         r, rec = rec(u, v), None
         return self._ref(r)
-
-    def renaming(self, levels: Sequence[int]) -> Callable[[BddRef], BddRef]:
-        """The copy that moves the variable at each level l of a function to
-        level levels[l]: a structural copy with no apply, memoised in a table
-        of its own, so that a call hashes no map.  Renaming the levels a
-        function tests in an order-preserving way keeps the copy reduced and
-        ordered; a node whose copy would leave the order is refused.  Under
-        the identity map the copy of f is f itself."""
-        levels, n = tuple(levels), self._leaf_level
-        if len(levels) != n or not all(0 <= l <= n for l in levels):
-            raise BddError("a rename maps each level of the order to a level")
-        node, ref, rename = self._node, self._ref, self._rename
-        table = None if levels == tuple(range(n)) else {}
-
-        def copy(f: BddRef) -> BddRef:
-            u = node(f)
-            return f if table is None else ref(rename(u, levels, table))
-
-        return copy
 
     def shift(self, f: BddRef) -> BddRef:
         """f with every variable renamed to the next one in the order: the
@@ -664,13 +575,6 @@ class BddManager:
         m, rec = rec(u), None
         return m
 
-    def _support_levels(self, u: int) -> tuple[int, ...]:
-        """The support of u as ascending levels, memoised per root."""
-        levels = self._sorted_supports.get(u)
-        if levels is None:
-            levels = self._sorted_supports[u] = _bits(self._support_mask(u))
-        return levels
-
     def sat_count(self, f: BddRef) -> int:
         """Number of satisfying assignments over all the manager's
         variables, from a per-node memo of the count over the levels from
@@ -688,40 +592,50 @@ class BddManager:
         c, rec = rec(u), None
         return c << var[u]
 
-    def pick_sat(self, f: BddRef, rng: random.Random, levels: Sequence[int] | None = None) -> frozenset[str] | None:
-        """The true variables of one satisfying assignment, or None if f is false.
+    def _name_levels(self, names: Sequence[str]) -> tuple:
+        """A name sequence's level mask, its (level, name) pairs and names
+        in level order, and each level's position (the leaf's last), memoised."""
+        entry = self._model_names.get(key := tuple(names))
+        if entry is None:
+            levels = sorted(self.level_of(n) for n in set(key))
+            by_pos = [self._names[l] for l in levels]
+            entry = self._model_names[key] = (sum(1 << l for l in levels), list(zip(levels, by_pos)), by_pos,
+                                              {l: k for k, l in enumerate([*levels, self._leaf_level])})
+        return entry
 
-        At each node a non-forced branch is chosen by a fair coin from
-        `rng`; support variables skipped on the chosen path are also
-        randomized, variables outside the support are false.  Coins are
-        drawn in level order, one per support level that is not forced,
-        so the pick is deterministic in (f, the state of rng, order).
-        `levels`, ascending and covering the support, stand for it if given.
-        """
+    def pick_sat(self, f: BddRef, rng: random.Random, names: Sequence[str]) -> frozenset[str] | None:
+        """The true names of one model of f over `names`, which must cover
+        f's support, drawn uniformly; None if f is false.
+
+        The descent goes down the name levels in order and draws one coin
+        from `rng` at each, so the pick is deterministic in (f, names, the
+        state of rng).  At a node it takes the high branch with probability
+        c_hi / (c_lo + c_hi), the branches' model counts (`sat_count`'s
+        memo) brought to the level below the node, memoised per node; a
+        name level that an edge skips is a don't-care and takes a fair coin."""
         u = self._node(f)
         if u == FALSE:
             return None
-        coin = rng.random
-        names, var, lo, hi = self._names, self._var, self._lo, self._hi
-        out = []
-        # every level the descent meets is in the support, so coins are
-        # drawn in level order exactly as a walk over all levels would
-        for lvl in self._support_levels(u) if levels is None else levels:
+        if u not in self._sat_counts:
+            self.sat_count(f)
+        counts, odds, var, lo, hi = self._sat_counts, self._pick_odds, self._var, self._lo, self._hi
+        coin, out = rng.random, []
+        for lvl, name in self._name_levels(names)[1]:
             if var[u] == lvl:
-                l, h = lo[u], hi[u]
-                if l == FALSE:
-                    take = True
-                elif h == FALSE:
-                    take = False
-                else:
-                    take = coin() < 0.5
-                u = h if take else l
+                p = odds.get(u)
+                if p is None:
+                    c_hi = counts[hi[u]] << var[hi[u]] + ~lvl
+                    p = odds[u] = c_hi / ((counts[lo[u]] << var[lo[u]] + ~lvl) + c_hi)
+                take = coin() < p
+                u = hi[u] if take else lo[u]
+            elif var[u] < lvl:
+                break
             else:
                 take = coin() < 0.5
             if take:
-                out.append(names[lvl])
+                out.append(name)
         if u != TRUE:
-            raise BddError("descent did not reach the true terminal")
+            raise BddError(f"model variables must cover the support; missing {self._names[var[u]]!r}")
         return frozenset(out)
 
     def iter_models(self, f: BddRef, names: Sequence[str]) -> Iterator[frozenset[str]]:
@@ -732,13 +646,7 @@ class BddManager:
         edge skips is expanded both ways.
         """
         root = self._node(f)
-        entry = self._model_names.get(key := tuple(names))
-        if entry is None:
-            levels = sorted(self.level_of(n) for n in set(key))
-            entry = self._model_names[key] = (  # names by position, positions by level, level mask
-                [self._names[l] for l in levels], {l: k for k, l in enumerate([*levels, self._leaf_level])},
-                sum(1 << l for l in levels))
-        by_pos, pos_of, mask = entry
+        mask, _, by_pos, pos_of = self._name_levels(names)
         missing = self._support_mask(root) & ~mask
         if missing:
             lost = [self._names[l] for l in _bits(missing)]

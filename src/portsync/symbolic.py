@@ -25,20 +25,21 @@ owners projected onto it (their ports and labels in the group).  Groups
 that are copies of one another under an order-preserving renaming of
 their ports form a class: their signatures, written over the ranks of
 their ports, agree.  Only the first group of a class, its
-representative, is encoded in the shared manager.  Each group reads the
-class's one survivor table at its class key: per owner, the
-representative's first state that offers the same ranked labels.  A
-group's function is the entry's copy onto its own ports (a bound
-`BddManager.renaming`, the identity for the representative), the very
-node its own encoding would give, made only where the pick or
-`survivors` reads it.  An interaction and its dominators lie in one
-group, so a component's survivors are the disjoint union of its groups'.
-Their join is never built: a component is live if a group is, counts the
-sum of their counts, and picks from its groups' functions the
-interaction `pick_sat` picks from the join (`BddManager.disjoint_pick`;
-with one group, `pick_sat` of its function).  Each function is built on
-first read, and the build reads only what a step reads: each
-representative's local behaviors, f_C and priority inputs.
+representative, is encoded in the shared manager.  The representative's
+owner positions that a swap of owners maps onto each other form orbits
+(`_orbits`; symmetry as in Ip and Dill 1996, Emerson and Sistla 1996).
+Each group reads the class's one survivor table at its class key: per
+owner, the representative's first state that offers the same ranked
+labels, each orbit's values sorted.  A model of the entry's function,
+over the representative's ports, goes to the group's ports through each
+port's owner position, moved by the sort's permutation, and its index
+there (`SystemEncoding.translate`).  An interaction and its dominators
+lie in one group, so a component's survivors are the disjoint union of
+its groups'.  Their join is never built: a component is live if a group
+is and counts the sum of their counts; its pick draws a group by its
+count, then a uniform model of its entry (`BddManager.pick_sat`).  Each
+function is built on first read, and the build reads only what a step
+reads: each representative's local behaviors, f_C and priority inputs.
 
 A group's survivor function at its local state conjoins the
 connectors with the current states' local behaviors, whose conjunction
@@ -64,17 +65,18 @@ Each class keeps one survivor table, and no other table is kept: per
 class key, the survivor function, whether it has a survivor, and its
 number of models over a group's own ports (`sat_count` over every
 variable, shifted right by the variables outside those ports).  A count
-is filled in once per entry, on the first draw among two or more live
-components that needs it.  The tables hold at most the sum of the
-classes' local state spaces, not their product.  `survivors` (which
+is filled in once per entry, on the first draw that needs it: among two
+or more live components, or among a component's groups.  The tables
+hold at most the sum of the classes' local state spaces up to the
+orbits' permutations, not their product.  `survivors` (which
 `check` reads) and the step read the same entries, and enter
 `survivor_fn` only on a miss.  The engine keeps each component's group
 entries from its last step; a fired interaction lies in the drawn
 component's ports, so the next step re-reads only that component's
 groups.  A step draws a live component (one with a live group) weighted
 by the sum of its groups' counts (with one live component there is no
-draw), and picks one of its satisfying valuations with coins from the
-engine's own generator.
+draw), and picks a uniform survivor of it with coins from the engine's
+own generator.
 No primed behavior, primed connectors or pool-sized priority function
 is built.
 """
@@ -299,12 +301,14 @@ class SystemEncoding:
     manager: BddManager
     # the whole system's independent components
     components: tuple["Component", ...] = field(default=(), repr=False, compare=False)
-    # a group's class: its representative, which encodes the functions of
-    # the class and keeps its survivor table, how we read our class key out
-    # of a system state, and the copy of the class's functions onto our ports
+    # a group's class: its representative, which encodes the class's
+    # functions and keeps its survivor table; how we read our class key out
+    # of a state and, where the class has orbits, our owner at each position
+    # of it (`translate`); else the representative's ports -> ours
     representative: Optional["SystemEncoding"] = field(default=None, repr=False, compare=False)
     key: Callable[[GlobalState], GlobalState] = field(default=itemgetter(slice(None)), repr=False, compare=False)
-    copy: Optional[Callable[[BddRef], BddRef]] = field(default=None, repr=False, compare=False)
+    orient: Optional[Callable[[GlobalState], list[int]]] = field(default=None, repr=False, compare=False)
+    own: Optional[dict[str, str]] = field(default=None, repr=False, compare=False)
     # local state -> [survivor function, whether it has a survivor, its
     # number of survivors over our ports (None until a draw needs it)]
     survivor_table: dict[GlobalState, list] = field(
@@ -428,34 +432,32 @@ class SystemEncoding:
         return self.survivor_table[key]
 
     def survivors(self, state: GlobalState) -> frozenset[Interaction]:
-        """The union of the components' groups' model sets: each group's
-        class entry at its key, copied onto its ports."""
-        out: list[Interaction] = []
-        for c in self.components:
-            for g, e in zip(c.groups, c.entries(state)):
-                out += self.manager.iter_models(g.copy(e[0]), g.port_names)
-        return frozenset(out)
+        """The union of the components' survivor sets."""
+        return frozenset(a for c in self.components for a in c.survivors(state))
+
+    @cached_property
+    def _place(self) -> dict[str, tuple[int, int]]:
+        """Each port's owner position and its index among the owner's ports."""
+        return {p: (k, i) for k, atom in enumerate(self.system.atoms) for i, p in enumerate(atom.ports)}
+
+    def translate(self, ports: frozenset[str], perm: Optional[list[int]]) -> Interaction:
+        """A model of our class entry, over the representative's ports, as
+        ours: the i-th port of owner position k is owner perm[k]'s i-th."""
+        if perm is None:
+            return ports if self.own is None else frozenset(map(self.own.__getitem__, ports))
+        atoms, place = self.system.atoms, self.representative._place
+        return frozenset([atoms[perm[k]].ports[i] for k, i in map(place.__getitem__, ports)])
 
 
 class Component:
     """An independent component: its port groups, whose survivor sets are
-    disjoint and make up its own, and its pick.  The groups mention
-    disjoint ports and no group's function holds where its ports are all
-    false, so `pick(entries, rng)` draws from the groups' functions, each
-    copied onto its ports, what `pick_sat` draws from their join."""
+    disjoint and make up its own, each read from its class's entry."""
 
     def __init__(self, groups: tuple[SystemEncoding, ...], manager: BddManager):
         self.groups, self.manager = groups, manager
         # each group's key reader, its class table and its representative,
         # bound once so that a table hit looks up no attribute
         self._readers = tuple((g.key, g.representative.survivor_table, g.representative) for g in groups)
-        copies, pick_sat = tuple(g.copy for g in groups), manager.pick_sat
-        if len(groups) == 1:
-            (copy,) = copies
-            self.pick = lambda entries, rng: pick_sat(copy(entries[0][0]), rng)
-        else:
-            join = manager.disjoint_pick([g.port_names for g in groups])
-            self.pick = lambda entries, rng: join([copy(e[0]) for copy, e in zip(copies, entries)], rng)
 
     def entries(self, state: GlobalState) -> list[list]:
         """Each group's class-table entry at its key in a system state."""
@@ -469,6 +471,26 @@ class Component:
         each filled in on its first call."""
         return sum(map(SystemEncoding.survivor_count, self.groups, entries))
 
+    def survivors(self, state: GlobalState) -> list[Interaction]:
+        """Each group's models at its class entry, translated onto its ports."""
+        out: list[Interaction] = []
+        for g, e in zip(self.groups, self.entries(state)):
+            perm = g.orient and g.orient(state)
+            out += (g.translate(m, perm) for m in self.manager.iter_models(e[0], g.representative.port_names))
+        return out
+
+    def pick(self, state: GlobalState, entries: list[list], rng) -> Interaction:
+        """A uniform survivor at a state whose `entries` hold one: a live
+        group drawn by its count (with one group there is no draw), then a
+        uniform model of its class entry, translated onto its ports."""
+        groups, k = self.groups, 0
+        if len(groups) > 1:  # the draw of `random.Random.choices(groups, counts)`
+            cum = list(accumulate(map(SystemEncoding.survivor_count, groups, entries)))
+            k = bisect(cum, rng.random() * cum[-1], 0, len(cum) - 1)
+        g = groups[k]
+        ports = self.manager.pick_sat(entries[k][0], rng, g.representative.port_names)
+        return g.translate(ports, g.orient and g.orient(state))
+
 
 def _ranked_term(term: AcTerm, rank: dict[str, int]):
     """A connector term with each port written as its rank."""
@@ -477,6 +499,69 @@ def _ranked_term(term: AcTerm, rank: dict[str, int]):
     if isinstance(term, Fusion):
         return tuple((_ranked_term(f.term, rank), f.trigger) for f in term.factors)
     return term
+
+
+def _orbits(sub: SystemModel, rank: dict[str, int], terms: frozenset, pairs: frozenset) -> tuple[tuple[int, ...], ...]:
+    """The orbits of two or more owner positions of a representative's
+    sub-system under the swaps of owners that are its automorphisms, given
+    its ranked connector `terms` and ranked explicit `pairs`.  A position b
+    joins the orbit of the first position a it passes against: both have
+    the same states and initial state, and the swap σ of a's ports with
+    b's by index maps a's transitions onto b's and each connector term and
+    pair on a's or b's ports onto one of the sub-system's (σ is one to one
+    and keeps the others).  The swaps (a b) of an orbit's first member a
+    generate every permutation of the orbit, so sorting the key values of
+    an orbit is an automorphism."""
+    closure = sub.priority.closure if isinstance(sub.priority, ExplicitPairs) else ()
+
+    def moves(atom: AtomicBehavior, r: dict[str, int]) -> frozenset:
+        return frozenset((t.source, frozenset(map(r.__getitem__, t.label)), t.target) for t in atom.transitions)
+
+    def swaps(a: AtomicBehavior, b: AtomicBehavior) -> bool:
+        if (a.states, a.init, len(a.ports)) != (b.states, b.init, len(b.ports)):
+            return False
+        swap = dict(zip(a.ports, b.ports)) | dict(zip(b.ports, a.ports))
+        sigma = {p: rank[swap.get(p, p)] for p in rank}
+        moved = a.port_set | b.port_set
+        return (moves(a, sigma) == moves(b, rank)
+                and all(_ranked_term(c.term, sigma) in terms for c in sub.connectors if c.port_set & moved)
+                and all((frozenset(map(sigma.__getitem__, lo)), frozenset(map(sigma.__getitem__, hi))) in pairs
+                        for lo, hi in closure if (lo | hi) & moved))
+
+    orbits: list[list[int]] = []
+    for k, atom in enumerate(sub.atoms):
+        into = next((o for o in orbits if swaps(sub.atoms[o[0]], atom)), None)
+        if into is None:
+            orbits.append([k])
+        else:
+            into.append(k)
+    return tuple(tuple(o) for o in orbits if len(o) > 1)
+
+
+def _sorting_reader(readers: tuple[tuple[int, dict], ...], orbits: tuple[tuple[int, ...], ...]):
+    """The key reader and the orientation of a group whose class has
+    orbits, from each owner's (atom index, map to the representative's
+    states).  The key sorts the values of each orbit's positions; the
+    orientation lists per position the position whose value the key put
+    there."""
+    getters = [(o, itemgetter(*o)) for o in orbits]
+
+    def key(state: GlobalState) -> GlobalState:
+        v = [r[state[j]] for j, r in readers]
+        for o, get in getters:
+            for k, x in zip(o, sorted(get(v))):
+                v[k] = x
+        return tuple(v)
+
+    def orient(state: GlobalState) -> list[int]:
+        v = [r[state[j]] for j, r in readers]
+        perm = list(range(len(v)))
+        for o, _ in getters:
+            for k, at in zip(o, sorted(o, key=v.__getitem__)):
+                perm[k] = at
+        return perm
+
+    return key, orient
 
 
 def _group(system: SystemModel, ports: tuple[str, ...], mgr: BddManager, classes: dict) -> SystemEncoding:
@@ -489,13 +574,14 @@ def _group(system: SystemModel, ports: tuple[str, ...], mgr: BddManager, classes
     per owner its port ranks and the ranked label sets its states offer,
     the connector terms and explicit pairs over ranks, and the priority
     kind.  The rank-preserving rename of ports is thus an isomorphism of
-    the sub-systems: it maps the representative's functions onto ours
-    (`copy`), and our key reader maps each owner's state straight to the
-    representative's first state offering the same ranked labels.  So the
-    class table is shared by the states that differ only outside a group
-    and by the groups of the class.  Where every such map is the identity
-    (every bus cluster), the key is the owners' states, read by one
-    `itemgetter`."""
+    the sub-systems, and our key reader maps each owner's state straight to
+    the representative's first state offering the same ranked labels.  So
+    the class table is shared by the states that differ only outside a
+    group and by the groups of the class.  Where the class has orbits
+    (`_orbits`), the reader sorts each orbit's values, so the states that
+    differ by a permutation of interchangeable owners share it too; where
+    it has none and every such map is the identity (every bus cluster),
+    the key is the owners' states, read by one `itemgetter`."""
     ours = frozenset(ports)
     atoms = tuple(j for j, atom in enumerate(system.atoms) if atom.port_set & ours)
 
@@ -517,19 +603,22 @@ def _group(system: SystemModel, ports: tuple[str, ...], mgr: BddManager, classes
 
     offers = [{q: frozenset(map(ranked, atom.labels_from[q])) for q in atom.states} for atom in sub.atoms]
     firsts = [{o: q for q, o in reversed(offer.items())} for offer in offers]  # each offer's first state
+    terms = frozenset(_ranked_term(c.term, rank) for c in sub.connectors)
+    pairs = frozenset((ranked(lo), ranked(hi)) for lo, hi in pr.closure) if isinstance(pr, ExplicitPairs) else None
     signature = (tuple((tuple(map(rank.__getitem__, a.ports)), frozenset(o)) for a, o in zip(sub.atoms, firsts)),
-                 frozenset(_ranked_term(c.term, rank) for c in sub.connectors),
-                 frozenset((ranked(lo), ranked(hi)) for lo, hi in pr.closure) if isinstance(pr, ExplicitPairs)
-                 else type(pr))
+                 terms, pairs if pairs is not None else type(pr))
     enc = SystemEncoding(sub, mgr)
-    enc.representative, their = classes.setdefault(signature, (enc, firsts))
+    if signature not in classes:
+        classes[signature] = (enc, firsts, _orbits(sub, rank, terms, pairs))
+    rep, their, orbits = classes[signature]
     readers = tuple((j, {q: first[o] for q, o in offer.items()}) for j, offer, first in zip(atoms, offers, their))
-    if all(q == r[q] for _, r in readers for q in r):
+    if orbits:
+        enc.key, enc.orient = _sorting_reader(readers, orbits)
+    elif all(q == r[q] for _, r in readers for q in r):
         enc.key = itemgetter(*atoms) if len(atoms) > 1 else itemgetter(slice(atoms[0], atoms[0] + 1))
     else:
         enc.key = lambda state: tuple([r[state[j]] for j, r in readers])
-    levels = dict(zip(map(mgr.level_of, enc.representative.port_names), map(mgr.level_of, ports)))
-    enc.copy = mgr.renaming([levels.get(l, l) for l in range(len(mgr.variables))])
+    enc.representative, enc.own = rep, None if rep is enc or orbits else dict(zip(rep.port_names, ports))
     return enc
 
 
@@ -540,10 +629,10 @@ def build(system: SystemModel) -> SystemEncoding:
     if system.priority is not None and not isinstance(system.priority, (MaximalProgress, ExplicitPairs)):
         raise TypeError(f"unknown priority model: {system.priority!r}")
     mgr = BddManager(variable_order(system))
-    classes: dict = {}  # signature -> its representative and its owners' first state per offer
+    classes: dict = {}  # signature -> its representative, its owners' first state per offer, its orbits
     comps = tuple(Component(tuple(_group(system, g, mgr, classes) for g in groups), mgr)
                   for _, groups in _partition(system))
-    for rep, _ in classes.values():  # what a step reads
+    for rep, _, _ in classes.values():  # what a step reads
         rep.local_behavior, rep.connector_fn, rep.pairs_fn, rep.dominator_fn
     return SystemEncoding(system, mgr, comps)
 
@@ -560,9 +649,9 @@ class SymbolicEngine(Engine):
     component is drawn weighted by its groups' counts (the live list, the
     counts and their running sums are kept too, rebuilt only when the moved
     component gains or loses its last survivor, and the sums redone only
-    when its count changes), and one satisfying assignment is picked from
-    its groups' functions, copied onto their ports, with coins from the
-    engine's generator; the pool is never enumerated.
+    when its count changes), and a uniform survivor of it is picked
+    (`Component.pick`) with coins from the engine's generator; the pool is
+    never enumerated.
     """
 
     def __init__(self, system: SystemModel, seed: int = 0):
@@ -611,7 +700,7 @@ class SymbolicEngine(Engine):
                 self._cum = list(accumulate(self._weights))
             cum = self._cum  # the draw of `random.Random.choices(live, weights)`
             k = live[bisect(cum, self._rng.random() * cum[-1], 0, len(cum) - 1)]
-        a = comps[k].pick(entries[k], self._rng)
+        a = comps[k].pick(state, entries[k], self._rng)
         self.state = fire(self.system, state, a, self._rng)
         self._fired_to, self._moved = self.state, k
         self.steps_taken += 1

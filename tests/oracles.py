@@ -11,7 +11,7 @@ seeded system family (`hub_system`) gives components of several port
 groups, which the random generator almost never makes, and
 `moved_trigger` makes one of several isomorphic clusters differ from the
 others in one connector; the engine never builds a component's survivor
-function, which `joined_survivor_fn` builds from its groups' functions.
+function, which `joined_survivor_fn` builds from its groups' models.
 """
 
 import random
@@ -172,28 +172,19 @@ def bdd_table(mgr, f, names):
     return out
 
 
-def reference_pick_sat(mgr, f, rng):
-    """BddManager.pick_sat as first written: the support from a walk over
-    every node below f, then one pass over every level of the order,
-    drawing a coin from `rng` at each branching node and each skipped
-    support level.  Returns the set of variables set true."""
-    u = f.node
-    if u == 0:
+def reference_pick_sat(mgr, f, names, rng):
+    """A uniform model of f over `names`, drawn as BddManager.pick_sat
+    draws it but from f's model list: one coin from `rng` per name in
+    level order, true with the share of the models still in play that set
+    the name true.  Returns the set of names set true."""
+    models = list(mgr.iter_models(f, names))
+    if not models:
         return None
-    sup = {mgr._var[v] for v in mgr._reachable(u)}
-    out = {}
-    for lvl, name in enumerate(mgr.variables):
-        if mgr._var[u] == lvl:
-            lo, hi = mgr._lo[u], mgr._hi[u]
-            take = True if lo == 0 else False if hi == 0 else rng.random() < 0.5
-            out[name] = take
-            u = hi if take else lo
-        elif lvl in sup:
-            out[name] = rng.random() < 0.5
-        else:
-            out[name] = False
-    assert u == 1
-    return frozenset(name for name, value in out.items() if value)
+    for name in sorted(set(names), key=mgr.level_of):
+        high = [m for m in models if name in m]
+        models = high if rng.random() < len(high) / len(models) else [m for m in models if name not in m]
+    (model,) = models
+    return model
 
 
 def transfer(f, dst):
@@ -290,10 +281,10 @@ def own_state(enc, system, state):
 
 def joined_survivor_fn(x, state):
     """The survivor function of a component, or of a whole encoding, at a
-    system state as one function: the union-join of its port groups'
-    functions over its ports (their class entries copied onto their ports,
-    as the pick reads them), which the engine picks from and counts
-    without building it."""
+    system state as one function over its ports: the disjunction of the
+    full cubes of its groups' models, each group's read from its class
+    entry and translated onto its ports (`Component.survivors`); the engine
+    picks from and counts the groups without building it."""
     comps = [x] if isinstance(x, Component) else x.components
-    parts = [(g.port_names, g.copy(e[0])) for c in comps for g, e in zip(c.groups, c.entries(state))]
-    return union_join(parts, ports_of(x), x.manager)
+    ports = ports_of(x)
+    return x.manager.or_all(x.manager.cube({p: p in a for p in ports}) for c in comps for a in c.survivors(state))

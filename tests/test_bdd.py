@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from portsync import bdd, boolfunc as bf
 from portsync.bdd import BddError, BddManager
-from portsync.symbolic import union_join
 
 from oracles import bdd_table, evaluate, reference_pick_sat, support
 
@@ -189,11 +188,16 @@ class TestRelationalProduct:
         with pytest.raises(BddError):
             mgr.shift(mgr.var("a") | mgr.var("e"))
 
+    @staticmethod
+    def rename(mgr, f, levels):
+        """f copied by the kernel's rename recursion (`shift` is the rename
+        by one level) under a map of every level."""
+        return mgr._ref(mgr._rename(mgr._node(f), tuple(levels), {}))
+
     def test_rename_is_the_truth_table_rename(self):
         # an order-preserving map of the levels a function tests moves its
-        # truth table onto the target names, node for node, and a second
-        # call of the bound copy gives the same node; the identity map
-        # returns the function itself
+        # truth table onto the target names, node for node; the identity
+        # map gives the function's own node
         mgr = BddManager(self.NAMES)
         n, rng = len(self.NAMES), random.Random(29)
         for _ in range(60):
@@ -204,12 +208,11 @@ class TestRelationalProduct:
             levels = list(range(n))
             for a, b in zip(src, dst):
                 levels[a] = b
-            copy = mgr.renaming(levels)
-            renamed = copy(f)
+            renamed = self.rename(mgr, f, levels)
             assert bdd_table(mgr, renamed, [self.NAMES[l] for l in dst]) == t
-            assert renamed == self.table_bdd(mgr, t, [self.NAMES[l] for l in dst]) == copy(f)
+            assert renamed == self.table_bdd(mgr, t, [self.NAMES[l] for l in dst])
             assert mgr.node_count(renamed) == mgr.node_count(f)
-            assert mgr.renaming(range(n))(f) is f
+            assert self.rename(mgr, f, range(n)) == f
         mgr.audit()
 
     def test_shift_is_the_rename_by_one_level(self):
@@ -217,20 +220,16 @@ class TestRelationalProduct:
         rng = random.Random(31)
         for _ in range(20):
             f = self.table_bdd(mgr, rng.getrandbits(16), self.NAMES[:-1])
-            assert mgr.shift(f) == mgr.renaming(range(1, len(self.NAMES) + 1))(f)
+            assert mgr.shift(f) == self.rename(mgr, f, range(1, len(self.NAMES) + 1))
 
     def test_rename_out_of_order_rejected(self):
         mgr = BddManager(self.NAMES)
         f = mgr.var("a") & ~mgr.var("c")
         with pytest.raises(BddError):  # a below c
-            mgr.renaming([3, 1, 1, 3, 4])(f)
+            self.rename(mgr, f, [3, 1, 1, 3, 4])
         with pytest.raises(BddError):  # a and c on one level
-            mgr.renaming([1, 1, 1, 3, 4])(f)
-        with pytest.raises(BddError):  # a map of some levels only
-            mgr.renaming([1, 2, 3])
-        with pytest.raises(BddError):  # past the last level
-            mgr.renaming([0, 1, 2, 3, 6])
-        assert mgr.renaming([1, 1, 3, 3, 4])(f) == mgr.var("b") & ~mgr.var("d")
+            self.rename(mgr, f, [1, 1, 1, 3, 4])
+        assert self.rename(mgr, f, [1, 1, 3, 3, 4]) == mgr.var("b") & ~mgr.var("d")
 
     def test_mixed_managers_rejected(self):
         mgr, other = BddManager(self.NAMES), BddManager(self.NAMES)
@@ -241,7 +240,7 @@ class TestRelationalProduct:
         with pytest.raises(BddError):
             mgr.shift(other.var("a"))
         with pytest.raises(BddError):
-            mgr.renaming(range(len(self.NAMES)))(other.var("a"))
+            mgr.pick_sat(other.var("a"), random.Random(0), ["a"])
 
 
 def random_fn(mgr, rng, free):
@@ -361,96 +360,6 @@ class TestAndLocal:
             mgr.and_local(f, [(0, 1), (3, 4)], [g, mgr.true])
 
 
-class AlwaysLow:
-    """A generator whose every coin comes up low, so that a pick walks the
-    whole chain and meets every guard."""
-
-    def random(self):
-        return 0.5
-
-
-class TestDisjointPick:
-    # groups of names interleaved with each other and with levels outside
-    # every group, as a component's port groups interleave in the order
-    ORDER = [f"v{i}" for i in range(10)]
-
-    def random_groups(self, rng):
-        names = rng.sample(self.ORDER, rng.randint(1, len(self.ORDER)))
-        k = rng.randint(1, min(4, len(names)))
-        owner = [rng.randrange(k) for _ in names]
-        owner[:k] = range(k)  # no group is empty
-        return [[n for n, j in zip(names, owner) if j == g] for g in range(k)]
-
-    def random_member(self, mgr, rng, group):
-        # false, or a function that rejects the valuation setting every
-        # name of the group false; it may skip some of the group's levels
-        if rng.random() < 0.15:
-            return mgr.false
-        return random_fn(mgr, rng, group) & ~mgr.cube(dict.fromkeys(group, False))
-
-    def test_picks_what_pick_sat_of_the_join_picks(self):
-        # the same pick and the same generator state after it as pick_sat
-        # of the union-join, and a pick allocates no node
-        mgr = BddManager(self.ORDER)
-        rng = random.Random(53)
-        singles = skips = picks = 0
-        for _ in range(300):
-            groups = self.random_groups(rng)
-            singles += len(groups) == 1
-            pick = mgr.disjoint_pick(groups)
-            for _ in range(3):
-                fs = [self.random_member(mgr, rng, g) for g in groups]
-                skips += any(f != mgr.false and set(g) - support(f) for g, f in zip(groups, fs))
-                F = union_join(zip(groups, fs), [n for g in groups for n in g], mgr)
-                for seed in range(4):
-                    ours, ref = random.Random(seed), random.Random(seed)
-                    before = mgr.total_nodes()
-                    assert pick(fs, ours) == mgr.pick_sat(F, ref)
-                    assert mgr.total_nodes() == before
-                    assert ours.random() == ref.random()
-                    picks += F != mgr.false
-        assert singles > 10 and skips > 100 and picks > 1500
-        mgr.audit()
-
-    def test_a_function_outside_its_group_is_refused(self):
-        mgr = BddManager(["x", "a", "b", "c", "d", "y"])
-        v = {n: mgr.var(n) for n in mgr.variables}
-        pick, low = mgr.disjoint_pick([["a", "c"], ["b", "d"]]), AlwaysLow()
-        F = (v["a"] | v["c"]) & ~v["b"] & ~v["d"] | ~v["a"] & ~v["c"] & v["d"]
-        for seed in range(8):
-            assert pick([v["a"] | v["c"], v["d"]], random.Random(seed)) == mgr.pick_sat(F, random.Random(seed))
-        with pytest.raises(BddError, match=r"function 0 tests 'b' outside its group"):
-            pick([v["b"], v["d"]], low)  # a level of the other group
-        with pytest.raises(BddError, match=r"function 1 tests 'x' outside its group"):
-            pick([v["a"], v["x"] & v["d"]], low)  # a level of no group, met after the walk stops
-        with pytest.raises(BddError, match=r"function 1 tests 'x' outside its group"):
-            pick([v["c"], v["x"]], low)  # met at the group's next level
-        with pytest.raises(BddError, match="did not reach the true terminal"):
-            pick([v["a"] & v["c"], v["b"] & v["y"]], low)  # below every level of a group: the tail's descent meets it
-        with pytest.raises(BddError, match="one function per group"):
-            pick([v["a"]], low)
-        with pytest.raises(BddError, match="must be disjoint"):
-            mgr.disjoint_pick([["a", "b"], ["b"]])
-
-    def test_a_function_that_accepts_all_false_is_refused(self):
-        mgr = BddManager(["a", "b", "c", "d"])
-        v = {n: mgr.var(n) for n in mgr.variables}
-        pick, low = mgr.disjoint_pick([["a", "c"], ["b", "d"]]), AlwaysLow()
-        with pytest.raises(BddError, match="two functions hold"):
-            pick([mgr.true, mgr.true], low)  # both live past the last level
-        with pytest.raises(BddError, match="two functions hold"):
-            pick([~v["a"], v["b"] | ~v["d"]], low)
-        with pytest.raises(BddError, match="function 0 holds"):
-            pick([mgr.true, v["b"]], low)  # the tail, after the other dies on the chain
-        with pytest.raises(BddError, match="function 1 holds"):
-            pick([mgr.false, v["b"] | ~v["d"]], low)  # the tail of an empty chain
-        assert pick([mgr.false, mgr.false], low) is None
-        pick = mgr.disjoint_pick([["a", "b", "c", "d"]])
-        with pytest.raises(BddError, match="function 0 holds"):
-            pick([~v["a"]], low)
-        assert pick([mgr.false], random.Random(0)) is None
-
-
 class TestPackedKeys:
     def test_node_store_full_raises(self, monkeypatch):
         # a node id past the packed keys' width is refused, not allocated
@@ -490,14 +399,16 @@ class TestCubes:
 
 
 class TestPickSat:
+    NAMES = ("a", "b", "c", "d")
+
     def test_none_on_false(self, mgr):
-        assert mgr.pick_sat(mgr.false, random.Random(0)) is None
-        assert mgr.pick_sat(mgr.true, random.Random(0)) == frozenset()
+        assert mgr.pick_sat(mgr.false, random.Random(0), self.NAMES) is None
+        assert mgr.pick_sat(mgr.true, random.Random(0), ()) == frozenset()
 
     def test_pick_satisfies(self, mgr):
         f = (mgr.var("a") | mgr.var("b")) & (mgr.var("c") ^ mgr.var("d"))
         for seed in range(50):
-            asg = mgr.pick_sat(f, random.Random(seed))
+            asg = mgr.pick_sat(f, random.Random(seed), self.NAMES)
             assert evaluate(f, dict.fromkeys(asg, True))
 
     def test_all_models_reachable(self, mgr):
@@ -505,7 +416,7 @@ class TestPickSat:
         f = mgr.var("a") | mgr.var("b")
         seen = set()
         for seed in range(1000):
-            asg = mgr.pick_sat(f, random.Random(seed))
+            asg = mgr.pick_sat(f, random.Random(seed), ["a", "b"])
             seen.add(("a" in asg, "b" in asg))
         assert seen == {(True, False), (False, True), (True, True)}
 
@@ -513,12 +424,15 @@ class TestPickSat:
         # successive picks from one generator go on drawing from it
         f = mgr.var("a") | mgr.var("b")
         rng = random.Random(4)
-        seen = {mgr.pick_sat(f, rng) for _ in range(200)}
+        seen = {mgr.pick_sat(f, rng, ["a", "b"]) for _ in range(200)}
         assert seen == {frozenset("a"), frozenset("b"), frozenset("ab")}
 
     def test_matches_reference_on_level_skipping_supports(self):
-        # the pick visits support levels only; coins, result and the
-        # generator's state afterwards must be those of a walk over every level
+        # the pick walks the names' levels, weighing each node's branches
+        # by their counts and tossing a fair coin at a skipped level; coins,
+        # result and the generator's state afterwards must be those of the
+        # reference's sequential draw from the model list, over the support
+        # and over names beyond it, in any order
         names = [f"v{i}" for i in range(12)]
         mgr = BddManager(names)
         rng = random.Random(3)
@@ -531,20 +445,53 @@ class TestPickSat:
             levels = sorted(names.index(n) for n in support(f))
             if levels and levels != list(range(levels[0], levels[-1] + 1)):
                 skipping += 1
+            over = [*support(f), *rng.sample(names, rng.randint(0, 3))]
+            rng.shuffle(over)
             for seed in range(30):
                 ours, ref = random.Random(seed), random.Random(seed)
-                assert mgr.pick_sat(f, ours) == reference_pick_sat(mgr, f, ref)
+                assert mgr.pick_sat(f, ours, over) == reference_pick_sat(mgr, f, over, ref)
                 assert ours.getstate() == ref.getstate()
         assert skipping > 20
 
     def test_nonsupport_defaults_false(self, mgr):
+        # a name outside `names` is false; a name in them outside the
+        # support is a don't-care, true in half the picks
         f = mgr.var("a")
         for seed in range(20):
-            assert mgr.pick_sat(f, random.Random(seed)) == {"a"}
+            assert mgr.pick_sat(f, random.Random(seed), ["a"]) == {"a"}
+        rng = random.Random(5)
+        picks = [mgr.pick_sat(f, rng, ["a", "c"]) for _ in range(400)]
+        assert set(picks) == {frozenset("a"), frozenset("ac")}
+        assert 160 < picks.count(frozenset("a")) < 240
+
+    def test_names_must_cover_the_support(self, mgr):
+        f = mgr.var("a") & mgr.var("c") | mgr.var("d")
+        for names in (["a", "c"], ["c", "d"], ["a", "d"]):
+            with pytest.raises(BddError, match="must cover the support"):
+                for seed in range(8):
+                    mgr.pick_sat(f, random.Random(seed), names)
+
+    def test_picks_are_uniform(self):
+        # over every model of random functions, against exact uniformity:
+        # the total chi-square over the functions stays within 6 standard
+        # deviations of its degrees of freedom (the bound was fixed before
+        # the first run)
+        names = [f"v{i}" for i in range(6)]
+        mgr, rng = BddManager(names), random.Random(41)
+        chi2 = dof = 0
+        for _ in range(20):
+            f = random_fn(mgr, rng, names)
+            models = list(mgr.iter_models(f, names))
+            draws = [mgr.pick_sat(f, rng, names) for _ in range(100 * len(models))]
+            assert set(draws) == set(models)
+            chi2 += sum((draws.count(m) - 100) ** 2 / 100 for m in models)
+            dof += len(models) - 1
+        assert dof > 100 and chi2 <= dof + 6 * (2 * dof) ** 0.5, (chi2, dof)
 
     def test_support_levels_are_the_set_bits(self):
-        # the pick walks a root's support as the ascending set bits of its
-        # support mask, on masks as wide as bus16's order and wider
+        # a support mask's levels are its ascending set bits (the missing
+        # names `iter_models` reports), on masks as wide as bus16's order
+        # and wider
         rng = random.Random(37)
         for mask in (0, 1, 1 << 383, *(rng.getrandbits(rng.randint(1, 400)) for _ in range(60))):
             assert bdd._bits(mask) == tuple(i for i in range(mask.bit_length()) if mask >> i & 1)

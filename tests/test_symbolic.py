@@ -129,7 +129,7 @@ def test_node_counts_are_pinned():
 def test_build_leaves_what_no_step_reads_unbuilt():
     # the build reads what a step reads: each class representative's local
     # behaviors, f_C and priority inputs, and each component's pick; a group
-    # that copies its representative builds none of them; f_B, f_S and the
+    # that is a copy of its representative builds none of them; f_B, f_S and the
     # whole system's own functions wait for a reader, and so does every
     # function of a system of one component of one group
     bus, tasks = gen_bus(3), gen_tasks(3, 2)
@@ -298,7 +298,7 @@ def test_pick_matches_reference_on_survivor_functions():
             fn = joined_survivor_fn(enc, state)
             for seed in range(8):
                 ours, ref = random.Random(seed), random.Random(seed)
-                assert m.pick_sat(fn, ours) == reference_pick_sat(m, fn, ref)
+                assert m.pick_sat(fn, ours, enc.port_names) == reference_pick_sat(m, fn, enc.port_names, ref)
                 assert ours.getstate() == ref.getstate()
 
 
@@ -418,13 +418,17 @@ def test_group_key_shares_states_that_offer_the_same_labels():
     assert one.system.atoms[0].ports == ("b1_1", "f1_1", "p1_1", "r1_1")
     state = sysm.initial_state()
     waiting, running = ("w2", *state[1:]), ("c2", *state[1:])
+    # the tasks form one orbit: the key sorts their values ("c2" < "s")
     assert one.key(waiting) == one.key(running) == ("c2", "s", "s", "l0")
+    assert one.key(("s", "s", "c2", "l0")) == ("c2", "s", "s", "l0")
     # the processors' groups form one class, whose table processor 1's
     # group keeps: processor 2's group reads it at the states of processor
     # 1's group where its tasks offer the same ranked labels
     assert two.representative is one
-    assert two.key(waiting) == ("w1", "s", "s", "l0")
+    assert two.key(waiting) == ("s", "s", "w1", "l0")
     assert two.key(running) == ("c1", "s", "s", "l0")
+    # the orientation names the task whose value each position holds
+    assert two.orient(waiting) == [1, 2, 0, 3]
     c.entries(waiting)
     c.entries(running)
     assert len(one.survivor_table) == 3 and len(two.survivor_table) == 0
@@ -467,7 +471,7 @@ def test_survivor_fn_is_entered_once_per_class_table_miss(monkeypatch):
 
 def test_one_class_entry_gives_each_group_its_copy():
     # at the initial state of tasks 3x2 both processors' groups read one
-    # class entry; each copies its function onto its own ports, and the
+    # class entry; each translates its models onto its own ports, and the
     # component counts the entry once per group
     sysm = gen_tasks(3, 2)
     state = sysm.initial_state()
@@ -476,9 +480,9 @@ def test_one_class_entry_gives_each_group_its_copy():
     one, two = c.groups
     first, second = c.entries(state)
     assert first is second and first[1]
-    fns = [one.copy(first[0]), two.copy(first[0])]
-    assert fns[0] is first[0] and fns[1] != fns[0]
-    assert [set(enc.manager.iter_models(f, g.port_names)) for f, g in zip(fns, c.groups)] == \
+    models = list(enc.manager.iter_models(first[0], one.port_names))
+    assert [one.translate(m, one.orient(state)) for m in models] == models
+    assert [{g.translate(m, g.orient(state)) for m in models} for g in c.groups] == \
         [{a for a in survivors(sysm, state) if a <= set(g.port_names)} for g in c.groups]
     assert c.survivor_count([first, second]) == 2 * first[2] == len(survivors(sysm, state))
 
@@ -504,8 +508,9 @@ def test_isomorphic_groups_form_one_class():
         (members,) = _classes(build(sysm))
         assert len(members) == n
         rep, other = members[0], members[-1]
-        assert rep.copy(rep.connector_fn) is rep.connector_fn  # the identity
-        assert other.copy(rep.connector_fn) == other.connector_fn
+        m, unmoved = rep.manager, rep.orient and list(range(len(rep.system.atoms)))
+        assert {other.translate(a, unmoved) for a in m.iter_models(rep.connector_fn, rep.port_names)} == \
+            set(m.iter_models(other.connector_fn, other.port_names))
 
 
 def test_nearly_isomorphic_groups_keep_apart():
@@ -543,15 +548,108 @@ def test_nearly_isomorphic_groups_keep_apart():
         assert check_equivalence(sysm).equivalent
 
 
+def _t1_t2_swap(g):
+    """Whether T1 and T2 lie in one orbit of a tasks 3x2 group g: the keys
+    of T1 running on g's processor and of T2 running there agree."""
+    c = "c" + g.system.atoms[-1].name[1:]  # running on g's processor
+    return g.key((c, "s", "s", "l0", "l0")) == g.key(("s", c, "s", "l0", "l0"))
+
+
+def test_orbit_keys_give_each_state_its_survivors():
+    # the tasks of each tasks group form one orbit, whose key values are
+    # sorted; a bus cluster has none and keeps its itemgetter key; the
+    # translated survivors are the system's at every reachable state (every
+    # state of the hub systems)
+    named = [gen_tasks(3, 2), gen_tasks(4, 2), gen_bus(3), _pairs_written_out(gen_tasks(3, 2))]
+    cases = [(s, reachable(s, bound=5000).states) for s in named]
+    cases += [(h, all_states(h)) for h in map(hub_system, range(40))]
+    oriented = 0
+    for sysm, states in cases:
+        enc = build(sysm)
+        oriented += sum(g.orient is not None for g in port_groups_of(enc))
+        for state in states:
+            assert enc.survivors(state) == survivors(sysm, state)
+    assert oriented >= 6
+    tasks = build(gen_tasks(4, 2))
+    for g in port_groups_of(tasks):
+        key = g.key(("c1", "s", "w2", "s", "l0", "l0"))
+        assert all(g.key((*p, "l0", "l0")) == key
+                   for p in (("s", "c1", "s", "w2"), ("w2", "s", "s", "c1"), ("s", "w2", "c1", "s")))
+    for g in port_groups_of(build(gen_bus(16))):
+        assert g.orient is None and isinstance(g.key, operator.itemgetter)
+
+
+def test_swaps_that_are_not_symmetries_keep_apart():
+    # tasks 3x2 with one of processor 1's connectors, transitions or pairs
+    # changed for T1 and T2: the two stay out of one orbit of processor 1's
+    # group (so do the others the change touches), processor 2's group
+    # keeps its orbit, and the engines still agree
+    fz = frozenset
+    tasks, pairs = gen_tasks(3, 2), _pairs_written_out(gen_tasks(3, 2))
+
+    def extra_label(s):  # T2 can also begin on processor 1 while waiting on it
+        atoms = tuple(AtomicBehavior(a.name, a.states, a.init, a.ports,
+                                     (*a.transitions, Transition("w1", fz({"b1_2"}), "c1")))
+                      if a.name == "T2" else a for a in s.atoms)
+        return SystemModel(s.name, atoms, s.connectors, s.priority)
+
+    def pair_dropped(s):  # one pair on T1 and T2 that no other pair implies
+        ps = s.priority.pairs
+        ab = next(ab for ab in sorted(ps, key=lambda ab: (sorted(ab[0]), sorted(ab[1])))
+                  if {"b1_2", "p1_1"} <= ab[0] | ab[1] and len(ExplicitPairs(ps - {ab}).closure) < len(ps))
+        return SystemModel(s.name, s.atoms, s.connectors, ExplicitPairs(ps - {ab}))
+
+    for sysm in (tasks, pairs):
+        one, two = port_groups_of(build(sysm))
+        assert _t1_t2_swap(one) and _t1_t2_swap(two)
+    for sysm in (moved_trigger(tasks, "beg_2_over_1_1"), moved_trigger(pairs, "beg_2_over_1_1"),
+                 extra_label(tasks), extra_label(pairs), pair_dropped(pairs)):
+        one, two = port_groups_of(build(sysm))
+        assert not _t1_t2_swap(one) and _t1_t2_swap(two)
+        assert check_equivalence(sysm).equivalent
+
+
+def _chi_square(engine, states, per=100):
+    """The chi-square of the engine's picks at each state (`per` draws per
+    survivor) against exact uniformity, summed, and its degrees of freedom;
+    every survivor must come up."""
+    chi2 = dof = 0
+    for state in states:
+        expected = survivors(engine.system, state)
+        fired = []
+        for _ in range(per * len(expected)):
+            engine.state = state
+            fired.append(engine.step()[0])
+        assert set(fired) == expected
+        chi2 += sum((fired.count(a) - per) ** 2 / per for a in expected)
+        dof += len(expected) - 1
+    return chi2, dof
+
+
+def test_picks_are_uniform(broadcast_system):
+    # against exact uniformity at up to 15 states with two or more
+    # survivors: the total chi-square over the states must stay within 6
+    # standard deviations of its degrees of freedom (the bound was fixed
+    # before the first run); a draw among components (bus 2) and among
+    # port groups (tasks) takes part
+    bc = SystemModel("bc", broadcast_system.atoms, broadcast_system.connectors, None)
+    for sysm in (bc, gen_bus(2), gen_tasks(3, 2), gen_tasks(4, 2)):
+        states = sorted(s for s in reachable(sysm, bound=5000).states if len(survivors(sysm, s)) > 1)
+        states = random.Random(11).sample(states, min(15, len(states)))
+        chi2, dof = _chi_square(SymbolicEngine(sysm, seed=13), states)
+        assert dof >= 7 and chi2 <= dof + 6 * (2 * dof) ** 0.5, (sysm.name, chi2, dof)
+
+
 def test_copied_group_function_is_its_own_sub_systems():
-    # a group's function is its class entry copied onto its ports; it must
-    # be the node its own sub-system encodes, at its owners' states in each
-    # reachable state (every state of the hub systems); bus 4's clusters are
+    # a group's survivors are its class entry's models translated onto its
+    # ports; they must be the models of the node its own sub-system encodes,
+    # at its owners' states in each reachable state (every state of the hub
+    # systems and of tasks 3x2, where the tasks form orbits); bus 4's clusters are
     # independent copies of bus 1, so the states that put each cluster in
     # the same reachable state of bus 1 give every group each of its owners'
     # states that a reachable state gives it
     bus1 = reachable(gen_bus(1)).states
-    cases = [(gen_tasks(3, 2), reachable(gen_tasks(3, 2)).states), (gen_bus(4), [s * 4 for s in bus1])]
+    cases = [(gen_tasks(3, 2), all_states(gen_tasks(3, 2))), (gen_bus(4), [s * 4 for s in bus1])]
     cases += [(h, all_states(h)) for h in map(hub_system, range(40))]
     cases += [(r, reachable(r, bound=300).states) for r in map(random_system, range(300))]
     copies = keys = 0
@@ -565,7 +663,9 @@ def test_copied_group_function_is_its_own_sub_systems():
                     key = own_state(g, sysm, state)
                     if (g.port_names, key) not in seen:
                         seen.add((g.port_names, key))
-                        assert g.copy(e[0]) == whole_survivor_fn(g, key)
+                        m, perm = g.manager, g.orient and g.orient(state)
+                        assert {g.translate(a, perm) for a in m.iter_models(e[0], g.representative.port_names)} == \
+                            set(m.iter_models(whole_survivor_fn(g, key), g.port_names))
         keys += len(seen)
     assert copies >= 10 and keys > 800
 
@@ -598,34 +698,6 @@ def test_group_join_is_the_whole_component_function():
             assert enc.survivors(state) == survivors(sysm, state)
     assert joined >= 6 + len(randoms)
     assert hubs_joined >= 20
-
-
-def test_group_pick_is_pick_sat_of_the_join():
-    # the engine picks from a component the interaction pick_sat picks from
-    # the union-join of its groups' functions, allocates no node, and
-    # leaves the generator where pick_sat leaves it
-    hubs = [hub_system(seed) for seed in range(40)]
-    cases = [(s, reachable(s, bound=2000).states) for s in (gen_tasks(3, 2), gen_tasks(4, 2))]
-    cases += [(h, all_states(h)) for h in hubs]
-    picks = 0
-    for sysm, states in cases:
-        eng = SymbolicEngine(sysm)
-        (c,) = eng.encoding.components  # tasks and hubs are one component each
-        m = c.manager
-        for state in states:
-            F, entries = joined_survivor_fn(c, state), c.entries(state)
-            for seed in range(3):
-                ours, ref = random.Random(seed), random.Random(seed)
-                before = m.total_nodes()
-                assert c.pick(entries, ours) == m.pick_sat(F, ref)
-                assert m.total_nodes() == before
-                assert ours.getstate() == ref.getstate()
-                eng.state, ref = state, random.Random(seed)
-                eng._rng.seed(seed)
-                result = eng.step()
-                assert (result and result[0]) == m.pick_sat(F, ref)
-                picks += result is not None
-    assert picks > 1500
 
 
 def test_a_component_miss_whose_groups_hit_allocates_no_node():
@@ -709,8 +781,6 @@ def test_every_live_component_gets_picked():
     assert picked == live
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the pick sets ports outside the support false (README, Known defect: symbolic pick)")
 def test_picks_reach_every_survivor(broadcast_system):
     # the sender alone or with any receivers: eight survivors at the one state
     sysm = SystemModel("bc", broadcast_system.atoms, broadcast_system.connectors, None)

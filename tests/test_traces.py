@@ -69,24 +69,24 @@ CASES = {
 PINNED = {
     ("tasks8x4", "enum", 1): "40e2804ad15616b4feac3f689b70a86667250c99ff492e73628a4b8d3e029c85",
     ("tasks8x4", "enum", 7): "bc8b4a0d4a6ee0e143769b0282dc65ae0ee4a19e502a7a71d1435705872a8ae4",
-    ("tasks8x4", "sym", 1): "416ee3792f97658988bddf65cbbc16f67c995fa1a036dc87ece9c7c6a91ee5b7",
-    ("tasks8x4", "sym", 7): "2376d293b398eb82d6d021f15e2fb014aa78b5d06fb21dc3eab673ff90f10d6f",
+    ("tasks8x4", "sym", 1): "400e7b3913561f05d4176cbe99e54c24edbd3b149734e66ab59c58f408cbc1ab",
+    ("tasks8x4", "sym", 7): "433ed419b5f89d8dbdb2497de8c66f857997e8ddbb4d1fcd0883a0aef2242246",
     ("bus16", "enum", 1): "dfd19a39ce49f5f987734274bf6829db33db6da31af527390a689804af92f22a",
     ("bus16", "enum", 7): "f2ddeac6455f283d48dc8fee61bd16109a61ffec527d2d0345b487d032800970",
-    ("bus16", "sym", 1): "bdf177e306f0ad159597a3466765512b59bab7242dbbe707a50015bfbdd3f041",
-    ("bus16", "sym", 7): "46c142edce8d1be7f2b27f63525cddb26315a26bf817a4e123ca8daa0e242a5e",
+    ("bus16", "sym", 1): "0a7bf33538c28022f713a9cb2874a740c142eca45db6169c1241f40e812d782e",
+    ("bus16", "sym", 7): "e163be7ff17f5728fd6064491b8ad5c030777d9f884617ec8d867a0442e1ac3c",
     ("tasks8x2-pairs", "enum", 1): "b28bad4c26c4cff49c37bd668d9ec85f6e549c406ed0000440ac5d95902c9697",
     ("tasks8x2-pairs", "enum", 7): "70bb404b5de8d5924c3a72a19fd21ffc01774a4e4c3370fc1d44d3f3019579c8",
-    ("tasks8x2-pairs", "sym", 1): "f8143c970bf84b7c5487a823b72cb1fe410d46da4d9d25287d2465ac03dee66a",
-    ("tasks8x2-pairs", "sym", 7): "45411130bb3d067bff58a338f5d97ae477919562dd51ba496af694e9123c4206",
+    ("tasks8x2-pairs", "sym", 1): "55624245514bb4403eacfd20fc00ff50337e087239f9901c7ebdc5c28ed9bb0b",
+    ("tasks8x2-pairs", "sym", 7): "cd7a4e69d04a4be2ca7ea4a5dd31244305bbc8507bf705c69d174ce30025ae20",
     ("tasks3x2-twice", "enum", 1): "28bcee7cd5aa0f264b535d4a5927840ef114e82edefdb4a0ca490929592f8b19",
     ("tasks3x2-twice", "enum", 7): "e3539531707a828eac4380947a6b078dc779de80e43592acd6e40b0d58a5d0d8",
-    ("tasks3x2-twice", "sym", 1): "e33513ee8114c8a57971ff0991cbbe751b82e11a2a2a5c22c65a7526b17e65e5",
-    ("tasks3x2-twice", "sym", 7): "996816be4e3f083b58114508af796e94dca7895366effacad37761c42ec03d13",
+    ("tasks3x2-twice", "sym", 1): "b4dae2a859f67e4403bb41099762c754b51047f19b75eedab0aac5b5f5541e6a",
+    ("tasks3x2-twice", "sym", 7): "0b64ecc137e254c39bf46cc3f4975d46b2332af40e12c4f0f18a4acfa7b20faf",
     ("bus5-moved3", "enum", 1): "dc6b3056d0f662807d83027328d7dbfb7f8563fa95b280350b9abcf9f23e5036",
     ("bus5-moved3", "enum", 7): "4d7ac1112cd237985cabacbe47319d02bcfc1e06e1c8d3d70cdab1bdfc5e91de",
-    ("bus5-moved3", "sym", 1): "cc5586b168f4e586fcd6cb3966e28f24a722682c3867f56dabff23f328485f2e",
-    ("bus5-moved3", "sym", 7): "aa2ae6ffcabc19cc12db5c62eb44834066c4de2e59d24b158beab0bdba3497bb",
+    ("bus5-moved3", "sym", 1): "ea10941b8d5f08520afa08551df9449887e7ac807e9aeef0a87a3bfd2c34286e",
+    ("bus5-moved3", "sym", 7): "432823e64ca98fe1ade1a0d021c90f3e077bbb5a2e863afce0767d7be7d14f92",
 }
 
 
