@@ -302,17 +302,18 @@ class SystemEncoding:
     # the whole system's independent components
     components: tuple["Component", ...] = field(default=(), repr=False, compare=False)
     # a group's class: its representative, which encodes the class's
-    # functions and keeps its survivor table; how we read our class key out
-    # of a state and, where the class has orbits, our owner at each position
-    # of it (`translate`); else the representative's ports -> ours
+    # functions and keeps its survivor table; how we read our integer class
+    # key and the representative's local state it stands for out of a
+    # state; where the class has orbits, our owner at each position of that
+    # local state (`translate`); else the representative's ports -> ours
     representative: Optional["SystemEncoding"] = field(default=None, repr=False, compare=False)
-    key: Callable[[GlobalState], GlobalState] = field(default=itemgetter(slice(None)), repr=False, compare=False)
+    key: Optional[Callable[[GlobalState], int]] = field(default=None, repr=False, compare=False)
+    canonical: Optional[Callable[[GlobalState], GlobalState]] = field(default=None, repr=False, compare=False)
     orient: Optional[Callable[[GlobalState], list[int]]] = field(default=None, repr=False, compare=False)
     own: Optional[dict[str, str]] = field(default=None, repr=False, compare=False)
-    # local state -> [survivor function, whether it has a survivor, its
-    # number of survivors over our ports (None until a draw needs it)]
-    survivor_table: dict[GlobalState, list] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    # key -> [survivor function, whether it has a survivor, its number of
+    # survivors over our ports]
+    survivor_table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # f_B, f_S and the whole system's own functions are read by no step:
     # each is built when first asked for
@@ -391,8 +392,10 @@ class SystemEncoding:
         owners = tuple(i for i, atom in enumerate(atoms) if atom.ports)
         return owners, tuple(tuple(sorted(map(self.manager.level_of, atoms[i].ports))) for i in owners)
 
-    def survivor_fn(self, state: GlobalState) -> BddRef:
-        """The survivor function at a local state, entered in `survivor_table`."""
+    def survivor_fn(self, state: GlobalState, key=None) -> BddRef:
+        """The survivor function at a local state, entered with its count in
+        `survivor_table` at `key` (the state itself by default): it mentions
+        only our ports, so each other variable doubles its model count."""
         # each atom's local behavior mentions only its own ports and holds
         # when it is idle, so their conjunction, restrict(f_B, state), can
         # be conjoined with a function block by block
@@ -410,26 +413,12 @@ class SystemEncoding:
             dominators = m.and_local(self.dominator_fn, blocks, factors)
             excluded = m.and_exists(m.shift(dominators), self.pairs_fn, self.primed_names)
             fn = g & ~excluded
-        self.survivor_table[state] = [fn, fn != m.false, None]
+        self.survivor_table[state if key is None else key] = [fn, fn != m.false, m.sat_count(fn) >> self._count_shift]
         return fn
-
-    def survivor_count(self, entry: list) -> int:
-        """A `survivor_table` entry's number of survivors, filled in on the first
-        call: its function mentions only our ports, so each other variable
-        doubles its model count."""
-        if entry[2] is None:
-            entry[2] = self.manager.sat_count(entry[0]) >> self._count_shift
-        return entry[2]
 
     @cached_property
     def _count_shift(self) -> int:
         return len(self.manager.variables) - len(self.port_names)
-
-    def entry(self, key: GlobalState) -> list:
-        """Our `survivor_table` entry at a local state; `survivor_fn` fills a miss."""
-        if key not in self.survivor_table:
-            self.survivor_fn(key)
-        return self.survivor_table[key]
 
     def survivors(self, state: GlobalState) -> frozenset[Interaction]:
         """The union of the components' survivor sets."""
@@ -455,21 +444,20 @@ class Component:
 
     def __init__(self, groups: tuple[SystemEncoding, ...], manager: BddManager):
         self.groups, self.manager = groups, manager
-        # each group's key reader, its class table and its representative,
+        # each group's key readers, its class table and its representative,
         # bound once so that a table hit looks up no attribute
-        self._readers = tuple((g.key, g.representative.survivor_table, g.representative) for g in groups)
+        self._readers = tuple((g.key, g.canonical, g.representative.survivor_table, g.representative) for g in groups)
 
     def entries(self, state: GlobalState) -> list[list]:
-        """Each group's class-table entry at its key in a system state."""
+        """Each group's class-table entry at its key in a system state; a
+        miss enters `survivor_fn` at the local state the key stands for."""
         out = []
-        for key, table, rep in self._readers:
-            out.append(table.get(key(state)) or rep.entry(key(state)))  # an entry is a non-empty list
+        for key, canonical, table, rep in self._readers:
+            k = key(state)
+            if k not in table:
+                rep.survivor_fn(canonical(state), k)
+            out.append(table[k])
         return out
-
-    def survivor_count(self, entries: list[list]) -> int:
-        """The sum of the groups' numbers of survivors in their `entries`,
-        each filled in on its first call."""
-        return sum(map(SystemEncoding.survivor_count, self.groups, entries))
 
     def survivors(self, state: GlobalState) -> list[Interaction]:
         """Each group's models at its class entry, translated onto its ports."""
@@ -485,7 +473,7 @@ class Component:
         uniform model of its class entry, translated onto its ports."""
         groups, k = self.groups, 0
         if len(groups) > 1:  # the draw of `random.Random.choices(groups, counts)`
-            cum = list(accumulate(map(SystemEncoding.survivor_count, groups, entries)))
+            cum = list(accumulate([e[2] for e in entries]))
             k = bisect(cum, rng.random() * cum[-1], 0, len(cum) - 1)
         g = groups[k]
         ports = self.manager.pick_sat(entries[k][0], rng, g.representative.port_names)
@@ -538,30 +526,50 @@ def _orbits(sub: SystemModel, rank: dict[str, int], terms: frozenset, pairs: fro
     return tuple(tuple(o) for o in orbits if len(o) > 1)
 
 
-def _sorting_reader(readers: tuple[tuple[int, dict], ...], orbits: tuple[tuple[int, ...], ...]):
-    """The key reader and the orientation of a group whose class has
-    orbits, from each owner's (atom index, map to the representative's
-    states).  The key sorts the values of each orbit's positions; the
-    orientation lists per position the position whose value the key put
-    there."""
-    getters = [(o, itemgetter(*o)) for o in orbits]
+def _digits(firsts: list[dict], orbits: tuple[tuple[int, ...], ...]) -> list[dict[str, int]]:
+    """Per owner position of a class, each value's code: the class key is
+    the sum of its positions' codes, a mixed-radix integer.  An orbit has
+    one digit of base |orbit| + 1 per value, which counts the positions
+    holding it (the counter abstraction, Emerson and Sistla 1996); any
+    other position has one digit holding its value's index.  So two keys
+    agree exactly when the local states agree up to the orbits' permutations."""
+    digits: list = [None] * len(firsts)
+    weight = 1
+    for o in orbits:
+        code = {}
+        for v in dict.fromkeys(v for k in o for v in firsts[k].values()):
+            code[v], weight = weight, weight * (len(o) + 1)
+        for k in o:
+            digits[k] = code
+    for k, first in enumerate(firsts):
+        if digits[k] is None:
+            values = dict.fromkeys(first.values())
+            digits[k] = {v: weight * i for i, v in enumerate(values)}
+            weight *= len(values)
+    return digits
 
-    def key(state: GlobalState) -> GlobalState:
+
+def _sorting_reader(readers: tuple[tuple[int, dict], ...], orbits: tuple[tuple[int, ...], ...]):
+    """The canonical local state and the orientation of a group, from each
+    owner's (atom index, map to the representative's states).  The local
+    state sorts the values of each orbit's positions; the orientation lists
+    per position the position whose value the sort put there."""
+    def canonical(state: GlobalState) -> GlobalState:
         v = [r[state[j]] for j, r in readers]
-        for o, get in getters:
-            for k, x in zip(o, sorted(get(v))):
+        for o in orbits:
+            for k, x in zip(o, sorted([v[k] for k in o])):
                 v[k] = x
         return tuple(v)
 
     def orient(state: GlobalState) -> list[int]:
         v = [r[state[j]] for j, r in readers]
         perm = list(range(len(v)))
-        for o, _ in getters:
+        for o in orbits:
             for k, at in zip(o, sorted(o, key=v.__getitem__)):
                 perm[k] = at
         return perm
 
-    return key, orient
+    return canonical, orient
 
 
 def _group(system: SystemModel, ports: tuple[str, ...], mgr: BddManager, classes: dict) -> SystemEncoding:
@@ -609,15 +617,14 @@ def _group(system: SystemModel, ports: tuple[str, ...], mgr: BddManager, classes
                  terms, pairs if pairs is not None else type(pr))
     enc = SystemEncoding(sub, mgr)
     if signature not in classes:
-        classes[signature] = (enc, firsts, _orbits(sub, rank, terms, pairs))
-    rep, their, orbits = classes[signature]
+        orbits = _orbits(sub, rank, terms, pairs)
+        classes[signature] = (enc, firsts, orbits, _digits(firsts, orbits))
+    rep, their, orbits, digits = classes[signature]
     readers = tuple((j, {q: first[o] for q, o in offer.items()}) for j, offer, first in zip(atoms, offers, their))
-    if orbits:
-        enc.key, enc.orient = _sorting_reader(readers, orbits)
-    elif all(q == r[q] for _, r in readers for q in r):
-        enc.key = itemgetter(*atoms) if len(atoms) > 1 else itemgetter(slice(atoms[0], atoms[0] + 1))
-    else:
-        enc.key = lambda state: tuple([r[state[j]] for j, r in readers])
+    codes = tuple((j, {q: d[r] for q, r in reader.items()}) for (j, reader), d in zip(readers, digits))
+    enc.key = lambda state: sum([c[state[j]] for j, c in codes])
+    enc.canonical, orient = _sorting_reader(readers, orbits)
+    enc.orient = orient if orbits else None
     enc.representative, enc.own = rep, None if rep is enc or orbits else dict(zip(rep.port_names, ports))
     return enc
 
@@ -629,10 +636,10 @@ def build(system: SystemModel) -> SystemEncoding:
     if system.priority is not None and not isinstance(system.priority, (MaximalProgress, ExplicitPairs)):
         raise TypeError(f"unknown priority model: {system.priority!r}")
     mgr = BddManager(variable_order(system))
-    classes: dict = {}  # signature -> its representative, its owners' first state per offer, its orbits
+    classes: dict = {}  # signature -> its representative, its owners' first state per offer, its orbits, its digits
     comps = tuple(Component(tuple(_group(system, g, mgr, classes) for g in groups), mgr)
                   for _, groups in _partition(system))
-    for rep, _, _ in classes.values():  # what a step reads
+    for rep, *_ in classes.values():  # what a step reads
         rep.local_behavior, rep.connector_fn, rep.pairs_fn, rep.dominator_fn
     return SystemEncoding(system, mgr, comps)
 
@@ -681,7 +688,7 @@ class SymbolicEngine(Engine):
             if live != (k in self._live):
                 self._live = None
             elif live and self._weights is not None:
-                i, w = self._live.index(k), comps[k].survivor_count(new)
+                i, w = self._live.index(k), sum([e[2] for e in new])
                 if w != self._weights[i]:
                     self._weights[i] = w
                     self._cum = list(accumulate(self._weights))
@@ -694,9 +701,9 @@ class SymbolicEngine(Engine):
         if not live:
             return None
         k = live[0]
-        if len(live) > 1:  # an entry is counted on the first draw it takes part in
+        if len(live) > 1:  # the weights are summed on the first draw that needs them
             if self._weights is None:
-                self._weights = [comps[j].survivor_count(entries[j]) for j in live]
+                self._weights = [sum([e[2] for e in entries[j]]) for j in live]
                 self._cum = list(accumulate(self._weights))
             cum = self._cum  # the draw of `random.Random.choices(live, weights)`
             k = live[bisect(cum, self._rng.random() * cum[-1], 0, len(cum) - 1)]

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -287,7 +288,7 @@ def test_survivor_table_counts_models_over_component_ports():
                 fn = joined_survivor_fn(c, state)
                 n = len(list(c.manager.iter_models(fn, ports_of(c))))
                 assert any(e[1] for e in entries) == (n > 0)
-                assert c.survivor_count(entries) == n == sum(e[2] for e in entries)
+                assert sum(e[2] for e in entries) == n
 
 
 def test_pick_matches_reference_on_survivor_functions():
@@ -418,15 +419,18 @@ def test_group_key_shares_states_that_offer_the_same_labels():
     assert one.system.atoms[0].ports == ("b1_1", "f1_1", "p1_1", "r1_1")
     state = sysm.initial_state()
     waiting, running = ("w2", *state[1:]), ("c2", *state[1:])
-    # the tasks form one orbit: the key sorts their values ("c2" < "s")
-    assert one.key(waiting) == one.key(running) == ("c2", "s", "s", "l0")
-    assert one.key(("s", "s", "c2", "l0")) == ("c2", "s", "s", "l0")
+    # the tasks form one orbit: the canonical local state sorts their
+    # values ("c2" < "s"), and the key tells only how many tasks hold each
+    permuted = ("s", "s", "c2", *state[3:])
+    assert one.canonical(waiting) == one.canonical(running) == one.canonical(permuted) == ("c2", "s", "s", "l0")
+    assert one.key(waiting) == one.key(running) == one.key(permuted) != one.key(state)
     # the processors' groups form one class, whose table processor 1's
     # group keeps: processor 2's group reads it at the states of processor
     # 1's group where its tasks offer the same ranked labels
     assert two.representative is one
-    assert two.key(waiting) == ("s", "s", "w1", "l0")
-    assert two.key(running) == ("c1", "s", "s", "l0")
+    assert two.canonical(waiting) == ("s", "s", "w1", "l0")
+    assert two.canonical(running) == ("c1", "s", "s", "l0")
+    assert two.key(waiting) == one.key(("w1", *state[1:])) and two.key(running) == one.key(("c1", *state[1:]))
     # the orientation names the task whose value each position holds
     assert two.orient(waiting) == [1, 2, 0, 3]
     c.entries(waiting)
@@ -453,10 +457,10 @@ def test_survivor_fn_is_entered_once_per_class_table_miss(monkeypatch):
     entered = []
     survivor_fn = SystemEncoding.survivor_fn
 
-    def counted(self, state):
-        assert state not in self.survivor_table
+    def counted(self, state, key):
+        assert key not in self.survivor_table
         entered.append(self)
-        return survivor_fn(self, state)
+        return survivor_fn(self, state, key)
 
     monkeypatch.setattr(SystemEncoding, "survivor_fn", counted)
     systems = (gen_bus(4), gen_tasks(4, 2), _pairs_written_out(gen_tasks(3, 2)))
@@ -484,7 +488,7 @@ def test_one_class_entry_gives_each_group_its_copy():
     assert [one.translate(m, one.orient(state)) for m in models] == models
     assert [{g.translate(m, g.orient(state)) for m in models} for g in c.groups] == \
         [{a for a in survivors(sysm, state) if a <= set(g.port_names)} for g in c.groups]
-    assert c.survivor_count([first, second]) == 2 * first[2] == len(survivors(sysm, state))
+    assert first[2] + second[2] == 2 * first[2] == len(survivors(sysm, state))
 
 
 def _cluster_changed(change):
@@ -556,10 +560,10 @@ def _t1_t2_swap(g):
 
 
 def test_orbit_keys_give_each_state_its_survivors():
-    # the tasks of each tasks group form one orbit, whose key values are
-    # sorted; a bus cluster has none and keeps its itemgetter key; the
-    # translated survivors are the system's at every reachable state (every
-    # state of the hub systems)
+    # the tasks of each tasks group form one orbit, whose values the
+    # canonical local state sorts; a bus cluster has none, and its canonical
+    # local state is its owners' states; the translated survivors are the
+    # system's at every reachable state (every state of the hub systems)
     named = [gen_tasks(3, 2), gen_tasks(4, 2), gen_bus(3), _pairs_written_out(gen_tasks(3, 2))]
     cases = [(s, reachable(s, bound=5000).states) for s in named]
     cases += [(h, all_states(h)) for h in map(hub_system, range(40))]
@@ -572,11 +576,32 @@ def test_orbit_keys_give_each_state_its_survivors():
     assert oriented >= 6
     tasks = build(gen_tasks(4, 2))
     for g in port_groups_of(tasks):
-        key = g.key(("c1", "s", "w2", "s", "l0", "l0"))
-        assert all(g.key((*p, "l0", "l0")) == key
+        key, local = g.key(("c1", "s", "w2", "s", "l0", "l0")), g.canonical(("c1", "s", "w2", "s", "l0", "l0"))
+        assert all(g.key((*p, "l0", "l0")) == key and g.canonical((*p, "l0", "l0")) == local
                    for p in (("s", "c1", "s", "w2"), ("w2", "s", "s", "c1"), ("s", "w2", "c1", "s")))
-    for g in port_groups_of(build(gen_bus(16))):
-        assert g.orient is None and isinstance(g.key, operator.itemgetter)
+    bus = gen_bus(16)
+    groups = port_groups_of(build(bus))
+    for state in (bus.initial_state(), *(s for _, s in SymbolicEngine(bus, seed=3).run(50).steps)):
+        for g in groups:
+            assert g.orient is None and g.canonical(state) == own_state(g, bus, state)
+
+
+def test_integer_keys_agree_exactly_when_canonical_local_states_do():
+    # a group's key reads its owners' states only, so every combination of
+    # them (the other atoms at their initial states) covers each reachable
+    # state's; bus5-moved3 has over 2*10^5 reachable states, its clusters
+    # 16 combinations each
+    for sysm in (gen_tasks(3, 2), gen_tasks(4, 2), moved_trigger(gen_bus(5), "bus_3")):
+        for g in port_groups_of(build(sysm)):
+            at = [i for i, a in enumerate(sysm.atoms) if a.port_set & set(g.port_names)]
+            init, pairs = sysm.initial_state(), set()
+            for local in product(*(sysm.atoms[i].states for i in at)):
+                state = list(init)
+                for i, q in zip(at, local):
+                    state[i] = q
+                pairs.add((g.key(tuple(state)), g.canonical(tuple(state))))
+            keys, locals_ = {k for k, _ in pairs}, {c for _, c in pairs}
+            assert len(keys) == len(locals_) == len(pairs) > 1
 
 
 def test_swaps_that_are_not_symmetries_keep_apart():
@@ -827,7 +852,7 @@ def test_incremental_step_equals_a_full_read():
                 live = [k for k, es in enumerate(fresh) if any(e[1] for e in es)]
                 assert eng._live == live
                 if len(live) > 1:
-                    assert eng._weights == [eng.encoding.components[k].survivor_count(fresh[k]) for k in live]
+                    assert eng._weights == [sum(e[2] for e in fresh[k]) for k in live]
                 if result is None:
                     return
 
