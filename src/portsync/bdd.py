@@ -24,11 +24,12 @@ The unique table and the computed tables (one per operation: and, or,
 not, `and_local`, one per variable set of `and_exists` or `maximal` and
 one for `shift`, as in Brace, Rudell and Bryant, DAC 1990) are dicts
 keyed by ints that pack the operand node ids, `NODE_BITS` bits each.  A
-node's support is memoised as a bitmask over levels, its model count and
-the odds of its high branch in a pick too, and per block partition of
-`and_local` its relevant blocks, with the factor nodes already checked
-against the partition.  `pick_sat` and `iter_models` walk a name
-sequence's levels, memoised per sequence; `iter_models` walks nodes
+node's support is memoised as a bitmask over levels, its model count
+too, and per block partition of `and_local` its relevant blocks, with
+the factor nodes already checked against the partition.  `pick_sat` and
+`iter_models` walk a name sequence's levels, memoised per sequence;
+`pick_sat` draws coins only at real choices, memoising per sequence each
+node's forced run down to the next one, and `iter_models` walks nodes
 depth first on one shared path, expanding the name levels an edge skips.
 
 Deliberately small: no complement edges, no garbage collection, no
@@ -154,7 +155,6 @@ class BddManager:
         self._support_masks: dict[int, int] = {}
         self._sat_counts: dict[int, int] = {FALSE: 0, TRUE: 1}
         self._model_names: dict[tuple[str, ...], tuple] = {}
-        self._pick_odds: dict[int, float] = {}
         self._mk, self._and, self._or, self._not, self._rename = self._kernel()
         self.false = BddRef(self, FALSE)
         self.true = BddRef(self, TRUE)
@@ -593,50 +593,71 @@ class BddManager:
         return c << var[u]
 
     def _name_levels(self, names: Sequence[str]) -> tuple:
-        """A name sequence's level mask, its (level, name) pairs and names
-        in level order, and each level's position (the leaf's last), memoised."""
+        """A name sequence's level mask, its names in level order, each
+        level's position (the leaf's last) and `pick_sat`'s forced runs,
+        memoised."""
         entry = self._model_names.get(key := tuple(names))
         if entry is None:
             levels = sorted(self.level_of(n) for n in set(key))
-            by_pos = [self._names[l] for l in levels]
-            entry = self._model_names[key] = (sum(1 << l for l in levels), list(zip(levels, by_pos)), by_pos,
-                                              {l: k for k, l in enumerate([*levels, self._leaf_level])})
+            entry = self._model_names[key] = (sum(1 << l for l in levels), [self._names[l] for l in levels],
+                                              {l: k for k, l in enumerate([*levels, self._leaf_level])}, {})
         return entry
 
     def pick_sat(self, f: BddRef, rng: random.Random, names: Sequence[str]) -> frozenset[str] | None:
         """The true names of one model of f over `names`, which must cover
         f's support, drawn uniformly; None if f is false.
 
-        The descent goes down the name levels in order and draws one coin
-        from `rng` at each, so the pick is deterministic in (f, names, the
-        state of rng).  At a node it takes the high branch with probability
+        The descent goes down the name levels in order and draws a coin from
+        `rng` only where both values keep a model, so the pick is
+        deterministic in (f, names, the state of rng).  At a node with two
+        live children it takes the high branch with probability
         c_hi / (c_lo + c_hi), the branches' model counts (`sat_count`'s
-        memo) brought to the level below the node, memoised per node; a
-        name level that an edge skips is a don't-care and takes a fair coin."""
+        memo) brought to the level below the node; a name level that an
+        edge skips is a don't-care and takes a fair coin.  A node's forced
+        run, the names set true down the following name levels where one
+        child is false and the node and position where it ends (with that
+        node's odds if it has two live children), is memoised per name
+        sequence."""
         u = self._node(f)
         if u == FALSE:
             return None
         if u not in self._sat_counts:
             self.sat_count(f)
-        counts, odds, var, lo, hi = self._sat_counts, self._pick_odds, self._var, self._lo, self._hi
-        coin, out = rng.random, []
-        for lvl, name in self._name_levels(names)[1]:
-            if var[u] == lvl:
-                p = odds.get(u)
-                if p is None:
-                    c_hi = counts[hi[u]] << var[hi[u]] + ~lvl
-                    p = odds[u] = c_hi / ((counts[lo[u]] << var[lo[u]] + ~lvl) + c_hi)
-                take = coin() < p
-                u = hi[u] if take else lo[u]
-            elif var[u] < lvl:
-                break
-            else:
-                take = coin() < 0.5
-            if take:
-                out.append(name)
-        if u != TRUE:
-            raise BddError(f"model variables must cover the support; missing {self._names[var[u]]!r}")
-        return frozenset(out)
+        _, by_pos, pos_of, runs = self._name_levels(names)
+        counts, var, lo, hi = self._sat_counts, self._var, self._lo, self._hi
+        coin, out, i = rng.random, [], 0
+        while True:
+            p = pos_of.get(var[u])
+            if p is None:
+                raise BddError(f"model variables must cover the support; missing {self._names[var[u]]!r}")
+            while i < p:  # a name level the edge into u skips
+                if coin() < 0.5:
+                    out.append(by_pos[i])
+                i += 1
+            if u == TRUE:
+                return frozenset(out)
+            run = runs.get(u)
+            if run is None:
+                v, trues, odds = u, [], None
+                while v != TRUE and pos_of.get(var[v]) == i:
+                    l, h = lo[v], hi[v]
+                    if l != FALSE and h != FALSE:
+                        c_hi = counts[h] << var[h] + ~var[v]
+                        odds = c_hi / ((counts[l] << var[l] + ~var[v]) + c_hi)
+                        break
+                    if h != FALSE:
+                        trues.append(by_pos[i])
+                    v, i = l if h == FALSE else h, i + 1
+                run = runs[u] = (tuple(trues), v, i, odds)
+            trues, u, i, odds = run
+            out += trues
+            if odds is not None:
+                if coin() < odds:
+                    out.append(by_pos[i])
+                    u = hi[u]
+                else:
+                    u = lo[u]
+                i += 1
 
     def iter_models(self, f: BddRef, names: Sequence[str]) -> Iterator[frozenset[str]]:
         """All satisfying valuations over `names` as sets of true variables.
@@ -646,7 +667,7 @@ class BddManager:
         edge skips is expanded both ways.
         """
         root = self._node(f)
-        mask, _, by_pos, pos_of = self._name_levels(names)
+        mask, by_pos, pos_of, _ = self._name_levels(names)
         missing = self._support_mask(root) & ~mask
         if missing:
             lost = [self._names[l] for l in _bits(missing)]

@@ -28,12 +28,15 @@ their ports, agree.  Only the first group of a class, its
 representative, is encoded in the shared manager.  The representative's
 owner positions that a swap of owners maps onto each other form orbits
 (`_orbits`; symmetry as in Ip and Dill 1996, Emerson and Sistla 1996).
-Each group reads the class's one survivor table at its class key: per
-owner, the representative's first state that offers the same ranked
-labels, each orbit's values sorted.  A model of the entry's function,
-over the representative's ports, goes to the group's ports through each
-port's owner position, moved by the sort's permutation, and its index
-there (`SystemEncoding.translate`).  An interaction and its dominators
+Each group reads the class's one survivor table at its class key, one
+integer summed from a code per owner of the representative's first
+state that offers the same ranked labels: it counts each orbit's owners
+per value and holds each other owner's value (`_digits`, the counter
+abstraction of Emerson and Sistla 1996).  On a miss the entry is filled
+at the local state the key stands for, each orbit's values sorted.  A
+model of the entry's function, over the representative's ports, goes to
+the group's ports through each port's owner position, moved by the
+sort's permutation, and its index there (`SystemEncoding.translate`).  An interaction and its dominators
 lie in one group, so a component's survivors are the disjoint union of
 its groups'.  Their join is never built: a component is live if a group
 is and counts the sum of their counts; its pick draws a group by its
@@ -64,9 +67,8 @@ function is g & ~excluded.
 Each class keeps one survivor table, and no other table is kept: per
 class key, the survivor function, whether it has a survivor, and its
 number of models over a group's own ports (`sat_count` over every
-variable, shifted right by the variables outside those ports).  A count
-is filled in once per entry, on the first draw that needs it: among two
-or more live components, or among a component's groups.  The tables
+variable, shifted right by the variables outside those ports), all
+filled on the miss.  The tables
 hold at most the sum of the classes' local state spaces up to the
 orbits' permutations, not their product.  `survivors` (which
 `check` reads) and the step read the same entries, and enter
@@ -582,14 +584,14 @@ def _group(system: SystemModel, ports: tuple[str, ...], mgr: BddManager, classes
     per owner its port ranks and the ranked label sets its states offer,
     the connector terms and explicit pairs over ranks, and the priority
     kind.  The rank-preserving rename of ports is thus an isomorphism of
-    the sub-systems, and our key reader maps each owner's state straight to
-    the representative's first state offering the same ranked labels.  So
-    the class table is shared by the states that differ only outside a
-    group and by the groups of the class.  Where the class has orbits
-    (`_orbits`), the reader sorts each orbit's values, so the states that
-    differ by a permutation of interchangeable owners share it too; where
-    it has none and every such map is the identity (every bus cluster),
-    the key is the owners' states, read by one `itemgetter`."""
+    the sub-systems, and our one key reader sums per owner the code
+    (`_digits`) of the representative's first state offering the same
+    ranked labels as the owner's state.  So the class table is shared by
+    the states that differ only outside a group, by the groups of the
+    class and, where the class has orbits (`_orbits`), by the states that
+    differ by a permutation of interchangeable owners, whose key counts
+    the owners per value.  A miss fills the entry at `canonical`, the
+    local state the key stands for, each orbit's values sorted."""
     ours = frozenset(ports)
     atoms = tuple(j for j, atom in enumerate(system.atoms) if atom.port_set & ours)
 

@@ -172,17 +172,32 @@ def bdd_table(mgr, f, names):
     return out
 
 
+def pick_choices(mgr, f, names, model):
+    """Per name of `names` in level order, the models of f still in play
+    before it is set as in `model`, and those among them that set it true."""
+    models, out = list(mgr.iter_models(f, names)), []
+    for name in sorted(set(names), key=mgr.level_of):
+        high = [m for m in models if name in m]
+        out.append((models, high))
+        models = high if name in model else [m for m in models if name not in m]
+    return out
+
+
 def reference_pick_sat(mgr, f, names, rng):
     """A uniform model of f over `names`, drawn as BddManager.pick_sat
-    draws it but from f's model list: one coin from `rng` per name in
-    level order, true with the share of the models still in play that set
-    the name true.  Returns the set of names set true."""
+    draws it but from f's model list: per name in level order, where both
+    values keep a model in play, one coin from `rng`, true with the share
+    of the models in play that set the name true.  Returns the set of
+    names set true."""
     models = list(mgr.iter_models(f, names))
     if not models:
         return None
     for name in sorted(set(names), key=mgr.level_of):
         high = [m for m in models if name in m]
-        models = high if rng.random() < len(high) / len(models) else [m for m in models if name not in m]
+        if 0 < len(high) < len(models):
+            models = high if rng.random() < len(high) / len(models) else [m for m in models if name not in m]
+        elif high:
+            models = high
     (model,) = models
     return model
 

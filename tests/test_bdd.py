@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from portsync import bdd, boolfunc as bf
 from portsync.bdd import BddError, BddManager
 
-from oracles import bdd_table, evaluate, reference_pick_sat, support
+from oracles import bdd_table, evaluate, pick_choices, reference_pick_sat, support
 
 
 @pytest.fixture
@@ -252,6 +252,15 @@ def random_fn(mgr, rng, free):
         for row in range(1 << len(used)) if rows >> row & 1)
 
 
+class CountingRandom(random.Random):
+    """A generator that counts its draws."""
+    drawn = 0
+
+    def random(self):
+        self.drawn += 1
+        return super().random()
+
+
 class TestMaximal:
     # four names interleaved with other levels, as the symbolic order puts
     # state variables before an atom's ports and a primed copy after each
@@ -428,8 +437,9 @@ class TestPickSat:
         assert seen == {frozenset("a"), frozenset("b"), frozenset("ab")}
 
     def test_matches_reference_on_level_skipping_supports(self):
-        # the pick walks the names' levels, weighing each node's branches
-        # by their counts and tossing a fair coin at a skipped level; coins,
+        # the pick walks the names' levels, weighing the branches of each
+        # node with two live children by their counts, tossing a fair coin
+        # at a skipped level and no coin at a forced one; coins,
         # result and the generator's state afterwards must be those of the
         # reference's sequential draw from the model list, over the support
         # and over names beyond it, in any order
@@ -452,6 +462,36 @@ class TestPickSat:
                 assert mgr.pick_sat(f, ours, over) == reference_pick_sat(mgr, f, over, ref)
                 assert ours.getstate() == ref.getstate()
         assert skipping > 20
+
+    def test_one_model_draws_no_coin(self):
+        # a function with one model over the names leaves the generator as
+        # it was, whatever levels its edges skip between the names
+        names = [f"v{i}" for i in range(8)]
+        mgr = BddManager(names)
+        for values in ({"v0": True}, {"v1": False, "v4": True, "v7": False}, dict.fromkeys(names, True)):
+            rng = random.Random(9)
+            before = rng.getstate()
+            assert mgr.pick_sat(mgr.cube(values), rng, list(values)) == {n for n, v in values.items() if v}
+            assert rng.getstate() == before
+
+    def test_coins_are_the_choices_on_the_picked_path(self):
+        # one coin per name level where both values keep a model of the
+        # function in play, given the names above it as picked
+        names = [f"v{i}" for i in range(8)]
+        mgr, rng = BddManager(names), random.Random(23)
+        forced = 0
+        for _ in range(40):
+            f = random_fn(mgr, rng, names)
+            over = [*support(f), *rng.sample(names, 2)]
+            for seed in range(10):
+                coins = CountingRandom(seed)
+                model = mgr.pick_sat(f, coins, over)
+                if model is None:
+                    continue
+                choices = pick_choices(mgr, f, over, model)
+                assert coins.drawn == sum(0 < len(high) < len(models) for models, high in choices)
+                forced += coins.drawn < len(choices)
+        assert forced > 100
 
     def test_nonsupport_defaults_false(self, mgr):
         # a name outside `names` is false; a name in them outside the

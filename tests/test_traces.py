@@ -69,24 +69,24 @@ CASES = {
 PINNED = {
     ("tasks8x4", "enum", 1): "40e2804ad15616b4feac3f689b70a86667250c99ff492e73628a4b8d3e029c85",
     ("tasks8x4", "enum", 7): "bc8b4a0d4a6ee0e143769b0282dc65ae0ee4a19e502a7a71d1435705872a8ae4",
-    ("tasks8x4", "sym", 1): "400e7b3913561f05d4176cbe99e54c24edbd3b149734e66ab59c58f408cbc1ab",
-    ("tasks8x4", "sym", 7): "433ed419b5f89d8dbdb2497de8c66f857997e8ddbb4d1fcd0883a0aef2242246",
+    ("tasks8x4", "sym", 1): "ebc71f1ebbfc8d8cea5199e19fd758e02f0de6e1ea9ff21f161af071f82f4eeb",
+    ("tasks8x4", "sym", 7): "aa287f0e363cdd9e029c806aed67f6968b80512d137ab3343ee100fa5fbed981",
     ("bus16", "enum", 1): "dfd19a39ce49f5f987734274bf6829db33db6da31af527390a689804af92f22a",
     ("bus16", "enum", 7): "f2ddeac6455f283d48dc8fee61bd16109a61ffec527d2d0345b487d032800970",
-    ("bus16", "sym", 1): "0a7bf33538c28022f713a9cb2874a740c142eca45db6169c1241f40e812d782e",
-    ("bus16", "sym", 7): "e163be7ff17f5728fd6064491b8ad5c030777d9f884617ec8d867a0442e1ac3c",
+    ("bus16", "sym", 1): "ad9589a624e2f18cdf233fa5ffbdb3f5c908e8173150db0d1222cb6a4c90a892",
+    ("bus16", "sym", 7): "3a79140ce3647a0cfc8b4d24e460d7bede326a2544ccda0b696658ca53fedd51",
     ("tasks8x2-pairs", "enum", 1): "b28bad4c26c4cff49c37bd668d9ec85f6e549c406ed0000440ac5d95902c9697",
     ("tasks8x2-pairs", "enum", 7): "70bb404b5de8d5924c3a72a19fd21ffc01774a4e4c3370fc1d44d3f3019579c8",
-    ("tasks8x2-pairs", "sym", 1): "55624245514bb4403eacfd20fc00ff50337e087239f9901c7ebdc5c28ed9bb0b",
-    ("tasks8x2-pairs", "sym", 7): "cd7a4e69d04a4be2ca7ea4a5dd31244305bbc8507bf705c69d174ce30025ae20",
+    ("tasks8x2-pairs", "sym", 1): "6c333e8fb0fa7221ce6b7d4fd783a0baa5b61500048e2c375274a8a7a276539d",
+    ("tasks8x2-pairs", "sym", 7): "94fa85dd56861ec72124917f7630f8620dbe6e12a83b8e236e10dcaa2e0c1ed3",
     ("tasks3x2-twice", "enum", 1): "28bcee7cd5aa0f264b535d4a5927840ef114e82edefdb4a0ca490929592f8b19",
     ("tasks3x2-twice", "enum", 7): "e3539531707a828eac4380947a6b078dc779de80e43592acd6e40b0d58a5d0d8",
-    ("tasks3x2-twice", "sym", 1): "b4dae2a859f67e4403bb41099762c754b51047f19b75eedab0aac5b5f5541e6a",
-    ("tasks3x2-twice", "sym", 7): "0b64ecc137e254c39bf46cc3f4975d46b2332af40e12c4f0f18a4acfa7b20faf",
+    ("tasks3x2-twice", "sym", 1): "5c7a117840624cb6c3aa0dde40ec500e5ee8a93280123cac3bf436bbedea39d7",
+    ("tasks3x2-twice", "sym", 7): "81266ad2b9778d7a847192b596647c3adbbb266b3c72c0642c74a0d3e79503dc",
     ("bus5-moved3", "enum", 1): "dc6b3056d0f662807d83027328d7dbfb7f8563fa95b280350b9abcf9f23e5036",
     ("bus5-moved3", "enum", 7): "4d7ac1112cd237985cabacbe47319d02bcfc1e06e1c8d3d70cdab1bdfc5e91de",
-    ("bus5-moved3", "sym", 1): "ea10941b8d5f08520afa08551df9449887e7ac807e9aeef0a87a3bfd2c34286e",
-    ("bus5-moved3", "sym", 7): "432823e64ca98fe1ade1a0d021c90f3e077bbb5a2e863afce0767d7be7d14f92",
+    ("bus5-moved3", "sym", 1): "a34557c0d1a746b2c8604f507c233dfae998059a0049adfdd5a36a3317025584",
+    ("bus5-moved3", "sym", 7): "6e640eca2acfe52fa83238046a9b8cf16b933118cbd2a97da2ead7f1fe3233a6",
 }
 
 
