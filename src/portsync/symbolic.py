@@ -36,13 +36,14 @@ abstraction of Emerson and Sistla 1996).  On a miss the entry is filled
 at the local state the key stands for, each orbit's values sorted.  A
 model of the entry's function, over the representative's ports, goes to
 the group's ports through each port's owner position, moved by the
-sort's permutation, and its index there (`SystemEncoding.translate`).  An interaction and its dominators
-lie in one group, so a component's survivors are the disjoint union of
-its groups'.  Their join is never built: a component is live if a group
-is and counts the sum of their counts; its pick draws a group by its
-count, then a uniform model of its entry (`BddManager.pick_sat`).  Each
-function is built on first read, and the build reads only what a step
-reads: each representative's local behaviors, f_C and priority inputs.
+sort's permutation, and its index there (`SystemEncoding.translate`).
+An interaction and its dominators lie in one group, so a component's
+survivors are the disjoint union of its groups'.  Their join is never
+built: a component is live if a group is and counts the sum of their
+counts; its pick draws a group by its count, then a uniform model of its
+entry (`BddManager.pick_sat`).  Each function is built on first read,
+and the build reads only what a step reads: each representative's local
+behaviors, f_C and priority inputs.
 
 A group's survivor function at its local state conjoins the
 connectors with the current states' local behaviors, whose conjunction
@@ -68,18 +69,16 @@ Each class keeps one survivor table, and no other table is kept: per
 class key, the survivor function, whether it has a survivor, and its
 number of models over a group's own ports (`sat_count` over every
 variable, shifted right by the variables outside those ports), all
-filled on the miss.  The tables
-hold at most the sum of the classes' local state spaces up to the
-orbits' permutations, not their product.  `survivors` (which
-`check` reads) and the step read the same entries, and enter
-`survivor_fn` only on a miss.  The engine keeps each component's group
-entries from its last step; a fired interaction lies in the drawn
-component's ports, so the next step re-reads only that component's
-groups.  A step draws a live component (one with a live group) weighted
-by the sum of its groups' counts (with one live component there is no
-draw), and picks a uniform survivor of it with coins from the engine's
-own generator.
-No primed behavior, primed connectors or pool-sized priority function
+filled on the miss.  The tables hold at most the sum of the classes'
+local state spaces up to the orbits' permutations, not their product.
+`survivors` (which `check` reads) and the step read the same entries,
+and enter `survivor_fn` only on a miss.  The engine keeps each
+component's group entries from its last step; a fired interaction lies
+in the drawn component's ports, so the next step re-reads only that
+component's groups.  A step draws a live component (one with a live
+group) weighted by the sum of its groups' counts (with one live
+component there is no draw), and picks a uniform survivor of it with
+coins from the engine's own generator.  No primed behavior, primed connectors or pool-sized priority function
 is built.
 """
 
@@ -394,7 +393,7 @@ class SystemEncoding:
         owners = tuple(i for i, atom in enumerate(atoms) if atom.ports)
         return owners, tuple(tuple(sorted(map(self.manager.level_of, atoms[i].ports))) for i in owners)
 
-    def survivor_fn(self, state: GlobalState, key=None) -> BddRef:
+    def survivor_fn(self, state: GlobalState, key: Optional[int] = None) -> BddRef:
         """The survivor function at a local state, entered with its count in
         `survivor_table` at `key` (the state itself by default): it mentions
         only our ports, so each other variable doubles its model count."""
