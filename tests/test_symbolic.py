@@ -589,7 +589,7 @@ def test_orbit_keys_give_each_state_its_survivors():
 def test_integer_keys_agree_exactly_when_canonical_local_states_do():
     # a group's key reads its owners' states only, so every combination of
     # them (the other atoms at their initial states) covers each reachable
-    # state's; bus5-moved3 has over 2*10^5 reachable states, its clusters
+    # state's; bus5-moved3 has at least 2*10^5 reachable states, its clusters
     # 16 combinations each
     for sysm in (gen_tasks(3, 2), gen_tasks(4, 2), moved_trigger(gen_bus(5), "bus_3")):
         for g in port_groups_of(build(sysm)):
