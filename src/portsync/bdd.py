@@ -11,9 +11,10 @@ connective (xor, implies), a cofactor is the relational product
 function with the assignment's cube, and `balanced` folds every n-ary
 join.  Besides these the manager computes a conjunction with factors
 over disjoint blocks of levels (`and_local`, for the survivor function),
-maximal models (`maximal`, for maximal progress), the rename by one
-level (`shift`, for explicit priority pairs: a structural copy under an
-order-preserving map of levels, by the kernel's rename recursion), and
+maximal models (`maximal`, for maximal progress), a structural copy
+under an order-preserving map of levels by the kernel's rename recursion
+(`rename`, for a connector of an encoded shape, and `shift`, the rename
+by one level, for explicit priority pairs), and
 model counts, uniform picks and model sets over a sequence of names for
 the engines.
 Operations that only tests need (evaluation along a path, support names,
@@ -259,7 +260,7 @@ class BddManager:
                 r = t_not[u] = mk(var[u], not_(lo[u]), not_(hi[u]))
             return r
 
-        def rename(u: int, levels: tuple[int, ...], table: dict[int, int]) -> int:
+        def rename(u: int, levels: Mapping[int, int] | Sequence[int], table: dict[int, int]) -> int:
             # u with the variable at each level l moved to levels[l], memoised in table
             if u <= TRUE:
                 return u
@@ -490,6 +491,11 @@ class BddManager:
 
         r, rec = rec(u, v), None
         return self._ref(r)
+
+    def rename(self, f: BddRef, levels: Mapping[int, int]) -> BddRef:
+        """f with the variable at each level l of its support moved to
+        levels[l], a map that keeps their order."""
+        return self._ref(self._rename(self._node(f), levels, {}))
 
     def shift(self, f: BddRef) -> BddRef:
         """f with every variable renamed to the next one in the order: the

@@ -78,6 +78,22 @@ def support(term: AcTerm) -> frozenset[str]:
     return frozenset(out)
 
 
+def template_of(term: AcTerm) -> tuple[object, tuple[str, ...]]:
+    """The term with each port written as its index among the term's
+    ports in order of first occurrence, and those ports: two terms that
+    differ only by a renaming of ports share the first part."""
+    index: dict[str, int] = {}
+
+    def rec(t: AcTerm):
+        if isinstance(t, PortLeaf):
+            return index.setdefault(t.port, len(index))
+        if isinstance(t, Fusion):
+            return tuple((rec(f.term), f.trigger) for f in t.factors)
+        return t
+
+    return rec(term), tuple(index)
+
+
 def interactions_of(term: AcTerm) -> frozenset[Interaction]:
     """The interaction set denoted by the term."""
     if isinstance(term, PortLeaf):

@@ -23,7 +23,9 @@ up to whitespace: parse(serialize(m)) == m for any valid model.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .connectors import AcTerm, Factor, Fusion, PortLeaf, fusion
 from .model import (
@@ -43,7 +45,9 @@ KEYWORDS = frozenset((
     "connector", "priority", "maximal_progress",
 ))
 
-_PUNCT = frozenset(("{", "}", "[", "]", ";", ",", "'", "=", "<", "-[", "]->"))
+# per line: a name (its first character checked after the match), a
+# punctuation mark, blanks, a comment, any other character
+_TOKEN_RE = re.compile(r"(\w+)|(-\[|\]->|[{}\[\];,'=<\]])|[ \t\r]+|(#.*)|(.)")
 
 
 @dataclass(frozen=True)
@@ -62,8 +66,7 @@ class DslError(Exception):
         super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "name" | "punct" | "eof"
     text: str
     line: int
@@ -71,58 +74,23 @@ class Token:
 
 
 def _lex(text: str) -> list[Token]:
+    """The tokens of `text` with their line and column, then "eof" where
+    the text ends, or before a comment that ends it."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("name", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch == "-":
-            if i + 1 < n and text[i + 1] == "[":
-                tokens.append(Token("punct", "-[", start_line, start_col))
-                i += 2
-                col += 2
-                continue
-            raise DslError([DslDiagnostic(start_line, start_col, "stray '-' (expected '-[')")])
-        if ch == "]":
-            if text[i + 1:i + 3] == "->":
-                tokens.append(Token("punct", "]->", start_line, start_col))
-                i += 3
-                col += 3
-                continue
-            tokens.append(Token("punct", "]", start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch in "{}[;,'=<":
-            tokens.append(Token("punct", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise DslError([DslDiagnostic(start_line, start_col, f"unexpected character {ch!r}")])
-    tokens.append(Token("eof", "", line, col))
+    new = tuple.__new__  # what Token(...) calls, without the call
+    for line, row in enumerate(text.split("\n"), 1):
+        end = len(row)
+        for m in _TOKEN_RE.finditer(row):
+            group, start = m.lastindex, m.start()
+            if group == 2 or group == 1 and (row[start].isalpha() or row[start] == "_"):
+                tokens.append(new(Token, ("punct" if group == 2 else "name", m.group(), line, start + 1)))
+            elif group == 3:
+                end = start
+            elif group is not None:
+                ch = row[start]
+                raise DslError([DslDiagnostic(line, start + 1, "stray '-' (expected '-[')" if ch == "-"
+                                              else f"unexpected character {ch!r}")])
+    tokens.append(Token("eof", "", line, end + 1))
     return tokens
 
 

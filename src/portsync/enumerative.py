@@ -18,7 +18,6 @@ from .model import (
     GlobalState,
     SystemModel,
     ValidationError,
-    effective_pairs,
     sorted_interactions,
     validate,
 )
@@ -37,12 +36,8 @@ class EnumEngine(Engine):
         self._labels = [atom.labels_from for atom in system.atoms]
         # participation plans: which atom must take which exact label
         self._plans = [system.shares(a) for a in self.pool]
-        pairs = effective_pairs(system.priority, system.gamma)
-        dominators: dict[Interaction, list] = {a: [] for a in self.pool}
-        for lo, hi in sorted(pairs, key=lambda ab: (sorted(ab[0]), sorted(ab[1]))):
-            if lo in dominators:
-                dominators[lo].append(system.shares(hi))
-        self._dominators = {a: tuple(ps) for a, ps in dominators.items()}
+        dominators = system.dominators
+        self._dominators = {a: tuple(map(system.shares, dominators.get(a, ()))) for a in self.pool}
 
     def _active(self, plan: tuple[tuple[int, Interaction], ...], state: GlobalState) -> bool:
         labels = self._labels

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Union
 
-from .connectors import AcTerm, Interaction, interaction_key, interactions_of, support
+from .connectors import AcTerm, Interaction, interaction_key, interactions_of, template_of
 
 GlobalState = tuple[str, ...]
 
@@ -134,9 +134,15 @@ class Connector:
     term: AcTerm
 
     @cached_property
+    def template(self) -> tuple[object, tuple[str, ...]]:
+        """The term over port indices and the ports they stand for
+        (`connectors.template_of`), computed once."""
+        return template_of(self.term)
+
+    @cached_property
     def port_set(self) -> frozenset[str]:
         """The ports the term mentions, computed once."""
-        return support(self.term)
+        return frozenset(self.template[1])
 
 
 @dataclass(frozen=True)
@@ -166,6 +172,19 @@ class SystemModel:
             out |= interactions_of(c.term)
         out.discard(frozenset())
         return frozenset(out)
+
+    @cached_property
+    def dominators(self) -> dict[Interaction, tuple[Interaction, ...]]:
+        """Each dominated interaction's dominators (`effective_pairs`), in
+        the order of their sorted ports; computed once per model."""
+        out: dict[Interaction, list[Interaction]] = {}
+        for lo, hi in effective_pairs(self.priority, self.gamma):
+            out.setdefault(lo, []).append(hi)
+        return {lo: tuple(sorted(his, key=sorted)) for lo, his in out.items()}
+
+    @cached_property
+    def _diagnostics(self) -> tuple["Diagnostic", ...]:
+        return tuple(_validate(self))
 
     @cached_property
     def _shares(self) -> dict[Interaction, tuple[tuple[int, Interaction], ...]]:
@@ -236,7 +255,13 @@ class Engine:
 
 
 def validate(system: SystemModel) -> list[Diagnostic]:
-    """Structural well-formedness; each diagnostic names the violated invariant."""
+    """Structural well-formedness; each diagnostic names the violated
+    invariant.  The diagnostics are computed once per model and each call
+    returns them in a new list."""
+    return list(system._diagnostics)
+
+
+def _validate(system: SystemModel) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
 
     def bad_name(kind: str, name: str, where: str) -> None:
@@ -345,14 +370,20 @@ def effective_pairs(
 ) -> frozenset[tuple[Interaction, Interaction]]:
     """The domination pairs both engines must agree on.
 
-    MaximalProgress materializes strict-subset pairs within gamma;
+    MaximalProgress materializes strict-subset pairs within gamma, each
+    interaction compared only with the ones that hold its least port;
     ExplicitPairs contributes its transitive closure (dominators need
-    not belong to gamma).
+    not belong to gamma).  The engines read them once per model, through
+    `SystemModel.dominators`.
     """
     if priority is None:
         return frozenset()
     if isinstance(priority, MaximalProgress):
-        return frozenset((a, b) for a in gamma for b in gamma if a < b)
+        holding: dict[str, list[Interaction]] = {}
+        for b in gamma:
+            for p in b:
+                holding.setdefault(p, []).append(b)
+        return frozenset((a, b) for a in gamma for b in (holding[min(a)] if a else gamma) if a < b)
     return priority.closure
 
 
@@ -364,12 +395,9 @@ def filter_priority(
     Domination is activity-checked only: the dominator must be active at
     `state` but is not required to belong to gamma.
     """
-    pairs = effective_pairs(system.priority, system.gamma)
-    if not pairs:
+    dominators = system.dominators
+    if not dominators:
         return frozenset(candidates)
-    dominators: dict[Interaction, set[Interaction]] = {}
-    for lo, hi in pairs:
-        dominators.setdefault(lo, set()).add(hi)
     out = set()
     for a in candidates:
         doms = dominators.get(a, ())
@@ -403,8 +431,14 @@ def step(
     on a port no atom owns or a state of the wrong arity."""
     if not a:
         return state
+    return _advance(state, _enabled_moves(system, state, a), rng)
+
+
+def _advance(state: GlobalState, moves: list[tuple[int, tuple[str, ...]]], rng: Optional[random.Random]) -> GlobalState:
+    """`state` with each owner of `moves` at one of its targets, drawn by
+    `rng` where it has several (the first declared if None)."""
     nxt = list(state)
-    for i, targets in _enabled_moves(system, state, a):
+    for i, targets in moves:
         nxt[i] = targets[0] if len(targets) == 1 or rng is None else rng.choice(sorted(targets))
     return tuple(nxt)
 

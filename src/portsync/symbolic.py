@@ -7,7 +7,9 @@ of each port for priorities):
   minterms of the labels it fires from that state, or idleness (all its
   ports false); f_B joins them under one-hot state cubes;
 - connectors: per connector, its causal rules and root clause over its
-  own ports; the system-wide function is their disjunction with every
+  own ports, derived and encoded once per shape (the term over the ranks
+  of its ports in level order) and renamed onto each other connector of
+  that shape; the system-wide function is their disjunction with every
   port foreign to a connector false, built by a balanced union-join
   (`union_join`) that never widens a connector to all ports;
 - priority: for explicit pairs, a static relation R(P, P') between an
@@ -94,7 +96,7 @@ from typing import Callable, Iterable, Optional
 from . import boolfunc as bf
 from .bdd import BddManager, BddRef, balanced
 from .causal import causal_rules, rules_to_formula, tau
-from .connectors import AcTerm, Fusion, Interaction, PortLeaf, interaction_key
+from .connectors import Interaction, interaction_key
 from .model import (
     AtomicBehavior,
     Connector,
@@ -104,9 +106,10 @@ from .model import (
     MaximalProgress,
     SystemModel,
     ValidationError,
+    _advance,
+    _moves,
     validate,
 )
-from .model import step as fire
 
 PRIME = "'"
 _has_survivor = itemgetter(1)  # of a survivor-table entry
@@ -259,14 +262,30 @@ def union_join(parts: Iterable[tuple[Iterable[str], BddRef]], ports: Iterable[st
     return fn & none(p for p in ports if p not in sup)
 
 
-def encode_connectors(system: SystemModel, mgr: BddManager) -> BddRef:
-    """The pool as a function over all ports: each connector's causal rules
-    over its own ports, joined by `union_join`."""
-    def leaf(conn: Connector) -> tuple[frozenset[str], BddRef]:
-        rules, root_clause = causal_rules(tau(conn.term))
-        return conn.port_set, _expr_bdd(mgr, rules_to_formula(rules, root_clause, conn.port_set))
+def connector_leaves(system: SystemModel, mgr: BddManager) -> list[tuple[frozenset[str], BddRef]]:
+    """Each connector's ports and its causal rules over them.  The rules are
+    derived and encoded once per shape, the term over the ranks of the
+    connector's ports in level order; every other connector of a shape
+    gets the order-preserving rename of that node."""
+    encoded: dict = {}  # shape -> its first connector's port levels, in order, and its node
+    out = []
+    for conn in system.connectors:
+        term, ports = conn.template
+        levels = list(map(mgr.level_of, ports))
+        order = sorted(levels)
+        shape = term, tuple(map(order.index, levels))
+        if shape not in encoded:
+            rules, root_clause = causal_rules(tau(conn.term))
+            encoded[shape] = order, _expr_bdd(mgr, rules_to_formula(rules, root_clause, conn.port_set))
+        first, f = encoded[shape]
+        out.append((conn.port_set, f if first == order else mgr.rename(f, dict(zip(first, order)))))
+    return out
 
-    return union_join(map(leaf, system.connectors), system.all_ports, mgr)
+
+def encode_connectors(system: SystemModel, mgr: BddManager) -> BddRef:
+    """The pool as a function over all ports: the connectors' leaves
+    (`connector_leaves`) joined by `union_join`."""
+    return union_join(connector_leaves(system, mgr), system.all_ports, mgr)
 
 
 def encode_priority_pairs(
@@ -481,13 +500,11 @@ class Component:
         return g.translate(ports, g.orient and g.orient(state))
 
 
-def _ranked_term(term: AcTerm, rank: dict[str, int]):
-    """A connector term with each port written as its rank."""
-    if isinstance(term, PortLeaf):
-        return rank[term.port]
-    if isinstance(term, Fusion):
-        return tuple((_ranked_term(f.term, rank), f.trigger) for f in term.factors)
-    return term
+def _ranked(conn: Connector, rank: dict[str, int]) -> tuple:
+    """A connector's term with each port written as its rank: its template
+    and the rank of each port the template's indices stand for."""
+    term, ports = conn.template
+    return term, tuple(map(rank.__getitem__, ports))
 
 
 def _orbits(sub: SystemModel, rank: dict[str, int], terms: frozenset, pairs: frozenset) -> tuple[tuple[int, ...], ...]:
@@ -513,7 +530,7 @@ def _orbits(sub: SystemModel, rank: dict[str, int], terms: frozenset, pairs: fro
         sigma = {p: rank[swap.get(p, p)] for p in rank}
         moved = a.port_set | b.port_set
         return (moves(a, sigma) == moves(b, rank)
-                and all(_ranked_term(c.term, sigma) in terms for c in sub.connectors if c.port_set & moved)
+                and all(_ranked(c, sigma) in terms for c in sub.connectors if c.port_set & moved)
                 and all((frozenset(map(sigma.__getitem__, lo)), frozenset(map(sigma.__getitem__, hi))) in pairs
                         for lo, hi in closure if (lo | hi) & moved))
 
@@ -612,7 +629,7 @@ def _group(system: SystemModel, ports: tuple[str, ...], mgr: BddManager, classes
 
     offers = [{q: frozenset(map(ranked, atom.labels_from[q])) for q in atom.states} for atom in sub.atoms]
     firsts = [{o: q for q, o in reversed(offer.items())} for offer in offers]  # each offer's first state
-    terms = frozenset(_ranked_term(c.term, rank) for c in sub.connectors)
+    terms = frozenset(_ranked(c, rank) for c in sub.connectors)
     pairs = frozenset((ranked(lo), ranked(hi)) for lo, hi in pr.closure) if isinstance(pr, ExplicitPairs) else None
     signature = (tuple((tuple(map(rank.__getitem__, a.ports)), frozenset(o)) for a, o in zip(sub.atoms, firsts)),
                  terms, pairs if pairs is not None else type(pr))
@@ -659,7 +676,8 @@ class SymbolicEngine(Engine):
     component gains or loses its last survivor, and the sums redone only
     when its count changes), and a uniform survivor of it is picked
     (`Component.pick`) with coins from the engine's generator; the pool is
-    never enumerated.
+    never enumerated.  A survivor is enabled, so the step moves its owners
+    (`model._advance`) without `model.step`'s check against the pool.
     """
 
     def __init__(self, system: SystemModel, seed: int = 0):
@@ -709,7 +727,7 @@ class SymbolicEngine(Engine):
             cum = self._cum  # the draw of `random.Random.choices(live, weights)`
             k = live[bisect(cum, self._rng.random() * cum[-1], 0, len(cum) - 1)]
         a = comps[k].pick(state, entries[k], self._rng)
-        self.state = fire(self.system, state, a, self._rng)
+        self.state = _advance(state, _moves(self.system, state, a), self._rng)
         self._fired_to, self._moved = self.state, k
         self.steps_taken += 1
         return a, self.state

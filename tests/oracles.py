@@ -12,12 +12,15 @@ groups, which the random generator almost never makes, and
 `moved_trigger` makes one of several isomorphic clusters differ from the
 others in one connector; the engine never builds a component's survivor
 function, which `joined_survivor_fn` builds from its groups' models.
+`reference_lex` is the DSL lexer as first written, one character at a
+time.
 """
 
 import random
 from itertools import product
 
 from portsync.causal import causal_rules, rules_to_formula, tau
+from portsync.dsl import DslDiagnostic, DslError
 from portsync.connectors import Factor, Fusion, fusion, interaction_key, interactions_of, support as term_support
 from portsync.generators import random_monomial_term
 from portsync.model import AtomicBehavior, Connector, ExplicitPairs, MaximalProgress, SystemModel, Transition
@@ -303,3 +306,61 @@ def joined_survivor_fn(x, state):
     comps = [x] if isinstance(x, Component) else x.components
     ports = ports_of(x)
     return x.manager.or_all(x.manager.cube({p: p in a for p in ports}) for c in comps for a in c.survivors(state))
+
+
+def reference_lex(text):
+    """The (kind, text, line, col) tokens of `text`, then "eof"; DslError
+    at the first character that starts no token."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_line, start_col = line, col
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("name", text[i:j], start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch == "-":
+            if i + 1 < n and text[i + 1] == "[":
+                tokens.append(("punct", "-[", start_line, start_col))
+                i += 2
+                col += 2
+                continue
+            raise DslError([DslDiagnostic(start_line, start_col, "stray '-' (expected '-[')")])
+        if ch == "]":
+            if text[i + 1:i + 3] == "->":
+                tokens.append(("punct", "]->", start_line, start_col))
+                i += 3
+                col += 3
+                continue
+            tokens.append(("punct", "]", start_line, start_col))
+            i += 1
+            col += 1
+            continue
+        if ch in "{}[;,'=<":
+            tokens.append(("punct", ch, start_line, start_col))
+            i += 1
+            col += 1
+            continue
+        raise DslError([DslDiagnostic(start_line, start_col, f"unexpected character {ch!r}")])
+    tokens.append(("eof", "", line, col))
+    return tokens

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from portsync.dsl import (
     DslError,
     FILE_EXTENSION,
+    _lex,
     load,
     parse,
     save,
@@ -13,6 +14,8 @@ from portsync.dsl import (
 )
 from portsync.generators import gen_bus, gen_tasks, modulo8, random_system
 from portsync.model import ExplicitPairs, MaximalProgress
+
+from oracles import reference_lex
 
 
 SMALL = """
@@ -139,3 +142,27 @@ def test_fuzz_only_dsl_errors(text):
         parse(text)
     except DslError:
         pass
+
+
+def _tokens_or_error(lex, text):
+    try:
+        return [tuple(t) for t in lex(text)]
+    except DslError as exc:
+        return [str(d) for d in exc.diagnostics]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(
+    alphabet=st.one_of(st.sampled_from(list("system atom{}[];,<->'=#\n\t\r_abc01 ")), st.characters()),
+    max_size=200,
+))
+def test_lexer_matches_the_reference(text):
+    # the same tokens at the same line:col, or the same first error
+    assert _tokens_or_error(_lex, text) == _tokens_or_error(reference_lex, text)
+
+
+def test_lexer_matches_the_reference_on_models():
+    texts = [SMALL, serialize(modulo8()), serialize(gen_tasks(4, 2)), serialize(gen_bus(3)),
+             SMALL + "# no newline at the end", "a\u00b2 \u00b2a \u00e9t\u00e9 _x", "x\r\n  -", "] ]-> ]-[ -[ -x"]
+    for text in texts:
+        assert _tokens_or_error(_lex, text) == _tokens_or_error(reference_lex, text)

@@ -25,9 +25,14 @@ from portsync.model import (
     survivors,
     validate,
 )
-from portsync.generators import gen_bus, modulo8, random_system
+from portsync import model
+from portsync.dsl import parse, serialize
+from portsync.enumerative import EnumEngine
+from portsync.equivalence import check_equivalence
+from portsync.generators import gen_bus, gen_tasks, modulo8, random_system
+from portsync.symbolic import SymbolicEngine
 
-from oracles import all_states, oracle_enabled, oracle_successors, oracle_survivors
+from oracles import _oracle_pairs, all_states, oracle_enabled, oracle_successors, oracle_survivors
 
 
 def fz(*names):
@@ -274,3 +279,55 @@ def test_trace_properties(mod8):
     assert tr.initial == mod8.initial_state()
     assert [a for a in tr.interactions] == [s[0] for s in tr.steps]
     assert not tr.deadlocked
+
+
+def test_indexed_pairs_are_the_strict_subset_pairs():
+    systems = [modulo8(), *map(gen_bus, (1, 2, 4)), *(gen_tasks(n, m) for n, m in ((2, 1), (3, 2), (4, 4)))]
+    systems += [r for r in map(random_system, range(60)) if isinstance(r.priority, MaximalProgress)]
+    assert len(systems) > 20
+    for sysm in systems:
+        assert effective_pairs(sysm.priority, sysm.gamma) == _oracle_pairs(sysm)
+    # the empty interaction lies below every other one
+    pool = frozenset((fz(), fz("a"), fz("a", "b"), fz("b", "c")))
+    assert effective_pairs(MaximalProgress(), pool) == {(a, b) for a in pool for b in pool if a < b}
+
+
+def test_pairs_are_computed_once_per_model(monkeypatch):
+    calls = []
+    real = model.effective_pairs
+    monkeypatch.setattr(model, "effective_pairs", lambda *args: calls.append(args) or real(*args))
+    sysm = gen_tasks(3, 2)
+    engines = [EnumEngine(sysm), EnumEngine(sysm, seed=1)]
+    check_equivalence(sysm, bound=20)
+    for state in reachable(sysm, bound=20).states:
+        assert engines[0].survivors(state) == engines[1].survivors(state) == survivors(sysm, state)
+    assert len(calls) == 1
+    assert {(lo, hi) for lo, his in sysm.dominators.items() for hi in his} == real(sysm.priority, sysm.gamma)
+
+
+def _invalid():
+    a = AtomicBehavior("A", ("s",), "nope", ("p",), (Transition("s", fz("q"), "s"),))
+    return SystemModel("m", (a,), (Connector("c", PortLeaf("zz")),), None)
+
+
+def test_validate_returns_a_new_list_each_call():
+    sysm = _invalid()
+    first, second = validate(sysm), validate(sysm)
+    assert first == second and len(first) == 3
+    assert first is not second
+    first.clear()
+    second.append("not a diagnostic")
+    assert len(validate(sysm)) == 3
+
+
+def test_one_validation_per_model(monkeypatch):
+    calls = []
+    real = model._validate
+    monkeypatch.setattr(model, "_validate", lambda system: calls.append(system) or real(system))
+    sysm = parse(serialize(gen_tasks(3, 2)))
+    EnumEngine(sysm)
+    SymbolicEngine(sysm)
+    assert check_equivalence(sysm, bound=20).equivalent
+    assert len(calls) == 1
+    with pytest.raises(ValidationError):
+        EnumEngine(_invalid())

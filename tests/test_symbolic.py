@@ -28,11 +28,13 @@ from portsync.model import (
     survivors,
     validate,
 )
+from portsync import symbolic
 from portsync.symbolic import (
     SymbolicEngine,
     SystemEncoding,
     build,
     components,
+    connector_leaves,
     encode_atom,
     encode_behavior,
     encode_connectors,
@@ -44,10 +46,10 @@ from portsync.symbolic import (
     union_join,
     variable_order,
 )
-from portsync.connectors import support
+from portsync.connectors import interactions_of, support
 from portsync.equivalence import check_equivalence
 
-from oracles import (active_fn, all_states, hub_system, joined_survivor_fn, moved_trigger, oracle_survivors,
+from oracles import (active_fn, all_states, encode_connector, hub_system, joined_survivor_fn, moved_trigger, oracle_survivors,
                      own_state, port_groups_of, ports_of, reference_connector_fn, reference_pick_sat,
                      reference_priority_pairs, skipped_levels, transfer, whole_survivor_fn)
 
@@ -106,6 +108,83 @@ def test_connector_fn_is_the_widened_disjunction():
         unused += bool(set(sysm.all_ports) - {p for c in sysm.connectors for p in support(c.term)})
         single += len(sysm.connectors) == 1
     assert unused > 10 and single > 10
+
+
+def _interleaved_shapes():
+    """Connectors of one shape whose ports interleave with other ports'
+    levels, the term order of a shape against the level order, and two
+    connectors whose terms agree over indices but not over ranks."""
+    fz = frozenset
+    atoms = tuple(AtomicBehavior(n, ("s",), "s", ports, tuple(Transition("s", fz((p,)), "s") for p in ports))
+                  for n, ports in (("A", ("a1", "a2", "a3")), ("B", ("b1", "b2", "b3"))))
+
+    def term(*ports, synchrons=1):
+        return Fusion(tuple(Factor(PortLeaf(p), k < len(ports) - synchrons) for k, p in enumerate(ports)))
+
+    conns = [("x", term("b1", "a1")), ("y", term("b2", "a2")), ("z", term("a3", "b3")),
+             ("u", term("a1", "b2", "a3", synchrons=2)), ("v", term("a2", "b3", "a3", synchrons=2))]
+    return SystemModel("interleaved", atoms, tuple(Connector(n, t) for n, t in conns), MaximalProgress())
+
+
+def _ranked_term(term, rank):
+    if isinstance(term, PortLeaf):
+        return rank[term.port]
+    if isinstance(term, Fusion):
+        return tuple((_ranked_term(f.term, rank), f.trigger) for f in term.factors)
+    return term
+
+
+def _shapes(sysm, mgr):
+    """The connectors' distinct terms over the ranks of their ports by level."""
+    def shape(conn):
+        ports = sorted(support(conn.term), key=mgr.level_of)
+        return _ranked_term(conn.term, {p: r for r, p in enumerate(ports)})
+
+    return {shape(c) for c in sysm.connectors}
+
+
+def test_each_connector_leaf_is_its_direct_encoding():
+    # one encoding per shape, renamed onto each other connector of it, gives
+    # the node a derivation of the connector's own causal rules gives
+    systems = [modulo8(), gen_bus(3), gen_tasks(3, 2), gen_tasks(4, 4), _interleaved_shapes(),
+               *map(hub_system, range(40)), *map(random_system, range(60))]
+    renamed = 0
+    for sysm in systems:
+        m = BddManager(variable_order(sysm))
+        leaves = connector_leaves(sysm, m)
+        assert len(leaves) == len(sysm.connectors)
+        for conn, (ports, f) in zip(sysm.connectors, leaves):
+            assert ports == support(conn.term)
+            assert f == encode_connector(conn, (), m)
+        renamed += len(sysm.connectors) - len(_shapes(sysm, m))
+    assert renamed > 150
+
+
+def test_interleaved_shapes_are_renamed_in_level_order():
+    sysm = _interleaved_shapes()
+    m = BddManager(variable_order(sysm))
+    assert len(_shapes(sysm, m)) == 3
+    for conn, (_, f) in zip(sysm.connectors, connector_leaves(sysm, m)):
+        assert set(m.iter_models(f, sorted(conn.port_set))) == {a for a in interactions_of(conn.term) if a}
+
+
+def test_causal_rules_run_once_per_shape(monkeypatch):
+    calls = []
+    real = symbolic.causal_rules
+    monkeypatch.setattr(symbolic, "causal_rules", lambda tree: calls.append(tree) or real(tree))
+    # the build encodes each class representative's connectors
+    for sysm, connectors, shapes in ((gen_tasks(8, 4), 112, 2), (gen_bus(16), 5, 2)):
+        calls.clear()
+        enc = build(sysm)
+        reps = {id(g.representative): g.representative for c in enc.components for g in c.groups}
+        assert sum(len(r.system.connectors) for r in reps.values()) == connectors
+        assert len(calls) == shapes
+    for sysm in (modulo8(), gen_tasks(3, 2), _interleaved_shapes(), *map(hub_system, range(40)),
+                 *map(random_system, range(60))):
+        m = BddManager(variable_order(sysm))
+        calls.clear()
+        encode_connectors(sysm, m)
+        assert len(calls) == len(_shapes(sysm, m))
 
 
 def test_no_connector_gives_false():
@@ -942,3 +1021,10 @@ class TestEngine:
     def test_trace_total_time_recorded(self, mod8):
         tr = SymbolicEngine(mod8, seed=0).run(4)
         assert tr.total_ns > 0
+
+
+def test_symbolic_steps_never_enumerate_the_pool():
+    for sysm in (gen_tasks(4, 2), gen_bus(3)):
+        trace = SymbolicEngine(sysm, seed=3).run(500)
+        assert len(trace) == 500
+        assert "gamma" not in sysm.__dict__
