@@ -78,18 +78,18 @@ def support(term: AcTerm) -> frozenset[str]:
     return frozenset(out)
 
 
-def template_of(term: AcTerm) -> tuple[object, tuple[str, ...]]:
-    """The term with each port written as its index among the term's
+def template_of(term: AcTerm) -> tuple[str, tuple[str, ...]]:
+    """The term written with each port as its index among the term's
     ports in order of first occurrence, and those ports: two terms that
-    differ only by a renaming of ports share the first part."""
+    differ only by a renaming of ports share the text, one string."""
     index: dict[str, int] = {}
 
-    def rec(t: AcTerm):
+    def rec(t: AcTerm) -> str:
         if isinstance(t, PortLeaf):
-            return index.setdefault(t.port, len(index))
+            return str(index.setdefault(t.port, len(index)))
         if isinstance(t, Fusion):
-            return tuple((rec(f.term), f.trigger) for f in t.factors)
-        return t
+            return "[" + " ".join(rec(f.term) + "'" * f.trigger for f in t.factors) + "]"
+        return type(t).__name__
 
     return rec(term), tuple(index)
 

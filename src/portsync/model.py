@@ -134,7 +134,7 @@ class Connector:
     term: AcTerm
 
     @cached_property
-    def template(self) -> tuple[object, tuple[str, ...]]:
+    def template(self) -> tuple[str, tuple[str, ...]]:
         """The term over port indices and the ports they stand for
         (`connectors.template_of`), computed once."""
         return template_of(self.term)
