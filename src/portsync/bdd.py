@@ -288,6 +288,13 @@ class BddManager:
             u = self._mk(lvl, FALSE, u) if val else self._mk(lvl, u, FALSE)
         return self._ref(u)
 
+    def none(self, levels: Iterable[int]) -> BddRef:
+        """Every variable at `levels` false: a `cube` over levels."""
+        u = TRUE
+        for lvl in sorted(levels, reverse=True):
+            u = self._mk(lvl, u, FALSE)
+        return self._ref(u)
+
     # -- boolean operations -------------------------------------------
 
     def apply(self, op: str, f: BddRef, g: BddRef) -> BddRef:

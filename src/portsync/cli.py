@@ -39,6 +39,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_DIAGNOSTICS)
 
 
+def _at_least(least: int):
+    """An argparse type: an integer of at least `least`."""
+    def integer(text: str) -> int:
+        if int(text) < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, not {text}")
+        return int(text)
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="portsync", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -47,13 +56,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a model")
     p_run.add_argument("file")
     p_run.add_argument("--engine", choices=("enum", "symbolic"), default="enum")
-    p_run.add_argument("--steps", type=int, default=10)
+    p_run.add_argument("--steps", type=_at_least(0), default=10)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--trace", metavar="OUT.CSV", default=None)
 
     p_check = sub.add_parser("check", help="cross-engine survivor equivalence")
     p_check.add_argument("file")
-    p_check.add_argument("--bound", type=int, default=10000)
+    p_check.add_argument("--bound", type=_at_least(1), default=10000)
 
     p_bench = sub.add_parser("bench", help="time a built-in example")
     p_bench.add_argument("example", choices=bench_mod.EXAMPLES)

@@ -88,7 +88,7 @@ def template_of(term: AcTerm) -> tuple[str, tuple[str, ...]]:
         if isinstance(t, PortLeaf):
             return str(index.setdefault(t.port, len(index)))
         if isinstance(t, Fusion):
-            return "[" + " ".join(rec(f.term) + "'" * f.trigger for f in t.factors) + "]"
+            return "[" + " ".join([rec(f.term) + "'" * f.trigger for f in t.factors]) + "]"
         return type(t).__name__
 
     return rec(term), tuple(index)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NoReturn, Optional
 
 from .connectors import AcTerm, Factor, Fusion, PortLeaf, fusion
 from .model import (
@@ -45,9 +45,12 @@ KEYWORDS = frozenset((
     "connector", "priority", "maximal_progress",
 ))
 
-# per line: a name (its first character checked after the match), a
-# punctuation mark, blanks, a comment, any other character
-_TOKEN_RE = re.compile(r"(\w+)|(-\[|\]->|[{}\[\];,'=<\]])|[ \t\r]+|(#.*)|(.)")
+# after any blanks and comments: a name, a punctuation mark, any other
+# character (a name's first character is checked after the match), or ""
+# where the text ends
+_TOKEN_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*(\w+|-\[|\]->|[{}\[\];,'=<\]]|.|\Z)")
+_PUNCT = frozenset(("-[", "]->", "{", "}", "[", "]", ";", ",", "'", "=", "<"))
+_NOT_NAME = _PUNCT | {""}
 
 
 @dataclass(frozen=True)
@@ -66,234 +69,193 @@ class DslError(Exception):
         super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
-class Token(NamedTuple):
-    kind: str  # "name" | "punct" | "eof"
-    text: str
-    line: int
-    col: int
+def _stray(tok: str) -> bool:
+    """Does the match `tok` of `_TOKEN_RE` start no token?"""
+    return tok not in _NOT_NAME and not (tok[0].isalpha() or tok[0] == "_")
 
 
-def _lex(text: str) -> list[Token]:
-    """The tokens of `text` with their line and column, then "eof" where
-    the text ends, or before a comment that ends it."""
-    tokens: list[Token] = []
-    new = tuple.__new__  # what Token(...) calls, without the call
-    for line, row in enumerate(text.split("\n"), 1):
-        end = len(row)
-        for m in _TOKEN_RE.finditer(row):
-            group, start = m.lastindex, m.start()
-            if group == 2 or group == 1 and (row[start].isalpha() or row[start] == "_"):
-                tokens.append(new(Token, ("punct" if group == 2 else "name", m.group(), line, start + 1)))
-            elif group == 3:
-                end = start
-            elif group is not None:
-                ch = row[start]
-                raise DslError([DslDiagnostic(line, start + 1, "stray '-' (expected '-[')" if ch == "-"
-                                              else f"unexpected character {ch!r}")])
-    tokens.append(Token("eof", "", line, end + 1))
+def _lex(text: str) -> list[tuple[str, str, int, int]]:
+    """The tokens of `text` as (kind, text, line, col), then "eof" where
+    the text ends, or where a comment that ends it starts; DslError at
+    the first character that starts no token.  `parse` reads the tokens
+    without their places and calls this only for a diagnostic."""
+    tokens, line = [], 1
+    for m in _TOKEN_RE.finditer(text):
+        tok, start = m.group(1), m.start(1)
+        line += text.count("\n", m.start(), start)
+        row = text.rfind("\n", 0, start) + 1
+        if _stray(tok):
+            raise DslError([DslDiagnostic(line, start - row + 1, "stray '-' (expected '-[')" if tok == "-"
+                                          else f"unexpected character {tok[0]!r}")])
+        if not tok:  # a text that ends with a blank matches "" twice there
+            comment = text.find("#", row)
+            tokens.append(("eof", "", line, (start if comment < 0 else comment) - row + 1))
+            break
+        tokens.append(("punct" if tok in _PUNCT else "name", tok, line, start - row + 1))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    """Recursive descent over the token strings, "" at the end."""
+
+    def __init__(self, text: str, tokens: list[str]):
+        self.text = text
         self.tokens = tokens
         self.pos = 0
-        self.locations: dict[str, tuple[int, int]] = {}
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def fail(self, message: str, pos: Optional[int] = None) -> NoReturn:
+        """DslError at the token at `pos`, by default the next one."""
+        _, _, line, col = _lex(self.text)[self.pos if pos is None else pos]
+        raise DslError([DslDiagnostic(line, col, message)])
 
-    def next(self) -> Token:
+    def expect(self, word: str) -> None:
+        """Take `word`, a punctuation mark or a keyword."""
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok != word:
+            what = f"keyword {word!r}" if word in KEYWORDS else repr(word)
+            self.fail(f"expected {what}, found {tok!r}" if tok else f"expected {what}, found end of input")
+        self.pos += 1
+
+    def name(self) -> str:
+        tok = self.tokens[self.pos]
+        if tok in _NOT_NAME:
+            self.fail(f"expected a name, found {tok!r}" if tok else "expected a name, found end of input")
+        if tok in KEYWORDS:
+            self.fail(f"{tok!r} is a reserved word")
+        self.pos += 1
+        return tok
+
+    def take(self, word: str) -> bool:
+        """Take the next token if it is `word`."""
+        if self.tokens[self.pos] == word:
             self.pos += 1
-        return tok
+            return True
+        return False
 
-    def fail(self, tok: Token, message: str) -> None:
-        raise DslError([DslDiagnostic(tok.line, tok.col, message)])
-
-    def expect_punct(self, text: str) -> Token:
-        tok = self.next()
-        if tok.kind != "punct" or tok.text != text:
-            self.fail(tok, f"expected {text!r}, found {tok.text!r}" if tok.kind != "eof"
-                      else f"expected {text!r}, found end of input")
-        return tok
-
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.next()
-        if tok.kind != "name" or tok.text != word:
-            self.fail(tok, f"expected keyword {word!r}, found {tok.text!r}" if tok.kind != "eof"
-                      else f"expected keyword {word!r}, found end of input")
-        return tok
-
-    def expect_name(self) -> Token:
-        tok = self.next()
-        if tok.kind != "name":
-            self.fail(tok, f"expected a name, found {tok.text!r}" if tok.kind != "eof"
-                      else "expected a name, found end of input")
-        if tok.text in KEYWORDS:
-            self.fail(tok, f"{tok.text!r} is a reserved word")
-        return tok
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "name" and tok.text == word
-
-    def namelist(self) -> list[Token]:
-        names = [self.expect_name()]
-        while self.peek().text == ",":
-            self.next()
-            names.append(self.expect_name())
+    def namelist(self) -> list[str]:
+        names = [self.name()]
+        while self.take(","):
+            names.append(self.name())
         return names
 
     # -- grammar ------------------------------------------------------
 
     def system(self) -> SystemModel:
-        self.expect_keyword("system")
-        name_tok = self.expect_name()
-        self.expect_punct("{")
+        self.expect("system")
+        name = self.name()
+        self.expect("{")
         atoms: list[AtomicBehavior] = []
-        while self.at_keyword("atom"):
+        while self.take("atom"):
             atoms.append(self.atom())
         connectors: list[Connector] = []
-        while self.at_keyword("connector"):
+        while self.take("connector"):
             connectors.append(self.connector())
-        priority = None
-        if self.at_keyword("priority"):
-            priority = self.priority()
-        self.expect_punct("}")
-        tok = self.peek()
-        if tok.kind != "eof":
-            self.fail(tok, f"trailing input after the system block: {tok.text!r}")
-        return SystemModel(
-            name=name_tok.text,
-            atoms=tuple(atoms),
-            connectors=tuple(connectors),
-            priority=priority,
-        )
+        priority = self.priority() if self.take("priority") else None
+        self.expect("}")
+        if self.tokens[self.pos]:
+            self.fail(f"trailing input after the system block: {self.tokens[self.pos]!r}")
+        return SystemModel(name=name, atoms=tuple(atoms), connectors=tuple(connectors), priority=priority)
 
     def atom(self) -> AtomicBehavior:
-        kw = self.expect_keyword("atom")
-        name_tok = self.expect_name()
-        self.locations[f"atom:{name_tok.text}"] = (kw.line, kw.col)
-        self.expect_punct("{")
-        self.expect_keyword("ports")
-        port_toks = self.namelist()
-        self.expect_punct(";")
-        self.expect_keyword("states")
+        at = self.pos
+        name = self.name()
+        self.expect("{")
+        self.expect("ports")
+        ports = self.namelist()
+        self.expect(";")
+        self.expect("states")
         states: list[str] = []
         init: str | None = None
         while True:
-            st = self.expect_name()
-            states.append(st.text)
-            if self.at_keyword("init"):
-                mark = self.next()
+            states.append(self.name())
+            if self.take("init"):
                 if init is not None:
-                    raise DslError([DslDiagnostic(
-                        mark.line, mark.col,
-                        f"atom {name_tok.text!r} marks more than one init state")])
-                init = st.text
-            if self.peek().text != ",":
+                    self.fail(f"atom {name!r} marks more than one init state", self.pos - 1)
+                init = states[-1]
+            if not self.take(","):
                 break
-            self.next()
-        self.expect_punct(";")
+        self.expect(";")
         if init is None:
-            self.fail(name_tok, f"atom {name_tok.text!r} marks no state as init")
-        assert init is not None
+            self.fail(f"atom {name!r} marks no state as init", at)
         transitions: list[Transition] = []
-        while self.at_keyword("trans"):
-            transitions.append(self.trans(name_tok.text, len(transitions) + 1))
-        self.expect_punct("}")
-        return AtomicBehavior(
-            name=name_tok.text,
-            states=tuple(states),
-            init=init,
-            ports=tuple(t.text for t in port_toks),
-            transitions=tuple(transitions),
-        )
-
-    def trans(self, atom: str, n: int) -> Transition:
-        """The atom's n-th transition, located as `validate` names it."""
-        kw = self.expect_keyword("trans")
-        src = self.expect_name()
-        self.expect_punct("-[")
-        label = self.namelist()
-        self.expect_punct("]->")
-        dst = self.expect_name()
-        self.expect_punct(";")
-        self.locations[f"atom:{atom} trans #{n} {src.text}->{dst.text}"] = (kw.line, kw.col)
-        return Transition(source=src.text, label=frozenset(t.text for t in label), target=dst.text)
+        while self.take("trans"):
+            src = self.name()
+            self.expect("-[")
+            label = frozenset(self.namelist())
+            self.expect("]->")
+            dst = self.name()
+            self.expect(";")
+            transitions.append(Transition(source=src, label=label, target=dst))
+        self.expect("}")
+        return AtomicBehavior(name=name, states=tuple(states), init=init, ports=tuple(ports),
+                              transitions=tuple(transitions))
 
     def connector(self) -> Connector:
-        kw = self.expect_keyword("connector")
-        name_tok = self.expect_name()
-        self.locations[f"connector:{name_tok.text}"] = (kw.line, kw.col)
-        self.expect_punct("=")
+        name = self.name()
+        self.expect("=")
         term = self.acterm()
-        self.expect_punct(";")
-        return Connector(name=name_tok.text, term=term)
+        self.expect(";")
+        return Connector(name=name, term=term)
 
     def acterm(self) -> AcTerm:
         factors = [self.factor()]
-        while True:
-            tok = self.peek()
-            if (tok.kind == "name" and tok.text not in KEYWORDS) or tok.text == "[":
-                factors.append(self.factor())
-            else:
-                break
+        while (tok := self.tokens[self.pos]) == "[" or tok not in _NOT_NAME and tok not in KEYWORDS:
+            factors.append(self.factor())
         return fusion(factors)
 
     def factor(self) -> Factor:
-        tok = self.peek()
-        if tok.text == "[":
-            self.next()
-            inner = self.acterm()
-            self.expect_punct("]")
-            trigger = self.peek().text == "'"
-            if trigger:
-                self.next()
-            return Factor(inner, trigger)
-        name = self.expect_name()
-        trigger = self.peek().text == "'"
-        if trigger:
-            self.next()
-        return Factor(PortLeaf(name.text), trigger)
+        if self.take("["):
+            term = self.acterm()
+            self.expect("]")
+        else:
+            term = PortLeaf(self.name())
+        return Factor(term, self.take("'"))
 
     def priority(self) -> MaximalProgress | ExplicitPairs:
-        kw = self.expect_keyword("priority")
-        self.locations["priority"] = (kw.line, kw.col)
-        if self.at_keyword("maximal_progress"):
-            self.next()
-            self.expect_punct(";")
+        if self.take("maximal_progress"):
+            self.expect(";")
             return MaximalProgress()
         pairs: list[tuple[frozenset[str], frozenset[str]]] = []
-        while self.peek().text == "{":
-            self.next()
-            low = frozenset(t.text for t in self.namelist())
-            self.expect_punct("}")
-            self.expect_punct("<")
-            self.expect_punct("{")
-            high = frozenset(t.text for t in self.namelist())
-            self.expect_punct("}")
+        while self.take("{"):
+            low = frozenset(self.namelist())
+            self.expect("}")
+            self.expect("<")
+            self.expect("{")
+            high = frozenset(self.namelist())
+            self.expect("}")
             pairs.append((low, high))
         if not pairs:
-            self.fail(self.peek(), "expected 'maximal_progress' or at least one '{...} < {...}' pair")
-        self.expect_punct(";")
+            self.fail("expected 'maximal_progress' or at least one '{...} < {...}' pair")
+        self.expect(";")
         return ExplicitPairs(frozenset(pairs))
+
+
+def _locations(system: SystemModel, text: str) -> dict[str, tuple[int, int]]:
+    """The line:col of the keyword that opens each atom, transition,
+    connector and priority clause of the parsed `text`, keyed by the
+    location `validate` gives it with its first blank a colon."""
+    marks: dict[str, list[tuple[int, int]]] = {}
+    for _, tok, line, col in _lex(text):
+        marks.setdefault(tok, []).append((line, col))
+    keys: dict[str, list[str]] = {"atom": [], "trans": [], "priority": ["priority"],
+                                  "connector": [f"connector:{c.name}" for c in system.connectors]}
+    for a in system.atoms:
+        keys["atom"].append(f"atom:{a.name}")
+        keys["trans"] += [f"atom:{a.name} trans #{n} {t.source}->{t.target}"
+                          for n, t in enumerate(a.transitions, 1)]
+    return {key: at for word, ks in keys.items() for key, at in zip(ks, marks.get(word, ()))}
 
 
 def parse(text: str) -> SystemModel:
     """Parse and validate; raises DslError with located diagnostics."""
-    parser = _Parser(_lex(text))
-    system = parser.system()
+    tokens = _TOKEN_RE.findall(text)
+    if any(map(_stray, set(tokens))):
+        _lex(text)  # raises at the first stray character
+    system = _Parser(text, tokens).system()
     diags = validate(system)
     if diags:
-        located = []
-        for d in diags:
-            key = d.location.replace(" ", ":", 1)
-            line, col = parser.locations.get(key, (0, 0))
-            located.append(DslDiagnostic(line, col, str(d)))
-        raise DslError(located)
+        at = _locations(system, text)
+        raise DslError([DslDiagnostic(*at.get(d.location.replace(" ", ":", 1), (0, 0)), str(d)) for d in diags])
     return system
 
 

@@ -166,10 +166,18 @@ class SystemModel:
 
     @cached_property
     def gamma(self) -> frozenset[Interaction]:
-        """Interaction pool: union over connectors, empty interaction removed."""
+        """Interaction pool: union over connectors, empty interaction removed.
+        The interactions of a template (`Connector.template`) are enumerated
+        once, over its port indices, and mapped onto each connector's ports."""
+        shapes: dict[str, list[tuple[int, ...]]] = {}
         out: set[Interaction] = set()
         for c in self.connectors:
-            out |= interactions_of(c.term)
+            text, ports = c.template
+            shape = shapes.get(text)
+            if shape is None:
+                index = {p: i for i, p in enumerate(ports)}
+                shape = shapes[text] = [tuple(index[p] for p in a) for a in interactions_of(c.term)]
+            out.update(frozenset(map(ports.__getitem__, a)) for a in shape)
         out.discard(frozenset())
         return frozenset(out)
 

@@ -80,8 +80,8 @@ in the drawn component's ports, so the next step re-reads only that
 component's groups.  A step draws a live component (one with a live
 group) weighted by the sum of its groups' counts (with one live
 component there is no draw), and picks a uniform survivor of it with
-coins from the engine's own generator.  No primed behavior, primed connectors or pool-sized priority function
-is built.
+coins from the engine's own generator.  No primed behavior, primed
+connectors or pool-sized priority function is built.
 """
 
 from __future__ import annotations
@@ -245,21 +245,17 @@ def union_join(parts: Iterable[tuple[Iterable[str], BddRef]], ports: Iterable[st
     (U2, G2) into (U1 | U2, G1 & none(U2 - U1) | G2 & none(U1 - U2)) and
     closes the root with none(ports - U); no part gives false.  Leaves
     sorted by their deepest support level, then their highest, share ports
-    with their neighbours; the order changes the time only, not the node."""
-    def none(names: Iterable[str]) -> BddRef:
-        return mgr.cube(dict.fromkeys(names, False))
-
-    def deepest_then_highest(leaf: tuple[frozenset[str], BddRef]) -> tuple[int, int]:
-        levels = [mgr.level_of(p) for p in leaf[0]] or [-1]
-        return max(levels), min(levels)
-
-    def join(a: tuple[frozenset[str], BddRef], b: tuple[frozenset[str], BddRef]) -> tuple[frozenset[str], BddRef]:
+    with their neighbours; the order changes the time only, not the node.
+    Supports are joined as sets of levels."""
+    def join(a: tuple[frozenset[int], BddRef], b: tuple[frozenset[int], BddRef]) -> tuple[frozenset[int], BddRef]:
         (u1, g1), (u2, g2) = a, b
-        return u1 | u2, (g1 & none(u2 - u1)) | (g2 & none(u1 - u2))
+        return u1 | u2, (g1 & mgr.none(u2 - u1)) | (g2 & mgr.none(u1 - u2))
 
-    leaves = sorted(((frozenset(u), g) for u, g in parts), key=deepest_then_highest)
+    level = mgr.level_of
+    leaves = sorted(((frozenset(map(level, u)), g) for u, g in parts),
+                    key=lambda leaf: (max(leaf[0], default=-1), min(leaf[0], default=-1)))
     sup, fn = balanced(join, leaves, (frozenset(), mgr.false))
-    return fn & none(p for p in ports if p not in sup)
+    return fn & mgr.none(set(map(level, ports)) - sup)
 
 
 def connector_leaves(system: SystemModel, mgr: BddManager) -> list[tuple[frozenset[str], BddRef]]:

@@ -13,17 +13,19 @@ groups, which the random generator almost never makes, and
 others in one connector; the engine never builds a component's survivor
 function, which `joined_survivor_fn` builds from its groups' models.
 `reference_lex` is the DSL lexer as first written, one character at a
-time.
+time, and `reference_parse` the parser as first written, over its
+located tokens.
 """
 
 import random
 from itertools import product
+from typing import NamedTuple
 
 from portsync.causal import causal_rules, rules_to_formula, tau
-from portsync.dsl import DslDiagnostic, DslError
-from portsync.connectors import Factor, Fusion, fusion, interaction_key, interactions_of, support as term_support
+from portsync.dsl import KEYWORDS, DslDiagnostic, DslError
+from portsync.connectors import AcTerm, Factor, Fusion, PortLeaf, fusion, interaction_key, interactions_of, support as term_support
 from portsync.generators import random_monomial_term
-from portsync.model import AtomicBehavior, Connector, ExplicitPairs, MaximalProgress, SystemModel, Transition
+from portsync.model import AtomicBehavior, Connector, ExplicitPairs, MaximalProgress, SystemModel, Transition, validate
 from portsync.symbolic import Component, _expr_bdd, prime, union_join
 
 
@@ -364,3 +366,215 @@ def reference_lex(text):
         raise DslError([DslDiagnostic(start_line, start_col, f"unexpected character {ch!r}")])
     tokens.append(("eof", "", line, col))
     return tokens
+
+
+class _Token(NamedTuple):
+    kind: str  # "name" | "punct" | "eof"
+    text: str
+    line: int
+    col: int
+
+
+class _ReferenceParser:
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
+        self.pos = 0
+        self.locations: dict[str, tuple[int, int]] = {}
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def next(self) -> _Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != "eof":
+            self.pos += 1
+        return tok
+
+    def fail(self, tok: _Token, message: str) -> None:
+        raise DslError([DslDiagnostic(tok.line, tok.col, message)])
+
+    def expect_punct(self, text: str) -> _Token:
+        tok = self.next()
+        if tok.kind != "punct" or tok.text != text:
+            self.fail(tok, f"expected {text!r}, found {tok.text!r}" if tok.kind != "eof"
+                      else f"expected {text!r}, found end of input")
+        return tok
+
+    def expect_keyword(self, word: str) -> _Token:
+        tok = self.next()
+        if tok.kind != "name" or tok.text != word:
+            self.fail(tok, f"expected keyword {word!r}, found {tok.text!r}" if tok.kind != "eof"
+                      else f"expected keyword {word!r}, found end of input")
+        return tok
+
+    def expect_name(self) -> _Token:
+        tok = self.next()
+        if tok.kind != "name":
+            self.fail(tok, f"expected a name, found {tok.text!r}" if tok.kind != "eof"
+                      else "expected a name, found end of input")
+        if tok.text in KEYWORDS:
+            self.fail(tok, f"{tok.text!r} is a reserved word")
+        return tok
+
+    def at_keyword(self, word: str) -> bool:
+        tok = self.peek()
+        return tok.kind == "name" and tok.text == word
+
+    def namelist(self) -> list[_Token]:
+        names = [self.expect_name()]
+        while self.peek().text == ",":
+            self.next()
+            names.append(self.expect_name())
+        return names
+
+    # -- grammar ------------------------------------------------------
+
+    def system(self) -> SystemModel:
+        self.expect_keyword("system")
+        name_tok = self.expect_name()
+        self.expect_punct("{")
+        atoms: list[AtomicBehavior] = []
+        while self.at_keyword("atom"):
+            atoms.append(self.atom())
+        connectors: list[Connector] = []
+        while self.at_keyword("connector"):
+            connectors.append(self.connector())
+        priority = None
+        if self.at_keyword("priority"):
+            priority = self.priority()
+        self.expect_punct("}")
+        tok = self.peek()
+        if tok.kind != "eof":
+            self.fail(tok, f"trailing input after the system block: {tok.text!r}")
+        return SystemModel(
+            name=name_tok.text,
+            atoms=tuple(atoms),
+            connectors=tuple(connectors),
+            priority=priority,
+        )
+
+    def atom(self) -> AtomicBehavior:
+        kw = self.expect_keyword("atom")
+        name_tok = self.expect_name()
+        self.locations[f"atom:{name_tok.text}"] = (kw.line, kw.col)
+        self.expect_punct("{")
+        self.expect_keyword("ports")
+        port_toks = self.namelist()
+        self.expect_punct(";")
+        self.expect_keyword("states")
+        states: list[str] = []
+        init: str | None = None
+        while True:
+            st = self.expect_name()
+            states.append(st.text)
+            if self.at_keyword("init"):
+                mark = self.next()
+                if init is not None:
+                    raise DslError([DslDiagnostic(
+                        mark.line, mark.col,
+                        f"atom {name_tok.text!r} marks more than one init state")])
+                init = st.text
+            if self.peek().text != ",":
+                break
+            self.next()
+        self.expect_punct(";")
+        if init is None:
+            self.fail(name_tok, f"atom {name_tok.text!r} marks no state as init")
+        assert init is not None
+        transitions: list[Transition] = []
+        while self.at_keyword("trans"):
+            transitions.append(self.trans(name_tok.text, len(transitions) + 1))
+        self.expect_punct("}")
+        return AtomicBehavior(
+            name=name_tok.text,
+            states=tuple(states),
+            init=init,
+            ports=tuple(t.text for t in port_toks),
+            transitions=tuple(transitions),
+        )
+
+    def trans(self, atom: str, n: int) -> Transition:
+        """The atom's n-th transition, located as `validate` names it."""
+        kw = self.expect_keyword("trans")
+        src = self.expect_name()
+        self.expect_punct("-[")
+        label = self.namelist()
+        self.expect_punct("]->")
+        dst = self.expect_name()
+        self.expect_punct(";")
+        self.locations[f"atom:{atom} trans #{n} {src.text}->{dst.text}"] = (kw.line, kw.col)
+        return Transition(source=src.text, label=frozenset(t.text for t in label), target=dst.text)
+
+    def connector(self) -> Connector:
+        kw = self.expect_keyword("connector")
+        name_tok = self.expect_name()
+        self.locations[f"connector:{name_tok.text}"] = (kw.line, kw.col)
+        self.expect_punct("=")
+        term = self.acterm()
+        self.expect_punct(";")
+        return Connector(name=name_tok.text, term=term)
+
+    def acterm(self) -> AcTerm:
+        factors = [self.factor()]
+        while True:
+            tok = self.peek()
+            if (tok.kind == "name" and tok.text not in KEYWORDS) or tok.text == "[":
+                factors.append(self.factor())
+            else:
+                break
+        return fusion(factors)
+
+    def factor(self) -> Factor:
+        tok = self.peek()
+        if tok.text == "[":
+            self.next()
+            inner = self.acterm()
+            self.expect_punct("]")
+            trigger = self.peek().text == "'"
+            if trigger:
+                self.next()
+            return Factor(inner, trigger)
+        name = self.expect_name()
+        trigger = self.peek().text == "'"
+        if trigger:
+            self.next()
+        return Factor(PortLeaf(name.text), trigger)
+
+    def priority(self) -> MaximalProgress | ExplicitPairs:
+        kw = self.expect_keyword("priority")
+        self.locations["priority"] = (kw.line, kw.col)
+        if self.at_keyword("maximal_progress"):
+            self.next()
+            self.expect_punct(";")
+            return MaximalProgress()
+        pairs: list[tuple[frozenset[str], frozenset[str]]] = []
+        while self.peek().text == "{":
+            self.next()
+            low = frozenset(t.text for t in self.namelist())
+            self.expect_punct("}")
+            self.expect_punct("<")
+            self.expect_punct("{")
+            high = frozenset(t.text for t in self.namelist())
+            self.expect_punct("}")
+            pairs.append((low, high))
+        if not pairs:
+            self.fail(self.peek(), "expected 'maximal_progress' or at least one '{...} < {...}' pair")
+        self.expect_punct(";")
+        return ExplicitPairs(frozenset(pairs))
+
+
+def reference_parse(text):
+    """The DSL parser as first written, over `reference_lex`'s located
+    tokens: the model, or DslError with the first syntax error or every
+    validation diagnostic at its element's keyword."""
+    parser = _ReferenceParser([_Token(*t) for t in reference_lex(text)])
+    system = parser.system()
+    diags = validate(system)
+    if diags:
+        located = []
+        for d in diags:
+            key = d.location.replace(" ", ":", 1)
+            line, col = parser.locations.get(key, (0, 0))
+            located.append(DslDiagnostic(line, col, str(d)))
+        raise DslError(located)
+    return system

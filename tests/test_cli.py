@@ -143,3 +143,18 @@ class TestUsageErrors:
     def test_zero_steps(self, model_file):
         assert main(["bench", "bus", "--n", "1", "--steps", "0",
                      "--seed", "0", "--out", "/dev/null"]) == EXIT_DIAGNOSTICS
+
+    def test_negative_run_steps(self, model_file, capsys):
+        assert main(["run", model_file, "--steps", "-3"]) == EXIT_DIAGNOSTICS
+        captured = capsys.readouterr()
+        assert "usage: portsync run" in captured.err
+        assert "argument --steps: must be at least 0, not -3" in captured.err
+        assert "completed" not in captured.out
+
+    @pytest.mark.parametrize("bound", ["0", "-2"])
+    def test_check_bound_below_one(self, model_file, capsys, bound):
+        assert main(["check", model_file, "--bound", bound]) == EXIT_DIAGNOSTICS
+        captured = capsys.readouterr()
+        assert "usage: portsync check" in captured.err
+        assert f"argument --bound: must be at least 1, not {bound}" in captured.err
+        assert captured.out == ""

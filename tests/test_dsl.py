@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from portsync.dsl import (
+    KEYWORDS,
     DslError,
     FILE_EXTENSION,
     _lex,
@@ -13,9 +14,9 @@ from portsync.dsl import (
     serialize,
 )
 from portsync.generators import gen_bus, gen_tasks, modulo8, random_system
-from portsync.model import ExplicitPairs, MaximalProgress
+from portsync.model import ExplicitPairs, MaximalProgress, SystemModel, effective_pairs
 
-from oracles import reference_lex
+from oracles import reference_lex, reference_parse
 
 
 SMALL = """
@@ -166,3 +167,83 @@ def test_lexer_matches_the_reference_on_models():
              SMALL + "# no newline at the end", "a\u00b2 \u00b2a \u00e9t\u00e9 _x", "x\r\n  -", "] ]-> ]-[ -[ -x"]
     for text in texts:
         assert _tokens_or_error(_lex, text) == _tokens_or_error(reference_lex, text)
+
+
+def _model_or_diagnostics(parse_text, text):
+    try:
+        return parse_text(text)
+    except DslError as exc:
+        return [(d.line, d.col, d.message) for d in exc.diagnostics]
+
+
+def _pairs_text():
+    tasks = gen_tasks(2, 1)
+    return serialize(SystemModel(tasks.name, tasks.atoms, tasks.connectors,
+                                 ExplicitPairs(effective_pairs(tasks.priority, tasks.gamma))))
+
+
+_PARITY_TEXTS = [SMALL, serialize(modulo8()), serialize(gen_tasks(2, 2)), serialize(gen_bus(2)), _pairs_text()]
+_PUNCT_MARKS = ["-[", "]->", "{", "}", "[", "]", ";", ",", "'", "=", "<"]
+
+
+@st.composite
+def _mutated_texts(draw):
+    """A parity text with one to three token-level edits: a token dropped,
+    doubled, swapped with another, or replaced by a keyword, a punctuation
+    mark, a stray character or a name of the text."""
+    text = draw(st.sampled_from(_PARITY_TEXTS))
+    rows = text.split("\n")
+    offsets = [sum(len(r) + 1 for r in rows[:line - 1]) + col - 1 for _, _, line, col in reference_lex(text)[:-1]]
+    tokens = [tok for _, tok, _, _ in reference_lex(text)[:-1]]
+    names = sorted({t for t in tokens if t[0].isalpha()})
+    pieces = list(tokens)
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(tokens) - 1))
+        edit = draw(st.sampled_from(["drop", "double", "swap", "replace"]))
+        if edit == "drop":
+            pieces[k] = ""
+        elif edit == "double":
+            pieces[k] = pieces[k] + " " + pieces[k]
+        elif edit == "swap":
+            j = draw(st.integers(0, len(tokens) - 1))
+            pieces[k], pieces[j] = pieces[j], pieces[k]
+        else:
+            pieces[k] = draw(st.sampled_from(sorted(KEYWORDS)) | st.sampled_from(_PUNCT_MARKS)
+                             | st.sampled_from(["-", "$", "0", "\u00b2", "#", "\n"]) | st.sampled_from(names))
+    out, end = [], 0
+    for start, tok, piece in zip(offsets, tokens, pieces):
+        out += [text[end:start], piece]
+        end = start + len(tok)
+    return "".join(out) + text[end:]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_texts())
+def test_parser_matches_the_reference(text):
+    # the same model, or the same diagnostics at the same line:col
+    assert _model_or_diagnostics(parse, text) == _model_or_diagnostics(reference_parse, text)
+
+
+def test_parser_matches_the_reference_on_chosen_errors():
+    syntax = [SMALL.replace("off init, on", "off init, on init"), SMALL.replace(" init", ""),
+              SMALL.replace("ports go;", "ports go$;"), SMALL.rsplit("}", 1)[0] + "  # cut short",
+              SMALL.replace("= go;", "= [go ;"), SMALL.replace("trans on", "trans on on")]
+    for text in syntax:
+        expected = _model_or_diagnostics(reference_parse, text)
+        assert len(expected) == 1 and expected[0][0] > 1
+        assert _model_or_diagnostics(parse, text) == expected
+    # each text parses but fails validation: every diagnostic sits at the
+    # keyword of the element it names, or at 0:0 for the system
+    bad = [SMALL.replace("atom A", "atom A {\n ports x; states s init; }\n atom A"),
+           SMALL.replace("= go;", "= stop;\n  connector c = go;"),
+           SMALL.replace("trans on -[ go ]-> off;", "trans on -[ go ]-> nowhere;\n    trans on -[ go ]-> nowhere;"),
+           SMALL.replace("states off init, on;", "states off init, off;"),
+           serialize(gen_bus(2)).replace("c1_2", "c1_1"),
+           _pairs_text().replace("< { b1_1, go1, p1_2 }", "< { b1_1, zz }"),
+           SMALL.replace("connector c = go;", "connector c = go;\n  priority { go } < { go };")]
+    for text in bad:
+        expected = _model_or_diagnostics(reference_parse, text)
+        assert isinstance(expected, list) and all(line > 0 for line, _, _ in expected[:1])
+        assert _model_or_diagnostics(parse, text) == expected
+    for text in _PARITY_TEXTS:
+        assert parse(text) == reference_parse(text)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from portsync.connectors import PortLeaf, Factor, Fusion
+from portsync.connectors import PortLeaf, Factor, Fusion, fusion, interactions_of
 from portsync.model import (
     AtomicBehavior,
     Connector,
@@ -32,7 +32,7 @@ from portsync.equivalence import check_equivalence
 from portsync.generators import gen_bus, gen_tasks, modulo8, random_system
 from portsync.symbolic import SymbolicEngine
 
-from oracles import _oracle_pairs, all_states, oracle_enabled, oracle_successors, oracle_survivors
+from oracles import _oracle_pairs, all_states, hub_system, oracle_enabled, oracle_successors, oracle_survivors
 
 
 def fz(*names):
@@ -331,3 +331,43 @@ def test_one_validation_per_model(monkeypatch):
     assert len(calls) == 1
     with pytest.raises(ValidationError):
         EnumEngine(_invalid())
+
+
+def _shared_templates():
+    # c1/c2 and c3/c4 each share a template but list their ports in
+    # another order; c3 and c4 repeat a port, c5 repeats one on its own
+    def term(*factors):
+        return fusion(Factor(t if isinstance(t, Fusion) else PortLeaf(t), mark) for t, mark in factors)
+
+    atoms = tuple(AtomicBehavior(name, ("s",), "s", (p,), (Transition("s", fz(p), "s"),))
+                  for name, p in (("A", "p"), ("B", "q"), ("C", "r")))
+    qp, rp = term(("q", False), ("p", False)), term(("r", False), ("p", False))
+    connectors = (Connector("c1", term(("p", True), ("q", False))), Connector("c2", term(("q", True), ("p", False))),
+                  Connector("c3", term(("p", True), (qp, False))), Connector("c4", term(("r", True), (term(("p", False), ("r", False)), False))),
+                  Connector("c5", term(("q", True), (rp, True), ("q", False))))
+    return SystemModel("shared", atoms, connectors, MaximalProgress())
+
+
+def test_gamma_is_the_union_of_the_connectors_interactions():
+    shared = _shared_templates()
+    c1, c2, c3, c4, _ = shared.connectors
+    assert c1.template[0] == c2.template[0] and c1.template[1] == ("p", "q") and c2.template[1] == ("q", "p")
+    assert c3.template[0] == c4.template[0] and c3.template[1] == ("p", "q") and c4.template[1] == ("r", "p")
+    tasks = gen_tasks(8, 2)
+    pairs = SystemModel(tasks.name, tasks.atoms, tasks.connectors, ExplicitPairs(effective_pairs(tasks.priority, tasks.gamma)))
+    systems = [modulo8(), *map(gen_bus, (2, 3, 16)), gen_tasks(3, 2), gen_tasks(8, 4), pairs,
+               *map(hub_system, range(40)), *map(random_system, range(60)), shared]
+    for sysm in systems:
+        assert sysm.gamma == frozenset(a for c in sysm.connectors for a in interactions_of(c.term) if a), sysm.name
+    assert shared.gamma == {fz("p"), fz("q"), fz("r"), fz("p", "q"), fz("p", "r"), fz("p", "q", "r")}
+
+
+def test_interactions_run_once_per_template(monkeypatch):
+    calls = []
+    monkeypatch.setattr(model, "interactions_of", lambda term: calls.append(term) or interactions_of(term))
+    sysm = gen_tasks(8, 4)
+    # its two connector kinds, [b go]' p and [f halt]' r, share one template
+    assert len(sysm.gamma) == 512 and len(sysm.connectors) == 448
+    assert len({c.template[0] for c in sysm.connectors}) == len(calls) == 1
+    calls.clear()
+    assert len(_shared_templates().gamma) == 6 and len(calls) == 3
