@@ -18,10 +18,11 @@ from .model import (
     GlobalState,
     SystemModel,
     ValidationError,
+    _advance,
+    _moves,
     sorted_interactions,
     validate,
 )
-from .model import step as fire
 
 
 class EnumEngine(Engine):
@@ -32,6 +33,7 @@ class EnumEngine(Engine):
         self.system = system
         self.seed = seed
         self.pool: tuple[Interaction, ...] = sorted_interactions(system.gamma)
+        self._index = {a: i for i, a in enumerate(self.pool)}
         self.reset()
         self._labels = [atom.labels_from for atom in system.atoms]
         # participation plans: which atom must take which exact label
@@ -69,11 +71,12 @@ class EnumEngine(Engine):
         return frozenset(out)
 
     def step(self) -> Optional[tuple[Interaction, GlobalState]]:
-        """Fire one surviving interaction; None signals deadlock."""
-        survivors = sorted_interactions(self.survivors())
+        """Fire one surviving interaction; None signals deadlock.  A survivor
+        is enabled, so it fires without `model.step`'s check."""
+        survivors = sorted(self.survivors(), key=self._index.__getitem__)  # in pool order
         if not survivors:
             return None
         a = self._rng.choice(survivors)
-        self.state = fire(self.system, self.state, a, self._rng)
+        self.state = _advance(self.state, _moves(self.system, self.state, a), self._rng)
         self.steps_taken += 1
         return a, self.state

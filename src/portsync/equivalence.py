@@ -2,9 +2,11 @@
 
 Walks the reachable state space (`model.walk`, a bounded BFS) and
 compares, at every visited state, the survivor set computed by the
-enumerative engine with the one read off the symbolic encoding.
-Exploration follows the union of both answers so a divergence in either
-direction is still expanded.
+enumerative engine with the one read off the symbolic encoding, when
+the walk calls `expand`; the successors are built lazily, so none is
+built past the bound.  Exploration follows the enumerative set, plus on
+a divergence every symbolic survivor that is an enabled pool
+interaction, so a divergence in either direction is still expanded.
 
 An explicitly supplied encoding is compared as-is; that is the hook for
 the corrupted-encoding negative control in the tests.
@@ -13,11 +15,11 @@ the corrupted-encoding negative control in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterable, Optional
 
 from .connectors import Interaction
 from .enumerative import EnumEngine
-from .model import GlobalState, SystemModel, successors, walk
+from .model import GlobalState, SystemModel, act, successors, walk
 from .symbolic import SystemEncoding, build
 
 
@@ -61,15 +63,15 @@ def check_equivalence(
     enc = encoding if encoding is not None else build(system)
     report = EquivalenceReport(system_name=system.name, states_checked=0, truncated=False)
 
-    def expand(state: GlobalState) -> Iterator[GlobalState]:
+    def expand(state: GlobalState) -> Iterable[GlobalState]:
         report.states_checked += 1
-        from_enum = enum_engine.survivors(state)
+        fire = from_enum = enum_engine.survivors(state)
         from_symbolic = enc.survivors(state)
         if from_enum != from_symbolic:
             report.divergences.append(Divergence(state, from_enum, from_symbolic))
-        for a in from_enum | from_symbolic:
-            if a in system.gamma:  # never the empty interaction
-                yield from successors(system, state, a)
+            # the pool never holds the empty interaction
+            fire = from_enum | {a for a in from_symbolic if a in system.gamma and act(system, state, a)}
+        return (t for a in fire for t in successors(system, state, a))
 
     report.truncated = walk(system, bound, expand).truncated
     return report

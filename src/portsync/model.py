@@ -469,20 +469,24 @@ class ReachableSet:
 
 def walk(system: SystemModel, bound: int, expand: Callable[[GlobalState], Iterable[GlobalState]]) -> ReachableSet:
     """Breadth-first walk from the initial state over `expand`, which
-    yields a state's successors.  Past `bound` states no new state is
-    taken (the set is truncated), but the states already queued are
-    still expanded."""
+    returns a state's successors.  Past `bound` states no new state is
+    taken (the set is truncated).  `expand` is called for every queued
+    state, but its successors are read only until the walk truncates (a
+    generator's side effects past that point are lost)."""
     init = system.initial_state()
     seen: set[GlobalState] = {init}
     queue: deque[GlobalState] = deque((init,))
     truncated = False
     while queue:
-        for t in expand(queue.popleft()):
+        nexts = expand(queue.popleft())
+        if truncated:  # no state can change the set any more
+            continue
+        for t in nexts:
             if t in seen:
                 continue
             if len(seen) >= bound:
                 truncated = True
-                continue
+                break
             seen.add(t)
             queue.append(t)
     return ReachableSet(frozenset(seen), truncated)

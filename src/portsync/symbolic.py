@@ -74,7 +74,9 @@ variable, shifted right by the variables outside those ports), all
 filled on the miss.  The tables hold at most the sum of the classes'
 local state spaces up to the orbits' permutations, not their product.
 `survivors` (which `check` reads) and the step read the same entries,
-and enter `survivor_fn` only on a miss.  The engine keeps each
+and enter `survivor_fn` only on a miss.  The first `survivors` to read
+an entry keeps its models in it, for each group of the class to
+translate; the step never reads them.  The engine keeps each
 component's group entries from its last step; a fired interaction lies
 in the drawn component's ports, so the next step re-reads only that
 component's groups.  A step draws a live component (one with a live
@@ -328,7 +330,7 @@ class SystemEncoding:
     orient: Optional[Callable[[GlobalState], list[int]]] = field(default=None, repr=False, compare=False)
     own: Optional[dict[str, str]] = field(default=None, repr=False, compare=False)
     # key -> [survivor function, whether it has a survivor, its number of
-    # survivors over our ports]
+    # survivors over our ports, and once `Component.survivors` reads it its models]
     survivor_table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # f_B, f_S and the whole system's own functions are read by no step:
@@ -476,11 +478,14 @@ class Component:
         return out
 
     def survivors(self, state: GlobalState) -> list[Interaction]:
-        """Each group's models at its class entry, translated onto its ports."""
+        """Each group's models at its class entry, listed over the
+        representative's ports on the first read, translated onto its ports."""
         out: list[Interaction] = []
         for g, e in zip(self.groups, self.entries(state)):
+            if len(e) < 4:
+                e.append(list(self.manager.iter_models(e[0], g.representative.port_names)))
             perm = g.orient and g.orient(state)
-            out += (g.translate(m, perm) for m in self.manager.iter_models(e[0], g.representative.port_names))
+            out += (g.translate(m, perm) for m in e[3])
         return out
 
     def pick(self, state: GlobalState, entries: list[list], rng) -> Interaction:

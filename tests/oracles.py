@@ -12,12 +12,14 @@ groups, which the random generator almost never makes, and
 `moved_trigger` makes one of several isomorphic clusters differ from the
 others in one connector; the engine never builds a component's survivor
 function, which `joined_survivor_fn` builds from its groups' models.
-`reference_lex` is the DSL lexer as first written, one character at a
-time, and `reference_parse` the parser as first written, over its
-located tokens.
+`reference_walk` is the breadth-first walk as first written, which reads
+every successor also past its bound.  `reference_lex` is the DSL lexer
+as first written, one character at a time, and `reference_parse` the
+parser as first written, over its located tokens.
 """
 
 import random
+from collections import deque
 from itertools import product
 from typing import NamedTuple
 
@@ -25,7 +27,7 @@ from portsync.causal import causal_rules, rules_to_formula, tau
 from portsync.dsl import KEYWORDS, DslDiagnostic, DslError
 from portsync.connectors import AcTerm, Factor, Fusion, PortLeaf, fusion, interaction_key, interactions_of, support as term_support
 from portsync.generators import random_monomial_term
-from portsync.model import AtomicBehavior, Connector, ExplicitPairs, MaximalProgress, SystemModel, Transition, validate
+from portsync.model import AtomicBehavior, Connector, ExplicitPairs, MaximalProgress, ReachableSet, SystemModel, Transition, validate
 from portsync.symbolic import Component, _expr_bdd, prime, union_join
 
 
@@ -98,6 +100,23 @@ def oracle_survivors(system, state):
             low == a and oracle_act(system, state, high) for (low, high) in pairs
         )
     }
+
+
+def reference_walk(system, bound, expand):
+    """`model.walk` as first written: it reads every successor of every
+    queued state, also after the set is truncated."""
+    init = system.initial_state()
+    seen, queue, truncated = {init}, deque([init]), False
+    while queue:
+        for t in expand(queue.popleft()):
+            if t in seen:
+                continue
+            if len(seen) >= bound:
+                truncated = True
+                continue
+            seen.add(t)
+            queue.append(t)
+    return ReachableSet(frozenset(seen), truncated)
 
 
 def evaluate(f, assignment):

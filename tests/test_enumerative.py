@@ -1,8 +1,9 @@
 """Enumerative engine: pool scanning, costs, traces."""
 
+from portsync import model
 from portsync.enumerative import EnumEngine
-from portsync.generators import gen_bus, modulo8
-from portsync.model import survivors
+from portsync.generators import gen_bus, gen_tasks, modulo8, random_system
+from portsync.model import sorted_interactions, survivors
 
 
 def test_pool_is_sorted_gamma(mod8):
@@ -79,3 +80,30 @@ def test_deadlock_stops_run(deadlock_system):
     assert tr.deadlocked
     assert len(tr) == 1
     assert eng.step() is None
+
+
+class _SortingEngine(EnumEngine):
+    """The step as first written: the survivors re-sorted by
+    `interaction_key`, fired through `model.step`."""
+
+    def step(self):
+        ordered = sorted_interactions(self.survivors())
+        if not ordered:
+            return None
+        a = self._rng.choice(ordered)
+        self.state = model.step(self.system, self.state, a, self._rng)
+        self.steps_taken += 1
+        return a, self.state
+
+
+def test_step_draws_in_pool_order_without_the_pool_check(monkeypatch):
+    # the survivors in pool order are the sorted survivors, and a survivor
+    # moves its owners as `model.step` would, without its re-check
+    systems = [modulo8(), gen_bus(2), gen_tasks(3, 2), *map(random_system, range(30))]
+    def traces(engine):
+        return [(t.steps, t.deadlocked) for t in (engine(s, seed=seed).run(150) for s in systems for seed in (1, 2))]
+
+    want = traces(_SortingEngine)
+    monkeypatch.setattr(model, "_enabled_moves", None)  # the check `model.step` makes
+    assert traces(EnumEngine) == want
+    assert sum(len(steps) for steps, _ in want) > 4000

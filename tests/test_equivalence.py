@@ -2,12 +2,13 @@
 
 import random
 
+from portsync import equivalence
 from portsync.equivalence import check_equivalence
 from portsync.generators import gen_bus, gen_tasks, modulo8, random_system
-from portsync.model import ExplicitPairs, SystemModel, reachable
+from portsync.model import ExplicitPairs, SystemModel, act, reachable, successors, survivors
 from portsync.symbolic import build
 
-from oracles import moved_trigger
+from oracles import moved_trigger, reference_walk
 
 
 def test_modulo8_equivalent(mod8):
@@ -46,6 +47,68 @@ def test_corrupted_encoding_reports_divergence(mod8):
     d = report.divergences[0]
     assert d.enum_survivors != d.symbolic_survivors
     assert "divergence" in report.summary()
+
+
+def _over_reporting(sysm):
+    """An encoding of sysm whose first representative's atoms offer every
+    label at every state: its class reports survivors that are not enabled."""
+    enc = build(sysm)
+    rep = enc.components[0].groups[0].representative
+    rep.local_behavior = tuple({s: enc.manager.true for s in local} for local in rep.local_behavior)
+    return enc
+
+
+def test_over_reporting_encoding_reports_divergence():
+    # a symbolic survivor that is not enabled is reported, and not fired
+    for sysm in (modulo8(), gen_bus(2)):
+        report = check_equivalence(sysm, encoding=_over_reporting(sysm))
+        assert not report.equivalent and report.states_checked == len(reachable(sysm).states)
+        extra = [(d.state, a) for d in report.divergences for a in d.symbolic_survivors - d.enum_survivors]
+        assert extra and any(not act(sysm, s, a) for s, a in extra)
+        assert all(d.symbolic_survivors - d.enum_survivors for d in report.divergences)
+        assert "divergence" in report.summary()
+
+
+def _diverging_at(sysm, states):
+    """An encoding of sysm whose survivor sets are empty at `states`."""
+    enc = build(sysm)
+    read = enc.survivors
+    enc.survivors = lambda state: frozenset() if state in states else read(state)
+    return enc
+
+
+def test_divergence_past_truncation_is_reported():
+    # bus2's initial state has more successors than the bound leaves room
+    # for, so the walk truncates while expanding it; the only other state
+    # taken is expanded after that, and its divergence is still reported
+    sysm = gen_bus(2)
+    init = sysm.initial_state()
+    assert len({t for a in survivors(sysm, init) for t in successors(sysm, init, a)} - {init}) >= 2
+    report = check_equivalence(sysm, bound=2, encoding=_diverging_at(sysm, set(reachable(sysm).states) - {init}))
+    assert report.truncated and report.states_checked == 2
+    (d,) = report.divergences
+    assert d.state != init and d.symbolic_survivors == frozenset() < d.enum_survivors
+
+
+def test_check_matches_the_reference_walk(monkeypatch):
+    # the check builds no successor past the bound: its reports equal those
+    # of the walk that reads every successor, also where encodings diverge
+    bus3 = gen_bus(3)
+    cases = [(modulo8(), None), (bus3, None), (gen_tasks(3, 2), None), (gen_tasks(4, 2), None),
+             *((random_system(seed), None) for seed in range(30)),
+             (modulo8(), _over_reporting(modulo8())), (gen_bus(2), _over_reporting(gen_bus(2))),
+             (bus3, _diverging_at(bus3, set(sorted(reachable(bus3, bound=3000).states)[::7])))]
+    diverging = 0
+    for sysm, enc in cases:
+        for bound in (1, 2, 5, 30, 300, 10**5):
+            got = check_equivalence(sysm, bound=bound, encoding=enc)
+            with monkeypatch.context() as m:
+                m.setattr(equivalence, "walk", reference_walk)
+                want = check_equivalence(sysm, bound=bound, encoding=enc)
+            assert (got.states_checked, got.truncated, got.divergences) == \
+                (want.states_checked, want.truncated, want.divergences), (sysm.name, bound)
+            diverging += len(got.divergences)
+    assert diverging > 100
 
 
 def _without(sysm, name):

@@ -24,6 +24,7 @@ from portsync.model import (
     successors,
     survivors,
     validate,
+    walk,
 )
 from portsync import model
 from portsync.dsl import parse, serialize
@@ -32,7 +33,7 @@ from portsync.equivalence import check_equivalence
 from portsync.generators import gen_bus, gen_tasks, modulo8, random_system
 from portsync.symbolic import SymbolicEngine
 
-from oracles import _oracle_pairs, all_states, hub_system, oracle_enabled, oracle_successors, oracle_survivors
+from oracles import _oracle_pairs, all_states, hub_system, oracle_enabled, oracle_successors, oracle_survivors, reference_walk
 
 
 def fz(*names):
@@ -371,3 +372,26 @@ def test_interactions_run_once_per_template(monkeypatch):
     assert len({c.template[0] for c in sysm.connectors}) == len(calls) == 1
     calls.clear()
     assert len(_shared_templates().gamma) == 6 and len(calls) == 3
+
+
+def test_walk_matches_the_reference_walk():
+    # once it has refused a new state the walk reads no successor, yet it
+    # expands the same states in the same order and gives the same set and
+    # flag as the walk that reads them all
+    systems = [modulo8(), gen_bus(3), gen_tasks(3, 2), *map(random_system, range(100))]
+    truncated = saved = 0
+    for sysm in systems:
+        def expand(state, calls, drawn):
+            calls.append(state)  # when called, not when read
+            return (drawn.append(t) or t for a in survivors(sysm, state) for t in successors(sysm, state, a))
+
+        for bound in (1, 2, 5, 30, 10**5):
+            calls, drawn, ref_calls, ref_drawn = [], [], [], []
+            got = walk(sysm, bound, lambda s: expand(s, calls, drawn))
+            want = reference_walk(sysm, bound, lambda s: expand(s, ref_calls, ref_drawn))
+            assert got == want, (sysm.name, bound)
+            assert calls == ref_calls and len(calls) == len(got.states)
+            assert drawn == ref_drawn[:len(drawn)]
+            truncated += got.truncated
+            saved += len(ref_drawn) - len(drawn)
+    assert truncated > 30 and saved > 0

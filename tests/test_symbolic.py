@@ -1028,3 +1028,22 @@ def test_symbolic_steps_never_enumerate_the_pool():
         trace = SymbolicEngine(sysm, seed=3).run(500)
         assert len(trace) == 500
         assert "gamma" not in sysm.__dict__
+
+
+def test_survivors_list_each_class_entry_once(monkeypatch):
+    # `Component.survivors` keeps an entry's models in it, over the
+    # representative's ports: however many states and groups read an
+    # entry, it is enumerated once, and the step, which picks, enumerates none
+    for sysm in (gen_bus(3), gen_tasks(3, 2), _pairs_written_out(gen_bus(3))):
+        enc = build(sysm)
+        listed = []
+        iter_models = enc.manager.iter_models
+        monkeypatch.setattr(enc.manager, "iter_models", lambda f, names: listed.append(f) or iter_models(f, names))
+        report = check_equivalence(sysm, encoding=enc)
+        reps = {id(g.representative): g.representative for g in port_groups_of(enc)}.values()
+        entries = [(rep, e) for rep in reps for e in rep.survivor_table.values()]
+        assert report.equivalent and len(listed) == len(entries) < report.states_checked
+        assert all(e[3] == list(iter_models(e[0], rep.port_names)) for rep, e in entries)
+        engine = SymbolicEngine(sysm, seed=3)
+        monkeypatch.setattr(engine.encoding.manager, "iter_models", None)
+        assert len(engine.run(200)) == 200
