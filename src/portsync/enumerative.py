@@ -6,6 +6,11 @@ the active set, and picks one survivor uniformly with the engine's own
 seeded generator.  The scan is deliberately linear in the pool size --
 this engine is the baseline the symbolic one is measured against -- and
 `activity_checks` counts the scans so tests can pin that cost down.
+
+The filter reads a dominator that belongs to the pool from the scan's
+active set; only a dominator outside the pool, which explicit pairs can
+list, is probed through its participation plan.  `priority_checks`
+still counts one probe per dominator of each active interaction.
 """
 
 from __future__ import annotations
@@ -38,8 +43,18 @@ class EnumEngine(Engine):
         self._labels = [atom.labels_from for atom in system.atoms]
         # participation plans: which atom must take which exact label
         self._plans = [system.shares(a) for a in self.pool]
-        dominators = system.dominators
-        self._dominators = {a: tuple(map(system.shares, dominators.get(a, ()))) for a in self.pool}
+        # per pool interaction: its number of dominators, the pool indices
+        # of those in the pool and the plans of those outside it
+        dominators, index = system.dominators, self._index
+        self._dominators = []
+        for a in self.pool:
+            doms = dominators.get(a)
+            if doms is None:
+                self._dominators.append((0, (), ()))
+                continue
+            inside = tuple(index[b] for b in doms if b in index)
+            outside = tuple(system.shares(b) for b in doms if b not in index) if len(inside) < len(doms) else ()
+            self._dominators.append((len(doms), inside, outside))
 
     def _active(self, plan: tuple[tuple[int, Interaction], ...], state: GlobalState) -> bool:
         labels = self._labels
@@ -53,21 +68,30 @@ class EnumEngine(Engine):
     def survivors(self, state: Optional[GlobalState] = None) -> frozenset[Interaction]:
         """Active pool interactions not dominated by an active one.
 
-        Scans the whole pool; there is no state-indexed shortcut.
+        Scans the whole pool; there is no state-indexed shortcut.  A
+        dominator in the pool is read from the scan's active set, one
+        outside it is probed through its plan; `priority_checks` counts
+        every dominator of each active interaction either way.
+        ValueError on a state of the wrong arity.
         """
-        st = self.state if state is None else state
+        if state is None:
+            st = self.state
+        elif len(state) != len(self._labels):
+            raise ValueError("state arity does not match the number of atoms")
+        else:
+            st = state
         active = self._active
-        enabled: list[Interaction] = []
         self.activity_checks += len(self.pool)
-        for a, plan in zip(self.pool, self._plans):
-            if active(plan, st):
-                enabled.append(a)
+        enabled = [i for i, plan in enumerate(self._plans) if active(plan, st)]
+        isdisjoint, pool, dominators = set(enabled).isdisjoint, self.pool, self._dominators
         out = []
-        for a in enabled:
-            doms = self._dominators[a]
-            self.priority_checks += len(doms)
-            if not any(active(p, st) for p in doms):
-                out.append(a)
+        checks = 0
+        for i in enabled:
+            n, inside, outside = dominators[i]
+            checks += n
+            if isdisjoint(inside) and not (outside and any(active(p, st) for p in outside)):
+                out.append(pool[i])
+        self.priority_checks += checks
         return frozenset(out)
 
     def step(self) -> Optional[tuple[Interaction, GlobalState]]:

@@ -439,7 +439,10 @@ class SystemEncoding:
         return len(self.manager.variables) - len(self.port_names)
 
     def survivors(self, state: GlobalState) -> frozenset[Interaction]:
-        """The union of the components' survivor sets."""
+        """The union of the components' survivor sets; ValueError on a
+        state of the wrong arity."""
+        if len(state) != len(self.system.atoms):
+            raise ValueError("state arity does not match the number of atoms")
         return frozenset(a for c in self.components for a in c.survivors(state))
 
     @cached_property

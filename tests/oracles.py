@@ -10,10 +10,13 @@ the kernel operations that only tests need (`evaluate`, `support`, and
 seeded system family (`hub_system`) gives components of several port
 groups, which the random generator almost never makes, and
 `moved_trigger` makes one of several isomorphic clusters differ from the
-others in one connector; the engine never builds a component's survivor
+others in one connector, and `with_outside_dominator` lists a dominator
+that no connector offers; the engine never builds a component's survivor
 function, which `joined_survivor_fn` builds from its groups' models.
 `reference_walk` is the breadth-first walk as first written, which reads
-every successor also past its bound.  `reference_lex` is the DSL lexer
+every successor also past its bound.  `reference_enum_survivors` is the
+enumerative engine's priority filter as first written, which probes
+every dominator's participation plan.  `reference_lex` is the DSL lexer
 as first written, one character at a time, and `reference_parse` the
 parser as first written, over its located tokens.
 """
@@ -26,8 +29,8 @@ from typing import NamedTuple
 from portsync.causal import causal_rules, rules_to_formula, tau
 from portsync.dsl import KEYWORDS, DslDiagnostic, DslError
 from portsync.connectors import AcTerm, Factor, Fusion, PortLeaf, fusion, interaction_key, interactions_of, support as term_support
-from portsync.generators import random_monomial_term
-from portsync.model import AtomicBehavior, Connector, ExplicitPairs, MaximalProgress, ReachableSet, SystemModel, Transition, validate
+from portsync.generators import random_monomial_term, random_system
+from portsync.model import AtomicBehavior, Connector, ExplicitPairs, MaximalProgress, ReachableSet, SystemModel, Transition, effective_pairs, validate
 from portsync.symbolic import Component, _expr_bdd, prime, union_join
 
 
@@ -119,6 +122,25 @@ def reference_walk(system, bound, expand):
     return ReachableSet(frozenset(seen), truncated)
 
 
+def reference_enum_survivors(system, state):
+    """`EnumEngine.survivors` as first written: scan the pool, then probe
+    the participation plan of every dominator of each active interaction.
+    Returns the survivors and what the scan and the probes add to
+    `activity_checks` and `priority_checks`."""
+    labels = [atom.labels_from for atom in system.atoms]
+
+    def active(a):
+        return all(label in labels[i][state[i]] for i, label in system.shares(a))
+
+    out, probes = set(), 0
+    for a in filter(active, system.gamma):
+        doms = system.dominators.get(a, ())
+        probes += len(doms)
+        if not any(map(active, doms)):
+            out.add(a)
+    return frozenset(out), len(system.gamma), probes
+
+
 def evaluate(f, assignment):
     """Follow f's path for `assignment`; missing variables read as false."""
     mgr, u = f.manager, f.node
@@ -180,6 +202,25 @@ def moved_trigger(system, name):
 
     return SystemModel(system.name, system.atoms, tuple(Connector(c.name, moved(c.term)) if c.name == name else c
                                                         for c in system.connectors), system.priority)
+
+
+def pairs_written_out(system):
+    """`system` with its priority written out as the explicit pairs it
+    stands for."""
+    return SystemModel(system.name, system.atoms, system.connectors, ExplicitPairs(effective_pairs(system.priority, system.gamma)))
+
+
+def with_outside_dominator(seed):
+    """`random_system(seed)` with one more explicit pair whose dominator is
+    a label of some atom that no connector offers, and that pair; None
+    where the system has no explicit pairs or no such label."""
+    sysm = random_system(seed)
+    outside = sorted({t.label for atom in sysm.atoms for t in atom.transitions} - sysm.gamma, key=sorted)
+    if not isinstance(sysm.priority, ExplicitPairs) or not outside:
+        return None
+    rng = random.Random(seed)
+    pair = (rng.choice(sorted(sysm.gamma, key=sorted)), rng.choice(outside))
+    return SystemModel(sysm.name, sysm.atoms, sysm.connectors, ExplicitPairs(sysm.priority.pairs | {pair})), pair
 
 
 def bdd_table(mgr, f, names):

@@ -1,9 +1,14 @@
 """Enumerative engine: pool scanning, costs, traces."""
 
+import pytest
+
 from portsync import model
 from portsync.enumerative import EnumEngine
 from portsync.generators import gen_bus, gen_tasks, modulo8, random_system
-from portsync.model import sorted_interactions, survivors
+from portsync.model import MaximalProgress, reachable, sorted_interactions, survivors
+from portsync.symbolic import build
+
+from oracles import oracle_act, pairs_written_out, reference_enum_survivors, with_outside_dominator
 
 
 def test_pool_is_sorted_gamma(mod8):
@@ -107,3 +112,63 @@ def test_step_draws_in_pool_order_without_the_pool_check(monkeypatch):
     monkeypatch.setattr(model, "_enabled_moves", None)  # the check `model.step` makes
     assert traces(EnumEngine) == want
     assert sum(len(steps) for steps, _ in want) > 4000
+
+
+def test_survivors_and_counters_match_the_filter_as_first_written():
+    # the filter reads in-pool dominators from the scan and still counts
+    # one probe per dominator of each active interaction
+    randoms = [random_system(seed) for seed in range(200)]
+    outside = [v for v in map(with_outside_dominator, range(200)) if v is not None]
+    systems = [modulo8(), gen_bus(3), gen_tasks(3, 2), pairs_written_out(gen_tasks(3, 2)), *randoms, *(s for s, _ in outside)]
+    assert len(outside) >= 10
+    states = 0
+    for sysm in systems:
+        eng = EnumEngine(sysm)
+        for state in reachable(sysm, bound=2000).states:
+            before = eng.activity_checks, eng.priority_checks
+            got = eng.survivors(state)
+            assert (got, eng.activity_checks - before[0], eng.priority_checks - before[1]) == reference_enum_survivors(sysm, state)
+            states += 1
+    assert states > 2000
+    # some state has an active interaction whose added dominator outside
+    # the pool is active too, so that dominator decides its exclusion
+    assert any(oracle_act(s, st, lo) and oracle_act(s, st, hi)
+               for s, (lo, hi) in outside for st in reachable(s, bound=2000).states)
+
+
+def test_survivors_probe_only_the_dominators_outside_the_pool(monkeypatch):
+    # the scan runs `_active` once per pool interaction; a dominator in the
+    # pool is read from the scan, so under maximal progress nothing more runs
+    calls = []
+    real = EnumEngine._active
+    monkeypatch.setattr(EnumEngine, "_active", lambda self, plan, state: calls.append(plan) or real(self, plan, state))
+    maxprog = [modulo8(), gen_bus(3), gen_tasks(3, 2)]
+    assert all(isinstance(s.priority, MaximalProgress) for s in maxprog)
+    systems = maxprog + [pairs_written_out(gen_tasks(3, 2))] + [s for s, _ in filter(None, map(with_outside_dominator, range(200)))]
+    extra = []
+    for sysm in systems:
+        eng = EnumEngine(sysm)
+        outside = {sysm.shares(b) for doms in sysm.dominators.values() for b in doms if b not in eng._index}
+        probes = 0
+        for state in reachable(sysm, bound=200).states:
+            calls.clear()
+            eng.survivors(state)
+            assert calls[:len(eng.pool)] == eng._plans
+            assert set(calls[len(eng.pool):]) <= outside
+            probes += len(calls) - len(eng.pool)
+        extra.append(probes)
+    assert extra[:4] == [0, 0, 0, 0]  # every dominator lies in the pool
+    assert sum(extra) > 0
+
+
+def test_survivors_refuse_a_state_of_the_wrong_arity():
+    # as `model.survivors` does, also where a longer state starts with a
+    # valid one
+    sysm = gen_bus(2)
+    s0 = sysm.initial_state()
+    eng, enc = EnumEngine(sysm), build(sysm)
+    for state in ((*s0, s0[0]), s0[:-1]):
+        for survivors_at in (lambda st: survivors(sysm, st), eng.survivors, enc.survivors):
+            with pytest.raises(ValueError, match="state arity does not match the number of atoms"):
+                survivors_at(state)
+    assert eng.activity_checks == eng.priority_checks == 0

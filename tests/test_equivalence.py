@@ -1,14 +1,12 @@
 """Cross-engine agreement over explored state spaces."""
 
-import random
-
 from portsync import equivalence
 from portsync.equivalence import check_equivalence
 from portsync.generators import gen_bus, gen_tasks, modulo8, random_system
-from portsync.model import ExplicitPairs, SystemModel, act, reachable, successors, survivors
+from portsync.model import SystemModel, act, reachable, successors, survivors
 from portsync.symbolic import build
 
-from oracles import moved_trigger, reference_walk
+from oracles import moved_trigger, reference_walk, with_outside_dominator
 
 
 def test_modulo8_equivalent(mod8):
@@ -164,14 +162,10 @@ def test_random_pairs_with_a_dominator_outside_the_pool_equivalent():
     # active to exclude its pool interaction
     checked = 0
     for seed in range(300):
-        sysm = random_system(seed)
-        outside = sorted({t.label for atom in sysm.atoms for t in atom.transitions} - sysm.gamma, key=sorted)
-        if not isinstance(sysm.priority, ExplicitPairs) or not outside:
+        variant = with_outside_dominator(seed)
+        if variant is None:
             continue
-        rng = random.Random(seed)
-        pair = (rng.choice(sorted(sysm.gamma, key=sorted)), rng.choice(outside))
-        sysm = SystemModel(sysm.name, sysm.atoms, sysm.connectors, ExplicitPairs(sysm.priority.pairs | {pair}))
-        report = check_equivalence(sysm, bound=2000)
+        report = check_equivalence(variant[0], bound=2000)
         assert report.equivalent, (seed, report.summary())
         checked += 1
     assert checked >= 15

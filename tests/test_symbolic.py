@@ -50,12 +50,8 @@ from portsync.connectors import interactions_of, support
 from portsync.equivalence import check_equivalence
 
 from oracles import (active_fn, all_states, encode_connector, hub_system, joined_survivor_fn, moved_trigger, oracle_survivors,
-                     own_state, port_groups_of, ports_of, reference_connector_fn, reference_pick_sat,
+                     own_state, pairs_written_out, port_groups_of, ports_of, reference_connector_fn, reference_pick_sat,
                      reference_priority_pairs, skipped_levels, transfer, whole_survivor_fn)
-
-
-def _pairs_written_out(sysm):
-    return SystemModel(sysm.name, sysm.atoms, sysm.connectors, ExplicitPairs(effective_pairs(sysm.priority, sysm.gamma)))
 
 
 def test_variable_order_groups_atoms(mod8):
@@ -215,7 +211,7 @@ def test_build_leaves_what_no_step_reads_unbuilt():
     bus, tasks = gen_bus(3), gen_tasks(3, 2)
     step_reads = {"local_behavior", "connector_fn", "pairs_fn", "dominator_fn"}
     joined = copies = 0
-    for sysm in (tasks, _pairs_written_out(tasks), bus, _pairs_written_out(bus), modulo8()):
+    for sysm in (tasks, pairs_written_out(tasks), bus, pairs_written_out(bus), modulo8()):
         enc = build(sysm)
         assert not {"behavior_fn", "system_fn", *step_reads} & set(vars(enc))
         for c in enc.components:
@@ -249,7 +245,7 @@ def test_pairs_build_is_the_same_in_every_process():
 def test_pairs_fn_is_the_minterm_disjunction():
     # R joined from one cube per pair over the copies of its own ports is
     # the node of the pairs' full minterms, system-wide and per port group
-    systems = [_pairs_written_out(s) for s in (gen_bus(3), gen_tasks(3, 2), gen_tasks(4, 4))]
+    systems = [pairs_written_out(s) for s in (gen_bus(3), gen_tasks(3, 2), gen_tasks(4, 4))]
     systems += [r for r in map(random_system, range(60)) if isinstance(r.priority, ExplicitPairs)]
     for sysm in systems:
         enc = build(sysm)
@@ -320,8 +316,8 @@ def test_local_conjunction_is_the_folded_one():
     # dominators, per port group and for the system-level encoding, whose
     # port-less atom sits between two blocks
     bus = gen_bus(3)
-    systems = [bus, gen_tasks(3, 2), _pairs_written_out(bus), _dominator_outside_pool(),
-               _with_portless_atom(bus), _with_portless_atom(_pairs_written_out(gen_bus(2))),
+    systems = [bus, gen_tasks(3, 2), pairs_written_out(bus), _dominator_outside_pool(),
+               _with_portless_atom(bus), _with_portless_atom(pairs_written_out(gen_bus(2))),
                *map(random_system, range(8))]
     outside = portless = 0
     for sysm in systems:
@@ -357,7 +353,7 @@ def test_survivor_table_counts_models_over_component_ports():
     # a component reads its groups' entries and sums their counts
     bus = gen_bus(3)
     randoms = [r for r in map(random_system, range(60)) if len(components(r)) > 1]
-    for sysm in (bus, _pairs_written_out(bus), gen_tasks(3, 2), *randoms):
+    for sysm in (bus, pairs_written_out(bus), gen_tasks(3, 2), *randoms):
         enc = build(sysm)
         for state in reachable(sysm, bound=300).states:
             for c in enc.components:
@@ -471,7 +467,7 @@ def test_port_groups():
     p = port_groups(gen_tasks(8, 4))
     assert len(p) == 1 and [len(g) for g in p[0]] == [34] * 4
     assert p[0][0] == (*(f"{x}1_{j}" for j in range(1, 9) for x in "bfpr"), "go1", "halt1")
-    assert [len(c) for c in port_groups(_pairs_written_out(gen_tasks(8, 2)))] == [2]
+    assert [len(c) for c in port_groups(pairs_written_out(gen_tasks(8, 2)))] == [2]
     assert port_groups(gen_bus(2)) == tuple((tuple(f"{x}{i}_{k}" for i in range(1, 5) for x in "cs"),)
                                             for k in (1, 2))
     # {v}, owned by B alone, merges into {x, y}, owned by A and B; {w, z}
@@ -542,7 +538,7 @@ def test_survivor_fn_is_entered_once_per_class_table_miss(monkeypatch):
         return survivor_fn(self, state, key)
 
     monkeypatch.setattr(SystemEncoding, "survivor_fn", counted)
-    systems = (gen_bus(4), gen_tasks(4, 2), _pairs_written_out(gen_tasks(3, 2)))
+    systems = (gen_bus(4), gen_tasks(4, 2), pairs_written_out(gen_tasks(3, 2)))
     for sysm in systems:
         engine, checked = SymbolicEngine(sysm, seed=7), build(sysm)
         for enc, run in ((engine.encoding, lambda: engine.run(500)),
@@ -573,7 +569,7 @@ def test_one_class_entry_gives_each_group_its_copy():
 def _cluster_changed(change):
     """bus2, and bus2 with its pairs written out, each passed through
     `change`, which changes the second cluster."""
-    return change(gen_bus(2)), change(_pairs_written_out(gen_bus(2)))
+    return change(gen_bus(2)), change(pairs_written_out(gen_bus(2)))
 
 
 def _classes(enc):
@@ -587,7 +583,7 @@ def _classes(enc):
 def test_isomorphic_groups_form_one_class():
     # every port group of the benchmark's systems is a copy of the first
     # under an order-preserving rename of its ports
-    for sysm, n in ((gen_bus(16), 16), (gen_tasks(8, 4), 4), (_pairs_written_out(gen_tasks(8, 2)), 2)):
+    for sysm, n in ((gen_bus(16), 16), (gen_tasks(8, 4), 4), (pairs_written_out(gen_tasks(8, 2)), 2)):
         (members,) = _classes(build(sysm))
         assert len(members) == n
         rep, other = members[0], members[-1]
@@ -622,10 +618,10 @@ def test_nearly_isomorphic_groups_keep_apart():
         atoms[4], atoms[7] = atoms[7], atoms[4]
         return SystemModel(s.name, tuple(atoms), s.connectors, s.priority)
 
-    assert [len(_classes(build(s))) for s in (gen_bus(2), _pairs_written_out(gen_bus(2)))] == [1, 1]
+    assert [len(_classes(build(s))) for s in (gen_bus(2), pairs_written_out(gen_bus(2)))] == [1, 1]
     cases = [*_cluster_changed(lambda s: moved_trigger(s, "bus_2")), *_cluster_changed(extra_label),
              *_cluster_changed(owners_swapped)]
-    cases += [change(_pairs_written_out(gen_bus(2))) for change in (pair_dropped, outside_dominator)]
+    cases += [change(pairs_written_out(gen_bus(2))) for change in (pair_dropped, outside_dominator)]
     for sysm in cases:
         assert [len(members) for members in _classes(build(sysm))] == [1, 1]
         assert check_equivalence(sysm).equivalent
@@ -643,7 +639,7 @@ def test_orbit_keys_give_each_state_its_survivors():
     # canonical local state sorts; a bus cluster has none, and its canonical
     # local state is its owners' states; the translated survivors are the
     # system's at every reachable state (every state of the hub systems)
-    named = [gen_tasks(3, 2), gen_tasks(4, 2), gen_bus(3), _pairs_written_out(gen_tasks(3, 2))]
+    named = [gen_tasks(3, 2), gen_tasks(4, 2), gen_bus(3), pairs_written_out(gen_tasks(3, 2))]
     cases = [(s, reachable(s, bound=5000).states) for s in named]
     cases += [(h, all_states(h)) for h in map(hub_system, range(40))]
     oriented = 0
@@ -689,7 +685,7 @@ def test_swaps_that_are_not_symmetries_keep_apart():
     # group (so do the others the change touches), processor 2's group
     # keeps its orbit, and the engines still agree
     fz = frozenset
-    tasks, pairs = gen_tasks(3, 2), _pairs_written_out(gen_tasks(3, 2))
+    tasks, pairs = gen_tasks(3, 2), pairs_written_out(gen_tasks(3, 2))
 
     def extra_label(s):  # T2 can also begin on processor 1 while waiting on it
         atoms = tuple(AtomicBehavior(a.name, a.states, a.init, a.ports,
@@ -784,7 +780,7 @@ def test_group_join_is_the_whole_component_function():
                if any(len(c) > 1 for c in port_groups(r))]
     assert len(randoms) >= 10
     named = [gen_tasks(3, 2), gen_tasks(4, 2), gen_bus(3), _three_atoms()]
-    cases = [(s, reachable(s, bound=300).states) for s in (*named, *map(_pairs_written_out, named))]
+    cases = [(s, reachable(s, bound=300).states) for s in (*named, *map(pairs_written_out, named))]
     cases += [(r, all_states(r)) for r in randoms]
     hubs = [hub_system(seed) for seed in range(40)]  # one atom joins connectors on disjoint ports
     cases += [(h, all_states(h)) for h in hubs]
@@ -832,7 +828,7 @@ def test_steps_leave_no_reference_cycles():
     # themselves; each is cleared before its call returns, so stepping
     # leaves nothing for the cycle collector
     tasks = gen_tasks(4, 2)
-    for sysm in (tasks, gen_bus(4), _pairs_written_out(tasks)):
+    for sysm in (tasks, gen_bus(4), pairs_written_out(tasks)):
         engine = SymbolicEngine(sysm, seed=1)
         engine.step()
         gc.collect()
@@ -1034,7 +1030,7 @@ def test_survivors_list_each_class_entry_once(monkeypatch):
     # `Component.survivors` keeps an entry's models in it, over the
     # representative's ports: however many states and groups read an
     # entry, it is enumerated once, and the step, which picks, enumerates none
-    for sysm in (gen_bus(3), gen_tasks(3, 2), _pairs_written_out(gen_bus(3))):
+    for sysm in (gen_bus(3), gen_tasks(3, 2), pairs_written_out(gen_bus(3))):
         enc = build(sysm)
         listed = []
         iter_models = enc.manager.iter_models
