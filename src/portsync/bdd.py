@@ -9,36 +9,32 @@ The kernel has one recursion per job: and, or and not build every other
 connective (xor, implies), a cofactor is the relational product
 `and_exists` (the conjunction quantified on the fly, never built) of the
 function with the assignment's cube, and `balanced` folds every n-ary
-join.  Besides these the manager computes a conjunction with factors
-over disjoint blocks of levels (`and_local`, for the survivor function),
-maximal models (`maximal`, for maximal progress), a structural copy
-under an order-preserving map of levels by the kernel's rename recursion
-(`rename`, for a connector of an encoded shape, and `shift`, the rename
-by one level, for explicit priority pairs), and
-model counts, uniform picks and model sets over a sequence of names for
-the engines.
+join.  Besides these the manager computes maximal models (`maximal`,
+for maximal progress), a structural copy under an order-preserving map
+of levels by the kernel's rename recursion (`rename`, for a connector of
+an encoded shape, and `shift`, the rename by one level, for explicit
+priority pairs), and model counts, uniform picks and model sets over a
+sequence of names for the engines.
 Operations that only tests need (evaluation along a path, support names,
 a three-operand `ite`) live with the tests' oracles.  A per-call
 recursive closure drops its name on return, leaving no cycle to collect.
 
 The unique table and the computed tables (one per operation: and, or,
-not, `and_local`, one per variable set of `and_exists` or `maximal` and
-one for `shift`, as in Brace, Rudell and Bryant, DAC 1990) are dicts
-keyed by ints that pack the operand node ids, `NODE_BITS` bits each.  A
-node's support is memoised as a bitmask over levels, its model count
-too, and per block partition of `and_local` its relevant blocks, with
-the factor nodes already checked against the partition.  `pick_sat` and
-`iter_models` walk a name sequence's levels, memoised per sequence;
-`pick_sat` draws coins only at real choices, memoising per sequence each
-node's forced run down to the next one, and `iter_models` walks nodes
-depth first on one shared path, expanding the name levels an edge skips.
+not, one per variable set of `and_exists` or `maximal` and one for
+`shift`, as in Brace, Rudell and Bryant, DAC 1990) are dicts keyed by
+ints that pack the operand node ids, `NODE_BITS` bits each.  A node's
+support is memoised as a bitmask over levels, its model count too.
+`pick_sat` and `iter_models` walk a name sequence's levels, memoised per
+sequence; `pick_sat` draws coins only at real choices, memoising per
+sequence each node's forced run down to the next one, and `iter_models`
+walks nodes depth first on one shared path, expanding the name levels an
+edge skips.
 
 Deliberately small: no complement edges, no garbage collection, no
-dynamic reordering.  The node store, the tables (the `and_local`
-partitions' relevance memos and checked factors among them) and the
-per-node memos grow monotonically for the life of the manager; a
-collector would have to clear or remap every one of them.  Long-running
-processes should create a fresh manager per encoding.
+dynamic reordering.  The node store, the tables and the per-node memos
+grow monotonically for the life of the manager; a collector would have
+to clear or remap every one of them.  Long-running processes should
+create a fresh manager per encoding.
 """
 
 from __future__ import annotations
@@ -144,15 +140,13 @@ class BddManager:
         self._hi: list[int] = [-1, -1]
         self._unique: dict[int, int] = {}
         self._tables: dict[str, dict[int, int]] = {
-            op: {} for op in ("and", "or", "not", "and_local")}
+            op: {} for op in ("and", "or", "not")}
         # `shift`'s level map and its rename table
         self._next_levels, self._shift_table = tuple(range(1, n + 1)), {}
         # quantified name set -> (its levels, the and_exists table)
         self._exists_tables: dict[frozenset[str], tuple[frozenset[int], dict[int, int]]] = {}
         # name set -> (its sorted levels, as a set, the `maximal` and `out` tables)
         self._maximal_tables: dict[frozenset[str], tuple[list[int], frozenset[int], dict, dict]] = {}
-        # and_local's blocks -> its per-level block masks, relevance memo and checked factors
-        self._local_tables: dict[tuple[tuple[int, ...], ...], tuple] = {}
         self._support_masks: dict[int, int] = {}
         self._sat_counts: dict[int, int] = {FALSE: 0, TRUE: 1}
         self._model_names: dict[tuple[str, ...], tuple] = {}
@@ -323,126 +317,6 @@ class BddManager:
 
     def _fold(self, op, unit: int, fs: Iterable[BddRef]) -> BddRef:
         return self._ref(balanced(op, map(self._node, fs), unit))
-
-    def and_local(self, f: BddRef, blocks: Sequence[tuple[int, ...]], factors: Sequence[BddRef]) -> BddRef:
-        """f & factors[0] & factors[1] & ..., where factor j mentions only
-        the levels blocks[j] and holds where they are all false.  The blocks
-        are sorted and follow each other in the order.
-
-        A block is relevant to a node if some model of the node sets one of
-        its levels true; an irrelevant factor leaves the node as it is.  So
-        the result at node u from block k on is memoised by u and the
-        relevant blocks' factors only, and a node that can no longer fire a
-        block that changed is shared with every earlier call (the clustering
-        of partitioned relational products, Burch, Clarke and Long 1991).  A
-        miss walks u with the first relevant factor through its block and
-        hands each node below the block on to the next relevant one."""
-        u, fs = self._node(f), [self._node(g) for g in factors]
-        blocks = tuple(map(tuple, blocks))
-        if len(fs) != len(blocks):
-            raise BddError("and_local needs one block per factor")
-        entry = self._local_tables.get(blocks)
-        if entry is None:
-            entry = self._local_tables[blocks] = self._local_partition(blocks)
-        levels, upto, rel_of, checked = entry
-        live = 0  # the blocks whose factor is not true
-        for j, g in enumerate(fs):
-            if checked.get(g) != j:
-                self._check_local(g, blocks[j], j)
-                checked[g] = j
-            if g != TRUE:
-                live |= 1 << j
-        var, lo, hi, mk, table = self._var, self._lo, self._hi, self._mk, self._tables["and_local"]
-        B = NODE_BITS
-        packed: dict[int, int] = {}  # relevant blocks -> their factors, packed above u
-
-        def below(u: int, k: int) -> int:
-            # u & the factors of blocks k, k+1, ...; every level of those
-            # blocks above u is skipped, so a model of u may set it true
-            m = ((rel_of(u) | upto[bisect_left(levels, var[u])]) & live) >> k << k
-            if not m:
-                return u
-            p = packed.get(m)
-            if p is None:
-                p, s, rest = 0, 0, m
-                while rest:
-                    low = rest & -rest
-                    p |= fs[low.bit_length() - 1] << s
-                    s += B
-                    rest ^= low
-                packed[m] = p
-            key = p << B | u
-            r = table.get(key)
-            if r is None:
-                j = (m & -m).bit_length() - 1
-                r = table[key] = walk(u, fs[j], j + 1, {})
-            return r
-
-        def walk(a: int, b: int, k: int, memo: dict[int, int]) -> int:
-            # a & b & the factors from block k on, b a node of block k - 1's factor
-            if b == TRUE:
-                return below(a, k)
-            if a == FALSE or b == FALSE:
-                return FALSE
-            key = a << B | b
-            r = memo.get(key)
-            if r is None:
-                va, vb = var[a], var[b]
-                if va == vb:
-                    r = mk(va, walk(lo[a], lo[b], k, memo), walk(hi[a], hi[b], k, memo))
-                elif va < vb:
-                    r = mk(va, walk(lo[a], b, k, memo), walk(hi[a], b, k, memo))
-                else:
-                    r = mk(vb, walk(a, lo[b], k, memo), walk(a, hi[b], k, memo))
-                memo[key] = r
-            return r
-
-        r, below, walk = below(u, 0), None, None
-        return self._ref(r)
-
-    def _local_partition(self, blocks: tuple[tuple[int, ...], ...]) -> tuple:
-        """For `and_local`: the blocks' levels in order; upto[i], the bits of
-        the blocks that own the first i of them; the relevance of a node,
-        memoised; and the factors already checked."""
-        levels = [l for b in blocks for l in b]
-        if levels != sorted(set(levels)) or not all(0 <= l < self._leaf_level for l in levels):
-            raise BddError("and_local blocks must be sorted, disjoint levels in block order")
-        owner = [j for j, b in enumerate(blocks) for _ in b]
-        upto = [0, *((2 << j) - 1 for j in owner)]
-        start = [(1 << j) - 1 for j in owner]  # the blocks before the owner of the i-th
-        var, lo, hi = self._var, self._lo, self._hi
-        rel = {FALSE: 0, TRUE: 0}
-
-        def skipped(a: int, b: int) -> int:
-            # the blocks with a level in [a, b)
-            i, e = bisect_left(levels, a), bisect_left(levels, b)
-            return upto[e] - start[i] if i < e else 0
-
-        def rel_of(u: int) -> int:
-            # the blocks that a model of u sets a level of true: on the high
-            # edge at u's level, or at a level an edge skips
-            r = rel.get(u)
-            if r is None:
-                v, l, h = var[u], lo[u], hi[u]
-                r = 0
-                if l != FALSE:
-                    r = rel_of(l) | skipped(v + 1, var[l])
-                if h != FALSE:
-                    r |= rel_of(h) | skipped(v, var[h])
-                rel[u] = r
-            return r
-
-        return levels, upto, rel_of, {}
-
-    def _check_local(self, g: int, block: tuple[int, ...], j: int) -> None:
-        """`and_local`'s precondition on factor j."""
-        outside = self._support_mask(g) & ~sum(1 << l for l in block)
-        if outside:
-            raise BddError(f"factor {j} mentions {[self._names[l] for l in _bits(outside)]} outside its block")
-        while g > TRUE:
-            g = self._lo[g]
-        if g == FALSE:
-            raise BddError(f"factor {j} is false where its block is all false")
 
     # -- cofactor and quantification ----------------------------------
 

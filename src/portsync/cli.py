@@ -82,10 +82,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=int, default=2)
     p_gen.add_argument("--m", type=int, default=1)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--max-atoms", type=int, default=3)
-    p_gen.add_argument("--max-states", type=int, default=3)
-    p_gen.add_argument("--max-ports", type=int, default=2)
-    p_gen.add_argument("--max-depth", type=int, default=3)
+    p_gen.add_argument("--max-atoms", type=_at_least(1), default=3)
+    p_gen.add_argument("--max-states", type=_at_least(1), default=3)
+    p_gen.add_argument("--max-ports", type=_at_least(1), default=2)
+    p_gen.add_argument("--max-depth", type=_at_least(0), default=3)
     p_gen.add_argument("--out", metavar="MODEL.BIP-LITE", required=True)
     return parser
 

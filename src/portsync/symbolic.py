@@ -47,25 +47,19 @@ entry (`BddManager.pick_sat`).  Each function is built on first read,
 and the build reads only what a step reads: each representative's local
 behaviors, f_C and priority inputs.
 
-A group's survivor function at its local state conjoins the
-connectors with the current states' local behaviors, whose conjunction
-is the behavior restricted to the state, giving the enabled function g.
-It takes one `BddManager.and_local` with the atoms that own ports as
-blocks: each local behavior mentions only its atom's ports and holds
-when they are all false (idleness), which `and_local` checks.  So a node
-of f_C that can no longer fire an atom is left as it is by that atom's
-behavior, and the result at a node is memoised by the behaviors of the
-atoms it can still fire only: a node that cannot fire the atoms that
-moved keeps its entry.  Under maximal progress the survivor function
-holds g's maximal models (`BddManager.maximal`).  Under explicit pairs
-the possible dominators are the active interactions of the pool and any
-active interaction a pair lists as a dominator outside the pool: the
-same `and_local` over the pool and those dominators (g itself, from the
-table, when there are none outside).  A one-level rename (`shift`)
-moves them onto the primed copies, each primed port following its port
-in the order; the dominated set is the relational product
-excluded(P) = exists P'. dominators(P') & R(P, P'), and the survivor
-function is g & ~excluded.
+A group's survivor function at its local state conjoins the current
+states' local behaviors, whose conjunction is the behavior restricted to
+the state, with the connectors: the balanced `and_all` fold of those
+behaviors and f_C gives the enabled function g.  Under maximal progress
+the survivor function holds g's maximal models (`BddManager.maximal`).
+Under explicit pairs the possible dominators are the active interactions
+of the pool and any active interaction a pair lists as a dominator
+outside the pool: the same fold with the pool and those dominators in
+place of f_C (g itself, from the and table, when there are none outside).
+A one-level rename (`shift`) moves them onto the primed copies, each
+primed port following its port in the order; the dominated set is the
+relational product excluded(P) = exists P'. dominators(P') & R(P, P'),
+and the survivor function is g & ~excluded.
 
 Each class keeps one survivor table, and no other table is kept: per
 class key, the survivor function, whether it has a survivor, and its
@@ -402,25 +396,14 @@ class SystemEncoding:
                 out[state_var(atom, s)] = s == current
         return out
 
-    @cached_property
-    def local_blocks(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """The atoms that own ports and each one's port levels, the blocks
-        of `BddManager.and_local`; a port-less atom's local behavior is true."""
-        atoms = self.system.atoms
-        owners = tuple(i for i, atom in enumerate(atoms) if atom.ports)
-        return owners, tuple(tuple(sorted(map(self.manager.level_of, atoms[i].ports))) for i in owners)
-
     def survivor_fn(self, state: GlobalState, key: Optional[int] = None) -> BddRef:
         """The survivor function at a local state, entered with its count in
         `survivor_table` at `key` (the state itself by default): it mentions
         only our ports, so each other variable doubles its model count."""
-        # each atom's local behavior mentions only its own ports and holds
-        # when it is idle, so their conjunction, restrict(f_B, state), can
-        # be conjoined with a function block by block
+        # the local behaviors' conjunction is restrict(f_B, state)
         m = self.manager
-        owners, blocks = self.local_blocks
-        factors = [self.local_behavior[i][state[i]] for i in owners]
-        fn = g = m.and_local(self.connector_fn, blocks, factors)
+        factors = [local[q] for local, q in zip(self.local_behavior, state)]
+        fn = g = m.and_all([*factors, self.connector_fn])
         if isinstance(self.system.priority, MaximalProgress):
             fn = m.maximal(g, self.port_names)
         elif self.pairs_fn != m.false:
@@ -428,7 +411,7 @@ class SystemEncoding:
             # dominators outside the pool; the state is restricted away, so
             # only plain ports remain, each of which the shift moves onto its
             # primed copy
-            dominators = m.and_local(self.dominator_fn, blocks, factors)
+            dominators = m.and_all([*factors, self.dominator_fn])
             excluded = m.and_exists(m.shift(dominators), self.pairs_fn, self.primed_names)
             fn = g & ~excluded
         self.survivor_table[state if key is None else key] = [fn, fn != m.false, m.sat_count(fn) >> self._count_shift]

@@ -324,7 +324,7 @@ def reference_priority_pairs(pairs, all_ports, mgr):
 
 def active_fn(enc, state):
     """The conjunction of the atoms' local behaviors at `state`, folded:
-    restrict(f_B, state), as the survivor function once built it."""
+    restrict(f_B, state), as the survivor function builds it."""
     return enc.manager.and_all(local[q] for local, q in zip(enc.local_behavior, state))
 
 

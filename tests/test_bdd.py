@@ -315,60 +315,6 @@ class TestMaximal:
         mgr.audit()
 
 
-class TestAndLocal:
-    # blocks of levels with levels outside every block around and between
-    # them, as an atom's ports sit among state variables and primed copies
-    ORDER = [f"v{i}" for i in range(9)]
-
-    def random_blocks(self, rng):
-        levels = sorted(rng.sample(range(len(self.ORDER)), rng.randint(1, 7)))
-        cuts = sorted(rng.sample(range(1, len(levels)), rng.randint(0, len(levels) - 1)))
-        return [tuple(levels[a:b]) for a, b in zip([0, *cuts], [*cuts, len(levels)])]
-
-    def random_factor(self, mgr, rng, block):
-        names = [self.ORDER[l] for l in block]
-        if rng.random() < 0.15:
-            return mgr.true
-        return random_fn(mgr, rng, names) | mgr.cube(dict.fromkeys(names, False))
-
-    def test_equals_the_conjunction_on_random_partitions(self):
-        # one manager for every partition: the result table is shared, the
-        # relevance memo is per partition
-        mgr = BddManager(self.ORDER)
-        rng = random.Random(41)
-        for _ in range(400):
-            blocks = self.random_blocks(rng)
-            factors = [self.random_factor(mgr, rng, b) for b in blocks]
-            f = random_fn(mgr, rng, self.ORDER) if rng.random() >= 0.05 else rng.choice([mgr.true, mgr.false])
-            assert mgr.and_local(f, blocks, factors) == f & mgr.and_all(factors)
-        assert len(mgr._local_tables) > 20
-        mgr.audit()
-
-    def test_precondition_is_checked(self):
-        mgr = BddManager(self.ORDER)
-        v = [mgr.var(n) for n in self.ORDER]
-        f = v[0] | v[4]
-        with pytest.raises(BddError, match="false where its block is all false"):
-            mgr.and_local(f, [(0, 1), (3, 4)], [mgr.true, v[3] | v[4]])
-        with pytest.raises(BddError, match="false where its block is all false"):
-            mgr.and_local(f, [(0, 1)], [mgr.false])
-        with pytest.raises(BddError, match=r"mentions \['v2'\] outside its block"):
-            mgr.and_local(f, [(0, 1), (3, 4)], [~v[0] | v[2], mgr.true])
-        for blocks in ([(1, 0)], [(0, 3), (2,)], [(0, 1), (1, 2)], [(0, 9)]):
-            with pytest.raises(BddError, match="sorted, disjoint"):
-                mgr.and_local(f, blocks, [mgr.true] * len(blocks))
-        with pytest.raises(BddError, match="one block per factor"):
-            mgr.and_local(f, [(0,)], [])
-        # a factor that failed is not taken as checked; one that passed
-        # under one block is checked again under another
-        with pytest.raises(BddError):
-            mgr.and_local(f, [(3, 4)], [v[3] | v[4]])
-        g = ~v[3] | v[4]
-        assert mgr.and_local(f, [(0, 1), (3, 4)], [mgr.true, g]) == f & g
-        with pytest.raises(BddError, match="outside its block"):
-            mgr.and_local(f, [(0, 1), (3, 4)], [g, mgr.true])
-
-
 class TestPackedKeys:
     def test_node_store_full_raises(self, monkeypatch):
         # a node id past the packed keys' width is refused, not allocated

@@ -10,7 +10,7 @@ from portsync.cli import (
     EXIT_OK,
     main,
 )
-from portsync.dsl import save
+from portsync.dsl import load, save
 from portsync.generators import modulo8
 
 
@@ -158,3 +158,20 @@ class TestUsageErrors:
         assert "usage: portsync check" in captured.err
         assert f"argument --bound: must be at least 1, not {bound}" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("flag, value, least", [
+        ("--max-atoms", "0", 1), ("--max-atoms", "-3", 1), ("--max-states", "0", 1),
+        ("--max-ports", "0", 1), ("--max-depth", "-1", 0)])
+    def test_gen_random_bound_below_least(self, tmp_path, capsys, flag, value, least):
+        out = tmp_path / "r.bip-lite"
+        assert main(["gen", "random", flag, value, "--out", str(out)]) == EXIT_DIAGNOSTICS
+        captured = capsys.readouterr()
+        assert "usage: portsync gen" in captured.err
+        assert f"argument {flag}: must be at least {least}, not {value}" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_gen_random_least_bounds(self, tmp_path):
+        out = tmp_path / "r.bip-lite"
+        assert main(["gen", "random", "--max-atoms", "1", "--max-states", "1", "--max-ports", "1",
+                     "--max-depth", "0", "--out", str(out)]) == EXIT_OK
+        assert load(str(out)).atoms
