@@ -1,14 +1,17 @@
 """Enumerative engine: pool scanning, costs, traces."""
 
+from dataclasses import replace
+
 import pytest
 
 from portsync import model
+from portsync.dsl import parse
 from portsync.enumerative import EnumEngine
 from portsync.generators import gen_bus, gen_tasks, modulo8, random_system
-from portsync.model import MaximalProgress, reachable, sorted_interactions, survivors
+from portsync.model import AtomicBehavior, MaximalProgress, reachable, sorted_interactions, survivors
 from portsync.symbolic import build
 
-from oracles import oracle_act, pairs_written_out, reference_enum_survivors, with_outside_dominator
+from oracles import all_states, oracle_act, pairs_written_out, reference_enum_survivors, with_outside_dominator
 
 
 def test_pool_is_sorted_gamma(mod8):
@@ -137,28 +140,89 @@ def test_survivors_and_counters_match_the_filter_as_first_written():
 
 
 def test_survivors_probe_only_the_dominators_outside_the_pool(monkeypatch):
-    # the scan runs `_active` once per pool interaction; a dominator in the
-    # pool is read from the scan, so under maximal progress nothing more runs
+    # the scan tests the labels each pool interaction needs once, in pool
+    # order; a dominator in the pool is read from the scan, so under
+    # maximal progress nothing more is tested
     calls = []
-    real = EnumEngine._active
-    monkeypatch.setattr(EnumEngine, "_active", lambda self, plan, state: calls.append(plan) or real(self, plan, state))
+
+    class Offered(set):
+        def issuperset(self, labels):
+            calls.append(labels)
+            return super().issuperset(labels)
+
+    real = EnumEngine._offered
+    monkeypatch.setattr(EnumEngine, "_offered", lambda self, state: Offered(real(self, state)))
     maxprog = [modulo8(), gen_bus(3), gen_tasks(3, 2)]
     assert all(isinstance(s.priority, MaximalProgress) for s in maxprog)
     systems = maxprog + [pairs_written_out(gen_tasks(3, 2))] + [s for s, _ in filter(None, map(with_outside_dominator, range(200)))]
     extra = []
     for sysm in systems:
         eng = EnumEngine(sysm)
-        outside = {sysm.shares(b) for doms in sysm.dominators.values() for b in doms if b not in eng._index}
+        needed = {a: frozenset(label for _, label in sysm.shares(a)) for a in sysm.gamma | {b for doms in sysm.dominators.values() for b in doms}}
+        outside = {needed[b] for doms in sysm.dominators.values() for b in doms if b not in sysm.gamma}
         probes = 0
         for state in reachable(sysm, bound=200).states:
             calls.clear()
             eng.survivors(state)
-            assert calls[:len(eng.pool)] == eng._plans
+            assert calls[:len(eng.pool)] == [needed[a] for a in eng.pool]
             assert set(calls[len(eng.pool):]) <= outside
             probes += len(calls) - len(eng.pool)
         extra.append(probes)
     assert extra[:4] == [0, 0, 0, 0]  # every dominator lies in the pool
     assert sum(extra) > 0
+
+
+def _edge_system():
+    """Pool members and dominators outside the pool that need a port set
+    its atom never takes as a label, states that offer nothing, and an
+    atom C, placed between the others, that owns no port."""
+    sysm = parse('''system edges {
+  atom A {
+    ports a1, a2;
+    states s0 init, s1, s2;
+    trans s0 -[ a1 ]-> s1;
+    trans s0 -[ a1, a2 ]-> s2;
+    trans s1 -[ a1 ]-> s0;
+    trans s1 -[ a2 ]-> s2;
+  }
+  atom B {
+    ports b1, b2;
+    states t0 init, t1;
+    trans t0 -[ b1 ]-> t1;
+    trans t1 -[ b1 ]-> t0;
+  }
+  connector x = a1' b1';
+  connector w = a2;
+  connector y = a2 b1 b2;
+  connector z = b2;
+  priority {a1} < {a1, b2} {b1} < {a1, a2} {a1} < {a1, b1};
+}''')
+    a, b = sysm.atoms
+    return replace(sysm, atoms=(a, AtomicBehavior("C", ("u0",), "u0", (), ()), b))
+
+
+@pytest.mark.parametrize("maxprog", [False, True], ids=["pairs", "maxprog"])
+def test_survivors_and_counters_match_the_filter_on_edge_cases(maxprog):
+    # b2 is no label of B, so the pool members {b2} and {a2 b1 b2} and the
+    # outside dominator {a1 b2} are never active, while the outside
+    # dominator {a1 a2} is at s0 (maximal progress has neither); A at s2
+    # and C offer nothing.  Every state of the product is read, so the
+    # reachable ones are
+    sysm = _edge_system()
+    if maxprog:
+        sysm = replace(sysm, priority=MaximalProgress())
+    eng = EnumEngine(sysm)
+    states = all_states(sysm)
+    assert len(states) == 6
+    never = [frozenset(p.split()) for p in ("b2", "a2 b1 b2", "a1 b2")]
+    assert not any(oracle_act(sysm, st, a) for a in never for st in states)
+    assert any(oracle_act(sysm, st, frozenset({"a1", "a2"})) for st in states)
+    for state in states:
+        before = eng.activity_checks, eng.priority_checks
+        got = eng.survivors(state)
+        assert (got, eng.activity_checks - before[0], eng.priority_checks - before[1]) == reference_enum_survivors(sysm, state)
+        assert got == survivors(sysm, state)
+    assert eng.activity_checks == 6 * len(eng.pool) == 36
 
 
 def test_survivors_refuse_a_state_of_the_wrong_arity():
