@@ -40,13 +40,12 @@ class EnumEngine(Engine):
         self.system = system
         self.seed = seed
         self.pool: tuple[Interaction, ...] = sorted_interactions(system.gamma)
-        self._index = {a: i for i, a in enumerate(self.pool)}
         self.reset()
         self._labels = [atom.labels_from for atom in system.atoms]
         # per pool interaction: the labels it needs offered (its shares), its
         # number of dominators, the pool indices of those in the pool and the
         # labels needed by those outside it
-        shares, dominators, index = system.shares, system.dominators, self._index
+        shares, dominators, index = system.shares, system.dominators, {a: i for i, a in enumerate(self.pool)}
         self._needs, self._dominators = [], []
         for a in self.pool:
             self._needs.append(frozenset([label for _, label in shares(a)]))

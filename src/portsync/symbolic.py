@@ -41,10 +41,10 @@ the group's ports through each port's owner position, moved by the
 sort's permutation, and its index there (`SystemEncoding.translate`).
 An interaction and its dominators lie in one group, so a component's
 survivors are the disjoint union of its groups'.  Their join is never
-built: a component is live if a group is and counts the sum of their
-counts; its pick draws a group by its count, then a uniform model of its
-entry (`BddManager.pick_sat`).  Each function is built on first read,
-and the build reads only what a step reads: each representative's local
+built: a component counts the sum of their counts; its pick draws a
+group by its count, then a uniform model of its entry
+(`BddManager.pick_sat`).  Each function is built on first read, and the
+build reads only what a step reads: each representative's local
 behaviors, f_C and priority inputs.
 
 A group's survivor function at its local state conjoins the current
@@ -62,22 +62,23 @@ relational product excluded(P) = exists P'. dominators(P') & R(P, P'),
 and the survivor function is g & ~excluded.
 
 Each class keeps one survivor table, and no other table is kept: per
-class key, the survivor function, whether it has a survivor, and its
-number of models over a group's own ports (`sat_count` over every
-variable, shifted right by the variables outside those ports), all
-filled on the miss.  The tables hold at most the sum of the classes'
-local state spaces up to the orbits' permutations, not their product.
-`survivors` (which `check` reads) and the step read the same entries,
-and enter `survivor_fn` only on a miss.  The first `survivors` to read
-an entry keeps its models in it, for each group of the class to
-translate; the step never reads them.  The engine keeps each
-component's group entries from its last step; a fired interaction lies
+class key, the survivor function and its number of models over a
+group's own ports (`sat_count` over every variable, shifted right by the
+variables outside those ports), both filled on the miss; the function
+mentions only those ports, so the count is 0 exactly when it is
+false.  The tables hold at most the sum of the classes' local state
+spaces up to the orbits' permutations, not their product.  `survivors`
+(which `check` reads) and the step read the same entries, and enter
+`survivor_fn` only on a miss.  The first `survivors` to read an entry
+keeps its models in it, for each group of the class to translate; the
+step never reads them.  The engine keeps each component's group entries
+from its last step and the sum of their counts; a fired interaction lies
 in the drawn component's ports, so the next step re-reads only that
-component's groups.  A step draws a live component (one with a live
-group) weighted by the sum of its groups' counts (with one live
-component there is no draw), and picks a uniform survivor of it with
-coins from the engine's own generator.  No primed behavior, primed
-connectors or pool-sized priority function is built.
+component's groups.  A step draws a component by its count (with one
+positive count there is no coin), and picks a uniform survivor of it
+with coins from the engine's own generator; one helper (`_draw`) makes
+both weighted draws.  No primed behavior, primed connectors or
+pool-sized priority function is built.
 """
 
 from __future__ import annotations
@@ -86,7 +87,6 @@ from bisect import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from . import boolfunc as bf
@@ -108,7 +108,6 @@ from .model import (
 )
 
 PRIME = "'"
-_has_survivor = itemgetter(1)  # of a survivor-table entry
 
 
 def prime(port: str) -> str:
@@ -323,8 +322,8 @@ class SystemEncoding:
     canonical: Optional[Callable[[GlobalState], GlobalState]] = field(default=None, repr=False, compare=False)
     orient: Optional[Callable[[GlobalState], list[int]]] = field(default=None, repr=False, compare=False)
     own: Optional[dict[str, str]] = field(default=None, repr=False, compare=False)
-    # key -> [survivor function, whether it has a survivor, its number of
-    # survivors over our ports, and once `Component.survivors` reads it its models]
+    # key -> [survivor function, its number of survivors over our ports (0
+    # exactly when it is false), and once `Component.survivors` reads it its models]
     survivor_table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # f_B, f_S and the whole system's own functions are read by no step:
@@ -414,7 +413,7 @@ class SystemEncoding:
             dominators = m.and_all([*factors, self.dominator_fn])
             excluded = m.and_exists(m.shift(dominators), self.pairs_fn, self.primed_names)
             fn = g & ~excluded
-        self.survivor_table[state if key is None else key] = [fn, fn != m.false, m.sat_count(fn) >> self._count_shift]
+        self.survivor_table[state if key is None else key] = [fn, m.sat_count(fn) >> self._count_shift]
         return fn
 
     @cached_property
@@ -440,6 +439,16 @@ class SystemEncoding:
             return ports if self.own is None else frozenset(map(self.own.__getitem__, ports))
         atoms, place = self.system.atoms, self.representative._place
         return frozenset([atoms[perm[k]].ports[i] for k, i in map(place.__getitem__, ports)])
+
+
+def _draw(counts: list[int], rng, coin: bool) -> int:
+    """The index `random.Random.choices(range(len(counts)), counts)` draws
+    with a coin, else the first positive count's; `counts` has one.  A zero
+    count is an empty interval of the running sums, so it is never drawn.
+    The bound of the bisect is the last positive count, as in `choices`
+    over the positive counts alone: it keeps a rounded-up coin inside."""
+    cum = list(accumulate(counts))
+    return bisect(cum, rng.random() * cum[-1] if coin else 0, 0, cum.index(cum[-1]))
 
 
 class Component:
@@ -468,21 +477,19 @@ class Component:
         representative's ports on the first read, translated onto its ports."""
         out: list[Interaction] = []
         for g, e in zip(self.groups, self.entries(state)):
-            if len(e) < 4:
+            if len(e) < 3:
                 e.append(list(self.manager.iter_models(e[0], g.representative.port_names)))
             perm = g.orient and g.orient(state)
-            out += (g.translate(m, perm) for m in e[3])
+            out += (g.translate(m, perm) for m in e[2])
         return out
 
     def pick(self, state: GlobalState, entries: list[list], rng) -> Interaction:
-        """A uniform survivor at a state whose `entries` hold one: a live
-        group drawn by its count (with one group there is no draw), then a
-        uniform model of its class entry, translated onto its ports."""
-        groups, k = self.groups, 0
-        if len(groups) > 1:  # the draw of `random.Random.choices(groups, counts)`
-            cum = list(accumulate([e[2] for e in entries]))
-            k = bisect(cum, rng.random() * cum[-1], 0, len(cum) - 1)
-        g = groups[k]
+        """A uniform survivor at a state whose `entries` hold one: a group
+        drawn by its count (`_draw`, with a coin whenever there are two or
+        more groups), then a uniform model of its class entry, translated
+        onto its ports."""
+        k = _draw([e[1] for e in entries], rng, True) if len(entries) > 1 else 0
+        g = self.groups[k]
         ports = self.manager.pick_sat(entries[k][0], rng, g.representative.port_names)
         return g.translate(ports, g.orient and g.orient(state))
 
@@ -654,17 +661,16 @@ class SymbolicEngine(Engine):
 
     The per-step work is reading the class-table entries of the port
     groups of the component the last step moved, at their keys in the new
-    state (`Component.entries`); the other components' entries are kept
-    from the last step.
-    A step whose state is not the one the last step fired to (a reset, or
-    a state set from outside) reads every component.  Then a live
-    component is drawn weighted by its groups' counts (the live list, the
-    counts and their running sums are kept too, rebuilt only when the moved
-    component gains or loses its last survivor, and the sums redone only
-    when its count changes), and a uniform survivor of it is picked
-    (`Component.pick`) with coins from the engine's generator; the pool is
-    never enumerated.  A survivor is enabled, so the step moves its owners
-    (`model._advance`) without `model.step`'s check against the pool.
+    state (`Component.entries`), and summing their counts; the other
+    components' entries and counts are kept from the last step.  A step
+    whose state is not the one the last step fired to (a reset, or a state
+    set from outside) reads every component.  No positive count is
+    deadlock; else a component is drawn by its count (`_draw`, with a coin
+    only when two or more counts are positive), and a uniform survivor of
+    it is picked (`Component.pick`) with coins from the engine's generator;
+    the pool is never enumerated.  A survivor is enabled, so the step moves
+    its owners (`model._advance`) without `model.step`'s check against the
+    pool.
     """
 
     def __init__(self, system: SystemModel, seed: int = 0):
@@ -672,47 +678,28 @@ class SymbolicEngine(Engine):
         self.system = system
         self.seed = seed
         self.reset()
-        # each component's group entries as our last step read them, the state
-        # that step fired to and the component it moved: at that state only the
-        # moved component's entries can differ; and the live components' indices
-        # and, once a draw has needed them, their survivor counts and running sums
+        # each component's group entries as our last step read them and their
+        # summed counts, the state that step fired to and the component it
+        # moved: at that state only the moved component's entries can differ
         self._entries = [None] * len(self.encoding.components)
+        self._counts = [0] * len(self._entries)
         self._fired_to = None
         self._moved = 0
-        self._live = None
-        self._weights = None
-        self._cum = None
 
     def step(self) -> Optional[tuple[Interaction, GlobalState]]:
-        """Fire one surviving interaction; None signals deadlock.  The
-        component is drawn weighted by survivor counts, if several have any."""
-        state, entries, comps = self.state, self._entries, self.encoding.components
+        """Fire one surviving interaction; None signals deadlock."""
+        state, entries, counts, comps = self.state, self._entries, self._counts, self.encoding.components
         if state is self._fired_to:
             k = self._moved
-            new = entries[k] = comps[k].entries(state)
-            live = any(map(_has_survivor, new))
-            if live != (k in self._live):
-                self._live = None
-            elif live and self._weights is not None:
-                i, w = self._live.index(k), sum([e[2] for e in new])
-                if w != self._weights[i]:
-                    self._weights[i] = w
-                    self._cum = list(accumulate(self._weights))
+            es = entries[k] = comps[k].entries(state)
+            counts[k] = sum([e[1] for e in es])
         else:  # reset, or a state set from outside: read every component
             entries[:] = [c.entries(state) for c in comps]
-            self._live = None
-        if self._live is None:
-            self._live, self._weights = [k for k, es in enumerate(entries) if any(map(_has_survivor, es))], None
-        live = self._live
+            counts[:] = [sum([e[1] for e in es]) for es in entries]
+        live = len(counts) - counts.count(0)
         if not live:
             return None
-        k = live[0]
-        if len(live) > 1:  # the weights are summed on the first draw that needs them
-            if self._weights is None:
-                self._weights = [sum([e[2] for e in entries[j]]) for j in live]
-                self._cum = list(accumulate(self._weights))
-            cum = self._cum  # the draw of `random.Random.choices(live, weights)`
-            k = live[bisect(cum, self._rng.random() * cum[-1], 0, len(cum) - 1)]
+        k = _draw(counts, self._rng, live > 1)
         a = comps[k].pick(state, entries[k], self._rng)
         self.state = _advance(state, _moves(self.system, state, a), self._rng)
         self._fired_to, self._moved = self.state, k

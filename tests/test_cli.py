@@ -90,6 +90,18 @@ class TestCheck:
         assert "equivalent" in capsys.readouterr().out
 
 
+def test_zero_component_system_deadlocks_and_checks(tmp_path, capsys):
+    # a system with no atom: both engines deadlock at the first step and
+    # its one state is equivalent
+    path = tmp_path / "e.bip-lite"
+    path.write_text("system e { }\n")
+    for engine in ("enum", "symbolic"):
+        assert main(["run", str(path), "--engine", engine, "--steps", "5", "--seed", "0"]) == EXIT_DEADLOCK
+    capsys.readouterr()
+    assert main(["check", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "equivalent, 1 states"
+
+
 class TestBench:
     def test_both_engines_csv(self, tmp_path, capsys):
         out = tmp_path / "res.csv"

@@ -6,7 +6,8 @@ import os
 import random
 import subprocess
 import sys
-from itertools import product
+from bisect import bisect
+from itertools import accumulate, product
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,8 @@ from portsync.bdd import BddManager
 import portsync
 from portsync.generators import RandomBounds, gen_bus, gen_tasks, modulo8, random_system
 from portsync.connectors import Factor, Fusion, PortLeaf
+from portsync.dsl import parse
+from portsync.enumerative import EnumEngine
 from portsync.model import (
     AtomicBehavior,
     Connector,
@@ -344,20 +347,24 @@ def test_portless_atom_steps_and_checks():
 def test_survivor_table_counts_models_over_component_ports():
     # the count the step draws components by is the number of models over
     # the component's own ports, on one- and multi-component systems alike;
-    # a component reads its groups' entries and sums their counts
+    # a component reads its groups' entries and sums their counts (a
+    # port-less atom is a component of no group, which counts 0), and an
+    # entry's count is 0 exactly when its function is false, which is all
+    # the step reads of liveness
     bus = gen_bus(3)
     randoms = [r for r in map(random_system, range(60)) if len(components(r)) > 1]
-    for sysm in (bus, pairs_written_out(bus), gen_tasks(3, 2), *randoms):
+    for sysm in (bus, pairs_written_out(bus), gen_tasks(3, 2), _with_portless_atom(gen_bus(2)), *randoms):
         enc = build(sysm)
+        m = enc.manager
         for state in reachable(sysm, bound=300).states:
             for c in enc.components:
                 entries = c.entries(state)
                 assert all(map(operator.is_, entries, (g.representative.survivor_table[g.key(state)]
                                                               for g in c.groups)))
+                assert all((e[1] == 0) == (e[0] == m.false) for e in entries)
                 fn = joined_survivor_fn(c, state)
                 n = len(list(c.manager.iter_models(fn, ports_of(c))))
-                assert any(e[1] for e in entries) == (n > 0)
-                assert sum(e[2] for e in entries) == n
+                assert sum(e[1] for e in entries) == n
 
 
 def test_pick_matches_reference_on_survivor_functions():
@@ -552,12 +559,12 @@ def test_one_class_entry_gives_each_group_its_copy():
     (c,) = enc.components
     one, two = c.groups
     first, second = c.entries(state)
-    assert first is second and first[1]
+    assert first is second and first[1] > 0
     models = list(enc.manager.iter_models(first[0], one.port_names))
     assert [one.translate(m, one.orient(state)) for m in models] == models
     assert [{g.translate(m, g.orient(state)) for m in models} for g in c.groups] == \
         [{a for a in survivors(sysm, state) if a <= set(g.port_names)} for g in c.groups]
-    assert first[2] + second[2] == 2 * first[2] == len(survivors(sysm, state))
+    assert first[1] + second[1] == 2 * first[1] == len(survivors(sysm, state))
 
 
 def _cluster_changed(change):
@@ -898,12 +905,46 @@ def test_component_draw_is_weighted_by_survivor_counts():
     assert 70 < firsts.count(fz("x")) < 130
 
 
+def test_draw_is_the_choices_draw_and_skips_zero_counts():
+    # the one weighted draw of the step and the pick: over counts with
+    # zeros at the front, in the middle and at the end, it draws the index
+    # `choices` draws over all counts, leaving the generator as `choices`
+    # does, which is the index a draw over the positive counts alone maps
+    # back to; without a coin it takes the first positive count and draws
+    # nothing
+    gen = random.Random(30)
+    vectors = [[0, 0, 3, 1], [2, 0, 0, 5], [1, 4, 0, 0], [0, 1, 0, 2, 0, 0, 7, 0], [0, 0, 9, 0], [6], [2**40, 0, 3]]
+    vectors += [v for v in ([gen.choice((0, 0, 1, 2, 7)) for _ in range(gen.randrange(1, 10))] for _ in range(60))
+                if any(v)]
+    for counts in vectors:
+        live = [k for k, c in enumerate(counts) if c]
+        cum = list(accumulate(counts[k] for k in live))
+        for seed in range(50):
+            ours, ref, positive = random.Random(seed), random.Random(seed), random.Random(seed)
+            k = symbolic._draw(counts, ours, True)
+            assert k == ref.choices(range(len(counts)), counts)[0]
+            assert ours.getstate() == ref.getstate()
+            assert k == live[bisect(cum, positive.random() * cum[-1], 0, len(cum) - 1)]
+            assert symbolic._draw(counts, ours, False) == live[0]
+            assert ours.getstate() == ref.getstate()
+
+
+def test_zero_components_deadlock_on_the_first_step():
+    # a system with no atom has no component: no count is positive, so
+    # both engines report deadlock at once
+    sysm = parse("system e { }")
+    assert build(sysm).components == ()
+    for engine in (SymbolicEngine(sysm, seed=1), EnumEngine(sysm, seed=1)):
+        assert engine.step() is None and engine.steps_taken == 0
+        assert engine.run(5).deadlocked
+
+
 def test_incremental_step_equals_a_full_read():
     # the step re-reads only the component the last step moved: at every
-    # step its entries, live components and weights must be those of a fresh
-    # read of every component, also after a reset and after the state is set
-    # from outside, and it must fire what an engine that reads every
-    # component at every step fires
+    # step its entries and counts must be those of a fresh read of every
+    # component, also after a reset and after the state is set from
+    # outside, and it must fire what an engine that reads every component
+    # at every step fires
     randoms = [r for r in map(random_system, range(400))
                if len(components(r)) > 1 and len(reachable(r, bound=10).states) > 2]
     assert len(randoms) >= 5
@@ -918,10 +959,7 @@ def test_incremental_step_equals_a_full_read():
                 assert result == full.step()
                 fresh = [c.entries(before) for c in eng.encoding.components]
                 assert [list(map(id, es)) for es in eng._entries] == [list(map(id, es)) for es in fresh]
-                live = [k for k, es in enumerate(fresh) if any(e[1] for e in es)]
-                assert eng._live == live
-                if len(live) > 1:
-                    assert eng._weights == [sum(e[2] for e in fresh[k]) for k in live]
+                assert eng._counts == [sum(e[1] for e in es) for es in fresh]
                 if result is None:
                     return
 
@@ -936,18 +974,44 @@ def test_incremental_step_equals_a_full_read():
 
 def test_incremental_step_reports_deadlock():
     # two independent atoms that fire once each: the third step re-reads
-    # the component the second moved and finds no component live
+    # the component the second moved and finds no component live; the
+    # second step, with one positive count of two, tosses no coin
     fz = frozenset
     atoms = tuple(AtomicBehavior(n, ("s", "t"), "s", (p,), (Transition("s", fz(p), "t"),))
                   for n, p in (("A", "x"), ("B", "y")))
     sysm = SystemModel("ab", atoms, tuple(Connector(p, PortLeaf(p)) for p in "xy"))
     eng = SymbolicEngine(sysm, seed=0)
     assert len(eng.encoding.components) == 2
-    assert {eng.step()[0], eng.step()[0]} == {fz("x"), fz("y")}
+    first = eng.step()[0]
+    coins = eng._rng.getstate()
+    assert {first, eng.step()[0]} == {fz("x"), fz("y")}
+    assert eng._rng.getstate() == coins
     assert eng.step() is None and eng.step() is None
     assert eng.state == ("t", "t")
     eng.reset()
     assert len(eng.run(5)) == 2
+
+
+def test_pick_tosses_a_coin_whenever_a_component_has_groups_to_draw():
+    # one component of two port groups, {x1, y} and {x2, z}, which share
+    # A: once B has fired y, only the second group has a survivor, and
+    # the component's pick still draws its group with a coin (the step's
+    # draw among components does not, as there is one)
+    fz = frozenset
+    a = AtomicBehavior("A", ("s",), "s", ("x1", "x2"), (Transition("s", fz(["x1"]), "s"), Transition("s", fz(["x2"]), "s")))
+    b = AtomicBehavior("B", ("b0", "b1"), "b0", ("y",), (Transition("b0", fz("y"), "b1"),))
+    c = AtomicBehavior("C", ("c",), "c", ("z",), (Transition("c", fz("z"), "c"),))
+    conns = (Connector("k1", Fusion((Factor(PortLeaf("x1")), Factor(PortLeaf("y"))))),
+             Connector("k2", Fusion((Factor(PortLeaf("x2")), Factor(PortLeaf("z"))))))
+    eng = SymbolicEngine(SystemModel("abc", (a, b, c), conns), seed=0)
+    (comp,) = eng.encoding.components
+    assert len(comp.groups) == 2
+    eng.state = ("s", "b1", "c")
+    coins = random.Random()
+    coins.setstate(eng._rng.getstate())
+    assert eng.step()[0] == fz(["x2", "z"])
+    coins.random()
+    assert eng._rng.getstate() == coins.getstate()
 
 
 def test_survivors_match_core_semantics(mod8, broadcast_system):
@@ -1033,7 +1097,7 @@ def test_survivors_list_each_class_entry_once(monkeypatch):
         reps = {id(g.representative): g.representative for g in port_groups_of(enc)}.values()
         entries = [(rep, e) for rep in reps for e in rep.survivor_table.values()]
         assert report.equivalent and len(listed) == len(entries) < report.states_checked
-        assert all(e[3] == list(iter_models(e[0], rep.port_names)) for rep, e in entries)
+        assert all(e[2] == list(iter_models(e[0], rep.port_names)) for rep, e in entries)
         engine = SymbolicEngine(sysm, seed=3)
         monkeypatch.setattr(engine.encoding.manager, "iter_models", None)
         assert len(engine.run(200)) == 200
