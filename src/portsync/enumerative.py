@@ -26,6 +26,7 @@ from .model import (
     SystemModel,
     ValidationError,
     _advance,
+    _check_arity,
     _moves,
     sorted_interactions,
     validate,
@@ -76,8 +77,7 @@ class EnumEngine(Engine):
         """
         if state is None:
             state = self.state
-        elif len(state) != len(self._labels):
-            raise ValueError("state arity does not match the number of atoms")
+        _check_arity(self.system, state)
         needs, superset = self._needs, self._offered(state).issuperset
         self.activity_checks += len(needs)
         enabled = list(compress(range(len(needs)), map(superset, needs)))

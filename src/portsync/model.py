@@ -347,11 +347,15 @@ def _validate(system: SystemModel) -> list[Diagnostic]:
     return diags
 
 
+def _check_arity(system: SystemModel, state: GlobalState) -> None:
+    if len(state) != len(system.atoms):
+        raise ValueError("state arity does not match the number of atoms")
+
+
 def _moves(system: SystemModel, state: GlobalState, a: Interaction) -> Optional[list[tuple[int, tuple[str, ...]]]]:
     """Per atom owning a port of `a`, in atom order: its index and its
     targets on its share a & ports(atom); None if some owner has none."""
-    if len(state) != len(system.atoms):
-        raise ValueError("state arity does not match the number of atoms")
+    _check_arity(system, state)
     atoms, moves = system.atoms, []
     for i, share in system.shares(a):
         targets = atoms[i].targets(state[i], share)

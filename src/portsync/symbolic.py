@@ -34,7 +34,12 @@ Each group reads the class's one survivor table at its class key, one
 integer summed from a code per owner of the representative's first
 state that offers the same ranked labels: it counts each orbit's owners
 per value and holds each other owner's value (`_digits`, the counter
-abstraction of Emerson and Sistla 1996).  On a miss the entry is filled
+abstraction of Emerson and Sistla 1996).  A component reads every
+group's key in one sum: per atom and state it keeps one code, the sum of
+the atom's codes in each of its groups, each shifted into that group's
+bit field, which is as wide as the group's keys need; each key is taken
+out of the sum by shift and mask (a one-group component's is the sum
+itself).  On a miss the entry is filled
 at the local state the key stands for, each orbit's values sorted.  A
 model of the entry's function, over the representative's ports, goes to
 the group's ports through each port's owner position, moved by the
@@ -74,8 +79,8 @@ keeps its models in it, for each group of the class to translate; the
 step never reads them.  The engine keeps each component's group entries
 from its last step and the sum of their counts; a fired interaction lies
 in the drawn component's ports, so the next step re-reads only that
-component's groups.  A step draws a component by its count (with one
-positive count there is no coin), and picks a uniform survivor of it
+component's groups.  A step takes the component of the one positive
+count, or draws one by its count, and picks a uniform survivor of it
 with coins from the engine's own generator; one helper (`_draw`) makes
 both weighted draws.  No primed behavior, primed connectors or
 pool-sized priority function is built.
@@ -103,6 +108,7 @@ from .model import (
     SystemModel,
     ValidationError,
     _advance,
+    _check_arity,
     _moves,
     validate,
 )
@@ -313,11 +319,16 @@ class SystemEncoding:
     # the whole system's independent components
     components: tuple["Component", ...] = field(default=(), repr=False, compare=False)
     # a group's class: its representative, which encodes the class's
-    # functions and keeps its survivor table; how we read our integer class
-    # key and the representative's local state it stands for out of a
-    # state; where the class has orbits, our owner at each position of that
-    # local state (`translate`); else the representative's ports -> ours
+    # functions and keeps its survivor table; per owner its atom index and
+    # each state's code, whose sum is our integer class key, and the bits a
+    # key needs; our key out of a state, a view of our field of the
+    # component's packed sum (`Component`), and the representative's local
+    # state it stands for; where the class has orbits, our owner at each
+    # position of that local state (`translate`); else the representative's
+    # ports -> ours
     representative: Optional["SystemEncoding"] = field(default=None, repr=False, compare=False)
+    codes: tuple[tuple[int, dict[str, int]], ...] = field(default=(), repr=False, compare=False)
+    key_bits: int = field(default=0, repr=False, compare=False)
     key: Optional[Callable[[GlobalState], int]] = field(default=None, repr=False, compare=False)
     canonical: Optional[Callable[[GlobalState], GlobalState]] = field(default=None, repr=False, compare=False)
     orient: Optional[Callable[[GlobalState], list[int]]] = field(default=None, repr=False, compare=False)
@@ -423,8 +434,7 @@ class SystemEncoding:
     def survivors(self, state: GlobalState) -> frozenset[Interaction]:
         """The union of the components' survivor sets; ValueError on a
         state of the wrong arity."""
-        if len(state) != len(self.system.atoms):
-            raise ValueError("state arity does not match the number of atoms")
+        _check_arity(self.system, state)
         return frozenset(a for c in self.components for a in c.survivors(state))
 
     @cached_property
@@ -453,23 +463,49 @@ def _draw(counts: list[int], rng, coin: bool) -> int:
 
 class Component:
     """An independent component: its port groups, whose survivor sets are
-    disjoint and make up its own, each read from its class's entry."""
+    disjoint and make up its own, each read from its class's entry.
+
+    Each group's class key is a field of one packed integer: the sum over
+    the component's owners of one code per (atom, state), that state's
+    codes in every group, each shifted into its group's field.  A field is
+    as wide as its group's keys need, so no field carries into the next,
+    and each group's key (`SystemEncoding.key`) is a view of its field."""
 
     def __init__(self, groups: tuple[SystemEncoding, ...], manager: BddManager):
         self.groups, self.manager = groups, manager
-        # each group's key readers, its class table and its representative,
+        packed: dict[int, dict[str, int]] = {}
+        fields = []
+        shift = 0
+        for g in groups:
+            for j, code in g.codes:
+                into = packed.setdefault(j, dict.fromkeys(code, 0))
+                for q, c in code.items():
+                    into[q] += c << shift
+            fields.append((shift, (1 << g.key_bits) - 1))
+            shift += g.key_bits
+        codes = self._codes = tuple(sorted(packed.items()))
+        for g, (s, mask) in zip(groups, fields):
+            g.key = lambda state, s=s, mask=mask: sum([c[state[j]] for j, c in codes]) >> s & mask
+        # each group's field (no mask when the sum is the one group's key),
+        # its key's local state, its class table and its representative,
         # bound once so that a table hit looks up no attribute
-        self._readers = tuple((g.key, g.canonical, g.representative.survivor_table, g.representative) for g in groups)
+        self._readers = tuple((s, mask if len(groups) > 1 else None, g.canonical, g.representative.survivor_table,
+                               g.representative) for g, (s, mask) in zip(groups, fields))
 
     def entries(self, state: GlobalState) -> list[list]:
-        """Each group's class-table entry at its key in a system state; a
-        miss enters `survivor_fn` at the local state the key stands for."""
+        """Each group's class-table entry at its key in a system state: one
+        sum over the owners' packed codes, from which each group's key is
+        taken by shift and mask (a one-group component's is the sum); a miss
+        enters `survivor_fn` at the local state the key stands for."""
+        packed = sum([c[state[j]] for j, c in self._codes])
         out = []
-        for key, canonical, table, rep in self._readers:
-            k = key(state)
-            if k not in table:
+        for shift, mask, canonical, table, rep in self._readers:
+            k = packed if mask is None else packed >> shift & mask
+            e = table.get(k)
+            if e is None:
                 rep.survivor_fn(canonical(state), k)
-            out.append(table[k])
+                e = table[k]
+            out.append(e)
         return out
 
     def survivors(self, state: GlobalState) -> list[Interaction]:
@@ -538,13 +574,14 @@ def _orbits(sub: SystemModel, rank: dict[str, int], terms: frozenset, pairs: fro
     return tuple(tuple(o) for o in orbits if len(o) > 1)
 
 
-def _digits(firsts: list[dict], orbits: tuple[tuple[int, ...], ...]) -> list[dict[str, int]]:
-    """Per owner position of a class, each value's code: the class key is
-    the sum of its positions' codes, a mixed-radix integer.  An orbit has
-    one digit of base |orbit| + 1 per value, which counts the positions
-    holding it (the counter abstraction, Emerson and Sistla 1996); any
-    other position has one digit holding its value's index.  So two keys
-    agree exactly when the local states agree up to the orbits' permutations."""
+def _digits(firsts: list[dict], orbits: tuple[tuple[int, ...], ...]) -> tuple[list[dict[str, int]], int]:
+    """Per owner position of a class, each value's code, and the number of
+    keys: the class key is the sum of its positions' codes, a mixed-radix
+    integer below the final weight.  An orbit has one digit of base
+    |orbit| + 1 per value, which counts the positions holding it (the
+    counter abstraction, Emerson and Sistla 1996); any other position has
+    one digit holding its value's index.  So two keys agree exactly when
+    the local states agree up to the orbits' permutations."""
     digits: list = [None] * len(firsts)
     weight = 1
     for o in orbits:
@@ -558,7 +595,7 @@ def _digits(firsts: list[dict], orbits: tuple[tuple[int, ...], ...]) -> list[dic
             values = dict.fromkeys(first.values())
             digits[k] = {v: weight * i for i, v in enumerate(values)}
             weight *= len(values)
-    return digits
+    return digits, weight
 
 
 def _sorting_reader(readers: tuple[tuple[int, dict], ...], orbits: tuple[tuple[int, ...], ...]):
@@ -594,9 +631,10 @@ def _group(system: SystemModel, ports: tuple[str, ...], mgr: BddManager, classes
     per owner its port ranks and the ranked label sets its states offer,
     the connector terms and explicit pairs over ranks, and the priority
     kind.  The rank-preserving rename of ports is thus an isomorphism of
-    the sub-systems, and our one key reader sums per owner the code
-    (`_digits`) of the representative's first state offering the same
-    ranked labels as the owner's state.  So the class table is shared by
+    the sub-systems, and our key sums per owner the code (`_digits`) of the
+    representative's first state offering the same ranked labels as the
+    owner's state; our component packs our codes and reads our key from
+    its sum (`Component`).  So the class table is shared by
     the states that differ only outside a group, by the groups of the
     class and, where the class has orbits (`_orbits`), by the states that
     differ by a permutation of interchangeable owners, whose key counts
@@ -630,11 +668,11 @@ def _group(system: SystemModel, ports: tuple[str, ...], mgr: BddManager, classes
     enc = SystemEncoding(sub, mgr)
     if signature not in classes:
         orbits = _orbits(sub, rank, terms, pairs)
-        classes[signature] = (enc, firsts, orbits, _digits(firsts, orbits))
-    rep, their, orbits, digits = classes[signature]
+        classes[signature] = (enc, firsts, orbits, *_digits(firsts, orbits))
+    rep, their, orbits, digits, keys = classes[signature]
     readers = tuple((j, {q: first[o] for q, o in offer.items()}) for j, offer, first in zip(atoms, offers, their))
-    codes = tuple((j, {q: d[r] for q, r in reader.items()}) for (j, reader), d in zip(readers, digits))
-    enc.key = lambda state: sum([c[state[j]] for j, c in codes])
+    enc.codes = tuple((j, {q: d[r] for q, r in reader.items()}) for (j, reader), d in zip(readers, digits))
+    enc.key_bits = (keys - 1).bit_length()
     enc.canonical, orient = _sorting_reader(readers, orbits)
     enc.orient = orient if orbits else None
     enc.representative, enc.own = rep, None if rep is enc or orbits else dict(zip(rep.port_names, ports))
@@ -648,7 +686,7 @@ def build(system: SystemModel) -> SystemEncoding:
     if system.priority is not None and not isinstance(system.priority, (MaximalProgress, ExplicitPairs)):
         raise TypeError(f"unknown priority model: {system.priority!r}")
     mgr = BddManager(variable_order(system))
-    classes: dict = {}  # signature -> its representative, its owners' first state per offer, its orbits, its digits
+    classes: dict = {}  # signature -> its representative, its owners' first state per offer, its orbits, its digits, its number of keys
     comps = tuple(Component(tuple(_group(system, g, mgr, classes) for g in groups), mgr)
                   for _, groups in _partition(system))
     for rep, *_ in classes.values():  # what a step reads
@@ -661,15 +699,16 @@ class SymbolicEngine(Engine):
 
     The per-step work is reading the class-table entries of the port
     groups of the component the last step moved, at their keys in the new
-    state (`Component.entries`), and summing their counts; the other
-    components' entries and counts are kept from the last step.  A step
-    whose state is not the one the last step fired to (a reset, or a state
-    set from outside) reads every component.  No positive count is
-    deadlock; else a component is drawn by its count (`_draw`, with a coin
-    only when two or more counts are positive), and a uniform survivor of
-    it is picked (`Component.pick`) with coins from the engine's generator;
-    the pool is never enumerated.  A survivor is enabled, so the step moves
-    its owners (`model._advance`) without `model.step`'s check against the
+    state, all unpacked from one sum over its owners (`Component.entries`),
+    and summing their counts; the other components' entries and counts are
+    kept from the last step.  A step whose state is not the one the last
+    step fired to (a reset, or a state set from outside) checks its arity
+    (ValueError) and reads every component.  No positive count is
+    deadlock; with one, its component is taken, else a component is drawn
+    by its count (`_draw`, with a coin), and a uniform survivor of it is
+    picked (`Component.pick`) with coins from the engine's generator; the
+    pool is never enumerated.  A survivor is enabled, so the step moves its
+    owners (`model._advance`) without `model.step`'s check against the
     pool.
     """
 
@@ -694,12 +733,13 @@ class SymbolicEngine(Engine):
             es = entries[k] = comps[k].entries(state)
             counts[k] = sum([e[1] for e in es])
         else:  # reset, or a state set from outside: read every component
+            _check_arity(self.system, state)
             entries[:] = [c.entries(state) for c in comps]
             counts[:] = [sum([e[1] for e in es]) for es in entries]
         live = len(counts) - counts.count(0)
         if not live:
             return None
-        k = _draw(counts, self._rng, live > 1)
+        k = _draw(counts, self._rng, True) if live > 1 else counts.index(max(counts))
         a = comps[k].pick(state, entries[k], self._rng)
         self.state = _advance(state, _moves(self.system, state, a), self._rng)
         self._fired_to, self._moved = self.state, k

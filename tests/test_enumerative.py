@@ -9,7 +9,7 @@ from portsync.dsl import parse
 from portsync.enumerative import EnumEngine
 from portsync.generators import gen_bus, gen_tasks, modulo8, random_system
 from portsync.model import AtomicBehavior, MaximalProgress, reachable, sorted_interactions, survivors
-from portsync.symbolic import build
+from portsync.symbolic import SymbolicEngine, build
 
 from oracles import all_states, oracle_act, pairs_written_out, reference_enum_survivors, with_outside_dominator
 
@@ -236,3 +236,27 @@ def test_survivors_refuse_a_state_of_the_wrong_arity():
             with pytest.raises(ValueError, match="state arity does not match the number of atoms"):
                 survivors_at(state)
     assert eng.activity_checks == eng.priority_checks == 0
+
+
+def test_steps_refuse_a_state_of_the_wrong_arity():
+    # gen_tasks(3, 2) is deadlocked at its state below: a step at that
+    # state with one more atom must not report deadlock, nor one at the
+    # state one atom short; both engines refuse both, after a step too,
+    # and leave their state and generator as they were
+    sysm = gen_tasks(3, 2)
+    dead = ("w1", "w1", "w1", "l0", "l0")
+    assert not survivors(sysm, dead)
+    for engine in (EnumEngine, SymbolicEngine):
+        eng = engine(sysm, seed=3)
+        for state in ((*dead, "l0"), dead[:-1]):
+            for stepped in (False, True):
+                eng.reset()
+                if stepped:
+                    eng.step()
+                eng.state = state
+                coins = eng._rng.getstate()
+                with pytest.raises(ValueError, match="state arity does not match the number of atoms"):
+                    eng.step()
+                assert eng.state == state and eng._rng.getstate() == coins
+        eng.state = dead
+        assert eng.step() is None
