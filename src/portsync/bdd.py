@@ -14,7 +14,9 @@ for maximal progress), a structural copy under an order-preserving map
 of levels by the kernel's rename recursion (`rename`, for a connector of
 an encoded shape, and `shift`, the rename by one level, for explicit
 priority pairs), and model counts, uniform picks and model sets over a
-sequence of names for the engines.
+sequence of names for the engines.  A listed set of full minterms
+(`minterms`, for explicit priority pairs) needs no connective: it is
+built bottom-up by the node constructor alone.
 Operations that only tests need (evaluation along a path, support names,
 a three-operand `ite`) live with the tests' oracles.  A per-call
 recursive closure drops its name on return, leaving no cycle to collect.
@@ -42,6 +44,8 @@ from __future__ import annotations
 import random
 import sys
 from bisect import bisect_left
+from functools import reduce
+from operator import or_ as bit_or
 from typing import Iterable, Iterator, Mapping, Sequence
 
 FALSE = 0
@@ -288,6 +292,36 @@ class BddManager:
         for lvl in sorted(levels, reverse=True):
             u = self._mk(lvl, u, FALSE)
         return self._ref(u)
+
+    def minterms(self, rows: Iterable[Iterable[int]], levels: Iterable[int]) -> BddRef:
+        """The disjunction of one full minterm over `levels` per row: the
+        row's levels, which must be among `levels`, true and every other
+        false; false if there are no rows.  Built bottom-up through the
+        unique table by one descent of the sorted levels that calls only
+        `mk`: the rows, as masks over level positions, split at the first
+        position one of them sets, and each position above it is false in
+        all of them.  The chain of nodes above a split is memoised per row
+        set, so a shared set of suffixes is built once."""
+        levels = sorted(set(levels))
+        at = {l: 1 << k for k, l in enumerate(levels)}
+        mk, chains = self._mk, {}
+
+        def rec(i: int, rows: frozenset[int]) -> int:
+            # the node at position i of rows that set no position above i
+            chain = chains.get(rows)
+            if chain is None:
+                bit = (union := reduce(bit_or, rows, 0)) & -union  # the first position a row sets, if any
+                j = bit.bit_length() - 1 if bit else len(levels)
+                lo, hi = frozenset([r for r in rows if not r & bit]), frozenset([r ^ bit for r in rows if r & bit])
+                top = mk(levels[j], rec(j + 1, lo), rec(j + 1, hi)) if bit else TRUE if rows else FALSE
+                chain = chains[rows] = (j, [top])
+            j, nodes = chain  # nodes[k] is the node at position j - k
+            while len(nodes) <= j - i:
+                nodes.append(mk(levels[j - len(nodes)], nodes[-1], FALSE))
+            return nodes[j - i]
+
+        r, rec = rec(0, frozenset(sum(at[l] for l in set(row)) for row in rows)), None
+        return self._ref(r)
 
     # -- boolean operations -------------------------------------------
 

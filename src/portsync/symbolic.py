@@ -14,7 +14,8 @@ of each port for priorities):
   (`union_join`) that never widens a connector to all ports;
 - priority: for explicit pairs, a static relation R(P, P') between an
   interaction over the plain port copies and a dominator over the primed
-  copies, joined the same way from one cube per pair over its own ports.
+  copies: one full minterm per pair over every plain and primed port,
+  built by `BddManager.minterms` with no apply and no cube per pair.
   Maximal progress needs no relation: its R, the strict-subset
   relation, is built only to report `fp_nodes`.
 
@@ -97,7 +98,7 @@ from typing import Callable, Iterable, Optional
 from . import boolfunc as bf
 from .bdd import BddManager, BddRef, balanced
 from .causal import causal_rules, rules_to_formula, tau
-from .connectors import Interaction, interaction_key
+from .connectors import Interaction
 from .model import (
     AtomicBehavior,
     Connector,
@@ -285,21 +286,15 @@ def encode_connectors(system: SystemModel, mgr: BddManager) -> BddRef:
     return union_join(connector_leaves(system, mgr), system.all_ports, mgr)
 
 
-def encode_priority_pairs(
-    pairs: frozenset[tuple[Interaction, Interaction]],
-    all_ports: tuple[str, ...],
-    mgr: BddManager,
-) -> BddRef:
-    """Priority relation: per pair (lo, hi), lo over the plain copies and
-    hi over the primed copies of their ports, joined by `union_join` in
-    the pairs' sorted order, so that every process builds the same nodes;
-    no pair gives false."""
-    def leaf(lo: Interaction, hi: Interaction) -> tuple[list[str], BddRef]:
-        sup = lo | hi
-        return [*sup, *map(prime, sup)], mgr.cube({**{p: p in lo for p in sup}, **{prime(p): p in hi for p in sup}})
-
-    return union_join((leaf(lo, hi) for lo, hi in sorted(pairs, key=lambda ab: (interaction_key(ab[0]), interaction_key(ab[1])))),
-                      [*all_ports, *map(prime, all_ports)], mgr)
+def encode_priority_pairs(pairs: frozenset[tuple[Interaction, Interaction]], all_ports: tuple[str, ...],
+                          mgr: BddManager) -> BddRef:
+    """Priority relation: the disjunction of one full minterm per pair (lo,
+    hi) over the plain and primed copies of `all_ports`, lo's plain copies
+    and hi's primed copies true (`BddManager.minterms`); no pair gives
+    false.  A port's primed copy is the next level (`variable_order`)."""
+    level = mgr.level_of
+    return mgr.minterms(([*map(level, lo), *(level(p) + 1 for p in hi)] for lo, hi in pairs),
+                        [level(p) + d for p in all_ports for d in (0, 1)])
 
 
 def encode_strict_subset(ports: tuple[str, ...], mgr: BddManager) -> BddRef:
@@ -380,8 +375,7 @@ class SystemEncoding:
         """The pool, plus the listed dominators outside it: they need only be active."""
         m, pr = self.manager, self.system.priority
         outside = {hi for _, hi in pr.closure} - self.system.gamma if isinstance(pr, ExplicitPairs) else ()
-        return m.or_all([self.connector_fn, *(m.cube({p: p in hi for p in self.port_names})
-                                              for hi in sorted(outside, key=interaction_key))])
+        return self.connector_fn | m.minterms((map(m.level_of, hi) for hi in outside), map(m.level_of, self.port_names))
 
     @property
     def priority_fn(self) -> BddRef:
@@ -451,14 +445,14 @@ class SystemEncoding:
         return frozenset([atoms[perm[k]].ports[i] for k, i in map(place.__getitem__, ports)])
 
 
-def _draw(counts: list[int], rng, coin: bool) -> int:
-    """The index `random.Random.choices(range(len(counts)), counts)` draws
-    with a coin, else the first positive count's; `counts` has one.  A zero
-    count is an empty interval of the running sums, so it is never drawn.
-    The bound of the bisect is the last positive count, as in `choices`
-    over the positive counts alone: it keeps a rounded-up coin inside."""
+def _draw(counts: list[int], rng) -> int:
+    """The index `random.Random.choices(range(len(counts)), counts)` draws;
+    `counts` has a positive count.  A zero count is an empty interval of
+    the running sums, so it is never drawn.  The bound of the bisect is the
+    last positive count, as in `choices` over the positive counts alone: it
+    keeps a rounded-up coin inside."""
     cum = list(accumulate(counts))
-    return bisect(cum, rng.random() * cum[-1] if coin else 0, 0, cum.index(cum[-1]))
+    return bisect(cum, rng.random() * cum[-1], 0, cum.index(cum[-1]))
 
 
 class Component:
@@ -524,7 +518,7 @@ class Component:
         drawn by its count (`_draw`, with a coin whenever there are two or
         more groups), then a uniform model of its class entry, translated
         onto its ports."""
-        k = _draw([e[1] for e in entries], rng, True) if len(entries) > 1 else 0
+        k = _draw([e[1] for e in entries], rng) if len(entries) > 1 else 0
         g = self.groups[k]
         ports = self.manager.pick_sat(entries[k][0], rng, g.representative.port_names)
         return g.translate(ports, g.orient and g.orient(state))
@@ -739,7 +733,7 @@ class SymbolicEngine(Engine):
         live = len(counts) - counts.count(0)
         if not live:
             return None
-        k = _draw(counts, self._rng, True) if live > 1 else counts.index(max(counts))
+        k = _draw(counts, self._rng) if live > 1 else counts.index(max(counts))
         a = comps[k].pick(state, entries[k], self._rng)
         self.state = _advance(state, _moves(self.system, state, a), self._rng)
         self._fired_to, self._moved = self.state, k

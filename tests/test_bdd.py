@@ -353,6 +353,91 @@ class TestCubes:
         assert g1 == g2 == (b & c)
 
 
+class TestMinterms:
+    # listed levels interleaved with unlisted ones, as the symbolic order
+    # puts state variables before an atom's ports and a primed copy after each
+    ORDER = ["s", "a", "a'", "b", "t", "c", "c'", "d"]
+    LISTED = [7, 2, 1, 5, 3, 6, 2]  # unsorted, level 2 twice; 0 and 4 unlisted
+
+    def check(self, mgr, rows, levels):
+        """The constructor's node is the disjunction of one cube per row
+        over the listed levels, and its truth table over them has exactly
+        the rows' minterms."""
+        rows = [list(r) for r in rows]
+        f = mgr.minterms(rows, levels)
+        names = [mgr.variables[l] for l in sorted(set(levels))]
+        assert f == mgr.or_all(mgr.cube({n: mgr.level_of(n) in r for n in names}) for r in rows)
+        table = 0
+        for r in rows:
+            table |= 1 << sum(1 << len(names) - 1 - k for k, n in enumerate(names) if mgr.level_of(n) in r)
+        assert bdd_table(mgr, f, names) == table
+        mgr.audit()
+        return f
+
+    def test_rows_sharing_prefixes_and_duplicate_rows(self):
+        mgr = BddManager(self.ORDER)
+        rows = [[1, 2], [1, 2, 7], [1, 3], [2, 1], [1, 1, 2], [3, 6], [3, 6, 7], [5, 6], [2, 5, 6]]
+        f = self.check(mgr, rows, range(1, 8))
+        assert evaluate(f, {"a": True, "a'": True}) and not evaluate(f, {"a": True})
+        rng = random.Random(32)
+        for _ in range(150):
+            rows = [rng.sample(range(8), rng.randint(0, 8)) for _ in range(rng.randint(1, 12))]
+            rows += [rng.choice(rows)[::-1] for _ in range(rng.randint(0, 3))]  # duplicates, in another order
+            rows += [r + r[:1] for r in rows[:2]]  # a level listed twice in one row
+            self.check(mgr, rows, range(8))
+
+    def test_the_empty_row_and_no_rows(self):
+        mgr = BddManager(self.ORDER)
+        assert self.check(mgr, [[]], self.LISTED) == mgr.none(set(self.LISTED))
+        assert self.check(mgr, [[], [3]], self.LISTED) == mgr.none([1, 2, 5, 6, 7])
+        assert self.check(mgr, [[3], [], [1, 6]], self.LISTED) == mgr.none([1, 2, 5, 6, 7]) | mgr.cube(
+            {"a": True, "a'": False, "b": False, "c": False, "c'": True, "d": False})
+        before = mgr.total_nodes()
+        assert mgr.minterms([], self.LISTED) == mgr.false
+        assert mgr.minterms([[]], []) == mgr.true
+        assert mgr.minterms([], []) == mgr.false
+        assert mgr.total_nodes() == before
+
+    def test_listed_levels_interleaved_with_unlisted(self):
+        mgr = BddManager(self.ORDER)
+        listed = sorted(set(self.LISTED))
+        rng = random.Random(7)
+        for _ in range(150):
+            rows = [rng.sample(listed, rng.randint(0, len(listed))) for _ in range(rng.randint(1, 8))]
+            f = self.check(mgr, rows, self.LISTED)
+            assert not {"s", "t"} & support(f)
+
+    def test_a_manager_holding_other_nodes(self):
+        # other functions over the same levels share their nodes with the
+        # minterms; what the constructor adds is reachable from its result
+        rng = random.Random(11)
+        for _ in range(40):
+            mgr, fresh = BddManager(self.ORDER), BddManager(self.ORDER)
+            for _ in range(rng.randint(1, 4)):
+                random_fn(mgr, rng, self.ORDER)
+            rows = [rng.sample(range(8), rng.randint(0, 8)) for _ in range(rng.randint(1, 10))]
+            before = mgr.total_nodes()
+            f = mgr.minterms(rows, range(8))
+            assert mgr.total_nodes() - before <= mgr.node_count(f)
+            assert self.check(mgr, rows, range(8)) == f
+            assert mgr.node_count(f) == fresh.node_count(fresh.minterms(rows, range(8)))
+
+    def test_a_relation_deeper_than_the_default_recursion_limit(self):
+        # 1200 levels, above CPython's default recursion limit of 1000: the
+        # row of every level splits the rows at each of them
+        n = 1200
+        mgr = BddManager([f"v{i}" for i in range(n)])
+        rng = random.Random(5)
+        rows = [range(n), [], range(0, n, 2), range(1, n, 3), *(rng.sample(range(n), 40) for _ in range(20))]
+        f = mgr.minterms(rows, range(n))
+        assert f == mgr.or_all(mgr.cube({f"v{i}": i in r for i in range(n)}) for r in map(set, rows))
+        for r in map(set, rows):
+            assert evaluate(f, {f"v{i}": True for i in r})
+        assert not evaluate(f, {"v0": True})
+        assert mgr.sat_count(f) == len(rows)
+        mgr.audit()
+
+
 class TestPickSat:
     NAMES = ("a", "b", "c", "d")
 

@@ -229,8 +229,8 @@ def test_build_leaves_what_no_step_reads_unbuilt():
 
 
 def test_pairs_build_is_the_same_in_every_process():
-    # the explicit pairs are joined in a sorted order, not in the order of
-    # a frozenset of strings: the build makes the same nodes under every
+    # R is built from the pairs' set of minterms, not in the order of a
+    # frozenset of strings: the build makes the same nodes under every
     # string hash seed
     code = ("from portsync.generators import gen_tasks\n"
             "from portsync.model import ExplicitPairs, SystemModel, effective_pairs\n"
@@ -261,6 +261,24 @@ def test_pairs_fn_is_the_minterm_disjunction():
     no_pairs = frozenset()
     assert encode_priority_pairs(no_pairs, sysm.all_ports, m) == reference_priority_pairs(no_pairs, sysm.all_ports, m)
     assert encode_priority_pairs(no_pairs, sysm.all_ports, m) == m.false
+
+
+def test_pairs_fn_creates_at_most_its_nodes_and_one_per_level():
+    # R over tasks 8x2's explicit pairs, system-wide and for each class
+    # representative, built in a manager that already holds the local
+    # behaviors and f_C: it may create no more nodes than it has plus one
+    # per level it spans (one widened cube per pair joined by `union_join`
+    # created 3522 for the representative's 468-node R)
+    sysm = pairs_written_out(gen_tasks(8, 2))
+    reps = [g for c in build(sysm).components for g in c.groups if g.representative is g]
+    assert [len(g.system.priority.closure) for g in reps] == [112]
+    for sub in (sysm, *(g.system for g in reps)):
+        enc = SystemEncoding(sub, BddManager(variable_order(sysm)))
+        enc.local_behavior, enc.connector_fn
+        m, before = enc.manager, enc.manager.total_nodes()
+        r = enc.pairs_fn
+        assert m.total_nodes() - before <= m.node_count(r) + 2 * len(sub.all_ports)
+        assert m.node_count(r) == (1602 if sub is sysm else 468)
 
 
 def test_system_function_conjunction(mod8):
@@ -910,8 +928,7 @@ def test_draw_is_the_choices_draw_and_skips_zero_counts():
     # zeros at the front, in the middle and at the end, it draws the index
     # `choices` draws over all counts, leaving the generator as `choices`
     # does, which is the index a draw over the positive counts alone maps
-    # back to; without a coin it takes the first positive count and draws
-    # nothing
+    # back to
     gen = random.Random(30)
     vectors = [[0, 0, 3, 1], [2, 0, 0, 5], [1, 4, 0, 0], [0, 1, 0, 2, 0, 0, 7, 0], [0, 0, 9, 0], [6], [2**40, 0, 3]]
     vectors += [v for v in ([gen.choice((0, 0, 1, 2, 7)) for _ in range(gen.randrange(1, 10))] for _ in range(60))
@@ -921,12 +938,10 @@ def test_draw_is_the_choices_draw_and_skips_zero_counts():
         cum = list(accumulate(counts[k] for k in live))
         for seed in range(50):
             ours, ref, positive = random.Random(seed), random.Random(seed), random.Random(seed)
-            k = symbolic._draw(counts, ours, True)
+            k = symbolic._draw(counts, ours)
             assert k == ref.choices(range(len(counts)), counts)[0]
             assert ours.getstate() == ref.getstate()
             assert k == live[bisect(cum, positive.random() * cum[-1], 0, len(cum) - 1)]
-            assert symbolic._draw(counts, ours, False) == live[0]
-            assert ours.getstate() == ref.getstate()
 
 
 def test_zero_components_deadlock_on_the_first_step():
