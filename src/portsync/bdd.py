@@ -287,9 +287,10 @@ class BddManager:
         return self._ref(u)
 
     def none(self, levels: Iterable[int]) -> BddRef:
-        """Every variable at `levels` false: a `cube` over levels."""
+        """Every variable at `levels` false: a `cube` over levels, each
+        level once however often it is listed."""
         u = TRUE
-        for lvl in sorted(levels, reverse=True):
+        for lvl in sorted(set(levels), reverse=True):
             u = self._mk(lvl, u, FALSE)
         return self._ref(u)
 

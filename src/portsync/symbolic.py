@@ -23,34 +23,36 @@ Atoms linked by a connector or an explicit priority pair form one
 independent component (`Component`), which is split into port groups:
 ports linked by a connector's support, an explicit pair or one transition
 label, where a group whose owners all own ports of another group merges
-into it (one union-find pass finds both).  Each group stands for its
-owners projected onto it (their ports and labels in the group).  Groups
-that are copies of one another under an order-preserving renaming of
-their ports form a class: their signatures, written over the ranks of
-their ports, agree.  Only the first group of a class, its
-representative, is encoded in the shared manager.  The representative's
-owner positions that a swap of owners maps onto each other form orbits
-(`_orbits`; symmetry as in Ip and Dill 1996, Emerson and Sistla 1996).
-Each group reads the class's one survivor table at its class key, one
-integer summed from a code per owner of the representative's first
-state that offers the same ranked labels: it counts each orbit's owners
-per value and holds each other owner's value (`_digits`, the counter
-abstraction of Emerson and Sistla 1996).  A component reads every
-group's key in one sum: per atom and state it keeps one code, the sum of
-the atom's codes in each of its groups, each shifted into that group's
-bit field, which is as wide as the group's keys need; each key is taken
-out of the sum by shift and mask (a one-group component's is the sum
-itself).  On a miss the entry is filled
-at the local state the key stands for, each orbit's values sorted.  A
-model of the entry's function, over the representative's ports, goes to
-the group's ports through each port's owner position, moved by the
-sort's permutation, and its index there (`SystemEncoding.translate`).
-An interaction and its dominators lie in one group, so a component's
+into it (one union-find pass finds both).  Each group (`Group`) stands
+for its owners projected onto it (their ports and labels in the group).
+Groups that are copies of one another under an order-preserving renaming
+of their ports form a class: their signatures, written over the ranks of
+their ports, agree.  A class is one object (`GroupClass`) that its
+groups share: the encoding of its first group, the representative, which
+alone is encoded in the shared manager; its orbits, the representative's
+owner positions that a swap of owners maps onto each other (`_orbits`;
+symmetry as in Ip and Dill 1996, Emerson and Sistla 1996); its key
+digits; and its one survivor table.  Each group reads that table at its
+class key, one integer summed from a code per owner of the
+representative's first state that offers the same ranked labels: it
+counts each orbit's owners per value and holds each other owner's value
+(`_digits`, the counter abstraction of Emerson and Sistla 1996).  A
+component reads every group's key in one sum: per atom and state it
+keeps one code, the sum of the atom's codes in each of its groups, each
+shifted into that group's bit field, which is as wide as the group's
+keys need; each key is taken out of the sum by shift and mask (a
+one-group component's is the sum itself).  On a miss the class fills the
+entry (`GroupClass.fill`) at the local state the key stands for, each
+orbit's values sorted (`Group.canonical`).  A model of the entry's
+function, over the representative's ports, goes to the group's ports
+through each port's owner position, moved by the sort's permutation
+(`Group.orient`), and its index there (`Group.translate`).  An
+interaction and its dominators lie in one group, so a component's
 survivors are the disjoint union of its groups'.  Their join is never
 built: a component counts the sum of their counts; its pick draws a
 group by its count, then a uniform model of its entry
 (`BddManager.pick_sat`).  Each function is built on first read, and the
-build reads only what a step reads: each representative's local
+build reads only what a step reads: each class encoding's local
 behaviors, f_C and priority inputs.
 
 A group's survivor function at its local state conjoins the current
@@ -73,18 +75,19 @@ group's own ports (`sat_count` over every variable, shifted right by the
 variables outside those ports), both filled on the miss; the function
 mentions only those ports, so the count is 0 exactly when it is
 false.  The tables hold at most the sum of the classes' local state
-spaces up to the orbits' permutations, not their product.  `survivors`
+spaces up to the orbits' permutations, not their product.  An encoding
+keeps no table: `survivor_fn` only computes the function.  `survivors`
 (which `check` reads) and the step read the same entries, and enter
-`survivor_fn` only on a miss.  The first `survivors` to read an entry
-keeps its models in it, for each group of the class to translate; the
-step never reads them.  The engine keeps each component's group entries
-from its last step and the sum of their counts; a fired interaction lies
-in the drawn component's ports, so the next step re-reads only that
-component's groups.  A step takes the component of the one positive
-count, or draws one by its count, and picks a uniform survivor of it
-with coins from the engine's own generator; one helper (`_draw`) makes
-both weighted draws.  No primed behavior, primed connectors or
-pool-sized priority function is built.
+`survivor_fn` only through a class's fill on a miss.  The first
+`survivors` to read an entry keeps its models in it, for each group of
+the class to translate; the step never reads them.  The engine keeps
+each component's group entries from its last step and the sum of their
+counts; a fired interaction lies in the drawn component's ports, so the
+next step re-reads only that component's groups.  A step takes the
+component of the one positive count, or draws one by its count, and
+picks a uniform survivor of it with coins from the engine's own
+generator; one helper (`_draw`) makes both weighted draws.  No primed
+behavior, primed connectors or pool-sized priority function is built.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ from bisect import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from . import boolfunc as bf
 from .bdd import BddManager, BddRef, balanced
@@ -308,29 +311,11 @@ def encode_strict_subset(ports: tuple[str, ...], mgr: BddManager) -> BddRef:
 @dataclass
 class SystemEncoding:
     """A (sub-)system's functions; the whole system's encoding also holds
-    its independent components, and a port group's is read by the step."""
+    its independent components."""
     system: SystemModel
     manager: BddManager
     # the whole system's independent components
     components: tuple["Component", ...] = field(default=(), repr=False, compare=False)
-    # a group's class: its representative, which encodes the class's
-    # functions and keeps its survivor table; per owner its atom index and
-    # each state's code, whose sum is our integer class key, and the bits a
-    # key needs; our key out of a state, a view of our field of the
-    # component's packed sum (`Component`), and the representative's local
-    # state it stands for; where the class has orbits, our owner at each
-    # position of that local state (`translate`); else the representative's
-    # ports -> ours
-    representative: Optional["SystemEncoding"] = field(default=None, repr=False, compare=False)
-    codes: tuple[tuple[int, dict[str, int]], ...] = field(default=(), repr=False, compare=False)
-    key_bits: int = field(default=0, repr=False, compare=False)
-    key: Optional[Callable[[GlobalState], int]] = field(default=None, repr=False, compare=False)
-    canonical: Optional[Callable[[GlobalState], GlobalState]] = field(default=None, repr=False, compare=False)
-    orient: Optional[Callable[[GlobalState], list[int]]] = field(default=None, repr=False, compare=False)
-    own: Optional[dict[str, str]] = field(default=None, repr=False, compare=False)
-    # key -> [survivor function, its number of survivors over our ports (0
-    # exactly when it is false), and once `Component.survivors` reads it its models]
-    survivor_table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # f_B, f_S and the whole system's own functions are read by no step:
     # each is built when first asked for
@@ -400,10 +385,8 @@ class SystemEncoding:
                 out[state_var(atom, s)] = s == current
         return out
 
-    def survivor_fn(self, state: GlobalState, key: Optional[int] = None) -> BddRef:
-        """The survivor function at a local state, entered with its count in
-        `survivor_table` at `key` (the state itself by default): it mentions
-        only our ports, so each other variable doubles its model count."""
+    def survivor_fn(self, state: GlobalState) -> BddRef:
+        """The survivor function at a local state; it mentions only our ports."""
         # the local behaviors' conjunction is restrict(f_B, state)
         m = self.manager
         factors = [local[q] for local, q in zip(self.local_behavior, state)]
@@ -418,12 +401,7 @@ class SystemEncoding:
             dominators = m.and_all([*factors, self.dominator_fn])
             excluded = m.and_exists(m.shift(dominators), self.pairs_fn, self.primed_names)
             fn = g & ~excluded
-        self.survivor_table[state if key is None else key] = [fn, m.sat_count(fn) >> self._count_shift]
         return fn
-
-    @cached_property
-    def _count_shift(self) -> int:
-        return len(self.manager.variables) - len(self.port_names)
 
     def survivors(self, state: GlobalState) -> frozenset[Interaction]:
         """The union of the components' survivor sets; ValueError on a
@@ -431,17 +409,74 @@ class SystemEncoding:
         _check_arity(self.system, state)
         return frozenset(a for c in self.components for a in c.survivors(state))
 
-    @cached_property
-    def _place(self) -> dict[str, tuple[int, int]]:
-        """Each port's owner position and its index among the owner's ports."""
-        return {p: (k, i) for k, atom in enumerate(self.system.atoms) for i, p in enumerate(atom.ports)}
+
+class GroupClass:
+    """Port groups that are copies of one another (`_group`): the first
+    one's encoding, which encodes the class's functions; its owners' first
+    state per offer; its orbits (`_orbits`); per owner position each
+    value's code and the number of keys (`_digits`); and the class's one
+    survivor table: key -> [survivor function, its number of survivors
+    over a group's ports (0 exactly when it is false), and once
+    `Component.survivors` reads it its models]."""
+
+    def __init__(self, encoding: SystemEncoding, firsts: list[dict], orbits: tuple[tuple[int, ...], ...]):
+        self.encoding, self.firsts, self.orbits = encoding, firsts, orbits
+        self.digits, self.keys = _digits(firsts, orbits)
+        self.table: dict[int, list] = {}
+        # each port's owner position and its index among the owner's ports (`Group.translate`)
+        self.place = {p: (k, i) for k, atom in enumerate(encoding.system.atoms) for i, p in enumerate(atom.ports)}
+
+    def fill(self, state: GlobalState, key: int) -> list:
+        """The entry at `key`, filled at the local state it stands for: the
+        survivor function mentions only the class's ports, so each other
+        variable doubles its model count."""
+        enc, m = self.encoding, self.encoding.manager
+        fn = enc.survivor_fn(state)
+        e = self.table[key] = [fn, m.sat_count(fn) >> len(m.variables) - len(enc.port_names)]
+        return e
+
+
+class Group:
+    """A port group: its owners projected onto it (`system`), its class,
+    and per owner its atom index and each state's code, whose sum is its
+    class key, a `key_bits`-bit field of its component's packed sum
+    (`Component`).  Each owner's state is read as the representative's
+    first state with the same offer (`_group`).  `orient` is None where
+    the class has no orbits; `own` maps the representative's ports to ours
+    there, and is None for the representative itself."""
+
+    def __init__(self, system: SystemModel, cls: GroupClass, readers: tuple[tuple[int, dict[str, str]], ...]):
+        self.system, self.cls, self._readers = system, cls, readers
+        self.codes = tuple((j, {q: d[r] for q, r in reader.items()}) for (j, reader), d in zip(readers, cls.digits))
+        self.key_bits = (cls.keys - 1).bit_length()
+        rep = cls.encoding.system
+        self.own = None if cls.orbits or rep is system else dict(zip(rep.all_ports, system.all_ports))
+        if not cls.orbits:
+            self.orient = None
+
+    def canonical(self, state: GlobalState) -> GlobalState:
+        """The local state our key stands for: each orbit's values sorted."""
+        v = [r[state[j]] for j, r in self._readers]
+        for o in self.cls.orbits:
+            for k, x in zip(o, sorted([v[k] for k in o])):
+                v[k] = x
+        return tuple(v)
+
+    def orient(self, state: GlobalState) -> list[int]:
+        """Per owner position, the position whose value `canonical`'s sort put there."""
+        v = [r[state[j]] for j, r in self._readers]
+        perm = list(range(len(v)))
+        for o in self.cls.orbits:
+            for k, at in zip(o, sorted(o, key=v.__getitem__)):
+                perm[k] = at
+        return perm
 
     def translate(self, ports: frozenset[str], perm: Optional[list[int]]) -> Interaction:
         """A model of our class entry, over the representative's ports, as
         ours: the i-th port of owner position k is owner perm[k]'s i-th."""
         if perm is None:
             return ports if self.own is None else frozenset(map(self.own.__getitem__, ports))
-        atoms, place = self.system.atoms, self.representative._place
+        atoms, place = self.system.atoms, self.cls.place
         return frozenset([atoms[perm[k]].ports[i] for k, i in map(place.__getitem__, ports)])
 
 
@@ -462,10 +497,9 @@ class Component:
     Each group's class key is a field of one packed integer: the sum over
     the component's owners of one code per (atom, state), that state's
     codes in every group, each shifted into its group's field.  A field is
-    as wide as its group's keys need, so no field carries into the next,
-    and each group's key (`SystemEncoding.key`) is a view of its field."""
+    as wide as its group's keys need, so no field carries into the next."""
 
-    def __init__(self, groups: tuple[SystemEncoding, ...], manager: BddManager):
+    def __init__(self, groups: tuple[Group, ...], manager: BddManager):
         self.groups, self.manager = groups, manager
         packed: dict[int, dict[str, int]] = {}
         fields = []
@@ -477,28 +511,25 @@ class Component:
                     into[q] += c << shift
             fields.append((shift, (1 << g.key_bits) - 1))
             shift += g.key_bits
-        codes = self._codes = tuple(sorted(packed.items()))
-        for g, (s, mask) in zip(groups, fields):
-            g.key = lambda state, s=s, mask=mask: sum([c[state[j]] for j, c in codes]) >> s & mask
+        self._codes = tuple(sorted(packed.items()))
         # each group's field (no mask when the sum is the one group's key),
-        # its key's local state, its class table and its representative,
-        # bound once so that a table hit looks up no attribute
-        self._readers = tuple((s, mask if len(groups) > 1 else None, g.canonical, g.representative.survivor_table,
-                               g.representative) for g, (s, mask) in zip(groups, fields))
+        # its key's local state, its class table and its class, bound once
+        # so that a table hit looks up no attribute
+        self._readers = tuple((s, mask if len(groups) > 1 else None, g.canonical, g.cls.table, g.cls)
+                              for g, (s, mask) in zip(groups, fields))
 
     def entries(self, state: GlobalState) -> list[list]:
         """Each group's class-table entry at its key in a system state: one
         sum over the owners' packed codes, from which each group's key is
         taken by shift and mask (a one-group component's is the sum); a miss
-        enters `survivor_fn` at the local state the key stands for."""
+        fills the entry at the local state the key stands for."""
         packed = sum([c[state[j]] for j, c in self._codes])
         out = []
-        for shift, mask, canonical, table, rep in self._readers:
+        for shift, mask, canonical, table, cls in self._readers:
             k = packed if mask is None else packed >> shift & mask
             e = table.get(k)
             if e is None:
-                rep.survivor_fn(canonical(state), k)
-                e = table[k]
+                e = cls.fill(canonical(state), k)
             out.append(e)
         return out
 
@@ -508,7 +539,7 @@ class Component:
         out: list[Interaction] = []
         for g, e in zip(self.groups, self.entries(state)):
             if len(e) < 3:
-                e.append(list(self.manager.iter_models(e[0], g.representative.port_names)))
+                e.append(list(self.manager.iter_models(e[0], g.cls.encoding.port_names)))
             perm = g.orient and g.orient(state)
             out += (g.translate(m, perm) for m in e[2])
         return out
@@ -520,7 +551,7 @@ class Component:
         onto its ports."""
         k = _draw([e[1] for e in entries], rng) if len(entries) > 1 else 0
         g = self.groups[k]
-        ports = self.manager.pick_sat(entries[k][0], rng, g.representative.port_names)
+        ports = self.manager.pick_sat(entries[k][0], rng, g.cls.encoding.port_names)
         return g.translate(ports, g.orient and g.orient(state))
 
 
@@ -592,48 +623,26 @@ def _digits(firsts: list[dict], orbits: tuple[tuple[int, ...], ...]) -> tuple[li
     return digits, weight
 
 
-def _sorting_reader(readers: tuple[tuple[int, dict], ...], orbits: tuple[tuple[int, ...], ...]):
-    """The canonical local state and the orientation of a group, from each
-    owner's (atom index, map to the representative's states).  The local
-    state sorts the values of each orbit's positions; the orientation lists
-    per position the position whose value the sort put there."""
-    def canonical(state: GlobalState) -> GlobalState:
-        v = [r[state[j]] for j, r in readers]
-        for o in orbits:
-            for k, x in zip(o, sorted([v[k] for k in o])):
-                v[k] = x
-        return tuple(v)
-
-    def orient(state: GlobalState) -> list[int]:
-        v = [r[state[j]] for j, r in readers]
-        perm = list(range(len(v)))
-        for o in orbits:
-            for k, at in zip(o, sorted(o, key=v.__getitem__)):
-                perm[k] = at
-        return perm
-
-    return canonical, orient
-
-
-def _group(system: SystemModel, ports: tuple[str, ...], mgr: BddManager, classes: dict) -> SystemEncoding:
+def _group(system: SystemModel, ports: tuple[str, ...], mgr: BddManager, classes: dict) -> Group:
     """One port group, encoded over the atoms that own its ports projected
     onto it: each keeps its ports in the group and the transitions whose
     labels lie in it, with the connectors and explicit pairs on the group.
 
-    Its class is `classes[signature]`, whose first group represents it.
-    The signature names nothing: with the ports ranked by level, it holds
-    per owner its port ranks and the ranked label sets its states offer,
-    the connector terms and explicit pairs over ranks, and the priority
-    kind.  The rank-preserving rename of ports is thus an isomorphism of
-    the sub-systems, and our key sums per owner the code (`_digits`) of the
-    representative's first state offering the same ranked labels as the
-    owner's state; our component packs our codes and reads our key from
-    its sum (`Component`).  So the class table is shared by
-    the states that differ only outside a group, by the groups of the
-    class and, where the class has orbits (`_orbits`), by the states that
-    differ by a permutation of interchangeable owners, whose key counts
-    the owners per value.  A miss fills the entry at `canonical`, the
-    local state the key stands for, each orbit's values sorted."""
+    Its class is `classes[signature]`, made from the first group with
+    that signature, its representative.  The signature names nothing:
+    with the ports ranked by level, it holds per owner its port ranks and
+    the ranked label sets its states offer, the connector terms and
+    explicit pairs over ranks, and the priority kind.  The rank-preserving
+    rename of ports is thus an isomorphism of the sub-systems, and our key
+    sums per owner the code (`_digits`) of the representative's first
+    state offering the same ranked labels as the owner's state; our
+    component packs our codes and reads our key from its sum
+    (`Component`).  So the class table is shared by the states that differ
+    only outside a group, by the groups of the class and, where the class
+    has orbits (`_orbits`), by the states that differ by a permutation of
+    interchangeable owners, whose key counts the owners per value.  A miss
+    fills the entry at `Group.canonical`, the local state the key stands
+    for, each orbit's values sorted."""
     ours = frozenset(ports)
     atoms = tuple(j for j, atom in enumerate(system.atoms) if atom.port_set & ours)
 
@@ -659,18 +668,11 @@ def _group(system: SystemModel, ports: tuple[str, ...], mgr: BddManager, classes
     pairs = frozenset((ranked(lo), ranked(hi)) for lo, hi in pr.closure) if isinstance(pr, ExplicitPairs) else None
     signature = (tuple((tuple(map(rank.__getitem__, a.ports)), frozenset(o)) for a, o in zip(sub.atoms, firsts)),
                  terms, pairs if pairs is not None else type(pr))
-    enc = SystemEncoding(sub, mgr)
-    if signature not in classes:
-        orbits = _orbits(sub, rank, terms, pairs)
-        classes[signature] = (enc, firsts, orbits, *_digits(firsts, orbits))
-    rep, their, orbits, digits, keys = classes[signature]
-    readers = tuple((j, {q: first[o] for q, o in offer.items()}) for j, offer, first in zip(atoms, offers, their))
-    enc.codes = tuple((j, {q: d[r] for q, r in reader.items()}) for (j, reader), d in zip(readers, digits))
-    enc.key_bits = (keys - 1).bit_length()
-    enc.canonical, orient = _sorting_reader(readers, orbits)
-    enc.orient = orient if orbits else None
-    enc.representative, enc.own = rep, None if rep is enc or orbits else dict(zip(rep.port_names, ports))
-    return enc
+    cls = classes.get(signature)
+    if cls is None:
+        cls = classes[signature] = GroupClass(SystemEncoding(sub, mgr), firsts, _orbits(sub, rank, terms, pairs))
+    return Group(sub, cls, tuple((j, {q: first[o] for q, o in offer.items()})
+                                 for j, offer, first in zip(atoms, offers, cls.firsts)))
 
 
 def build(system: SystemModel) -> SystemEncoding:
@@ -680,11 +682,11 @@ def build(system: SystemModel) -> SystemEncoding:
     if system.priority is not None and not isinstance(system.priority, (MaximalProgress, ExplicitPairs)):
         raise TypeError(f"unknown priority model: {system.priority!r}")
     mgr = BddManager(variable_order(system))
-    classes: dict = {}  # signature -> its representative, its owners' first state per offer, its orbits, its digits, its number of keys
+    classes: dict[tuple, GroupClass] = {}  # by signature
     comps = tuple(Component(tuple(_group(system, g, mgr, classes) for g in groups), mgr)
                   for _, groups in _partition(system))
-    for rep, *_ in classes.values():  # what a step reads
-        rep.local_behavior, rep.connector_fn, rep.pairs_fn, rep.dominator_fn
+    for enc in (cls.encoding for cls in classes.values()):  # what a step reads
+        enc.local_behavior, enc.connector_fn, enc.pairs_fn, enc.dominator_fn
     return SystemEncoding(system, mgr, comps)
 
 

@@ -350,7 +350,13 @@ def port_groups_of(x):
 
 def ports_of(x):
     """The ports of a component, or of every component of an encoding."""
-    return [p for g in port_groups_of(x) for p in g.port_names]
+    return [p for g in port_groups_of(x) for p in g.system.all_ports]
+
+
+def key_of(g, state):
+    """A port group's class key at a system state: the sum of its owners'
+    codes, which its component reads from its field of one packed sum."""
+    return sum(code[state[j]] for j, code in g.codes)
 
 
 def own_state(enc, system, state):

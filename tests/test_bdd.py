@@ -345,6 +345,13 @@ class TestCubes:
     def test_empty_cube(self, mgr):
         assert mgr.cube({}) == mgr.true
 
+    def test_none_lists_each_level_once(self, mgr):
+        # a level listed twice is one literal: no node tests the level of
+        # its own child
+        assert mgr.none([1, 2, 1]) == mgr.none([1, 2]) == ~mgr.var("b") & ~mgr.var("c")
+        assert mgr.none([3, 3, 0, 3]) == mgr.none([0, 3])
+        mgr.audit()
+
     def test_restrict_many_equals_chained_restrict(self, mgr):
         a, b, c, d = (mgr.var(v) for v in "abcd")
         f = (a | b) & (c | ~d)

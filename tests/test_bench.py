@@ -58,7 +58,7 @@ def test_bench_times_fresh_engines(monkeypatch):
     run = SymbolicEngine.run
 
     def recording_run(self, steps):
-        cached = sum(len(g.survivor_table) for c in self.encoding.components for g in c.groups)
+        cached = sum(len(cls.table) for cls in {g.cls for c in self.encoding.components for g in c.groups})
         started.append((self, self.steps_taken, cached))
         return run(self, steps)
 

@@ -4,7 +4,7 @@ from portsync import equivalence
 from portsync.equivalence import check_equivalence
 from portsync.generators import gen_bus, gen_tasks, modulo8, random_system
 from portsync.model import SystemModel, act, reachable, successors, survivors
-from portsync.symbolic import build
+from portsync.symbolic import SystemEncoding, build
 
 from oracles import moved_trigger, reference_walk, with_outside_dominator
 
@@ -39,7 +39,7 @@ def test_corrupted_encoding_reports_divergence(mod8):
     enc = build(mod8)
     (c,) = enc.components
     (group,) = c.groups
-    group.connector_fn = enc.manager.false  # sabotage the group the step reads: symbolic sees no pool
+    group.cls.encoding.connector_fn = enc.manager.false  # sabotage the class the step reads: symbolic sees no pool
     report = check_equivalence(mod8, encoding=enc)
     assert not report.equivalent
     d = report.divergences[0]
@@ -48,10 +48,10 @@ def test_corrupted_encoding_reports_divergence(mod8):
 
 
 def _over_reporting(sysm):
-    """An encoding of sysm whose first representative's atoms offer every
+    """An encoding of sysm whose first class encoding's atoms offer every
     label at every state: its class reports survivors that are not enabled."""
     enc = build(sysm)
-    rep = enc.components[0].groups[0].representative
+    rep = enc.components[0].groups[0].cls.encoding
     rep.local_behavior = tuple({s: enc.manager.true for s in local} for local in rep.local_behavior)
     return enc
 
@@ -118,14 +118,15 @@ def test_corrupted_component_reports_divergence():
     # bus2 with one bus trigger moved is two independent clusters, each a
     # component of one port group, that are not isomorphic; tasks 3x2 less
     # one connector on processor 2 is one component of two groups, one per
-    # processor, that are not isomorphic either; so each group represents
-    # its own class and encodes its own f_C
+    # processor, that are not isomorphic either; so each group is a class
+    # of its own, whose encoding encodes its own f_C
     for sysm, k in ((moved_trigger(gen_bus(2), "bus_2"), 1), (_without(gen_tasks(3, 2), "beg_2_over_1_2"), 0)):
         enc = build(sysm)
         groups = enc.components[k].groups
         assert (len(enc.components), len(groups)) == ((2, 1) if k else (1, 2))
-        assert all(g.representative is g for c in enc.components for g in c.groups)
-        groups[-1].connector_fn = enc.manager.false  # sabotage one cluster, or one processor
+        classes = {g.cls for c in enc.components for g in c.groups}
+        assert len(classes) == sum(len(c.groups) for c in enc.components)
+        groups[-1].cls.encoding.connector_fn = enc.manager.false  # sabotage one cluster, or one processor
         report = check_equivalence(sysm, encoding=enc)
         assert not report.equivalent
         d = report.divergences[0]
@@ -134,21 +135,20 @@ def test_corrupted_component_reports_divergence():
 
 
 def test_corrupted_representative_diverges_in_its_whole_class():
-    # bus3's clusters form one class: every cluster copies the first one's
-    # functions, so sabotaging the first silences all three, and sabotaging
-    # another cluster, which encodes nothing of its own, changes nothing
+    # bus3's clusters form one class: every cluster reads the one class
+    # object and its encoding, the first cluster's, so sabotaging that
+    # encoding silences all three; no cluster holds an encoding of its own
     sysm = gen_bus(3)
     enc = build(sysm)
     groups = [c.groups[0] for c in enc.components]
-    assert all(g.representative is groups[0] for g in groups)
-    groups[1].connector_fn = enc.manager.false
-    assert check_equivalence(sysm, encoding=enc).equivalent
-    enc = build(sysm)
-    enc.components[0].groups[0].connector_fn = enc.manager.false
+    assert all(g.cls is groups[0].cls for g in groups)
+    assert not any(isinstance(v, SystemEncoding) for g in groups for v in vars(g).values())
+    groups[0].cls.encoding.connector_fn = enc.manager.false
     report = check_equivalence(sysm, encoding=enc)
+    assert not report.equivalent
     d = report.divergences[0]
     assert d.symbolic_survivors == frozenset()
-    assert all(any(a & set(g.port_names) for a in d.enum_survivors) for g in groups)
+    assert all(any(a & set(g.system.all_ports) for a in d.enum_survivors) for g in groups)
 
 
 def test_random_systems_equivalent():

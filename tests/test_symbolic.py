@@ -52,9 +52,9 @@ from portsync.symbolic import (
 from portsync.connectors import interactions_of, support
 from portsync.equivalence import check_equivalence
 
-from oracles import (active_fn, all_states, encode_connector, hub_system, joined_survivor_fn, moved_trigger, oracle_survivors,
-                     own_state, pairs_written_out, port_groups_of, ports_of, reference_connector_fn, reference_pick_sat,
-                     reference_priority_pairs, skipped_levels, transfer, whole_survivor_fn)
+from oracles import (active_fn, all_states, encode_connector, hub_system, joined_survivor_fn, key_of, moved_trigger,
+                     oracle_survivors, own_state, pairs_written_out, port_groups_of, ports_of, reference_connector_fn,
+                     reference_pick_sat, reference_priority_pairs, skipped_levels, transfer, whole_survivor_fn)
 
 
 def test_variable_order_groups_atoms(mod8):
@@ -171,12 +171,11 @@ def test_causal_rules_run_once_per_shape(monkeypatch):
     calls = []
     real = symbolic.causal_rules
     monkeypatch.setattr(symbolic, "causal_rules", lambda tree: calls.append(tree) or real(tree))
-    # the build encodes each class representative's connectors
+    # the build encodes each class encoding's connectors
     for sysm, connectors, shapes in ((gen_tasks(8, 4), 112, 2), (gen_bus(16), 5, 2)):
         calls.clear()
-        enc = build(sysm)
-        reps = {id(g.representative): g.representative for c in enc.components for g in c.groups}
-        assert sum(len(r.system.connectors) for r in reps.values()) == connectors
+        classes = {g.cls for g in port_groups_of(build(sysm))}
+        assert sum(len(cls.encoding.system.connectors) for cls in classes) == connectors
         assert len(calls) == shapes
     for sysm in (modulo8(), gen_tasks(3, 2), _interleaved_shapes(), *map(hub_system, range(40)),
                  *map(random_system, range(60))):
@@ -206,11 +205,12 @@ def test_node_counts_are_pinned():
 
 
 def test_build_leaves_what_no_step_reads_unbuilt():
-    # the build reads what a step reads: each class representative's local
+    # the build reads what a step reads: each class encoding's local
     # behaviors, f_C and priority inputs, and each component's pick; a group
-    # that is a copy of its representative builds none of them; f_B, f_S and the
-    # whole system's own functions wait for a reader, and so does every
-    # function of a system of one component of one group
+    # holds no encoding of its own, so one that copies its class's first
+    # group builds none of them; f_B, f_S and the whole system's own
+    # functions wait for a reader, and so does every function of a system
+    # of one component of one group
     bus, tasks = gen_bus(3), gen_tasks(3, 2)
     step_reads = {"local_behavior", "connector_fn", "pairs_fn", "dominator_fn"}
     joined = copies = 0
@@ -220,9 +220,10 @@ def test_build_leaves_what_no_step_reads_unbuilt():
         for c in enc.components:
             assert callable(c.pick)
             for g in c.groups:
-                assert step_reads & set(vars(g)) == (step_reads if g.representative is g else set())
-                assert not {"behavior_fn", "system_fn"} & set(vars(g))
-                copies += g.representative is not g
+                assert step_reads <= set(vars(g.cls.encoding))
+                assert not {"behavior_fn", "system_fn"} & set(vars(g.cls.encoding))
+                assert not any(isinstance(v, SystemEncoding) for v in vars(g).values())
+                copies += g.cls.encoding.system is not g.system
             joined += len(c.groups) > 1
         assert enc.system_fn == enc.behavior_fn & enc.connector_fn
     assert joined == 2 and copies == 6
@@ -257,7 +258,8 @@ def test_pairs_fn_is_the_minterm_disjunction():
         assert enc.pairs_fn == encode_priority_pairs(pairs, sysm.all_ports, m)
         assert enc.pairs_fn == reference_priority_pairs(pairs, sysm.all_ports, m)
         for g in port_groups_of(enc):
-            assert g.pairs_fn == reference_priority_pairs(g.system.priority.closure, g.port_names, m)
+            assert SystemEncoding(g.system, m).pairs_fn == \
+                reference_priority_pairs(g.system.priority.closure, g.system.all_ports, m)
     no_pairs = frozenset()
     assert encode_priority_pairs(no_pairs, sysm.all_ports, m) == reference_priority_pairs(no_pairs, sysm.all_ports, m)
     assert encode_priority_pairs(no_pairs, sysm.all_ports, m) == m.false
@@ -265,14 +267,14 @@ def test_pairs_fn_is_the_minterm_disjunction():
 
 def test_pairs_fn_creates_at_most_its_nodes_and_one_per_level():
     # R over tasks 8x2's explicit pairs, system-wide and for each class
-    # representative, built in a manager that already holds the local
+    # encoding, built in a manager that already holds the local
     # behaviors and f_C: it may create no more nodes than it has plus one
     # per level it spans (one widened cube per pair joined by `union_join`
     # created 3522 for the representative's 468-node R)
     sysm = pairs_written_out(gen_tasks(8, 2))
-    reps = [g for c in build(sysm).components for g in c.groups if g.representative is g]
-    assert [len(g.system.priority.closure) for g in reps] == [112]
-    for sub in (sysm, *(g.system for g in reps)):
+    reps = [members[0].cls.encoding for members in _classes(build(sysm))]
+    assert [len(rep.system.priority.closure) for rep in reps] == [112]
+    for sub in (sysm, *(rep.system for rep in reps)):
         enc = SystemEncoding(sub, BddManager(variable_order(sysm)))
         enc.local_behavior, enc.connector_fn
         m, before = enc.manager, enc.manager.total_nodes()
@@ -288,10 +290,10 @@ def test_system_function_conjunction(mod8):
 
 def test_enabled_fn_matches_restricted_system_fn():
     # the atoms' local behaviors conjoin to the node of restricting f_B
-    # (and f_S) by the whole state; the memoised survivor functions, the
-    # whole system's and its groups' (a component's entries are theirs),
-    # must be those a fresh encoding computes with its memos empty, and
-    # the groups' union-join the whole system's
+    # (and f_S) by the whole state; the whole system's survivor function and
+    # its groups' class entries (a component's entries are theirs) must be
+    # those a fresh encoding computes with its class tables empty, and the
+    # groups' union-join the whole system's
     systems = [modulo8(), gen_bus(3), gen_tasks(3, 2), *map(random_system, range(60))]
     for sysm in systems:
         enc, fresh = build(sysm), build(sysm)
@@ -300,15 +302,14 @@ def test_enabled_fn_matches_restricted_system_fn():
             asg = enc.state_assignment(state)
             assert active_fn(enc, state) == m.restrict_many(enc.behavior_fn, asg)
             assert active_fn(enc, state) & enc.connector_fn == m.restrict_many(enc.system_fn, asg)
-            fn, entry = enc.survivor_fn(state), enc.survivor_table[state]
-            assert enc.survivor_fn(state) == fn == entry[0]
+            fn = enc.survivor_fn(state)
+            assert enc.survivor_fn(state) == fn
             for c in enc.components:
                 entries = c.entries(state)
                 assert all(map(operator.is_, c.entries(state), entries))
-                assert all(map(operator.is_, entries, (g.representative.survivor_table[g.key(state)]
-                                                              for g in c.groups)))
-            for g in (fresh, *port_groups_of(fresh)):
-                g.survivor_table.clear()
+                assert all(map(operator.is_, entries, (g.cls.table[key_of(g, state)] for g in c.groups)))
+            for cls in {g.cls for g in port_groups_of(fresh)}:
+                cls.table.clear()
             assert transfer(fresh.survivor_fn(state), m) == fn
             assert transfer(joined_survivor_fn(fresh, state), m) == joined_survivor_fn(enc, state) == fn
 
@@ -344,7 +345,7 @@ def test_local_conjunction_is_the_folded_one():
     for sysm in systems:
         enc = build(sysm)
         m = enc.manager
-        encodings = [*port_groups_of(enc), enc]
+        encodings = [*(members[0].cls.encoding for members in _classes(enc)), enc]
         outside += any(c.dominator_fn != c.connector_fn for c in encodings)
         portless += any(not atom.ports for atom in sysm.atoms)
         for state in reachable(sysm, bound=300).states:
@@ -377,8 +378,7 @@ def test_survivor_table_counts_models_over_component_ports():
         for state in reachable(sysm, bound=300).states:
             for c in enc.components:
                 entries = c.entries(state)
-                assert all(map(operator.is_, entries, (g.representative.survivor_table[g.key(state)]
-                                                              for g in c.groups)))
+                assert all(map(operator.is_, entries, (g.cls.table[key_of(g, state)] for g in c.groups)))
                 assert all((e[1] == 0) == (e[0] == m.false) for e in entries)
                 fn = joined_survivor_fn(c, state)
                 n = len(list(c.manager.iter_models(fn, ports_of(c))))
@@ -463,7 +463,7 @@ def test_components():
     assert components(linked) == ((0, 1),)
     enc = build(linked)
     (c,) = enc.components
-    assert [g.port_names for g in c.groups] == [("x", "y")]
+    assert [g.system.all_ports for g in c.groups] == [("x", "y")]
     assert enc.survivors(("s", "s")) == survivors(linked, ("s", "s")) == {frozenset("y")}
 
 
@@ -517,54 +517,78 @@ def test_group_key_shares_states_that_offer_the_same_labels():
     # values ("c2" < "s"), and the key tells only how many tasks hold each
     permuted = ("s", "s", "c2", *state[3:])
     assert one.canonical(waiting) == one.canonical(running) == one.canonical(permuted) == ("c2", "s", "s", "l0")
-    assert one.key(waiting) == one.key(running) == one.key(permuted) != one.key(state)
-    # the processors' groups form one class, whose table processor 1's
-    # group keeps: processor 2's group reads it at the states of processor
-    # 1's group where its tasks offer the same ranked labels
-    assert two.representative is one
+    assert key_of(one, waiting) == key_of(one, running) == key_of(one, permuted) != key_of(one, state)
+    # the processors' groups form one class, encoded over processor 1's
+    # group: processor 2's group reads its one table at the states of
+    # processor 1's group where its tasks offer the same ranked labels
+    assert two.cls is one.cls and one.cls.encoding.system is one.system
     assert two.canonical(waiting) == ("s", "s", "w1", "l0")
     assert two.canonical(running) == ("c1", "s", "s", "l0")
-    assert two.key(waiting) == one.key(("w1", *state[1:])) and two.key(running) == one.key(("c1", *state[1:]))
+    assert key_of(two, waiting) == key_of(one, ("w1", *state[1:]))
+    assert key_of(two, running) == key_of(one, ("c1", *state[1:]))
     # the orientation names the task whose value each position holds
     assert two.orient(waiting) == [1, 2, 0, 3]
     c.entries(waiting)
     c.entries(running)
-    assert len(one.survivor_table) == 3 and len(two.survivor_table) == 0
+    assert len(one.cls.table) == 3
 
 
 def test_one_survivor_table_per_class():
-    # bus16's clusters form one class: after a run only the representative
-    # keeps a table, with at most one entry per state of its cluster that a
-    # run meets (16 at seed 7)
+    # bus16's clusters form one class, encoded over the first cluster: after
+    # a run its one table holds at most one entry per state of a cluster
+    # that a run meets (16 at seed 7)
     engine = SymbolicEngine(gen_bus(16), seed=7)
     engine.run(2000)
     groups = port_groups_of(engine.encoding)
-    rep = groups[0]
-    assert all(g.representative is rep for g in groups)
-    assert all(not g.survivor_table for g in groups[1:])
-    assert 0 < len(rep.survivor_table) <= 16
+    (cls,) = {g.cls for g in groups}
+    assert len(groups) == 16 and cls.encoding.system is groups[0].system
+    assert 0 < len(cls.table) <= 16
 
 
 def test_survivor_fn_is_entered_once_per_class_table_miss(monkeypatch):
     # the step and the check read a class table first and enter
-    # survivor_fn only at a key the table does not hold, which fills it
-    entered = []
-    survivor_fn = SystemEncoding.survivor_fn
+    # survivor_fn only through the class's fill at a key the table does not
+    # hold, which fills it
+    entered, filled = [], []
+    survivor_fn, fill = SystemEncoding.survivor_fn, symbolic.GroupClass.fill
 
     def counted(self, state, key):
-        assert key not in self.survivor_table
-        entered.append(self)
-        return survivor_fn(self, state, key)
+        assert key not in self.table
+        filled.append(key)
+        return fill(self, state, key)
 
-    monkeypatch.setattr(SystemEncoding, "survivor_fn", counted)
+    monkeypatch.setattr(SystemEncoding, "survivor_fn", lambda self, state: entered.append(self) or survivor_fn(self, state))
+    monkeypatch.setattr(symbolic.GroupClass, "fill", counted)
     systems = (gen_bus(4), gen_tasks(4, 2), pairs_written_out(gen_tasks(3, 2)))
     for sysm in systems:
         engine, checked = SymbolicEngine(sysm, seed=7), build(sysm)
         for enc, run in ((engine.encoding, lambda: engine.run(500)),
                          (checked, lambda: check_equivalence(sysm, encoding=checked))):
-            del entered[:]
+            del entered[:], filled[:]
             run()
-            assert len(entered) == sum(len(g.survivor_table) for g in port_groups_of(enc)) > 0
+            assert len(entered) == len(filled) == sum(len(members[0].cls.table) for members in _classes(enc)) > 0
+
+
+def test_an_encoding_is_only_functions():
+    # survivor_fn computes a function and keeps nothing: on a fresh build,
+    # calling it for the whole system and for each class encoding, at up
+    # to 50 reachable states, leaves every class table as it was, the
+    # entries the components read at the initial state included; only a
+    # class keeps a table
+    for sysm in (gen_tasks(3, 2), gen_bus(3), pairs_written_out(gen_tasks(3, 2)), modulo8()):
+        enc = build(sysm)
+        classes = {g.cls for g in port_groups_of(enc)}
+        for c in enc.components:
+            c.entries(sysm.initial_state())
+        before = {cls: dict(cls.table) for cls in classes}
+        assert all(before.values())
+        for state in reachable(sysm, bound=50).states:
+            enc.survivor_fn(state)
+            for cls in classes:
+                cls.encoding.survivor_fn(own_state(cls.encoding, sysm, state))
+        assert all(cls.table.keys() == before[cls].keys() and all(map(operator.is_, cls.table.values(),
+                                                                        before[cls].values())) for cls in classes)
+        assert not any(hasattr(e, "survivor_table") for e in (enc, *(cls.encoding for cls in classes)))
 
 
 def test_one_class_entry_gives_each_group_its_copy():
@@ -578,10 +602,10 @@ def test_one_class_entry_gives_each_group_its_copy():
     one, two = c.groups
     first, second = c.entries(state)
     assert first is second and first[1] > 0
-    models = list(enc.manager.iter_models(first[0], one.port_names))
+    models = list(enc.manager.iter_models(first[0], one.system.all_ports))
     assert [one.translate(m, one.orient(state)) for m in models] == models
     assert [{g.translate(m, g.orient(state)) for m in models} for g in c.groups] == \
-        [{a for a in survivors(sysm, state) if a <= set(g.port_names)} for g in c.groups]
+        [{a for a in survivors(sysm, state) if a <= set(g.system.all_ports)} for g in c.groups]
     assert first[1] + second[1] == 2 * first[1] == len(survivors(sysm, state))
 
 
@@ -592,10 +616,10 @@ def _cluster_changed(change):
 
 
 def _classes(enc):
-    """The groups of each class, the classes in the order of their representatives."""
-    classes: dict[int, list] = {}
+    """The groups of each class, the classes in the order of their first groups."""
+    classes: dict = {}
     for g in port_groups_of(enc):
-        classes.setdefault(id(g.representative), []).append(g)
+        classes.setdefault(g.cls, []).append(g)
     return list(classes.values())
 
 
@@ -605,10 +629,10 @@ def test_isomorphic_groups_form_one_class():
     for sysm, n in ((gen_bus(16), 16), (gen_tasks(8, 4), 4), (pairs_written_out(gen_tasks(8, 2)), 2)):
         (members,) = _classes(build(sysm))
         assert len(members) == n
-        rep, other = members[0], members[-1]
-        m, unmoved = rep.manager, rep.orient and list(range(len(rep.system.atoms)))
+        rep, other = members[0].cls.encoding, members[-1]
+        m, unmoved = rep.manager, other.orient and list(range(len(rep.system.atoms)))
         assert {other.translate(a, unmoved) for a in m.iter_models(rep.connector_fn, rep.port_names)} == \
-            set(m.iter_models(other.connector_fn, other.port_names))
+            set(m.iter_models(SystemEncoding(other.system, m).connector_fn, other.system.all_ports))
 
 
 def test_nearly_isomorphic_groups_keep_apart():
@@ -650,7 +674,7 @@ def _t1_t2_swap(g):
     """Whether T1 and T2 lie in one orbit of a tasks 3x2 group g: the keys
     of T1 running on g's processor and of T2 running there agree."""
     c = "c" + g.system.atoms[-1].name[1:]  # running on g's processor
-    return g.key((c, "s", "s", "l0", "l0")) == g.key(("s", c, "s", "l0", "l0"))
+    return key_of(g, (c, "s", "s", "l0", "l0")) == key_of(g, ("s", c, "s", "l0", "l0"))
 
 
 def test_orbit_keys_give_each_state_its_survivors():
@@ -670,8 +694,8 @@ def test_orbit_keys_give_each_state_its_survivors():
     assert oriented >= 6
     tasks = build(gen_tasks(4, 2))
     for g in port_groups_of(tasks):
-        key, local = g.key(("c1", "s", "w2", "s", "l0", "l0")), g.canonical(("c1", "s", "w2", "s", "l0", "l0"))
-        assert all(g.key((*p, "l0", "l0")) == key and g.canonical((*p, "l0", "l0")) == local
+        key, local = key_of(g, ("c1", "s", "w2", "s", "l0", "l0")), g.canonical(("c1", "s", "w2", "s", "l0", "l0"))
+        assert all(key_of(g, (*p, "l0", "l0")) == key and g.canonical((*p, "l0", "l0")) == local
                    for p in (("s", "c1", "s", "w2"), ("w2", "s", "s", "c1"), ("s", "w2", "c1", "s")))
     bus = gen_bus(16)
     groups = port_groups_of(build(bus))
@@ -687,13 +711,13 @@ def test_integer_keys_agree_exactly_when_canonical_local_states_do():
     # 16 combinations each
     for sysm in (gen_tasks(3, 2), gen_tasks(4, 2), moved_trigger(gen_bus(5), "bus_3")):
         for g in port_groups_of(build(sysm)):
-            at = [i for i, a in enumerate(sysm.atoms) if a.port_set & set(g.port_names)]
+            at = [i for i, a in enumerate(sysm.atoms) if a.port_set & set(g.system.all_ports)]
             init, pairs = sysm.initial_state(), set()
             for local in product(*(sysm.atoms[i].states for i in at)):
                 state = list(init)
                 for i, q in zip(at, local):
                     state[i] = q
-                pairs.add((g.key(tuple(state)), g.canonical(tuple(state))))
+                pairs.add((key_of(g, tuple(state)), g.canonical(tuple(state))))
             keys, locals_ = {k for k, _ in pairs}, {c for _, c in pairs}
             assert len(keys) == len(locals_) == len(pairs) > 1
 
@@ -774,17 +798,19 @@ def test_copied_group_function_is_its_own_sub_systems():
     copies = keys = 0
     for sysm, states in cases:
         enc = build(sysm)
-        copies += sum(g.representative is not g for g in port_groups_of(enc))
+        m = enc.manager
+        own = {g: SystemEncoding(g.system, m) for g in port_groups_of(enc)}  # each group's sub-system on its own
+        copies += sum(g.cls.encoding.system is not g.system for g in port_groups_of(enc))
         seen = set()
         for c in enc.components:
             for state in states:
                 for g, e in zip(c.groups, c.entries(state)):
-                    key = own_state(g, sysm, state)
-                    if (g.port_names, key) not in seen:
-                        seen.add((g.port_names, key))
-                        m, perm = g.manager, g.orient and g.orient(state)
-                        assert {g.translate(a, perm) for a in m.iter_models(e[0], g.representative.port_names)} == \
-                            set(m.iter_models(whole_survivor_fn(g, key), g.port_names))
+                    sub, key = own[g], own_state(g, sysm, state)
+                    if (sub.port_names, key) not in seen:
+                        seen.add((sub.port_names, key))
+                        perm = g.orient and g.orient(state)
+                        assert {g.translate(a, perm) for a in m.iter_models(e[0], g.cls.encoding.port_names)} == \
+                            set(m.iter_models(whole_survivor_fn(sub, key), sub.port_names))
         keys += len(seen)
     assert copies >= 10 and keys > 800
 
@@ -831,7 +857,7 @@ def test_a_component_miss_whose_groups_hit_allocates_no_node():
             if len(c.groups) > 1:
                 def checked(state, c=c, read=c.entries):
                     nonlocal reads
-                    if all(g.key(state) in g.representative.survivor_table for g in c.groups):
+                    if all(key_of(g, state) in g.cls.table for g in c.groups):
                         before = m.total_nodes()
                         read(state)
                         assert m.total_nodes() == before
@@ -1109,8 +1135,7 @@ def test_survivors_list_each_class_entry_once(monkeypatch):
         iter_models = enc.manager.iter_models
         monkeypatch.setattr(enc.manager, "iter_models", lambda f, names: listed.append(f) or iter_models(f, names))
         report = check_equivalence(sysm, encoding=enc)
-        reps = {id(g.representative): g.representative for g in port_groups_of(enc)}.values()
-        entries = [(rep, e) for rep in reps for e in rep.survivor_table.values()]
+        entries = [(members[0].cls.encoding, e) for members in _classes(enc) for e in members[0].cls.table.values()]
         assert report.equivalent and len(listed) == len(entries) < report.states_checked
         assert all(e[2] == list(iter_models(e[0], rep.port_names)) for rep, e in entries)
         engine = SymbolicEngine(sysm, seed=3)
