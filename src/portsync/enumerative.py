@@ -49,13 +49,13 @@ class EnumEngine(Engine):
         shares, dominators, index = system.shares, system.dominators, {a: i for i, a in enumerate(self.pool)}
         self._needs, self._dominators = [], []
         for a in self.pool:
-            self._needs.append(frozenset([label for _, label in shares(a)]))
+            self._needs.append(frozenset([label for _, label, _ in shares(a)]))
             doms = dominators.get(a)
             if doms is None:
                 self._dominators.append((0, (), ()))
                 continue
             inside = tuple(index[b] for b in doms if b in index)
-            outside = tuple(frozenset([label for _, label in shares(b)]) for b in doms if b not in index) if len(inside) < len(doms) else ()
+            outside = tuple(frozenset([label for _, label, _ in shares(b)]) for b in doms if b not in index) if len(inside) < len(doms) else ()
             self._dominators.append((len(doms), inside, outside))
 
     def _offered(self, state: GlobalState) -> set[Interaction]:

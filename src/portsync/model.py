@@ -21,11 +21,12 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .connectors import AcTerm, Interaction, interaction_key, interactions_of, template_of
 
 GlobalState = tuple[str, ...]
+MoveTable = Mapping[str, tuple[str, ...]]  # a label's targets from each state it leaves
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -74,11 +75,14 @@ class AtomicBehavior:
         return frozenset(self.ports)
 
     @cached_property
-    def moves(self) -> dict[tuple[str, Interaction], tuple[str, ...]]:
-        out: dict[tuple[str, Interaction], list[str]] = {}
+    def moves(self) -> dict[Interaction, MoveTable]:
+        """Per label, each state it leaves and its targets there, in
+        declaration order (`_advance` takes the first without a generator)."""
+        out: dict[Interaction, dict[str, tuple[str, ...]]] = {}
         for t in self.transitions:
-            out.setdefault((t.source, t.label), []).append(t.target)
-        return {k: tuple(v) for k, v in out.items()}
+            by = out.setdefault(t.label, {})
+            by[t.source] = (*by.get(t.source, ()), t.target)
+        return out
 
     @cached_property
     def labels_from(self) -> dict[str, frozenset[Interaction]]:
@@ -90,9 +94,6 @@ class AtomicBehavior:
     @cached_property
     def label_of(self) -> dict[Interaction, Interaction]:
         return {t.label: t.label for t in self.transitions}
-
-    def targets(self, state: str, label: Interaction) -> tuple[str, ...]:
-        return self.moves.get((state, label), ())
 
 
 @dataclass(frozen=True)
@@ -195,14 +196,15 @@ class SystemModel:
         return tuple(_validate(self))
 
     @cached_property
-    def _shares(self) -> dict[Interaction, tuple[tuple[int, Interaction], ...]]:
+    def _shares(self) -> dict[Interaction, tuple[tuple[int, Interaction, MoveTable], ...]]:
         return {}
 
-    def shares(self, a: Interaction) -> tuple[tuple[int, Interaction], ...]:
-        """Per atom owning a port of `a`, in atom order: its index and its
-        share a & ports(atom), the atom's own label object where it is one
-        (so a label lookup hits by identity); memoised.  ValueError names a
-        port of `a` that no atom owns."""
+    def shares(self, a: Interaction) -> tuple[tuple[int, Interaction, MoveTable], ...]:
+        """Per atom owning a port of `a`, in atom order: its index, its share
+        a & ports(atom), the atom's own label object where it is one (so a
+        label lookup hits by identity), and the atom's move table for that
+        label (`AtomicBehavior.moves`; empty where the share is no label);
+        memoised.  ValueError names a port of `a` that no atom owns."""
         out = self._shares.get(a)
         if out is None:
             owner = self.port_owner
@@ -210,8 +212,12 @@ class SystemModel:
                 owners = sorted({owner[p] for p in a})
             except KeyError as exc:
                 raise ValueError(f"port {exc.args[0]!r} does not belong to the system") from None
-            atoms = self.atoms
-            out = self._shares[a] = tuple((i, atoms[i].label_of.get(s := a & atoms[i].port_set, s)) for i in owners)
+            out = []
+            for i in owners:
+                atom = self.atoms[i]
+                label = atom.label_of.get(share := a & atom.port_set, share)
+                out.append((i, label, atom.moves.get(label, {})))
+            out = self._shares[a] = tuple(out)
         return out
 
     def initial_state(self) -> GlobalState:
@@ -354,12 +360,14 @@ def _check_arity(system: SystemModel, state: GlobalState) -> None:
 
 def _moves(system: SystemModel, state: GlobalState, a: Interaction) -> Optional[list[tuple[int, tuple[str, ...]]]]:
     """Per atom owning a port of `a`, in atom order: its index and its
-    targets on its share a & ports(atom); None if some owner has none."""
+    targets on its share a & ports(atom); None if some owner has none.
+    One memo read (`shares`) gives each owner's move table for its share,
+    so each owner costs one lookup of its state there."""
     _check_arity(system, state)
-    atoms, moves = system.atoms, []
-    for i, share in system.shares(a):
-        targets = atoms[i].targets(state[i], share)
-        if not targets:
+    moves = []
+    for i, _, table in system.shares(a):
+        targets = table.get(state[i])
+        if targets is None:
             return None
         moves.append((i, targets))
     return moves
@@ -456,12 +464,17 @@ def _advance(state: GlobalState, moves: list[tuple[int, tuple[str, ...]]], rng: 
 
 
 def successors(system: SystemModel, state: GlobalState, a: Interaction) -> frozenset[GlobalState]:
-    """All states reachable by firing `a` (per-atom target choices expanded)."""
+    """All states reachable by firing `a`: the one state `step` builds
+    without a generator, each owner at its first declared target, and
+    where owners have several targets the product of their choices.
+    Raises as `step` does."""
     if not a:
         return frozenset((state,))
-    outs: list[GlobalState] = [state]
-    for i, targets in _enabled_moves(system, state, a):
-        outs = [s[:i] + (t,) + s[i + 1:] for s in outs for t in targets]
+    moves = _enabled_moves(system, state, a)
+    outs = [_advance(state, moves, None)]
+    for i, targets in moves:
+        if len(targets) > 1:
+            outs = [s[:i] + (t,) + s[i + 1:] for s in outs for t in targets]
     return frozenset(outs)
 
 

@@ -44,9 +44,12 @@ keys need; each key is taken out of the sum by shift and mask (a
 one-group component's is the sum itself).  On a miss the class fills the
 entry (`GroupClass.fill`) at the local state the key stands for, each
 orbit's values sorted (`Group.canonical`).  A model of the entry's
-function, over the representative's ports, goes to the group's ports
-through each port's owner position, moved by the sort's permutation
-(`Group.orient`), and its index there (`Group.translate`).  An
+function is read as the places of its ports in the representative, each
+an owner position and an index among that owner's ports
+(`GroupClass.place`); a group takes the port at that index of the owner
+the sort's permutation puts at that position (`Group.orient`), or of the
+owner at that position where the class has no orbits
+(`Group.translate`, which the pick and `survivors` share).  An
 interaction and its dominators lie in one group, so a component's
 survivors are the disjoint union of its groups'.  Their join is never
 built: a component counts the sum of their counts; its pick draws a
@@ -79,8 +82,11 @@ spaces up to the orbits' permutations, not their product.  An encoding
 keeps no table: `survivor_fn` only computes the function.  `survivors`
 (which `check` reads) and the step read the same entries, and enter
 `survivor_fn` only through a class's fill on a miss.  The first
-`survivors` to read an entry keeps its models in it, for each group of
-the class to translate; the step never reads them.  The engine keeps
+`survivors` to read an entry lists its models once and keeps them in
+it, each as the places of its ports, so that no later read maps a port
+name again: every group of the class, at every state, translates that
+one list through its own owners' ports.  The step never reads it: its
+pick maps the one model it draws to places.  The engine keeps
 each component's group entries from its last step and the sum of their
 counts; a fired interaction lies in the drawn component's ports, so the
 next step re-reads only that component's groups.  A step takes the
@@ -417,13 +423,14 @@ class GroupClass:
     value's code and the number of keys (`_digits`); and the class's one
     survivor table: key -> [survivor function, its number of survivors
     over a group's ports (0 exactly when it is false), and once
-    `Component.survivors` reads it its models]."""
+    `Component.survivors` reads it its models, each as the places of its
+    ports (`place`)]."""
 
     def __init__(self, encoding: SystemEncoding, firsts: list[dict], orbits: tuple[tuple[int, ...], ...]):
         self.encoding, self.firsts, self.orbits = encoding, firsts, orbits
         self.digits, self.keys = _digits(firsts, orbits)
         self.table: dict[int, list] = {}
-        # each port's owner position and its index among the owner's ports (`Group.translate`)
+        # each port's place: its owner position and its index among the owner's ports (`Group.translate`)
         self.place = {p: (k, i) for k, atom in enumerate(encoding.system.atoms) for i, p in enumerate(atom.ports)}
 
     def fill(self, state: GlobalState, key: int) -> list:
@@ -442,15 +449,14 @@ class Group:
     class key, a `key_bits`-bit field of its component's packed sum
     (`Component`).  Each owner's state is read as the representative's
     first state with the same offer (`_group`).  `orient` is None where
-    the class has no orbits; `own` maps the representative's ports to ours
-    there, and is None for the representative itself."""
+    the class has no orbits; `translate` reads each owner's ports, in
+    owner order."""
 
     def __init__(self, system: SystemModel, cls: GroupClass, readers: tuple[tuple[int, dict[str, str]], ...]):
         self.system, self.cls, self._readers = system, cls, readers
         self.codes = tuple((j, {q: d[r] for q, r in reader.items()}) for (j, reader), d in zip(readers, cls.digits))
         self.key_bits = (cls.keys - 1).bit_length()
-        rep = cls.encoding.system
-        self.own = None if cls.orbits or rep is system else dict(zip(rep.all_ports, system.all_ports))
+        self._ports = tuple(atom.ports for atom in system.atoms)  # per owner position
         if not cls.orbits:
             self.orient = None
 
@@ -471,13 +477,14 @@ class Group:
                 perm[k] = at
         return perm
 
-    def translate(self, ports: frozenset[str], perm: Optional[list[int]]) -> Interaction:
-        """A model of our class entry, over the representative's ports, as
-        ours: the i-th port of owner position k is owner perm[k]'s i-th."""
+    def translate(self, places: Iterable[tuple[int, int]], perm: Optional[list[int]]) -> Interaction:
+        """A model of our class entry, given as the places of its ports
+        (`GroupClass.place`), as ours: the i-th port of owner position k
+        is owner perm[k]'s i-th, owner k's where `perm` is None."""
+        ports = self._ports
         if perm is None:
-            return ports if self.own is None else frozenset(map(self.own.__getitem__, ports))
-        atoms, place = self.system.atoms, self.cls.place
-        return frozenset([atoms[perm[k]].ports[i] for k, i in map(place.__getitem__, ports)])
+            return frozenset([ports[k][i] for k, i in places])
+        return frozenset([ports[perm[k]][i] for k, i in places])
 
 
 def _draw(counts: list[int], rng) -> int:
@@ -534,14 +541,16 @@ class Component:
         return out
 
     def survivors(self, state: GlobalState) -> list[Interaction]:
-        """Each group's models at its class entry, listed over the
-        representative's ports on the first read, translated onto its ports."""
+        """Each group's models at its class entry, listed on the first read
+        as the places of their ports (`GroupClass.place`), translated onto
+        its ports."""
         out: list[Interaction] = []
         for g, e in zip(self.groups, self.entries(state)):
             if len(e) < 3:
-                e.append(list(self.manager.iter_models(e[0], g.cls.encoding.port_names)))
-            perm = g.orient and g.orient(state)
-            out += (g.translate(m, perm) for m in e[2])
+                place = g.cls.place.__getitem__
+                e.append([tuple(map(place, m)) for m in self.manager.iter_models(e[0], g.cls.encoding.port_names)])
+            translate, perm = g.translate, g.orient and g.orient(state)
+            out += [translate(m, perm) for m in e[2]]
         return out
 
     def pick(self, state: GlobalState, entries: list[list], rng) -> Interaction:
@@ -552,7 +561,7 @@ class Component:
         k = _draw([e[1] for e in entries], rng) if len(entries) > 1 else 0
         g = self.groups[k]
         ports = self.manager.pick_sat(entries[k][0], rng, g.cls.encoding.port_names)
-        return g.translate(ports, g.orient and g.orient(state))
+        return g.translate(map(g.cls.place.__getitem__, ports), g.orient and g.orient(state))
 
 
 def _ranked(conn: Connector, rank: dict[str, int]) -> tuple:

@@ -130,7 +130,7 @@ def reference_enum_survivors(system, state):
     labels = [atom.labels_from for atom in system.atoms]
 
     def active(a):
-        return all(label in labels[i][state[i]] for i, label in system.shares(a))
+        return all(label in labels[i][state[i]] for i, label, _ in system.shares(a))
 
     out, probes = set(), 0
     for a in filter(active, system.gamma):

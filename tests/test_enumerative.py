@@ -158,7 +158,7 @@ def test_survivors_probe_only_the_dominators_outside_the_pool(monkeypatch):
     extra = []
     for sysm in systems:
         eng = EnumEngine(sysm)
-        needed = {a: frozenset(label for _, label in sysm.shares(a)) for a in sysm.gamma | {b for doms in sysm.dominators.values() for b in doms}}
+        needed = {a: frozenset(label for _, label, _ in sysm.shares(a)) for a in sysm.gamma | {b for doms in sysm.dominators.values() for b in doms}}
         outside = {needed[b] for doms in sysm.dominators.values() for b in doms if b not in sysm.gamma}
         probes = 0
         for state in reachable(sysm, bound=200).states:

@@ -1,5 +1,7 @@
 """Cross-engine agreement over explored state spaces."""
 
+from collections import Counter
+
 from portsync import equivalence
 from portsync.equivalence import check_equivalence
 from portsync.generators import gen_bus, gen_tasks, modulo8, random_system
@@ -184,3 +186,27 @@ def test_check_walks_the_reachable_states():
             assert report.truncated == reach.truncated
             truncated += reach.truncated
     assert truncated > 5
+
+
+def test_check_expands_each_fired_survivor_once(monkeypatch):
+    # the check builds a state's successors through the module's own
+    # `successors`, one call per survivor it fires at each checked state,
+    # and none once the walk has truncated
+    calls = []
+    real = equivalence.successors
+    monkeypatch.setattr(equivalence, "successors", lambda sysm, state, a: calls.append((state, a)) or real(sysm, state, a))
+    tasks = gen_tasks(3, 2)
+    report = check_equivalence(tasks)
+    states = reachable(tasks).states
+    assert report.equivalent and not report.truncated and report.states_checked == len(states)
+    assert Counter(calls) == Counter((s, a) for s in states for a in survivors(tasks, s))
+    calls.clear()
+    bus = gen_bus(2)
+    init = bus.initial_state()
+    report = check_equivalence(bus, bound=5)
+    # the walk truncates while it reads the initial state's successors: four
+    # new states, then one refused; the four states taken are checked but
+    # none of their successors is built
+    assert report.truncated and report.states_checked == 5
+    assert len(calls) == 5 and {s for s, _ in calls} == {init}
+    assert all(survivors(bus, s) for s in reachable(bus, bound=5).states)

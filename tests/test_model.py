@@ -74,17 +74,23 @@ class TestModulo8Basics:
                     call(mod8, state, fz("p"))
 
     def test_shares_split_an_interaction_in_atom_order(self, mod8):
+        # each share carries its owner's move table for it: the atom's own
+        # where the share is one of its labels, else an empty one
         a = fz("u", "t", "r", "q", "p")
         shares = mod8.shares(a)
-        assert shares == ((0, fz("p", "q")), (1, fz("r")), (2, fz("t", "u")))
+        assert [(i, s) for i, s, _ in shares] == [(0, fz("p", "q")), (1, fz("r")), (2, fz("t", "u"))]
+        assert all(table is mod8.atoms[i].moves[s] for i, s, table in shares)
         assert mod8.shares(a) is shares
         assert mod8.shares(frozenset()) == ()
         for sysm in map(random_system, range(20)):
             for a in sysm.gamma:
                 shares = sysm.shares(a)
-                assert shares == tuple((i, a & atom.port_set) for i, atom in enumerate(sysm.atoms) if a & atom.port_set)
+                assert [(i, s) for i, s, _ in shares] == \
+                    [(i, a & atom.port_set) for i, atom in enumerate(sysm.atoms) if a & atom.port_set]
                 # a share that is one of its atom's labels is the label itself
-                assert all(s is sysm.atoms[i].label_of.get(s, s) for i, s in shares)
+                assert all(s is sysm.atoms[i].label_of.get(s, s) for i, s, _ in shares)
+                assert all(table is sysm.atoms[i].moves[s] if s in sysm.atoms[i].moves else table == {}
+                           for i, s, table in shares)
 
     def test_maxprog_pairs(self, mod8):
         pairs = effective_pairs(mod8.priority, mod8.gamma)
@@ -266,6 +272,50 @@ def test_successors_match_oracle_on_random_systems():
                     with pytest.raises(NotEnabledError):
                         successors(sysm, state, a)
     assert branching > 0
+
+
+NONDETERMINISTIC = """system forks {
+  atom A {
+    ports x, y;
+    states a0 init, a1, a2;
+    trans a0 -[ x ]-> a2;
+    trans a0 -[ y ]-> a1;
+    trans a0 -[ x ]-> a1;
+  }
+  atom B {
+    ports z, w;
+    states b0 init, b1, b2, b3;
+    trans b0 -[ z ]-> b3;
+    trans b0 -[ z ]-> b1;
+    trans b0 -[ w ]-> b1;
+    trans b0 -[ z ]-> b2;
+  }
+  connector xz = x z;
+  connector yw = y w;
+  connector ywz = y w z;
+}
+"""
+
+
+def test_successors_expand_only_owners_with_several_targets():
+    # A has 2 targets on x and B 3 on z: firing {x, z} reaches their 6
+    # combinations; {y, w} is deterministic and reaches the one state
+    # `step` builds without a generator; B's share {w, z} of the pool
+    # member {y, w, z} is no label of B
+    sysm = parse(NONDETERMINISTIC)
+    s0 = sysm.initial_state()
+    a, b = sysm.atoms
+    assert a.moves == {fz("x"): {"a0": ("a2", "a1")}, fz("y"): {"a0": ("a1",)}}
+    assert b.moves == {fz("z"): {"b0": ("b3", "b1", "b2")}, fz("w"): {"b0": ("b1",)}}
+    forks = successors(sysm, s0, fz("x", "z"))
+    assert forks == oracle_successors(sysm, s0, fz("x", "z")) and len(forks) == 6
+    assert step(sysm, s0, fz("x", "z"), rng=None) == ("a2", "b3")  # the first declared targets
+    assert successors(sysm, s0, fz("y", "w")) == {step(sysm, s0, fz("y", "w"), rng=None)} == {("a1", "b1")}
+    assert fz("y", "w", "z") in sysm.gamma and sysm.shares(fz("y", "w", "z"))[1][1:] == (fz("w", "z"), {})
+    for call in (successors, step):
+        with pytest.raises(NotEnabledError):
+            call(sysm, s0, fz("y", "w", "z"))
+    assert survivors(sysm, s0) == {fz("x", "z"), fz("y", "w")}
 
 
 def test_sorted_interactions_is_stable():

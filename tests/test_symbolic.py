@@ -603,8 +603,9 @@ def test_one_class_entry_gives_each_group_its_copy():
     first, second = c.entries(state)
     assert first is second and first[1] > 0
     models = list(enc.manager.iter_models(first[0], one.system.all_ports))
-    assert [one.translate(m, one.orient(state)) for m in models] == models
-    assert [{g.translate(m, g.orient(state)) for m in models} for g in c.groups] == \
+    place = one.cls.place.__getitem__  # a model's ports as places, as `translate` reads them
+    assert [one.translate(map(place, m), one.orient(state)) for m in models] == models
+    assert [{g.translate(map(place, m), g.orient(state)) for m in models} for g in c.groups] == \
         [{a for a in survivors(sysm, state) if a <= set(g.system.all_ports)} for g in c.groups]
     assert first[1] + second[1] == 2 * first[1] == len(survivors(sysm, state))
 
@@ -631,7 +632,8 @@ def test_isomorphic_groups_form_one_class():
         assert len(members) == n
         rep, other = members[0].cls.encoding, members[-1]
         m, unmoved = rep.manager, other.orient and list(range(len(rep.system.atoms)))
-        assert {other.translate(a, unmoved) for a in m.iter_models(rep.connector_fn, rep.port_names)} == \
+        place = other.cls.place.__getitem__
+        assert {other.translate(map(place, a), unmoved) for a in m.iter_models(rep.connector_fn, rep.port_names)} == \
             set(m.iter_models(SystemEncoding(other.system, m).connector_fn, other.system.all_ports))
 
 
@@ -808,8 +810,8 @@ def test_copied_group_function_is_its_own_sub_systems():
                     sub, key = own[g], own_state(g, sysm, state)
                     if (sub.port_names, key) not in seen:
                         seen.add((sub.port_names, key))
-                        perm = g.orient and g.orient(state)
-                        assert {g.translate(a, perm) for a in m.iter_models(e[0], g.cls.encoding.port_names)} == \
+                        perm, place = g.orient and g.orient(state), g.cls.place.__getitem__
+                        assert {g.translate(map(place, a), perm) for a in m.iter_models(e[0], g.cls.encoding.port_names)} == \
                             set(m.iter_models(whole_survivor_fn(sub, key), sub.port_names))
         keys += len(seen)
     assert copies >= 10 and keys > 800
@@ -1126,18 +1128,20 @@ def test_symbolic_steps_never_enumerate_the_pool():
 
 
 def test_survivors_list_each_class_entry_once(monkeypatch):
-    # `Component.survivors` keeps an entry's models in it, over the
-    # representative's ports: however many states and groups read an
-    # entry, it is enumerated once, and the step, which picks, enumerates none
+    # `Component.survivors` keeps an entry's models in it, each as the
+    # places of its ports (`GroupClass.place`): however many states and
+    # groups read an entry, it is enumerated once, and the step, which
+    # picks, enumerates none
     for sysm in (gen_bus(3), gen_tasks(3, 2), pairs_written_out(gen_bus(3))):
         enc = build(sysm)
         listed = []
         iter_models = enc.manager.iter_models
         monkeypatch.setattr(enc.manager, "iter_models", lambda f, names: listed.append(f) or iter_models(f, names))
         report = check_equivalence(sysm, encoding=enc)
-        entries = [(members[0].cls.encoding, e) for members in _classes(enc) for e in members[0].cls.table.values()]
+        entries = [(members[0].cls, e) for members in _classes(enc) for e in members[0].cls.table.values()]
         assert report.equivalent and len(listed) == len(entries) < report.states_checked
-        assert all(e[2] == list(iter_models(e[0], rep.port_names)) for rep, e in entries)
+        assert all(e[2] == [tuple(map(cls.place.__getitem__, m)) for m in iter_models(e[0], cls.encoding.port_names)]
+                   for cls, e in entries)
         engine = SymbolicEngine(sysm, seed=3)
         monkeypatch.setattr(engine.encoding.manager, "iter_models", None)
         assert len(engine.run(200)) == 200
