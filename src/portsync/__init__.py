@@ -30,7 +30,6 @@ from .connectors import (
     ZeroLeaf,
     fusion,
     interactions_of,
-    normalize_binary,
     support,
 )
 from .dsl import DslError, parse, serialize
@@ -81,7 +80,7 @@ __all__ = [
     "act", "build", "canonical", "causal_rules", "check_equivalence",
     "ct_interactions", "effective_pairs", "enabled", "filter_priority",
     "format_tree", "fusion", "gen_bus", "gen_tasks", "interactions_of",
-    "modulo8", "normalize_binary", "parse", "random_monomial_term", "random_system",
+    "modulo8", "parse", "random_monomial_term", "random_system",
     "reachable", "rules_to_formula", "serialize", "step", "successors",
     "support", "survivors", "tau", "validate",
 ]

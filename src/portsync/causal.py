@@ -6,15 +6,19 @@ interaction set of a tree is therefore the set of unions over nonempty
 parent-closed selections of nodes.
 
 Trees are the stepping stone between the connector algebra and the
-boolean encoding: tau() translates a fusion term into a tree, and
-causal_rules() reads the tree back as implications
+boolean encoding: tau() translates a term into a tree, reading a
+fusion with any number of factors directly (the triggers' roots, each
+causing every synchron's roots; without triggers, one root per choice
+of a root in each synchron), with the constant 1 as an empty-labelled
+node and 0 as no node.  causal_rules() reads the tree back as
+implications
 
     p  =>  m1 or m2 or ...
 
 (one per port, bodies are conjunctions of ports) plus a root clause
-that at least one root port fires.  The conjunction of the rules with
-the root clause characterizes the interaction set without enumerating
-it.
+that at least one port of a topmost non-empty node fires.  The
+conjunction of the rules with the root clause characterizes the
+interaction set without enumerating it.
 """
 
 from __future__ import annotations
@@ -24,13 +28,11 @@ from dataclasses import dataclass
 from .boolfunc import BoolExpr, Var, conj, disj, implies, neg
 from .connectors import (
     AcTerm,
-    Fusion,
     Interaction,
     OneLeaf,
     PortLeaf,
     ZeroLeaf,
     interaction_key,
-    normalize_binary,
 )
 
 
@@ -52,8 +54,9 @@ class CausalRule:
 
 
 def tau(term: AcTerm) -> CausalTree:
-    """Translate a connector term into its causal tree."""
-    return CausalTree(_tau(normalize_binary(term)))
+    """Translate a connector term, fusions of any arity and the
+    constants included, into its causal tree."""
+    return CausalTree(_tau(term))
 
 
 def _tau(term: AcTerm) -> tuple[CausalNode, ...]:
@@ -63,30 +66,17 @@ def _tau(term: AcTerm) -> tuple[CausalNode, ...]:
         return (CausalNode(frozenset()),)
     if isinstance(term, ZeroLeaf):
         return ()
-    factors = term.factors
-    if len(factors) == 1:
-        return _tau(factors[0].term)
-    triggers = [f for f in factors if f.trigger]
-    synchrons = [f for f in factors if not f.trigger]
-    if len(triggers) == 1:
-        # trigger causes each synchron independently
-        head = _tau(triggers[0].term)
-        tail: tuple[CausalNode, ...] = ()
-        for s in synchrons:
-            tail = tail + _tau(s.term)
-        return tuple(CausalNode(n.label, n.children + tail) for n in head)
-    if len(triggers) == 2 and not synchrons:
-        return _tau(triggers[0].term) + _tau(triggers[1].term)
-    if not triggers and len(synchrons) == 2:
-        # strong synchronization: pairwise label union at the roots
-        left = _tau(synchrons[0].term)
-        right = _tau(synchrons[1].term)
-        return tuple(
-            CausalNode(a.label | b.label, a.children + b.children)
-            for a in left
-            for b in right
-        )
-    raise ValueError("term is not in normalized binary form")
+    triggers = [_tau(f.term) for f in term.factors if f.trigger]
+    synchrons = [_tau(f.term) for f in term.factors if not f.trigger]
+    if triggers:
+        # each trigger's roots cause every synchron's roots independently
+        tail = tuple(n for roots in synchrons for n in roots)
+        return tuple(CausalNode(n.label, n.children + tail) for roots in triggers for n in roots)
+    # strong synchronization: one root per choice of a root in each synchron
+    out = (CausalNode(frozenset()),)
+    for roots in synchrons:
+        out = tuple(CausalNode(a.label | b.label, a.children + b.children) for a in out for b in roots)
+    return out
 
 
 def ct_interactions(tree: CausalTree) -> frozenset[Interaction]:
@@ -118,29 +108,35 @@ def ct_interactions(tree: CausalTree) -> frozenset[Interaction]:
 def causal_rules(tree: CausalTree) -> tuple[tuple[CausalRule, ...], frozenset[str]]:
     """Extract per-port rules and the root clause from a tree.
 
-    Each occurrence of port p in a node labeled a under a parent
-    labeled b contributes the monomial (a | b) - {p} to p's body.
-    A rule whose body contains the empty monomial is vacuously true and
-    dropped (ports that can fire unconditionally, e.g. singleton-label
-    roots).  Rules are returned sorted by head for determinism.
+    Each occurrence of port p in a node labeled a whose nearest
+    ancestor with a non-empty label is labeled b (the empty set if
+    there is none) contributes the monomial (a | b) - {p} to p's body.
+    The root clause holds the ports of the nearest non-empty nodes at
+    or below each root, so empty labels (the constant 1) pass
+    causality through.  A rule whose body contains the empty monomial
+    is vacuously true and dropped (ports that can fire
+    unconditionally, e.g. singleton-label roots).  Rules are returned
+    sorted by head for determinism.
     """
     bodies: dict[str, set[Interaction]] = {}
+    root_clause: set[str] = set()
 
     def visit(node: CausalNode, parent_label: Interaction) -> None:
         for p in node.label:
             bodies.setdefault(p, set()).add(frozenset((node.label | parent_label) - {p}))
+        if not parent_label:
+            root_clause.update(node.label)
         for child in node.children:
-            visit(child, node.label)
+            visit(child, node.label or parent_label)
 
     for root in tree.roots:
         visit(root, frozenset())
-    root_clause = frozenset(p for r in tree.roots for p in r.label)
     rules = tuple(
         CausalRule(p, frozenset(monomials))
         for p, monomials in sorted(bodies.items())
         if frozenset() not in monomials
     )
-    return rules, root_clause
+    return rules, frozenset(root_clause)
 
 
 def rules_to_formula(

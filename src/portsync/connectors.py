@@ -122,40 +122,6 @@ def interactions_of(term: AcTerm) -> frozenset[Interaction]:
     return frozenset(out)
 
 
-def normalize_binary(term: AcTerm) -> AcTerm:
-    """Fold n-ary fusions into left-nested binary groups.
-
-    After normalization each fusion is one of: a single factor, one
-    trigger plus any number of synchrons, exactly two triggers, or
-    exactly two synchrons.  Folding preserves the interaction set:
-    triggers fold as [[x1]'[x2]']'... while the grouped pair is itself
-    marked, synchrons fold as plain pairs.
-    """
-    if not isinstance(term, Fusion):
-        return term
-    factors = tuple(Factor(normalize_binary(f.term), f.trigger) for f in term.factors)
-    if len(factors) == 1:
-        return Fusion(factors)
-    triggers = [f for f in factors if f.trigger]
-    synchrons = [f for f in factors if not f.trigger]
-    if len(triggers) >= 2 and synchrons:
-        folded = triggers[0]
-        for t in triggers[1:]:
-            folded = Factor(Fusion((folded, t)), True)
-        return Fusion((folded, *synchrons))
-    if len(triggers) > 2:
-        folded = triggers[0]
-        for t in triggers[1:-1]:
-            folded = Factor(Fusion((folded, t)), True)
-        return Fusion((folded, triggers[-1]))
-    if not triggers and len(synchrons) > 2:
-        folded = synchrons[0]
-        for s in synchrons[1:-1]:
-            folded = Factor(Fusion((folded, s)), False)
-        return Fusion((folded, synchrons[-1]))
-    return Fusion(factors)
-
-
 def interaction_key(a: Interaction) -> tuple[int, tuple[str, ...]]:
     """Deterministic sort key for interactions (size, then lexicographic)."""
     return (len(a), tuple(sorted(a)))

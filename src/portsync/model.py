@@ -88,12 +88,14 @@ class AtomicBehavior:
     def labels_from(self) -> dict[str, frozenset[Interaction]]:
         out: dict[str, set[Interaction]] = {s: set() for s in self.states}
         for t in self.transitions:
-            out.setdefault(t.source, set()).add(t.label)
+            out.setdefault(t.source, set()).add(self.label_of[t.label])
         return {s: frozenset(v) for s, v in out.items()}
 
     @cached_property
     def label_of(self) -> dict[Interaction, Interaction]:
-        return {t.label: t.label for t in self.transitions}
+        """Each label to one object for it, the one `moves` keys it by
+        (its first transition's), so lookups by a shared label hit by identity."""
+        return {a: a for a in self.moves}
 
 
 @dataclass(frozen=True)

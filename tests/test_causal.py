@@ -1,5 +1,6 @@
 """Causal tree translation, causal rules, and the rule formula."""
 
+import itertools
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -16,10 +17,10 @@ from portsync.causal import (
     rules_to_formula,
     tau,
 )
-from portsync.connectors import interactions_of, support
+from portsync.connectors import Factor, Fusion, OneLeaf, PortLeaf, ZeroLeaf, interactions_of, support
 from portsync.generators import modulo8, random_monomial_term
 
-from test_connectors import AB, BC, CC, RV, p, syn, trig, Fusion
+from test_connectors import AB, BC, CC, RV, p, syn, trig
 
 
 def node(label, *children):
@@ -143,3 +144,46 @@ def test_canonical_ignores_sibling_order():
     b = tree(node({"s"}, node({"r2"}), node({"r1"})))
     assert canonical(a) == canonical(b)
     assert a != b
+
+
+# nested fusions of 1-5 factors, each a trigger or a synchron, with the
+# constants 1 and 0 among at most 9 leaves and each port once: `models`
+# enumerates every valuation of the support
+def _fresh_ports(term):
+    names = (f"x{i}" for i in itertools.count())
+
+    def rec(t):
+        if isinstance(t, PortLeaf):
+            return PortLeaf(next(names))
+        if isinstance(t, Fusion):
+            return Fusion(tuple(Factor(rec(f.term), f.trigger) for f in t.factors))
+        return t
+
+    return rec(term)
+
+
+_terms = st.recursive(
+    st.sampled_from([PortLeaf("x")] * 3 + [OneLeaf(), ZeroLeaf()]),  # a port 3 times as often as each constant
+    lambda kids: st.lists(st.builds(Factor, kids, st.booleans()), min_size=1, max_size=5)
+    .map(lambda fs: Fusion(tuple(fs))),
+    max_leaves=9,
+).map(_fresh_ports)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_terms)
+def test_nary_tree_and_rules_match_interactions(term):
+    tree = tau(term)
+    assert ct_interactions(tree) == interactions_of(term)
+    f = rules_to_formula(*causal_rules(tree), support(term))
+    assert models(f, sorted(support(term))) == set(interactions_of(term)) - {frozenset()}
+
+
+def test_empty_labels_pass_causality_through():
+    # [1' s] and [p' [1' s]]: s needs no one in the first and p in the second
+    one_s = Fusion((trig(OneLeaf()), syn(p("s"))))
+    rules, root_clause = causal_rules(tau(one_s))
+    assert rules == () and root_clause == frozenset({"s"})
+    rules, root_clause = causal_rules(tau(Fusion((trig(p("p")), syn(one_s)))))
+    assert rules == (CausalRule("s", frozenset({frozenset({"p"})})),)
+    assert root_clause == frozenset({"p"})

@@ -1,10 +1,8 @@
-"""Connector term semantics: interaction sets and normalization."""
+"""Connector term semantics: interaction sets, support and the fusion constructor."""
 
-import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from portsync.connectors import (
     Factor,
@@ -15,10 +13,8 @@ from portsync.connectors import (
     fusion,
     interaction_key,
     interactions_of,
-    normalize_binary,
     support,
 )
-from portsync.generators import random_monomial_term
 
 
 def syn(x):
@@ -116,25 +112,3 @@ def test_interaction_key_sorts_by_size_then_name():
     pool = [frozenset({"b"}), frozenset({"a", "c"}), frozenset({"a"})]
     assert sorted(pool, key=interaction_key) == [
         frozenset({"a"}), frozenset({"b"}), frozenset({"a", "c"})]
-
-
-def binary_shape(term):
-    # shapes the tree translation handles directly: one factor, one
-    # trigger with any synchrons, two triggers, or two synchrons
-    if not isinstance(term, Fusion):
-        return True
-    t = sum(1 for f in term.factors if f.trigger)
-    s = len(term.factors) - t
-    ok = (t + s == 1) or (t == 1) or (t == 2 and s == 0) or (t == 0 and s == 2)
-    return ok and all(binary_shape(f.term) for f in term.factors)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 10_000))
-def test_normalize_binary_preserves_interactions(seed):
-    rng = random.Random(seed)
-    ports = [f"x{i}" for i in range(rng.randint(1, 6))]
-    term = random_monomial_term(rng, ports, max_depth=4)
-    norm = normalize_binary(term)
-    assert interactions_of(norm) == interactions_of(term)
-    assert binary_shape(norm)

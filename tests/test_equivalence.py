@@ -3,10 +3,21 @@
 from collections import Counter
 
 from portsync import equivalence
+from portsync.connectors import Factor, Fusion, OneLeaf, PortLeaf
+from portsync.enumerative import EnumEngine
 from portsync.equivalence import check_equivalence
 from portsync.generators import gen_bus, gen_tasks, modulo8, random_system
-from portsync.model import SystemModel, act, reachable, successors, survivors
-from portsync.symbolic import SystemEncoding, build
+from portsync.model import (
+    AtomicBehavior,
+    Connector,
+    SystemModel,
+    Transition,
+    act,
+    reachable,
+    successors,
+    survivors,
+)
+from portsync.symbolic import SymbolicEngine, SystemEncoding, build
 
 from oracles import moved_trigger, reference_walk, with_outside_dominator
 
@@ -210,3 +221,16 @@ def test_check_expands_each_fired_survivor_once(monkeypatch):
     assert report.truncated and report.states_checked == 5
     assert len(calls) == 5 and {s for s, _ in calls} == {init}
     assert all(survivors(bus, s) for s in reachable(bus, bound=5).states)
+
+
+def test_constant_one_trigger_lets_its_synchron_fire():
+    # [1' s] denotes {{}, {s}}: the empty trigger passes causality to s,
+    # so the encoding must offer {s} as the enumerative pool does
+    s = frozenset({"s"})
+    atom = AtomicBehavior("A", ("q",), "q", ("s",), (Transition("q", s, "q"),))
+    term = Fusion((Factor(OneLeaf(), True), Factor(PortLeaf("s"), False)))
+    sysm = SystemModel("one", (atom,), (Connector("c", term),))
+    assert check_equivalence(sysm).summary() == "equivalent, 1 states"
+    for engine in (EnumEngine(sysm, seed=1), SymbolicEngine(sysm, seed=1)):
+        trace = engine.run(3)
+        assert not trace.deadlocked and trace.interactions == (s, s, s)

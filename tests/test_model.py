@@ -318,6 +318,15 @@ def test_successors_expand_only_owners_with_several_targets():
     assert survivors(sysm, s0) == {fz("x", "z"), fz("y", "w")}
 
 
+def test_each_label_is_one_object():
+    # the labels an atom offers and keys its moves by are the objects
+    # `label_of` (and so `shares`) hands out: lookups hit by identity
+    systems = [gen_tasks(8, 4), gen_bus(4), *map(random_system, range(200))]
+    for atom in (atom for sysm in systems for atom in sysm.atoms):
+        assert all(a is atom.label_of[a] for offered in atom.labels_from.values() for a in offered)
+        assert all(a is atom.label_of[a] for a in atom.moves)
+
+
 def test_sorted_interactions_is_stable():
     pool = {fz("b"), fz("a", "b"), fz("a")}
     assert sorted_interactions(pool) == (fz("a"), fz("b"), fz("a", "b"))
