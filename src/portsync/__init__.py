@@ -16,7 +16,6 @@ from .causal import (
     canonical,
     causal_rules,
     ct_interactions,
-    format_tree,
     rules_to_formula,
     tau,
 )
@@ -79,7 +78,7 @@ __all__ = [
     "Transition", "ValidationError", "ZeroLeaf",
     "act", "build", "canonical", "causal_rules", "check_equivalence",
     "ct_interactions", "effective_pairs", "enabled", "filter_priority",
-    "format_tree", "fusion", "gen_bus", "gen_tasks", "interactions_of",
+    "fusion", "gen_bus", "gen_tasks", "interactions_of",
     "modulo8", "parse", "random_monomial_term", "random_system",
     "reachable", "rules_to_formula", "serialize", "step", "successors",
     "support", "survivors", "tau", "validate",

@@ -10,13 +10,14 @@ connective (xor, implies), a cofactor is the relational product
 `and_exists` (the conjunction quantified on the fly, never built) of the
 function with the assignment's cube, and `balanced` folds every n-ary
 join.  Besides these the manager computes maximal models (`maximal`,
-for maximal progress), a structural copy under an order-preserving map
-of levels by the kernel's rename recursion (`rename`, for a connector of
-an encoded shape, and `shift`, the rename by one level, for explicit
-priority pairs), and model counts, uniform picks and model sets over a
-sequence of names for the engines.  A listed set of full minterms
-(`minterms`, for explicit priority pairs) needs no connective: it is
-built bottom-up by the node constructor alone.
+for maximal progress), the copy of a function with every variable moved
+to the next level by the kernel's rename recursion (`shift`, for
+explicit priority pairs), and model counts, uniform picks and model sets
+over a sequence of names for the engines.  A listed set of rows, each a
+small function read through its own levels with every other level false
+or a full minterm (`from_rows`, for the connectors, explicit priority
+pairs and the listed dominators outside the pool), needs no connective:
+it is built bottom-up by the node constructor alone.
 Operations that only tests need (evaluation along a path, support names,
 a three-operand `ite`) live with the tests' oracles.  A per-call
 recursive closure drops its name on return, leaving no cycle to collect.
@@ -258,7 +259,7 @@ class BddManager:
                 r = t_not[u] = mk(var[u], not_(lo[u]), not_(hi[u]))
             return r
 
-        def rename(u: int, levels: Mapping[int, int] | Sequence[int], table: dict[int, int]) -> int:
+        def rename(u: int, levels: Sequence[int], table: dict[int, int]) -> int:
             # u with the variable at each level l moved to levels[l], memoised in table
             if u <= TRUE:
                 return u
@@ -286,42 +287,73 @@ class BddManager:
             u = self._mk(lvl, FALSE, u) if val else self._mk(lvl, u, FALSE)
         return self._ref(u)
 
-    def none(self, levels: Iterable[int]) -> BddRef:
-        """Every variable at `levels` false: a `cube` over levels, each
-        level once however often it is listed."""
-        u = TRUE
-        for lvl in sorted(set(levels), reverse=True):
-            u = self._mk(lvl, u, FALSE)
-        return self._ref(u)
+    def from_rows(self, rows: Iterable[tuple[Iterable[int], BddRef | None, Iterable[int]]],
+                  levels: Iterable[int]) -> BddRef:
+        """The disjunction over `levels` of one function per row: a row (its
+        levels, a node f, the levels f is written over, in order; all of
+        them among `levels`) is f read with its k-th written level as the
+        row's k-th, every other listed level false; a row whose node is
+        None is the full minterm that sets its levels true.  False if there
+        are no rows.  Built bottom-up through the unique table by one
+        descent of the sorted levels that calls only `mk`: the rows split at
+        the first level one of them holds, where each holding row is
+        cofactored by its node's next written level, and each level above
+        it is false in all of them.  The chain of nodes above a split is
+        memoised per row set, so a shared set of suffixes is built once.
 
-    def minterms(self, rows: Iterable[Iterable[int]], levels: Iterable[int]) -> BddRef:
-        """The disjunction of one full minterm over `levels` per row: the
-        row's levels, which must be among `levels`, true and every other
-        false; false if there are no rows.  Built bottom-up through the
-        unique table by one descent of the sorted levels that calls only
-        `mk`: the rows, as masks over level positions, split at the first
-        position one of them sets, and each position above it is false in
-        all of them.  The chain of nodes above a split is memoised per row
-        set, so a shared set of suffixes is built once."""
+        A row is one integer over level positions: the positions it still
+        holds, then its node's written positions still to read and its node,
+        or its positions alone for a minterm.  A row set is the rows under
+        way and the rows yet to start, a suffix of the rows sorted by their
+        first position, so a split reads only the rows it changes."""
         levels = sorted(set(levels))
-        at = {l: 1 << k for k, l in enumerate(levels)}
-        mk, chains = self._mk, {}
+        P = len(levels)
+        at, ones, S = {l: 1 << k for k, l in enumerate(levels)}, (1 << P) - 1, 2 * P
+        var, lo_, hi_, mk, chains, starting = self._var, self._lo, self._hi, self._mk, {}, {}
+        for own, f, written in rows:
+            r = sum(at[l] for l in set(own))
+            if f is not None:
+                if (u := self._node(f)) == FALSE:
+                    continue  # a false row is no row
+                r |= (sum(at[l] for l in written) | u << P) << P
+            starting.setdefault((r & -r & ones).bit_length() - 1, []).append(r)  # -1: it holds no position
+        done = frozenset(starting.pop(-1, ()))
+        waiting = [*sorted(starting.items()), (P, ())]  # (first position, the rows that start there), closed at P
 
-        def rec(i: int, rows: frozenset[int]) -> int:
-            # the node at position i of rows that set no position above i
-            chain = chains.get(rows)
+        def rec(i: int, rows: frozenset[int], k: int) -> int:
+            # the node at position i of `rows` and the rows of waiting[k:], which hold no position above i
+            chain = chains.get(key := (rows, k))
             if chain is None:
-                bit = (union := reduce(bit_or, rows, 0)) & -union  # the first position a row sets, if any
-                j = bit.bit_length() - 1 if bit else len(levels)
-                lo, hi = frozenset([r for r in rows if not r & bit]), frozenset([r ^ bit for r in rows if r & bit])
-                top = mk(levels[j], rec(j + 1, lo), rec(j + 1, hi)) if bit else TRUE if rows else FALSE
-                chain = chains[rows] = (j, [top])
+                union = reduce(bit_or, rows, 0) & ones
+                start, new = waiting[k]
+                j = min(start, (union & -union).bit_length() - 1 if union else P)  # the first position a row holds
+                new, k = (new, k + 1) if start == j else ((), k)
+                if j == P:
+                    top = TRUE if rows else FALSE
+                else:
+                    lo, hi, bit = [], [], 1 << j
+                    for r in (*rows, *new):
+                        if not r & bit:
+                            lo.append(r)
+                        elif r <= ones:  # a minterm: the level true
+                            hi.append(r ^ bit)
+                        else:  # the node's next written position reads this one
+                            u, w = r >> S, r >> P & ones
+                            low = w & -w
+                            r = r & ones ^ bit | (w ^ low) << P
+                            u0, u1 = (lo_[u], hi_[u]) if var[u] == levels[low.bit_length() - 1] else (u, u)
+                            if u0:
+                                lo.append(r | u0 << S)
+                            if u1:
+                                hi.append(r | u1 << S)
+                    top = mk(levels[j], rec(j + 1, frozenset(lo), k), rec(j + 1, frozenset(hi), len(waiting) - 1))
+                chain = chains[key] = (j, [top])
             j, nodes = chain  # nodes[k] is the node at position j - k
             while len(nodes) <= j - i:
                 nodes.append(mk(levels[j - len(nodes)], nodes[-1], FALSE))
             return nodes[j - i]
 
-        r, rec = rec(0, frozenset(sum(at[l] for l in set(row)) for row in rows)), None
+        r, rec = rec(0, done, 0), None
         return self._ref(r)
 
     # -- boolean operations -------------------------------------------
@@ -407,11 +439,6 @@ class BddManager:
 
         r, rec = rec(u, v), None
         return self._ref(r)
-
-    def rename(self, f: BddRef, levels: Mapping[int, int]) -> BddRef:
-        """f with the variable at each level l of its support moved to
-        levels[l], a map that keeps their order."""
-        return self._ref(self._rename(self._node(f), levels, {}))
 
     def shift(self, f: BddRef) -> BddRef:
         """f with every variable renamed to the next one in the order: the

@@ -178,25 +178,3 @@ def canonical(tree: CausalTree) -> CausalTree:
 
     roots = tuple(sorted((fix(r) for r in tree.roots), key=node_key))
     return CausalTree(roots)
-
-
-def format_tree(tree: CausalTree) -> str:
-    """Render with -> for causality and (+) for independent branches."""
-
-    def fmt_label(label: Interaction) -> str:
-        return " ".join(sorted(label)) if label else "1"
-
-    def fmt_node(node: CausalNode) -> str:
-        if not node.children:
-            return fmt_label(node.label)
-        inner = " (+) ".join(fmt_node(c) for c in node.children)
-        if len(node.children) > 1:
-            inner = f"({inner})"
-        return f"{fmt_label(node.label)} -> {inner}"
-
-    if not tree.roots:
-        return "0"
-    return " (+) ".join(
-        f"({fmt_node(r)})" if (r.children and len(tree.roots) > 1) else fmt_node(r)
-        for r in tree.roots
-    )

@@ -18,9 +18,9 @@ from __future__ import annotations
 import random
 import re
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .connectors import AcTerm, Interaction, interaction_key, interactions_of, template_of
@@ -277,6 +277,13 @@ def validate(system: SystemModel) -> list[Diagnostic]:
     return list(system._diagnostics)
 
 
+@cache
+def _repeated(template: str) -> tuple[int, ...]:
+    """The port indices a connector template writes more than once: it
+    writes each occurrence of a port as its index."""
+    return tuple(sorted(int(i) for i, n in Counter(re.findall(r"\d+", template)).items() if n > 1))
+
+
 def _validate(system: SystemModel) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
 
@@ -338,6 +345,8 @@ def _validate(system: SystemModel) -> list[Diagnostic]:
         unbound = sorted(conn.port_set - all_ports)
         if unbound:
             diags.append(Diagnostic("bound-ports", where, f"unbound ports {unbound}"))
+        term, ports = conn.template
+        diags += [Diagnostic("linear-term", where, f"port {ports[k]!r} named more than once") for k in _repeated(term)]
 
     pr = system.priority
     if isinstance(pr, ExplicitPairs):

@@ -8,14 +8,15 @@ of each port for priorities):
   ports false); f_B joins them under one-hot state cubes;
 - connectors: per connector, its causal rules and root clause over its
   own ports, derived and encoded once per shape (the term over the ranks
-  of its ports in level order) and renamed onto each other connector of
-  that shape; the system-wide function is their disjunction with every
-  port foreign to a connector false, built by a balanced union-join
-  (`union_join`) that never widens a connector to all ports;
+  of its ports in level order); the system-wide function is their
+  disjunction with every port foreign to a connector false, built by
+  `BddManager.from_rows` from one row per connector, which reads its
+  shape's node through its own levels in order, so that no connector is
+  renamed or widened to all ports;
 - priority: for explicit pairs, a static relation R(P, P') between an
   interaction over the plain port copies and a dominator over the primed
   copies: one full minterm per pair over every plain and primed port,
-  built by `BddManager.minterms` with no apply and no cube per pair.
+  built by `BddManager.from_rows` with no apply and no cube per pair.
   Maximal progress needs no relation: its R, the strict-subset
   relation, is built only to report `fp_nodes`.
 
@@ -105,7 +106,7 @@ from itertools import accumulate
 from typing import Iterable, Optional
 
 from . import boolfunc as bf
-from .bdd import BddManager, BddRef, balanced
+from .bdd import BddManager, BddRef
 from .causal import causal_rules, rules_to_formula, tau
 from .connectors import Interaction
 from .model import (
@@ -211,11 +212,6 @@ def components(system: SystemModel) -> tuple[tuple[int, ...], ...]:
     return tuple(atoms for atoms, _ in _partition(system))
 
 
-def port_groups(system: SystemModel) -> tuple[tuple[tuple[str, ...], ...], ...]:
-    """Each component's port groups, each in port order."""
-    return tuple(groups for _, groups in _partition(system))
-
-
 def encode_local(atom: AtomicBehavior, mgr: BddManager) -> dict[str, BddRef]:
     """The atom's behavior at each of its control states: a firing of a
     label from that state, or idleness."""
@@ -249,33 +245,14 @@ def _expr_bdd(mgr: BddManager, expr: bf.BoolExpr) -> BddRef:
     raise TypeError(f"not a boolean expression: {expr!r}")
 
 
-def union_join(parts: Iterable[tuple[Iterable[str], BddRef]], ports: Iterable[str], mgr: BddManager) -> BddRef:
-    """The disjunction of the parts, each (its support U_k, a function G_k
-    over U_k), widened to `ports` with every port outside U_k false,
-    without widening any of them: the `balanced` fold joins (U1, G1) and
-    (U2, G2) into (U1 | U2, G1 & none(U2 - U1) | G2 & none(U1 - U2)) and
-    closes the root with none(ports - U); no part gives false.  Leaves
-    sorted by their deepest support level, then their highest, share ports
-    with their neighbours; the order changes the time only, not the node.
-    Supports are joined as sets of levels."""
-    def join(a: tuple[frozenset[int], BddRef], b: tuple[frozenset[int], BddRef]) -> tuple[frozenset[int], BddRef]:
-        (u1, g1), (u2, g2) = a, b
-        return u1 | u2, (g1 & mgr.none(u2 - u1)) | (g2 & mgr.none(u1 - u2))
-
-    level = mgr.level_of
-    leaves = sorted(((frozenset(map(level, u)), g) for u, g in parts),
-                    key=lambda leaf: (max(leaf[0], default=-1), min(leaf[0], default=-1)))
-    sup, fn = balanced(join, leaves, (frozenset(), mgr.false))
-    return fn & mgr.none(set(map(level, ports)) - sup)
-
-
-def connector_leaves(system: SystemModel, mgr: BddManager) -> list[tuple[frozenset[str], BddRef]]:
-    """Each connector's ports and its causal rules over them.  The rules are
-    derived and encoded once per shape, the term over the ranks of the
-    connector's ports in level order; every other connector of a shape
-    gets the order-preserving rename of that node."""
-    encoded: dict = {}  # shape -> its first connector's port levels, in order, and its node
-    out = []
+def encode_connectors(system: SystemModel, mgr: BddManager) -> BddRef:
+    """The pool as a function over all ports: one row per connector of
+    `BddManager.from_rows`, its port levels and its causal rules.  The rules
+    are derived and encoded once per shape, the term over the ranks of the
+    connector's ports in level order; every connector of a shape reads that
+    node through its own levels in order, so none is renamed or widened."""
+    encoded: dict = {}  # shape -> its node and its first connector's port levels, in order
+    rows = []
     for conn in system.connectors:
         term, ports = conn.template
         levels = list(map(mgr.level_of, ports))
@@ -283,27 +260,20 @@ def connector_leaves(system: SystemModel, mgr: BddManager) -> list[tuple[frozens
         shape = term, tuple(map(order.index, levels))
         if shape not in encoded:
             rules, root_clause = causal_rules(tau(conn.term))
-            encoded[shape] = order, _expr_bdd(mgr, rules_to_formula(rules, root_clause, conn.port_set))
-        first, f = encoded[shape]
-        out.append((conn.port_set, f if first == order else mgr.rename(f, dict(zip(first, order)))))
-    return out
-
-
-def encode_connectors(system: SystemModel, mgr: BddManager) -> BddRef:
-    """The pool as a function over all ports: the connectors' leaves
-    (`connector_leaves`) joined by `union_join`."""
-    return union_join(connector_leaves(system, mgr), system.all_ports, mgr)
+            encoded[shape] = _expr_bdd(mgr, rules_to_formula(rules, root_clause, conn.port_set)), order
+        rows.append((order, *encoded[shape]))
+    return mgr.from_rows(rows, map(mgr.level_of, system.all_ports))
 
 
 def encode_priority_pairs(pairs: frozenset[tuple[Interaction, Interaction]], all_ports: tuple[str, ...],
                           mgr: BddManager) -> BddRef:
     """Priority relation: the disjunction of one full minterm per pair (lo,
     hi) over the plain and primed copies of `all_ports`, lo's plain copies
-    and hi's primed copies true (`BddManager.minterms`); no pair gives
+    and hi's primed copies true (`BddManager.from_rows`); no pair gives
     false.  A port's primed copy is the next level (`variable_order`)."""
     level = mgr.level_of
-    return mgr.minterms(([*map(level, lo), *(level(p) + 1 for p in hi)] for lo, hi in pairs),
-                        [level(p) + d for p in all_ports for d in (0, 1)])
+    return mgr.from_rows((([*map(level, lo), *(level(p) + 1 for p in hi)], None, ()) for lo, hi in pairs),
+                         [level(p) + d for p in all_ports for d in (0, 1)])
 
 
 def encode_strict_subset(ports: tuple[str, ...], mgr: BddManager) -> BddRef:
@@ -366,7 +336,8 @@ class SystemEncoding:
         """The pool, plus the listed dominators outside it: they need only be active."""
         m, pr = self.manager, self.system.priority
         outside = {hi for _, hi in pr.closure} - self.system.gamma if isinstance(pr, ExplicitPairs) else ()
-        return self.connector_fn | m.minterms((map(m.level_of, hi) for hi in outside), map(m.level_of, self.port_names))
+        return self.connector_fn | m.from_rows(((map(m.level_of, hi), None, ()) for hi in outside),
+                                               map(m.level_of, self.port_names))
 
     @property
     def priority_fn(self) -> BddRef:

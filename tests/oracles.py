@@ -31,7 +31,7 @@ from portsync.dsl import KEYWORDS, DslDiagnostic, DslError
 from portsync.connectors import AcTerm, Factor, Fusion, PortLeaf, fusion, interaction_key, interactions_of, support as term_support
 from portsync.generators import random_monomial_term, random_system
 from portsync.model import AtomicBehavior, Connector, ExplicitPairs, MaximalProgress, ReachableSet, SystemModel, Transition, effective_pairs, validate
-from portsync.symbolic import Component, _expr_bdd, prime, union_join
+from portsync.symbolic import Component, _expr_bdd, _partition, prime
 
 
 def all_states(system):
@@ -341,6 +341,11 @@ def whole_survivor_fn(enc, state):
     if enc.pairs_fn == m.false:
         return g
     return g & ~m.and_exists(m.shift(active & enc.dominator_fn), enc.pairs_fn, enc.primed_names)
+
+
+def port_groups(system):
+    """Each component's port groups, each in port order."""
+    return tuple(groups for _, groups in _partition(system))
 
 
 def port_groups_of(x):

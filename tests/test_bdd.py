@@ -345,19 +345,22 @@ class TestCubes:
     def test_empty_cube(self, mgr):
         assert mgr.cube({}) == mgr.true
 
-    def test_none_lists_each_level_once(self, mgr):
-        # a level listed twice is one literal: no node tests the level of
-        # its own child
-        assert mgr.none([1, 2, 1]) == mgr.none([1, 2]) == ~mgr.var("b") & ~mgr.var("c")
-        assert mgr.none([3, 3, 0, 3]) == mgr.none([0, 3])
-        mgr.audit()
-
     def test_restrict_many_equals_chained_restrict(self, mgr):
         a, b, c, d = (mgr.var(v) for v in "abcd")
         f = (a | b) & (c | ~d)
         g1 = mgr.restrict_many(f, {"a": False, "d": True})
         g2 = mgr.restrict(mgr.restrict(f, "a", False), "d", True)
         assert g1 == g2 == (b & c)
+
+
+def minterms(mgr, rows, levels):
+    """`BddManager.from_rows` of one full minterm per row of levels."""
+    return mgr.from_rows([(row, None, ()) for row in rows], levels)
+
+
+def none(mgr, names):
+    """Every variable of `names` false."""
+    return mgr.cube(dict.fromkeys(names, False))
 
 
 class TestMinterms:
@@ -371,7 +374,7 @@ class TestMinterms:
         over the listed levels, and its truth table over them has exactly
         the rows' minterms."""
         rows = [list(r) for r in rows]
-        f = mgr.minterms(rows, levels)
+        f = minterms(mgr, rows, levels)
         names = [mgr.variables[l] for l in sorted(set(levels))]
         assert f == mgr.or_all(mgr.cube({n: mgr.level_of(n) in r for n in names}) for r in rows)
         table = 0
@@ -395,14 +398,15 @@ class TestMinterms:
 
     def test_the_empty_row_and_no_rows(self):
         mgr = BddManager(self.ORDER)
-        assert self.check(mgr, [[]], self.LISTED) == mgr.none(set(self.LISTED))
-        assert self.check(mgr, [[], [3]], self.LISTED) == mgr.none([1, 2, 5, 6, 7])
-        assert self.check(mgr, [[3], [], [1, 6]], self.LISTED) == mgr.none([1, 2, 5, 6, 7]) | mgr.cube(
+        listed = [mgr.variables[l] for l in set(self.LISTED)]
+        assert self.check(mgr, [[]], self.LISTED) == none(mgr, listed)
+        assert self.check(mgr, [[], [3]], self.LISTED) == none(mgr, ["a", "a'", "c", "c'", "d"])
+        assert self.check(mgr, [[3], [], [1, 6]], self.LISTED) == none(mgr, ["a", "a'", "c", "c'", "d"]) | mgr.cube(
             {"a": True, "a'": False, "b": False, "c": False, "c'": True, "d": False})
         before = mgr.total_nodes()
-        assert mgr.minterms([], self.LISTED) == mgr.false
-        assert mgr.minterms([[]], []) == mgr.true
-        assert mgr.minterms([], []) == mgr.false
+        assert minterms(mgr, [], self.LISTED) == mgr.false
+        assert minterms(mgr, [[]], []) == mgr.true
+        assert minterms(mgr, [], []) == mgr.false
         assert mgr.total_nodes() == before
 
     def test_listed_levels_interleaved_with_unlisted(self):
@@ -424,10 +428,10 @@ class TestMinterms:
                 random_fn(mgr, rng, self.ORDER)
             rows = [rng.sample(range(8), rng.randint(0, 8)) for _ in range(rng.randint(1, 10))]
             before = mgr.total_nodes()
-            f = mgr.minterms(rows, range(8))
+            f = minterms(mgr, rows, range(8))
             assert mgr.total_nodes() - before <= mgr.node_count(f)
             assert self.check(mgr, rows, range(8)) == f
-            assert mgr.node_count(f) == fresh.node_count(fresh.minterms(rows, range(8)))
+            assert mgr.node_count(f) == fresh.node_count(minterms(fresh, rows, range(8)))
 
     def test_a_relation_deeper_than_the_default_recursion_limit(self):
         # 1200 levels, above CPython's default recursion limit of 1000: the
@@ -436,13 +440,62 @@ class TestMinterms:
         mgr = BddManager([f"v{i}" for i in range(n)])
         rng = random.Random(5)
         rows = [range(n), [], range(0, n, 2), range(1, n, 3), *(rng.sample(range(n), 40) for _ in range(20))]
-        f = mgr.minterms(rows, range(n))
+        f = minterms(mgr, rows, range(n))
         assert f == mgr.or_all(mgr.cube({f"v{i}": i in r for i in range(n)}) for r in map(set, rows))
         for r in map(set, rows):
             assert evaluate(f, {f"v{i}": True for i in r})
         assert not evaluate(f, {"v0": True})
         assert mgr.sat_count(f) == len(rows)
         mgr.audit()
+
+
+class TestFromRows:
+    # rows that carry a node written over some listed levels, read through
+    # the row's own levels in order, mixed with minterm rows
+    ORDER = TestMinterms.ORDER
+
+    @staticmethod
+    def table_fn(mgr, table, levels):
+        """The function over `levels` whose truth table, first level most
+        significant, is `table`."""
+        n = len(levels)
+        return mgr.or_all(mgr.cube({mgr.variables[l]: bool(i >> n - 1 - k & 1) for k, l in enumerate(levels)})
+                          for i in range(1 << n) if table >> i & 1)
+
+    def test_function_rows_against_truth_tables(self):
+        # each row's table, moved onto its own levels with every other
+        # listed level false; nodes that skip written levels, constant
+        # nodes, rows of no level, a node shared by rows and minterm rows
+        mgr = BddManager(self.ORDER)
+        rng = random.Random(43)
+        n = len(self.ORDER)
+        read = 0
+        for _ in range(300):
+            listed = sorted(rng.sample(range(n), rng.randint(0, n)))
+            rows, want, shared = [], mgr.false, {}
+            for _ in range(rng.randint(0, 6)):
+                k = rng.randint(0, len(listed))
+                mine = sorted(rng.sample(listed, k))
+                others = none(mgr, [mgr.variables[l] for l in listed if l not in mine])
+                if rng.random() < 0.3:  # a minterm, its levels in any order
+                    rows.append((rng.sample(mine, k), None, ()))
+                    want |= mgr.cube({mgr.variables[l]: True for l in mine}) & others
+                    continue
+                written, t = shared.setdefault(k, (sorted(rng.sample(listed, k)), rng.getrandbits(1 << k)))
+                rows.append((mine, self.table_fn(mgr, t, written), written))
+                want |= self.table_fn(mgr, t, mine) & others
+                read += mine != written
+            assert mgr.from_rows(rows, listed) == want
+        assert read > 150
+        mgr.audit()
+
+    def test_a_false_row_is_no_row(self):
+        mgr = BddManager(self.ORDER)
+        a = mgr.var("a")
+        assert mgr.from_rows([([1], mgr.false, [1])], range(8)) == mgr.false
+        assert mgr.from_rows([([1], mgr.false, [1]), ([3], a, [1])], range(8)) == mgr.from_rows(
+            [([3], None, ())], range(8))
+        assert mgr.from_rows([([], mgr.true, [])], [1, 3]) == none(mgr, ["a", "b"])
 
 
 class TestPickSat:

@@ -13,7 +13,6 @@ from portsync.causal import (
     canonical,
     causal_rules,
     ct_interactions,
-    format_tree,
     rules_to_formula,
     tau,
 )
@@ -109,13 +108,6 @@ def test_rules_formula_matches_interactions():
         f = rules_to_formula(rules, root_clause, support(term))
         got = models(f, sorted(support(term)))
         assert got == set(interactions_of(term)) - {frozenset()}
-
-
-def test_format_tree():
-    s = format_tree(tau(CC))
-    assert s == "s -> r1 -> r2 -> r3"
-    t = format_tree(canonical(tau(BC)))
-    assert "(+)" in t and t.startswith("s ->")
 
 
 @settings(max_examples=300, deadline=None)

@@ -13,6 +13,8 @@ from portsync.cli import (
 from portsync.dsl import load, save
 from portsync.generators import modulo8
 
+from test_dsl import TWICE
+
 
 @pytest.fixture
 def model_file(tmp_path, mod8):
@@ -82,6 +84,12 @@ class TestRun:
         assert f"{path}:5:5: atom A trans #1 a->b: label uses foreign ports ['z']" in err
         assert f"{path}:7:5: atom A trans #3 b->a: label uses foreign ports ['y']" in err
         assert "trans #2" not in err
+
+    def test_a_port_named_twice_in_a_connector_is_a_diagnostic(self, tmp_path, capsys):
+        path = tmp_path / "twice.bip-lite"
+        path.write_text(TWICE)
+        assert main(["check", str(path)]) == EXIT_DIAGNOSTICS
+        assert f"{path}:12:3: connector x: port 'b' named more than once [linear-term]" in capsys.readouterr().err
 
 
 class TestCheck:

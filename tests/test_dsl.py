@@ -247,3 +247,26 @@ def test_parser_matches_the_reference_on_chosen_errors():
         assert _model_or_diagnostics(parse, text) == expected
     for text in _PARITY_TEXTS:
         assert parse(text) == reference_parse(text)
+
+
+TWICE = """system twice {
+  atom A {
+    ports a;
+    states q init;
+    trans q -[ a ]-> q;
+  }
+  atom B {
+    ports b;
+    states q init;
+    trans q -[ b ]-> q;
+  }
+  connector x = a' [b b'];
+}
+"""
+
+
+def test_a_port_named_twice_in_a_connector_is_located():
+    with pytest.raises(DslError) as exc:
+        parse(TWICE)
+    assert [(d.line, d.col, d.message) for d in exc.value.diagnostics] == [
+        (12, 3, "connector x: port 'b' named more than once [linear-term]")]

@@ -232,6 +232,17 @@ class TestValidation:
         )
         assert validate(sysm)
 
+    def test_connector_naming_a_port_twice(self):
+        # a' [b b']: the causal tree a -> b -> b drops b's rule as vacuous,
+        # so the encoding would lose {a, b}; each port occurs once in a term
+        atoms = tuple(AtomicBehavior(n, ("q",), "q", (p,), (Transition("q", fz(p), "q"),)) for n, p in (("A", "a"), ("B", "b")))
+        twice = Fusion((Factor(PortLeaf("a"), True), Factor(Fusion((Factor(PortLeaf("b")), Factor(PortLeaf("b"), True))))))
+        sysm = SystemModel("m", atoms, (Connector("x", twice),), MaximalProgress())
+        assert [str(d) for d in validate(sysm)] == ["connector x: port 'b' named more than once [linear-term]"]
+        for refuse in (EnumEngine, SymbolicEngine, check_equivalence):
+            with pytest.raises(ValidationError, match="port 'b' named more than once"):
+                refuse(sysm)
+
 
 class TestAgainstProductOracle:
     """enabled/survivors equal a direct product-automaton reading."""

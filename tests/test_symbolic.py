@@ -15,7 +15,7 @@ import pytest
 from portsync.bdd import BddManager
 import portsync
 from portsync.generators import RandomBounds, gen_bus, gen_tasks, modulo8, random_system
-from portsync.connectors import Factor, Fusion, PortLeaf
+from portsync.connectors import Factor, Fusion, OneLeaf, PortLeaf, ZeroLeaf
 from portsync.dsl import parse
 from portsync.enumerative import EnumEngine
 from portsync.model import (
@@ -37,24 +37,22 @@ from portsync.symbolic import (
     SystemEncoding,
     build,
     components,
-    connector_leaves,
     encode_atom,
     encode_behavior,
     encode_connectors,
     encode_local,
     encode_priority_pairs,
     encode_strict_subset,
-    port_groups,
     state_var,
-    union_join,
     variable_order,
 )
 from portsync.connectors import interactions_of, support
 from portsync.equivalence import check_equivalence
 
 from oracles import (active_fn, all_states, encode_connector, hub_system, joined_survivor_fn, key_of, moved_trigger,
-                     oracle_survivors, own_state, pairs_written_out, port_groups_of, ports_of, reference_connector_fn,
-                     reference_pick_sat, reference_priority_pairs, skipped_levels, transfer, whole_survivor_fn)
+                     oracle_survivors, own_state, pairs_written_out, port_groups, port_groups_of, ports_of,
+                     reference_connector_fn, reference_pick_sat, reference_priority_pairs, skipped_levels, transfer,
+                     whole_survivor_fn)
 
 
 def test_variable_order_groups_atoms(mod8):
@@ -92,21 +90,80 @@ def test_connector_function_models_are_gamma(mod8):
         assert got == set(sysm.gamma)
 
 
+def _with_constants(seed):
+    """A library-built system whose connector terms mix the constants 1
+    and 0, which the text has no syntax for, with ports, each port once
+    per connector; a connector may hold a constant alone."""
+    rng = random.Random(seed)
+    fz = frozenset
+    atoms = tuple(AtomicBehavior(n, ("s",), "s", ports, tuple(Transition("s", fz((p,)), "s") for p in ports))
+                  for n, ports in (("A", ("a1", "a2")), ("B", ("b1", "b2")), ("C", ("c1", "c2"))))
+
+    def term(free, depth):
+        if depth == 0 or rng.random() < 0.35:
+            return PortLeaf(free.pop()) if free and rng.random() < 0.6 else rng.choice((OneLeaf(), ZeroLeaf()))
+        return Fusion(tuple(Factor(term(free, depth - 1), rng.random() < 0.5) for _ in range(rng.randint(1, 3))))
+
+    ports = [p for a in atoms for p in a.ports]
+    conns = tuple(Connector(f"k{i}", term(rng.sample(ports, len(ports)), 3)) for i in range(rng.randint(1, 4)))
+    return SystemModel(f"constants{seed}", atoms, conns, MaximalProgress())
+
+
 def test_connector_fn_is_the_widened_disjunction():
-    # the union-join gives the node of every connector widened to all
-    # ports and or-ed, for one component or several, with ports that no
-    # connector uses and with a single connector
+    # f_C gives the node of every connector widened to all ports and
+    # or-ed, system-wide and for each class encoding, for one component
+    # or several, with ports that no connector uses, with a single
+    # connector, with shapes whose ports interleave and with the
+    # constants 1 and 0
     systems = [modulo8(), *map(gen_bus, (1, 2, 3)), gen_tasks(2, 1), gen_tasks(3, 2), gen_tasks(4, 4),
-               *map(random_system, range(60))]
-    unused = single = 0
+               _interleaved_shapes(), *map(hub_system, range(40)), *map(random_system, range(60)),
+               *map(_with_constants, range(40))]
+    unused = single = constants = 0
     for sysm in systems:
         enc = build(sysm)
         want = reference_connector_fn(sysm, enc.manager)
         assert enc.connector_fn == want
         assert encode_connectors(sysm, enc.manager) == want
+        for members in _classes(enc):
+            rep = members[0].cls.encoding
+            assert rep.connector_fn == reference_connector_fn(rep.system, enc.manager)
+        assert frozenset(enc.manager.iter_models(enc.connector_fn, enc.port_names)) == sysm.gamma
         unused += bool(set(sysm.all_ports) - {p for c in sysm.connectors for p in support(c.term)})
         single += len(sysm.connectors) == 1
-    assert unused > 10 and single > 10
+        constants += any(isinstance(t, (OneLeaf, ZeroLeaf)) for t in _leaves(sysm))
+    assert unused > 10 and single > 10 and constants > 30
+
+
+def _leaves(sysm):
+    """Every leaf of every connector term of `sysm`."""
+    def rec(t):
+        return [leaf for f in t.factors for leaf in rec(f.term)] if isinstance(t, Fusion) else [t]
+
+    return [leaf for c in sysm.connectors for leaf in rec(c.term)]
+
+
+def test_connectors_with_constants_check_equivalent():
+    for seed in range(40):
+        assert check_equivalence(_with_constants(seed)).equivalent
+
+
+def test_connector_fn_creates_at_most_its_nodes_and_one_per_level():
+    # f_C over tasks 8x4 and bus 8, system-wide and for each class
+    # encoding, built in a manager that already holds the local behaviors:
+    # it may create no more nodes than it has plus one per level it spans
+    # (the union-join of renamed connectors it replaced created 1446 for the
+    # representative's 220-node f_C)
+    for sysm, nodes in ((gen_tasks(8, 4), [2884, 220]), (gen_bus(8), [150, 17])):
+        reps = [members[0].cls.encoding for members in _classes(build(sysm))]
+        counts = []
+        for sub in (sysm, *(rep.system for rep in reps)):
+            enc = SystemEncoding(sub, BddManager(variable_order(sysm)))
+            enc.local_behavior
+            m, before = enc.manager, enc.manager.total_nodes()
+            fc = enc.connector_fn
+            assert m.total_nodes() - before <= m.node_count(fc) + len(sub.all_ports)
+            counts.append(m.node_count(fc))
+        assert counts == nodes
 
 
 def _interleaved_shapes():
@@ -142,20 +199,32 @@ def _shapes(sysm, mgr):
     return {shape(c) for c in sysm.connectors}
 
 
+def _shape_heads(sysm, mgr):
+    """Each connector with the first connector of its shape, the term over
+    the ranks of its ports by level, whose encoding it reads."""
+    def shape(conn):
+        ports = sorted(support(conn.term), key=mgr.level_of)
+        return _ranked_term(conn.term, {p: r for r, p in enumerate(ports)})
+
+    heads: dict = {}
+    return [(heads.setdefault(shape(c), c), c) for c in sysm.connectors]
+
+
 def test_each_connector_leaf_is_its_direct_encoding():
-    # one encoding per shape, renamed onto each other connector of it, gives
-    # the node a derivation of the connector's own causal rules gives
+    # one encoding per shape, read by each other connector of it through its
+    # own levels, gives the node a derivation of the connector's own causal
+    # rules gives: f_C of a connector and the first of its shape is the
+    # disjunction of their direct encodings
     systems = [modulo8(), gen_bus(3), gen_tasks(3, 2), gen_tasks(4, 4), _interleaved_shapes(),
                *map(hub_system, range(40)), *map(random_system, range(60))]
     renamed = 0
     for sysm in systems:
         m = BddManager(variable_order(sysm))
-        leaves = connector_leaves(sysm, m)
-        assert len(leaves) == len(sysm.connectors)
-        for conn, (ports, f) in zip(sysm.connectors, leaves):
-            assert ports == support(conn.term)
-            assert f == encode_connector(conn, (), m)
-        renamed += len(sysm.connectors) - len(_shapes(sysm, m))
+        for head, conn in _shape_heads(sysm, m):
+            pair = SystemModel(sysm.name, sysm.atoms, tuple(dict.fromkeys((head, conn))), sysm.priority)
+            assert encode_connectors(pair, m) == \
+                encode_connector(head, sysm.all_ports, m) | encode_connector(conn, sysm.all_ports, m)
+            renamed += head is not conn
     assert renamed > 150
 
 
@@ -163,8 +232,10 @@ def test_interleaved_shapes_are_renamed_in_level_order():
     sysm = _interleaved_shapes()
     m = BddManager(variable_order(sysm))
     assert len(_shapes(sysm, m)) == 3
-    for conn, (_, f) in zip(sysm.connectors, connector_leaves(sysm, m)):
-        assert set(m.iter_models(f, sorted(conn.port_set))) == {a for a in interactions_of(conn.term) if a}
+    for head, conn in _shape_heads(sysm, m):
+        pair = SystemModel(sysm.name, sysm.atoms, tuple(dict.fromkeys((head, conn))), sysm.priority)
+        want = {a for c in (head, conn) for a in interactions_of(c.term) if a}
+        assert set(m.iter_models(encode_connectors(pair, m), sysm.all_ports)) == want
 
 
 def test_causal_rules_run_once_per_shape(monkeypatch):
@@ -190,7 +261,7 @@ def test_no_connector_gives_false():
     sysm = SystemModel(bus.name, bus.atoms, (), None)
     enc = build(sysm)
     m = enc.manager
-    assert enc.connector_fn == encode_connectors(sysm, m) == union_join((), sysm.all_ports, m) == m.false
+    assert enc.connector_fn == encode_connectors(sysm, m) == m.from_rows((), range(len(m.variables))) == m.false
     assert enc.survivors(sysm.initial_state()) == frozenset()
 
 
@@ -230,15 +301,15 @@ def test_build_leaves_what_no_step_reads_unbuilt():
 
 
 def test_pairs_build_is_the_same_in_every_process():
-    # R is built from the pairs' set of minterms, not in the order of a
-    # frozenset of strings: the build makes the same nodes under every
-    # string hash seed
+    # R is built from the pairs' set of minterms and f_C from the
+    # connectors' rows, not in the order of a frozenset of strings: the
+    # build makes the same nodes under every string hash seed
     code = ("from portsync.generators import gen_tasks\n"
             "from portsync.model import ExplicitPairs, SystemModel, effective_pairs\n"
             "from portsync.symbolic import build\n"
             "s = gen_tasks(8, 2)\n"
             "s = SystemModel(s.name, s.atoms, s.connectors, ExplicitPairs(effective_pairs(s.priority, s.gamma)))\n"
-            "print(build(s).manager.total_nodes())\n")
+            "print(build(s).manager.total_nodes(), build(gen_tasks(8, 4)).manager.total_nodes())\n")
     env = {**os.environ, "PYTHONPATH": str(Path(portsync.__file__).resolve().parents[1])}
     counts = {subprocess.run([sys.executable, "-c", code], env={**env, "PYTHONHASHSEED": seed},
                              capture_output=True, text=True, check=True).stdout
@@ -269,8 +340,8 @@ def test_pairs_fn_creates_at_most_its_nodes_and_one_per_level():
     # R over tasks 8x2's explicit pairs, system-wide and for each class
     # encoding, built in a manager that already holds the local
     # behaviors and f_C: it may create no more nodes than it has plus one
-    # per level it spans (one widened cube per pair joined by `union_join`
-    # created 3522 for the representative's 468-node R)
+    # per level it spans (one widened cube per pair joined by a balanced
+    # union created 3522 for the representative's 468-node R)
     sysm = pairs_written_out(gen_tasks(8, 2))
     reps = [members[0].cls.encoding for members in _classes(build(sysm))]
     assert [len(rep.system.priority.closure) for rep in reps] == [112]
