@@ -15,8 +15,8 @@ to the next level by the kernel's rename recursion (`shift`, for
 explicit priority pairs), and model counts, uniform picks and model sets
 over a sequence of names for the engines.  A listed set of rows, each a
 small function read through its own levels with every other level false
-or a full minterm (`from_rows`, for the connectors, explicit priority
-pairs and the listed dominators outside the pool), needs no connective:
+or a full minterm (`from_rows`, for the connectors and explicit
+priority pairs), needs no connective:
 it is built bottom-up by the node constructor alone.
 Operations that only tests need (evaluation along a path, support names,
 a three-operand `ite`) live with the tests' oracles.  A per-call

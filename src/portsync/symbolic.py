@@ -64,13 +64,13 @@ states' local behaviors, whose conjunction is the behavior restricted to
 the state, with the connectors: the balanced `and_all` fold of those
 behaviors and f_C gives the enabled function g.  Under maximal progress
 the survivor function holds g's maximal models (`BddManager.maximal`).
-Under explicit pairs the possible dominators are the active interactions
-of the pool and any active interaction a pair lists as a dominator
-outside the pool: the same fold with the pool and those dominators in
-place of f_C (g itself, from the and table, when there are none outside).
-A one-level rename (`shift`) moves them onto the primed copies, each
-primed port following its port in the order; the dominated set is the
-relational product excluded(P) = exists P'. dominators(P') & R(P, P'),
+Under explicit pairs a dominator need only be active, in the pool or
+not, and R holds only listed dominators on its primed side, so the
+active set, the fold of the local behaviors alone, stands for the
+dominators: no pool is listed.  g is then the active set and f_C.  A
+one-level rename (`shift`) moves the active set onto the primed copies,
+each primed port following its port in the order; the dominated set is
+the relational product excluded(P) = exists P'. active(P') & R(P, P'),
 and the survivor function is g & ~excluded.
 
 Each class keeps one survivor table, and no other table is kept: per
@@ -207,11 +207,6 @@ def _partition(system: SystemModel) -> list[tuple[tuple[int, ...], tuple[tuple[s
     return [(tuple(atoms), tuple(kept)) for atoms, kept in parts.values()]
 
 
-def components(system: SystemModel) -> tuple[tuple[int, ...], ...]:
-    """Atom indices of each independent component, in atom order."""
-    return tuple(atoms for atoms, _ in _partition(system))
-
-
 def encode_local(atom: AtomicBehavior, mgr: BddManager) -> dict[str, BddRef]:
     """The atom's behavior at each of its control states: a firing of a
     label from that state, or idleness."""
@@ -331,14 +326,6 @@ class SystemEncoding:
             return self.manager.false
         return encode_priority_pairs(pr.closure, self.port_names, self.manager)
 
-    @cached_property
-    def dominator_fn(self) -> BddRef:
-        """The pool, plus the listed dominators outside it: they need only be active."""
-        m, pr = self.manager, self.system.priority
-        outside = {hi for _, hi in pr.closure} - self.system.gamma if isinstance(pr, ExplicitPairs) else ()
-        return self.connector_fn | m.from_rows(((map(m.level_of, hi), None, ()) for hi in outside),
-                                               map(m.level_of, self.port_names))
-
     @property
     def priority_fn(self) -> BddRef:
         """R over plain/primed ports; maximal progress's, read by no step, is built here."""
@@ -367,18 +354,16 @@ class SystemEncoding:
         # the local behaviors' conjunction is restrict(f_B, state)
         m = self.manager
         factors = [local[q] for local, q in zip(self.local_behavior, state)]
-        fn = g = m.and_all([*factors, self.connector_fn])
-        if isinstance(self.system.priority, MaximalProgress):
-            fn = m.maximal(g, self.port_names)
-        elif self.pairs_fn != m.false:
-            # the dominators are the active pool interactions (g) and listed
-            # dominators outside the pool; the state is restricted away, so
-            # only plain ports remain, each of which the shift moves onto its
-            # primed copy
-            dominators = m.and_all([*factors, self.dominator_fn])
-            excluded = m.and_exists(m.shift(dominators), self.pairs_fn, self.primed_names)
-            fn = g & ~excluded
-        return fn
+        if self.pairs_fn == m.false:
+            g = m.and_all([*factors, self.connector_fn])
+            return m.maximal(g, self.port_names) if isinstance(self.system.priority, MaximalProgress) else g
+        # a dominator need only be active, and R holds only listed
+        # dominators, so the active set stands for them; the state is
+        # restricted away, so only plain ports remain, each of which the
+        # shift moves onto its primed copy
+        active = m.and_all(factors)
+        excluded = m.and_exists(m.shift(active), self.pairs_fn, self.primed_names)
+        return active & self.connector_fn & ~excluded
 
     def survivors(self, state: GlobalState) -> frozenset[Interaction]:
         """The union of the components' survivor sets; ValueError on a
@@ -666,7 +651,7 @@ def build(system: SystemModel) -> SystemEncoding:
     comps = tuple(Component(tuple(_group(system, g, mgr, classes) for g in groups), mgr)
                   for _, groups in _partition(system))
     for enc in (cls.encoding for cls in classes.values()):  # what a step reads
-        enc.local_behavior, enc.connector_fn, enc.pairs_fn, enc.dominator_fn
+        enc.local_behavior, enc.connector_fn, enc.pairs_fn
     return SystemEncoding(system, mgr, comps)
 
 

@@ -331,8 +331,9 @@ def active_fn(enc, state):
 def whole_survivor_fn(enc, state):
     """An encoding's survivor function at its local state over the whole
     encoding at once, whatever its port groups: the folded local behaviors
-    conjoined with f_C (and with the dominators), then the maximal models
-    or the pairs' exclusion."""
+    conjoined with f_C, then the maximal models or the pairs' exclusion,
+    whose dominators are the active members of the pool and of the listed
+    dominators outside it, one cube each."""
     m = enc.manager
     active = active_fn(enc, state)
     g = active & enc.connector_fn
@@ -340,7 +341,14 @@ def whole_survivor_fn(enc, state):
         return m.maximal(g, enc.port_names)
     if enc.pairs_fn == m.false:
         return g
-    return g & ~m.and_exists(m.shift(active & enc.dominator_fn), enc.pairs_fn, enc.primed_names)
+    outside = {hi for _, hi in enc.system.priority.closure} - enc.system.gamma
+    dominators = enc.connector_fn | m.or_all(m.cube({p: p in hi for p in enc.port_names}) for hi in outside)
+    return g & ~m.and_exists(m.shift(active & dominators), enc.pairs_fn, enc.primed_names)
+
+
+def components(system):
+    """Atom indices of each independent component, in atom order."""
+    return tuple(atoms for atoms, _ in _partition(system))
 
 
 def port_groups(system):

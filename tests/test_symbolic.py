@@ -36,7 +36,6 @@ from portsync.symbolic import (
     SymbolicEngine,
     SystemEncoding,
     build,
-    components,
     encode_atom,
     encode_behavior,
     encode_connectors,
@@ -49,10 +48,10 @@ from portsync.symbolic import (
 from portsync.connectors import interactions_of, support
 from portsync.equivalence import check_equivalence
 
-from oracles import (active_fn, all_states, encode_connector, hub_system, joined_survivor_fn, key_of, moved_trigger,
-                     oracle_survivors, own_state, pairs_written_out, port_groups, port_groups_of, ports_of,
-                     reference_connector_fn, reference_pick_sat, reference_priority_pairs, skipped_levels, transfer,
-                     whole_survivor_fn)
+from oracles import (active_fn, all_states, components, encode_connector, hub_system, joined_survivor_fn, key_of,
+                     moved_trigger, oracle_survivors, own_state, pairs_written_out, port_groups, port_groups_of,
+                     ports_of, reference_connector_fn, reference_pick_sat, reference_priority_pairs, skipped_levels,
+                     transfer, whole_survivor_fn, with_outside_dominator)
 
 
 def test_variable_order_groups_atoms(mod8):
@@ -283,7 +282,7 @@ def test_build_leaves_what_no_step_reads_unbuilt():
     # functions wait for a reader, and so does every function of a system
     # of one component of one group
     bus, tasks = gen_bus(3), gen_tasks(3, 2)
-    step_reads = {"local_behavior", "connector_fn", "pairs_fn", "dominator_fn"}
+    step_reads = {"local_behavior", "connector_fn", "pairs_fn"}
     joined = copies = 0
     for sysm in (tasks, pairs_written_out(tasks), bus, pairs_written_out(bus), modulo8()):
         enc = build(sysm)
@@ -403,27 +402,34 @@ def _dominator_outside_pool():
                        ExplicitPairs(((fz("x"), fz("yw")),)))
 
 
+def _lists_outside_dominator(enc):
+    """Does the encoding's closure list a dominator outside its pool?"""
+    pr = enc.system.priority
+    return isinstance(pr, ExplicitPairs) and bool({hi for _, hi in pr.closure} - enc.system.gamma)
+
+
 def test_local_conjunction_is_the_folded_one():
     # the survivor function folds every atom's local behavior with f_C,
-    # and with the dominators: per port group and for the system-level
-    # encoding, port-less atoms, a dominator outside the pool, explicit
-    # pairs and random systems give the oracle's survivors
+    # and shifts their fold, the active set, onto the dominators: per port
+    # group and for the system-level encoding, port-less atoms, dominators
+    # outside the pool, explicit pairs and random systems give the
+    # oracle's survivors
     bus = gen_bus(3)
     systems = [bus, gen_tasks(3, 2), pairs_written_out(bus), _dominator_outside_pool(),
                _with_portless_atom(bus), _with_portless_atom(pairs_written_out(gen_bus(2))),
-               *map(random_system, range(8))]
+               *map(random_system, range(8)), *(s for s, _ in filter(None, map(with_outside_dominator, range(200))))]
     outside = portless = 0
     for sysm in systems:
         enc = build(sysm)
         m = enc.manager
         encodings = [*(members[0].cls.encoding for members in _classes(enc)), enc]
-        outside += any(c.dominator_fn != c.connector_fn for c in encodings)
+        outside += any(map(_lists_outside_dominator, encodings))
         portless += any(not atom.ports for atom in sysm.atoms)
         for state in reachable(sysm, bound=300).states:
             assert frozenset(m.iter_models(joined_survivor_fn(enc, state), enc.port_names)) == \
                 frozenset(m.iter_models(enc.survivor_fn(state), enc.port_names)) == \
                 oracle_survivors(sysm, state) == enc.survivors(state)
-    assert outside >= 1 and portless >= 2
+    assert outside >= 15 and portless >= 2
 
 
 def test_portless_atom_steps_and_checks():
@@ -487,6 +493,38 @@ def test_maxprog_survivor_fn_equals_materialized_pairs():
             assert transfer(joined_survivor_fn(explicit, state), enc.manager) == fn
             assert frozenset(enc.manager.iter_models(fn, enc.port_names)) == survivors(sysm, state)
     assert skipping > 0
+
+
+def _broadcast(k):
+    # a trigger atom T (port s) and k receivers, receiver i firing r<i> once;
+    # connector s' r0 ... r<k-1>, whose pool has 2^k members, and {s} below
+    # {s, r0}: {s} fires only once R0 has fired
+    fz = frozenset
+    trigger = AtomicBehavior("T", ("t",), "t", ("s",), (Transition("t", fz({"s"}), "t"),))
+    receivers = tuple(AtomicBehavior(f"R{i}", ("w", "d"), "w", (f"r{i}",), (Transition("w", fz({f"r{i}"}), "d"),))
+                      for i in range(k))
+    term = Fusion((Factor(PortLeaf("s"), True), *(Factor(PortLeaf(f"r{i}")) for i in range(k))))
+    return SystemModel("broadcast", (trigger, *receivers), (Connector("c", term),),
+                       ExplicitPairs(fz({(fz({"s"}), fz({"s", "r0"}))})))
+
+
+def test_explicit_pairs_never_list_the_pool(monkeypatch):
+    # explicit pairs read the active set, not the pool: a broadcast of 64
+    # receivers builds and steps with the pool's listing refused
+    assert check_equivalence(_broadcast(6)).equivalent
+
+    def refused(system):
+        raise AssertionError(f"{system.name}: the pool was listed")
+
+    monkeypatch.setattr(SystemModel, "gamma", property(refused))
+    trace = SymbolicEngine(_broadcast(64), seed=7).run(1000)
+    assert len(trace) == 1000 and not trace.deadlocked
+    state = trace.initial
+    for a, after in trace.steps:
+        ready = {f"r{i - 1}" for i, q in enumerate(state) if q == "w"}
+        assert "s" in a and a - {"s"} <= ready and (a != {"s"} or "r0" not in ready)
+        state = after
+    assert state == ("t", *("d",) * 64)
 
 
 def test_pair_dominator_outside_pool_is_activity_checked():
