@@ -12,6 +12,12 @@ label names its atom, and a pool member is active where the offered
 labels are a superset of its shares.  A dominator in the pool is read
 from the scan's active set, one outside it gets the same superset test;
 `priority_checks` counts one probe per dominator of each active one.
+
+The engine keeps the offered labels of the state its last step fired
+to: a step swaps each moved atom's labels out and its new state's in,
+which is exact because no two atoms share a label.  Any other state (a
+reset, a state set from outside, a state `check` asks about) gets the
+union built afresh.  Either way the scan still tests every pool member.
 """
 
 from __future__ import annotations
@@ -25,9 +31,7 @@ from .model import (
     GlobalState,
     SystemModel,
     ValidationError,
-    _advance,
     _check_arity,
-    _moves,
     sorted_interactions,
     validate,
 )
@@ -42,6 +46,8 @@ class EnumEngine(Engine):
         self.seed = seed
         self.pool: tuple[Interaction, ...] = sorted_interactions(system.gamma)
         self.reset()
+        # each atom's offered labels per state; `step` keeps their union at
+        # the state it fired to as `_offer`
         self._labels = [atom.labels_from for atom in system.atoms]
         # per pool interaction: the labels it needs offered (its shares), its
         # number of dominators, the pool indices of those in the pool and the
@@ -70,15 +76,21 @@ class EnumEngine(Engine):
         """Active pool interactions not dominated by an active one; with
         `ordered`, as a list in pool order.
 
-        Tests every pool member against the state's offered labels; there
-        is no state-indexed shortcut.  A dominator in the pool is read from
-        the scan's active set, one outside it is tested as a member is.
-        ValueError on a state of the wrong arity.
+        Tests every pool member against the state's offered labels: the
+        set kept across steps at the state our last step fired to, else
+        their union built afresh; there is no state-indexed shortcut.  A
+        dominator in the pool is read from the scan's active set, one
+        outside it is tested as a member is.  ValueError on a state of the
+        wrong arity.
         """
         if state is None:
             state = self.state
-        _check_arity(self.system, state)
-        needs, superset = self._needs, self._offered(state).issuperset
+        if state is self._fired_to:
+            offered = self._offer
+        else:
+            _check_arity(self.system, state)
+            offered = self._offered(state)
+        needs, superset = self._needs, offered.issuperset
         self.activity_checks += len(needs)
         enabled = list(compress(range(len(needs)), map(superset, needs)))
         isdisjoint, pool, dominators = set(enabled).isdisjoint, self.pool, self._dominators
@@ -94,11 +106,19 @@ class EnumEngine(Engine):
 
     def step(self) -> Optional[tuple[Interaction, GlobalState]]:
         """Fire one surviving interaction; None signals deadlock.  A survivor
-        is enabled, so it fires without `model.step`'s check."""
+        is enabled, so it fires without `model.step`'s check.  The offered
+        labels of the state fired to are kept: those of the state fired
+        from (kept, else built afresh) with the moved atoms' swapped."""
+        state = self.state
         survivors = self.survivors(ordered=True)
         if not survivors:
             return None
+        offer = self._offer if state is self._fired_to else self._offered(state)
         a = self._rng.choice(survivors)
-        self.state = _advance(self.state, _moves(self.system, self.state, a), self._rng)
-        self.steps_taken += 1
+        moves = self._fire(a)
+        labels, new = self._labels, self.state
+        for i, _ in moves:
+            offer -= labels[i][state[i]]
+            offer |= labels[i][new[i]]
+        self._offer = offer
         return a, self.state

@@ -244,9 +244,9 @@ class Trace:
 
 
 class Engine:
-    """The reset and the run loop both engines share, over their `system`,
-    `seed` and `step()`, which fires one interaction and returns it with
-    the new state, or None on deadlock."""
+    """The reset, the run loop and the end of a step both engines share,
+    over their `system`, `seed` and `step()`, which fires one interaction
+    and returns it with the new state, or None on deadlock."""
 
     state: GlobalState
 
@@ -254,6 +254,17 @@ class Engine:
         self.state = self.system.initial_state()
         self.steps_taken = 0
         self._rng = random.Random(self.seed)
+        self._fired_to: Optional[GlobalState] = None  # the state our last step produced
+
+    def _fire(self, a: Interaction) -> list[tuple[int, tuple[str, ...]]]:
+        """Move the owners of `a`, which must be enabled at our state (the
+        step's survivors are), count the step and record the state fired
+        to; return the moves (`_moves`).  A state fired to has the right
+        arity, so only a step at another state need check it."""
+        moves = _moves(self.system, self.state, a)
+        self.state = self._fired_to = _advance(self.state, moves, self._rng)
+        self.steps_taken += 1
+        return moves
 
     def run(self, steps: int) -> Trace:
         initial = self.state
@@ -373,8 +384,8 @@ def _moves(system: SystemModel, state: GlobalState, a: Interaction) -> Optional[
     """Per atom owning a port of `a`, in atom order: its index and its
     targets on its share a & ports(atom); None if some owner has none.
     One memo read (`shares`) gives each owner's move table for its share,
-    so each owner costs one lookup of its state there."""
-    _check_arity(system, state)
+    so each owner costs one lookup of its state there.  The callers check
+    the state's arity."""
     moves = []
     for i, _, table in system.shares(a):
         targets = table.get(state[i])
@@ -388,6 +399,7 @@ def act(system: SystemModel, state: GlobalState, a: Interaction) -> bool:
     """Is `a` active at `state`: every owning atom has a transition whose
     label equals exactly its share a & ports(atom)?  Atoms with no share
     do not constrain.  The empty interaction is vacuously active."""
+    _check_arity(system, state)
     return _moves(system, state, a) is not None
 
 
@@ -444,6 +456,7 @@ def survivors(system: SystemModel, state: GlobalState) -> frozenset[Interaction]
 
 def _enabled_moves(system: SystemModel, state: GlobalState, a: Interaction) -> list[tuple[int, tuple[str, ...]]]:
     """`_moves` of a non-empty `a`; NotEnabledError unless it is enabled."""
+    _check_arity(system, state)
     moves = _moves(system, state, a)
     if moves is None or a not in system.gamma:
         raise NotEnabledError(f"interaction {sorted(a)} is not enabled at {state}")

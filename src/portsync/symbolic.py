@@ -118,9 +118,7 @@ from .model import (
     MaximalProgress,
     SystemModel,
     ValidationError,
-    _advance,
     _check_arity,
-    _moves,
     validate,
 )
 
@@ -669,7 +667,7 @@ class SymbolicEngine(Engine):
     by its count (`_draw`, with a coin), and a uniform survivor of it is
     picked (`Component.pick`) with coins from the engine's generator; the
     pool is never enumerated.  A survivor is enabled, so the step moves its
-    owners (`model._advance`) without `model.step`'s check against the
+    owners (`Engine._fire`) without `model.step`'s check against the
     pool.
     """
 
@@ -678,12 +676,11 @@ class SymbolicEngine(Engine):
         self.system = system
         self.seed = seed
         self.reset()
-        # each component's group entries as our last step read them and their
-        # summed counts, the state that step fired to and the component it
-        # moved: at that state only the moved component's entries can differ
+        # each component's group entries as our last step read them, their
+        # summed counts and the component it moved: at the state it fired
+        # to only the moved component's entries can differ
         self._entries = [None] * len(self.encoding.components)
         self._counts = [0] * len(self._entries)
-        self._fired_to = None
         self._moved = 0
 
     def step(self) -> Optional[tuple[Interaction, GlobalState]]:
@@ -702,7 +699,6 @@ class SymbolicEngine(Engine):
             return None
         k = _draw(counts, self._rng) if live > 1 else counts.index(max(counts))
         a = comps[k].pick(state, entries[k], self._rng)
-        self.state = _advance(state, _moves(self.system, state, a), self._rng)
-        self._fired_to, self._moved = self.state, k
-        self.steps_taken += 1
+        self._fire(a)
+        self._moved = k
         return a, self.state

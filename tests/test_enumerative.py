@@ -172,6 +172,54 @@ def test_survivors_probe_only_the_dominators_outside_the_pool(monkeypatch):
     assert sum(extra) > 0
 
 
+def test_kept_offer_equals_a_full_union():
+    # the step swaps the moved atoms' labels in the set it keeps: after
+    # every step it must be the union built afresh, also after a reset and
+    # after the state is set from outside, and the step must fire and count
+    # what an engine that builds the union at every step fires and counts
+    randoms = [r for r in map(random_system, range(400))
+               if any(len(r.shares(a)) > 1 for a in r.gamma) and len(reachable(r, bound=10).states) > 2]
+    outside = [s for s, _ in filter(None, map(with_outside_dominator, range(200)))]
+    assert len(randoms) >= 10 and len(outside) >= 10
+    for sysm in (gen_bus(3), gen_bus(16), gen_tasks(3, 2), modulo8(), *randoms, *outside):
+        eng, full = EnumEngine(sysm, seed=5), EnumEngine(sysm, seed=5)
+
+        def steps(n):
+            for _ in range(n):
+                full.state = tuple(list(full.state))  # equal, but not the tuple its step produced
+                result = eng.step()
+                assert (result, eng.activity_checks, eng.priority_checks) == \
+                    (full.step(), full.activity_checks, full.priority_checks)
+                if result is None:
+                    return
+                assert eng._fired_to is eng.state and eng._offer == eng._offered(eng.state)
+
+        steps(100)
+        eng.reset()
+        full.reset()
+        steps(50)
+        other = max(reachable(sysm, bound=200).states - {eng.state}, default=sysm.initial_state())
+        eng.state = full.state = other
+        steps(50)
+
+
+def test_every_step_reads_the_survivors_once(monkeypatch):
+    # the traced benchmark run times the scan as `EnumEngine.survivors`,
+    # so the step must reach the scan through it, once per step
+    calls = []
+    real = EnumEngine.survivors
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(EnumEngine, "survivors", counted)
+    for sysm in (modulo8(), gen_bus(3), gen_tasks(3, 2), *map(random_system, range(20))):
+        calls.clear()
+        trace = EnumEngine(sysm, seed=3).run(60)
+        assert len(calls) == len(trace) + trace.deadlocked
+
+
 def _edge_system():
     """Pool members and dominators outside the pool that need a port set
     its atom never takes as a label, states that offer nothing, and an
