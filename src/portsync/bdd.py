@@ -5,22 +5,25 @@ construction; functions are opaque handles into that store.  Reduction
 (no node with identical children, no duplicate nodes) is maintained by
 construction, so handle equality is function equality.
 
-The kernel has one recursion per job: and, or and not build every other
-connective (xor, implies), a cofactor is the relational product
-`and_exists` (the conjunction quantified on the fly, never built) of the
-function with the assignment's cube, and `balanced` folds every n-ary
-join.  Besides these the manager computes maximal models (`maximal`,
-for maximal progress), the copy of a function with every variable moved
-to the next level by the kernel's rename recursion (`shift`, for
-explicit priority pairs), and model counts, uniform picks and model sets
-over a sequence of names for the engines.  A listed set of rows, each a
-small function read through its own levels with every other level false
-or a full minterm (`from_rows`, for the connectors and explicit
-priority pairs), needs no connective:
-it is built bottom-up by the node constructor alone.
-Operations that only tests need (evaluation along a path, support names,
-a three-operand `ite`) live with the tests' oracles.  A per-call
-recursive closure drops its name on return, leaving no cycle to collect.
+The kernel has one binary and one unary recursion.  The binary one is
+and and or, which differ only in their terminals; the unary one copies
+a graph with every level moved down by a fixed distance and the
+terminals swapped or kept, which is not (no move, swapped) and `shift`
+(one level down, kept, for explicit priority pairs).  And, or and not
+build every other connective (xor, implies), a cofactor is the
+relational product `and_exists` (the conjunction quantified on the fly,
+never built) of the function with the assignment's cube, and `balanced`
+folds every n-ary join.  Besides these the manager computes maximal
+models (`maximal`, for maximal progress), and model counts, uniform
+picks and model sets over a sequence of names for the engines.  A
+listed set of rows, each a small function read through its own levels
+with every other level false or a full minterm (`from_rows`, for the
+connectors and explicit priority pairs), needs no connective: it is
+built bottom-up by the node constructor alone.  Operations that only
+tests need (evaluation along a path, support names, a three-operand
+`ite`) live with the tests' oracles.  The kernel's recursions are
+closures built once per manager; every other recursion is a per-call
+closure that drops its name on return, leaving no cycle to collect.
 
 The unique table and the computed tables (one per operation: and, or,
 not, one per variable set of `and_exists` or `maximal` and one for
@@ -145,17 +148,14 @@ class BddManager:
         self._hi: list[int] = [-1, -1]
         self._unique: dict[int, int] = {}
         self._tables: dict[str, dict[int, int]] = {
-            op: {} for op in ("and", "or", "not")}
-        # `shift`'s level map and its rename table
-        self._next_levels, self._shift_table = tuple(range(1, n + 1)), {}
+            op: {} for op in ("and", "or", "not", "shift")}
         # quantified name set -> (its levels, the and_exists table)
         self._exists_tables: dict[frozenset[str], tuple[frozenset[int], dict[int, int]]] = {}
         # name set -> (its sorted levels, as a set, the `maximal` and `out` tables)
         self._maximal_tables: dict[frozenset[str], tuple[list[int], frozenset[int], dict, dict]] = {}
-        self._support_masks: dict[int, int] = {}
         self._sat_counts: dict[int, int] = {FALSE: 0, TRUE: 1}
         self._model_names: dict[tuple[str, ...], tuple] = {}
-        self._mk, self._and, self._or, self._not, self._rename = self._kernel()
+        self._mk, self._and, self._or, self._not, self._shift, self._count, self._support = self._kernel()
         self.false = BddRef(self, FALSE)
         self.true = BddRef(self, TRUE)
         # recursion depth tracks the order length, one frame per level
@@ -188,12 +188,13 @@ class BddManager:
         return f.node
 
     def _kernel(self):
-        """The node constructor, the recursive connectives and the rename, as
-        closures over the node arrays and their tables; each recursion splits
-        the cofactors of its top level inline."""
-        var, lo, hi, unique, names = self._var, self._lo, self._hi, self._unique, self._names
-        t_and, t_or, t_not = (self._tables[op] for op in ("and", "or", "not"))
-        B = NODE_BITS
+        """The node constructor, the binary recursion as and and or, the
+        unary one as not and shift, and the per-node memos of model count
+        and support, as closures over the node arrays and their tables;
+        each recursion splits the cofactors of its top level inline, lo
+        before hi."""
+        var, lo, hi, unique, names, counts = self._var, self._lo, self._hi, self._unique, self._names, self._sat_counts
+        tables, masks, leaf, B = self._tables, {}, self._leaf_level, NODE_BITS
 
         def mk(level: int, l: int, h: int) -> int:
             if l == h:
@@ -210,68 +211,66 @@ class BddManager:
                 unique[key] = u
             return u
 
-        def and_(f: int, g: int) -> int:
-            if f > g:
-                f, g = g, f
-            if f <= TRUE:  # false absorbs, true is the unit
-                return g if f else FALSE
-            if f == g:
-                return f
-            key = f << B | g
-            r = t_and.get(key)
-            if r is None:
-                vf, vg = var[f], var[g]
-                if vf == vg:
-                    r = mk(vf, and_(lo[f], lo[g]), and_(hi[f], hi[g]))
-                elif vf < vg:
-                    r = mk(vf, and_(lo[f], g), and_(hi[f], g))
-                else:
-                    r = mk(vg, and_(f, lo[g]), and_(f, hi[g]))
-                t_and[key] = r
-            return r
+        def binary(table: dict[int, int], unit: int):
+            # the connective whose terminal `unit` gives the other operand and whose other terminal absorbs
+            absorb = TRUE - unit
 
-        def or_(f: int, g: int) -> int:
-            if f > g:
-                f, g = g, f
-            if f <= TRUE:  # true absorbs, false is the unit
-                return TRUE if f else g
-            if f == g:
-                return f
-            key = f << B | g
-            r = t_or.get(key)
-            if r is None:
-                vf, vg = var[f], var[g]
-                if vf == vg:
-                    r = mk(vf, or_(lo[f], lo[g]), or_(hi[f], hi[g]))
-                elif vf < vg:
-                    r = mk(vf, or_(lo[f], g), or_(hi[f], g))
-                else:
-                    r = mk(vg, or_(f, lo[g]), or_(f, hi[g]))
-                t_or[key] = r
-            return r
+            def rec(f: int, g: int) -> int:
+                if f > g:
+                    f, g = g, f
+                if f <= TRUE:
+                    return g if f == unit else absorb
+                if f == g:
+                    return f
+                key = f << B | g
+                r = table.get(key)
+                if r is None:
+                    vf, vg = var[f], var[g]
+                    if vf == vg:
+                        r = mk(vf, rec(lo[f], lo[g]), rec(hi[f], hi[g]))
+                    elif vf < vg:
+                        r = mk(vf, rec(lo[f], g), rec(hi[f], g))
+                    else:
+                        r = mk(vg, rec(f, lo[g]), rec(f, hi[g]))
+                    table[key] = r
+                return r
+            return rec
 
-        def not_(u: int) -> int:
-            # no complement edges: negation copies the graph, terminals swapped
+        def unary(table: dict[int, int], d: int, flip: bool):
+            # a copy of the graph with every level moved d down and the terminals swapped if `flip`;
+            # one distance for every level keeps their order, so only a node moved onto the
+            # leaves' level leaves it
+            def rec(u: int) -> int:
+                if u <= TRUE:
+                    return u ^ flip
+                r = table.get(u)
+                if r is None:
+                    v = var[u] + d
+                    if v >= leaf:
+                        raise BddError(f"moving {names[var[u]]!r} to level {v} leaves the order")
+                    r = table[u] = mk(v, rec(lo[u]), rec(hi[u]))
+                return r
+            return rec
+
+        def count(u: int) -> int:
+            # models over the levels from u's own down; each skipped level doubles a count
+            c = counts.get(u)
+            if c is None:
+                l, h, v = lo[u], hi[u], var[u] + 1
+                c = counts[u] = (count(l) << var[l] - v) + (count(h) << var[h] - v)
+            return c
+
+        def support(u: int) -> int:
+            # bit l set iff level l is tested somewhere below u
             if u <= TRUE:
-                return TRUE - u
-            r = t_not.get(u)
-            if r is None:
-                r = t_not[u] = mk(var[u], not_(lo[u]), not_(hi[u]))
-            return r
+                return 0
+            m = masks.get(u)
+            if m is None:
+                m = masks[u] = 1 << var[u] | support(lo[u]) | support(hi[u])
+            return m
 
-        def rename(u: int, levels: Sequence[int], table: dict[int, int]) -> int:
-            # u with the variable at each level l moved to levels[l], memoised in table
-            if u <= TRUE:
-                return u
-            r = table.get(u)
-            if r is None:
-                l, h, v = rename(lo[u], levels, table), rename(hi[u], levels, table), levels[var[u]]
-                if v >= var[l] or v >= var[h]:
-                    raise BddError(f"renaming {names[var[u]]!r} to level {v} leaves the order")
-                r = table[u] = mk(v, l, h)
-            return r
-
-        return mk, and_, or_, not_, rename
+        return (mk, binary(tables["and"], TRUE), binary(tables["or"], FALSE), unary(tables["not"], 0, True),
+                unary(tables["shift"], 1, False), count, support)
 
     # -- construction ------------------------------------------------
 
@@ -442,8 +441,8 @@ class BddManager:
 
     def shift(self, f: BddRef) -> BddRef:
         """f with every variable renamed to the next one in the order: the
-        rename by one level."""
-        return self._ref(self._rename(self._node(f), self._next_levels, self._shift_table))
+        kernel's unary recursion by one level."""
+        return self._ref(self._shift(self._node(f)))
 
     def maximal(self, f: BddRef, names: Iterable[str]) -> BddRef:
         """The models of f over `names` that no other model of f strictly
@@ -508,38 +507,12 @@ class BddManager:
         """Internal nodes reachable from f (terminals excluded)."""
         return len(self._reachable(self._node(f)))
 
-    def _support_mask(self, u: int) -> int:
-        """Bit l is set iff level l is tested somewhere below u; memoised
-        per node, so a shared subgraph is walked once."""
-        masks, var, lo, hi = self._support_masks, self._var, self._lo, self._hi
-
-        def rec(u: int) -> int:
-            if u <= TRUE:
-                return 0
-            m = masks.get(u)
-            if m is None:
-                m = masks[u] = 1 << var[u] | rec(lo[u]) | rec(hi[u])
-            return m
-
-        m, rec = rec(u), None
-        return m
-
     def sat_count(self, f: BddRef) -> int:
         """Number of satisfying assignments over all the manager's
         variables, from a per-node memo of the count over the levels from
-        the node's own down; each skipped level doubles a count."""
-        counts, var, lo, hi = self._sat_counts, self._var, self._lo, self._hi
-
-        def rec(u: int) -> int:
-            c = counts.get(u)
-            if c is None:
-                l, h, v = lo[u], hi[u], var[u] + 1
-                c = counts[u] = (rec(l) << var[l] - v) + (rec(h) << var[h] - v)
-            return c
-
+        the node's own down."""
         u = self._node(f)
-        c, rec = rec(u), None
-        return c << var[u]
+        return self._count(u) << self._var[u]
 
     def _name_levels(self, names: Sequence[str]) -> tuple:
         """A name sequence's level mask, its names in level order, each
@@ -571,7 +544,7 @@ class BddManager:
         if u == FALSE:
             return None
         if u not in self._sat_counts:
-            self.sat_count(f)
+            self._count(u)
         _, by_pos, pos_of, runs = self._name_levels(names)
         counts, var, lo, hi = self._sat_counts, self._var, self._lo, self._hi
         coin, out, i = rng.random, [], 0
@@ -617,7 +590,7 @@ class BddManager:
         """
         root = self._node(f)
         mask, by_pos, pos_of, _ = self._name_levels(names)
-        missing = self._support_mask(root) & ~mask
+        missing = self._support(root) & ~mask
         if missing:
             lost = [self._names[l] for l in _bits(missing)]
             raise BddError(f"model variables must cover the support; missing {lost}")

@@ -359,9 +359,10 @@ def _validate(system: SystemModel) -> list[Diagnostic]:
         term, ports = conn.template
         diags += [Diagnostic("linear-term", where, f"port {ports[k]!r} named more than once") for k in _repeated(term)]
 
-    pr = system.priority
+    pr, where = system.priority, "priority"
+    if not isinstance(pr, (MaximalProgress, ExplicitPairs, type(None))):
+        diags.append(Diagnostic("priority-kind", where, f"unknown priority kind {pr!r}"))
     if isinstance(pr, ExplicitPairs):
-        where = "priority"
         for lo, hi in pr.pairs:
             loose = sorted((lo | hi) - all_ports)
             if loose:

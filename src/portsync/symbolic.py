@@ -642,8 +642,6 @@ def build(system: SystemModel) -> SystemEncoding:
     diags = validate(system)
     if diags:
         raise ValidationError(diags)
-    if system.priority is not None and not isinstance(system.priority, (MaximalProgress, ExplicitPairs)):
-        raise TypeError(f"unknown priority model: {system.priority!r}")
     mgr = BddManager(variable_order(system))
     classes: dict[tuple, GroupClass] = {}  # by signature
     comps = tuple(Component(tuple(_group(system, g, mgr, classes) for g in groups), mgr)

@@ -35,6 +35,14 @@ class TestBasics:
         with pytest.raises(TypeError):
             bool(mgr.var("a"))
 
+    def test_duplicate_name_in_the_order_rejected(self):
+        with pytest.raises(BddError, match="duplicate names"):
+            BddManager(["a", "b", "a"])
+
+    def test_unknown_operator_rejected(self, mgr):
+        with pytest.raises(BddError, match="unknown operator 'nand'"):
+            mgr.apply("nand", mgr.var("a"), mgr.var("b"))
+
     def test_cross_manager_mix_rejected(self, mgr):
         other = BddManager(["a"])
         with pytest.raises(BddError):
@@ -188,48 +196,16 @@ class TestRelationalProduct:
         with pytest.raises(BddError):
             mgr.shift(mgr.var("a") | mgr.var("e"))
 
-    @staticmethod
-    def rename(mgr, f, levels):
-        """f copied by the kernel's rename recursion (`shift` is the rename
-        by one level) under a map of every level."""
-        return mgr._ref(mgr._rename(mgr._node(f), tuple(levels), {}))
-
-    def test_rename_is_the_truth_table_rename(self):
-        # an order-preserving map of the levels a function tests moves its
-        # truth table onto the target names, node for node; the identity
-        # map gives the function's own node
+    def test_shift_out_of_order_rejected(self):
+        # shift moves every level one down, so only a node on the last
+        # level can leave the order: it would land on the leaves' level
+        two = BddManager(["a", "b"])
+        with pytest.raises(BddError, match="moving 'b' to level 2 leaves the order"):
+            two.shift(two.var("a") & two.var("b"))
         mgr = BddManager(self.NAMES)
-        n, rng = len(self.NAMES), random.Random(29)
-        for _ in range(60):
-            src = sorted(rng.sample(range(n), rng.randint(1, 4)))
-            dst = sorted(rng.sample(range(n), len(src)))
-            t = rng.getrandbits(1 << len(src))
-            f = self.table_bdd(mgr, t, [self.NAMES[l] for l in src])
-            levels = list(range(n))
-            for a, b in zip(src, dst):
-                levels[a] = b
-            renamed = self.rename(mgr, f, levels)
-            assert bdd_table(mgr, renamed, [self.NAMES[l] for l in dst]) == t
-            assert renamed == self.table_bdd(mgr, t, [self.NAMES[l] for l in dst])
-            assert mgr.node_count(renamed) == mgr.node_count(f)
-            assert self.rename(mgr, f, range(n)) == f
-        mgr.audit()
-
-    def test_shift_is_the_rename_by_one_level(self):
-        mgr = BddManager(self.NAMES)
-        rng = random.Random(31)
-        for _ in range(20):
-            f = self.table_bdd(mgr, rng.getrandbits(16), self.NAMES[:-1])
-            assert mgr.shift(f) == self.rename(mgr, f, range(1, len(self.NAMES) + 1))
-
-    def test_rename_out_of_order_rejected(self):
-        mgr = BddManager(self.NAMES)
-        f = mgr.var("a") & ~mgr.var("c")
-        with pytest.raises(BddError):  # a below c
-            self.rename(mgr, f, [3, 1, 1, 3, 4])
-        with pytest.raises(BddError):  # a and c on one level
-            self.rename(mgr, f, [1, 1, 1, 3, 4])
-        assert self.rename(mgr, f, [1, 1, 3, 3, 4]) == mgr.var("b") & ~mgr.var("d")
+        a, b, c, d = (mgr.var(n) for n in "abcd")
+        assert mgr.shift(a & b) == b & c
+        assert mgr.shift(a & ~c) == b & ~d
 
     def test_mixed_managers_rejected(self):
         mgr, other = BddManager(self.NAMES), BddManager(self.NAMES)
@@ -331,6 +307,38 @@ class TestPackedKeys:
         mgr._unique.pop(next(iter(mgr._unique)))
         with pytest.raises(BddError, match="missing from the unique table"):
             mgr.audit()
+
+
+class TestAudit:
+    """`audit` names each broken invariant of a store holding the cube
+    a & b (node 2 tests b, node 3 tests a with node 2 as its high child)."""
+
+    @pytest.fixture
+    def built(self, mgr):
+        f = mgr.cube({"a": True, "b": True})
+        assert (f.node, mgr._hi[f.node], mgr.total_nodes()) == (3, 2, 2)
+        mgr.audit()
+        return mgr
+
+    def test_identical_children(self, built):
+        built._hi[3] = built._lo[3]
+        with pytest.raises(BddError, match="node 3 has identical children"):
+            built.audit()
+
+    def test_child_not_below_its_parent(self, built):
+        built._var[3] = built._var[2]
+        with pytest.raises(BddError, match="node 3 violates the variable order"):
+            built.audit()
+
+    def test_store_and_unique_table_of_different_sizes(self, built):
+        built._unique[-1] = 2
+        with pytest.raises(BddError, match="unique table and node store disagree"):
+            built.audit()
+
+    def test_node_ids_past_the_key_width(self, built, monkeypatch):
+        monkeypatch.setattr(bdd, "MAX_NODES", 3)
+        with pytest.raises(BddError, match="node ids exceed the packed-key width"):
+            built.audit()
 
 
 class TestCubes:

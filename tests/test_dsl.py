@@ -126,6 +126,13 @@ class TestDiagnostics:
         else:
             pytest.fail("no error raised")
 
+    def test_duplicate_port_in_an_atom(self):
+        with pytest.raises(DslError) as exc:
+            parse(SMALL.replace("ports go;", "ports go, go;"))
+        assert [(d.line, d.col, d.message) for d in exc.value.diagnostics] == [
+            (4, 3, "atom A: duplicate port names within atom [unique-ports]"),
+            (4, 3, "atom A: port 'go' already owned by A [disjoint-ports]")]
+
     def test_semantic_errors_surface_through_parse(self):
         src = SMALL.replace("trans off -[ go ]-> on;",
                             "trans off -[ go ]-> missing;")

@@ -1,5 +1,6 @@
 """Core model: activation, priority filtering, stepping, reachability."""
 
+import dataclasses
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from portsync.connectors import PortLeaf, Factor, Fusion, fusion, interactions_o
 from portsync.model import (
     AtomicBehavior,
     Connector,
+    Diagnostic,
     ExplicitPairs,
     MaximalProgress,
     NotEnabledError,
@@ -106,6 +108,7 @@ class TestModulo8Basics:
     def test_empty_interaction_is_identity(self, mod8):
         s0 = mod8.initial_state()
         assert step(mod8, s0, frozenset()) == s0
+        assert successors(mod8, s0, frozenset()) == {s0}
 
     def test_step_requires_enabled_pool_member(self, mod8):
         s0 = mod8.initial_state()
@@ -242,6 +245,37 @@ class TestValidation:
         for refuse in (EnumEngine, SymbolicEngine, check_equivalence):
             with pytest.raises(ValidationError, match="port 'b' named more than once"):
                 refuse(sysm)
+
+    def test_unknown_priority_kind(self):
+        # a priority that is neither kind is refused by every caller alike
+        sysm = dataclasses.replace(gen_bus(2), priority="maximal")
+        assert validate(sysm) == [Diagnostic("priority-kind", "priority", "unknown priority kind 'maximal'")]
+        for refuse in (EnumEngine, SymbolicEngine, check_equivalence):
+            with pytest.raises(ValidationError, match=r"unknown priority kind 'maximal' \[priority-kind\]"):
+                refuse(sysm)
+
+    @staticmethod
+    def one_atom(name="m", atom="A", state="s", port="p", conn="c", states=None, ports=None, label=None):
+        # one atom with a self-loop on one port, bound by one connector
+        label = frozenset({port}) if label is None else label
+        states = (state,) if states is None else states
+        trans = tuple(Transition(s, label, s) for s in states)
+        a = AtomicBehavior(atom, states, state, (port,) if ports is None else ports, trans)
+        return SystemModel(name, (a,), (Connector(conn, PortLeaf(port)),), None)
+
+    @pytest.mark.parametrize("fields, found", [
+        ({"name": "1m"}, [("name-format", "system '1m'")]),
+        ({"atom": "A-1"}, [("name-format", "atom A-1")]),
+        ({"state": "s t"}, [("name-format", "atom A")]),
+        ({"port": "p.q"}, [("name-format", "atom A")]),
+        ({"conn": "c d"}, [("name-format", "connector c d")]),
+        ({"states": ()}, [("nonempty-states", "atom A")]),
+        ({"ports": ("p", "p")}, [("unique-ports", "atom A"), ("disjoint-ports", "atom A")]),
+        ({"label": frozenset()}, [("nonempty-label", "atom A trans #1 s->s")]),
+    ])
+    def test_each_structural_diagnostic(self, fields, found):
+        assert validate(self.one_atom()) == []
+        assert [(d.invariant, d.location) for d in validate(self.one_atom(**fields))] == found
 
 
 class TestAgainstProductOracle:
