@@ -76,12 +76,15 @@ class AtomicBehavior:
 
     @cached_property
     def moves(self) -> dict[Interaction, MoveTable]:
-        """Per label, each state it leaves and its targets there, in
+        """Per label, each state it leaves and its targets there, each once
+        (the transitions are a relation, so a repeated one adds nothing), in
         declaration order (`_advance` takes the first without a generator)."""
         out: dict[Interaction, dict[str, tuple[str, ...]]] = {}
         for t in self.transitions:
             by = out.setdefault(t.label, {})
-            by[t.source] = (*by.get(t.source, ()), t.target)
+            targets = by.get(t.source, ())
+            if t.target not in targets:
+                by[t.source] = (*targets, t.target)
         return out
 
     @cached_property

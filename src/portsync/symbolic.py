@@ -85,9 +85,16 @@ keeps no table: `survivor_fn` only computes the function.  `survivors`
 `survivor_fn` only through a class's fill on a miss.  The first
 `survivors` to read an entry lists its models once and keeps them in
 it, each as the places of its ports, so that no later read maps a port
-name again: every group of the class, at every state, translates that
-one list through its own owners' ports.  The step never reads it: its
-pick maps the one model it draws to places.  The engine keeps
+name again.  Where the class has no orbits, a group's translation of
+that list through its own owners' ports depends on the entry alone: the
+group's first read keeps it in the entry, keyed by the group, and every
+later read of the entry by that group, at any state, reuses it, so an
+entry holds at most one such list per group of its class, each as long
+as its models.  Where the class has orbits, the owners' permutation
+changes from state to state, and each read translates the places
+through the permuted owners' ports.  Only `survivors` reads these
+lists; the step never does: its pick maps the one model it draws to
+places.  The engine keeps
 each component's group entries from its last step and the sum of their
 counts; a fired interaction lies in the drawn component's ports, so the
 next step re-reads only that component's groups.  A step takes the
@@ -207,9 +214,12 @@ def _partition(system: SystemModel) -> list[tuple[tuple[int, ...], tuple[tuple[s
 
 def encode_local(atom: AtomicBehavior, mgr: BddManager) -> dict[str, BddRef]:
     """The atom's behavior at each of its control states: a firing of a
-    label from that state, or idleness."""
+    label from that state, or idleness.  The labels are joined in the order
+    of their first transitions (`AtomicBehavior.moves`), not in a set's,
+    so the build makes the same nodes under every string hash seed."""
     idle = mgr.cube(dict.fromkeys(atom.ports, False))
-    return {q: mgr.or_all([*(mgr.cube({p: p in lbl for p in atom.ports}) for lbl in atom.labels_from[q]), idle])
+    return {q: mgr.or_all([*(mgr.cube({p: p in lbl for p in atom.ports}) for lbl, by in atom.moves.items() if q in by),
+                           idle])
             for q in atom.states}
 
 
@@ -378,7 +388,8 @@ class GroupClass:
     survivor table: key -> [survivor function, its number of survivors
     over a group's ports (0 exactly when it is false), and once
     `Component.survivors` reads it its models, each as the places of its
-    ports (`place`)]."""
+    ports (`place`), and, where the class has no orbits, per group that
+    read it those models as its interactions]."""
 
     def __init__(self, encoding: SystemEncoding, firsts: list[dict], orbits: tuple[tuple[int, ...], ...]):
         self.encoding, self.firsts, self.orbits = encoding, firsts, orbits
@@ -497,14 +508,21 @@ class Component:
     def survivors(self, state: GlobalState) -> list[Interaction]:
         """Each group's models at its class entry, listed on the first read
         as the places of their ports (`GroupClass.place`), translated onto
-        its ports."""
+        its ports.  Where the class has no orbits a group's translation
+        depends on the entry alone, so the entry keeps it per group."""
         out: list[Interaction] = []
         for g, e in zip(self.groups, self.entries(state)):
             if len(e) < 3:
                 place = g.cls.place.__getitem__
-                e.append([tuple(map(place, m)) for m in self.manager.iter_models(e[0], g.cls.encoding.port_names)])
-            translate, perm = g.translate, g.orient and g.orient(state)
-            out += [translate(m, perm) for m in e[2]]
+                e += [[tuple(map(place, m)) for m in self.manager.iter_models(e[0], g.cls.encoding.port_names)], {}]
+            if g.orient is None:
+                mine = e[3].get(g)
+                if mine is None:
+                    mine = e[3][g] = [g.translate(m, None) for m in e[2]]
+                out += mine
+            else:
+                perm = g.orient(state)
+                out += [g.translate(m, perm) for m in e[2]]
         return out
 
     def pick(self, state: GlobalState, entries: list[list], rng) -> Interaction:

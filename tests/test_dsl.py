@@ -13,8 +13,10 @@ from portsync.dsl import (
     save,
     serialize,
 )
+from portsync.enumerative import EnumEngine
 from portsync.generators import gen_bus, gen_tasks, modulo8, random_system
 from portsync.model import ExplicitPairs, MaximalProgress, SystemModel, effective_pairs
+from portsync.symbolic import SymbolicEngine
 
 from oracles import reference_lex, reference_parse
 
@@ -277,3 +279,19 @@ def test_a_port_named_twice_in_a_connector_is_located():
         parse(TWICE)
     assert [(d.line, d.col, d.message) for d in exc.value.diagnostics] == [
         (12, 3, "connector x: port 'b' named more than once [linear-term]")]
+
+
+def test_a_repeated_transition_changes_no_trace():
+    # the transitions are a relation: a repeated line adds no target, so
+    # no firing draws a coin between two copies of one target, and both
+    # engines run the same same-seed traces as without it; the text with
+    # the repeat still round-trips
+    text = serialize(gen_bus(2))
+    line = "    trans A -[ c1_1 ]-> B;\n"
+    plain, twice = parse(text), parse(text.replace(line, line * 2, 1))
+    assert len(twice.atoms[0].transitions) == len(plain.atoms[0].transitions) + 1
+    assert twice.atoms[0].moves == plain.atoms[0].moves
+    assert parse(serialize(twice)) == twice
+    for engine in (EnumEngine, SymbolicEngine):
+        for seed in (1, 7):
+            assert engine(twice, seed).run(300).steps == engine(plain, seed).run(300).steps

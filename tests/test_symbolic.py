@@ -28,8 +28,10 @@ from portsync.model import (
     ValidationError,
     effective_pairs,
     reachable,
+    successors,
     survivors,
     validate,
+    walk,
 )
 from portsync import symbolic
 from portsync.symbolic import (
@@ -314,6 +316,23 @@ def test_pairs_build_is_the_same_in_every_process():
                              capture_output=True, text=True, check=True).stdout
               for seed in ("1", "2", "3")}
     assert len(counts) == 1, counts
+
+
+def test_build_makes_the_same_node_arrays_in_every_process():
+    # each local behavior joins its labels in the order of their first
+    # transitions, not in a frozenset's: after a build the manager's node
+    # arrays are the same under every string hash seed
+    code = ("import hashlib\n"
+            "from portsync.generators import gen_bus, gen_tasks, modulo8\n"
+            "from portsync.symbolic import build\n"
+            "for s in (gen_tasks(2, 2), modulo8(), gen_bus(2)):\n"
+            "    m = build(s).manager\n"
+            "    print(hashlib.sha256(repr((m._var, m._lo, m._hi)).encode()).hexdigest())\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(portsync.__file__).resolve().parents[1])}
+    digests = {subprocess.run([sys.executable, "-c", code], env={**env, "PYTHONHASHSEED": seed},
+                              capture_output=True, text=True, check=True).stdout
+               for seed in ("1", "2", "3")}
+    assert len(digests) == 1, digests
 
 
 def test_pairs_fn_is_the_minterm_disjunction():
@@ -1254,3 +1273,48 @@ def test_survivors_list_each_class_entry_once(monkeypatch):
         engine = SymbolicEngine(sysm, seed=3)
         monkeypatch.setattr(engine.encoding.manager, "iter_models", None)
         assert len(engine.run(200)) == 200
+
+
+def test_a_class_entry_keeps_each_groups_own_survivors():
+    # bus3's clusters form one class without orbits, and at the initial
+    # state every cluster reads one entry at one key; the entry keeps one
+    # translated list per group, so each cluster's survivors are its own
+    # ports (a list kept per class would hand every cluster the first one's)
+    sysm = gen_bus(3)
+    state = sysm.initial_state()
+    enc = build(sysm)
+    groups = port_groups_of(enc)
+    assert len({g.cls for g in groups}) == 1 and all(g.orient is None for g in groups)
+    assert len({key_of(g, state) for g in groups}) == 1
+    for _ in range(2):  # the second read reuses each group's kept list
+        got = [(g, c.survivors(state)) for c in enc.components for g in c.groups]
+        for g, listed in got:
+            ours = set(g.system.all_ports)
+            assert listed and all(a <= ours for a in listed)
+            assert set(listed) == {a for a in survivors(sysm, state) if a <= ours}
+    (entry,) = groups[0].cls.table.values()
+    assert list(entry[3]) == groups
+    assert enc.survivors(state) == survivors(sysm, state)
+
+
+def test_kept_survivor_lists_agree_at_every_reachable_state():
+    # the encoding's survivors equal the reference's at every reachable
+    # state, read on a fresh encoding and on one whose entries a run of the
+    # engine filled first, so that entries and kept lists are filled in
+    # another order; one walk reads the reference once per state
+    systems = [gen_bus(3), gen_bus(4), modulo8(), *map(random_system, range(120))]
+    kept = 0
+    for sysm in systems:
+        engine = SymbolicEngine(sysm, seed=5)
+        engine.run(500)
+        encodings = (build(sysm), engine.encoding)
+
+        def expand(state):
+            want = survivors(sysm, state)
+            assert all(enc.survivors(state) == want for enc in encodings), (sysm.name, state)
+            return (t for a in want for t in successors(sysm, state, a))
+
+        assert not walk(sysm, 10**5, expand).truncated
+        kept += sum(len(e[3]) for enc in encodings for g in port_groups_of(enc) for e in g.cls.table.values()
+                    if len(e) > 3)
+    assert kept > 100
