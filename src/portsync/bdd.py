@@ -25,22 +25,24 @@ tests need (evaluation along a path, support names, a three-operand
 closures built once per manager; every other recursion is a per-call
 closure that drops its name on return, leaving no cycle to collect.
 
-The unique table and the computed tables (one per operation: and, or,
-not, one per variable set of `and_exists` or `maximal` and one for
-`shift`, as in Brace, Rudell and Bryant, DAC 1990) are dicts keyed by
-ints that pack the operand node ids, `NODE_BITS` bits each.  A node's
-support is memoised as a bitmask over levels, its model count too.
-`pick_sat` and `iter_models` walk a name sequence's levels, memoised per
-sequence; `pick_sat` draws coins only at real choices, memoising per
-sequence each node's forced run down to the next one, and `iter_models`
-walks nodes depth first on one shared path, expanding the name levels an
-edge skips.
+The manager keeps four memo families.  The unique table and the
+computed tables of and, or, not and `shift` (as in Brace, Rudell and
+Bryant, DAC 1990) are dicts keyed by ints that pack the operand node
+ids, `NODE_BITS` bits each; a node's model count is memoised per node.
+Every operation over a sequence of names reads one record per sequence:
+its levels, its names in level order, each level's position, and the
+node-keyed tables of `and_exists`, `maximal` and `pick_sat`'s forced
+runs, so two sequences never share a table.  `pick_sat` draws coins only
+at real choices, memoising each node's forced run down to the next one,
+and `iter_models` walks nodes depth first on one shared path, expanding
+the name levels an edge skips; it finds the levels a function tests by
+walking its nodes, as `node_count` does.
 
 Deliberately small: no complement edges, no garbage collection, no
-dynamic reordering.  The node store, the tables and the per-node memos
-grow monotonically for the life of the manager; a collector would have
-to clear or remap every one of them.  Long-running processes should
-create a fresh manager per encoding.
+dynamic reordering.  The node store and the four memo families grow
+monotonically for the life of the manager; a collector would have to
+clear or remap every one of them.  Long-running processes should create
+a fresh manager per encoding.
 """
 
 from __future__ import annotations
@@ -72,16 +74,6 @@ def balanced(op, items: Iterable, unit):
         pairs = [op(a, b) for a, b in zip(items[::2], items[1::2])]
         items = pairs + items[len(pairs) * 2:]
     return items[0] if items else unit
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    """Positions of the set bits of `mask`, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 class BddRef:
@@ -149,13 +141,10 @@ class BddManager:
         self._unique: dict[int, int] = {}
         self._tables: dict[str, dict[int, int]] = {
             op: {} for op in ("and", "or", "not", "shift")}
-        # quantified name set -> (its levels, the and_exists table)
-        self._exists_tables: dict[frozenset[str], tuple[frozenset[int], dict[int, int]]] = {}
-        # name set -> (its sorted levels, as a set, the `maximal` and `out` tables)
-        self._maximal_tables: dict[frozenset[str], tuple[list[int], frozenset[int], dict, dict]] = {}
         self._sat_counts: dict[int, int] = {FALSE: 0, TRUE: 1}
-        self._model_names: dict[tuple[str, ...], tuple] = {}
-        self._mk, self._and, self._or, self._not, self._shift, self._count, self._support = self._kernel()
+        # name sequence -> its record (`_record`)
+        self._records: dict[tuple[str, ...], tuple] = {}
+        self._mk, self._and, self._or, self._not, self._shift, self._count = self._kernel()
         self.false = BddRef(self, FALSE)
         self.true = BddRef(self, TRUE)
         # recursion depth tracks the order length, one frame per level
@@ -189,12 +178,11 @@ class BddManager:
 
     def _kernel(self):
         """The node constructor, the binary recursion as and and or, the
-        unary one as not and shift, and the per-node memos of model count
-        and support, as closures over the node arrays and their tables;
-        each recursion splits the cofactors of its top level inline, lo
-        before hi."""
+        unary one as not and shift, and the per-node model count memo, as
+        closures over the node arrays and their tables; each recursion
+        splits the cofactors of its top level inline, lo before hi."""
         var, lo, hi, unique, names, counts = self._var, self._lo, self._hi, self._unique, self._names, self._sat_counts
-        tables, masks, leaf, B = self._tables, {}, self._leaf_level, NODE_BITS
+        tables, leaf, B = self._tables, self._leaf_level, NODE_BITS
 
         def mk(level: int, l: int, h: int) -> int:
             if l == h:
@@ -260,17 +248,23 @@ class BddManager:
                 c = counts[u] = (count(l) << var[l] - v) + (count(h) << var[h] - v)
             return c
 
-        def support(u: int) -> int:
-            # bit l set iff level l is tested somewhere below u
-            if u <= TRUE:
-                return 0
-            m = masks.get(u)
-            if m is None:
-                m = masks[u] = 1 << var[u] | support(lo[u]) | support(hi[u])
-            return m
-
         return (mk, binary(tables["and"], TRUE), binary(tables["or"], FALSE), unary(tables["not"], 0, True),
-                unary(tables["shift"], 1, False), count, support)
+                unary(tables["shift"], 1, False), count)
+
+    def _record(self, names: Iterable[str]) -> tuple:
+        """A name sequence's record, made on its first use: its levels
+        sorted, them as a set, its names in level order, each level's
+        position (the leaf's last), and the node-keyed tables of
+        `and_exists`, `maximal` (max and out) and `pick_sat`'s forced
+        runs."""
+        entry = self._records.get(key := tuple(names))
+        if entry is None:
+            levels = sorted({self.level_of(n) for n in key})
+            entry = self._records[key] = (
+                levels, frozenset(levels), [self._names[l] for l in levels],
+                {l: k for k, l in enumerate([*levels, self._leaf_level])},
+                {}, {FALSE: FALSE, TRUE: TRUE}, {FALSE: TRUE, TRUE: FALSE}, {})
+        return entry
 
     # -- construction ------------------------------------------------
 
@@ -403,13 +397,8 @@ class BddManager:
         conjoins, so the conjunction is never built: the relational
         product of Burch et al., as CUDD's Cudd_bddAndAbstract."""
         u, v = self._node(f), self._node(g)
-        quantified = frozenset(names)
-        entry = self._exists_tables.get(quantified)
-        if entry is None:
-            levels = frozenset(self.level_of(n) for n in quantified)
-            entry = self._exists_tables[quantified] = (levels, {})
-        levels, table = entry
-        top = max(levels, default=-1)
+        order, levels, _, _, table, _, _, _ = self._record(names)
+        top = order[-1] if order else -1
         var, lo, hi = self._var, self._lo, self._hi
         mk, and_, or_ = self._mk, self._and, self._or
         B = NODE_BITS
@@ -451,13 +440,7 @@ class BddManager:
         is max(u1) high and max(u0) & out(u1) low; out(u), the complement of
         u's down-closure, is built directly, so nothing is negated.  A name
         level an edge skips is a don't-care, which `lift` sets true."""
-        key = frozenset(names)
-        entry = self._maximal_tables.get(key)
-        if entry is None:
-            levels = sorted(self.level_of(n) for n in key)
-            entry = self._maximal_tables[key] = (
-                levels, frozenset(levels), {FALSE: FALSE, TRUE: TRUE}, {FALSE: TRUE, TRUE: FALSE})
-        levels, is_name, t_max, t_out = entry
+        levels, is_name, _, _, _, t_max, t_out, _ = self._record(names)
         var, lo, hi, mk, and_ = self._var, self._lo, self._hi, self._mk, self._and
 
         def lift(r: int, top: int, below: int) -> int:
@@ -514,17 +497,6 @@ class BddManager:
         u = self._node(f)
         return self._count(u) << self._var[u]
 
-    def _name_levels(self, names: Sequence[str]) -> tuple:
-        """A name sequence's level mask, its names in level order, each
-        level's position (the leaf's last) and `pick_sat`'s forced runs,
-        memoised."""
-        entry = self._model_names.get(key := tuple(names))
-        if entry is None:
-            levels = sorted(self.level_of(n) for n in set(key))
-            entry = self._model_names[key] = (sum(1 << l for l in levels), [self._names[l] for l in levels],
-                                              {l: k for k, l in enumerate([*levels, self._leaf_level])}, {})
-        return entry
-
     def pick_sat(self, f: BddRef, rng: random.Random, names: Sequence[str]) -> frozenset[str] | None:
         """The true names of one model of f over `names`, which must cover
         f's support, drawn uniformly; None if f is false.
@@ -545,7 +517,7 @@ class BddManager:
             return None
         if u not in self._sat_counts:
             self._count(u)
-        _, by_pos, pos_of, runs = self._name_levels(names)
+        _, _, by_pos, pos_of, _, _, _, runs = self._record(names)
         counts, var, lo, hi = self._sat_counts, self._var, self._lo, self._hi
         coin, out, i = rng.random, [], 0
         while True:
@@ -589,12 +561,11 @@ class BddManager:
         edge skips is expanded both ways.
         """
         root = self._node(f)
-        mask, by_pos, pos_of, _ = self._name_levels(names)
-        missing = self._support(root) & ~mask
-        if missing:
-            lost = [self._names[l] for l in _bits(missing)]
-            raise BddError(f"model variables must cover the support; missing {lost}")
+        _, is_name, by_pos, pos_of, _, _, _, _ = self._record(names)
         var, lo, hi = self._var, self._lo, self._hi
+        missing = sorted({var[u] for u in self._reachable(root)} - is_name)
+        if missing:
+            raise BddError(f"model variables must cover the support; missing {[self._names[l] for l in missing]}")
 
         def walk() -> Iterator[frozenset[str]]:
             path: list[str] = []

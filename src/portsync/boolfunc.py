@@ -3,7 +3,8 @@
 Used as the neutral interchange form between causal-rule extraction and
 the two evaluation routes (brute-force model enumeration for oracles,
 BDD compilation for the symbolic engine).  Valuations are represented
-as the set of variables assigned true.
+as the set of variables assigned true.  Callers: `causal` builds the
+formulas, `symbolic._expr_bdd` compiles them, and the tests evaluate them.
 """
 
 from __future__ import annotations

@@ -80,7 +80,8 @@ def _tau(term: AcTerm) -> tuple[CausalNode, ...]:
 
 
 def ct_interactions(tree: CausalTree) -> frozenset[Interaction]:
-    """Interaction set of the tree: unions over nonempty parent-closed selections."""
+    """Interaction set of the tree: unions over nonempty parent-closed selections.
+    Callers: tests/test_acceptance.py and tests/test_causal.py."""
 
     def node_choices(node: CausalNode) -> frozenset[Interaction]:
         combos: set[Interaction] = {frozenset()}
@@ -148,7 +149,8 @@ def rules_to_formula(
 
     Ports in the support that occur in no rule and not in the root
     clause are forced false, so satisfying valuations never invent
-    participants.
+    participants.  Callers: `symbolic.encode_connectors`, and
+    tests/test_acceptance.py, tests/test_causal.py and the tests' oracles.
     """
     parts: list[BoolExpr] = [disj(Var(p) for p in sorted(root_clause))]
     mentioned = set(root_clause)
@@ -167,7 +169,8 @@ def rules_to_formula(
 
 def canonical(tree: CausalTree) -> CausalTree:
     """Sort sibling order recursively; equality of canonical forms is
-    equality up to reordering of independent branches."""
+    equality up to reordering of independent branches.  Callers:
+    tests/test_acceptance.py and tests/test_causal.py."""
 
     def node_key(node: CausalNode):
         return (tuple(sorted(node.label)), tuple(node_key(c) for c in node.children))

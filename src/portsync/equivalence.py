@@ -7,6 +7,9 @@ the walk calls `expand`; the successors are built lazily, so none is
 built past the bound.  Exploration follows the enumerative set, plus on
 a divergence every symbolic survivor that is an enabled pool
 interaction, so a divergence in either direction is still expanded.
+It fires in a fixed order, so a truncated walk visits the same states
+in every process: the enumerative survivors in pool order, then the
+symbolic extras by `interaction_key`, each one's successors sorted.
 
 An explicitly supplied encoding is compared as-is; that is the hook for
 the corrupted-encoding negative control in the tests.
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .connectors import Interaction
+from .connectors import Interaction, interaction_key
 from .enumerative import EnumEngine
 from .model import GlobalState, SystemModel, act, successors, walk
 from .symbolic import SystemEncoding, build
@@ -65,13 +68,14 @@ def check_equivalence(
 
     def expand(state: GlobalState) -> Iterable[GlobalState]:
         report.states_checked += 1
-        fire = from_enum = enum_engine.survivors(state)
-        from_symbolic = enc.survivors(state)
+        fire = enum_engine.survivors(state, ordered=True)
+        from_enum, from_symbolic = frozenset(fire), enc.survivors(state)
         if from_enum != from_symbolic:
             report.divergences.append(Divergence(state, from_enum, from_symbolic))
             # the pool never holds the empty interaction
-            fire = from_enum | {a for a in from_symbolic if a in system.gamma and act(system, state, a)}
-        return (t for a in fire for t in successors(system, state, a))
+            fire += sorted((a for a in from_symbolic - from_enum if a in system.gamma and act(system, state, a)),
+                           key=interaction_key)
+        return (t for a in fire for t in sorted(successors(system, state, a)))
 
     report.truncated = walk(system, bound, expand).truncated
     return report

@@ -408,7 +408,8 @@ def act(system: SystemModel, state: GlobalState, a: Interaction) -> bool:
 
 
 def enabled(system: SystemModel, state: GlobalState) -> frozenset[Interaction]:
-    """Interactions of gamma active at `state` (before priority)."""
+    """Interactions of gamma active at `state` (before priority).
+    Callers: `survivors`, and tests/test_model.py as the reference."""
     return frozenset(a for a in system.gamma if act(system, state, a))
 
 
@@ -440,7 +441,8 @@ def filter_priority(
     """Drop candidates dominated by an *active* higher-priority interaction.
 
     Domination is activity-checked only: the dominator must be active at
-    `state` but is not required to belong to gamma.
+    `state` but is not required to belong to gamma.  Callers: `survivors`,
+    and tests/test_model.py as the reference.
     """
     dominators = system.dominators
     if not dominators:
@@ -454,7 +456,9 @@ def filter_priority(
 
 
 def survivors(system: SystemModel, state: GlobalState) -> frozenset[Interaction]:
-    """Enabled interactions that survive the priority filter."""
+    """Enabled interactions that survive the priority filter.  Callers:
+    `reachable`, perfbench's `trace_failures` and four test files, as the
+    reference semantics both engines are checked against."""
     return filter_priority(system, state, enabled(system, state))
 
 
@@ -538,8 +542,12 @@ def walk(system: SystemModel, bound: int, expand: Callable[[GlobalState], Iterab
 
 
 def reachable(system: SystemModel, bound: int = 100000) -> ReachableSet:
-    """BFS over priority-filtered steps, truncated at `bound` states."""
-    return walk(system, bound, lambda s: (t for a in survivors(system, s) for t in successors(system, s, a)))
+    """BFS over priority-filtered steps, truncated at `bound` states; it
+    fires the survivors by `interaction_key` and takes each one's
+    successors sorted, so a truncated set is the same in every process.
+    Callers: five test files, as the reference walk."""
+    return walk(system, bound, lambda s: (t for a in sorted(survivors(system, s), key=interaction_key)
+                                          for t in sorted(successors(system, s, a))))
 
 
 def sorted_interactions(pool: Iterable[Interaction]) -> tuple[Interaction, ...]:

@@ -231,6 +231,7 @@ def encode_atom(atom: AtomicBehavior, mgr: BddManager) -> BddRef:
 
 
 def encode_behavior(system: SystemModel, mgr: BddManager) -> BddRef:
+    """f_B, the conjunction of the atoms' behaviors.  Caller: `behavior_fn`."""
     return mgr.and_all(encode_atom(atom, mgr) for atom in system.atoms)
 
 
@@ -314,7 +315,8 @@ class SystemEncoding:
 
     @cached_property
     def behavior_fn(self) -> BddRef:
-        """f_B: all atoms consistent with their state."""
+        """f_B: all atoms consistent with their state.  Callers: `system_fn`
+        and `node_counts`."""
         return encode_behavior(self.system, self.manager)
 
     @cached_property
@@ -324,6 +326,7 @@ class SystemEncoding:
 
     @cached_property
     def system_fn(self) -> BddRef:
+        """f_S = f_B & f_C.  Caller: `node_counts`."""
         return self.behavior_fn & self.connector_fn
 
     @cached_property
@@ -336,12 +339,15 @@ class SystemEncoding:
 
     @property
     def priority_fn(self) -> BddRef:
-        """R over plain/primed ports; maximal progress's, read by no step, is built here."""
+        """R over plain/primed ports; maximal progress's, read by no step, is
+        built here.  Caller: `node_counts`."""
         if isinstance(self.system.priority, MaximalProgress):
             return encode_strict_subset(self.port_names, self.manager)
         return self.pairs_fn
 
     def node_counts(self) -> dict[str, int]:
+        """The nodes of the whole-system functions.  Callers: `portsync
+        stats`, `bench`'s symbolic rows and perfbench."""
         m = self.manager
         return {
             "fs_nodes": m.node_count(self.system_fn),

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from portsync import bdd, boolfunc as bf
 from portsync.bdd import BddError, BddManager
+from portsync.generators import gen_bus
+from portsync.symbolic import build
 
 from oracles import bdd_table, evaluate, pick_choices, reference_pick_sat, support
 
@@ -30,6 +32,11 @@ class TestBasics:
     def test_unknown_variable(self, mgr):
         with pytest.raises(BddError):
             mgr.var("zz")
+
+    def test_repr_names_the_terminals_and_the_node(self, mgr):
+        a = mgr.var("a")
+        assert (repr(mgr.false), repr(mgr.true)) == ("BddRef(false)", "BddRef(true)")
+        assert repr(a) == f"BddRef(node={a.node})" and a.node > 1
 
     def test_bool_context_forbidden(self, mgr):
         with pytest.raises(TypeError):
@@ -288,6 +295,43 @@ class TestMaximal:
             f = random_fn(mgr, rng, free)
             for names in (self.NAMES, ["a", "c"], self.NAMES):
                 assert mgr.maximal(f, names) == self.brute(mgr, f, free, names)
+        mgr.audit()
+
+
+class TestNameRecords:
+    # a name sequence, its reverse and a sequence of other names of the
+    # same length: three records on one manager, the first two with the
+    # same levels
+    ORDER = TestMaximal.ORDER
+    FREE = ["s", "a", "b", "t", "c", "d"]
+    SEQUENCES = (["d", "s", "b", "a"], ["a", "b", "s", "d"], ["c", "t", "a", "b"])
+
+    def exists(self, mgr, f, g, names):
+        """exists(f & g, names) over FREE, from truth tables."""
+        rows = [dict(zip(self.FREE, bits)) for bits in product((False, True), repeat=len(self.FREE))]
+        kept = {tuple(r[v] for v in self.FREE if v not in names) for r in rows if evaluate(f & g, r)}
+        return mgr.or_all(mgr.cube(r) for r in rows if tuple(r[v] for v in self.FREE if v not in names) in kept)
+
+    def test_operations_interleaved_over_sequences_read_their_own_tables(self):
+        # and_exists, maximal, pick_sat and iter_models take turns on each
+        # sequence, so each record's tables are filled between the reads
+        # of the others; each answer is checked against truth tables
+        mgr, rng = BddManager(self.ORDER), random.Random(43)
+        maximal = TestMaximal().brute
+        for _ in range(30):
+            f, g = random_fn(mgr, rng, self.FREE), random_fn(mgr, rng, self.FREE)
+            for names in self.SEQUENCES:
+                h, seed = random_fn(mgr, rng, names), rng.random()
+                models = {frozenset(n for n, bit in zip(names, bits) if bit)
+                          for bits in product((False, True), repeat=len(names))
+                          if evaluate(h, dict(zip(names, bits)))}
+                assert mgr.and_exists(f, g, names) == self.exists(mgr, f, g, names)
+                assert set(mgr.iter_models(h, names)) == models
+                assert mgr.maximal(f, names) == maximal(mgr, f, self.FREE, names)
+                assert mgr.pick_sat(h, random.Random(seed), names) == \
+                    reference_pick_sat(mgr, h, names, random.Random(seed))
+                assert mgr.maximal(h, names) == maximal(mgr, h, names, names)
+        assert len(mgr._records) == len(self.SEQUENCES)
         mgr.audit()
 
 
@@ -627,14 +671,6 @@ class TestPickSat:
             dof += len(models) - 1
         assert dof > 100 and chi2 <= dof + 6 * (2 * dof) ** 0.5, (chi2, dof)
 
-    def test_support_levels_are_the_set_bits(self):
-        # a support mask's levels are its ascending set bits (the missing
-        # names `iter_models` reports), on masks as wide as bus16's order
-        # and wider
-        rng = random.Random(37)
-        for mask in (0, 1, 1 << 383, *(rng.getrandbits(rng.randint(1, 400)) for _ in range(60))):
-            assert bdd._bits(mask) == tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
 
 class TestSatCount:
     def test_matches_truth_tables_on_level_skipping_supports(self):
@@ -716,6 +752,28 @@ class TestIterModels:
         with pytest.raises(BddError, match=r"must cover the support; missing \['c'\]"):
             mgr.iter_models(f, ["d", "b", "a"])
         assert len(list(mgr.iter_models(f, ["d", "c", "b", "a"]))) == 10
+
+    def test_reports_missing_names_in_level_order_on_a_wide_order(self):
+        # on bus16's 384 levels, the tested names a sequence leaves out
+        # come back in ascending level order, whatever the sequence's
+        # order, the last level included
+        order = build(gen_bus(16)).manager.variables
+        assert len(order) == 384
+        mgr, rng = BddManager(order), random.Random(37)
+        cases = [({5, 383}, {383}), ({0, 383}, {0, 383})]
+        for _ in range(40):
+            tested = set(rng.sample(range(384), rng.randint(1, 12)))
+            if rng.random() < 0.5:
+                tested.add(383)
+            cases.append((tested, set(rng.sample(sorted(tested), rng.randint(1, len(tested))))))
+        for tested, missing in cases:
+            f = mgr.cube({order[l]: rng.random() < 0.5 for l in tested})
+            names = [n for l, n in enumerate(order) if l not in missing and (l in tested or rng.random() < 0.3)]
+            rng.shuffle(names)
+            want = [order[l] for l in sorted(missing)]
+            with pytest.raises(BddError) as raised:
+                mgr.iter_models(f, names)
+            assert str(raised.value) == f"model variables must cover the support; missing {want}"
 
 
 def test_deep_conjunction_no_recursion_blowup():

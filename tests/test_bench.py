@@ -89,6 +89,11 @@ def test_bench_rejects_zero_steps():
         bench("bus", 1, None, steps=0, seed=0, engine="enum")
 
 
+def test_bench_rejects_zero_repetitions():
+    with pytest.raises(ValueError, match="repetitions must be positive"):
+        bench("bus", 1, None, steps=10, seed=0, engine="enum", repetitions=0)
+
+
 def test_repetitions_take_median():
     rec = bench("bus", 1, None, steps=30, seed=1, engine="enum", repetitions=3)
     assert rec.steps == 30  # one row out, median by total time

@@ -42,6 +42,11 @@ def test_evaluate_nested():
     assert not evaluate(e, set())
 
 
+def test_evaluate_refuses_a_non_expression():
+    with pytest.raises(TypeError, match="not a boolean expression: 'p'"):
+        evaluate("p", {"p"})
+
+
 def test_implies_truth_table():
     e = implies(Var("p"), Var("q"))
     rows = {

@@ -1,6 +1,13 @@
 """Command line entry points and exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import portsync
 
 from portsync.bench import CSV_HEADER
 from portsync.cli import (
@@ -90,6 +97,18 @@ class TestRun:
         path.write_text(TWICE)
         assert main(["check", str(path)]) == EXIT_DIAGNOSTICS
         assert f"{path}:12:3: connector x: port 'b' named more than once [linear-term]" in capsys.readouterr().err
+
+
+def test_module_entry_point_exits_with_the_code(deadlock_file, tmp_path):
+    # `python -m portsync.cli` goes through `console_main`, which exits with
+    # `main`'s code: 2 on a deadlock, 1 on a syntax error
+    env = {**os.environ, "PYTHONPATH": str(Path(portsync.__file__).resolve().parents[1])}
+    bad = tmp_path / "bad.bip-lite"
+    bad.write_text("system broken {")
+    for args, code in ((["run", deadlock_file, "--steps", "10"], EXIT_DEADLOCK),
+                       (["check", str(bad)], EXIT_DIAGNOSTICS)):
+        done = subprocess.run([sys.executable, "-m", "portsync.cli", *args], env=env, capture_output=True, text=True)
+        assert done.returncode == code, done.stderr
 
 
 class TestCheck:

@@ -96,6 +96,10 @@ class TestDiagnostics:
     def test_unknown_connector_port(self):
         self.expect_error(SMALL.replace("= go;", "= stop;"), "stop")
 
+    def test_priority_with_no_pair(self):
+        self.expect_error(SMALL.replace("connector c = go;", "connector c = go;\n  priority ;"),
+                          "expected 'maximal_progress' or at least one '{...} < {...}' pair")
+
     def test_missing_init(self):
         self.expect_error(SMALL.replace(" init", ""), "init")
 

@@ -1,7 +1,12 @@
 """Cross-engine agreement over explored state spaces."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
+import portsync
 from portsync import equivalence
 from portsync.connectors import Factor, Fusion, OneLeaf, PortLeaf
 from portsync.enumerative import EnumEngine
@@ -234,3 +239,25 @@ def test_constant_one_trigger_lets_its_synchron_fire():
     for engine in (EnumEngine(sysm, seed=1), SymbolicEngine(sysm, seed=1)):
         trace = engine.run(3)
         assert not trace.deadlocked and trace.interactions == (s, s, s)
+
+
+def test_check_and_reachable_visit_the_same_states_in_every_process():
+    # both walks fire in a fixed order (pool order, then each interaction's
+    # successors sorted), so a truncated walk takes the same states under
+    # every string hash seed, and `check` takes those `reachable` takes
+    code = ("import hashlib\n"
+            "from portsync import equivalence\n"
+            "from portsync.generators import gen_bus, gen_tasks\n"
+            "from portsync.model import reachable\n"
+            "walks, walk = [], equivalence.walk\n"
+            "equivalence.walk = lambda *args: walks.append(walk(*args)) or walks[-1]\n"
+            "for s, bound in ((gen_bus(16), 100), (gen_tasks(8, 4), 30)):\n"
+            "    assert equivalence.check_equivalence(s, bound=bound).equivalent\n"
+            "    states = sorted(walks[-1].states)\n"
+            "    assert states == sorted(reachable(s, bound=bound).states) and len(states) == bound\n"
+            "    print(hashlib.sha256(repr(states).encode()).hexdigest())\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(portsync.__file__).resolve().parents[1])}
+    digests = {subprocess.run([sys.executable, "-c", code], env={**env, "PYTHONHASHSEED": seed},
+                              capture_output=True, text=True, check=True).stdout
+               for seed in ("0", "1", "2", "3")}
+    assert len(digests) == 1, digests

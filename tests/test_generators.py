@@ -18,6 +18,13 @@ def fz(*names):
     return frozenset(names)
 
 
+def test_families_refuse_sizes_below_their_least():
+    with pytest.raises(ValueError, match="bus needs at least one cluster"):
+        gen_bus(0)
+    with pytest.raises(ValueError, match="tasks needs at least two tasks and one processor"):
+        gen_tasks(1, 1)
+
+
 class TestModulo8:
     def test_shape(self, mod8):
         assert [a.name for a in mod8.atoms] == ["B1", "B2", "B3"]

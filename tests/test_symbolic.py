@@ -257,6 +257,11 @@ def test_causal_rules_run_once_per_shape(monkeypatch):
         assert len(calls) == len(_shapes(sysm, m))
 
 
+def test_expr_bdd_refuses_a_non_expression():
+    with pytest.raises(TypeError, match="not a boolean expression: 'p'"):
+        symbolic._expr_bdd(BddManager(["p"]), "p")
+
+
 def test_no_connector_gives_false():
     bus = gen_bus(2)
     sysm = SystemModel(bus.name, bus.atoms, (), None)
