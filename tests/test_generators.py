@@ -1,9 +1,13 @@
 """Example family generators and the random model source."""
 
+import hashlib
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from portsync.connectors import interactions_of
-from portsync.dsl import serialize
+from portsync.dsl import parse, serialize
 from portsync.generators import (
     RandomBounds,
     gen_bus,
@@ -12,6 +16,10 @@ from portsync.generators import (
     random_system,
 )
 from portsync.model import MaximalProgress, validate
+
+from oracles import pairs_written_out
+
+MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "models.py"
 
 
 def fz(*names):
@@ -23,6 +31,31 @@ def test_families_refuse_sizes_below_their_least():
         gen_bus(0)
     with pytest.raises(ValueError, match="tasks needs at least two tasks and one processor"):
         gen_tasks(1, 1)
+
+
+@pytest.mark.parametrize("family,digest", [
+    (modulo8, "0c284361061e149302732d34f302a2326794daf5fa946fb9383b5e6825a75cc3"),
+    (lambda: gen_bus(1), "62783ac512f98a4401e4d7562f78bf6f4496281e9079174e856791cc84388637"),
+    (lambda: gen_bus(16), "daebea3bc046ea307e5a6a63319dc995733045aa98006224a9388082f5ae3d0a"),
+    (lambda: gen_tasks(2, 1), "8417a5a5a8e418f9cdc482629ff66c39594d5ad2a460ea1c7bb432887a21965f"),
+    (lambda: gen_tasks(3, 2), "5da244690c7891fbdfcc48b65b83495cde206412a5ea3a7cd6d5aa20c652406a"),
+    (lambda: gen_tasks(8, 4), "740b54200d386676ef269fa8172820fd887fdb2411b31b6635b539f442c97f63"),
+], ids=["modulo8", "bus1", "bus16", "tasks2x1", "tasks3x2", "tasks8x4"])
+def test_families_are_pinned(family, digest):
+    # frozen snapshots: a change here means a family's model drifted
+    assert hashlib.sha256(serialize(family()).encode()).hexdigest() == digest
+
+
+def test_benchmark_texts_are_the_families():
+    spec = importlib.util.spec_from_file_location("perfbench_models", MODELS)
+    models = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(models)
+    for n in (1, 2, 16):
+        assert parse(models.bus_text(n)) == gen_bus(n)
+    for n, m in ((2, 1), (3, 2), (8, 4)):
+        assert parse(models.tasks_text(n, m)) == gen_tasks(n, m)
+    for n, m in ((3, 2), (8, 2)):
+        assert parse(models.tasks_pairs_text(n, m)) == pairs_written_out(gen_tasks(n, m))
 
 
 class TestModulo8:
