@@ -1,5 +1,9 @@
 """Built-in model families and a seeded random model generator.
 
+The three families are written as model text (`dsl`), one declaration
+per line, and parsed, so each is validated when it is built; `portsync
+gen` writes that text back out.
+
 - modulo8: three two-state counters chained by one connector whose
   causal depth makes the pool {p, pqr, pqrst, pqrstu}; with maximal
   progress the run is the binary-counter cycle.
@@ -12,15 +16,17 @@
   starting one task while preempting the other, and one finishing a
   task while resuming the other.  Pool size 2*n*(n-1)*m, dense.
 - random_system(seed, bounds): arbitrary valid systems for differential
-  tests, deterministic in the seed.
+  tests, deterministic in the seed, built from terms and atoms.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import permutations
 
-from .connectors import AcTerm, Factor, Fusion, PortLeaf, fusion
+from .connectors import AcTerm, Factor, PortLeaf, fusion
+from .dsl import parse
 from .model import (
     AtomicBehavior,
     Connector,
@@ -32,145 +38,65 @@ from .model import (
 )
 
 
-def _syn(term: AcTerm) -> Factor:
-    return Factor(term, False)
+def _atom(name: str, ports: list[str], states: list[str], trans: list[tuple[str, str, str]]) -> list[str]:
+    """The declaration lines of an atom whose first state is its initial
+    one; each transition is (source, label as written, target)."""
+    marked = ", ".join(s + " init" if k == 0 else s for k, s in enumerate(states))
+    return [f"atom {name} {{", f"ports {', '.join(ports)};", f"states {marked};",
+            *(f"trans {src} -[ {label} ]-> {dst};" for src, label, dst in trans), "}"]
 
 
-def _trig(term: AcTerm) -> Factor:
-    return Factor(term, True)
-
-
-def _port(name: str) -> PortLeaf:
-    return PortLeaf(name)
+def _system(name: str, body: list[str]) -> SystemModel:
+    """The system of the declaration lines `body` under maximal progress,
+    parsed and validated."""
+    return parse("\n".join([f"system {name} {{", *body, "priority maximal_progress;", "}"]))
 
 
 def modulo8() -> SystemModel:
-    def counter(name: str, s0: str, s1: str, tick: str, carry: str) -> AtomicBehavior:
-        return AtomicBehavior(
-            name=name,
-            states=(s0, s1),
-            init=s0,
-            ports=(tick, carry),
-            transitions=(
-                Transition(s0, frozenset((tick,)), s1),
-                Transition(s1, frozenset((tick, carry)), s0),
-            ),
-        )
-
-    # p' [[q r]' [[s t]' u]]
-    inner2 = fusion((_trig(Fusion((_syn(_port("s")), _syn(_port("t"))))), _syn(_port("u"))))
-    inner1 = fusion((_trig(Fusion((_syn(_port("q")), _syn(_port("r"))))), _syn(inner2)))
-    term = fusion((_trig(_port("p")), _syn(inner1)))
-    return SystemModel(
-        name="modulo8",
-        atoms=(
-            counter("B1", "l1", "l2", "p", "q"),
-            counter("B2", "l3", "l4", "r", "s"),
-            counter("B3", "l5", "l6", "t", "u"),
-        ),
-        connectors=(Connector("x", term),),
-        priority=MaximalProgress(),
-    )
+    return _system("modulo8", [
+        *_atom("B1", ["p", "q"], ["l1", "l2"], [("l1", "p", "l2"), ("l2", "p, q", "l1")]),
+        *_atom("B2", ["r", "s"], ["l3", "l4"], [("l3", "r", "l4"), ("l4", "r, s", "l3")]),
+        *_atom("B3", ["t", "u"], ["l5", "l6"], [("l5", "t", "l6"), ("l6", "t, u", "l5")]),
+        "connector x = p' [[q r]' [[s t]' u]];",
+    ])
 
 
 def gen_bus(n: int) -> SystemModel:
     if n < 1:
         raise ValueError("bus needs at least one cluster")
-    atoms: list[AtomicBehavior] = []
-    connectors: list[Connector] = []
+    atoms, connectors = [], []
     for k in range(1, n + 1):
-        sends = []
         for i in range(1, 5):
             c, s = f"c{i}_{k}", f"s{i}_{k}"
-            atoms.append(AtomicBehavior(
-                name=f"member{i}_{k}",
-                states=("A", "B"),
-                init="A",
-                ports=(c, s),
-                transitions=(
-                    Transition("A", frozenset((c,)), "B"),
-                    Transition("B", frozenset((s,)), "A"),
-                ),
-            ))
-            connectors.append(Connector(f"claim{i}_{k}", _port(c)))
-            sends.append(s)
-        bus_term = fusion((
-            _trig(_port(sends[0])),
-            _trig(_port(sends[1])),
-            _trig(_port(sends[2])),
-            _syn(_port(sends[3])),
-        ))
-        connectors.append(Connector(f"bus_{k}", bus_term))
-    return SystemModel(
-        name=f"bus{n}",
-        atoms=tuple(atoms),
-        connectors=tuple(connectors),
-        priority=MaximalProgress(),
-    )
+            atoms += _atom(f"member{i}_{k}", [c, s], ["A", "B"], [("A", c, "B"), ("B", s, "A")])
+            connectors.append(f"connector claim{i}_{k} = {c};")
+        connectors.append(f"connector bus_{k} = s1_{k}' s2_{k}' s3_{k}' s4_{k};")
+    return _system(f"bus{n}", atoms + connectors)
 
 
 def gen_tasks(n: int, m: int) -> SystemModel:
     if n < 2 or m < 1:
         raise ValueError("tasks needs at least two tasks and one processor")
-    atoms: list[AtomicBehavior] = []
-    connectors: list[Connector] = []
+    procs = range(1, m + 1)
+    lines = []
     for j in range(1, n + 1):
-        states = ["s"] + [f"c{i}" for i in range(1, m + 1)] + [f"w{i}" for i in range(1, m + 1)]
-        ports: list[str] = []
-        transitions: list[Transition] = []
-        for i in range(1, m + 1):
-            b, f, p, r = (f"b{i}_{j}", f"f{i}_{j}", f"p{i}_{j}", f"r{i}_{j}")
+        ports, trans = [], []
+        for i in procs:
+            b, f, p, r = f"b{i}_{j}", f"f{i}_{j}", f"p{i}_{j}", f"r{i}_{j}"
             ports += [b, f, p, r]
-            transitions += [
-                Transition("s", frozenset((b,)), f"c{i}"),
-                Transition(f"c{i}", frozenset((f,)), "s"),
-                Transition(f"c{i}", frozenset((p,)), f"w{i}"),
-                Transition(f"w{i}", frozenset((r,)), f"c{i}"),
-            ]
-        atoms.append(AtomicBehavior(
-            name=f"T{j}",
-            states=tuple(states),
-            init="s",
-            ports=tuple(ports),
-            transitions=tuple(transitions),
-        ))
-    for i in range(1, m + 1):
-        s, e = f"go{i}", f"halt{i}"
-        atoms.append(AtomicBehavior(
-            name=f"P{i}",
-            states=("l0", "l1", "l2"),
-            init="l0",
-            ports=(s, e),
-            transitions=(
-                Transition("l0", frozenset((s,)), "l1"),
-                Transition("l1", frozenset((e,)), "l0"),
-                Transition("l1", frozenset((s,)), "l2"),
-                Transition("l2", frozenset((e,)), "l1"),
-            ),
-        ))
-    for j1 in range(1, n + 1):
-        for j2 in range(1, n + 1):
-            if j1 == j2:
-                continue
-            for i in range(1, m + 1):
-                # task j2 starts on processor i, preempting task j1
-                begin = fusion((
-                    _trig(Fusion((_syn(_port(f"b{i}_{j2}")), _syn(_port(f"go{i}"))))),
-                    _syn(_port(f"p{i}_{j1}")),
-                ))
-                connectors.append(Connector(f"beg_{j2}_over_{j1}_{i}", begin))
-                # task j1 finishes on processor i, resuming task j2
-                finish = fusion((
-                    _trig(Fusion((_syn(_port(f"f{i}_{j1}")), _syn(_port(f"halt{i}"))))),
-                    _syn(_port(f"r{i}_{j2}")),
-                ))
-                connectors.append(Connector(f"fin_{j1}_back_{j2}_{i}", finish))
-    return SystemModel(
-        name=f"tasks{n}x{m}",
-        atoms=tuple(atoms),
-        connectors=tuple(connectors),
-        priority=MaximalProgress(),
-    )
+            trans += [("s", b, f"c{i}"), (f"c{i}", f, "s"), (f"c{i}", p, f"w{i}"), (f"w{i}", r, f"c{i}")]
+        lines += _atom(f"T{j}", ports, ["s", *(f"c{i}" for i in procs), *(f"w{i}" for i in procs)], trans)
+    for i in procs:
+        go, halt = f"go{i}", f"halt{i}"
+        lines += _atom(f"P{i}", [go, halt], ["l0", "l1", "l2"],
+                       [("l0", go, "l1"), ("l1", halt, "l0"), ("l1", go, "l2"), ("l2", halt, "l1")])
+    for j1, j2 in permutations(range(1, n + 1), 2):
+        for i in procs:
+            # task j2 starts on processor i, preempting task j1; task j1
+            # finishes on processor i, resuming task j2
+            lines.append(f"connector beg_{j2}_over_{j1}_{i} = [b{i}_{j2} go{i}]' p{i}_{j1};")
+            lines.append(f"connector fin_{j1}_back_{j2}_{i} = [f{i}_{j1} halt{i}]' r{i}_{j2};")
+    return _system(f"tasks{n}x{m}", lines)
 
 
 @dataclass(frozen=True)
@@ -192,7 +118,7 @@ def random_monomial_term(rng: random.Random, ports: list[str], max_depth: int) -
         if not budget:
             return None
         if depth <= 0 or len(budget) == 1 or rng.random() < 0.3:
-            return _port(budget.pop())
+            return PortLeaf(budget.pop())
         factors = []
         for _ in range(rng.randint(2, 3)):
             sub = grow(depth - 1)

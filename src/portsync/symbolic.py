@@ -432,15 +432,14 @@ class Group:
             self.orient = None
 
     def canonical(self, state: GlobalState) -> GlobalState:
-        """The local state our key stands for: each orbit's values sorted."""
+        """The local state our key stands for: each orbit's values sorted,
+        that is each position's value read at the position `orient` puts
+        there."""
         v = [r[state[j]] for j, r in self._readers]
-        for o in self.cls.orbits:
-            for k, x in zip(o, sorted([v[k] for k in o])):
-                v[k] = x
-        return tuple(v)
+        return tuple(v) if self.orient is None else tuple([v[at] for at in self.orient(state)])
 
     def orient(self, state: GlobalState) -> list[int]:
-        """Per owner position, the position whose value `canonical`'s sort put there."""
+        """Per owner position, the position whose value sorting its orbit by value puts there."""
         v = [r[state[j]] for j, r in self._readers]
         perm = list(range(len(v)))
         for o in self.cls.orbits:

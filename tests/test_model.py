@@ -428,12 +428,17 @@ def test_validate_returns_a_new_list_each_call():
 def test_one_validation_per_model(monkeypatch):
     calls = []
     real = model._validate
+    text = serialize(gen_tasks(3, 2))  # the family validates itself when it is built
     monkeypatch.setattr(model, "_validate", lambda system: calls.append(system) or real(system))
-    sysm = parse(serialize(gen_tasks(3, 2)))
+    sysm = parse(text)
     EnumEngine(sysm)
     SymbolicEngine(sysm)
     assert check_equivalence(sysm, bound=20).equivalent
     assert len(calls) == 1
+    calls.clear()
+    built = gen_tasks(3, 2)
+    EnumEngine(built)
+    assert len(calls) == 1 and calls[0] is built
     with pytest.raises(ValidationError):
         EnumEngine(_invalid())
 
