@@ -145,6 +145,18 @@ class TestRandom:
         got = serialize(random_system(0, RandomBounds(2, 2, 2, 2)))
         assert got == GOLDEN_SEED0
 
+    @pytest.mark.parametrize("seeds,bounds,digest", [
+        (range(120), RandomBounds(),
+         "e26c5f9a3454bde22bbc7f698f75cc0ec614fee27db3aaff0fd766bb0ce06492"),
+        (range(40), RandomBounds(4, 4, 3, 4),
+         "408855a7642a79c32434dc56b8b4a4d102bb0b479f923823d78c0422ee5ce675"),
+    ], ids=["default-0-119", "wide-0-39"])
+    def test_corpus_is_pinned(self, seeds, bounds, digest):
+        # frozen snapshot of the differential-test corpus: a change here
+        # means random generation drifted
+        text = "".join(serialize(random_system(s, bounds)) for s in seeds)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 GOLDEN_SEED0 = """\
 system random0 {
