@@ -2,84 +2,30 @@
 
 Atomic components synchronize through connectors (typed fusion terms
 that denote sets of interactions) under an optional priority order.
-The package provides the connector algebra with its causal-tree and
-causal-rule views, a small BDD kernel, matching enumerative and
-symbolic execution engines, a textual model format, benchmark model
-families, and a CLI.
+The package re-exports the four names a user needs to load a model,
+run it and compare the engines; every other name is imported from
+its module:
+
+- connectors: fusion terms, interactions and `interactions_of`.
+- causal: causal trees and causal rules of a fusion (`tau`).
+- boolfunc: Boolean formulas over port names.
+- bdd: a standalone hash-consed ROBDD kernel (`BddManager`).
+- model: atoms, connectors, priorities, `SystemModel`, `validate` and
+  the explicit semantics (`survivors`, `step`, `reachable`).
+- dsl: the textual model format (`parse`, `serialize`, `load`, `save`).
+- enumerative: the engine over the materialized pool (`EnumEngine`).
+- symbolic: the BDD encoding and its engine (`SymbolicEngine`).
+- equivalence: the exhaustive check that the engines agree.
+- generators: the built-in families and `random_system`.
+- bench: the benchmark harness behind `portsync bench`.
+- cli: the `portsync` command.
 """
 
-from .bdd import BddError, BddManager, BddRef
-from .causal import (
-    CausalNode,
-    CausalRule,
-    CausalTree,
-    canonical,
-    causal_rules,
-    ct_interactions,
-    rules_to_formula,
-    tau,
-)
-from .connectors import (
-    AcTerm,
-    Factor,
-    Fusion,
-    Interaction,
-    OneLeaf,
-    PortLeaf,
-    ZeroLeaf,
-    fusion,
-    interactions_of,
-    support,
-)
-from .dsl import DslError, parse, serialize
+from .dsl import parse
 from .enumerative import EnumEngine
-from .equivalence import EquivalenceReport, check_equivalence
-from .generators import (
-    RandomBounds,
-    gen_bus,
-    gen_tasks,
-    modulo8,
-    random_monomial_term,
-    random_system,
-)
-from .model import (
-    AtomicBehavior,
-    Connector,
-    Diagnostic,
-    ExplicitPairs,
-    GlobalState,
-    MaximalProgress,
-    NotEnabledError,
-    SystemModel,
-    Trace,
-    Transition,
-    ValidationError,
-    act,
-    effective_pairs,
-    enabled,
-    filter_priority,
-    reachable,
-    step,
-    successors,
-    survivors,
-    validate,
-)
-from .symbolic import SymbolicEngine, SystemEncoding, build
+from .equivalence import check_equivalence
+from .symbolic import SymbolicEngine
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AcTerm", "AtomicBehavior", "BddError", "BddManager", "BddRef",
-    "CausalNode", "CausalRule", "CausalTree", "Connector", "Diagnostic",
-    "DslError", "EnumEngine", "EquivalenceReport", "ExplicitPairs",
-    "Factor", "Fusion", "GlobalState", "Interaction", "MaximalProgress",
-    "NotEnabledError", "OneLeaf", "PortLeaf", "RandomBounds",
-    "SymbolicEngine", "SystemEncoding", "SystemModel", "Trace",
-    "Transition", "ValidationError", "ZeroLeaf",
-    "act", "build", "canonical", "causal_rules", "check_equivalence",
-    "ct_interactions", "effective_pairs", "enabled", "filter_priority",
-    "fusion", "gen_bus", "gen_tasks", "interactions_of",
-    "modulo8", "parse", "random_monomial_term", "random_system",
-    "reachable", "rules_to_formula", "serialize", "step", "successors",
-    "support", "survivors", "tau", "validate",
-]
+__all__ = ["EnumEngine", "SymbolicEngine", "check_equivalence", "parse"]

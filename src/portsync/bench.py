@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import gc
 import statistics
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional, Union
 
 from .enumerative import EnumEngine
@@ -53,12 +53,8 @@ class BenchRecord:
                 return f"{v:.3f}"
             return str(v)
 
-        return ",".join(cell(v) for v in (
-            self.example, self.engine, self.n, self.m, self.steps,
-            self.total_ns, self.mean_step_ns,
-            self.fs_nodes, self.fb_nodes, self.fc_nodes, self.fp_nodes,
-            self.seed,
-        ))
+        # the fields are declared in CSV_HEADER's column order
+        return ",".join(map(cell, astuple(self)))
 
 
 def make_system(example: str, n: int, m: Optional[int]) -> SystemModel:
@@ -107,7 +103,7 @@ def bench(
     if engine == "symbolic":
         counts = runner.encoding.node_counts()
     else:
-        counts = {"fs_nodes": None, "fb_nodes": None, "fc_nodes": None, "fp_nodes": None}
+        counts = dict.fromkeys(("fs_nodes", "fb_nodes", "fc_nodes", "fp_nodes"))
     return BenchRecord(
         example=example,
         engine=engine,
@@ -116,11 +112,8 @@ def bench(
         steps=executed,
         total_ns=total,
         mean_step_ns=(total / executed) if executed else 0.0,
-        fs_nodes=counts["fs_nodes"],
-        fb_nodes=counts["fb_nodes"],
-        fc_nodes=counts["fc_nodes"],
-        fp_nodes=counts["fp_nodes"],
         seed=seed,
+        **counts,
     )
 
 

@@ -22,7 +22,7 @@ gen` writes that text back out.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations
 
 from .connectors import AcTerm, Factor, PortLeaf, fusion
@@ -183,11 +183,4 @@ def random_system(seed: int, bounds: RandomBounds = RandomBounds()) -> SystemMod
                     pairs.add((lo, hi))
         if pairs:
             priority = ExplicitPairs(frozenset(pairs))
-    if priority is not None:
-        system = SystemModel(
-            name=system.name,
-            atoms=system.atoms,
-            connectors=system.connectors,
-            priority=priority,
-        )
-    return system
+    return system if priority is None else replace(system, priority=priority)

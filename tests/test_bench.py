@@ -1,5 +1,7 @@
 """Benchmark records and the CSV contract."""
 
+from dataclasses import fields
+
 import pytest
 
 from portsync.bench import (
@@ -106,6 +108,11 @@ def test_csv_row_formatting():
         fs_nodes=None, fb_nodes=None, fc_nodes=None, fp_nodes=None, seed=7,
     )
     assert rec.csv_row() == "bus,enum,4,,10,1234,123.457,,,,,7"
+
+
+def test_record_fields_are_in_csv_column_order():
+    # csv_row writes the fields in declaration order
+    assert [f.name for f in fields(BenchRecord)] == CSV_HEADER.split(",")
 
 
 def test_write_csv(tmp_path):
