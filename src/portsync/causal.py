@@ -3,7 +3,8 @@
 A causal tree is a forest of interaction-labeled nodes.  A node may
 participate only if its parent does; siblings are independent.  The
 interaction set of a tree is therefore the set of unions over nonempty
-parent-closed selections of nodes.
+parent-closed selections of nodes; ct_interactions computes it as a set
+fold, over each node's children and then over the roots.
 
 Trees are the stepping stone between the connector algebra and the
 boolean encoding: tau() translates a term into a tree, reading a
@@ -91,18 +92,9 @@ def ct_interactions(tree: CausalTree) -> frozenset[Interaction]:
         return frozenset(node.label | c for c in combos)
 
     out: set[Interaction] = set()
-    root_choices = [node_choices(r) for r in tree.roots]
-
-    def walk(idx: int, acc: Interaction, any_selected: bool) -> None:
-        if idx == len(root_choices):
-            if any_selected:
-                out.add(acc)
-            return
-        walk(idx + 1, acc, any_selected)
-        for c in root_choices[idx]:
-            walk(idx + 1, acc | c, True)
-
-    walk(0, frozenset(), False)
+    for root in tree.roots:
+        picks = node_choices(root)
+        out |= picks | {u | v for u in out for v in picks}
     return frozenset(out)
 
 

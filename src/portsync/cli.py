@@ -7,9 +7,9 @@ Subcommands:
   stats  print encoding node counts for a model file
   gen    write a built-in or random model as a .bip-lite file
 
-Exit codes: 0 success, 1 diagnostics (syntax, validation, usage),
-2 deadlock before completing the requested steps (run only),
-3 survivor-set divergence (check only).
+Exit codes: 0 success, 1 diagnostics (syntax, validation, usage, a
+file that cannot be read or written), 2 deadlock before completing the
+requested steps (run only), 3 survivor-set divergence (check only).
 """
 
 from __future__ import annotations
@@ -93,9 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(path: str) -> SystemModel:
     try:
         return dsl.load(path)
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_DIAGNOSTICS)
     except dsl.DslError as exc:
         for d in exc.diagnostics:
             print(f"{path}:{d}", file=sys.stderr)
@@ -185,7 +182,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return handlers[args.command](args)
     except SystemExit as exc:  # argparse and loader bail-outs
         return exc.code if isinstance(exc.code, int) else EXIT_DIAGNOSTICS
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
 

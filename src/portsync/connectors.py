@@ -12,6 +12,11 @@ The meaning of a term is a set of interactions (sets of ports):
 
 The constants ZeroLeaf (no interaction) and OneLeaf (only the empty
 interaction) complete the algebra but are not expressible in the DSL.
+
+interactions_of computes that set as a set fold over the factors, which
+merges equal unions as it goes: the triggers' unions first, then each
+synchron joining optionally (or, without triggers, every factor
+joining).  support reads the ports that template_of collects.
 """
 
 from __future__ import annotations
@@ -67,15 +72,9 @@ def fusion(factors: Iterable[Factor]) -> AcTerm:
 
 
 def support(term: AcTerm) -> frozenset[str]:
-    """All ports occurring in the term, including under dead branches."""
-    if isinstance(term, PortLeaf):
-        return frozenset((term.port,))
-    if isinstance(term, (ZeroLeaf, OneLeaf)):
-        return frozenset()
-    out: set[str] = set()
-    for f in term.factors:
-        out |= support(f.term)
-    return frozenset(out)
+    """All ports occurring in the term, including under dead branches:
+    the ports that `template_of` collects."""
+    return frozenset(template_of(term)[1])
 
 
 def template_of(term: AcTerm) -> tuple[str, tuple[str, ...]]:
@@ -95,30 +94,23 @@ def template_of(term: AcTerm) -> tuple[str, tuple[str, ...]]:
 
 
 def interactions_of(term: AcTerm) -> frozenset[Interaction]:
-    """The interaction set denoted by the term."""
+    """The interaction set denoted by the term, folded factor by factor:
+    the unions of a nonempty selection of triggers, each joined by any
+    selection of synchrons; without triggers, every factor joins."""
     if isinstance(term, PortLeaf):
         return frozenset((frozenset((term.port,)),))
     if isinstance(term, OneLeaf):
         return frozenset((frozenset(),))
     if isinstance(term, ZeroLeaf):
         return frozenset()
-    factors = term.factors
-    choice_sets = [interactions_of(f.term) for f in factors]
-    has_trigger = any(f.trigger for f in factors)
-    out: set[Interaction] = set()
-
-    def walk(idx: int, acc: Interaction, fired: bool) -> None:
-        if idx == len(factors):
-            if fired or not has_trigger:
-                out.add(acc)
-            return
-        if has_trigger:
-            # triggers permit absence of any factor
-            walk(idx + 1, acc, fired)
-        for choice in choice_sets[idx]:
-            walk(idx + 1, acc | choice, fired or factors[idx].trigger)
-
-    walk(0, frozenset(), False)
+    triggers = [interactions_of(f.term) for f in term.factors if f.trigger]
+    synchrons = [interactions_of(f.term) for f in term.factors if not f.trigger]
+    out: set[Interaction] = set() if triggers else {frozenset()}
+    for choices in triggers:
+        out |= choices | {u | v for u in out for v in choices}
+    for choices in synchrons:
+        joined = {u | v for u in out for v in choices}
+        out = out | joined if triggers else joined
     return frozenset(out)
 
 

@@ -14,7 +14,8 @@ gen` writes that text back out.
 - tasks(n, m): n tasks sharing m processors with preemption: for every
   ordered pair of distinct tasks and each processor there is a connector
   starting one task while preempting the other, and one finishing a
-  task while resuming the other.  Pool size 2*n*(n-1)*m, dense.
+  task while resuming the other: 2*n*(n-1)*m connectors.  Pool size
+  2*n*n*m, dense.
 - random_system(seed, bounds): arbitrary valid systems for differential
   tests, deterministic in the seed, built from terms and atoms.
 """

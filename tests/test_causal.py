@@ -2,8 +2,9 @@
 
 import itertools
 import random
+import time
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from portsync.boolfunc import models
 from portsync.causal import (
@@ -162,8 +163,18 @@ _terms = st.recursive(
 ).map(_fresh_ports)
 
 
+# [[x0' x1 x2' x3' x4] [x5 x6' x7 x8']]: 9 ports and 336 interactions, but
+# the product of its roots' choice counts is far larger, so a walk over
+# every combination of root choices takes seconds
+_TWO_FUSIONS = Fusion((
+    syn(Fusion((trig(p("x0")), syn(p("x1")), trig(p("x2")), trig(p("x3")), syn(p("x4"))))),
+    syn(Fusion((syn(p("x5")), trig(p("x6")), syn(p("x7")), trig(p("x8"))))),
+))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_terms)
+@example(_TWO_FUSIONS)
 def test_nary_tree_and_rules_match_interactions(term):
     tree = tau(term)
     assert ct_interactions(tree) == interactions_of(term)
@@ -179,3 +190,32 @@ def test_empty_labels_pass_causality_through():
     rules, root_clause = causal_rules(tau(Fusion((trig(p("p")), syn(one_s)))))
     assert rules == (CausalRule("s", frozenset({frozenset({"p"})})),)
     assert root_clause == frozenset({"p"})
+
+
+def test_tree_interactions_merge_equal_unions():
+    start = time.process_time()
+    got = ct_interactions(tau(_TWO_FUSIONS))
+    assert time.process_time() - start < 1.0
+    assert got == interactions_of(_TWO_FUSIONS) and len(got) == 336
+
+
+def test_an_empty_labelled_root_selected_alone_counts():
+    # [1' s]: the trigger 1 fires alone as the empty interaction
+    one_s = Fusion((trig(OneLeaf()), syn(p("s"))))
+    want = {frozenset(), frozenset({"s"})}
+    assert interactions_of(one_s) == want and ct_interactions(tau(one_s)) == want
+
+
+def test_closed_forms_of_twelve_factors():
+    rs = [f"r{i}" for i in range(1, 13)]
+    subsets = {frozenset(c) for k in range(13) for c in itertools.combinations(rs, k)}
+    # s' r1 ... r12: s with any subset of the receivers
+    broadcast = Fusion((trig(p("s")), *(syn(p(r)) for r in rs)))
+    want = {frozenset({"s"}) | r for r in subsets}
+    assert len(want) == 2 ** 12
+    assert interactions_of(broadcast) == want and ct_interactions(tau(broadcast)) == want
+    # r1' ... r12': every nonempty subset
+    triggers = Fusion(tuple(trig(p(r)) for r in rs))
+    want = subsets - {frozenset()}
+    assert len(want) == 2 ** 12 - 1
+    assert interactions_of(triggers) == want and ct_interactions(tau(triggers)) == want

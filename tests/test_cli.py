@@ -214,3 +214,23 @@ class TestUsageErrors:
         assert main(["gen", "random", "--max-atoms", "1", "--max-states", "1", "--max-ports", "1",
                      "--max-depth", "0", "--out", str(out)]) == EXIT_OK
         assert load(str(out)).atoms
+
+
+class TestUnwritableOutput:
+    """A file that cannot be written is a diagnostic, not a traceback."""
+
+    def _diagnosed(self, argv, capsys):
+        assert main(argv) == EXIT_DIAGNOSTICS
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_gen_out(self, tmp_path, capsys):
+        self._diagnosed(["gen", "bus", "--n", "1",
+                         "--out", str(tmp_path / "no-dir" / "x.bip-lite")], capsys)
+
+    def test_bench_out(self, tmp_path, capsys):
+        self._diagnosed(["bench", "bus", "--n", "1", "--steps", "5", "--reps", "1",
+                         "--engine", "enum", "--out", str(tmp_path / "no-dir" / "x.csv")], capsys)
+
+    def test_run_trace(self, model_file, tmp_path, capsys):
+        self._diagnosed(["run", model_file, "--steps", "2",
+                         "--trace", str(tmp_path / "no-dir" / "x.csv")], capsys)
