@@ -12,7 +12,8 @@ its module:
 - bdd: a standalone hash-consed ROBDD kernel (`BddManager`).
 - model: atoms, connectors, priorities, `SystemModel`, `validate` and
   the explicit semantics (`survivors`, `step`, `reachable`).
-- dsl: the textual model format (`parse`, `serialize`, `load`, `save`).
+- dsl: the textual model format (`parse`, `serialize`, `load`, `save`)
+  and its one atom writer (`atom_lines`), which the families share.
 - enumerative: the engine over the materialized pool (`EnumEngine`).
 - symbolic: the BDD encoding and its engine (`SymbolicEngine`).
 - equivalence: the exhaustive check that the engines agree.

@@ -150,9 +150,14 @@ def _cmd_bench(args) -> int:
 
 def _cmd_stats(args) -> int:
     system = _load(args.file)
-    counts = build(system).node_counts()
+    enc = build(system)
+    counts, m = enc.node_counts(), enc.manager
+    # the pool is f_C's models over the ports, counted without listing one:
+    # model text cannot write the constants, so no connector admits the
+    # empty interaction
+    pool = m.sat_count(enc.connector_fn) >> len(m.variables) - len(system.all_ports)
     print(f"system {system.name}: {len(system.atoms)} atoms, "
-          f"{len(system.all_ports)} ports, {len(system.gamma)} pool interactions")
+          f"{len(system.all_ports)} ports, {pool} pool interactions")
     for key in ("fb_nodes", "fc_nodes", "fs_nodes", "fp_nodes"):
         print(f"{key}={counts[key]}")
     return EXIT_OK

@@ -19,13 +19,15 @@ The constants 0/1 of the connector algebra have no surface syntax.
 Parsing is total: any input either yields a validated SystemModel or a
 DslError carrying line/column diagnostics.  `serialize` inverts `parse`
 up to whitespace: parse(serialize(m)) == m for any valid model.
+`serialize` and the built-in families (`generators`) write an atom's
+declaration lines through one function, `atom_lines`.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NoReturn, Optional
+from typing import Iterable, NoReturn, Optional
 
 from .connectors import AcTerm, Factor, Fusion, PortLeaf, fusion
 from .model import (
@@ -267,19 +269,23 @@ def load(path: str) -> SystemModel:
 # -- serialization ----------------------------------------------------
 
 
-def _term_text(term: AcTerm) -> str:
+def _term_text(term: AcTerm, factor: bool = False) -> str:
+    """`term` as written, in brackets where it is a fusion written as a factor."""
     if isinstance(term, PortLeaf):
         return term.port
     if isinstance(term, Fusion):
-        return " ".join(_factor_text(f) for f in term.factors)
+        text = " ".join(_term_text(f.term, True) + "'" * f.trigger for f in term.factors)
+        return f"[{text}]" if factor else text
     raise DslError([DslDiagnostic(0, 0, f"term {term!r} has no surface syntax")])
 
 
-def _factor_text(f: Factor) -> str:
-    mark = "'" if f.trigger else ""
-    if isinstance(f.term, PortLeaf):
-        return f.term.port + mark
-    return f"[{_term_text(f.term)}]{mark}"
+def atom_lines(name: str, ports: Iterable[str], states: Iterable[str], init: str, trans: Iterable[tuple]) -> list[str]:
+    """The declaration lines of an atom, indented as in a system block;
+    each transition is (source, label as written, target).  Callers:
+    `serialize` and the built-in families (`generators`)."""
+    marked = ", ".join(s + " init" if s == init else s for s in states)
+    return [f"  atom {name} {{", f"    ports {', '.join(ports)};", f"    states {marked};",
+            *(f"    trans {src} -[ {label} ]-> {dst};" for src, label, dst in trans), "  }"]
 
 
 def _priority_text(priority) -> str:
@@ -296,14 +302,8 @@ def _priority_text(priority) -> str:
 def serialize(system: SystemModel) -> str:
     lines = [f"system {system.name} {{"]
     for atom in system.atoms:
-        lines.append(f"  atom {atom.name} {{")
-        lines.append(f"    ports {', '.join(atom.ports)};")
-        marked = ", ".join(s + " init" if s == atom.init else s for s in atom.states)
-        lines.append(f"    states {marked};")
-        for t in atom.transitions:
-            label = ", ".join(sorted(t.label))
-            lines.append(f"    trans {t.source} -[ {label} ]-> {t.target};")
-        lines.append("  }")
+        lines += atom_lines(atom.name, atom.ports, atom.states, atom.init,
+                            [(t.source, ", ".join(sorted(t.label)), t.target) for t in atom.transitions])
     for conn in system.connectors:
         lines.append(f"  connector {conn.name} = {_term_text(conn.term)};")
     if system.priority is not None:

@@ -1,8 +1,9 @@
 """Built-in model families and a seeded random model generator.
 
-The three families are written as model text (`dsl`), one declaration
-per line, and parsed, so each is validated when it is built; `portsync
-gen` writes that text back out.
+The three families are written as model text, one declaration per
+line, and parsed, so each is validated when it is built; each atom's
+lines come from `dsl.atom_lines`, which `serialize` uses too, and
+`portsync gen` writes that text back out.
 
 - modulo8: three two-state counters chained by one connector whose
   causal depth makes the pool {p, pqr, pqrst, pqrstu}; with maximal
@@ -27,7 +28,7 @@ from dataclasses import dataclass, replace
 from itertools import permutations
 
 from .connectors import AcTerm, Factor, PortLeaf, fusion
-from .dsl import parse
+from .dsl import atom_lines, parse
 from .model import (
     AtomicBehavior,
     Connector,
@@ -42,9 +43,7 @@ from .model import (
 def _atom(name: str, ports: list[str], states: list[str], trans: list[tuple[str, str, str]]) -> list[str]:
     """The declaration lines of an atom whose first state is its initial
     one; each transition is (source, label as written, target)."""
-    marked = ", ".join(s + " init" if k == 0 else s for k, s in enumerate(states))
-    return [f"atom {name} {{", f"ports {', '.join(ports)};", f"states {marked};",
-            *(f"trans {src} -[ {label} ]-> {dst};" for src, label, dst in trans), "}"]
+    return atom_lines(name, ports, states, states[0], trans)
 
 
 def _system(name: str, body: list[str]) -> SystemModel:

@@ -24,8 +24,9 @@ Atoms linked by a connector or an explicit priority pair form one
 independent component (`Component`), which is split into port groups:
 ports linked by a connector's support, an explicit pair or one transition
 label, where a group whose owners all own ports of another group merges
-into it (one union-find pass finds both).  Each group (`Group`) stands
-for its owners projected onto it (their ports and labels in the group).
+into it (one union-find over the ports and the atoms finds both).  Each
+group (`Group`) stands for its owners projected onto it (their ports and
+labels in the group).
 Groups that are copies of one another under an order-preserving renaming
 of their ports form a class: their signatures, written over the ranks of
 their ports, agree.  A class is one object (`GroupClass`) that its
@@ -157,37 +158,41 @@ def variable_order(system: SystemModel) -> tuple[str, ...]:
 
 def _partition(system: SystemModel) -> list[tuple[tuple[int, ...], tuple[tuple[str, ...], ...]]]:
     """Each independent component's atom indices and port groups, in atom
-    and port order, from one union-find pass over the ports.  Ports are
-    linked by a connector's support, by both sides of an explicit effective
-    pair and by one transition label.  A group whose owners all own ports
-    of another group merges into that group: every change of its key
-    changes the larger group's key too, so on its own it would only add a
-    table read to each miss.  The atoms that own ports of one kept group
-    form one component (maximal progress links nothing: a dominated
-    interaction lies inside its dominator's connector); a merged group
-    shares atoms with the group it merges into, so both are in one."""
+    and port order, from one union-find over the ports and the atoms.
+    Ports are linked by a connector's support, by both sides of an explicit
+    effective pair and by one transition label.  A group whose owners all
+    own ports of another group merges into that group: every change of its
+    key changes the larger group's key too, so on its own it would only add
+    a table read to each miss.  The atoms that own ports of one kept group
+    are then joined into one component (maximal progress links nothing: a
+    dominated interaction lies inside its dominator's connector); a merged
+    group shares atoms with the group it merges into, so both are in one."""
     ports, owner = system.all_ports, system.port_owner
-    at = {p: k for k, p in enumerate(ports)}
-    parent = list(range(len(ports)))  # each root is the least port of its group
+    node = {x: k for k, x in enumerate((*range(len(system.atoms)), *ports))}  # atom i is node i, then the ports
+    parent = list(range(len(node)))  # each root is the least node of its set
 
     def find(k: int) -> int:
         while parent[k] != k:
             parent[k] = k = parent[parent[k]]
         return k
 
+    def join(links: Iterable[Iterable]) -> None:
+        """Union the nodes of the ports or atoms of each link."""
+        for link in links:
+            roots = {find(node[x]) for x in link}
+            if len(roots) > 1:  # a link may be empty: a connector of constants has no ports
+                r = min(roots)
+                for x in roots:
+                    parent[x] = r
+
     links = [c.port_set for c in system.connectors]
     links += [t.label for atom in system.atoms for t in atom.transitions]
     if isinstance(system.priority, ExplicitPairs):
         links += [lo | hi for lo, hi in system.priority.closure]
-    for link in links:
-        roots = {find(at[p]) for p in link}
-        if len(roots) > 1:
-            r = min(roots)
-            for x in roots:
-                parent[x] = r
+    join(links)
     groups: dict[int, list[str]] = {}
-    for k, p in enumerate(ports):
-        groups.setdefault(find(k), []).append(p)
+    for p in ports:
+        groups.setdefault(find(node[p]), []).append(p)
     # the kept groups' owners and ports; a group is met after every group
     # that has more owners
     kept: list[tuple[frozenset[int], list[str]]] = []
@@ -198,17 +203,12 @@ def _partition(system: SystemModel) -> list[tuple[tuple[int, ...], tuple[tuple[s
             kept.append((owners, group))
         else:
             into[1].extend(group)
-    # atoms joined by a kept group, each labelled with the least atom of its component
-    label = list(range(len(system.atoms)))
-    for owners, _ in kept:
-        joined = {label[i] for i in owners}
-        if len(joined) > 1:
-            label = [min(joined) if k in joined else k for k in label]
-    parts: dict[int, tuple[list[int], list[tuple[str, ...]]]] = {c: ([], []) for c in dict.fromkeys(label)}
-    for i, c in enumerate(label):
-        parts[c][0].append(i)
-    for group in sorted((sorted(g, key=at.__getitem__) for _, g in kept), key=lambda g: at[g[0]]):
-        parts[label[owner[group[0]]]][1].append(tuple(group))
+    join(owners for owners, _ in kept)  # the atoms joined by a kept group form one component
+    parts: dict[int, tuple[list[int], list[tuple[str, ...]]]] = {}
+    for i in range(len(system.atoms)):
+        parts.setdefault(find(i), ([], []))[0].append(i)
+    for group in sorted((sorted(g, key=node.__getitem__) for _, g in kept), key=lambda g: node[g[0]]):
+        parts[find(owner[group[0]])][1].append(tuple(group))
     return [(tuple(atoms), tuple(kept)) for atoms, kept in parts.values()]
 
 

@@ -8,11 +8,14 @@ BDD references keep earlier, simpler versions of library routines, and
 the kernel operations that only tests need (`evaluate`, `support`, and
 `ite`, built from and/or/not as the kernel builds xor and implies).  One
 seeded system family (`hub_system`) gives components of several port
-groups, which the random generator almost never makes, and
-`moved_trigger` makes one of several isomorphic clusters differ from the
-others in one connector, and `with_outside_dominator` lists a dominator
-that no connector offers; the engine never builds a component's survivor
-function, which `joined_survivor_fn` builds from its groups' models.
+groups, which the random generator almost never makes; another
+(`cell_system`) copies one random cell under one connector plan, so that
+it reaches many states and builds orbits and components of several
+groups.  `moved_trigger` makes one of several isomorphic clusters differ
+from the others in one connector, and `with_outside_dominator` lists a
+dominator that no connector offers; the engine never builds a
+component's survivor function, which `joined_survivor_fn` builds from
+its groups' models.
 `reference_walk` is the breadth-first walk as first written, which reads
 every successor also past its bound.  `reference_enum_survivors` is the
 enumerative engine's priority filter as first written, which probes
@@ -192,6 +195,92 @@ def hub_system(seed):
         pairs = {tuple(rng.sample(pool, 2)) for pool in pools if len(pool) > 1 and rng.random() < 0.7}
         priority = ExplicitPairs(frozenset(pairs)) if pairs else None
     return SystemModel(f"hub{seed}", tuple(atoms), tuple(connectors), priority)
+
+
+def cell_system(seed):
+    """A seeded random system of one cell copied two to four times under
+    one connector plan, which moves through many states and builds orbits
+    and components of several port groups, as `random_system` almost
+    never does.  A cell is one or two atoms of two to four states on a
+    cycle, with up to two more transitions.  Most seeds add a hub atom
+    whose ports fall into h parts, fewer than the copies, each part alike
+    in ports and transitions; copy c uses part c mod h.  Copies that share
+    a part form one port group, in which they can be swapped, and each
+    part's group joins the hub's component.  Each label of a cell atom
+    gets a connector, alone or fused with a label of the other cell atom,
+    a hub label of the copy's part, or both, each factor a trigger at
+    random.  Half the seeds run under maximal progress, and some others
+    under explicit pairs drawn alike in every copy."""
+    rng = random.Random(seed)
+    copies = rng.randint(2, 4)
+    parts = rng.randint(1, copies - 1) if rng.random() < 0.8 else 0
+
+    def moves(n_ports, n_states, extra):
+        """A cycle through the states, then `extra` more transitions, each
+        (source, label, target) over state and port indices."""
+        ends = [(j, (j + 1) % n_states) for j in range(n_states)]
+        ends += [(rng.randrange(n_states), rng.randrange(n_states)) for _ in range(extra)]
+        return [(s, frozenset(rng.sample(range(n_ports), rng.randint(1, n_ports))), t) for s, t in ends]
+
+    # per cell atom, and for the hub's parts: the port count, the state count and the moves
+    cell = [(n, q, moves(n, q, rng.randint(0, 2))) for n, q in
+            ((rng.randint(1, 2), rng.randint(2, 4)) for _ in range(rng.randint(1, 2)))]
+    hub = None
+    if parts:
+        n, q = rng.randint(1, 2), rng.randint(1, 3)
+        hub = n, q, moves(n, q, rng.randint(0, 2))
+
+    def labels(mv):
+        return list(dict.fromkeys(lbl for _, lbl, _ in mv))
+
+    def drawn(keys):
+        return [(key, rng.random() < 0.5) for key in keys], rng.random() < 0.5
+
+    # per connector, its factors, each its port keys and triggers: ("c", k, i)
+    # is cell atom k's port i, ("h", i) the port i of the copy's hub part
+    plan = []
+    for k, (_, _, mv) in enumerate(cell):
+        for lbl in labels(mv):
+            factors = [drawn([("c", k, i) for i in sorted(lbl)])]
+            if len(cell) == 2 and rng.random() < 0.4:
+                factors.append(drawn([("c", 1 - k, i) for i in sorted(rng.choice(labels(cell[1 - k][2])))]))
+            if hub and rng.random() < 0.7:
+                factors.append(drawn([("h", i) for i in sorted(rng.choice(labels(hub[2])))]))
+            plan.append(factors)
+
+    def name(key, c):
+        return f"c{key[1]}p{key[2]}_{c}" if key[0] == "c" else f"h{c % parts}p{key[1]}"
+
+    def term(factors, c):
+        return fusion(Factor(fusion(Factor(PortLeaf(name(key, c)), trig) for key, trig in keys), outer)
+                      for keys, outer in factors)
+
+    def atom(atom_name, q, ports, mv):
+        states = tuple(f"q{j}" for j in range(q))
+        trans = dict.fromkeys(Transition(states[s], frozenset(ports[i] for i in lbl), states[t]) for s, lbl, t in mv)
+        return AtomicBehavior(atom_name, states, states[0], tuple(ports), tuple(trans))
+
+    atoms = [atom(f"C{k}_{c}", q, [name(("c", k, i), c) for i in range(n)], mv)
+             for c in range(copies) for k, (n, q, mv) in enumerate(cell)]
+    if hub:
+        n, q, mv = hub
+        atoms.append(atom("H", q, [name(("h", i), h) for h in range(parts) for i in range(n)],
+                          [(s, frozenset(h * n + i for i in lbl), t) for h in range(parts) for s, lbl, t in mv]))
+    connectors = [Connector(f"x{j}_{c}", term(factors, c)) for c in range(copies) for j, factors in enumerate(plan)]
+    priority, roll = None, rng.random()
+    if roll < 0.5:
+        priority = MaximalProgress()
+    elif roll < 0.8:  # pairs over the first copy's pool, renamed onto every copy
+        keys = {name(key, 0): key for factors in plan for keys, _ in factors for key, _ in keys}
+        pool = sorted(set().union(*(interactions_of(term(f, 0)) for f in plan)) - {frozenset()}, key=interaction_key)
+        pairs = set()
+        for _ in range(rng.randint(1, 3) if len(pool) > 1 else 0):
+            lo, hi = rng.sample(pool, 2)
+            alike = {tuple(frozenset(name(keys[p], c) for p in a) for a in (lo, hi)) for c in range(copies)}
+            if all(a != b for a, b in ExplicitPairs(frozenset(pairs | alike)).closure):
+                pairs |= alike
+        priority = ExplicitPairs(frozenset(pairs)) if pairs else None
+    return SystemModel(f"cell{seed}", tuple(atoms), tuple(connectors), priority)
 
 
 def moved_trigger(system, name):

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -157,6 +158,19 @@ class TestStatsAndGen:
         assert out.splitlines() == [
             "system modulo8: 3 atoms, 6 ports, 4 pool interactions",
             "fb_nodes=21", "fc_nodes=9", "fs_nodes=23", "fp_nodes=26"]
+
+    def test_stats_counts_a_pool_too_large_to_list(self, tmp_path, capsys):
+        # a broadcast c = s' r0 ... r39: a pool of 2^40, counted from f_C
+        k = 40
+        atoms = [f"atom R{i} {{ ports r{i}; states a init, b; trans a -[ r{i} ]-> b; }}" for i in range(k)]
+        text = "\n".join(["system broadcast {", "atom S { ports s; states a init; trans a -[ s ]-> a; }", *atoms,
+                           f"connector c = s' {' '.join(f'r{i}' for i in range(k))};", "}"])
+        path = tmp_path / "broadcast.bip-lite"
+        path.write_text(text)
+        start = time.process_time()
+        assert main(["stats", str(path)]) == EXIT_OK
+        assert time.process_time() - start < 1.0
+        assert capsys.readouterr().out.splitlines()[0] == "system broadcast: 41 atoms, 41 ports, 1099511627776 pool interactions"
 
     def test_gen_bus_then_run(self, tmp_path):
         path = tmp_path / "bus.bip-lite"

@@ -9,6 +9,7 @@ from pathlib import Path
 import portsync
 from portsync import equivalence
 from portsync.connectors import Factor, Fusion, OneLeaf, PortLeaf
+from portsync.dsl import parse, serialize
 from portsync.enumerative import EnumEngine
 from portsync.equivalence import check_equivalence
 from portsync.generators import gen_bus, gen_tasks, modulo8, random_system
@@ -24,7 +25,7 @@ from portsync.model import (
 )
 from portsync.symbolic import SymbolicEngine, SystemEncoding, build
 
-from oracles import moved_trigger, reference_walk, with_outside_dominator
+from oracles import cell_system, moved_trigger, reference_walk, with_outside_dominator
 
 
 def test_modulo8_equivalent(mod8):
@@ -173,6 +174,25 @@ def test_random_systems_equivalent():
     for seed in range(15):
         report = check_equivalence(random_system(seed), bound=2000)
         assert report.equivalent, report.summary()
+
+
+def test_cell_systems_move_and_check_equivalent():
+    # the copied-cell family reaches many states and builds orbits and
+    # components of several groups, which `random_system` 0-119 never
+    # does: of seeds 0-119, 72 reach 50 states or more, 50 have a class
+    # with orbits and 29 a component of several groups; a `Group.orient`
+    # that returns the identity diverges on 23 of them
+    reaching, orbits, several = 0, 0, 0
+    for seed in range(120):
+        sysm = cell_system(seed)
+        assert parse(serialize(sysm)) == sysm
+        enc = build(sysm)
+        report = check_equivalence(sysm, bound=2000, encoding=enc)
+        assert report.equivalent, (seed, report.summary())
+        reaching += report.states_checked >= 50
+        orbits += any(g.cls.orbits for c in enc.components for g in c.groups)
+        several += any(len(c.groups) > 1 for c in enc.components)
+    assert reaching >= 70 and orbits >= 50 and several >= 25, (reaching, orbits, several)
 
 
 def test_random_pairs_with_a_dominator_outside_the_pool_equivalent():

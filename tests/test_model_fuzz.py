@@ -26,6 +26,8 @@ from portsync.model import (
     validate,
 )
 
+from oracles import cell_system
+
 LOOSE = "u"  # a port no atom owns
 ONE, ZERO = OneLeaf(), ZeroLeaf()
 FUZZ = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -171,3 +173,9 @@ def test_every_built_model_is_refused_or_checks_equivalent(sysm):
             serialize(sysm)
     else:
         assert parse(serialize(sysm)) == sysm
+
+
+def test_every_cell_system_is_refused_or_checks_equivalent():
+    # the copied-cell family, whose systems move, through the property above
+    for seed in range(120):
+        test_every_built_model_is_refused_or_checks_equivalent.hypothesis.inner_test(cell_system(seed))
