@@ -13,7 +13,8 @@ its module:
 - model: atoms, connectors, priorities, `SystemModel`, `validate` and
   the explicit semantics (`survivors`, `step`, `reachable`).
 - dsl: the textual model format (`parse`, `serialize`, `load`, `save`)
-  and its one atom writer (`atom_lines`), which the families share.
+  and its one atom writer (`atom_lines`) and term writer (`term_text`),
+  which the generators share.
 - enumerative: the engine over the materialized pool (`EnumEngine`).
 - symbolic: the BDD encoding and its engine (`SymbolicEngine`).
 - equivalence: the exhaustive check that the engines agree.

@@ -58,10 +58,12 @@ class BenchRecord:
 
 
 def make_system(example: str, n: int, m: Optional[int]) -> SystemModel:
+    """The built-in `example` of size n; tasks runs on m processors, bus
+    ignores m."""
     if example == "bus":
         return gen_bus(n)
     if example == "tasks":
-        return gen_tasks(n, m if m is not None else 1)
+        return gen_tasks(n, m)
     raise ValueError(f"unknown example {example!r} (expected one of {EXAMPLES})")
 
 

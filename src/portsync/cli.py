@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="time a built-in example")
     p_bench.add_argument("example", choices=bench_mod.EXAMPLES)
     p_bench.add_argument("--n", type=int, required=True)
-    p_bench.add_argument("--m", type=int, default=None)
+    p_bench.add_argument("--m", type=int, default=1)
     p_bench.add_argument("--engine", choices=("enum", "symbolic", "both"), default="both")
     p_bench.add_argument("--steps", type=int, default=10000)
     p_bench.add_argument("--seed", type=int, default=0)
@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("family", choices=(*bench_mod.EXAMPLES, "random"))
     p_gen.add_argument("--n", type=int, default=2)
     p_gen.add_argument("--m", type=int, default=1)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_at_least(0), default=0)
     p_gen.add_argument("--max-atoms", type=_at_least(1), default=3)
     p_gen.add_argument("--max-states", type=_at_least(1), default=3)
     p_gen.add_argument("--max-ports", type=_at_least(1), default=2)

@@ -19,8 +19,9 @@ The constants 0/1 of the connector algebra have no surface syntax.
 Parsing is total: any input either yields a validated SystemModel or a
 DslError carrying line/column diagnostics.  `serialize` inverts `parse`
 up to whitespace: parse(serialize(m)) == m for any valid model.
-`serialize` and the built-in families (`generators`) write an atom's
-declaration lines through one function, `atom_lines`.
+`serialize` and the generators (the built-in families and
+`random_system`) write an atom's declaration lines through one function,
+`atom_lines`, and a connector's term through one function, `term_text`.
 """
 
 from __future__ import annotations
@@ -232,22 +233,6 @@ class _Parser:
         return ExplicitPairs(frozenset(pairs))
 
 
-def _locations(system: SystemModel, text: str) -> dict[str, tuple[int, int]]:
-    """The line:col of the keyword that opens each atom, transition,
-    connector and priority clause of the parsed `text`, keyed by the
-    location `validate` gives it with its first blank a colon."""
-    marks: dict[str, list[tuple[int, int]]] = {}
-    for _, tok, line, col in _lex(text):
-        marks.setdefault(tok, []).append((line, col))
-    keys: dict[str, list[str]] = {"atom": [], "trans": [], "priority": ["priority"],
-                                  "connector": [f"connector:{c.name}" for c in system.connectors]}
-    for a in system.atoms:
-        keys["atom"].append(f"atom:{a.name}")
-        keys["trans"] += [f"atom:{a.name} trans #{n} {t.source}->{t.target}"
-                          for n, t in enumerate(a.transitions, 1)]
-    return {key: at for word, ks in keys.items() for key, at in zip(ks, marks.get(word, ()))}
-
-
 def parse(text: str) -> SystemModel:
     """Parse and validate; raises DslError with located diagnostics."""
     tokens = _TOKEN_RE.findall(text)
@@ -256,8 +241,11 @@ def parse(text: str) -> SystemModel:
     system = _Parser(text, tokens).system()
     diags = validate(system)
     if diags:
-        at = _locations(system, text)
-        raise DslError([DslDiagnostic(*at.get(d.location.replace(" ", ":", 1), (0, 0)), str(d)) for d in diags])
+        # each diagnostic sits at the keyword that opens its element
+        marks: dict[str, list[tuple[int, int]]] = {}
+        for _, tok, line, col in _lex(text):
+            marks.setdefault(tok, []).append((line, col))
+        raise DslError([DslDiagnostic(*(marks[d.at[0]][d.at[1]] if d.at else (0, 0)), str(d)) for d in diags])
     return system
 
 
@@ -269,12 +257,13 @@ def load(path: str) -> SystemModel:
 # -- serialization ----------------------------------------------------
 
 
-def _term_text(term: AcTerm, factor: bool = False) -> str:
-    """`term` as written, in brackets where it is a fusion written as a factor."""
+def term_text(term: AcTerm, factor: bool = False) -> str:
+    """`term` as written, in brackets where it is a fusion written as a
+    factor.  Callers: `serialize` and `generators.random_system`."""
     if isinstance(term, PortLeaf):
         return term.port
     if isinstance(term, Fusion):
-        text = " ".join(_term_text(f.term, True) + "'" * f.trigger for f in term.factors)
+        text = " ".join(term_text(f.term, True) + "'" * f.trigger for f in term.factors)
         return f"[{text}]" if factor else text
     raise DslError([DslDiagnostic(0, 0, f"term {term!r} has no surface syntax")])
 
@@ -282,7 +271,8 @@ def _term_text(term: AcTerm, factor: bool = False) -> str:
 def atom_lines(name: str, ports: Iterable[str], states: Iterable[str], init: str, trans: Iterable[tuple]) -> list[str]:
     """The declaration lines of an atom, indented as in a system block;
     each transition is (source, label as written, target).  Callers:
-    `serialize` and the built-in families (`generators`)."""
+    `serialize`, and the built-in families and `random_system`
+    (`generators`)."""
     marked = ", ".join(s + " init" if s == init else s for s in states)
     return [f"  atom {name} {{", f"    ports {', '.join(ports)};", f"    states {marked};",
             *(f"    trans {src} -[ {label} ]-> {dst};" for src, label, dst in trans), "  }"]
@@ -305,7 +295,7 @@ def serialize(system: SystemModel) -> str:
         lines += atom_lines(atom.name, atom.ports, atom.states, atom.init,
                             [(t.source, ", ".join(sorted(t.label)), t.target) for t in atom.transitions])
     for conn in system.connectors:
-        lines.append(f"  connector {conn.name} = {_term_text(conn.term)};")
+        lines.append(f"  connector {conn.name} = {term_text(conn.term)};")
     if system.priority is not None:
         lines.append(_priority_text(system.priority))
     lines.append("}")

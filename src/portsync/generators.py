@@ -1,9 +1,10 @@
 """Built-in model families and a seeded random model generator.
 
-The three families are written as model text, one declaration per
-line, and parsed, so each is validated when it is built; each atom's
-lines come from `dsl.atom_lines`, which `serialize` uses too, and
-`portsync gen` writes that text back out.
+Every model here is written as model text, one declaration per line,
+and parsed, so each is validated when it is built; each atom's lines
+come from `dsl.atom_lines` and each random connector's term from
+`dsl.term_text`, which `serialize` uses too, and `portsync gen` writes
+that text back out.
 
 - modulo8: three two-state counters chained by one connector whose
   causal depth makes the pool {p, pqr, pqrst, pqrstu}; with maximal
@@ -18,7 +19,8 @@ lines come from `dsl.atom_lines`, which `serialize` uses too, and
   task while resuming the other: 2*n*(n-1)*m connectors.  Pool size
   2*n*n*m, dense.
 - random_system(seed, bounds): arbitrary valid systems for differential
-  tests, deterministic in the seed, built from terms and atoms.
+  tests, deterministic in the seed: random atoms and fusion terms written
+  as text, then a priority drawn from the parsed pool.
 """
 
 from __future__ import annotations
@@ -28,16 +30,8 @@ from dataclasses import dataclass, replace
 from itertools import permutations
 
 from .connectors import AcTerm, Factor, PortLeaf, fusion
-from .dsl import atom_lines, parse
-from .model import (
-    AtomicBehavior,
-    Connector,
-    ExplicitPairs,
-    MaximalProgress,
-    Priority,
-    SystemModel,
-    Transition,
-)
+from .dsl import atom_lines, parse, term_text
+from .model import ExplicitPairs, MaximalProgress, Priority, SystemModel
 
 
 def _atom(name: str, ports: list[str], states: list[str], trans: list[tuple[str, str, str]]) -> list[str]:
@@ -132,43 +126,34 @@ def random_monomial_term(rng: random.Random, ports: list[str], max_depth: int) -
 
 
 def random_system(seed: int, bounds: RandomBounds = RandomBounds()) -> SystemModel:
-    """Deterministic pseudo-random valid system."""
+    """Deterministic pseudo-random valid system, named `random<seed>` (so
+    the seed is at least 0): its atoms and connectors are written as
+    model text and parsed, then a priority is drawn from the parsed pool."""
     rng = random.Random(seed)
     n_atoms = rng.randint(1, bounds.max_atoms)
-    atoms: list[AtomicBehavior] = []
+    lines: list[str] = []
     all_ports: list[str] = []
     for k in range(n_atoms):
         n_states = rng.randint(1, bounds.max_states)
-        states = tuple(f"q{k}_{j}" for j in range(n_states))
+        states = [f"q{k}_{j}" for j in range(n_states)]
         n_ports = rng.randint(1, bounds.max_ports)
-        ports = tuple(f"p{k}_{j}" for j in range(n_ports))
+        ports = [f"p{k}_{j}" for j in range(n_ports)]
         all_ports.extend(ports)
-        transitions: list[Transition] = []
+        trans: list[tuple[str, str, str]] = []
         for s in states:
             for _ in range(rng.randint(0, 2)):
                 target = rng.choice(states)
                 size = rng.randint(1, len(ports))
-                label = frozenset(rng.sample(ports, size))
-                transitions.append(Transition(s, label, target))
-        atoms.append(AtomicBehavior(
-            name=f"A{k}",
-            states=states,
-            init=states[0],
-            ports=ports,
-            transitions=tuple(dict.fromkeys(transitions)),
-        ))
-    connectors: list[Connector] = []
+                label = ", ".join(sorted(rng.sample(ports, size)))
+                trans.append((s, label, target))
+        # a label is written sorted, so a repeated transition repeats its text
+        lines += _atom(f"A{k}", ports, states, list(dict.fromkeys(trans)))
     for c in range(rng.randint(1, max(1, n_atoms))):
         k = rng.randint(1, min(6, len(all_ports)))
         chosen = rng.sample(all_ports, k)
         term = random_monomial_term(rng, chosen, bounds.max_depth)
-        connectors.append(Connector(f"c{c}", term))
-    system = SystemModel(
-        name=f"random{seed}",
-        atoms=tuple(atoms),
-        connectors=tuple(connectors),
-        priority=None,
-    )
+        lines.append(f"connector c{c} = {term_text(term)};")
+    system = parse("\n".join([f"system random{seed} {{", *lines, "}"]))
     priority: Priority = None
     roll = rng.random()
     if roll < 0.5:

@@ -19,8 +19,9 @@ import random
 import re
 import time
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
+from itertools import count
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .connectors import AcTerm, Interaction, interaction_key, interactions_of, template_of
@@ -50,6 +51,10 @@ class Diagnostic:
     invariant: str  # short name of the violated invariant
     location: str   # model element, e.g. "atom B1" or "connector x"
     message: str
+    # the element as the keyword that opens it in model text and its
+    # ordinal among that keyword's occurrences, e.g. ("connector", 1);
+    # None for the system.  Two elements may share a name, not a place.
+    at: Optional[tuple[str, int]] = field(default=None, compare=False)
 
     def __str__(self) -> str:
         return f"{self.location}: {self.message} [{self.invariant}]"
@@ -301,80 +306,82 @@ def _repeated(template: str) -> tuple[int, ...]:
 def _validate(system: SystemModel) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
 
-    def bad_name(kind: str, name: str, where: str) -> None:
-        diags.append(Diagnostic("name-format", where, f"{kind} name {name!r} is not an identifier"))
+    def bad_name(kind: str, name: str, where: str, at: Optional[tuple[str, int]]) -> None:
+        diags.append(Diagnostic("name-format", where, f"{kind} name {name!r} is not an identifier", at))
 
     if not _NAME_RE.match(system.name or ""):
-        bad_name("system", system.name, f"system {system.name!r}")
+        bad_name("system", system.name, f"system {system.name!r}", None)
 
     seen_atoms: set[str] = set()
     seen_ports: dict[str, str] = {}
-    for atom in system.atoms:
-        where = f"atom {atom.name}"
+    trans_ordinal = count()
+    for k, atom in enumerate(system.atoms):
+        where, at = f"atom {atom.name}", ("atom", k)
         if not _NAME_RE.match(atom.name or ""):
-            bad_name("atom", atom.name, where)
+            bad_name("atom", atom.name, where, at)
         if atom.name in seen_atoms:
-            diags.append(Diagnostic("unique-atom-names", where, "duplicate atom name"))
+            diags.append(Diagnostic("unique-atom-names", where, "duplicate atom name", at))
         seen_atoms.add(atom.name)
         if len(set(atom.states)) != len(atom.states):
-            diags.append(Diagnostic("unique-states", where, "duplicate state names"))
+            diags.append(Diagnostic("unique-states", where, "duplicate state names", at))
         if not atom.states:
-            diags.append(Diagnostic("nonempty-states", where, "atom has no states"))
+            diags.append(Diagnostic("nonempty-states", where, "atom has no states", at))
         for s in atom.states:
             if not _NAME_RE.match(s or ""):
-                bad_name("state", s, where)
+                bad_name("state", s, where, at)
         if atom.states and atom.init not in atom.states:
-            diags.append(Diagnostic("init-state", where, f"initial state {atom.init!r} not declared"))
+            diags.append(Diagnostic("init-state", where, f"initial state {atom.init!r} not declared", at))
         if len(set(atom.ports)) != len(atom.ports):
-            diags.append(Diagnostic("unique-ports", where, "duplicate port names within atom"))
+            diags.append(Diagnostic("unique-ports", where, "duplicate port names within atom", at))
         for p in atom.ports:
             if not _NAME_RE.match(p or ""):
-                bad_name("port", p, where)
+                bad_name("port", p, where, at)
             if p in seen_ports:
                 diags.append(Diagnostic(
                     "disjoint-ports", where,
-                    f"port {p!r} already owned by {seen_ports[p]}"))
+                    f"port {p!r} already owned by {seen_ports[p]}", at))
             else:
                 seen_ports[p] = atom.name
         state_set = set(atom.states)
         for n, t in enumerate(atom.transitions, 1):
             tw = f"{where} trans #{n} {t.source}->{t.target}"  # the n-th: endpoints may repeat
+            tat = ("trans", next(trans_ordinal))
             if t.source not in state_set or t.target not in state_set:
-                diags.append(Diagnostic("transition-endpoints", tw, "endpoint not a declared state"))
+                diags.append(Diagnostic("transition-endpoints", tw, "endpoint not a declared state", tat))
             if not t.label:
-                diags.append(Diagnostic("nonempty-label", tw, "transition label is empty"))
+                diags.append(Diagnostic("nonempty-label", tw, "transition label is empty", tat))
             if not t.label <= atom.port_set:
                 extra = sorted(t.label - atom.port_set)
-                diags.append(Diagnostic("label-ports", tw, f"label uses foreign ports {extra}"))
+                diags.append(Diagnostic("label-ports", tw, f"label uses foreign ports {extra}", tat))
 
     all_ports = set(seen_ports)
     seen_connectors: set[str] = set()
-    for conn in system.connectors:
-        where = f"connector {conn.name}"
+    for c, conn in enumerate(system.connectors):
+        where, at = f"connector {conn.name}", ("connector", c)
         if not _NAME_RE.match(conn.name or ""):
-            bad_name("connector", conn.name, where)
+            bad_name("connector", conn.name, where, at)
         if conn.name in seen_connectors:
-            diags.append(Diagnostic("unique-connector-names", where, "duplicate connector name"))
+            diags.append(Diagnostic("unique-connector-names", where, "duplicate connector name", at))
         seen_connectors.add(conn.name)
         unbound = sorted(conn.port_set - all_ports)
         if unbound:
-            diags.append(Diagnostic("bound-ports", where, f"unbound ports {unbound}"))
+            diags.append(Diagnostic("bound-ports", where, f"unbound ports {unbound}", at))
         term, ports = conn.template
-        diags += [Diagnostic("linear-term", where, f"port {ports[k]!r} named more than once") for k in _repeated(term)]
+        diags += [Diagnostic("linear-term", where, f"port {ports[k]!r} named more than once", at) for k in _repeated(term)]
 
-    pr, where = system.priority, "priority"
+    pr, where, at = system.priority, "priority", ("priority", 0)
     if not isinstance(pr, (MaximalProgress, ExplicitPairs, type(None))):
-        diags.append(Diagnostic("priority-kind", where, f"unknown priority kind {pr!r}"))
+        diags.append(Diagnostic("priority-kind", where, f"unknown priority kind {pr!r}", at))
     if isinstance(pr, ExplicitPairs):
         for lo, hi in pr.pairs:
             loose = sorted((lo | hi) - all_ports)
             if loose:
-                diags.append(Diagnostic("bound-ports", where, f"priority pair uses unbound ports {loose}"))
+                diags.append(Diagnostic("bound-ports", where, f"priority pair uses unbound ports {loose}", at))
             if lo == hi:
-                diags.append(Diagnostic("strict-order", where, f"reflexive pair on {sorted(lo)}"))
+                diags.append(Diagnostic("strict-order", where, f"reflexive pair on {sorted(lo)}", at))
         for lo, hi in pr.closure:
             if lo == hi:
-                diags.append(Diagnostic("strict-order", where, f"priority cycle through {sorted(lo)}"))
+                diags.append(Diagnostic("strict-order", where, f"priority cycle through {sorted(lo)}", at))
                 break
     return diags
 

@@ -25,7 +25,7 @@ parser as first written, over its located tokens.
 """
 
 import random
-from collections import deque
+from collections import defaultdict, deque
 from itertools import product
 from typing import NamedTuple
 
@@ -547,7 +547,9 @@ class _ReferenceParser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
-        self.locations: dict[str, tuple[int, int]] = {}
+        # the place of each atom, trans, connector and priority keyword,
+        # in the order of the text
+        self.places: defaultdict[str, list[tuple[int, int]]] = defaultdict(list)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -624,7 +626,7 @@ class _ReferenceParser:
     def atom(self) -> AtomicBehavior:
         kw = self.expect_keyword("atom")
         name_tok = self.expect_name()
-        self.locations[f"atom:{name_tok.text}"] = (kw.line, kw.col)
+        self.places["atom"].append((kw.line, kw.col))
         self.expect_punct("{")
         self.expect_keyword("ports")
         port_toks = self.namelist()
@@ -651,7 +653,7 @@ class _ReferenceParser:
         assert init is not None
         transitions: list[Transition] = []
         while self.at_keyword("trans"):
-            transitions.append(self.trans(name_tok.text, len(transitions) + 1))
+            transitions.append(self.trans())
         self.expect_punct("}")
         return AtomicBehavior(
             name=name_tok.text,
@@ -661,8 +663,7 @@ class _ReferenceParser:
             transitions=tuple(transitions),
         )
 
-    def trans(self, atom: str, n: int) -> Transition:
-        """The atom's n-th transition, located as `validate` names it."""
+    def trans(self) -> Transition:
         kw = self.expect_keyword("trans")
         src = self.expect_name()
         self.expect_punct("-[")
@@ -670,13 +671,13 @@ class _ReferenceParser:
         self.expect_punct("]->")
         dst = self.expect_name()
         self.expect_punct(";")
-        self.locations[f"atom:{atom} trans #{n} {src.text}->{dst.text}"] = (kw.line, kw.col)
+        self.places["trans"].append((kw.line, kw.col))
         return Transition(source=src.text, label=frozenset(t.text for t in label), target=dst.text)
 
     def connector(self) -> Connector:
         kw = self.expect_keyword("connector")
         name_tok = self.expect_name()
-        self.locations[f"connector:{name_tok.text}"] = (kw.line, kw.col)
+        self.places["connector"].append((kw.line, kw.col))
         self.expect_punct("=")
         term = self.acterm()
         self.expect_punct(";")
@@ -710,7 +711,7 @@ class _ReferenceParser:
 
     def priority(self) -> MaximalProgress | ExplicitPairs:
         kw = self.expect_keyword("priority")
-        self.locations["priority"] = (kw.line, kw.col)
+        self.places["priority"].append((kw.line, kw.col))
         if self.at_keyword("maximal_progress"):
             self.next()
             self.expect_punct(";")
@@ -734,15 +735,16 @@ class _ReferenceParser:
 def reference_parse(text):
     """The DSL parser as first written, over `reference_lex`'s located
     tokens: the model, or DslError with the first syntax error or every
-    validation diagnostic at its element's keyword."""
+    validation diagnostic at its element's keyword: the occurrence of
+    that keyword that the diagnostic's `at` counts, or 0:0 for the
+    system."""
     parser = _ReferenceParser([_Token(*t) for t in reference_lex(text)])
     system = parser.system()
     diags = validate(system)
     if diags:
         located = []
         for d in diags:
-            key = d.location.replace(" ", ":", 1)
-            line, col = parser.locations.get(key, (0, 0))
+            line, col = parser.places[d.at[0]][d.at[1]] if d.at else (0, 0)
             located.append(DslDiagnostic(line, col, str(d)))
         raise DslError(located)
     return system
