@@ -57,7 +57,7 @@ class BenchRecord:
         return ",".join(map(cell, astuple(self)))
 
 
-def make_system(example: str, n: int, m: Optional[int]) -> SystemModel:
+def make_system(example: str, n: int, m: int = 1) -> SystemModel:
     """The built-in `example` of size n; tasks runs on m processors, bus
     ignores m."""
     if example == "bus":
@@ -78,7 +78,8 @@ def make_engine(system: SystemModel, engine: str, seed: int) -> Union[EnumEngine
 def bench(
     example: str,
     n: int,
-    m: Optional[int],
+    m: int = 1,
+    *,
     steps: int,
     seed: int,
     engine: str,

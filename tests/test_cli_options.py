@@ -1,7 +1,9 @@
 """Defaults and bounds of `portsync` options that the main CLI tests do
-not cover: `bench` records the size of the model it ran, and `gen`
+not cover: `bench` records the size of the model it ran, the library
+calls behind it default to one processor as the CLI does, and `gen`
 refuses a seed that would not name a system."""
 
+from portsync.bench import bench, make_system
 from portsync.cli import EXIT_DIAGNOSTICS, EXIT_OK, main
 
 
@@ -12,6 +14,12 @@ def test_bench_tasks_without_m_records_one_processor(tmp_path, capsys):
     assert code == EXIT_OK
     assert capsys.readouterr().out.startswith("tasks n=2 m=1 enum: ")
     assert out.read_text().splitlines()[1].split(",")[:4] == ["tasks", "enum", "2", "1"]
+
+
+def test_library_calls_default_to_one_processor():
+    assert make_system("tasks", 2).name == "tasks2x1"
+    rec = bench("tasks", 2, steps=10, seed=0, engine="enum")
+    assert (rec.n, rec.m, rec.steps) == (2, 1, 10)
 
 
 def test_gen_random_refuses_a_negative_seed(tmp_path, capsys):

@@ -43,6 +43,11 @@ def test_median_interval_reads_the_binomial_order_statistics():
     assert pair.median_interval([1.25] * 6, 0.95) == (1.25, 1.25)
 
 
+def test_rounds_are_the_fewest_whose_range_holds_three_workloads():
+    level = 1 - 0.05 / 24
+    assert 2 * 0.5 ** pair.ROUNDS <= 1 - level < 2 * 0.5 ** (pair.ROUNDS - 1)
+
+
 def test_verdict_needs_the_change_apart_from_base_and_copy():
     assert pair.verdict((1.05, 1.10), (1.02, 1.08), "lower") == "loss"
     assert pair.verdict((1.05, 1.10), (1.02, 1.08), "higher") == "gain"

@@ -2,15 +2,17 @@
 
 Run from the repository root:
 
-    python tools/pair.py BASE CHANGE [--rounds 10] [--workload NAME ...] [--seed 1]
+    python tools/pair.py BASE CHANGE [--workload NAME ...]
 
 BASE and CHANGE are each a directory or a git revision of this
 repository.  Each side is copied into a temporary directory with a
 random name: a directory by copying its files, a revision by `git
 archive`.  The base is copied twice, so a third arm, the copy, runs the
-base's code from another directory.
+base's code from another directory.  The output names each side by the
+commit it resolves to, and a directory also by whether `git status`
+lists changes in it.
 
-Each round has one seed (`--seed` plus the round's index) and runs
+Each of `ROUNDS` rounds has one seed, its number (1 to 10), and runs
 `perfbench/run.py --trace 0` once per workload in each arm, in an order
 that cycles through the six orders of the three arms.  Each process gets
 an environment variable of random length, so that layout effects of the
@@ -64,6 +66,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# the fewest rounds whose range of ratios holds the median at the level
+# of three workloads' 24 intervals: 2 * 0.5 ** 10 <= 0.05 / 24
+ROUNDS = 10
 ARMS = ("base", "change", "copy")
 ORDERS = list(itertools.permutations(ARMS))
 LEVEL = 0.95  # of all the intervals of one arm together
@@ -141,6 +146,23 @@ def compare(values: dict[str, list[float]], better: str, level: float) -> dict:
 # -- runs -------------------------------------------------------------
 
 
+def git(where: Path | str, *args: str) -> str | None:
+    """The output of `git -C where args`, or None if git fails there."""
+    done = subprocess.run(["git", "-C", str(where), *args], capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def describe(spec: str) -> dict:
+    """The tree `spec` names: a revision by its commit; a directory by its
+    path, the commit it has checked out (None outside git) and whether
+    `git status` lists changes in it."""
+    if not Path(spec).is_dir():
+        return {"revision": spec, "commit": git(ROOT, "rev-parse", "--verify", "--quiet", spec + "^{commit}")}
+    commit = git(spec, "rev-parse", "HEAD")
+    return {"directory": str(Path(spec).resolve()), "commit": commit,
+            "uncommitted": None if commit is None else git(spec, "status", "--porcelain") != ""}
+
+
 def materialize(spec: str, dest: Path) -> None:
     """Copy the tree `spec`, a directory or a git revision, into `dest`."""
     if Path(spec).is_dir():
@@ -169,19 +191,18 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, rng: random.R
     return result
 
 
-def measure(bench: dict, trees: dict[str, Path], workloads: list[str], rounds: int,
-            first_seed: int) -> tuple[dict, dict]:
+def measure(bench: dict, trees: dict[str, Path], workloads: list[str]) -> tuple[dict, dict]:
     """Per workload, arm and end-to-end metric, the value of each round
     (None where the run failed); and per workload and arm, the failed runs."""
     rng = random.Random()
     names = [m["name"] for m in bench["end_to_end"]]
     values = {w: {arm: {m: [] for m in names} for arm in ARMS} for w in workloads}
     failed = {w: dict.fromkeys(ARMS, 0) for w in workloads}
-    for r in range(rounds):
+    for r in range(ROUNDS):
         for w in workloads:
             for arm in ORDERS[r % len(ORDERS)]:
-                print(f"pair: round {r + 1}/{rounds} {w} {arm}", file=sys.stderr)
-                result = run_once(trees[arm], w, first_seed + r, bench["run_seconds"], rng)
+                print(f"pair: round {r + 1}/{ROUNDS} {w} {arm}", file=sys.stderr)
+                result = run_once(trees[arm], w, r + 1, bench["run_seconds"], rng)
                 failed[w][arm] += result is None
                 for m in names:
                     metric = result and result["metrics"].get(m)
@@ -189,15 +210,14 @@ def measure(bench: dict, trees: dict[str, Path], workloads: list[str], rounds: i
     return values, failed
 
 
-def report(bench: dict, values: dict, failed: dict, args) -> dict:
+def report(bench: dict, values: dict, failed: dict, base: dict, change: dict) -> dict:
     level = 1 - (1 - LEVEL) / (len(values) * len(bench["end_to_end"]))
     workloads = {}
     for w, arms in values.items():
         metrics = {m["name"]: compare({arm: arms[arm][m["name"]] for arm in ARMS}, m["better"], level)
                    for m in bench["end_to_end"]}
         workloads[w] = {"failed_runs": failed[w], "metrics": metrics, "values": arms}
-    return {"base": args.base, "change": args.change, "rounds": args.rounds,
-            "seeds": [args.seed + r for r in range(args.rounds)],
+    return {"base": base, "change": change, "rounds": ROUNDS, "seeds": list(range(1, ROUNDS + 1)),
             "intervals": {"family_level": LEVEL, "interval_level": level},
             "machine": {"cpus": os.cpu_count(), "processor": platform.processor() or platform.machine(),
                         "python": platform.python_version()},
@@ -209,21 +229,21 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base", help="a directory or a git revision")
     ap.add_argument("change", help="a directory or a git revision")
-    ap.add_argument("--rounds", type=int, default=10)
     ap.add_argument("--workload", action="append", choices=[w["name"] for w in bench["workloads"]],
                     help="a workload to run (repeatable; default: every workload)")
-    ap.add_argument("--seed", type=int, default=1, help="the first round's seed")
     args = ap.parse_args(argv)
-    if args.rounds < 2:
-        ap.error("--rounds must be at least 2")
+    sides = [describe(spec) for spec in (args.base, args.change)]
+    for side in sides:
+        if "revision" in side and side["commit"] is None:
+            ap.error(f"{side['revision']} is neither a directory nor a git revision")
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     with tempfile.TemporaryDirectory(prefix="pair-") as top:
         trees = {}
         for arm, spec in zip(ARMS, (args.base, args.change, args.base)):
             trees[arm] = Path(tempfile.mkdtemp(dir=top))
             materialize(spec, trees[arm])
-        values, failed = measure(bench, trees, workloads, args.rounds, args.seed)
-    print(json.dumps(report(bench, values, failed, args), indent=1))
+        values, failed = measure(bench, trees, workloads)
+    print(json.dumps(report(bench, values, failed, *sides), indent=1))
     return 0
 
 
