@@ -245,7 +245,7 @@ def parse(text: str) -> SystemModel:
         marks: dict[str, list[tuple[int, int]]] = {}
         for _, tok, line, col in _lex(text):
             marks.setdefault(tok, []).append((line, col))
-        raise DslError([DslDiagnostic(*(marks[d.at[0]][d.at[1]] if d.at else (0, 0)), str(d)) for d in diags])
+        raise DslError([DslDiagnostic(*marks[d.at[0]][d.at[1]], str(d)) for d in diags])
     return system
 
 

@@ -52,8 +52,8 @@ class Diagnostic:
     location: str   # model element, e.g. "atom B1" or "connector x"
     message: str
     # the element as the keyword that opens it in model text and its
-    # ordinal among that keyword's occurrences, e.g. ("connector", 1);
-    # None for the system.  Two elements may share a name, not a place.
+    # ordinal among that keyword's occurrences, e.g. ("connector", 1) or
+    # ("system", 0).  Two elements may share a name, not a place.
     at: Optional[tuple[str, int]] = field(default=None, compare=False)
 
     def __str__(self) -> str:
@@ -306,11 +306,11 @@ def _repeated(template: str) -> tuple[int, ...]:
 def _validate(system: SystemModel) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
 
-    def bad_name(kind: str, name: str, where: str, at: Optional[tuple[str, int]]) -> None:
+    def bad_name(kind: str, name: str, where: str, at: tuple[str, int]) -> None:
         diags.append(Diagnostic("name-format", where, f"{kind} name {name!r} is not an identifier", at))
 
     if not _NAME_RE.match(system.name or ""):
-        bad_name("system", system.name, f"system {system.name!r}", None)
+        bad_name("system", system.name, f"system {system.name!r}", ("system", 0))
 
     seen_atoms: set[str] = set()
     seen_ports: dict[str, str] = {}

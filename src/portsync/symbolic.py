@@ -51,7 +51,12 @@ an owner position and an index among that owner's ports
 (`GroupClass.place`); a group takes the port at that index of the owner
 the sort's permutation puts at that position (`Group.orient`), or of the
 owner at that position where the class has no orbits
-(`Group.translate`, which the pick and `survivors` share).  An
+(`Group.translate`, which the pick and `survivors` share).  Without
+orbits a model's translation depends on the model alone, so each such
+group keeps a map from a model, as the set of the representative's true
+port names that `pick_sat` and `iter_models` give, to its interaction
+(`Group.by_model`), filled on first reads: it holds only the models a
+pick or `survivors` has read.  An
 interaction and its dominators lie in one group, so a component's
 survivors are the disjoint union of its groups'.  Their join is never
 built: a component counts the sum of their counts; its pick draws a
@@ -87,15 +92,18 @@ keeps no table: `survivor_fn` only computes the function.  `survivors`
 `survivors` to read an entry lists its models once and keeps them in
 it, each as the places of its ports, so that no later read maps a port
 name again.  Where the class has no orbits, a group's translation of
-that list through its own owners' ports depends on the entry alone: the
-group's first read keeps it in the entry, keyed by the group, and every
-later read of the entry by that group, at any state, reuses it, so an
-entry holds at most one such list per group of its class, each as long
-as its models.  Where the class has orbits, the owners' permutation
-changes from state to state, and each read translates the places
-through the permuted owners' ports.  Only `survivors` reads these
-lists; the step never does: its pick maps the one model it draws to
-places.  The engine keeps
+that list depends on the entry alone: the group's first read builds it
+through the group's map and keeps it in the entry, keyed by the group,
+and every later read of the entry by that group, at any state, reuses
+it, so an entry holds at most one such list per group of its class,
+each as long as its models.  Where the class has orbits, the owners'
+permutation changes from state to state, and each read translates the
+places through the permuted owners' ports.  Only `survivors` reads
+these lists; the step never does.  Its pick reads the one model it
+draws in the group's map, which translates it only on a miss, so the
+step and `survivors` hand out one object per interaction; where the
+class has orbits, it maps the model to places and translates them
+through the permuted owners' ports.  The engine keeps
 each component's group entries from its last step and the sum of their
 counts; a fired interaction lies in the drawn component's ports, so the
 next step re-reads only that component's groups.  A step takes the
@@ -395,14 +403,17 @@ class GroupClass:
     over a group's ports (0 exactly when it is false), and once
     `Component.survivors` reads it its models, each as the places of its
     ports (`place`), and, where the class has no orbits, per group that
-    read it those models as its interactions]."""
+    read it those models as its interactions, the objects of the group's
+    map (`Group.by_model`)]."""
 
     def __init__(self, encoding: SystemEncoding, firsts: list[dict], orbits: tuple[tuple[int, ...], ...]):
         self.encoding, self.firsts, self.orbits = encoding, firsts, orbits
         self.digits, self.keys = _digits(firsts, orbits)
         self.table: dict[int, list] = {}
-        # each port's place: its owner position and its index among the owner's ports (`Group.translate`)
-        self.place = {p: (k, i) for k, atom in enumerate(encoding.system.atoms) for i, p in enumerate(atom.ports)}
+        # per owner position its ports, and each port's place: its owner
+        # position and its index among the owner's ports (`Group.translate`)
+        self.ports = tuple(atom.ports for atom in encoding.system.atoms)
+        self.place = {p: (k, i) for k, ports in enumerate(self.ports) for i, p in enumerate(ports)}
 
     def fill(self, state: GlobalState, key: int) -> list:
         """The entry at `key`, filled at the local state it stands for: the
@@ -420,8 +431,11 @@ class Group:
     class key, a `key_bits`-bit field of its component's packed sum
     (`Component`).  Each owner's state is read as the representative's
     first state with the same offer (`_group`).  `orient` is None where
-    the class has no orbits; `translate` reads each owner's ports, in
-    owner order."""
+    the class has no orbits, and then `by_model` maps each model of the
+    class's entries that a pick or `Component.survivors` has read, as the
+    set of the representative's true port names, to our interaction
+    (`interaction`); `translate` reads each owner's ports, in owner
+    order."""
 
     def __init__(self, system: SystemModel, cls: GroupClass, readers: tuple[tuple[int, dict[str, str]], ...]):
         self.system, self.cls, self._readers = system, cls, readers
@@ -430,6 +444,17 @@ class Group:
         self._ports = tuple(atom.ports for atom in system.atoms)  # per owner position
         if not cls.orbits:
             self.orient = None
+            self.by_model: dict[frozenset[str], Interaction] = {}
+
+    def interaction(self, model: frozenset[str]) -> Interaction:
+        """Where our class has no orbits: a model of its entries, as the
+        representative's true port names (`pick_sat`, `iter_models`), as
+        our interaction, translated on the first read and kept in
+        `by_model`, so that every later read returns the same object."""
+        a = self.by_model.get(model)
+        if a is None:
+            a = self.by_model[model] = self.translate(map(self.cls.place.__getitem__, model), None)
+        return a
 
     def canonical(self, state: GlobalState) -> GlobalState:
         """The local state our key stands for: each orbit's values sorted,
@@ -514,7 +539,9 @@ class Component:
         """Each group's models at its class entry, listed on the first read
         as the places of their ports (`GroupClass.place`), translated onto
         its ports.  Where the class has no orbits a group's translation
-        depends on the entry alone, so the entry keeps it per group."""
+        depends on the entry alone, so the entry keeps it per group, built
+        through the group's map (`Group.interaction`): each interaction is
+        the object the pick returns."""
         out: list[Interaction] = []
         for g, e in zip(self.groups, self.entries(state)):
             if len(e) < 3:
@@ -523,7 +550,8 @@ class Component:
             if g.orient is None:
                 mine = e[3].get(g)
                 if mine is None:
-                    mine = e[3][g] = [g.translate(m, None) for m in e[2]]
+                    names = g.cls.ports
+                    mine = e[3][g] = [g.interaction(frozenset([names[k][i] for k, i in m])) for m in e[2]]
                 out += mine
             else:
                 perm = g.orient(state)
@@ -534,11 +562,16 @@ class Component:
         """A uniform survivor at a state whose `entries` hold one: a group
         drawn by its count (`_draw`, with a coin whenever there are two or
         more groups), then a uniform model of its class entry, translated
-        onto its ports."""
+        onto its ports: read in the group's map where its class has no
+        orbits (`Group.by_model`, translated only on a miss), else oriented
+        at the state (`Group.orient`)."""
         k = _draw([e[1] for e in entries], rng) if len(entries) > 1 else 0
         g = self.groups[k]
-        ports = self.manager.pick_sat(entries[k][0], rng, g.cls.encoding.port_names)
-        return g.translate(map(g.cls.place.__getitem__, ports), g.orient and g.orient(state))
+        model = self.manager.pick_sat(entries[k][0], rng, g.cls.encoding.port_names)
+        if g.orient is None:
+            a = g.by_model.get(model)
+            return a if a is not None else g.interaction(model)
+        return g.translate(map(g.cls.place.__getitem__, model), g.orient(state))
 
 
 def _ranked(conn: Connector, rank: dict[str, int]) -> tuple:

@@ -547,8 +547,8 @@ class _ReferenceParser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
-        # the place of each atom, trans, connector and priority keyword,
-        # in the order of the text
+        # the place of each system, atom, trans, connector and priority
+        # keyword, in the order of the text
         self.places: defaultdict[str, list[tuple[int, int]]] = defaultdict(list)
 
     def peek(self) -> _Token:
@@ -600,8 +600,9 @@ class _ReferenceParser:
     # -- grammar ------------------------------------------------------
 
     def system(self) -> SystemModel:
-        self.expect_keyword("system")
+        kw = self.expect_keyword("system")
         name_tok = self.expect_name()
+        self.places["system"].append((kw.line, kw.col))
         self.expect_punct("{")
         atoms: list[AtomicBehavior] = []
         while self.at_keyword("atom"):
@@ -736,15 +737,13 @@ def reference_parse(text):
     """The DSL parser as first written, over `reference_lex`'s located
     tokens: the model, or DslError with the first syntax error or every
     validation diagnostic at its element's keyword: the occurrence of
-    that keyword that the diagnostic's `at` counts, or 0:0 for the
-    system."""
+    that keyword that the diagnostic's `at` counts."""
     parser = _ReferenceParser([_Token(*t) for t in reference_lex(text)])
     system = parser.system()
     diags = validate(system)
     if diags:
         located = []
         for d in diags:
-            line, col = parser.places[d.at[0]][d.at[1]] if d.at else (0, 0)
-            located.append(DslDiagnostic(line, col, str(d)))
+            located.append(DslDiagnostic(*parser.places[d.at[0]][d.at[1]], str(d)))
         raise DslError(located)
     return system

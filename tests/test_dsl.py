@@ -246,14 +246,15 @@ def test_parser_matches_the_reference_on_chosen_errors():
         assert len(expected) == 1 and expected[0][0] > 1
         assert _model_or_diagnostics(parse, text) == expected
     # each text parses but fails validation: every diagnostic sits at the
-    # keyword of the element it names, or at 0:0 for the system
+    # keyword of the element it names, the system's at `system`
     bad = [SMALL.replace("atom A", "atom A {\n ports x; states s init; }\n atom A"),
            SMALL.replace("= go;", "= stop;\n  connector c = go;"),
            SMALL.replace("trans on -[ go ]-> off;", "trans on -[ go ]-> nowhere;\n    trans on -[ go ]-> nowhere;"),
            SMALL.replace("states off init, on;", "states off init, off;"),
            serialize(gen_bus(2)).replace("c1_2", "c1_1"),
            _pairs_text().replace("< { b1_1, go1, p1_2 }", "< { b1_1, zz }"),
-           SMALL.replace("connector c = go;", "connector c = go;\n  priority { go } < { go };")]
+           SMALL.replace("connector c = go;", "connector c = go;\n  priority { go } < { go };"),
+           "system \u00e9 {\n atom A { ports p; states s init; }\n connector c = p;\n}"]
     for text in bad:
         expected = _model_or_diagnostics(reference_parse, text)
         assert isinstance(expected, list) and all(line > 0 for line, _, _ in expected[:1])

@@ -83,3 +83,34 @@ def test_six_rounds_balance_the_order_of_every_two_arms():
         for b in pair.ARMS:
             if a != b:
                 assert sum(order.index(a) < order.index(b) for order in pair.ORDERS) == 3
+
+
+# the `#` lines of a bus-run (2 cores, CPython 3.11.7), its JSON line cut short
+RUN_OUTPUT = """\
+# host speed factor per round: median 1.935, min 1.209, max 2.243 (REF_NS 3000000 ns)
+# setup_s                                          0.011655 s  (uncorrected 0.006883)
+# sym.steps_per_s                              59184.237002 1/s  (uncorrected 105091.574170)
+# sym.step_us.p95                                 30.385928 us  (uncorrected 17.055000)
+# enum.steps_per_s                             16431.525900 1/s  (uncorrected 29492.076898)
+# enum.step_us.p95                                83.989953 us  (uncorrected 46.954000)
+# enum.step_us.p50                                55.843207 us  (uncorrected 30.965000)
+# check_s                                          0.014671 s  (uncorrected 0.008427)
+# peak_rss_mb                                     41.859375 MB  (uncorrected 41.859375)
+# fail_rate 0.0 (0 failed of 28007 attempted)
+{"correct": true, "attempted": 28007, "failed": 0, "metrics": {"setup_s": {"value": 0.011655112985148677}}}
+"""
+
+
+def test_uncorrected_values_are_read_from_the_hash_lines_and_compared_apart():
+    assert pair.uncorrected(RUN_OUTPUT) == {
+        "setup_s": 0.006883, "sym.steps_per_s": 105091.57417, "sym.step_us.p95": 17.055,
+        "enum.steps_per_s": 29492.076898, "enum.step_us.p95": 46.954, "enum.step_us.p50": 30.965,
+        "check_s": 0.008427, "peak_rss_mb": 41.859375}
+    # the corrected values read no change, the uncorrected ones a loss
+    bench = {"end_to_end": [{"name": "check_s", "better": "lower"}]}
+    values = {"bus-run": {"base": {"check_s": BASE}, "change": {"check_s": COPY}, "copy": {"check_s": COPY}}}
+    raw = {"bus-run": {"base": {"check_s": BASE}, "change": {"check_s": SLOW}, "copy": {"check_s": COPY}}}
+    got = pair.report(bench, values, raw, {"bus-run": {}}, {}, {})["workloads"]["bus-run"]
+    assert got["metrics"]["check_s"]["verdict"] == pair.NO_CHANGE
+    assert got["uncorrected"]["check_s"]["verdict"] == "loss"
+    assert got["uncorrected_values"] == raw["bus-run"]

@@ -1323,3 +1323,35 @@ def test_kept_survivor_lists_agree_at_every_reachable_state():
         kept += sum(len(e[3]) for enc in encodings for g in port_groups_of(enc) for e in g.cls.table.values()
                     if len(e) > 3)
     assert kept > 100
+
+
+def test_orbit_free_groups_hand_out_one_object_per_interaction():
+    # where a class has no orbits, each group maps a model of its class's
+    # entries, keyed as `pick_sat` and `iter_models` give it, to its own
+    # interaction (`Group.by_model`): a pick translates a model only on its
+    # first read, and `survivors` lists the same objects that the step fires
+    mapped = 0
+    for sysm in (gen_bus(3), *map(random_system, range(120))):
+        engine = SymbolicEngine(sysm, seed=5)
+        trace = engine.run(500)
+        enc = engine.encoding
+        assert check_equivalence(sysm, encoding=enc).equivalent
+        state = sysm.initial_state()
+        for a, after in trace.steps:
+            assert a in survivors(sysm, state)
+            assert any(x is a for x in enc.survivors(state)), (sysm.name, state, a)
+            for c in enc.components:
+                entries = c.entries(state)
+                if any(e[1] for e in entries):
+                    first = c.pick(state, entries, random.Random(1))
+                    assert c.pick(state, entries, random.Random(1)) is first
+            state = after
+        groups = port_groups_of(enc)
+        assert all(g.orient is None for g in groups)
+        for g in groups:
+            ours = set(g.system.all_ports)
+            assert all(a in sysm.gamma and a <= ours for a in g.by_model.values())
+            place = g.cls.place.__getitem__
+            assert all(g.translate(map(place, m), None) == a for m, a in g.by_model.items())
+        mapped += sum(len(g.by_model) for g in groups)
+    assert mapped > 100

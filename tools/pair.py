@@ -20,12 +20,15 @@ environment and the directory (Mytkowicz et al., ASPLOS 2009) become
 variance that the copy arm sees too.
 
 For each end-to-end metric of `BENCHMARK.json`, the last line of each
-run gives one value.  Change over base and copy over base are compared
-by the paired ratios of the same round: their median, the rounds in
-which the arm is better (by the metric's `better` direction; ties count
-for neither), and a distribution-free interval of the median, read from
-the sorted ratios (the binomial order-statistic interval; a bootstrap
-of ten pairs covers less than it claims, see `median_interval`).  The k
+run gives one value, corrected for the host's speed by perfbench, and
+its `#` line gives the uncorrected value; the two are compared apart,
+each the same way (under "metrics" and "uncorrected").  Change over
+base and copy over base are compared by the paired ratios of the same
+round: their median, the rounds in which the arm is better (by the
+metric's `better` direction; ties count for neither), and a
+distribution-free interval of the median, read from the sorted ratios
+(the binomial order-statistic interval; a bootstrap of ten pairs covers
+less than it claims, see `median_interval`).  The k
 intervals of one arm hold together at 95 %: each is read at
 1 - 0.05 / k, k being the metrics times the workloads (Bonferroni), so
 that the same code run against itself leaves x1.00 in each of the
@@ -57,6 +60,7 @@ import math
 import os
 import platform
 import random
+import re
 import shutil
 import statistics
 import subprocess
@@ -74,6 +78,8 @@ ORDERS = list(itertools.permutations(ARMS))
 LEVEL = 0.95  # of all the intervals of one arm together
 PAD_MAX = 4096  # characters of the environment pad
 NO_CHANGE = "no change at this resolution"
+# a perfbench `#` line that gives a metric's value without the host-speed correction
+UNCORRECTED = re.compile(r"^# (\S+) +\S+ \S+  \(uncorrected (\S+)\)$", re.MULTILINE)
 
 
 # -- statistics -------------------------------------------------------
@@ -175,8 +181,14 @@ def materialize(spec: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
+def uncorrected(stdout: str) -> dict[str, float]:
+    """Per metric, the uncorrected value that a benchmark run's `#` lines give."""
+    return {name: float(value) for name, value in UNCORRECTED.findall(stdout)}
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float, rng: random.Random) -> dict | None:
-    """The last-line JSON of one benchmark run, or None if it failed."""
+    """The last-line JSON of one benchmark run, with its `#` lines'
+    uncorrected values under "uncorrected", or None if it failed."""
     env = dict(os.environ, PAIR_PAD="x" * rng.randrange(PAD_MAX))
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
@@ -188,15 +200,17 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, rng: random.R
     if done.returncode != 0 or result is None or not result["correct"]:
         print(f"pair: {' '.join(cmd)} in {tree} failed:\n{done.stderr}", file=sys.stderr)
         return None
-    return result
+    return result | {"uncorrected": uncorrected(done.stdout)}
 
 
-def measure(bench: dict, trees: dict[str, Path], workloads: list[str]) -> tuple[dict, dict]:
+def measure(bench: dict, trees: dict[str, Path], workloads: list[str]) -> tuple[dict, dict, dict]:
     """Per workload, arm and end-to-end metric, the value of each round
-    (None where the run failed); and per workload and arm, the failed runs."""
+    (None where the run failed), corrected and uncorrected; and per
+    workload and arm, the failed runs."""
     rng = random.Random()
     names = [m["name"] for m in bench["end_to_end"]]
     values = {w: {arm: {m: [] for m in names} for arm in ARMS} for w in workloads}
+    raw = {w: {arm: {m: [] for m in names} for arm in ARMS} for w in workloads}
     failed = {w: dict.fromkeys(ARMS, 0) for w in workloads}
     for r in range(ROUNDS):
         for w in workloads:
@@ -207,16 +221,21 @@ def measure(bench: dict, trees: dict[str, Path], workloads: list[str]) -> tuple[
                 for m in names:
                     metric = result and result["metrics"].get(m)
                     values[w][arm][m].append(metric["value"] if metric else None)
-    return values, failed
+                    raw[w][arm][m].append(result and result["uncorrected"].get(m))
+    return values, raw, failed
 
 
-def report(bench: dict, values: dict, failed: dict, base: dict, change: dict) -> dict:
+def report(bench: dict, values: dict, raw: dict, failed: dict, base: dict, change: dict) -> dict:
+    """The comparison of every workload's metrics, corrected and
+    uncorrected, each set's intervals holding together at `LEVEL`."""
     level = 1 - (1 - LEVEL) / (len(values) * len(bench["end_to_end"]))
-    workloads = {}
-    for w, arms in values.items():
-        metrics = {m["name"]: compare({arm: arms[arm][m["name"]] for arm in ARMS}, m["better"], level)
-                   for m in bench["end_to_end"]}
-        workloads[w] = {"failed_runs": failed[w], "metrics": metrics, "values": arms}
+
+    def rows(arms: dict) -> dict:
+        return {m["name"]: compare({arm: arms[arm][m["name"]] for arm in ARMS}, m["better"], level)
+                for m in bench["end_to_end"]}
+
+    workloads = {w: {"failed_runs": failed[w], "metrics": rows(values[w]), "uncorrected": rows(raw[w]),
+                     "values": values[w], "uncorrected_values": raw[w]} for w in values}
     return {"base": base, "change": change, "rounds": ROUNDS, "seeds": list(range(1, ROUNDS + 1)),
             "intervals": {"family_level": LEVEL, "interval_level": level},
             "machine": {"cpus": os.cpu_count(), "processor": platform.processor() or platform.machine(),
@@ -242,8 +261,8 @@ def main(argv: list[str] | None = None) -> int:
         for arm, spec in zip(ARMS, (args.base, args.change, args.base)):
             trees[arm] = Path(tempfile.mkdtemp(dir=top))
             materialize(spec, trees[arm])
-        values, failed = measure(bench, trees, workloads)
-    print(json.dumps(report(bench, values, failed, *sides), indent=1))
+        values, raw, failed = measure(bench, trees, workloads)
+    print(json.dumps(report(bench, values, raw, failed, *sides), indent=1))
     return 0
 
 
