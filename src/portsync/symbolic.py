@@ -46,17 +46,18 @@ keys need; each key is taken out of the sum by shift and mask (a
 one-group component's is the sum itself).  On a miss the class fills the
 entry (`GroupClass.fill`) at the local state the key stands for, each
 orbit's values sorted (`Group.canonical`).  A model of the entry's
-function is read as the places of its ports in the representative, each
-an owner position and an index among that owner's ports
-(`GroupClass.place`); a group takes the port at that index of the owner
-the sort's permutation puts at that position (`Group.orient`), or of the
-owner at that position where the class has no orbits
-(`Group.translate`, which the pick and `survivors` share).  Without
-orbits a model's translation depends on the model alone, so each such
-group keeps a map from a model, as the set of the representative's true
-port names that `pick_sat` and `iter_models` give, to its interaction
-(`Group.by_model`), filled on first reads: it holds only the models a
-pick or `survivors` has read.  An
+function, the set of the representative's true port names that
+`pick_sat` and `iter_models` give, is read onto a group in one of two
+ways.  Where the class has no orbits, the group reads each name through
+its own port map (`Group.port_map`), from the representative's ports to
+its own, which line up because the signature fixes each owner position's
+port ranks; the translation depends on the model alone, so the group
+keeps each model it has read with its interaction (`Group.by_model`),
+which the pick and `survivors` share.  Where the class has orbits, the
+model is read as the places of its ports, each an owner position and an
+index among that owner's ports (`GroupClass.place`), and the group takes
+the port at that index of the owner the sort's permutation puts at that
+position (`Group.orient`, `Group.translate`).  An
 interaction and its dominators lie in one group, so a component's
 survivors are the disjoint union of its groups'.  Their join is never
 built: a component counts the sum of their counts; its pick draws a
@@ -90,20 +91,19 @@ keeps no table: `survivor_fn` only computes the function.  `survivors`
 (which `check` reads) and the step read the same entries, and enter
 `survivor_fn` only through a class's fill on a miss.  The first
 `survivors` to read an entry lists its models once and keeps them in
-it, each as the places of its ports, so that no later read maps a port
-name again.  Where the class has no orbits, a group's translation of
-that list depends on the entry alone: the group's first read builds it
-through the group's map and keeps it in the entry, keyed by the group,
-and every later read of the entry by that group, at any state, reuses
-it, so an entry holds at most one such list per group of its class,
-each as long as its models.  Where the class has orbits, the owners'
-permutation changes from state to state, and each read translates the
-places through the permuted owners' ports.  Only `survivors` reads
-these lists; the step never does.  Its pick reads the one model it
-draws in the group's map, which translates it only on a miss, so the
-step and `survivors` hand out one object per interaction; where the
-class has orbits, it maps the model to places and translates them
-through the permuted owners' ports.  The engine keeps
+it: as names where the class has no orbits, as the places of their
+ports where it has.  Without orbits a group's reading of that list
+depends on the entry alone: the group's first read maps it through
+`Group.by_model` and keeps it in the entry, keyed by the group, and
+every later read of the entry by that group, at any state, reuses it, so
+an entry holds at most one such list per group of its class, each as
+long as its models.  With orbits the owners' permutation changes from
+state to state, and each read translates the places through the
+permuted owners' ports.  Only `survivors` reads these lists; the step
+never does.  Its pick reads the one model it draws in the group's
+`by_model`, which maps it only on a miss, so the step and `survivors`
+hand out one object per interaction; where the class has orbits, it
+reads the model's places through the permuted owners' ports.  The engine keeps
 each component's group entries from its last step and the sum of their
 counts; a fired interaction lies in the drawn component's ports, so the
 next step re-reads only that component's groups.  A step takes the
@@ -398,22 +398,22 @@ class GroupClass:
     """Port groups that are copies of one another (`_group`): the first
     one's encoding, which encodes the class's functions; its owners' first
     state per offer; its orbits (`_orbits`); per owner position each
-    value's code and the number of keys (`_digits`); and the class's one
-    survivor table: key -> [survivor function, its number of survivors
-    over a group's ports (0 exactly when it is false), and once
-    `Component.survivors` reads it its models, each as the places of its
-    ports (`place`), and, where the class has no orbits, per group that
-    read it those models as its interactions, the objects of the group's
-    map (`Group.by_model`)]."""
+    value's code and the number of keys (`_digits`); each port's place,
+    which a group of a class with orbits reads a model through; and the
+    class's one survivor table: key -> [survivor function, its number of
+    survivors over a group's ports (0 exactly when it is false), and once
+    `Component.survivors` reads it its models, as names where the class
+    has no orbits and as the places of their ports (`place`) where it has,
+    and, where it has none, per group that read it those models as its
+    interactions, the objects of the group's `Group.by_model`]."""
 
     def __init__(self, encoding: SystemEncoding, firsts: list[dict], orbits: tuple[tuple[int, ...], ...]):
         self.encoding, self.firsts, self.orbits = encoding, firsts, orbits
         self.digits, self.keys = _digits(firsts, orbits)
         self.table: dict[int, list] = {}
-        # per owner position its ports, and each port's place: its owner
-        # position and its index among the owner's ports (`Group.translate`)
-        self.ports = tuple(atom.ports for atom in encoding.system.atoms)
-        self.place = {p: (k, i) for k, ports in enumerate(self.ports) for i, p in enumerate(ports)}
+        # each port's place: its owner position and its index among the
+        # owner's ports (`Group.translate`)
+        self.place = {p: (k, i) for k, atom in enumerate(encoding.system.atoms) for i, p in enumerate(atom.ports)}
 
     def fill(self, state: GlobalState, key: int) -> list:
         """The entry at `key`, filled at the local state it stands for: the
@@ -430,30 +430,35 @@ class Group:
     and per owner its atom index and each state's code, whose sum is its
     class key, a `key_bits`-bit field of its component's packed sum
     (`Component`).  Each owner's state is read as the representative's
-    first state with the same offer (`_group`).  `orient` is None where
-    the class has no orbits, and then `by_model` maps each model of the
-    class's entries that a pick or `Component.survivors` has read, as the
-    set of the representative's true port names, to our interaction
-    (`interaction`); `translate` reads each owner's ports, in owner
-    order."""
+    first state with the same offer (`_group`).  Where the class has no
+    orbits, `orient` is None, `port_map` maps each of the representative's
+    ports to ours, and `by_model` maps each model of the class's entries
+    that a pick or `Component.survivors` has read, as the set of the
+    representative's true port names, to our interaction
+    (`interaction`).  Where it has orbits, `translate` reads each owner's
+    ports (`_ports`, in owner order) at the places of a model."""
 
     def __init__(self, system: SystemModel, cls: GroupClass, readers: tuple[tuple[int, dict[str, str]], ...]):
         self.system, self.cls, self._readers = system, cls, readers
         self.codes = tuple((j, {q: d[r] for q, r in reader.items()}) for (j, reader), d in zip(readers, cls.digits))
         self.key_bits = (cls.keys - 1).bit_length()
-        self._ports = tuple(atom.ports for atom in system.atoms)  # per owner position
-        if not cls.orbits:
+        if cls.orbits:
+            self._ports = tuple(atom.ports for atom in system.atoms)  # per owner position
+        else:
             self.orient = None
+            # the signature fixes each owner position's port ranks, so the
+            # representative's ports and ours line up in level order
+            self.port_map = dict(zip(cls.encoding.port_names, system.all_ports))
             self.by_model: dict[frozenset[str], Interaction] = {}
 
     def interaction(self, model: frozenset[str]) -> Interaction:
         """Where our class has no orbits: a model of its entries, as the
         representative's true port names (`pick_sat`, `iter_models`), as
-        our interaction, translated on the first read and kept in
-        `by_model`, so that every later read returns the same object."""
+        our interaction, read through `port_map` on the first read and kept
+        in `by_model`, so that every later read returns the same object."""
         a = self.by_model.get(model)
         if a is None:
-            a = self.by_model[model] = self.translate(map(self.cls.place.__getitem__, model), None)
+            a = self.by_model[model] = frozenset(map(self.port_map.__getitem__, model))
         return a
 
     def canonical(self, state: GlobalState) -> GlobalState:
@@ -472,13 +477,11 @@ class Group:
                 perm[k] = at
         return perm
 
-    def translate(self, places: Iterable[tuple[int, int]], perm: Optional[list[int]]) -> Interaction:
-        """A model of our class entry, given as the places of its ports
-        (`GroupClass.place`), as ours: the i-th port of owner position k
-        is owner perm[k]'s i-th, owner k's where `perm` is None."""
+    def translate(self, places: Iterable[tuple[int, int]], perm: list[int]) -> Interaction:
+        """Where our class has orbits: a model of its entry, given as the
+        places of its ports (`GroupClass.place`), as ours: the i-th port of
+        owner position k is owner perm[k]'s i-th."""
         ports = self._ports
-        if perm is None:
-            return frozenset([ports[k][i] for k, i in places])
         return frozenset([ports[perm[k]][i] for k, i in places])
 
 
@@ -536,22 +539,23 @@ class Component:
         return out
 
     def survivors(self, state: GlobalState) -> list[Interaction]:
-        """Each group's models at its class entry, listed on the first read
-        as the places of their ports (`GroupClass.place`), translated onto
-        its ports.  Where the class has no orbits a group's translation
-        depends on the entry alone, so the entry keeps it per group, built
-        through the group's map (`Group.interaction`): each interaction is
-        the object the pick returns."""
+        """Each group's models at its class entry, listed once on the first
+        read and read onto its ports.  Where the class has no orbits the
+        entry lists them as names, and a group's reading depends on the
+        entry alone, so the entry keeps it per group, built through
+        `Group.interaction`: each interaction is the object the pick
+        returns.  Where it has orbits the entry lists them as the places
+        of their ports (`GroupClass.place`), translated at each read
+        through the owners the state's sort permutes (`Group.translate`)."""
         out: list[Interaction] = []
         for g, e in zip(self.groups, self.entries(state)):
             if len(e) < 3:
-                place = g.cls.place.__getitem__
-                e += [[tuple(map(place, m)) for m in self.manager.iter_models(e[0], g.cls.encoding.port_names)], {}]
+                models = self.manager.iter_models(e[0], g.cls.encoding.port_names)
+                e += [[*models] if g.orient is None else [tuple(map(g.cls.place.__getitem__, m)) for m in models], {}]
             if g.orient is None:
                 mine = e[3].get(g)
                 if mine is None:
-                    names = g.cls.ports
-                    mine = e[3][g] = [g.interaction(frozenset([names[k][i] for k, i in m])) for m in e[2]]
+                    mine = e[3][g] = [*map(g.interaction, e[2])]
                 out += mine
             else:
                 perm = g.orient(state)
@@ -561,10 +565,11 @@ class Component:
     def pick(self, state: GlobalState, entries: list[list], rng) -> Interaction:
         """A uniform survivor at a state whose `entries` hold one: a group
         drawn by its count (`_draw`, with a coin whenever there are two or
-        more groups), then a uniform model of its class entry, translated
-        onto its ports: read in the group's map where its class has no
-        orbits (`Group.by_model`, translated only on a miss), else oriented
-        at the state (`Group.orient`)."""
+        more groups), then a uniform model of its class entry, read onto
+        its ports: in `Group.by_model` where its class has no orbits
+        (through `Group.port_map` only on a miss), else as places
+        translated through the owners oriented at the state
+        (`Group.orient`, `Group.translate`)."""
         k = _draw([e[1] for e in entries], rng) if len(entries) > 1 else 0
         g = self.groups[k]
         model = self.manager.pick_sat(entries[k][0], rng, g.cls.encoding.port_names)

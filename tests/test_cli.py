@@ -214,7 +214,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("flag, value, least", [
         ("--max-atoms", "0", 1), ("--max-atoms", "-3", 1), ("--max-states", "0", 1),
-        ("--max-ports", "0", 1), ("--max-depth", "-1", 0)])
+        ("--max-ports", "0", 1), ("--max-depth", "-1", 0), ("--seed", "-1", 0)])
     def test_gen_random_bound_below_least(self, tmp_path, capsys, flag, value, least):
         out = tmp_path / "r.bip-lite"
         assert main(["gen", "random", flag, value, "--out", str(out)]) == EXIT_DIAGNOSTICS

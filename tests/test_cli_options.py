@@ -1,10 +1,9 @@
-"""Defaults and bounds of `portsync` options that the main CLI tests do
-not cover: `bench` records the size of the model it ran, the library
-calls behind it default to one processor as the CLI does, and `gen`
-refuses a seed that would not name a system."""
+"""Defaults of `portsync` options that the main CLI tests do not cover:
+`bench` records the size of the model it ran, and the library calls
+behind it default to one processor as the CLI does."""
 
 from portsync.bench import bench, make_system
-from portsync.cli import EXIT_DIAGNOSTICS, EXIT_OK, main
+from portsync.cli import EXIT_OK, main
 
 
 def test_bench_tasks_without_m_records_one_processor(tmp_path, capsys):
@@ -21,11 +20,3 @@ def test_library_calls_default_to_one_processor():
     rec = bench("tasks", 2, steps=10, seed=0, engine="enum")
     assert (rec.n, rec.m, rec.steps) == (2, 1, 10)
 
-
-def test_gen_random_refuses_a_negative_seed(tmp_path, capsys):
-    # the seed names the system (`random<seed>`), and `random-1` is no name
-    out = tmp_path / "r.bip-lite"
-    assert main(["gen", "random", "--seed", "-1", "--out", str(out)]) == EXIT_DIAGNOSTICS
-    captured = capsys.readouterr()
-    assert "argument --seed: must be at least 0, not -1" in captured.err
-    assert captured.out == "" and not out.exists()

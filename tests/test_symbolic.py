@@ -757,6 +757,21 @@ def _classes(enc):
     return list(classes.values())
 
 
+def _read_model(g, model, perm):
+    """A model of `g`'s class entry, as the representative's true port
+    names, read onto g's ports as the engine reads it: where the class has
+    no orbits through `Group.interaction`, whose result is checked against
+    the places of the model's ports (`GroupClass.place`) read through g's
+    own owners; else through `Group.translate`, the owners permuted by
+    `perm`."""
+    place = g.cls.place.__getitem__
+    if g.orient is None:
+        a = g.interaction(model)
+        assert a == frozenset([g.system.atoms[k].ports[i] for k, i in map(place, model)])
+        return a
+    return g.translate(map(place, model), perm)
+
+
 def test_isomorphic_groups_form_one_class():
     # every port group of the benchmark's systems is a copy of the first
     # under an order-preserving rename of its ports
@@ -764,9 +779,8 @@ def test_isomorphic_groups_form_one_class():
         (members,) = _classes(build(sysm))
         assert len(members) == n
         rep, other = members[0].cls.encoding, members[-1]
-        m, unmoved = rep.manager, other.orient and list(range(len(rep.system.atoms)))
-        place = other.cls.place.__getitem__
-        assert {other.translate(map(place, a), unmoved) for a in m.iter_models(rep.connector_fn, rep.port_names)} == \
+        m, unmoved = rep.manager, list(range(len(rep.system.atoms)))
+        assert {_read_model(other, a, unmoved) for a in m.iter_models(rep.connector_fn, rep.port_names)} == \
             set(m.iter_models(SystemEncoding(other.system, m).connector_fn, other.system.all_ports))
 
 
@@ -943,8 +957,8 @@ def test_copied_group_function_is_its_own_sub_systems():
                     sub, key = own[g], own_state(g, sysm, state)
                     if (sub.port_names, key) not in seen:
                         seen.add((sub.port_names, key))
-                        perm, place = g.orient and g.orient(state), g.cls.place.__getitem__
-                        assert {g.translate(map(place, a), perm) for a in m.iter_models(e[0], g.cls.encoding.port_names)} == \
+                        perm = g.orient and g.orient(state)
+                        assert {_read_model(g, a, perm) for a in m.iter_models(e[0], g.cls.encoding.port_names)} == \
                             set(m.iter_models(whole_survivor_fn(sub, key), sub.port_names))
         keys += len(seen)
     assert copies >= 10 and keys > 800
@@ -1261,10 +1275,11 @@ def test_symbolic_steps_never_enumerate_the_pool():
 
 
 def test_survivors_list_each_class_entry_once(monkeypatch):
-    # `Component.survivors` keeps an entry's models in it, each as the
-    # places of its ports (`GroupClass.place`): however many states and
-    # groups read an entry, it is enumerated once, and the step, which
-    # picks, enumerates none
+    # `Component.survivors` keeps an entry's models in it, as names where
+    # the class has no orbits and each as the places of its ports
+    # (`GroupClass.place`) where it has: however many states and groups
+    # read an entry, it is enumerated once, and the step, which picks,
+    # enumerates none
     for sysm in (gen_bus(3), gen_tasks(3, 2), pairs_written_out(gen_bus(3))):
         enc = build(sysm)
         listed = []
@@ -1273,7 +1288,8 @@ def test_survivors_list_each_class_entry_once(monkeypatch):
         report = check_equivalence(sysm, encoding=enc)
         entries = [(members[0].cls, e) for members in _classes(enc) for e in members[0].cls.table.values()]
         assert report.equivalent and len(listed) == len(entries) < report.states_checked
-        assert all(e[2] == [tuple(map(cls.place.__getitem__, m)) for m in iter_models(e[0], cls.encoding.port_names)]
+        assert all(e[2] == [m if not cls.orbits else tuple(map(cls.place.__getitem__, m))
+                            for m in iter_models(e[0], cls.encoding.port_names)]
                    for cls, e in entries)
         engine = SymbolicEngine(sysm, seed=3)
         monkeypatch.setattr(engine.encoding.manager, "iter_models", None)
@@ -1351,7 +1367,6 @@ def test_orbit_free_groups_hand_out_one_object_per_interaction():
         for g in groups:
             ours = set(g.system.all_ports)
             assert all(a in sysm.gamma and a <= ours for a in g.by_model.values())
-            place = g.cls.place.__getitem__
-            assert all(g.translate(map(place, m), None) == a for m, a in g.by_model.items())
+            assert all(_read_model(g, m, None) is a for m, a in list(g.by_model.items()))
         mapped += sum(len(g.by_model) for g in groups)
     assert mapped > 100
