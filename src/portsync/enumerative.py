@@ -25,14 +25,13 @@ from __future__ import annotations
 from itertools import compress
 from typing import Optional
 
-from .connectors import Interaction
+from .connectors import Interaction, interaction_key
 from .model import (
     Engine,
     GlobalState,
     SystemModel,
     ValidationError,
     _check_arity,
-    sorted_interactions,
     validate,
 )
 
@@ -44,7 +43,7 @@ class EnumEngine(Engine):
             raise ValidationError(diags)
         self.system = system
         self.seed = seed
-        self.pool: tuple[Interaction, ...] = sorted_interactions(system.gamma)
+        self.pool: tuple[Interaction, ...] = tuple(sorted(system.gamma, key=interaction_key))
         self.reset()
         # each atom's offered labels per state; `step` keeps their union at
         # the state it fired to as `_offer`
@@ -72,9 +71,9 @@ class EnumEngine(Engine):
         self.activity_checks = 0   # pool scans
         self.priority_checks = 0   # dominator activity probes
 
-    def survivors(self, state: Optional[GlobalState] = None, *, ordered: bool = False) -> frozenset[Interaction] | list[Interaction]:
-        """Active pool interactions not dominated by an active one; with
-        `ordered`, as a list in pool order.
+    def survivors(self, state: Optional[GlobalState] = None) -> list[Interaction]:
+        """Active pool interactions not dominated by an active one, as a
+        list in pool order.
 
         Tests every pool member against the state's offered labels: the
         set kept across steps at the state our last step fired to, else
@@ -102,7 +101,7 @@ class EnumEngine(Engine):
             if isdisjoint(inside) and not (outside and any(map(superset, outside))):
                 out.append(pool[i])
         self.priority_checks += checks
-        return out if ordered else frozenset(out)
+        return out
 
     def step(self) -> Optional[tuple[Interaction, GlobalState]]:
         """Fire one surviving interaction; None signals deadlock.  A survivor
@@ -110,7 +109,7 @@ class EnumEngine(Engine):
         labels of the state fired to are kept: those of the state fired
         from (kept, else built afresh) with the moved atoms' swapped."""
         state = self.state
-        survivors = self.survivors(ordered=True)
+        survivors = self.survivors()
         if not survivors:
             return None
         offer = self._offer if state is self._fired_to else self._offered(state)

@@ -35,7 +35,6 @@ class Divergence:
 
 @dataclass
 class EquivalenceReport:
-    system_name: str
     states_checked: int
     truncated: bool
     divergences: list[Divergence] = field(default_factory=list)
@@ -64,11 +63,11 @@ def check_equivalence(
 ) -> EquivalenceReport:
     enum_engine = EnumEngine(system)
     enc = encoding if encoding is not None else build(system)
-    report = EquivalenceReport(system_name=system.name, states_checked=0, truncated=False)
+    report = EquivalenceReport(states_checked=0, truncated=False)
 
     def expand(state: GlobalState) -> Iterable[GlobalState]:
         report.states_checked += 1
-        fire = enum_engine.survivors(state, ordered=True)
+        fire = enum_engine.survivors(state)
         from_enum, from_symbolic = frozenset(fire), enc.survivors(state)
         if from_enum != from_symbolic:
             report.divergences.append(Divergence(state, from_enum, from_symbolic))

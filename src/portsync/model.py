@@ -555,7 +555,3 @@ def reachable(system: SystemModel, bound: int = 100000) -> ReachableSet:
     Callers: five test files, as the reference walk."""
     return walk(system, bound, lambda s: (t for a in sorted(survivors(system, s), key=interaction_key)
                                           for t in sorted(successors(system, s, a))))
-
-
-def sorted_interactions(pool: Iterable[Interaction]) -> tuple[Interaction, ...]:
-    return tuple(sorted(pool, key=interaction_key))

@@ -42,10 +42,11 @@ counts each orbit's owners per value and holds each other owner's value
 component reads every group's key in one sum: per atom and state it
 keeps one code, the sum of the atom's codes in each of its groups, each
 shifted into that group's bit field, which is as wide as the group's
-keys need; each key is taken out of the sum by shift and mask (a
-one-group component's is the sum itself).  On a miss the class fills the
-entry (`GroupClass.fill`) at the local state the key stands for, each
-orbit's values sorted (`Group.canonical`).  A model of the entry's
+keys need; every key is taken out of the sum by shift and mask (a
+one-group component's field is at shift 0 and its mask covers the whole
+sum).  On a miss the class fills the entry (`GroupClass.fill`) at the
+local state the key stands for, each orbit's values sorted
+(`Group.canonical`).  A model of the entry's
 function, the set of the representative's true port names that
 `pick_sat` and `iter_models` give, is read onto a group in one of two
 ways.  Where the class has no orbits, the group reads each name through
@@ -55,13 +56,14 @@ port ranks; the translation depends on the model alone, so the group
 keeps each model it has read with its interaction (`Group.by_model`),
 which the pick and `survivors` share.  Where the class has orbits, the
 model is read as the places of its ports, each an owner position and an
-index among that owner's ports (`GroupClass.place`), and the group takes
-the port at that index of the owner the sort's permutation puts at that
-position (`Group.orient`, `Group.translate`).  An
-interaction and its dominators lie in one group, so a component's
-survivors are the disjoint union of its groups'.  Their join is never
-built: a component counts the sum of their counts; its pick draws a
-group by its count, then a uniform model of its entry
+index among that owner's ports (`GroupClass.place`, which only such a
+class builds), and the group takes the port at that index of the owner
+the sort's permutation puts at that position (`Group.orient`,
+`Group.translate`).  An interaction and its dominators lie in one
+group, so a component's survivors are the disjoint union of its
+groups'.  Their join is never built: a component counts the sum of their
+counts; its pick draws a group by its count, then a uniform model of its
+entry
 (`BddManager.pick_sat`).  Each function is built on first read, and the
 build reads only what a step reads: each class encoding's local
 behaviors, f_C and priority inputs.
@@ -94,23 +96,24 @@ keeps no table: `survivor_fn` only computes the function.  `survivors`
 it: as names where the class has no orbits, as the places of their
 ports where it has.  Without orbits a group's reading of that list
 depends on the entry alone: the group's first read maps it through
-`Group.by_model` and keeps it in the entry, keyed by the group, and
-every later read of the entry by that group, at any state, reuses it, so
-an entry holds at most one such list per group of its class, each as
-long as its models.  With orbits the owners' permutation changes from
-state to state, and each read translates the places through the
-permuted owners' ports.  Only `survivors` reads these lists; the step
-never does.  Its pick reads the one model it draws in the group's
-`by_model`, which maps it only on a miss, so the step and `survivors`
-hand out one object per interaction; where the class has orbits, it
-reads the model's places through the permuted owners' ports.  The engine keeps
-each component's group entries from its last step and the sum of their
-counts; a fired interaction lies in the drawn component's ports, so the
-next step re-reads only that component's groups.  A step takes the
-component of the one positive count, or draws one by its count, and
-picks a uniform survivor of it with coins from the engine's own
-generator; one helper (`_draw`) makes both weighted draws.  No primed
-behavior, primed connectors or pool-sized priority function is built.
+`Group.by_model` and keeps it in the entry's per-group dict, and every
+later read of the entry by that group, at any state, reuses it, so an
+entry holds at most one such list per group of its class, each as long
+as its models.  With orbits the owners' permutation changes from state
+to state, so the entry holds the places alone and each read translates
+them through the permuted owners' ports.  Only `survivors` reads these
+lists; the step never does.  Its pick reads the one model it draws in
+the group's `by_model`, which maps it only on a miss, so the step and
+`survivors` hand out one object per interaction; where the class has
+orbits, it reads the model's places through the permuted owners' ports.
+The engine keeps each component's group entries from its last step and
+the sum of their counts; a fired interaction lies in the drawn
+component's ports, so the next step re-reads only that component's
+groups.  A step takes the component of the one positive count, or draws
+one by its count, and picks a uniform survivor of it with coins from the
+engine's own generator; one helper (`_draw`) makes both weighted draws.
+No primed behavior, primed connectors or pool-sized priority function is
+built.
 """
 
 from __future__ import annotations
@@ -398,22 +401,24 @@ class GroupClass:
     """Port groups that are copies of one another (`_group`): the first
     one's encoding, which encodes the class's functions; its owners' first
     state per offer; its orbits (`_orbits`); per owner position each
-    value's code and the number of keys (`_digits`); each port's place,
-    which a group of a class with orbits reads a model through; and the
+    value's code and the number of keys (`_digits`); where it has orbits,
+    each port's place, which its groups read a model through; and the
     class's one survivor table: key -> [survivor function, its number of
     survivors over a group's ports (0 exactly when it is false), and once
-    `Component.survivors` reads it its models, as names where the class
-    has no orbits and as the places of their ports (`place`) where it has,
-    and, where it has none, per group that read it those models as its
-    interactions, the objects of the group's `Group.by_model`]."""
+    `Component.survivors` reads it: where the class has no orbits, its
+    models as names and a dict of each group that read them to those
+    models as its interactions, the objects of the group's
+    `Group.by_model`; where it has, its models as the places of their
+    ports (`place`)]."""
 
     def __init__(self, encoding: SystemEncoding, firsts: list[dict], orbits: tuple[tuple[int, ...], ...]):
         self.encoding, self.firsts, self.orbits = encoding, firsts, orbits
         self.digits, self.keys = _digits(firsts, orbits)
         self.table: dict[int, list] = {}
-        # each port's place: its owner position and its index among the
-        # owner's ports (`Group.translate`)
-        self.place = {p: (k, i) for k, atom in enumerate(encoding.system.atoms) for i, p in enumerate(atom.ports)}
+        # only a class with orbits reads each port's place: its owner
+        # position and its index among the owner's ports (`Group.translate`)
+        if orbits:
+            self.place = {p: (k, i) for k, atom in enumerate(encoding.system.atoms) for i, p in enumerate(atom.ports)}
 
     def fill(self, state: GlobalState, key: int) -> list:
         """The entry at `key`, filled at the local state it stands for: the
@@ -502,36 +507,35 @@ class Component:
     Each group's class key is a field of one packed integer: the sum over
     the component's owners of one code per (atom, state), that state's
     codes in every group, each shifted into its group's field.  A field is
-    as wide as its group's keys need, so no field carries into the next."""
+    as wide as its group's keys need, so no field carries into the next,
+    and every key is read by the same shift and mask, a lone group's too."""
 
     def __init__(self, groups: tuple[Group, ...], manager: BddManager):
         self.groups, self.manager = groups, manager
         packed: dict[int, dict[str, int]] = {}
-        fields = []
+        # per group: its field's shift and mask, its key's local state, its
+        # class table and its class, bound once so that a table hit looks up
+        # no attribute
+        readers = []
         shift = 0
         for g in groups:
             for j, code in g.codes:
                 into = packed.setdefault(j, dict.fromkeys(code, 0))
                 for q, c in code.items():
                     into[q] += c << shift
-            fields.append((shift, (1 << g.key_bits) - 1))
+            readers.append((shift, (1 << g.key_bits) - 1, g.canonical, g.cls.table, g.cls))
             shift += g.key_bits
-        self._codes = tuple(sorted(packed.items()))
-        # each group's field (no mask when the sum is the one group's key),
-        # its key's local state, its class table and its class, bound once
-        # so that a table hit looks up no attribute
-        self._readers = tuple((s, mask if len(groups) > 1 else None, g.canonical, g.cls.table, g.cls)
-                              for g, (s, mask) in zip(groups, fields))
+        self._codes, self._readers = tuple(sorted(packed.items())), tuple(readers)
 
     def entries(self, state: GlobalState) -> list[list]:
         """Each group's class-table entry at its key in a system state: one
         sum over the owners' packed codes, from which each group's key is
-        taken by shift and mask (a one-group component's is the sum); a miss
-        fills the entry at the local state the key stands for."""
+        taken by shift and mask; a miss fills the entry at the local state
+        the key stands for."""
         packed = sum([c[state[j]] for j, c in self._codes])
         out = []
         for shift, mask, canonical, table, cls in self._readers:
-            k = packed if mask is None else packed >> shift & mask
+            k = packed >> shift & mask
             e = table.get(k)
             if e is None:
                 e = cls.fill(canonical(state), k)
@@ -542,16 +546,17 @@ class Component:
         """Each group's models at its class entry, listed once on the first
         read and read onto its ports.  Where the class has no orbits the
         entry lists them as names, and a group's reading depends on the
-        entry alone, so the entry keeps it per group, built through
+        entry alone, so the entry keeps it in a dict by group, built through
         `Group.interaction`: each interaction is the object the pick
         returns.  Where it has orbits the entry lists them as the places
-        of their ports (`GroupClass.place`), translated at each read
-        through the owners the state's sort permutes (`Group.translate`)."""
+        of their ports (`GroupClass.place`) and nothing else; they are
+        translated at each read through the owners the state's sort
+        permutes (`Group.translate`)."""
         out: list[Interaction] = []
         for g, e in zip(self.groups, self.entries(state)):
             if len(e) < 3:
                 models = self.manager.iter_models(e[0], g.cls.encoding.port_names)
-                e += [[*models] if g.orient is None else [tuple(map(g.cls.place.__getitem__, m)) for m in models], {}]
+                e += [[*models], {}] if g.orient is None else [[tuple(map(g.cls.place.__getitem__, m)) for m in models]]
             if g.orient is None:
                 mine = e[3].get(g)
                 if mine is None:

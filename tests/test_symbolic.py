@@ -761,15 +761,16 @@ def _read_model(g, model, perm):
     """A model of `g`'s class entry, as the representative's true port
     names, read onto g's ports as the engine reads it: where the class has
     no orbits through `Group.interaction`, whose result is checked against
-    the places of the model's ports (`GroupClass.place`) read through g's
-    own owners; else through `Group.translate`, the owners permuted by
-    `perm`."""
-    place = g.cls.place.__getitem__
+    the places of the model's ports (each port's owner position and index
+    among that owner's ports, built here from the representative's atoms)
+    read through g's own owners; else through `Group.translate`, the
+    owners permuted by `perm`."""
     if g.orient is None:
+        place = {p: (k, i) for k, atom in enumerate(g.cls.encoding.system.atoms) for i, p in enumerate(atom.ports)}
         a = g.interaction(model)
-        assert a == frozenset([g.system.atoms[k].ports[i] for k, i in map(place, model)])
+        assert a == frozenset([g.system.atoms[k].ports[i] for k, i in map(place.__getitem__, model)])
         return a
-    return g.translate(map(place, model), perm)
+    return g.translate(map(g.cls.place.__getitem__, model), perm)
 
 
 def test_isomorphic_groups_form_one_class():
@@ -1277,9 +1278,9 @@ def test_symbolic_steps_never_enumerate_the_pool():
 def test_survivors_list_each_class_entry_once(monkeypatch):
     # `Component.survivors` keeps an entry's models in it, as names where
     # the class has no orbits and each as the places of its ports
-    # (`GroupClass.place`) where it has: however many states and groups
-    # read an entry, it is enumerated once, and the step, which picks,
-    # enumerates none
+    # (`GroupClass.place`, which only such a class has) where it has, with
+    # nothing after them: however many states and groups read an entry, it
+    # is enumerated once, and the step, which picks, enumerates none
     for sysm in (gen_bus(3), gen_tasks(3, 2), pairs_written_out(gen_bus(3))):
         enc = build(sysm)
         listed = []
@@ -1290,6 +1291,8 @@ def test_survivors_list_each_class_entry_once(monkeypatch):
         assert report.equivalent and len(listed) == len(entries) < report.states_checked
         assert all(e[2] == [m if not cls.orbits else tuple(map(cls.place.__getitem__, m))
                             for m in iter_models(e[0], cls.encoding.port_names)]
+                   for cls, e in entries)
+        assert all(hasattr(cls, "place") == bool(cls.orbits) and (len(e) == 3) == bool(cls.orbits)
                    for cls, e in entries)
         engine = SymbolicEngine(sysm, seed=3)
         monkeypatch.setattr(engine.encoding.manager, "iter_models", None)
