@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 
 from .connectors import Interaction, interaction_key
 from .enumerative import EnumEngine
-from .model import GlobalState, SystemModel, act, successors, walk
+from .model import GlobalState, SystemModel, _moves, _outcomes, act, walk
 from .symbolic import SystemEncoding, build
 
 
@@ -54,6 +54,13 @@ class EquivalenceReport:
             f"symbolic {sorted(sorted(a) for a in d.symbolic_survivors)} "
             f"({len(self.divergences)} diverging states of {self.states_checked})"
         )
+
+
+def successors(system: SystemModel, state: GlobalState, a: Interaction) -> frozenset[GlobalState]:
+    """`model.successors` without its checks: the walk's states have the
+    system's arity, and each interaction it fires is enabled (an
+    enumerative survivor, or a symbolic one in the pool and active)."""
+    return _outcomes(state, _moves(system, state, a))
 
 
 def check_equivalence(

@@ -509,7 +509,14 @@ def successors(system: SystemModel, state: GlobalState, a: Interaction) -> froze
     Raises as `step` does."""
     if not a:
         return frozenset((state,))
-    moves = _enabled_moves(system, state, a)
+    return _outcomes(state, _enabled_moves(system, state, a))
+
+
+def _outcomes(state: GlobalState, moves: list[tuple[int, tuple[str, ...]]]) -> frozenset[GlobalState]:
+    """Every state `moves` can lead to from `state`: the product of the
+    owners' targets, the first declared one's state built by `_advance`.
+    Callers: `successors`, and `equivalence.successors`, which skips the
+    checks for `check_equivalence`."""
     outs = [_advance(state, moves, None)]
     for i, targets in moves:
         if len(targets) > 1:

@@ -44,9 +44,16 @@ keeps one code, the sum of the atom's codes in each of its groups, each
 shifted into that group's bit field, which is as wide as the group's
 keys need; every key is taken out of the sum by shift and mask (a
 one-group component's field is at shift 0 and its mask covers the whole
-sum).  On a miss the class fills the entry (`GroupClass.fill`) at the
-local state the key stands for, each orbit's values sorted
-(`Group.canonical`).  A model of the entry's
+sum).  A group whose class has orbits also has an occupancy field in the
+sum, after its key field: each orbit owner's code sets one bit there, in
+the row of its value (an orbit's rows in the order of its values) and
+the column of its owner position, so nothing carries and the set bits,
+in bit order, list each orbit's owners as a stable sort by value does.
+On a miss the class fills the entry (`GroupClass.fill`) at the local
+state the key stands for, each orbit's values sorted
+(`Group.canonical`), and where the class has orbits the entry records
+per canonical orbit position its row and its occurrence index t among
+the positions holding its value.  A model of the entry's
 function, the set of the representative's true port names that
 `pick_sat` and `iter_models` give, is read onto a group in one of two
 ways.  Where the class has no orbits, the group reads each name through
@@ -58,8 +65,10 @@ which the pick and `survivors` share.  Where the class has orbits, the
 model is read as the places of its ports, each an owner position and an
 index among that owner's ports (`GroupClass.place`, which only such a
 class builds), and the group takes the port at that index of the owner
-the sort's permutation puts at that position (`Group.orient`,
-`Group.translate`).  An interaction and its dominators lie in one
+at that position where it lies in no orbit, else of the owner that the
+t-th set bit of its row in the state's occupancy field names
+(`Group.read`): no orbit is sorted and no permutation is built.  An
+interaction and its dominators lie in one
 group, so a component's survivors are the disjoint union of its
 groups'.  Their join is never built: a component counts the sum of their
 counts; its pick draws a group by its count, then a uniform model of its
@@ -99,15 +108,16 @@ depends on the entry alone: the group's first read maps it through
 `Group.by_model` and keeps it in the entry's per-group dict, and every
 later read of the entry by that group, at any state, reuses it, so an
 entry holds at most one such list per group of its class, each as long
-as its models.  With orbits the owners' permutation changes from state
-to state, so the entry holds the places alone and each read translates
-them through the permuted owners' ports.  Only `survivors` reads these
-lists; the step never does.  Its pick reads the one model it draws in
-the group's `by_model`, which maps it only on a miss, so the step and
-`survivors` hand out one object per interaction; where the class has
-orbits, it reads the model's places through the permuted owners' ports.
-The engine keeps each component's group entries from its last step and
-the sum of their counts; a fired interaction lies in the drawn
+as its models.  With orbits the owner at an orbit position changes from
+state to state, so the entry holds the places alone and each read takes
+them through the state's occupancy field (`Group.read`).  Only
+`survivors` reads these lists; the step never does.  Its pick reads the
+one model it draws in the group's `by_model`, which maps it only on a
+miss, so the step and `survivors` hand out one object per interaction;
+where the class has orbits, it reads the model's places through the
+occupancy field as `survivors` does.  The engine keeps each component's
+packed sum and group entries from its last step and the sum of their
+counts; a fired interaction lies in the drawn
 component's ports, so the next step re-reads only that component's
 groups.  A step takes the component of the one positive count, or draws
 one by its count, and picks a uniform survivor of it with coins from the
@@ -120,8 +130,8 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import accumulate
+from functools import cached_property, partial
+from itertools import accumulate, count
 from typing import Iterable, Optional
 
 from . import boolfunc as bf
@@ -402,12 +412,15 @@ class GroupClass:
     one's encoding, which encodes the class's functions; its owners' first
     state per offer; its orbits (`_orbits`); per owner position each
     value's code and the number of keys (`_digits`); where it has orbits,
-    each port's place, which its groups read a model through; and the
-    class's one survivor table: key -> [survivor function, its number of
-    survivors over a group's ports (0 exactly when it is false), and once
-    `Component.survivors` reads it: where the class has no orbits, its
-    models as names and a dict of each group that read them to those
-    models as its interactions, the objects of the group's
+    each port's place, which its groups read a model through, and per
+    orbit position each value's row of the occupancy field, with the
+    field's width (`_rows`); and
+    the class's one survivor table: key -> [survivor function, its number
+    of survivors over a group's ports (0 exactly when it is false), where
+    the class has orbits the reads of its canonical positions (`fill`),
+    and once `Component.survivors` reads it: where the class has no
+    orbits, its models as names and a dict of each group that read them
+    to those models as its interactions, the objects of the group's
     `Group.by_model`; where it has, its models as the places of their
     ports (`place`)]."""
 
@@ -416,17 +429,26 @@ class GroupClass:
         self.digits, self.keys = _digits(firsts, orbits)
         self.table: dict[int, list] = {}
         # only a class with orbits reads each port's place: its owner
-        # position and its index among the owner's ports (`Group.translate`)
+        # position and its index among the owner's ports (`Group.read`)
         if orbits:
             self.place = {p: (k, i) for k, atom in enumerate(encoding.system.atoms) for i, p in enumerate(atom.ports)}
+            self.rows, self.occupancy_bits = _rows(firsts, orbits)
 
     def fill(self, state: GlobalState, key: int) -> list:
         """The entry at `key`, filled at the local state it stands for: the
         survivor function mentions only the class's ports, so each other
-        variable doubles its model count."""
+        variable doubles its model count.  Where the class has orbits, the
+        entry also reads each canonical position: None outside an orbit,
+        else its value's row (as the row's offset in the occupancy field)
+        and t, the number of earlier positions of its orbit that hold its
+        value, so that its owner is the t-th set bit of that row."""
         enc, m = self.encoding, self.encoding.manager
         fn = enc.survivor_fn(state)
         e = self.table[key] = [fn, m.sat_count(fn) >> len(m.variables) - len(enc.port_names)]
+        if self.orbits:
+            held: dict[int, count] = {}  # per row, a count of its positions read so far
+            e.append([rows and (rows[v] * len(state), next(held.setdefault(rows[v], count())))
+                      for v, rows in zip(state, self.rows)])
         return e
 
 
@@ -436,21 +458,30 @@ class Group:
     class key, a `key_bits`-bit field of its component's packed sum
     (`Component`).  Each owner's state is read as the representative's
     first state with the same offer (`_group`).  Where the class has no
-    orbits, `orient` is None, `port_map` maps each of the representative's
-    ports to ours, and `by_model` maps each model of the class's entries
-    that a pick or `Component.survivors` has read, as the set of the
-    representative's true port names, to our interaction
-    (`interaction`).  Where it has orbits, `translate` reads each owner's
-    ports (`_ports`, in owner order) at the places of a model."""
+    orbits, `port_map` maps each of the representative's ports to ours,
+    and `by_model` maps each model of the class's entries that a pick or
+    `Component.survivors` has read, as the set of the representative's
+    true port names, to our interaction (`interaction`).  Where it has
+    orbits, each orbit owner also has per state a one-bit code
+    (`occupancy`): the bit of its value's row and its owner position's
+    column in our occupancy field, which lies right after our key field
+    (`width` spans both), so that the field's set bits, in bit order, list
+    each orbit's owners as a stable sort by value does; `read` takes each
+    owner's ports (`_ports`, in owner order) at the places of a model
+    through it."""
 
     def __init__(self, system: SystemModel, cls: GroupClass, readers: tuple[tuple[int, dict[str, str]], ...]):
         self.system, self.cls, self._readers = system, cls, readers
         self.codes = tuple((j, {q: d[r] for q, r in reader.items()}) for (j, reader), d in zip(readers, cls.digits))
         self.key_bits = (cls.keys - 1).bit_length()
+        self.width = self.key_bits  # of our fields in the packed sum
+        self.occupancy: tuple = ()  # per orbit owner, its codes, shifted past our key field
         if cls.orbits:
+            self._columns, self.width = (1 << len(readers)) - 1, self.key_bits + cls.occupancy_bits
+            self.occupancy = tuple((j, {q: 1 << self.key_bits + rows[r] * len(readers) + k for q, r in reader.items()})
+                                   for k, ((j, reader), rows) in enumerate(zip(readers, cls.rows)) if rows)
             self._ports = tuple(atom.ports for atom in system.atoms)  # per owner position
         else:
-            self.orient = None
             # the signature fixes each owner position's port ranks, so the
             # representative's ports and ours line up in level order
             self.port_map = dict(zip(cls.encoding.port_names, system.all_ports))
@@ -467,27 +498,34 @@ class Group:
         return a
 
     def canonical(self, state: GlobalState) -> GlobalState:
-        """The local state our key stands for: each orbit's values sorted,
-        that is each position's value read at the position `orient` puts
-        there."""
+        """The local state our key stands for: each orbit's values sorted."""
         v = [r[state[j]] for j, r in self._readers]
-        return tuple(v) if self.orient is None else tuple([v[at] for at in self.orient(state)])
-
-    def orient(self, state: GlobalState) -> list[int]:
-        """Per owner position, the position whose value sorting its orbit by value puts there."""
-        v = [r[state[j]] for j, r in self._readers]
-        perm = list(range(len(v)))
         for o in self.cls.orbits:
-            for k, at in zip(o, sorted(o, key=v.__getitem__)):
-                perm[k] = at
-        return perm
+            for k, x in zip(o, sorted([v[k] for k in o])):
+                v[k] = x
+        return tuple(v)
 
-    def translate(self, places: Iterable[tuple[int, int]], perm: list[int]) -> Interaction:
+    def read(self, occupancy: int, reads: list, places: Iterable[tuple[int, int]]) -> Interaction:
         """Where our class has orbits: a model of its entry, given as the
-        places of its ports (`GroupClass.place`), as ours: the i-th port of
-        owner position k is owner perm[k]'s i-th."""
-        ports = self._ports
-        return frozenset([ports[perm[k]][i] for k, i in places])
+        places of its ports (`GroupClass.place`), as ours, where
+        `occupancy` is our occupancy field (and what lies above it) and
+        `reads` the entry's reads of its canonical positions
+        (`GroupClass.fill`): the i-th port of canonical position k is the
+        i-th port of owner k where k lies in no orbit, else of the owner
+        that the t-th set bit of k's row names."""
+        ports, columns = self._ports, self._columns
+        out = []
+        for k, i in places:
+            r = reads[k]
+            if r is not None:
+                at, t = r
+                bits = occupancy >> at & columns
+                while t:
+                    bits &= bits - 1
+                    t -= 1
+                k = (bits & -bits).bit_length() - 1
+            out.append(ports[k][i])
+        return frozenset(out)
 
 
 def _draw(counts: list[int], rng) -> int:
@@ -508,30 +546,34 @@ class Component:
     the component's owners of one code per (atom, state), that state's
     codes in every group, each shifted into its group's field.  A field is
     as wide as its group's keys need, so no field carries into the next,
-    and every key is read by the same shift and mask, a lone group's too."""
+    and every key is read by the same shift and mask, a lone group's too.
+    A group whose class has orbits has its occupancy field right after its
+    key field (`Group.occupancy`): one bit per orbit owner, so the same
+    sum fills it and nothing carries there either."""
 
     def __init__(self, groups: tuple[Group, ...], manager: BddManager):
         self.groups, self.manager = groups, manager
         packed: dict[int, dict[str, int]] = {}
-        # per group: its field's shift and mask, its key's local state, its
-        # class table and its class, bound once so that a table hit looks up
-        # no attribute
-        readers = []
+        # per group: its key field's shift and mask, its key's local state,
+        # its class table and its class, bound once so that a table hit
+        # looks up no attribute; and its occupancy field's shift
+        readers, self._occupancy = [], []
         shift = 0
         for g in groups:
-            for j, code in g.codes:
+            readers.append((shift, (1 << g.key_bits) - 1, g.canonical, g.cls.table, g.cls))
+            self._occupancy.append(shift + g.key_bits)
+            for j, code in (*g.codes, *g.occupancy):
                 into = packed.setdefault(j, dict.fromkeys(code, 0))
                 for q, c in code.items():
                     into[q] += c << shift
-            readers.append((shift, (1 << g.key_bits) - 1, g.canonical, g.cls.table, g.cls))
-            shift += g.key_bits
+            shift += g.width
         self._codes, self._readers = tuple(sorted(packed.items())), tuple(readers)
 
-    def entries(self, state: GlobalState) -> list[list]:
-        """Each group's class-table entry at its key in a system state: one
-        sum over the owners' packed codes, from which each group's key is
-        taken by shift and mask; a miss fills the entry at the local state
-        the key stands for."""
+    def entries(self, state: GlobalState) -> tuple[int, list[list]]:
+        """Our packed sum at a system state and each group's class-table
+        entry at its key: one sum over the owners' packed codes, from which
+        each group's key is taken by shift and mask; a miss fills the entry
+        at the local state the key stands for."""
         packed = sum([c[state[j]] for j, c in self._codes])
         out = []
         for shift, mask, canonical, table, cls in self._readers:
@@ -540,7 +582,7 @@ class Component:
             if e is None:
                 e = cls.fill(canonical(state), k)
             out.append(e)
-        return out
+        return packed, out
 
     def survivors(self, state: GlobalState) -> list[Interaction]:
         """Each group's models at its class entry, listed once on the first
@@ -549,39 +591,37 @@ class Component:
         entry alone, so the entry keeps it in a dict by group, built through
         `Group.interaction`: each interaction is the object the pick
         returns.  Where it has orbits the entry lists them as the places
-        of their ports (`GroupClass.place`) and nothing else; they are
-        translated at each read through the owners the state's sort
-        permutes (`Group.translate`)."""
+        of their ports (`GroupClass.place`), and each read takes them
+        through the state's occupancy field (`Group.read`)."""
         out: list[Interaction] = []
-        for g, e in zip(self.groups, self.entries(state)):
-            if len(e) < 3:
+        packed, entries = self.entries(state)
+        for g, e, at in zip(self.groups, entries, self._occupancy):
+            if len(e) < 4:
                 models = self.manager.iter_models(e[0], g.cls.encoding.port_names)
-                e += [[*models], {}] if g.orient is None else [[tuple(map(g.cls.place.__getitem__, m)) for m in models]]
-            if g.orient is None:
+                e += [[tuple(map(g.cls.place.__getitem__, m)) for m in models]] if g.cls.orbits else [[*models], {}]
+            if g.cls.orbits:
+                out += map(partial(g.read, packed >> at, e[2]), e[3])
+            else:
                 mine = e[3].get(g)
                 if mine is None:
                     mine = e[3][g] = [*map(g.interaction, e[2])]
                 out += mine
-            else:
-                perm = g.orient(state)
-                out += [g.translate(m, perm) for m in e[2]]
         return out
 
-    def pick(self, state: GlobalState, entries: list[list], rng) -> Interaction:
-        """A uniform survivor at a state whose `entries` hold one: a group
-        drawn by its count (`_draw`, with a coin whenever there are two or
-        more groups), then a uniform model of its class entry, read onto
-        its ports: in `Group.by_model` where its class has no orbits
-        (through `Group.port_map` only on a miss), else as places
-        translated through the owners oriented at the state
-        (`Group.orient`, `Group.translate`)."""
+    def pick(self, packed: int, entries: list[list], rng) -> Interaction:
+        """A uniform survivor at a state whose packed sum is `packed` and
+        whose `entries` hold one: a group drawn by its count (`_draw`, with
+        a coin whenever there are two or more groups), then a uniform model
+        of its class entry, read onto its ports: in `Group.by_model` where
+        its class has no orbits (through `Group.port_map` only on a miss),
+        else through its occupancy field (`Group.read`)."""
         k = _draw([e[1] for e in entries], rng) if len(entries) > 1 else 0
         g = self.groups[k]
         model = self.manager.pick_sat(entries[k][0], rng, g.cls.encoding.port_names)
-        if g.orient is None:
-            a = g.by_model.get(model)
-            return a if a is not None else g.interaction(model)
-        return g.translate(map(g.cls.place.__getitem__, model), g.orient(state))
+        if g.occupancy:
+            return g.read(packed >> self._occupancy[k], entries[k][2], map(g.cls.place.__getitem__, model))
+        a = g.by_model.get(model)
+        return a if a is not None else g.interaction(model)
 
 
 def _ranked(conn: Connector, rank: dict[str, int]) -> tuple:
@@ -650,6 +690,23 @@ def _digits(firsts: list[dict], orbits: tuple[tuple[int, ...], ...]) -> tuple[li
             digits[k] = {v: weight * i for i, v in enumerate(values)}
             weight *= len(values)
     return digits, weight
+
+
+def _rows(firsts: list[dict], orbits: tuple[tuple[int, ...], ...]) -> tuple[list[Optional[dict[str, int]]], int]:
+    """Per owner position of a class with orbits, None outside an orbit,
+    else each value's row of the occupancy field, and the field's width:
+    an orbit has one row per value, in the order of the values, and a row
+    has one column per owner position.  So the field's set bits, in bit
+    order, list each orbit's owners as sorting them by value, stably,
+    does."""
+    rows: list = [None] * len(firsts)
+    n = 0
+    for o in orbits:
+        values = sorted({v for k in o for v in firsts[k].values()})
+        for k in o:
+            rows[k] = {v: n + r for r, v in enumerate(values)}
+        n += len(values)
+    return rows, n * len(firsts)
 
 
 def _group(system: SystemModel, ports: tuple[str, ...], mgr: BddManager, classes: dict) -> Group:
@@ -740,29 +797,30 @@ class SymbolicEngine(Engine):
         self.system = system
         self.seed = seed
         self.reset()
-        # each component's group entries as our last step read them, their
-        # summed counts and the component it moved: at the state it fired
-        # to only the moved component's entries can differ
-        self._entries = [None] * len(self.encoding.components)
-        self._counts = [0] * len(self._entries)
+        # each component's packed sum and group entries as our last step
+        # read them, their summed counts and the component it moved: at the
+        # state it fired to only the moved component's can differ
+        self._read = [(0, [])] * len(self.encoding.components)
+        self._counts = [0] * len(self._read)
         self._moved = 0
 
     def step(self) -> Optional[tuple[Interaction, GlobalState]]:
         """Fire one surviving interaction; None signals deadlock."""
-        state, entries, counts, comps = self.state, self._entries, self._counts, self.encoding.components
+        state, read, counts, comps = self.state, self._read, self._counts, self.encoding.components
         if state is self._fired_to:
             k = self._moved
-            es = entries[k] = comps[k].entries(state)
+            _, es = read[k] = comps[k].entries(state)
             counts[k] = sum([e[1] for e in es])
         else:  # reset, or a state set from outside: read every component
             _check_arity(self.system, state)
-            entries[:] = [c.entries(state) for c in comps]
-            counts[:] = [sum([e[1] for e in es]) for es in entries]
+            read[:] = [c.entries(state) for c in comps]
+            counts[:] = [sum([e[1] for e in es]) for _, es in read]
         live = len(counts) - counts.count(0)
         if not live:
             return None
         k = _draw(counts, self._rng) if live > 1 else counts.index(max(counts))
-        a = comps[k].pick(state, entries[k], self._rng)
+        packed, es = read[k]
+        a = comps[k].pick(packed, es, self._rng)
         self._fire(a)
         self._moved = k
         return a, self.state

@@ -461,6 +461,20 @@ def key_of(g, state):
     return sum(code[state[j]] for j, code in g.codes)
 
 
+def oracle_orient(g, state):
+    """Per owner position of a port group, the owner position whose value
+    sorting each orbit of its class by value, stably, puts there (`sorted`
+    over the orbit's positions, keyed by the representative's first state
+    with the same offer): the order in which the engine reads an orbit's
+    owners."""
+    v = [r[state[j]] for j, r in g._readers]
+    perm = list(range(len(v)))
+    for o in g.cls.orbits:
+        for k, at in zip(o, sorted(o, key=v.__getitem__)):
+            perm[k] = at
+    return perm
+
+
 def own_state(enc, system, state):
     """An encoding's own atoms' states read out of a state of `system`."""
     at = {a.name: i for i, a in enumerate(system.atoms)}

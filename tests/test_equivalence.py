@@ -180,8 +180,10 @@ def test_cell_systems_move_and_check_equivalent():
     # the copied-cell family reaches many states and builds orbits and
     # components of several groups, which `random_system` 0-119 never
     # does: of seeds 0-119, 72 reach 50 states or more, 50 have a class
-    # with orbits and 29 a component of several groups; a `Group.orient`
-    # that returns the identity diverges on 23 of them
+    # with orbits and 29 a component of several groups; a `Group.read`
+    # that takes each orbit place's port from the owner at its own
+    # position, not from its row of the occupancy field, diverges on 23
+    # of them
     reaching, orbits, several = 0, 0, 0
     for seed in range(120):
         sysm = cell_system(seed)

@@ -114,3 +114,14 @@ def test_uncorrected_values_are_read_from_the_hash_lines_and_compared_apart():
     assert got["metrics"]["check_s"]["verdict"] == pair.NO_CHANGE
     assert got["uncorrected"]["check_s"]["verdict"] == "loss"
     assert got["uncorrected_values"] == raw["bus-run"]
+
+
+def test_a_directory_side_is_named_relative_to_the_repository(tmp_path):
+    # the output names a tree by its commit, never by where it sat
+    root = pair.ROOT
+    here = pair.describe(str(root))
+    assert here["directory"] == "." and here["commit"] == pair.git(root, "rev-parse", "HEAD")
+    assert pair.describe(str(root / "tools"))["directory"] == "tools"
+    outside = pair.describe(str(tmp_path))
+    assert outside == {"directory": None, "commit": None, "uncommitted": None}
+    assert not any(str(root) in str(v) or str(tmp_path) in str(v) for v in (*here.values(), *outside.values()))

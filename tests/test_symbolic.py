@@ -51,9 +51,9 @@ from portsync.connectors import interactions_of, support
 from portsync.equivalence import check_equivalence
 
 from oracles import (active_fn, all_states, components, encode_connector, hub_system, joined_survivor_fn, key_of,
-                     moved_trigger, oracle_survivors, own_state, pairs_written_out, port_groups, port_groups_of,
-                     ports_of, reference_connector_fn, reference_pick_sat, reference_priority_pairs, skipped_levels,
-                     transfer, whole_survivor_fn, with_outside_dominator)
+                     moved_trigger, oracle_orient, oracle_survivors, own_state, pairs_written_out, port_groups,
+                     port_groups_of, ports_of, reference_connector_fn, reference_pick_sat, reference_priority_pairs,
+                     skipped_levels, transfer, whole_survivor_fn, with_outside_dominator)
 
 
 def test_variable_order_groups_atoms(mod8):
@@ -399,8 +399,8 @@ def test_enabled_fn_matches_restricted_system_fn():
             fn = enc.survivor_fn(state)
             assert enc.survivor_fn(state) == fn
             for c in enc.components:
-                entries = c.entries(state)
-                assert all(map(operator.is_, c.entries(state), entries))
+                _, entries = c.entries(state)
+                assert all(map(operator.is_, c.entries(state)[1], entries))
                 assert all(map(operator.is_, entries, (g.cls.table[key_of(g, state)] for g in c.groups)))
             for cls in {g.cls for g in port_groups_of(fresh)}:
                 cls.table.clear()
@@ -478,7 +478,7 @@ def test_survivor_table_counts_models_over_component_ports():
         m = enc.manager
         for state in reachable(sysm, bound=300).states:
             for c in enc.components:
-                entries = c.entries(state)
+                _, entries = c.entries(state)
                 assert all(map(operator.is_, entries, (g.cls.table[key_of(g, state)] for g in c.groups)))
                 assert all((e[1] == 0) == (e[0] == m.false) for e in entries)
                 fn = joined_survivor_fn(c, state)
@@ -659,8 +659,9 @@ def test_group_key_shares_states_that_offer_the_same_labels():
     assert two.canonical(running) == ("c1", "s", "s", "l0")
     assert key_of(two, waiting) == key_of(one, ("w1", *state[1:]))
     assert key_of(two, running) == key_of(one, ("c1", *state[1:]))
-    # the orientation names the task whose value each position holds
-    assert two.orient(waiting) == [1, 2, 0, 3]
+    # the occupancy field names the task whose value each position holds,
+    # as a stable sort of the values does
+    assert _owners(c, two, waiting) == oracle_orient(two, waiting) == [1, 2, 0, 3]
     c.entries(waiting)
     c.entries(running)
     assert len(one.cls.table) == 3
@@ -733,12 +734,11 @@ def test_one_class_entry_gives_each_group_its_copy():
     enc = build(sysm)
     (c,) = enc.components
     one, two = c.groups
-    first, second = c.entries(state)
+    _, (first, second) = c.entries(state)
     assert first is second and first[1] > 0
     models = list(enc.manager.iter_models(first[0], one.system.all_ports))
-    place = one.cls.place.__getitem__  # a model's ports as places, as `translate` reads them
-    assert [one.translate(map(place, m), one.orient(state)) for m in models] == models
-    assert [{g.translate(map(place, m), g.orient(state)) for m in models} for g in c.groups] == \
+    assert [_read_model(one, m, c, state) for m in models] == models
+    assert [{_read_model(g, m, c, state) for m in models} for g in c.groups] == \
         [{a for a in survivors(sysm, state) if a <= set(g.system.all_ports)} for g in c.groups]
     assert first[1] + second[1] == 2 * first[1] == len(survivors(sysm, state))
 
@@ -757,31 +757,47 @@ def _classes(enc):
     return list(classes.values())
 
 
-def _read_model(g, model, perm):
+def _read_model(g, model, c=None, state=None):
     """A model of `g`'s class entry, as the representative's true port
     names, read onto g's ports as the engine reads it: where the class has
-    no orbits through `Group.interaction`, whose result is checked against
-    the places of the model's ports (each port's owner position and index
-    among that owner's ports, built here from the representative's atoms)
-    read through g's own owners; else through `Group.translate`, the
-    owners permuted by `perm`."""
-    if g.orient is None:
-        place = {p: (k, i) for k, atom in enumerate(g.cls.encoding.system.atoms) for i, p in enumerate(atom.ports)}
-        a = g.interaction(model)
-        assert a == frozenset([g.system.atoms[k].ports[i] for k, i in map(place.__getitem__, model)])
-        return a
-    return g.translate(map(g.cls.place.__getitem__, model), perm)
+    no orbits through `Group.interaction`; else through `Group.read`, at
+    `state`'s occupancy field in g's component `c`.  The result is checked
+    against the places of the model's ports (each port's owner position
+    and index among that owner's ports, built here from the
+    representative's atoms) read through g's owners as a stable sort of
+    each orbit by value orders them (`oracle_orient`)."""
+    place = {p: (k, i) for k, atom in enumerate(g.cls.encoding.system.atoms) for i, p in enumerate(atom.ports)}
+    if g.cls.orbits:
+        perm = oracle_orient(g, state)
+        packed, entries = c.entries(state)
+        k = c.groups.index(g)
+        a = g.read(packed >> c._occupancy[k], entries[k][2], map(g.cls.place.__getitem__, model))
+    else:
+        perm, a = range(len(g.system.atoms)), g.interaction(model)
+    assert a == frozenset([g.system.atoms[perm[k]].ports[i] for k, i in map(place.__getitem__, model)])
+    return a
+
+
+def _owners(c, g, state):
+    """Per canonical position of `g`, a group of component `c`, the owner
+    position whose ports `Group.read` takes at `state`."""
+    firsts = [a.ports[0] for a in g.system.atoms]
+    return [firsts.index(next(iter(_read_model(g, frozenset([a.ports[0]]), c, state))))
+            for a in g.cls.encoding.system.atoms]
 
 
 def test_isomorphic_groups_form_one_class():
     # every port group of the benchmark's systems is a copy of the first
     # under an order-preserving rename of its ports
     for sysm, n in ((gen_bus(16), 16), (gen_tasks(8, 4), 4), (pairs_written_out(gen_tasks(8, 2)), 2)):
-        (members,) = _classes(build(sysm))
+        enc = build(sysm)
+        (members,) = _classes(enc)
         assert len(members) == n
         rep, other = members[0].cls.encoding, members[-1]
-        m, unmoved = rep.manager, list(range(len(rep.system.atoms)))
-        assert {_read_model(other, a, unmoved) for a in m.iter_models(rep.connector_fn, rep.port_names)} == \
+        (c,) = [c for c in enc.components if other in c.groups]
+        m, init = rep.manager, sysm.initial_state()  # each orbit's owners in position order
+        assert oracle_orient(other, init) == list(range(len(rep.system.atoms)))
+        assert {_read_model(other, a, c, init) for a in m.iter_models(rep.connector_fn, rep.port_names)} == \
             set(m.iter_models(SystemEncoding(other.system, m).connector_fn, other.system.all_ports))
 
 
@@ -838,7 +854,7 @@ def test_orbit_keys_give_each_state_its_survivors():
     oriented = 0
     for sysm, states in cases:
         enc = build(sysm)
-        oriented += sum(g.orient is not None for g in port_groups_of(enc))
+        oriented += sum(bool(g.cls.orbits) for g in port_groups_of(enc))
         for state in states:
             assert enc.survivors(state) == survivors(sysm, state)
     assert oriented >= 6
@@ -851,7 +867,7 @@ def test_orbit_keys_give_each_state_its_survivors():
     groups = port_groups_of(build(bus))
     for state in (bus.initial_state(), *(s for _, s in SymbolicEngine(bus, seed=3).run(50).steps)):
         for g in groups:
-            assert g.orient is None and g.canonical(state) == own_state(g, bus, state)
+            assert not g.cls.orbits and g.canonical(state) == own_state(g, bus, state)
 
 
 def test_integer_keys_agree_exactly_when_canonical_local_states_do():
@@ -954,12 +970,11 @@ def test_copied_group_function_is_its_own_sub_systems():
         seen = set()
         for c in enc.components:
             for state in states:
-                for g, e in zip(c.groups, c.entries(state)):
+                for g, e in zip(c.groups, c.entries(state)[1]):
                     sub, key = own[g], own_state(g, sysm, state)
                     if (sub.port_names, key) not in seen:
                         seen.add((sub.port_names, key))
-                        perm = g.orient and g.orient(state)
-                        assert {_read_model(g, a, perm) for a in m.iter_models(e[0], g.cls.encoding.port_names)} == \
+                        assert {_read_model(g, a, c, state) for a in m.iter_models(e[0], g.cls.encoding.port_names)} == \
                             set(m.iter_models(whole_survivor_fn(sub, key), sub.port_names))
         keys += len(seen)
     assert copies >= 10 and keys > 800
@@ -1064,7 +1079,7 @@ def test_every_live_component_gets_picked():
     sysm = gen_bus(3)
     state = ("B", "A", "A", "A", "B", "B", "A", "A", "A", "A", "A", "B")
     enc = build(sysm)
-    live = {k for k, c in enumerate(enc.components) if any(e[1] for e in c.entries(state))}
+    live = {k for k, c in enumerate(enc.components) if any(e[1] for e in c.entries(state)[1])}
     assert len(live) == 3
     picked = set()
     for seed in range(60):
@@ -1149,8 +1164,8 @@ def test_incremental_step_equals_a_full_read():
                 result = eng.step()
                 assert result == full.step()
                 fresh = [c.entries(before) for c in eng.encoding.components]
-                assert [list(map(id, es)) for es in eng._entries] == [list(map(id, es)) for es in fresh]
-                assert eng._counts == [sum(e[1] for e in es) for es in fresh]
+                assert [(p, list(map(id, es))) for p, es in eng._read] == [(p, list(map(id, es))) for p, es in fresh]
+                assert eng._counts == [sum(e[1] for e in es) for _, es in fresh]
                 if result is None:
                     return
 
@@ -1276,11 +1291,13 @@ def test_symbolic_steps_never_enumerate_the_pool():
 
 
 def test_survivors_list_each_class_entry_once(monkeypatch):
-    # `Component.survivors` keeps an entry's models in it, as names where
-    # the class has no orbits and each as the places of its ports
-    # (`GroupClass.place`, which only such a class has) where it has, with
-    # nothing after them: however many states and groups read an entry, it
-    # is enumerated once, and the step, which picks, enumerates none
+    # `Component.survivors` keeps an entry's models in it: as names where
+    # the class has no orbits, followed by the dict of each group's reading;
+    # where it has, each as the places of its ports (`GroupClass.place`,
+    # which only such a class has), after the fill's one read per
+    # canonical position and with nothing after them: however many states
+    # and groups read an entry, it is enumerated once, and the step, which
+    # picks, enumerates none
     for sysm in (gen_bus(3), gen_tasks(3, 2), pairs_written_out(gen_bus(3))):
         enc = build(sysm)
         listed = []
@@ -1289,11 +1306,11 @@ def test_survivors_list_each_class_entry_once(monkeypatch):
         report = check_equivalence(sysm, encoding=enc)
         entries = [(members[0].cls, e) for members in _classes(enc) for e in members[0].cls.table.values()]
         assert report.equivalent and len(listed) == len(entries) < report.states_checked
-        assert all(e[2] == [m if not cls.orbits else tuple(map(cls.place.__getitem__, m))
-                            for m in iter_models(e[0], cls.encoding.port_names)]
+        assert all(e[3 if cls.orbits else 2] == [m if not cls.orbits else tuple(map(cls.place.__getitem__, m))
+                                                 for m in iter_models(e[0], cls.encoding.port_names)]
                    for cls, e in entries)
-        assert all(hasattr(cls, "place") == bool(cls.orbits) and (len(e) == 3) == bool(cls.orbits)
-                   for cls, e in entries)
+        assert all(hasattr(cls, "place") == bool(cls.orbits) and len(e) == 4
+                   and (len(e[2]) == len(cls.firsts) if cls.orbits else isinstance(e[3], dict)) for cls, e in entries)
         engine = SymbolicEngine(sysm, seed=3)
         monkeypatch.setattr(engine.encoding.manager, "iter_models", None)
         assert len(engine.run(200)) == 200
@@ -1308,7 +1325,7 @@ def test_a_class_entry_keeps_each_groups_own_survivors():
     state = sysm.initial_state()
     enc = build(sysm)
     groups = port_groups_of(enc)
-    assert len({g.cls for g in groups}) == 1 and all(g.orient is None for g in groups)
+    assert len({g.cls for g in groups}) == 1 and all(not g.cls.orbits for g in groups)
     assert len({key_of(g, state) for g in groups}) == 1
     for _ in range(2):  # the second read reuses each group's kept list
         got = [(g, c.survivors(state)) for c in enc.components for g in c.groups]
@@ -1340,7 +1357,7 @@ def test_kept_survivor_lists_agree_at_every_reachable_state():
 
         assert not walk(sysm, 10**5, expand).truncated
         kept += sum(len(e[3]) for enc in encodings for g in port_groups_of(enc) for e in g.cls.table.values()
-                    if len(e) > 3)
+                    if len(e) > 3 and not g.cls.orbits)
     assert kept > 100
 
 
@@ -1360,16 +1377,16 @@ def test_orbit_free_groups_hand_out_one_object_per_interaction():
             assert a in survivors(sysm, state)
             assert any(x is a for x in enc.survivors(state)), (sysm.name, state, a)
             for c in enc.components:
-                entries = c.entries(state)
+                packed, entries = c.entries(state)
                 if any(e[1] for e in entries):
-                    first = c.pick(state, entries, random.Random(1))
-                    assert c.pick(state, entries, random.Random(1)) is first
+                    first = c.pick(packed, entries, random.Random(1))
+                    assert c.pick(packed, entries, random.Random(1)) is first
             state = after
         groups = port_groups_of(enc)
-        assert all(g.orient is None for g in groups)
+        assert all(not g.cls.orbits for g in groups)
         for g in groups:
             ours = set(g.system.all_ports)
             assert all(a in sysm.gamma and a <= ours for a in g.by_model.values())
-            assert all(_read_model(g, m, None) is a for m, a in list(g.by_model.items()))
+            assert all(_read_model(g, m) is a for m, a in list(g.by_model.items()))
         mapped += sum(len(g.by_model) for g in groups)
     assert mapped > 100

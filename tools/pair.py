@@ -9,8 +9,9 @@ repository.  Each side is copied into a temporary directory with a
 random name: a directory by copying its files, a revision by `git
 archive`.  The base is copied twice, so a third arm, the copy, runs the
 base's code from another directory.  The output names each side by the
-commit it resolves to, and a directory also by whether `git status`
-lists changes in it.
+commit it resolves to, and a directory also by its path relative to the
+repository root (none outside it) and by whether `git status` lists
+changes in it.
 
 Each of `ROUNDS` rounds has one seed, its number (1 to 10), and runs
 `perfbench/run.py --trace 0` once per workload in each arm, in an order
@@ -160,13 +161,15 @@ def git(where: Path | str, *args: str) -> str | None:
 
 def describe(spec: str) -> dict:
     """The tree `spec` names: a revision by its commit; a directory by its
-    path, the commit it has checked out (None outside git) and whether
-    `git status` lists changes in it."""
+    path relative to the repository root (None outside it, so that no
+    output records where a tree sat), the commit it has checked out (None
+    outside git) and whether `git status` lists changes in it."""
     if not Path(spec).is_dir():
         return {"revision": spec, "commit": git(ROOT, "rev-parse", "--verify", "--quiet", spec + "^{commit}")}
+    where = Path(spec).resolve()
     commit = git(spec, "rev-parse", "HEAD")
-    return {"directory": str(Path(spec).resolve()), "commit": commit,
-            "uncommitted": None if commit is None else git(spec, "status", "--porcelain") != ""}
+    return {"directory": where.relative_to(ROOT).as_posix() if where.is_relative_to(ROOT) else None,
+            "commit": commit, "uncommitted": None if commit is None else git(spec, "status", "--porcelain") != ""}
 
 
 def materialize(spec: str, dest: Path) -> None:
