@@ -13,16 +13,20 @@ labels are a superset of its shares.  A dominator in the pool is read
 from the scan's active set, one outside it gets the same superset test;
 `priority_checks` counts one probe per dominator of each active one.
 
-The engine keeps the offered labels of the state its last step fired
-to: a step swaps each moved atom's labels out and its new state's in,
-which is exact because no two atoms share a label.  Any other state (a
-reset, a state set from outside, a state `check` asks about) gets the
-union built afresh.  Either way the scan still tests every pool member.
+The engine keeps one state and the labels it offers, and reads every
+state as a change from it: `survivors` swaps out the labels of each atom
+whose state differs from the kept one and swaps in its new ones, which
+is exact because no two atoms share a label, and keeps the new state.
+A step swaps the labels of the atoms it moved, so at the state it fired
+to the kept set is read as it is; a state `check` asks about, a reset or
+a state set from outside costs one swap per atom that differs.  The
+scan still tests every pool member.
 """
 
 from __future__ import annotations
 
 from itertools import compress
+from operator import ne
 from typing import Optional
 
 from .connectors import Interaction, interaction_key
@@ -45,9 +49,11 @@ class EnumEngine(Engine):
         self.seed = seed
         self.pool: tuple[Interaction, ...] = tuple(sorted(system.gamma, key=interaction_key))
         self.reset()
-        # each atom's offered labels per state; `step` keeps their union at
-        # the state it fired to as `_offer`
+        # each atom's offered labels per state, and the kept state with the
+        # union of its atoms' labels, a set no caller is handed
         self._labels = [atom.labels_from for atom in system.atoms]
+        self._last = self.state
+        self._offer = set().union(*map(dict.__getitem__, self._labels, self.state))
         # per pool interaction: the labels it needs offered (its shares), its
         # number of dominators, the pool indices of those in the pool and the
         # labels needed by those outside it
@@ -64,7 +70,18 @@ class EnumEngine(Engine):
             self._dominators.append((len(doms), inside, outside))
 
     def _offered(self, state: GlobalState) -> set[Interaction]:
-        return set().union(*map(dict.__getitem__, self._labels, state))
+        """The labels `state` offers: the kept set, with the labels of each
+        atom whose state differs from the kept state swapped out and its
+        new ones in, all looked up before the set changes; `state` becomes
+        the kept state.  ValueError on a state of the wrong arity."""
+        _check_arity(self.system, state)
+        last, offer = self._last, self._offer
+        swaps = [(by[q], by[r]) for by, q, r in compress(zip(self._labels, last, state), map(ne, last, state))]
+        for old, new in swaps:
+            offer -= old
+            offer |= new
+        self._last = state
+        return offer
 
     def reset(self) -> None:
         super().reset()
@@ -76,19 +93,14 @@ class EnumEngine(Engine):
         list in pool order.
 
         Tests every pool member against the state's offered labels: the
-        set kept across steps at the state our last step fired to, else
-        their union built afresh; there is no state-indexed shortcut.  A
-        dominator in the pool is read from the scan's active set, one
-        outside it is tested as a member is.  ValueError on a state of the
-        wrong arity.
+        kept set, updated to the state where it is not the kept one
+        (`_offered`); there is no state-indexed shortcut.  A dominator in
+        the pool is read from the scan's active set, one outside it is
+        tested as a member is.  ValueError on a state of the wrong arity.
         """
         if state is None:
             state = self.state
-        if state is self._fired_to:
-            offered = self._offer
-        else:
-            _check_arity(self.system, state)
-            offered = self._offered(state)
+        offered = self._offer if state is self._last else self._offered(state)
         needs, superset = self._needs, offered.issuperset
         self.activity_checks += len(needs)
         enabled = list(compress(range(len(needs)), map(superset, needs)))
@@ -105,19 +117,18 @@ class EnumEngine(Engine):
 
     def step(self) -> Optional[tuple[Interaction, GlobalState]]:
         """Fire one surviving interaction; None signals deadlock.  A survivor
-        is enabled, so it fires without `model.step`'s check.  The offered
-        labels of the state fired to are kept: those of the state fired
-        from (kept, else built afresh) with the moved atoms' swapped."""
+        is enabled, so it fires without `model.step`'s check.  The kept
+        labels, those of the state fired from once `survivors` has read it,
+        become the state fired to's by the moved atoms' swaps."""
         state = self.state
         survivors = self.survivors()
         if not survivors:
             return None
-        offer = self._offer if state is self._fired_to else self._offered(state)
         a = self._rng.choice(survivors)
         moves = self._fire(a)
-        labels, new = self._labels, self.state
+        labels, new, offer = self._labels, self.state, self._offer
         for i, _ in moves:
             offer -= labels[i][state[i]]
             offer |= labels[i][new[i]]
-        self._offer = offer
+        self._last = new
         return a, self.state

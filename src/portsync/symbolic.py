@@ -26,7 +26,9 @@ ports linked by a connector's support, an explicit pair or one transition
 label, where a group whose owners all own ports of another group merges
 into it (one union-find over the ports and the atoms finds both).  Each
 group (`Group`) stands for its owners projected onto it (their ports and
-labels in the group).
+labels in the group), with the connectors and explicit pairs on its
+ports, which `build` reads off per-port indices rather than a scan of
+the system per group.
 Groups that are copies of one another under an order-preserving renaming
 of their ports form a class: their signatures, written over the ranks of
 their ports, agree.  A class is one object (`GroupClass`) that its
@@ -115,7 +117,12 @@ them through the state's occupancy field (`Group.read`).  Only
 one model it draws in the group's `by_model`, which maps it only on a
 miss, so the step and `survivors` hand out one object per interaction;
 where the class has orbits, it reads the model's places through the
-occupancy field as `survivors` does.  The engine keeps each component's
+occupancy field as `survivors` does.  `SystemEncoding.survivors` keeps
+the last state it read and each component's list there; a component's
+list depends on its owners' states alone, so a later read re-reads only
+the components that own an atom whose state differs (`build` keeps each
+atom's component) and joins the lists: the states `check` walks breadth
+first differ in few atoms.  The engine keeps each component's
 packed sum and group entries from its last step and the sum of their
 counts; a fired interaction lies in the drawn
 component's ports, so the next step re-reads only that component's
@@ -131,7 +138,8 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import accumulate, count
+from itertools import accumulate, chain, compress, count
+from operator import ne
 from typing import Iterable, Optional
 
 from . import boolfunc as bf
@@ -312,11 +320,22 @@ def encode_strict_subset(ports: tuple[str, ...], mgr: BddManager) -> BddRef:
 @dataclass
 class SystemEncoding:
     """A (sub-)system's functions; the whole system's encoding also holds
-    its independent components."""
+    its independent components, each atom's component and, once
+    `survivors` has read a state, that state and each component's
+    survivor list there, which the next read updates by the components
+    whose owners' states differ."""
     system: SystemModel
     manager: BddManager
-    # the whole system's independent components
+    # the whole system's independent components, and per atom the index of
+    # its component
     components: tuple["Component", ...] = field(default=(), repr=False, compare=False)
+    component_of: tuple[int, ...] = field(default=(), repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # the state `survivors` read last (None before the first read) and
+        # each component's survivors there
+        self._last: Optional[GlobalState] = None
+        self._lists: list[list[Interaction]] = [[] for _ in self.components]
 
     # f_B, f_S and the whole system's own functions are read by no step:
     # each is built when first asked for
@@ -401,10 +420,19 @@ class SystemEncoding:
         return active & self.connector_fn & ~excluded
 
     def survivors(self, state: GlobalState) -> frozenset[Interaction]:
-        """The union of the components' survivor sets; ValueError on a
-        state of the wrong arity."""
+        """The union of the components' survivor lists; ValueError on a
+        state of the wrong arity.  A component's list depends on its
+        owners' states alone, so only the components that own an atom whose
+        state differs from the last read's are read again; the others'
+        lists are kept from it."""
         _check_arity(self.system, state)
-        return frozenset(a for c in self.components for a in c.survivors(state))
+        last, lists, comps = self._last, self._lists, self.components
+        changed = range(len(comps)) if last is None else set(compress(self.component_of, map(ne, state, last)))
+        self._last = None  # until every changed component is read
+        for k in changed:
+            lists[k] = comps[k].survivors(state)
+        self._last = state
+        return frozenset(chain.from_iterable(lists))
 
 
 class GroupClass:
@@ -709,10 +737,13 @@ def _rows(firsts: list[dict], orbits: tuple[tuple[int, ...], ...]) -> tuple[list
     return rows, n * len(firsts)
 
 
-def _group(system: SystemModel, ports: tuple[str, ...], mgr: BddManager, classes: dict) -> Group:
+def _group(system: SystemModel, ports: tuple[str, ...], mgr: BddManager, classes: dict,
+           connectors: dict[str, list[int]], closure: dict[str, list[tuple]]) -> Group:
     """One port group, encoded over the atoms that own its ports projected
     onto it: each keeps its ports in the group and the transitions whose
-    labels lie in it, with the connectors and explicit pairs on the group.
+    labels lie in it, with the connectors (in system order) and explicit
+    pairs on the group, read off per port: `connectors` holds the indices
+    of the connectors on it, `closure` the closure pairs on it.
 
     Its class is `classes[signature]`, made from the first group with
     that signature, its representative.  The signature names nothing:
@@ -730,7 +761,7 @@ def _group(system: SystemModel, ports: tuple[str, ...], mgr: BddManager, classes
     fills the entry at `Group.canonical`, the local state the key stands
     for, each orbit's values sorted."""
     ours = frozenset(ports)
-    atoms = tuple(j for j, atom in enumerate(system.atoms) if atom.port_set & ours)
+    atoms = tuple(sorted({system.port_owner[p] for p in ports}))
 
     def project(atom: AtomicBehavior) -> AtomicBehavior:
         if atom.port_set <= ours:
@@ -740,9 +771,9 @@ def _group(system: SystemModel, ports: tuple[str, ...], mgr: BddManager, classes
 
     pr = system.priority
     if isinstance(pr, ExplicitPairs):
-        pr = ExplicitPairs(frozenset(ab for ab in pr.closure if (ab[0] | ab[1]) & ours))
+        pr = ExplicitPairs(frozenset(ab for p in ports for ab in closure.get(p, ())))
     sub = SystemModel(system.name, tuple(project(system.atoms[i]) for i in atoms),
-                      tuple(c for c in system.connectors if c.port_set & ours), pr)
+                      tuple(system.connectors[k] for k in sorted({k for p in ports for k in connectors.get(p, ())})), pr)
     rank = {p: r for r, p in enumerate(ports)}  # port order is level order
 
     def ranked(ps: Iterable[str]) -> frozenset[int]:
@@ -767,11 +798,21 @@ def build(system: SystemModel) -> SystemEncoding:
         raise ValidationError(diags)
     mgr = BddManager(variable_order(system))
     classes: dict[tuple, GroupClass] = {}  # by signature
-    comps = tuple(Component(tuple(_group(system, g, mgr, classes) for g in groups), mgr)
-                  for _, groups in _partition(system))
+    connectors: dict[str, list[int]] = {}  # per port, the indices of the connectors on it
+    for k, c in enumerate(system.connectors):
+        for p in c.port_set:
+            connectors.setdefault(p, []).append(k)
+    closure: dict[str, list[tuple]] = {}  # per port, the closure pairs on it
+    for ab in system.priority.closure if isinstance(system.priority, ExplicitPairs) else ():
+        for p in ab[0] | ab[1]:
+            closure.setdefault(p, []).append(ab)
+    parts = _partition(system)
+    comps = tuple(Component(tuple(_group(system, g, mgr, classes, connectors, closure) for g in groups), mgr)
+                  for _, groups in parts)
     for enc in (cls.encoding for cls in classes.values()):  # what a step reads
         enc.local_behavior, enc.connector_fn, enc.pairs_fn
-    return SystemEncoding(system, mgr, comps)
+    of = {i: k for k, (atoms, _) in enumerate(parts) for i in atoms}
+    return SystemEncoding(system, mgr, comps, tuple(map(of.__getitem__, range(len(system.atoms)))))
 
 
 class SymbolicEngine(Engine):

@@ -177,7 +177,8 @@ def test_kept_offer_equals_a_full_union():
     # the step swaps the moved atoms' labels in the set it keeps: after
     # every step it must be the union built afresh, also after a reset and
     # after the state is set from outside, and the step must fire and count
-    # what an engine that builds the union at every step fires and counts
+    # what an engine fires and counts whose state is set from outside
+    # before every step, so that it reads each state by comparing it
     randoms = [r for r in map(random_system, range(400))
                if any(len(r.shares(a)) > 1 for a in r.gamma) and len(reachable(r, bound=10).states) > 2]
     outside = [s for s, _ in filter(None, map(with_outside_dominator, range(200)))]
@@ -193,7 +194,8 @@ def test_kept_offer_equals_a_full_union():
                     (full.step(), full.activity_checks, full.priority_checks)
                 if result is None:
                     return
-                assert eng._fired_to is eng.state and eng._offer == eng._offered(eng.state)
+                assert eng._last is eng.state
+                assert eng._offer == set().union(*(atom.labels_from[q] for atom, q in zip(sysm.atoms, eng.state)))
 
         steps(100)
         eng.reset()

@@ -1,0 +1,143 @@
+"""Both engines read a state as a change from the last state they read:
+`EnumEngine.survivors` swaps the offered labels of the atoms that differ,
+`SystemEncoding.survivors` re-reads the components that own them.  Reads
+in any order must give what a read from scratch gives."""
+
+import random
+
+import pytest
+
+from portsync.enumerative import EnumEngine
+from portsync.generators import gen_bus, gen_tasks, modulo8, random_system
+from portsync.model import ExplicitPairs, reachable, survivors
+from portsync.symbolic import build
+
+from oracles import cell_system, hub_system, pairs_written_out, reference_enum_survivors, with_outside_dominator
+from test_traces import _tasks_twice
+
+
+def _corpus():
+    families = [modulo8(), gen_bus(3), gen_bus(16), gen_tasks(3, 2), gen_tasks(8, 4), _tasks_twice(3, 2),
+                pairs_written_out(gen_tasks(3, 2)), *map(hub_system, range(20))]
+    outside = [s for s, _ in filter(None, map(with_outside_dominator, range(200)))]
+    return [*families, *outside, *map(random_system, range(120)), *map(cell_system, range(120))]
+
+
+def _full_union(sysm, state):
+    return set().union(*(atom.labels_from[q] for atom, q in zip(sysm.atoms, state)))
+
+
+def test_reads_in_any_order_equal_the_reference():
+    # each system's reachable states, shuffled, with repeats, interleaved
+    # with steps, resets and states set from outside: at every read both
+    # engines' survivors equal the model's, and each enumerative read adds
+    # to the counters what the reference scan and probes add
+    several = 0
+    for n, sysm in enumerate(_corpus()):
+        rng = random.Random(n)
+        states = sorted(reachable(sysm, bound=60).states)
+        reads = states + rng.choices(states, k=len(states) // 2 + 1)
+        rng.shuffle(reads)
+        eng, enc = EnumEngine(sysm, seed=n), build(sysm)
+        labels = {atom.name: {q: frozenset(v) for q, v in atom.labels_from.items()} for atom in sysm.atoms}
+        held = []  # every list the engine handed out, with a copy of it
+        several += len(enc.components) > 1
+
+        def read(state=None):
+            at = eng.state if state is None else state
+            checks = eng.activity_checks, eng.priority_checks
+            got = eng.survivors(state)
+            want, scans, probes = reference_enum_survivors(sysm, at)
+            assert frozenset(got) == want == survivors(sysm, at) == enc.survivors(at), (sysm.name, at)
+            assert (eng.activity_checks - checks[0], eng.priority_checks - checks[1]) == (scans, probes)
+            assert eng._last is at and eng._offer == _full_union(sysm, at)
+            held.append((got, list(got)))
+
+        for state in reads:
+            roll = rng.random()
+            if roll < 0.15:
+                eng.reset()
+            elif roll < 0.3:
+                eng.state = tuple(list(state))  # equal to a read state, but another object
+            elif roll < 0.5:
+                before = eng.state
+                want, scans, probes = reference_enum_survivors(sysm, before)
+                checks = eng.activity_checks, eng.priority_checks
+                result = eng.step()
+                assert (eng.activity_checks - checks[0], eng.priority_checks - checks[1]) == (scans, probes)
+                assert (result is None) == (not want) and (result is None or result[0] in want)
+                read()
+            read(state)
+            if rng.random() < 0.3:
+                read(state)  # the kept state itself
+        # the kept set is the engine's own: no list handed out and no
+        # atom's labels changed under the reads
+        assert type(eng._offer) is set and all(got == copy for got, copy in held)
+        assert all(eng._offer is not got for got, _ in held)
+        assert labels == {atom.name: dict(atom.labels_from) for atom in sysm.atoms}
+    assert several >= 20
+
+
+@pytest.mark.parametrize("sysm", [gen_bus(3), _tasks_twice(3, 2), random_system(5), cell_system(7)],
+                         ids=["bus3", "tasks3x2-twice", "random5", "cell7"])
+def test_a_bad_state_after_a_kept_read_changes_no_kept_read(sysm):
+    # a state of the wrong arity raises before it is compared with the
+    # kept one (a pairwise compare would stop at the shorter state), and a
+    # state holding an unknown control state raises before the kept read
+    # changes: the reads that follow still equal the reference
+    eng, enc = EnumEngine(sysm), build(sysm)
+    states = sorted(reachable(sysm, bound=30).states)
+    first, last = states[0], states[-1]
+    assert frozenset(eng.survivors(first)) == enc.survivors(first) == survivors(sysm, first)
+    for bad in (first[:-1], first + first[:1], ()):
+        with pytest.raises(ValueError):
+            eng.survivors(bad)
+        with pytest.raises(ValueError):
+            enc.survivors(bad)
+    unknown = (*last[:-1], "no such state")
+    for engine_read in (eng.survivors, enc.survivors):
+        with pytest.raises(KeyError):
+            engine_read(unknown)
+    for state in (first, last, first):
+        assert frozenset(eng.survivors(state)) == enc.survivors(state) == survivors(sysm, state)
+        assert eng._offer == _full_union(sysm, state)
+
+
+def test_component_reads_follow_the_moved_atoms():
+    # bus16's clusters are 16 components; a state that differs from the
+    # last one read in one cluster re-reads that cluster alone
+    sysm = gen_bus(16)
+    enc = build(sysm)
+    reads = []
+    for c in enc.components:
+        real = c.survivors
+        c.survivors = lambda state, real=real, c=c: reads.append(c) or real(state)
+    init = sysm.initial_state()
+    enc.survivors(init)
+    assert len(reads) == 16
+    reads.clear()
+    moved = ("B", *init[1:])
+    assert enc.survivors(moved) == survivors(sysm, moved)
+    assert reads == [enc.components[0]]
+    reads.clear()
+    assert enc.survivors(moved) == survivors(sysm, moved) and reads == []
+
+
+def test_each_group_is_indexed_as_a_full_scan_finds_it():
+    # a group's sub-system holds the atoms owning its ports, the connectors
+    # on its ports in system order and the closure pairs on its ports, as
+    # a scan of every atom, connector and pair finds them
+    pairs = 0
+    for sysm in _corpus():
+        closure = sysm.priority.closure if isinstance(sysm.priority, ExplicitPairs) else None
+        for c in build(sysm).components:
+            for g in c.groups:
+                ours = frozenset(g.system.all_ports)
+                assert [a.name for a in g.system.atoms] == [a.name for a in sysm.atoms if a.port_set & ours]
+                assert g.system.connectors == tuple(x for x in sysm.connectors if x.port_set & ours)
+                if closure is None:
+                    assert type(g.system.priority) is type(sysm.priority)
+                else:
+                    assert g.system.priority.pairs == frozenset(ab for ab in closure if (ab[0] | ab[1]) & ours)
+                    pairs += bool(g.system.priority.pairs)
+    assert pairs >= 50
