@@ -14,20 +14,21 @@ from the scan's active set, one outside it gets the same superset test;
 `priority_checks` counts one probe per dominator of each active one.
 
 The engine keeps one state and the labels it offers, and reads every
-state as a change from it: `survivors` swaps out the labels of each atom
-whose state differs from the kept one and swaps in its new ones, which
-is exact because no two atoms share a label, and keeps the new state.
-A step swaps the labels of the atoms it moved, so at the state it fired
-to the kept set is read as it is; a state `check` asks about, a reset or
-a state set from outside costs one swap per atom that differs.  The
-scan still tests every pool member.
+state as a change from it.  One method (`_offered`) moves the pair to
+another state: it swaps out the labels of some atoms and swaps in their
+new ones, which is exact because no two atoms share a label.
+`survivors` passes the atoms whose state differs from the kept one, a
+step the atoms it moved (`Engine._fire`), so at the state it fired to
+the kept set is read as it is; a state `check` asks about, a reset or a
+state set from outside costs one swap per atom that differs.  The scan
+still tests every pool member.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from operator import ne
-from typing import Optional
+from operator import itemgetter, ne
+from typing import Iterable, Optional
 
 from .connectors import Interaction, interaction_key
 from .model import (
@@ -38,6 +39,8 @@ from .model import (
     _check_arity,
     validate,
 )
+
+_atom = itemgetter(0)  # of a move (`Engine._fire`): the moved atom's index
 
 
 class EnumEngine(Engine):
@@ -69,14 +72,17 @@ class EnumEngine(Engine):
             outside = tuple(frozenset([label for _, label, _ in shares(b)]) for b in doms if b not in index) if len(inside) < len(doms) else ()
             self._dominators.append((len(doms), inside, outside))
 
-    def _offered(self, state: GlobalState) -> set[Interaction]:
+    def _offered(self, state: GlobalState, atoms: Optional[Iterable[int]] = None) -> set[Interaction]:
         """The labels `state` offers: the kept set, with the labels of each
-        atom whose state differs from the kept state swapped out and its
-        new ones in, all looked up before the set changes; `state` becomes
-        the kept state.  ValueError on a state of the wrong arity."""
-        _check_arity(self.system, state)
-        last, offer = self._last, self._offer
-        swaps = [(by[q], by[r]) for by, q, r in compress(zip(self._labels, last, state), map(ne, last, state))]
+        of `atoms` (by default each atom whose state differs from the kept
+        state, after an arity check: ValueError) swapped out and its new
+        ones in, all looked up before the set changes; `state` becomes the
+        kept state."""
+        last, labels, offer = self._last, self._labels, self._offer
+        if atoms is None:
+            _check_arity(self.system, state)
+            atoms = compress(range(len(state)), map(ne, last, state))
+        swaps = [(labels[i][last[i]], labels[i][state[i]]) for i in atoms]
         for old, new in swaps:
             offer -= old
             offer |= new
@@ -119,16 +125,11 @@ class EnumEngine(Engine):
         """Fire one surviving interaction; None signals deadlock.  A survivor
         is enabled, so it fires without `model.step`'s check.  The kept
         labels, those of the state fired from once `survivors` has read it,
-        become the state fired to's by the moved atoms' swaps."""
-        state = self.state
+        become the state fired to's by the moved atoms' swaps (`_offered`)."""
         survivors = self.survivors()
         if not survivors:
             return None
         a = self._rng.choice(survivors)
         moves = self._fire(a)
-        labels, new, offer = self._labels, self.state, self._offer
-        for i, _ in moves:
-            offer -= labels[i][state[i]]
-            offer |= labels[i][new[i]]
-        self._last = new
+        self._offered(self.state, map(_atom, moves))
         return a, self.state

@@ -254,7 +254,10 @@ class Trace:
 class Engine:
     """The reset, the run loop and the end of a step both engines share,
     over their `system`, `seed` and `step()`, which fires one interaction
-    and returns it with the new state, or None on deadlock."""
+    and returns it with the new state, or None on deadlock.  Each engine
+    keeps one read of a state, moved to any other state by one method
+    (`EnumEngine._offered`, `SystemEncoding.read`); its step updates it by
+    the atoms `_fire` moved, so the state fired to needs no other read."""
 
     state: GlobalState
 
@@ -262,15 +265,15 @@ class Engine:
         self.state = self.system.initial_state()
         self.steps_taken = 0
         self._rng = random.Random(self.seed)
-        self._fired_to: Optional[GlobalState] = None  # the state our last step produced
 
     def _fire(self, a: Interaction) -> list[tuple[int, tuple[str, ...]]]:
         """Move the owners of `a`, which must be enabled at our state (the
-        step's survivors are), count the step and record the state fired
-        to; return the moves (`_moves`).  A state fired to has the right
-        arity, so only a step at another state need check it."""
+        step's survivors are), and count the step; return the moves
+        (`_moves`), so that the step can update its kept read by the moved
+        atoms alone.  A state fired to has the right arity, so only a step
+        at another state need check it."""
         moves = _moves(self.system, self.state, a)
-        self.state = self._fired_to = _advance(self.state, moves, self._rng)
+        self.state = _advance(self.state, moves, self._rng)
         self.steps_taken += 1
         return moves
 

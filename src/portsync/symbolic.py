@@ -105,30 +105,30 @@ keeps no table: `survivor_fn` only computes the function.  `survivors`
 `survivor_fn` only through a class's fill on a miss.  The first
 `survivors` to read an entry lists its models once and keeps them in
 it: as names where the class has no orbits, as the places of their
-ports where it has.  Without orbits a group's reading of that list
-depends on the entry alone: the group's first read maps it through
-`Group.by_model` and keeps it in the entry's per-group dict, and every
-later read of the entry by that group, at any state, reuses it, so an
-entry holds at most one such list per group of its class, each as long
-as its models.  With orbits the owner at an orbit position changes from
-state to state, so the entry holds the places alone and each read takes
-them through the state's occupancy field (`Group.read`).  Only
-`survivors` reads these lists; the step never does.  Its pick reads the
-one model it draws in the group's `by_model`, which maps it only on a
-miss, so the step and `survivors` hand out one object per interaction;
-where the class has orbits, it reads the model's places through the
-occupancy field as `survivors` does.  `SystemEncoding.survivors` keeps
-the last state it read and each component's list there; a component's
-list depends on its owners' states alone, so a later read re-reads only
-the components that own an atom whose state differs (`build` keeps each
-atom's component) and joins the lists: the states `check` walks breadth
-first differ in few atoms.  The engine keeps each component's
-packed sum and group entries from its last step and the sum of their
-counts; a fired interaction lies in the drawn
-component's ports, so the next step re-reads only that component's
-groups.  A step takes the component of the one positive count, or draws
-one by its count, and picks a uniform survivor of it with coins from the
-engine's own generator; one helper (`_draw`) makes both weighted draws.
+ports where it has.  Without orbits each read maps the names through the
+group's `Group.by_model`, so the step and `survivors` hand out one
+object per interaction.  With orbits the owner at an orbit position
+changes from state to state, so each read takes the places through the
+state's occupancy field (`Group.read`).  Only `survivors` reads these
+lists; the step never does.  Its pick reads the one model it draws in
+the group's `by_model`, which maps it only on a miss, or, where the
+class has orbits, through the occupancy field as `survivors` does.
+
+The encoding keeps one read of a state, which `survivors` and the step
+share: per component its packed sum and group entries there, the sum of
+their counts and, once `survivors` has listed it, its survivor list.  A
+component's read depends on its owners' states alone, so moving the
+kept read to another state (`SystemEncoding.read`) re-reads only the
+components that own an atom whose state differs (`build` keeps each
+atom's component): the states `check` walks breadth first differ in few
+atoms, and `survivors` lists only the components read again since it
+last listed them.  A fired interaction lies in the drawn component's
+ports, so after firing the step re-reads that component alone, at the
+state fired to; a step at another state (a reset, a state set from
+outside or one `survivors` read since) moves the kept read there first.  A step takes the component of
+the one positive count, or draws one by its count, and picks a uniform
+survivor of it with coins from the engine's own generator; one helper
+(`_draw`) makes both weighted draws.
 No primed behavior, primed connectors or pool-sized priority function is
 built.
 """
@@ -139,7 +139,7 @@ from bisect import bisect
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import accumulate, chain, compress, count
-from operator import ne
+from operator import itemgetter, ne
 from typing import Iterable, Optional
 
 from . import boolfunc as bf
@@ -160,6 +160,7 @@ from .model import (
 )
 
 PRIME = "'"
+_count = itemgetter(1)  # of a class-table entry: its number of survivors
 
 
 def prime(port: str) -> str:
@@ -320,10 +321,11 @@ def encode_strict_subset(ports: tuple[str, ...], mgr: BddManager) -> BddRef:
 @dataclass
 class SystemEncoding:
     """A (sub-)system's functions; the whole system's encoding also holds
-    its independent components, each atom's component and, once
-    `survivors` has read a state, that state and each component's
-    survivor list there, which the next read updates by the components
-    whose owners' states differ."""
+    its independent components, each atom's component and the one kept
+    read of a state that `survivors` and the engine's step share: per
+    component its packed sum and group entries there, their summed count
+    and, once `survivors` has listed it, its survivor list.  `read` moves
+    it to another state by the components whose owners' states differ."""
     system: SystemModel
     manager: BddManager
     # the whole system's independent components, and per atom the index of
@@ -332,10 +334,13 @@ class SystemEncoding:
     component_of: tuple[int, ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # the state `survivors` read last (None before the first read) and
-        # each component's survivors there
+        # the state of the kept read (None before the first read) and per
+        # component its packed sum and entries there, their summed count
+        # and its survivor list (None until `survivors` lists it)
         self._last: Optional[GlobalState] = None
-        self._lists: list[list[Interaction]] = [[] for _ in self.components]
+        self._reads: list[tuple[int, list[list]]] = [(0, [])] * len(self.components)
+        self._counts = [0] * len(self.components)
+        self._lists: list[Optional[list[Interaction]]] = [None] * len(self.components)
 
     # f_B, f_S and the whole system's own functions are read by no step:
     # each is built when first asked for
@@ -419,19 +424,31 @@ class SystemEncoding:
         excluded = m.and_exists(m.shift(active), self.pairs_fn, self.primed_names)
         return active & self.connector_fn & ~excluded
 
-    def survivors(self, state: GlobalState) -> frozenset[Interaction]:
-        """The union of the components' survivor lists; ValueError on a
-        state of the wrong arity.  A component's list depends on its
-        owners' states alone, so only the components that own an atom whose
-        state differs from the last read's are read again; the others'
-        lists are kept from it."""
+    def read(self, state: GlobalState) -> None:
+        """Move the kept read to `state`; ValueError on a state of the wrong
+        arity.  A component's read depends on its owners' states alone, so
+        only the components that own an atom whose state differs from the
+        kept state's are read again, and their lists dropped."""
         _check_arity(self.system, state)
-        last, lists, comps = self._last, self._lists, self.components
+        last, reads, counts, lists, comps = self._last, self._reads, self._counts, self._lists, self.components
         changed = range(len(comps)) if last is None else set(compress(self.component_of, map(ne, state, last)))
         self._last = None  # until every changed component is read
         for k in changed:
-            lists[k] = comps[k].survivors(state)
+            _, es = reads[k] = comps[k].entries(state)
+            counts[k] = sum(map(_count, es))
+            lists[k] = None
         self._last = state
+
+    def survivors(self, state: GlobalState) -> frozenset[Interaction]:
+        """The union of the components' survivor lists at `state`, each
+        listed from the kept read (`read`) where it has no list yet;
+        ValueError on a state of the wrong arity."""
+        self.read(state)
+        lists, reads, comps = self._lists, self._reads, self.components
+        for k, listed in enumerate(lists):
+            if listed is None:
+                packed, es = reads[k]
+                lists[k] = comps[k].survivors(packed, es)
         return frozenset(chain.from_iterable(lists))
 
 
@@ -439,28 +456,24 @@ class GroupClass:
     """Port groups that are copies of one another (`_group`): the first
     one's encoding, which encodes the class's functions; its owners' first
     state per offer; its orbits (`_orbits`); per owner position each
-    value's code and the number of keys (`_digits`); where it has orbits,
-    each port's place, which its groups read a model through, and per
-    orbit position each value's row of the occupancy field, with the
-    field's width (`_rows`); and
+    value's code, the number of keys, per orbit position each value's row
+    of the occupancy field and the field's width (`_digits`); where it has
+    orbits, each port's place, which its groups read a model through; and
     the class's one survivor table: key -> [survivor function, its number
     of survivors over a group's ports (0 exactly when it is false), where
     the class has orbits the reads of its canonical positions (`fill`),
-    and once `Component.survivors` reads it: where the class has no
-    orbits, its models as names and a dict of each group that read them
-    to those models as its interactions, the objects of the group's
-    `Group.by_model`; where it has, its models as the places of their
-    ports (`place`)]."""
+    and once `Component.survivors` reads it, its models: as names where
+    the class has no orbits, as the places of their ports (`place`) where
+    it has]."""
 
     def __init__(self, encoding: SystemEncoding, firsts: list[dict], orbits: tuple[tuple[int, ...], ...]):
         self.encoding, self.firsts, self.orbits = encoding, firsts, orbits
-        self.digits, self.keys = _digits(firsts, orbits)
+        self.digits, self.keys, self.rows, self.occupancy_bits = _digits(firsts, orbits)
         self.table: dict[int, list] = {}
         # only a class with orbits reads each port's place: its owner
         # position and its index among the owner's ports (`Group.read`)
         if orbits:
             self.place = {p: (k, i) for k, atom in enumerate(encoding.system.atoms) for i, p in enumerate(atom.ports)}
-            self.rows, self.occupancy_bits = _rows(firsts, orbits)
 
     def fill(self, state: GlobalState, key: int) -> list:
         """The entry at `key`, filled at the local state it stands for: the
@@ -480,6 +493,22 @@ class GroupClass:
         return e
 
 
+class _Interactions(dict):
+    """An orbit-free group's `by_model`: each model of its class's entries,
+    as the representative's true port names (`pick_sat`, `iter_models`),
+    to the group's interaction, read through the group's port map on the
+    model's first read and kept, so that every later read returns the same
+    object; a read that hits is one dict lookup."""
+
+    def __init__(self, port_map: dict[str, str]):
+        super().__init__()
+        self.port_map = port_map
+
+    def __missing__(self, model: frozenset[str]) -> Interaction:
+        a = self[model] = frozenset(map(self.port_map.__getitem__, model))
+        return a
+
+
 class Group:
     """A port group: its owners projected onto it (`system`), its class,
     and per owner its atom index and each state's code, whose sum is its
@@ -489,7 +518,8 @@ class Group:
     orbits, `port_map` maps each of the representative's ports to ours,
     and `by_model` maps each model of the class's entries that a pick or
     `Component.survivors` has read, as the set of the representative's
-    true port names, to our interaction (`interaction`).  Where it has
+    true port names, to our interaction (`_Interactions`), so that every
+    read of a model hands out one object.  Where it has
     orbits, each orbit owner also has per state a one-bit code
     (`occupancy`): the bit of its value's row and its owner position's
     column in our occupancy field, which lies right after our key field
@@ -513,17 +543,7 @@ class Group:
             # the signature fixes each owner position's port ranks, so the
             # representative's ports and ours line up in level order
             self.port_map = dict(zip(cls.encoding.port_names, system.all_ports))
-            self.by_model: dict[frozenset[str], Interaction] = {}
-
-    def interaction(self, model: frozenset[str]) -> Interaction:
-        """Where our class has no orbits: a model of its entries, as the
-        representative's true port names (`pick_sat`, `iter_models`), as
-        our interaction, read through `port_map` on the first read and kept
-        in `by_model`, so that every later read returns the same object."""
-        a = self.by_model.get(model)
-        if a is None:
-            a = self.by_model[model] = frozenset(map(self.port_map.__getitem__, model))
-        return a
+            self.by_model = _Interactions(self.port_map)
 
     def canonical(self, state: GlobalState) -> GlobalState:
         """The local state our key stands for: each orbit's values sorted."""
@@ -612,28 +632,22 @@ class Component:
             out.append(e)
         return packed, out
 
-    def survivors(self, state: GlobalState) -> list[Interaction]:
-        """Each group's models at its class entry, listed once on the first
-        read and read onto its ports.  Where the class has no orbits the
-        entry lists them as names, and a group's reading depends on the
-        entry alone, so the entry keeps it in a dict by group, built through
-        `Group.interaction`: each interaction is the object the pick
-        returns.  Where it has orbits the entry lists them as the places
-        of their ports (`GroupClass.place`), and each read takes them
-        through the state's occupancy field (`Group.read`)."""
+    def survivors(self, packed: int, entries: list[list]) -> list[Interaction]:
+        """Our survivors at a state whose packed sum and group entries, as
+        `entries` reads them, are `packed` and `entries`: each group's
+        models at its class entry, listed in the entry on its first read
+        and read onto its ports.  Where the class has no orbits the entry
+        lists them as names, each read in the group's `by_model`, so each
+        interaction is the object the pick returns.  Where it has orbits
+        the entry lists them as the places of their ports
+        (`GroupClass.place`), and each read takes them through the state's
+        occupancy field (`Group.read`)."""
         out: list[Interaction] = []
-        packed, entries = self.entries(state)
         for g, e, at in zip(self.groups, entries, self._occupancy):
-            if len(e) < 4:
+            if len(e) < 3 + bool(g.occupancy):
                 models = self.manager.iter_models(e[0], g.cls.encoding.port_names)
-                e += [[tuple(map(g.cls.place.__getitem__, m)) for m in models]] if g.cls.orbits else [[*models], {}]
-            if g.cls.orbits:
-                out += map(partial(g.read, packed >> at, e[2]), e[3])
-            else:
-                mine = e[3].get(g)
-                if mine is None:
-                    mine = e[3][g] = [*map(g.interaction, e[2])]
-                out += mine
+                e.append([tuple(map(g.cls.place.__getitem__, m)) for m in models] if g.occupancy else [*models])
+            out += map(partial(g.read, packed >> at, e[2]), e[3]) if g.occupancy else map(g.by_model.__getitem__, e[2])
         return out
 
     def pick(self, packed: int, entries: list[list], rng) -> Interaction:
@@ -648,8 +662,7 @@ class Component:
         model = self.manager.pick_sat(entries[k][0], rng, g.cls.encoding.port_names)
         if g.occupancy:
             return g.read(packed >> self._occupancy[k], entries[k][2], map(g.cls.place.__getitem__, model))
-        a = g.by_model.get(model)
-        return a if a is not None else g.interaction(model)
+        return g.by_model[model]
 
 
 def _ranked(conn: Connector, rank: dict[str, int]) -> tuple:
@@ -696,45 +709,35 @@ def _orbits(sub: SystemModel, rank: dict[str, int], terms: frozenset, pairs: fro
     return tuple(tuple(o) for o in orbits if len(o) > 1)
 
 
-def _digits(firsts: list[dict], orbits: tuple[tuple[int, ...], ...]) -> tuple[list[dict[str, int]], int]:
+def _digits(firsts: list[dict], orbits: tuple[tuple[int, ...], ...]) -> tuple[list, int, list, int]:
     """Per owner position of a class, each value's code, and the number of
     keys: the class key is the sum of its positions' codes, a mixed-radix
     integer below the final weight.  An orbit has one digit of base
-    |orbit| + 1 per value, which counts the positions holding it (the
-    counter abstraction, Emerson and Sistla 1996); any other position has
-    one digit holding its value's index.  So two keys agree exactly when
-    the local states agree up to the orbits' permutations."""
+    |orbit| + 1 per value, in the order of its values, which counts the
+    positions holding it (the counter abstraction, Emerson and Sistla
+    1996); any other position has one digit holding its value's index.  So
+    two keys agree exactly when the local states agree up to the orbits'
+    permutations.  Then per owner position, None outside an orbit, else
+    each value's row of the occupancy field, and the field's width: an
+    orbit has one row per value, in the same order, and a row has one
+    column per owner position, so the field's set bits, in bit order, list
+    each orbit's owners as sorting them by value, stably, does."""
     digits: list = [None] * len(firsts)
-    weight = 1
+    rows: list = [None] * len(firsts)
+    weight, n = 1, 0
     for o in orbits:
-        code = {}
-        for v in dict.fromkeys(v for k in o for v in firsts[k].values()):
+        code, row = {}, {}
+        for v in sorted({v for k in o for v in firsts[k].values()}):
             code[v], weight = weight, weight * (len(o) + 1)
+            row[v], n = n, n + 1
         for k in o:
-            digits[k] = code
+            digits[k], rows[k] = code, row
     for k, first in enumerate(firsts):
         if digits[k] is None:
             values = dict.fromkeys(first.values())
             digits[k] = {v: weight * i for i, v in enumerate(values)}
             weight *= len(values)
-    return digits, weight
-
-
-def _rows(firsts: list[dict], orbits: tuple[tuple[int, ...], ...]) -> tuple[list[Optional[dict[str, int]]], int]:
-    """Per owner position of a class with orbits, None outside an orbit,
-    else each value's row of the occupancy field, and the field's width:
-    an orbit has one row per value, in the order of the values, and a row
-    has one column per owner position.  So the field's set bits, in bit
-    order, list each orbit's owners as sorting them by value, stably,
-    does."""
-    rows: list = [None] * len(firsts)
-    n = 0
-    for o in orbits:
-        values = sorted({v for k in o for v in firsts[k].values()})
-        for k in o:
-            rows[k] = {v: n + r for r, v in enumerate(values)}
-        n += len(values)
-    return rows, n * len(firsts)
+    return digits, weight, rows, n * len(firsts)
 
 
 def _group(system: SystemModel, ports: tuple[str, ...], mgr: BddManager, classes: dict,
@@ -818,19 +821,20 @@ def build(system: SystemModel) -> SystemEncoding:
 class SymbolicEngine(Engine):
     """Stepper that works on the encoded system only.
 
-    The per-step work is reading the class-table entries of the port
-    groups of the component the last step moved, at their keys in the new
-    state, all unpacked from one sum over its owners (`Component.entries`),
-    and summing their counts; the other components' entries and counts are
-    kept from the last step.  A step whose state is not the one the last
-    step fired to (a reset, or a state set from outside) checks its arity
-    (ValueError) and reads every component.  No positive count is
-    deadlock; with one, its component is taken, else a component is drawn
-    by its count (`_draw`, with a coin), and a uniform survivor of it is
-    picked (`Component.pick`) with coins from the engine's generator; the
-    pool is never enumerated.  A survivor is enabled, so the step moves its
-    owners (`Engine._fire`) without `model.step`'s check against the
-    pool.
+    A step draws from the encoding's kept read (`SystemEncoding`): per
+    component its group entries and their summed count.  At a state that
+    is not the kept read's (a reset, a state set from outside, or one
+    `survivors` read since the last step) the step first moves the kept
+    read there (`SystemEncoding.read`: ValueError on a wrong arity).  No
+    positive count is deadlock; with one, its component is taken, else a
+    component is drawn by its count (`_draw`, with a coin), and a uniform
+    survivor of it is picked (`Component.pick`) with coins from the
+    engine's generator; the pool is never enumerated.  A survivor is
+    enabled, so the step moves its owners (`Engine._fire`) without
+    `model.step`'s check against the pool, and then re-reads the drawn
+    component alone at the state fired to, its owners being the only
+    atoms that moved: its class-table entries, at their keys unpacked from
+    one sum over its owners (`Component.entries`), and their summed count.
     """
 
     def __init__(self, system: SystemModel, seed: int = 0):
@@ -838,30 +842,27 @@ class SymbolicEngine(Engine):
         self.system = system
         self.seed = seed
         self.reset()
-        # each component's packed sum and group entries as our last step
-        # read them, their summed counts and the component it moved: at the
-        # state it fired to only the moved component's can differ
-        self._read = [(0, [])] * len(self.encoding.components)
-        self._counts = [0] * len(self._read)
-        self._moved = 0
 
     def step(self) -> Optional[tuple[Interaction, GlobalState]]:
         """Fire one surviving interaction; None signals deadlock."""
-        state, read, counts, comps = self.state, self._read, self._counts, self.encoding.components
-        if state is self._fired_to:
-            k = self._moved
-            _, es = read[k] = comps[k].entries(state)
-            counts[k] = sum([e[1] for e in es])
-        else:  # reset, or a state set from outside: read every component
-            _check_arity(self.system, state)
-            read[:] = [c.entries(state) for c in comps]
-            counts[:] = [sum([e[1] for e in es]) for _, es in read]
+        enc, state = self.encoding, self.state
+        if state is not enc._last:  # reset, a state set from outside or read by `survivors`
+            enc.read(state)
+        counts = enc._counts
         live = len(counts) - counts.count(0)
         if not live:
             return None
         k = _draw(counts, self._rng) if live > 1 else counts.index(max(counts))
-        packed, es = read[k]
-        a = comps[k].pick(packed, es, self._rng)
+        reads = enc._reads
+        packed, es = reads[k]
+        c = enc.components[k]
+        a = c.pick(packed, es, self._rng)
         self._fire(a)
-        self._moved = k
-        return a, self.state
+        # only the drawn component's owners moved: re-read it alone, here
+        # rather than through `read`, which would compare every atom
+        state = self.state
+        _, es = reads[k] = c.entries(state)
+        counts[k] = sum(map(_count, es))
+        enc._lists[k] = None
+        enc._last = state
+        return a, state

@@ -489,7 +489,7 @@ def joined_survivor_fn(x, state):
     picks from and counts the groups without building it."""
     comps = [x] if isinstance(x, Component) else x.components
     ports = ports_of(x)
-    return x.manager.or_all(x.manager.cube({p: p in a for p in ports}) for c in comps for a in c.survivors(state))
+    return x.manager.or_all(x.manager.cube({p: p in a for p in ports}) for c in comps for a in c.survivors(*c.entries(state)))
 
 
 def reference_lex(text):

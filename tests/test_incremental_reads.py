@@ -1,18 +1,21 @@
 """Both engines read a state as a change from the last state they read:
 `EnumEngine.survivors` swaps the offered labels of the atoms that differ,
-`SystemEncoding.survivors` re-reads the components that own them.  Reads
-in any order must give what a read from scratch gives."""
+`SystemEncoding.read` re-reads the components that own them, and both
+steps update that one kept read by the atoms they moved.  Reads in any
+order, interleaved with steps, must give what a read from scratch gives."""
 
 import random
 
 import pytest
 
 from portsync.enumerative import EnumEngine
+from portsync.equivalence import check_equivalence
 from portsync.generators import gen_bus, gen_tasks, modulo8, random_system
 from portsync.model import ExplicitPairs, reachable, survivors
-from portsync.symbolic import build
+from portsync.symbolic import SymbolicEngine, build
 
-from oracles import cell_system, hub_system, pairs_written_out, reference_enum_survivors, with_outside_dominator
+from oracles import (cell_system, components, hub_system, pairs_written_out, ports_of, reference_enum_survivors,
+                     with_outside_dominator)
 from test_traces import _tasks_twice
 
 
@@ -105,13 +108,13 @@ def test_a_bad_state_after_a_kept_read_changes_no_kept_read(sysm):
 
 def test_component_reads_follow_the_moved_atoms():
     # bus16's clusters are 16 components; a state that differs from the
-    # last one read in one cluster re-reads that cluster alone
+    # last one read in one cluster re-lists that cluster alone
     sysm = gen_bus(16)
     enc = build(sysm)
     reads = []
     for c in enc.components:
         real = c.survivors
-        c.survivors = lambda state, real=real, c=c: reads.append(c) or real(state)
+        c.survivors = lambda *read, real=real, c=c: reads.append(c) or real(*read)
     init = sysm.initial_state()
     enc.survivors(init)
     assert len(reads) == 16
@@ -121,6 +124,91 @@ def test_component_reads_follow_the_moved_atoms():
     assert reads == [enc.components[0]]
     reads.clear()
     assert enc.survivors(moved) == survivors(sysm, moved) and reads == []
+
+
+def _assert_kept_read_is_fresh(enc):
+    """The encoding's kept read equals a fresh read of every component at
+    its state: the same packed sums and entry objects, each count the sum
+    of its entries' counts, and each listed component's survivors the
+    model's on its ports.  Before the first read there is none."""
+    state = enc._last
+    if state is None:
+        return
+    want = survivors(enc.system, state)
+    for c, (packed, es), n, listed in zip(enc.components, enc._reads, enc._counts, enc._lists):
+        fresh, fresh_es = c.entries(state)
+        assert packed == fresh and list(map(id, es)) == list(map(id, fresh_es)), state
+        assert n == sum(e[1] for e in es), state
+        if listed is not None:
+            ours = frozenset(ports_of(c))
+            assert sorted(map(sorted, listed)) == sorted(sorted(a) for a in want if a <= ours), state
+
+
+def _several_components(systems, k):
+    """The first k of `systems` with two components or more and more than
+    two states within 10 steps."""
+    return [s for s in systems if len(components(s)) > 1 and len(reachable(s, bound=10).states) > 2][:k]
+
+
+def test_the_step_and_survivors_share_one_kept_read():
+    # one engine's steps interleave with its encoding's survivors at
+    # shuffled reachable states, with `check` on that encoding, with resets
+    # and with states set from outside: after every call the kept read is
+    # a fresh read at its state, after a step at the state fired to, and
+    # the engine fires what a fresh engine with the same seed fires, given
+    # the same resets and states
+    systems = [gen_bus(3), gen_bus(16), gen_tasks(3, 2),
+               *_several_components(map(random_system, range(400)), 4),
+               *_several_components(map(cell_system, range(120)), 4)]
+    assert len(systems) == 11
+    steps = 0
+    for n, sysm in enumerate(systems):
+        rng = random.Random(n)
+        eng, twin = SymbolicEngine(sysm, seed=n), SymbolicEngine(sysm, seed=n)
+        enc = eng.encoding
+        states = sorted(reachable(sysm, bound=60).states)
+        for _ in range(300):
+            roll = rng.random()
+            if roll < 0.05:
+                eng.reset()
+                twin.reset()
+            elif roll < 0.1:
+                eng.state = twin.state = rng.choice(states)
+            elif roll < 0.3:
+                enc.survivors(rng.choice(states))
+            elif roll < 0.4:
+                enc.survivors(tuple(list(eng.state)))  # the engine's state, as another object
+            elif roll < 0.42:
+                assert check_equivalence(sysm, bound=rng.randint(1, 60), encoding=enc).equivalent
+            else:
+                result = eng.step()
+                assert result == twin.step()
+                steps += result is not None
+                if result is not None:
+                    assert enc._last is eng.state
+            _assert_kept_read_is_fresh(enc)
+    assert steps > 1500
+
+
+def test_kept_counts_equal_the_survivors_at_every_checked_state():
+    # at every state of `check`'s walk, each component's kept count, the
+    # sum its step draws from, is the number of the model's survivors on
+    # its ports
+    systems = [modulo8(), gen_bus(3), gen_bus(16), gen_tasks(3, 2), gen_tasks(8, 4), _tasks_twice(3, 2),
+               pairs_written_out(gen_tasks(3, 2)), *map(random_system, range(120)), *map(cell_system, range(120))]
+    for sysm in systems:
+        enc = build(sysm)
+        ports = [frozenset(ports_of(c)) for c in enc.components]
+        read = enc.survivors
+
+        def counted(state):
+            out = read(state)
+            want = survivors(sysm, state)
+            assert enc._counts == [sum(a <= ours for a in want) for ours in ports], (sysm.name, state)
+            return out
+
+        enc.survivors = counted
+        assert check_equivalence(sysm, bound=2000, encoding=enc).equivalent
 
 
 def test_each_group_is_indexed_as_a_full_scan_finds_it():

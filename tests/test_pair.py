@@ -125,3 +125,27 @@ def test_a_directory_side_is_named_relative_to_the_repository(tmp_path):
     outside = pair.describe(str(tmp_path))
     assert outside == {"directory": None, "commit": None, "uncommitted": None}
     assert not any(str(root) in str(v) or str(tmp_path) in str(v) for v in (*here.values(), *outside.values()))
+
+
+def test_ab_imports_a_tree_under_its_own_package_name():
+    # `tools/ab.py` times two trees in one process: each tree's package,
+    # imported under its own name, has its own modules and runs as the
+    # installed one does
+    import sys
+
+    import portsync.symbolic
+    from portsync.generators import gen_bus
+
+    spec = importlib.util.spec_from_file_location("ab", TOOL.with_name("ab.py"))
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    try:
+        pkg = ab.load("portsync_ab_test", TOOL.parents[1] / "src")
+        symbolic = sys.modules["portsync_ab_test.symbolic"]
+        assert pkg.SymbolicEngine is symbolic.SymbolicEngine is not portsync.symbolic.SymbolicEngine
+        system = pkg.parse(ab.models().bus_text(3))
+        assert [sorted(a) for a in symbolic.SymbolicEngine(system, seed=1).run(50).interactions] == \
+            [sorted(a) for a in portsync.symbolic.SymbolicEngine(gen_bus(3), seed=1).run(50).interactions]
+    finally:
+        for name in [n for n in sys.modules if n.startswith("portsync_ab_test")]:
+            del sys.modules[name]

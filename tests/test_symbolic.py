@@ -760,7 +760,7 @@ def _classes(enc):
 def _read_model(g, model, c=None, state=None):
     """A model of `g`'s class entry, as the representative's true port
     names, read onto g's ports as the engine reads it: where the class has
-    no orbits through `Group.interaction`; else through `Group.read`, at
+    no orbits in `Group.by_model`; else through `Group.read`, at
     `state`'s occupancy field in g's component `c`.  The result is checked
     against the places of the model's ports (each port's owner position
     and index among that owner's ports, built here from the
@@ -773,7 +773,7 @@ def _read_model(g, model, c=None, state=None):
         k = c.groups.index(g)
         a = g.read(packed >> c._occupancy[k], entries[k][2], map(g.cls.place.__getitem__, model))
     else:
-        perm, a = range(len(g.system.atoms)), g.interaction(model)
+        perm, a = range(len(g.system.atoms)), g.by_model[model]
     assert a == frozenset([g.system.atoms[perm[k]].ports[i] for k, i in map(place.__getitem__, model)])
     return a
 
@@ -1146,8 +1146,9 @@ def test_zero_components_deadlock_on_the_first_step():
 
 
 def test_incremental_step_equals_a_full_read():
-    # the step re-reads only the component the last step moved: at every
-    # step its entries and counts must be those of a fresh read of every
+    # after a step the encoding's kept read is at the state it fired to,
+    # and the step re-read only the component it drew: at every step the
+    # kept entries and counts must be those of a fresh read of every
     # component, also after a reset and after the state is set from
     # outside, and it must fire what an engine that reads every component
     # at every step fires
@@ -1156,16 +1157,17 @@ def test_incremental_step_equals_a_full_read():
     assert len(randoms) >= 5
     for sysm in (gen_bus(3), gen_bus(16), *randoms):
         eng, full = SymbolicEngine(sysm, seed=5), SymbolicEngine(sysm, seed=5)
+        enc = eng.encoding
 
         def steps(n):
             for _ in range(n):
-                before = eng.state
-                full.state = tuple(list(full.state))  # equal, but not the tuple its step produced
+                full.encoding._last = None  # no kept read: the step reads every component
                 result = eng.step()
                 assert result == full.step()
-                fresh = [c.entries(before) for c in eng.encoding.components]
-                assert [(p, list(map(id, es))) for p, es in eng._read] == [(p, list(map(id, es))) for p, es in fresh]
-                assert eng._counts == [sum(e[1] for e in es) for _, es in fresh]
+                fresh = [c.entries(eng.state) for c in enc.components]
+                assert enc._last is eng.state
+                assert [(p, list(map(id, es))) for p, es in enc._reads] == [(p, list(map(id, es))) for p, es in fresh]
+                assert enc._counts == [sum(e[1] for e in es) for _, es in fresh]
                 if result is None:
                     return
 
@@ -1292,12 +1294,11 @@ def test_symbolic_steps_never_enumerate_the_pool():
 
 def test_survivors_list_each_class_entry_once(monkeypatch):
     # `Component.survivors` keeps an entry's models in it: as names where
-    # the class has no orbits, followed by the dict of each group's reading;
-    # where it has, each as the places of its ports (`GroupClass.place`,
-    # which only such a class has), after the fill's one read per
-    # canonical position and with nothing after them: however many states
-    # and groups read an entry, it is enumerated once, and the step, which
-    # picks, enumerates none
+    # the class has no orbits; where it has, each as the places of its
+    # ports (`GroupClass.place`, which only such a class has), after the
+    # fill's one read per canonical position; with nothing after them:
+    # however many states and groups read an entry, it is enumerated once,
+    # and the step, which picks, enumerates none
     for sysm in (gen_bus(3), gen_tasks(3, 2), pairs_written_out(gen_bus(3))):
         enc = build(sysm)
         listed = []
@@ -1309,8 +1310,8 @@ def test_survivors_list_each_class_entry_once(monkeypatch):
         assert all(e[3 if cls.orbits else 2] == [m if not cls.orbits else tuple(map(cls.place.__getitem__, m))
                                                  for m in iter_models(e[0], cls.encoding.port_names)]
                    for cls, e in entries)
-        assert all(hasattr(cls, "place") == bool(cls.orbits) and len(e) == 4
-                   and (len(e[2]) == len(cls.firsts) if cls.orbits else isinstance(e[3], dict)) for cls, e in entries)
+        assert all(hasattr(cls, "place") == bool(cls.orbits) and len(e) == 3 + bool(cls.orbits)
+                   and (not cls.orbits or len(e[2]) == len(cls.firsts)) for cls, e in entries)
         engine = SymbolicEngine(sysm, seed=3)
         monkeypatch.setattr(engine.encoding.manager, "iter_models", None)
         assert len(engine.run(200)) == 200
@@ -1318,31 +1319,30 @@ def test_survivors_list_each_class_entry_once(monkeypatch):
 
 def test_a_class_entry_keeps_each_groups_own_survivors():
     # bus3's clusters form one class without orbits, and at the initial
-    # state every cluster reads one entry at one key; the entry keeps one
-    # translated list per group, so each cluster's survivors are its own
-    # ports (a list kept per class would hand every cluster the first one's)
+    # state every cluster reads one entry at one key; each group reads the
+    # entry's one list of names onto its own ports, so each cluster's
+    # survivors are its own ports (a list kept per class would hand every
+    # cluster the first one's)
     sysm = gen_bus(3)
     state = sysm.initial_state()
     enc = build(sysm)
     groups = port_groups_of(enc)
     assert len({g.cls for g in groups}) == 1 and all(not g.cls.orbits for g in groups)
     assert len({key_of(g, state) for g in groups}) == 1
-    for _ in range(2):  # the second read reuses each group's kept list
-        got = [(g, c.survivors(state)) for c in enc.components for g in c.groups]
+    for _ in range(2):  # the second read reuses the entry's listed names
+        got = [(g, c.survivors(*c.entries(state))) for c in enc.components for g in c.groups]
         for g, listed in got:
             ours = set(g.system.all_ports)
             assert listed and all(a <= ours for a in listed)
             assert set(listed) == {a for a in survivors(sysm, state) if a <= ours}
-    (entry,) = groups[0].cls.table.values()
-    assert list(entry[3]) == groups
     assert enc.survivors(state) == survivors(sysm, state)
 
 
 def test_kept_survivor_lists_agree_at_every_reachable_state():
     # the encoding's survivors equal the reference's at every reachable
     # state, read on a fresh encoding and on one whose entries a run of the
-    # engine filled first, so that entries and kept lists are filled in
-    # another order; one walk reads the reference once per state
+    # engine filled first, so that entries and their listed models are
+    # filled in another order; one walk reads the reference once per state
     systems = [gen_bus(3), gen_bus(4), modulo8(), *map(random_system, range(120))]
     kept = 0
     for sysm in systems:
@@ -1356,8 +1356,8 @@ def test_kept_survivor_lists_agree_at_every_reachable_state():
             return (t for a in want for t in successors(sysm, state, a))
 
         assert not walk(sysm, 10**5, expand).truncated
-        kept += sum(len(e[3]) for enc in encodings for g in port_groups_of(enc) for e in g.cls.table.values()
-                    if len(e) > 3 and not g.cls.orbits)
+        kept += sum(len(e) > 2 for enc in encodings for cls in {g.cls for g in port_groups_of(enc)}
+                    if not cls.orbits for e in cls.table.values())
     assert kept > 100
 
 
