@@ -37,6 +37,7 @@ from .model import (
     SystemModel,
     ValidationError,
     _check_arity,
+    _undeclared,
     validate,
 )
 
@@ -77,12 +78,15 @@ class EnumEngine(Engine):
         of `atoms` (by default each atom whose state differs from the kept
         state, after an arity check: ValueError) swapped out and its new
         ones in, all looked up before the set changes; `state` becomes the
-        kept state."""
+        kept state.  ValueError on a control state its atom does not declare."""
         last, labels, offer = self._last, self._labels, self._offer
         if atoms is None:
             _check_arity(self.system, state)
             atoms = compress(range(len(state)), map(ne, last, state))
-        swaps = [(labels[i][last[i]], labels[i][state[i]]) for i in atoms]
+        try:
+            swaps = [(labels[i][last[i]], labels[i][state[i]]) for i in atoms]
+        except KeyError:  # the kept pair is untouched
+            raise _undeclared(self.system, state) from None
         for old, new in swaps:
             offer -= old
             offer |= new
@@ -102,7 +106,8 @@ class EnumEngine(Engine):
         kept set, updated to the state where it is not the kept one
         (`_offered`); there is no state-indexed shortcut.  A dominator in
         the pool is read from the scan's active set, one outside it is
-        tested as a member is.  ValueError on a state of the wrong arity.
+        tested as a member is.  ValueError on a state of the wrong arity or
+        one naming a control state its atom does not declare.
         """
         if state is None:
             state = self.state

@@ -256,8 +256,11 @@ class Engine:
     over their `system`, `seed` and `step()`, which fires one interaction
     and returns it with the new state, or None on deadlock.  Each engine
     keeps one read of a state, moved to any other state by one method
-    (`EnumEngine._offered`, `SystemEncoding.read`); its step updates it by
-    the atoms `_fire` moved, so the state fired to needs no other read."""
+    (`EnumEngine._offered`, `SystemEncoding.read`: ValueError on a state
+    of the wrong arity or one naming a control state its atom does not
+    declare).  After `_fire` the enumerative step updates it by the atoms
+    `_fire` moved and the symbolic step re-reads the drawn component, so
+    the state fired to needs no other read."""
 
     state: GlobalState
 
@@ -392,6 +395,13 @@ def _validate(system: SystemModel) -> list[Diagnostic]:
 def _check_arity(system: SystemModel, state: GlobalState) -> None:
     if len(state) != len(system.atoms):
         raise ValueError("state arity does not match the number of atoms")
+
+
+def _undeclared(system: SystemModel, state: GlobalState) -> ValueError:
+    """The error for a state that names a control state its atom does not
+    declare, which an engine's kept read meets as a KeyError."""
+    atom, q = next((atom, q) for atom, q in zip(system.atoms, state) if q not in atom.labels_from)
+    return ValueError(f"atom {atom.name} declares no state {q!r}")
 
 
 def _moves(system: SystemModel, state: GlobalState, a: Interaction) -> Optional[list[tuple[int, tuple[str, ...]]]]:

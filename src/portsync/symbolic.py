@@ -24,11 +24,12 @@ Atoms linked by a connector or an explicit priority pair form one
 independent component (`Component`), which is split into port groups:
 ports linked by a connector's support, an explicit pair or one transition
 label, where a group whose owners all own ports of another group merges
-into it (one union-find over the ports and the atoms finds both).  Each
-group (`Group`) stands for its owners projected onto it (their ports and
-labels in the group), with the connectors and explicit pairs on its
-ports, which `build` reads off per-port indices rather than a scan of
-the system per group.
+into it.  One pass (`_partition`, a union-find over the ports and the
+atoms) finds both.  It hands over each group with its owners and the
+connectors and closure pairs on it (a connector's support and a pair's
+ports are linked, so each lies inside one group), and each atom's
+component.  Each group (`Group`) stands for its owners projected onto it
+(their ports and labels in the group), with those connectors and pairs.
 Groups that are copies of one another under an order-preserving renaming
 of their ports form a class: their signatures, written over the ranks of
 their ports, agree.  A class is one object (`GroupClass`) that its
@@ -119,16 +120,17 @@ share: per component its packed sum and group entries there, the sum of
 their counts and, once `survivors` has listed it, its survivor list.  A
 component's read depends on its owners' states alone, so moving the
 kept read to another state (`SystemEncoding.read`) re-reads only the
-components that own an atom whose state differs (`build` keeps each
-atom's component): the states `check` walks breadth first differ in few
-atoms, and `survivors` lists only the components read again since it
-last listed them.  A fired interaction lies in the drawn component's
-ports, so after firing the step re-reads that component alone, at the
-state fired to; a step at another state (a reset, a state set from
-outside or one `survivors` read since) moves the kept read there first.  A step takes the component of
-the one positive count, or draws one by its count, and picks a uniform
-survivor of it with coins from the engine's own generator; one helper
-(`_draw`) makes both weighted draws.
+components that own an atom whose state differs (the encoding keeps
+each atom's component): the states `check` walks breadth first differ
+in few atoms, and `survivors` lists only the components read again
+since it last listed them.  A fired interaction lies in the drawn
+component's ports, so after firing the step re-reads that component
+alone, at the state fired to; a step at another state (a reset, a state
+set from outside or one `survivors` read since) moves the kept read
+there first.  A step takes the component of the one positive count, or
+draws one by its count, and picks a uniform survivor of it with coins
+from the engine's own generator; one helper (`_draw`) makes both
+weighted draws.
 No primed behavior, primed connectors or pool-sized priority function is
 built.
 """
@@ -156,6 +158,7 @@ from .model import (
     SystemModel,
     ValidationError,
     _check_arity,
+    _undeclared,
     validate,
 )
 
@@ -186,20 +189,28 @@ def variable_order(system: SystemModel) -> tuple[str, ...]:
     return tuple(order)
 
 
-def _partition(system: SystemModel) -> list[tuple[tuple[int, ...], tuple[tuple[str, ...], ...]]]:
-    """Each independent component's atom indices and port groups, in atom
-    and port order, from one union-find over the ports and the atoms.
-    Ports are linked by a connector's support, by both sides of an explicit
-    effective pair and by one transition label.  A group whose owners all
-    own ports of another group merges into that group: every change of its
-    key changes the larger group's key too, so on its own it would only add
-    a table read to each miss.  The atoms that own ports of one kept group
-    are then joined into one component (maximal progress links nothing: a
-    dominated interaction lies inside its dominator's connector); a merged
-    group shares atoms with the group it merges into, so both are in one."""
+def _partition(system: SystemModel) -> tuple[list[tuple[list[int], list[tuple]]], tuple[int, ...]]:
+    """Each independent component's atom indices, in atom order, and port
+    groups, in port order, and per atom the index of its component, from
+    one union-find over the ports and the atoms.  Ports are linked by a
+    connector's support, by both sides of an explicit effective pair and by
+    one transition label.  A group whose owners all own ports of another
+    group merges into that group: every change of its key changes the
+    larger group's key too, so on its own it would only add a table read to
+    each miss.  The atoms that own ports of one kept group are then joined
+    into one component (maximal progress links nothing: a dominated
+    interaction lies inside its dominator's connector); a merged group
+    shares atoms with the group it merges into, so both are in one.
+
+    Each group is handed over as its owners' atom indices, its ports in
+    port order, the indices of the connectors on it in system order and the
+    closure pairs on it.  A connector's support and a closure pair's ports
+    are linked, so each lies inside one group, the group of any one of its
+    ports (one `find`); a connector of constants has no ports and lies in
+    none."""
     ports, owner = system.all_ports, system.port_owner
     node = {x: k for k, x in enumerate((*range(len(system.atoms)), *ports))}  # atom i is node i, then the ports
-    parent = list(range(len(node)))  # each root is the least node of its set
+    parent = list(range(len(node)))  # a join makes the least node of a set its root
 
     def find(k: int) -> int:
         while parent[k] != k:
@@ -215,31 +226,32 @@ def _partition(system: SystemModel) -> list[tuple[tuple[int, ...], tuple[tuple[s
                 for x in roots:
                     parent[x] = r
 
-    links = [c.port_set for c in system.connectors]
-    links += [t.label for atom in system.atoms for t in atom.transitions]
-    if isinstance(system.priority, ExplicitPairs):
-        links += [lo | hi for lo, hi in system.priority.closure]
-    join(links)
-    groups: dict[int, list[str]] = {}
+    closure = system.priority.closure if isinstance(system.priority, ExplicitPairs) else ()
+    join([*(c.port_set for c in system.connectors), *(t.label for atom in system.atoms for t in atom.transitions),
+          *(lo | hi for lo, hi in closure)])
+    groups: dict[int, list[str]] = {}  # per root, its ports
     for p in ports:
         groups.setdefault(find(node[p]), []).append(p)
-    # the kept groups' owners and ports; a group is met after every group
-    # that has more owners
-    kept: list[tuple[frozenset[int], list[str]]] = []
-    for owners, group in sorted(((frozenset(owner[p] for p in g), g) for g in groups.values()),
-                                key=lambda og: -len(og[0])):
-        into = next((k for k in kept if owners <= k[0]), None)
-        if into is None:
-            kept.append((owners, group))
-        else:
-            into[1].extend(group)
-    join(owners for owners, _ in kept)  # the atoms joined by a kept group form one component
-    parts: dict[int, tuple[list[int], list[tuple[str, ...]]]] = {}
+    # per kept group's root, its owners, ports, connectors and pairs; a group
+    # is met after every group that has more owners, and a merged group's
+    # root is linked to the root it merges into
+    kept: dict[int, tuple[frozenset[int], list[str], list[int], list[tuple]]] = {}
+    for r, owners in sorted(((r, frozenset(owner[p] for p in g)) for r, g in groups.items()), key=lambda ro: -len(ro[1])):
+        parent[r] = into = next((k for k, g in kept.items() if owners <= g[0]), r)
+        kept.setdefault(into, (owners, [], [], []))[1].extend(groups[r])
+    for k, c in enumerate(system.connectors):
+        if c.port_set:
+            kept[find(node[next(iter(c.port_set))])][2].append(k)
+    for ab in closure:
+        kept[find(node[next(iter(ab[0] or ab[1]))])][3].append(ab)
+    join(g[0] for g in kept.values())  # the atoms joined by a kept group form one component
+    parts: dict[int, tuple[list[int], list[tuple]]] = {}  # per root, in the order of the least atoms
     for i in range(len(system.atoms)):
         parts.setdefault(find(i), ([], []))[0].append(i)
-    for group in sorted((sorted(g, key=node.__getitem__) for _, g in kept), key=lambda g: node[g[0]]):
-        parts[find(owner[group[0]])][1].append(tuple(group))
-    return [(tuple(atoms), tuple(kept)) for atoms, kept in parts.values()]
+    for owners, group, conns, pairs in sorted(kept.values(), key=lambda g: min(map(node.__getitem__, g[1]))):
+        parts[find(min(owners))][1].append((sorted(owners), sorted(group, key=node.__getitem__), conns, pairs))
+    index = {r: k for k, r in enumerate(parts)}
+    return list(parts.values()), tuple(index[find(i)] for i in range(len(system.atoms)))
 
 
 def encode_local(atom: AtomicBehavior, mgr: BddManager) -> dict[str, BddRef]:
@@ -426,15 +438,20 @@ class SystemEncoding:
 
     def read(self, state: GlobalState) -> None:
         """Move the kept read to `state`; ValueError on a state of the wrong
-        arity.  A component's read depends on its owners' states alone, so
-        only the components that own an atom whose state differs from the
-        kept state's are read again, and their lists dropped."""
+        arity or one naming a control state its atom does not declare, after
+        which the next read reads every component.  A component's read
+        depends on its owners' states alone, so only the components that own
+        an atom whose state differs from the kept state's are read again, and
+        their lists dropped."""
         _check_arity(self.system, state)
         last, reads, counts, lists, comps = self._last, self._reads, self._counts, self._lists, self.components
         changed = range(len(comps)) if last is None else set(compress(self.component_of, map(ne, state, last)))
         self._last = None  # until every changed component is read
         for k in changed:
-            _, es = reads[k] = comps[k].entries(state)
+            try:
+                _, es = reads[k] = comps[k].entries(state)
+            except KeyError:
+                raise _undeclared(self.system, state) from None
             counts[k] = sum(map(_count, es))
             lists[k] = None
         self._last = state
@@ -442,7 +459,7 @@ class SystemEncoding:
     def survivors(self, state: GlobalState) -> frozenset[Interaction]:
         """The union of the components' survivor lists at `state`, each
         listed from the kept read (`read`) where it has no list yet;
-        ValueError on a state of the wrong arity."""
+        ValueError where `read` raises it."""
         self.read(state)
         lists, reads, comps = self._lists, self._reads, self.components
         for k, listed in enumerate(lists):
@@ -599,9 +616,12 @@ class Component:
     key field (`Group.occupancy`): one bit per orbit owner, so the same
     sum fills it and nothing carries there either."""
 
-    def __init__(self, groups: tuple[Group, ...], manager: BddManager):
+    def __init__(self, atoms: dict[int, tuple[str, ...]], groups: tuple[Group, ...], manager: BddManager):
         self.groups, self.manager = groups, manager
-        packed: dict[int, dict[str, int]] = {}
+        # per atom, in atom order, each of its states' packed code: every
+        # atom's, one that owns no port too, so that the sum looks up each
+        # state and a state its atom does not declare raises KeyError
+        packed = {j: dict.fromkeys(states, 0) for j, states in atoms.items()}
         # per group: its key field's shift and mask, its key's local state,
         # its class table and its class, bound once so that a table hit
         # looks up no attribute; and its occupancy field's shift
@@ -611,11 +631,11 @@ class Component:
             readers.append((shift, (1 << g.key_bits) - 1, g.canonical, g.cls.table, g.cls))
             self._occupancy.append(shift + g.key_bits)
             for j, code in (*g.codes, *g.occupancy):
-                into = packed.setdefault(j, dict.fromkeys(code, 0))
+                into = packed[j]
                 for q, c in code.items():
                     into[q] += c << shift
             shift += g.width
-        self._codes, self._readers = tuple(sorted(packed.items())), tuple(readers)
+        self._codes, self._readers = tuple(packed.items()), tuple(readers)
 
     def entries(self, state: GlobalState) -> tuple[int, list[list]]:
         """Our packed sum at a system state and each group's class-table
@@ -740,13 +760,13 @@ def _digits(firsts: list[dict], orbits: tuple[tuple[int, ...], ...]) -> tuple[li
     return digits, weight, rows, n * len(firsts)
 
 
-def _group(system: SystemModel, ports: tuple[str, ...], mgr: BddManager, classes: dict,
-           connectors: dict[str, list[int]], closure: dict[str, list[tuple]]) -> Group:
-    """One port group, encoded over the atoms that own its ports projected
-    onto it: each keeps its ports in the group and the transitions whose
-    labels lie in it, with the connectors (in system order) and explicit
-    pairs on the group, read off per port: `connectors` holds the indices
-    of the connectors on it, `closure` the closure pairs on it.
+def _group(system: SystemModel, owners: list[int], ports: list[str], connectors: list[int], closure: list[tuple],
+           mgr: BddManager, classes: dict) -> Group:
+    """One port group, as `_partition` hands it over, encoded over its
+    `owners` projected onto it: each keeps its ports in the group and the
+    transitions whose labels lie in it, with the group's `connectors` (their
+    indices, in system order) and, under explicit pairs, the `closure` pairs
+    on its ports, which are their own closure.
 
     Its class is `classes[signature]`, made from the first group with
     that signature, its representative.  The signature names nothing:
@@ -764,7 +784,6 @@ def _group(system: SystemModel, ports: tuple[str, ...], mgr: BddManager, classes
     fills the entry at `Group.canonical`, the local state the key stands
     for, each orbit's values sorted."""
     ours = frozenset(ports)
-    atoms = tuple(sorted({system.port_owner[p] for p in ports}))
 
     def project(atom: AtomicBehavior) -> AtomicBehavior:
         if atom.port_set <= ours:
@@ -772,11 +791,9 @@ def _group(system: SystemModel, ports: tuple[str, ...], mgr: BddManager, classes
         return AtomicBehavior(atom.name, atom.states, atom.init, tuple(p for p in atom.ports if p in ours),
                               tuple(t for t in atom.transitions if t.label <= ours))
 
-    pr = system.priority
-    if isinstance(pr, ExplicitPairs):
-        pr = ExplicitPairs(frozenset(ab for p in ports for ab in closure.get(p, ())))
-    sub = SystemModel(system.name, tuple(project(system.atoms[i]) for i in atoms),
-                      tuple(system.connectors[k] for k in sorted({k for p in ports for k in connectors.get(p, ())})), pr)
+    pr = ExplicitPairs(frozenset(closure)) if isinstance(system.priority, ExplicitPairs) else system.priority
+    sub = SystemModel(system.name, tuple(project(system.atoms[i]) for i in owners),
+                      tuple(map(system.connectors.__getitem__, connectors)), pr)
     rank = {p: r for r, p in enumerate(ports)}  # port order is level order
 
     def ranked(ps: Iterable[str]) -> frozenset[int]:
@@ -785,14 +802,14 @@ def _group(system: SystemModel, ports: tuple[str, ...], mgr: BddManager, classes
     offers = [{q: frozenset(map(ranked, atom.labels_from[q])) for q in atom.states} for atom in sub.atoms]
     firsts = [{o: q for q, o in reversed(offer.items())} for offer in offers]  # each offer's first state
     terms = frozenset(_ranked(c, rank) for c in sub.connectors)
-    pairs = frozenset((ranked(lo), ranked(hi)) for lo, hi in pr.closure) if isinstance(pr, ExplicitPairs) else None
+    pairs = frozenset((ranked(lo), ranked(hi)) for lo, hi in closure) if isinstance(pr, ExplicitPairs) else None
     signature = (tuple((tuple(map(rank.__getitem__, a.ports)), frozenset(o)) for a, o in zip(sub.atoms, firsts)),
                  terms, pairs if pairs is not None else type(pr))
     cls = classes.get(signature)
     if cls is None:
         cls = classes[signature] = GroupClass(SystemEncoding(sub, mgr), firsts, _orbits(sub, rank, terms, pairs))
     return Group(sub, cls, tuple((j, {q: first[o] for q, o in offer.items()})
-                                 for j, offer, first in zip(atoms, offers, cls.firsts)))
+                                 for j, offer, first in zip(owners, offers, cls.firsts)))
 
 
 def build(system: SystemModel) -> SystemEncoding:
@@ -801,21 +818,12 @@ def build(system: SystemModel) -> SystemEncoding:
         raise ValidationError(diags)
     mgr = BddManager(variable_order(system))
     classes: dict[tuple, GroupClass] = {}  # by signature
-    connectors: dict[str, list[int]] = {}  # per port, the indices of the connectors on it
-    for k, c in enumerate(system.connectors):
-        for p in c.port_set:
-            connectors.setdefault(p, []).append(k)
-    closure: dict[str, list[tuple]] = {}  # per port, the closure pairs on it
-    for ab in system.priority.closure if isinstance(system.priority, ExplicitPairs) else ():
-        for p in ab[0] | ab[1]:
-            closure.setdefault(p, []).append(ab)
-    parts = _partition(system)
-    comps = tuple(Component(tuple(_group(system, g, mgr, classes, connectors, closure) for g in groups), mgr)
-                  for _, groups in parts)
+    parts, component_of = _partition(system)
+    comps = tuple(Component({i: system.atoms[i].states for i in atoms},
+                            tuple(_group(system, *g, mgr, classes) for g in groups), mgr) for atoms, groups in parts)
     for enc in (cls.encoding for cls in classes.values()):  # what a step reads
         enc.local_behavior, enc.connector_fn, enc.pairs_fn
-    of = {i: k for k, (atoms, _) in enumerate(parts) for i in atoms}
-    return SystemEncoding(system, mgr, comps, tuple(map(of.__getitem__, range(len(system.atoms)))))
+    return SystemEncoding(system, mgr, comps, component_of)
 
 
 class SymbolicEngine(Engine):
@@ -825,7 +833,7 @@ class SymbolicEngine(Engine):
     component its group entries and their summed count.  At a state that
     is not the kept read's (a reset, a state set from outside, or one
     `survivors` read since the last step) the step first moves the kept
-    read there (`SystemEncoding.read`: ValueError on a wrong arity).  No
+    read there (`SystemEncoding.read`, which raises its ValueError).  No
     positive count is deadlock; with one, its component is taken, else a
     component is drawn by its count (`_draw`, with a coin), and a uniform
     survivor of it is picked (`Component.pick`) with coins from the

@@ -437,12 +437,12 @@ def whole_survivor_fn(enc, state):
 
 def components(system):
     """Atom indices of each independent component, in atom order."""
-    return tuple(atoms for atoms, _ in _partition(system))
+    return tuple(tuple(atoms) for atoms, _ in _partition(system)[0])
 
 
 def port_groups(system):
     """Each component's port groups, each in port order."""
-    return tuple(groups for _, groups in _partition(system))
+    return tuple(tuple(tuple(ports) for _, ports, _, _ in groups) for _, groups in _partition(system)[0])
 
 
 def port_groups_of(x):

@@ -1,8 +1,9 @@
 """Both engines read a state as a change from the last state they read:
 `EnumEngine.survivors` swaps the offered labels of the atoms that differ,
-`SystemEncoding.read` re-reads the components that own them, and both
-steps update that one kept read by the atoms they moved.  Reads in any
-order, interleaved with steps, must give what a read from scratch gives."""
+`SystemEncoding.read` re-reads the components that own them.  After
+firing, the enumerative step swaps the labels of the atoms it moved and
+the symbolic step re-reads the drawn component.  Reads in any order,
+interleaved with steps, must give what a read from scratch gives."""
 
 import random
 
@@ -16,6 +17,7 @@ from portsync.symbolic import SymbolicEngine, build
 
 from oracles import (cell_system, components, hub_system, pairs_written_out, ports_of, reference_enum_survivors,
                      with_outside_dominator)
+from test_symbolic import _with_portless_atom
 from test_traces import _tasks_twice
 
 
@@ -86,8 +88,8 @@ def test_reads_in_any_order_equal_the_reference():
 def test_a_bad_state_after_a_kept_read_changes_no_kept_read(sysm):
     # a state of the wrong arity raises before it is compared with the
     # kept one (a pairwise compare would stop at the shorter state), and a
-    # state holding an unknown control state raises before the kept read
-    # changes: the reads that follow still equal the reference
+    # state holding an unknown control state raises ValueError naming the
+    # atom and the state: the reads that follow still equal the reference
     eng, enc = EnumEngine(sysm), build(sysm)
     states = sorted(reachable(sysm, bound=30).states)
     first, last = states[0], states[-1]
@@ -99,11 +101,38 @@ def test_a_bad_state_after_a_kept_read_changes_no_kept_read(sysm):
             enc.survivors(bad)
     unknown = (*last[:-1], "no such state")
     for engine_read in (eng.survivors, enc.survivors):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match=f"atom {sysm.atoms[-1].name} declares no state 'no such state'"):
             engine_read(unknown)
     for state in (first, last, first):
         assert frozenset(eng.survivors(state)) == enc.survivors(state) == survivors(sysm, state)
         assert eng._offer == _full_union(sysm, state)
+
+
+@pytest.mark.parametrize("sysm", [gen_bus(3), pairs_written_out(gen_tasks(3, 2)), random_system(5), cell_system(7),
+                                  _with_portless_atom(gen_bus(2))], ids=["bus3", "tasks3x2-pairs", "random5", "cell7",
+                                                                         "bus2-portless"])
+def test_an_undeclared_state_set_from_outside_raises_value_error(sysm):
+    # a state set from outside that names a control state its atom does not
+    # declare, at each atom in turn, an atom that owns no port too: each
+    # engine's step raises ValueError naming the atom and the state, and its
+    # next step and reads at valid states equal a fresh engine's
+    states = sorted(reachable(sysm, bound=30).states)
+    for engine in (EnumEngine, SymbolicEngine):
+        eng = engine(sysm, seed=1)
+        eng.run(5)
+        for i, atom in enumerate(sysm.atoms):
+            eng.state = (*states[-1][:i], "nowhere", *states[-1][i + 1:])
+            with pytest.raises(ValueError, match=f"^atom {atom.name} declares no state 'nowhere'$"):
+                eng.step()
+        for k, state in enumerate(states):
+            fresh = engine(sysm, seed=k)
+            eng.reset()
+            eng._rng, eng.state, fresh.state = random.Random(k), state, state
+            assert eng.step() == fresh.step(), (engine.__name__, state)
+        read, fresh_read = ((eng.survivors, EnumEngine(sysm).survivors) if engine is EnumEngine
+                            else (eng.encoding.survivors, build(sysm).survivors))
+        for state in reversed(states):
+            assert frozenset(read(state)) == frozenset(fresh_read(state)) == survivors(sysm, state)
 
 
 def test_component_reads_follow_the_moved_atoms():

@@ -50,8 +50,8 @@ from portsync.symbolic import (
 from portsync.connectors import interactions_of, support
 from portsync.equivalence import check_equivalence
 
-from oracles import (active_fn, all_states, components, encode_connector, hub_system, joined_survivor_fn, key_of,
-                     moved_trigger, oracle_orient, oracle_survivors, own_state, pairs_written_out, port_groups,
+from oracles import (active_fn, all_states, cell_system, components, encode_connector, hub_system, joined_survivor_fn,
+                     key_of, moved_trigger, oracle_orient, oracle_survivors, own_state, pairs_written_out, port_groups,
                      port_groups_of, ports_of, reference_connector_fn, reference_pick_sat, reference_priority_pairs,
                      skipped_levels, transfer, whole_survivor_fn, with_outside_dominator)
 
@@ -633,6 +633,37 @@ def test_port_groups():
     a = AtomicBehavior("A", ("s",), "s", ("x", "y"), (Transition("s", fz("xy"), "s"),))
     one_label = SystemModel("m", (a,), (Connector("cx", PortLeaf("x")), Connector("cy", PortLeaf("y"))))
     assert port_groups(one_label) == ((("x", "y"),),)
+
+
+def test_partition_hands_each_connector_and_pair_to_one_group():
+    # every connector with ports is handed to exactly one group, which
+    # holds its whole support, and so is every closure pair with its
+    # lo | hi; the groups' ports are disjoint, in port order, and cover the
+    # system's; a group's owners are its ports' owners and lie in its
+    # component, whose index the encoding keeps for each of their atoms
+    fz = frozenset
+    families = [modulo8(), gen_bus(3), gen_bus(16), gen_tasks(3, 2), gen_tasks(8, 4), _two_loops(None),
+                pairs_written_out(gen_tasks(3, 2)), pairs_written_out(gen_tasks(8, 2)), _three_atoms(),
+                _three_atoms(ExplicitPairs(fz({(fz("v"), fz("z"))}))), *map(hub_system, range(20))]
+    for sysm in [*families, *map(random_system, range(120)), *map(cell_system, range(120))]:
+        parts, component_of = symbolic._partition(sysm)
+        closure = sysm.priority.closure if isinstance(sysm.priority, ExplicitPairs) else frozenset()
+        conns, pairs, ports = [], [], []
+        for k, (atoms, groups) in enumerate(parts):
+            assert atoms == [i for i, c in enumerate(component_of) if c == k]
+            for owners, group, on, among in groups:
+                assert group == sorted(group, key=sysm.all_ports.index)
+                assert owners == sorted({sysm.port_owner[p] for p in group})
+                assert {component_of[i] for i in owners} == {k}
+                assert on == sorted(on) and all(sysm.connectors[i].port_set <= set(group) for i in on)
+                assert all(lo | hi <= set(group) for lo, hi in among)
+                conns += on
+                pairs += among
+                ports += group
+        assert sorted(conns) == [i for i, c in enumerate(sysm.connectors) if c.port_set], sysm.name
+        assert len(pairs) == len(closure) and set(pairs) == closure, sysm.name
+        assert sorted(ports, key=sysm.all_ports.index) == list(sysm.all_ports), sysm.name
+        assert build(sysm).component_of == component_of
 
 
 def test_group_key_shares_states_that_offer_the_same_labels():

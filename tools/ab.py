@@ -21,6 +21,8 @@ round to round:
   engine parsed, built and warmed up afresh in each round (seeded by
   the round), so that no one layout of its objects in memory holds
   for every round;
+- `build_ms` on the same three models: one `symbolic.build` of a model
+  parsed afresh, the parse untimed;
 - `check_ms` on bus16 to bound 100, tasks8x4 to bound 30 and the
   explicit pairs of tasks 8x2 exhaustively: one `check_equivalence` of
   a model parsed afresh, after one untimed check per side.
@@ -88,6 +90,15 @@ def stepped(engine, parse, text: str, n: int):
     return measure
 
 
+def built(build, parse, text: str):
+    """The ms of one `build` of the model `text` parsed afresh, the parse
+    untimed; the seed is unused."""
+    def measure(seed: int) -> float:
+        system = parse(text)
+        return timed_ns(lambda: build(system)) / 1e6
+    return measure
+
+
 def checked(check, parse, text: str, bound: int):
     """The ms of one `check` of the model `text` parsed afresh, after one
     untimed check; the seed is unused."""
@@ -122,9 +133,10 @@ def main(argv: list[str] | None = None) -> int:
     for side, mods in sides.items():
         parse = mods["dsl"].parse
         for model, (fn, *size) in STEPPED.items():
+            text = getattr(texts, fn)(*size)
             for kind, engine in (("sym", mods["symbolic"].SymbolicEngine), ("enum", mods["enumerative"].EnumEngine)):
-                measures.setdefault(f"{kind}_step_us {model}", {})[side] = \
-                    stepped(engine, parse, getattr(texts, fn)(*size), STEPS[kind])
+                measures.setdefault(f"{kind}_step_us {model}", {})[side] = stepped(engine, parse, text, STEPS[kind])
+            measures.setdefault(f"build_ms {model}", {})[side] = built(mods["symbolic"].build, parse, text)
         for name, ((fn, *size), bound) in CHECKED.items():
             measures.setdefault(f"check_ms {name}", {})[side] = \
                 checked(mods["equivalence"].check_equivalence, parse, getattr(texts, fn)(*size), bound)
