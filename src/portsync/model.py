@@ -258,9 +258,11 @@ class Engine:
     keeps one read of a state, moved to any other state by one method
     (`EnumEngine._offered`, `SystemEncoding.read`: ValueError on a state
     of the wrong arity or one naming a control state its atom does not
-    declare).  After `_fire` the enumerative step updates it by the atoms
-    `_fire` moved and the symbolic step re-reads the drawn component, so
-    the state fired to needs no other read."""
+    declare, as the reference's `_check_state` raises it).  After `_fire`
+    the enumerative step updates it by the atoms `_fire` moved and the
+    symbolic step re-reads the drawn component (`Component.read`, the
+    one re-read of a component, which `SystemEncoding.read` calls too),
+    so the state fired to needs no other read."""
 
     state: GlobalState
 
@@ -404,12 +406,22 @@ def _undeclared(system: SystemModel, state: GlobalState) -> ValueError:
     return ValueError(f"atom {atom.name} declares no state {q!r}")
 
 
+def _check_state(system: SystemModel, state: GlobalState) -> None:
+    """ValueError on a state of the wrong arity or one naming a control
+    state its atom does not declare, as the engines' reads raise it; each
+    public function of the reference checks its state once."""
+    _check_arity(system, state)
+    if not all(q in atom.labels_from for atom, q in zip(system.atoms, state)):
+        raise _undeclared(system, state)
+
+
 def _moves(system: SystemModel, state: GlobalState, a: Interaction) -> Optional[list[tuple[int, tuple[str, ...]]]]:
     """Per atom owning a port of `a`, in atom order: its index and its
     targets on its share a & ports(atom); None if some owner has none.
     One memo read (`shares`) gives each owner's move table for its share,
     so each owner costs one lookup of its state there.  The callers check
-    the state's arity."""
+    the state (`_check_state`), but for `equivalence.successors`, whose
+    states are reachable."""
     moves = []
     for i, _, table in system.shares(a):
         targets = table.get(state[i])
@@ -423,14 +435,15 @@ def act(system: SystemModel, state: GlobalState, a: Interaction) -> bool:
     """Is `a` active at `state`: every owning atom has a transition whose
     label equals exactly its share a & ports(atom)?  Atoms with no share
     do not constrain.  The empty interaction is vacuously active."""
-    _check_arity(system, state)
+    _check_state(system, state)
     return _moves(system, state, a) is not None
 
 
 def enabled(system: SystemModel, state: GlobalState) -> frozenset[Interaction]:
     """Interactions of gamma active at `state` (before priority).
     Callers: `survivors`, and tests/test_model.py as the reference."""
-    return frozenset(a for a in system.gamma if act(system, state, a))
+    _check_state(system, state)
+    return frozenset(a for a in system.gamma if _moves(system, state, a) is not None)
 
 
 def effective_pairs(
@@ -462,7 +475,7 @@ def filter_priority(
 
     Domination is activity-checked only: the dominator must be active at
     `state` but is not required to belong to gamma.  Callers: `survivors`,
-    and tests/test_model.py as the reference.
+    which checks the state, and tests/test_model.py as the reference.
     """
     dominators = system.dominators
     if not dominators:
@@ -470,7 +483,7 @@ def filter_priority(
     out = set()
     for a in candidates:
         doms = dominators.get(a, ())
-        if not any(act(system, state, b) for b in doms):
+        if not any(_moves(system, state, b) is not None for b in doms):
             out.add(a)
     return frozenset(out)
 
@@ -478,15 +491,17 @@ def filter_priority(
 def survivors(system: SystemModel, state: GlobalState) -> frozenset[Interaction]:
     """Enabled interactions that survive the priority filter.  Callers:
     `reachable`, perfbench's `trace_failures` and four test files, as the
-    reference semantics both engines are checked against."""
+    reference semantics both engines are checked against.  ValueError as
+    `enabled` raises it, which checks the state once."""
     return filter_priority(system, state, enabled(system, state))
 
 
 def _enabled_moves(system: SystemModel, state: GlobalState, a: Interaction) -> list[tuple[int, tuple[str, ...]]]:
-    """`_moves` of a non-empty `a`; NotEnabledError unless it is enabled."""
-    _check_arity(system, state)
+    """`_moves` of `a` at a checked state (`_check_state`); NotEnabledError
+    unless `a` is empty or enabled.  The empty interaction moves no atom."""
+    _check_state(system, state)
     moves = _moves(system, state, a)
-    if moves is None or a not in system.gamma:
+    if a and (moves is None or a not in system.gamma):
         raise NotEnabledError(f"interaction {sorted(a)} is not enabled at {state}")
     return moves
 
@@ -500,9 +515,8 @@ def step(
     """Fire `a` at `state`; nondeterministic targets resolved by `rng`
     (first declared target if None).  The empty interaction is the
     identity.  Raises NotEnabledError if `a` is not enabled, ValueError
-    on a port no atom owns or a state of the wrong arity."""
-    if not a:
-        return state
+    on a port no atom owns, a state of the wrong arity or one naming a
+    control state its atom does not declare."""
     return _advance(state, _enabled_moves(system, state, a), rng)
 
 
@@ -520,8 +534,6 @@ def successors(system: SystemModel, state: GlobalState, a: Interaction) -> froze
     without a generator, each owner at its first declared target, and
     where owners have several targets the product of their choices.
     Raises as `step` does."""
-    if not a:
-        return frozenset((state,))
     return _outcomes(state, _enabled_moves(system, state, a))
 
 

@@ -116,8 +116,10 @@ the group's `by_model`, which maps it only on a miss, or, where the
 class has orbits, through the occupancy field as `survivors` does.
 
 The encoding keeps one read of a state, which `survivors` and the step
-share: per component its packed sum and group entries there, the sum of
-their counts and, once `survivors` has listed it, its survivor list.  A
+share.  Each component holds its own part (`Component.read`): its
+packed sum and group entries there and, once `survivors` has listed it,
+its survivor list.  The encoding holds the state read (`_last`) and per
+component the sum of its entries' counts, which the step draws by.  A
 component's read depends on its owners' states alone, so moving the
 kept read to another state (`SystemEncoding.read`) re-reads only the
 components that own an atom whose state differs (the encoding keeps
@@ -125,12 +127,12 @@ each atom's component): the states `check` walks breadth first differ
 in few atoms, and `survivors` lists only the components read again
 since it last listed them.  A fired interaction lies in the drawn
 component's ports, so after firing the step re-reads that component
-alone, at the state fired to; a step at another state (a reset, a state
-set from outside or one `survivors` read since) moves the kept read
-there first.  A step takes the component of the one positive count, or
-draws one by its count, and picks a uniform survivor of it with coins
-from the engine's own generator; one helper (`_draw`) makes both
-weighted draws.
+alone, at the state fired to, through the same `Component.read`; a step
+at another state (a reset, a state set from outside or one `survivors`
+read since) moves the kept read there first.  A step takes the
+component of the one positive count, or draws one by its count, and
+picks a uniform survivor of it with coins from the engine's own
+generator; one helper (`_draw`) makes both weighted draws.
 No primed behavior, primed connectors or pool-sized priority function is
 built.
 """
@@ -334,10 +336,11 @@ def encode_strict_subset(ports: tuple[str, ...], mgr: BddManager) -> BddRef:
 class SystemEncoding:
     """A (sub-)system's functions; the whole system's encoding also holds
     its independent components, each atom's component and the one kept
-    read of a state that `survivors` and the engine's step share: per
-    component its packed sum and group entries there, their summed count
-    and, once `survivors` has listed it, its survivor list.  `read` moves
-    it to another state by the components whose owners' states differ."""
+    read of a state that `survivors` and the engine's step share.  Each
+    component keeps its own part of it (`Component.read`); the encoding
+    keeps the state read and per component its summed count, which the
+    step draws by.  `read` moves it to another state by the components
+    whose owners' states differ."""
     system: SystemModel
     manager: BddManager
     # the whole system's independent components, and per atom the index of
@@ -347,12 +350,9 @@ class SystemEncoding:
 
     def __post_init__(self) -> None:
         # the state of the kept read (None before the first read) and per
-        # component its packed sum and entries there, their summed count
-        # and its survivor list (None until `survivors` lists it)
+        # component its summed count there, which the step draws by
         self._last: Optional[GlobalState] = None
-        self._reads: list[tuple[int, list[list]]] = [(0, [])] * len(self.components)
         self._counts = [0] * len(self.components)
-        self._lists: list[Optional[list[Interaction]]] = [None] * len(self.components)
 
     # f_B, f_S and the whole system's own functions are read by no step:
     # each is built when first asked for
@@ -442,31 +442,24 @@ class SystemEncoding:
         which the next read reads every component.  A component's read
         depends on its owners' states alone, so only the components that own
         an atom whose state differs from the kept state's are read again, and
-        their lists dropped."""
+        read again (`Component.read`, which drops their lists)."""
         _check_arity(self.system, state)
-        last, reads, counts, lists, comps = self._last, self._reads, self._counts, self._lists, self.components
+        last, counts, comps = self._last, self._counts, self.components
         changed = range(len(comps)) if last is None else set(compress(self.component_of, map(ne, state, last)))
         self._last = None  # until every changed component is read
         for k in changed:
             try:
-                _, es = reads[k] = comps[k].entries(state)
+                counts[k] = comps[k].read(state)
             except KeyError:
                 raise _undeclared(self.system, state) from None
-            counts[k] = sum(map(_count, es))
-            lists[k] = None
         self._last = state
 
     def survivors(self, state: GlobalState) -> frozenset[Interaction]:
-        """The union of the components' survivor lists at `state`, each
-        listed from the kept read (`read`) where it has no list yet;
-        ValueError where `read` raises it."""
+        """The union of the components' survivor lists at `state`, after
+        moving the kept read there (`read`, whose ValueError it raises); a
+        kept non-empty list is taken without a call."""
         self.read(state)
-        lists, reads, comps = self._lists, self._reads, self.components
-        for k, listed in enumerate(lists):
-            if listed is None:
-                packed, es = reads[k]
-                lists[k] = comps[k].survivors(packed, es)
-        return frozenset(chain.from_iterable(lists))
+        return frozenset(chain.from_iterable([c.listed or c.survivors() for c in self.components]))
 
 
 class GroupClass:
@@ -605,7 +598,10 @@ def _draw(counts: list[int], rng) -> int:
 
 class Component:
     """An independent component: its port groups, whose survivor sets are
-    disjoint and make up its own, each read from its class's entry.
+    disjoint and make up its own, each read from its class's entry, and
+    its part of the encoding's kept read at the state of its last `read`:
+    its packed sum (`packed`), its groups' entries (`entries`) and, once
+    `survivors` lists them, its survivors (`listed`).
 
     Each group's class key is a field of one packed integer: the sum over
     the component's owners of one code per (atom, state), that state's
@@ -636,10 +632,15 @@ class Component:
                     into[q] += c << shift
             shift += g.width
         self._codes, self._readers = tuple(packed.items()), tuple(readers)
+        # our part of the kept read (`read`): the packed sum, the group
+        # entries and the survivor list (None until `survivors` lists it)
+        self.packed, self.entries, self.listed = 0, [], None
 
-    def entries(self, state: GlobalState) -> tuple[int, list[list]]:
-        """Our packed sum at a system state and each group's class-table
-        entry at its key: one sum over the owners' packed codes, from which
+    def read(self, state: GlobalState) -> int:
+        """Our part of the kept read, moved to a system state: our packed
+        sum there (`packed`) and each group's class-table entry at its key
+        (`entries`), with our survivor list dropped; return the sum of the
+        entries' counts.  One sum over the owners' packed codes, from which
         each group's key is taken by shift and mask; a miss fills the entry
         at the local state the key stands for."""
         packed = sum([c[state[j]] for j, c in self._codes])
@@ -650,38 +651,40 @@ class Component:
             if e is None:
                 e = cls.fill(canonical(state), k)
             out.append(e)
-        return packed, out
+        self.packed, self.entries, self.listed = packed, out, None
+        return sum(map(_count, out))
 
-    def survivors(self, packed: int, entries: list[list]) -> list[Interaction]:
-        """Our survivors at a state whose packed sum and group entries, as
-        `entries` reads them, are `packed` and `entries`: each group's
-        models at its class entry, listed in the entry on its first read
-        and read onto its ports.  Where the class has no orbits the entry
-        lists them as names, each read in the group's `by_model`, so each
-        interaction is the object the pick returns.  Where it has orbits
-        the entry lists them as the places of their ports
-        (`GroupClass.place`), and each read takes them through the state's
-        occupancy field (`Group.read`)."""
-        out: list[Interaction] = []
-        for g, e, at in zip(self.groups, entries, self._occupancy):
-            if len(e) < 3 + bool(g.occupancy):
-                models = self.manager.iter_models(e[0], g.cls.encoding.port_names)
-                e.append([tuple(map(g.cls.place.__getitem__, m)) for m in models] if g.occupancy else [*models])
-            out += map(partial(g.read, packed >> at, e[2]), e[3]) if g.occupancy else map(g.by_model.__getitem__, e[2])
-        return out
+    def survivors(self) -> list[Interaction]:
+        """Our survivors at the state of our last `read`, listed on the
+        first call after it and kept (`listed`): each group's models at its
+        class entry, listed in the entry on its first read and read onto its
+        ports.  Where the class has no orbits the entry lists them as names,
+        each read in the group's `by_model`, so each interaction is the
+        object the pick returns.  Where it has orbits the entry lists them
+        as the places of their ports (`GroupClass.place`), and each read
+        takes them through the state's occupancy field (`Group.read`)."""
+        if self.listed is None:
+            out = self.listed = []
+            for g, e, at in zip(self.groups, self.entries, self._occupancy):
+                if len(e) < 3 + bool(g.occupancy):  # the entry's models, listed last
+                    models = self.manager.iter_models(e[0], g.cls.encoding.port_names)
+                    e.append([tuple(map(g.cls.place.__getitem__, m)) for m in models] if g.occupancy else [*models])
+                out += map(partial(g.read, self.packed >> at, e[2]) if g.occupancy else g.by_model.__getitem__, e[-1])
+        return self.listed
 
-    def pick(self, packed: int, entries: list[list], rng) -> Interaction:
-        """A uniform survivor at a state whose packed sum is `packed` and
-        whose `entries` hold one: a group drawn by its count (`_draw`, with
-        a coin whenever there are two or more groups), then a uniform model
-        of its class entry, read onto its ports: in `Group.by_model` where
-        its class has no orbits (through `Group.port_map` only on a miss),
-        else through its occupancy field (`Group.read`)."""
+    def pick(self, rng) -> Interaction:
+        """A uniform survivor at the state of our last `read`, whose entries
+        hold one: a group drawn by its count (`_draw`, with a coin whenever
+        there are two or more groups), then a uniform model of its class
+        entry, read onto its ports: in `Group.by_model` where its class has
+        no orbits (through `Group.port_map` only on a miss), else through
+        its occupancy field (`Group.read`)."""
+        entries = self.entries
         k = _draw([e[1] for e in entries], rng) if len(entries) > 1 else 0
         g = self.groups[k]
         model = self.manager.pick_sat(entries[k][0], rng, g.cls.encoding.port_names)
         if g.occupancy:
-            return g.read(packed >> self._occupancy[k], entries[k][2], map(g.cls.place.__getitem__, model))
+            return g.read(self.packed >> self._occupancy[k], entries[k][2], map(g.cls.place.__getitem__, model))
         return g.by_model[model]
 
 
@@ -695,7 +698,9 @@ def _ranked(conn: Connector, rank: dict[str, int]) -> tuple:
 def _orbits(sub: SystemModel, rank: dict[str, int], terms: frozenset, pairs: frozenset) -> tuple[tuple[int, ...], ...]:
     """The orbits of two or more owner positions of a representative's
     sub-system under the swaps of owners that are its automorphisms, given
-    its ranked connector `terms` and ranked explicit `pairs`.  A position b
+    its ranked connector `terms` and ranked explicit `pairs` (None where the
+    priority is not explicit), which σ maps by rank (`rank` lists the
+    ports in rank order).  A position b
     joins the orbit of the first position a it passes against: both have
     the same states and initial state, and the swap σ of a's ports with
     b's by index maps a's transitions onto b's and each connector term and
@@ -703,7 +708,6 @@ def _orbits(sub: SystemModel, rank: dict[str, int], terms: frozenset, pairs: fro
     and keeps the others).  The swaps (a b) of an orbit's first member a
     generate every permutation of the orbit, so sorting the key values of
     an orbit is an automorphism."""
-    closure = sub.priority.closure if isinstance(sub.priority, ExplicitPairs) else ()
 
     def moves(atom: AtomicBehavior, r: dict[str, int]) -> frozenset:
         return frozenset((t.source, frozenset(map(r.__getitem__, t.label)), t.target) for t in atom.transitions)
@@ -713,11 +717,11 @@ def _orbits(sub: SystemModel, rank: dict[str, int], terms: frozenset, pairs: fro
             return False
         swap = dict(zip(a.ports, b.ports)) | dict(zip(b.ports, a.ports))
         sigma = {p: rank[swap.get(p, p)] for p in rank}
-        moved = a.port_set | b.port_set
+        on_ranks, moved = [*sigma.values()], frozenset(map(rank.__getitem__, swap))  # by rank: σ and what it moves
         return (moves(a, sigma) == moves(b, rank)
-                and all(_ranked(c, sigma) in terms for c in sub.connectors if c.port_set & moved)
-                and all((frozenset(map(sigma.__getitem__, lo)), frozenset(map(sigma.__getitem__, hi))) in pairs
-                        for lo, hi in closure if (lo | hi) & moved))
+                and all(_ranked(c, sigma) in terms for c in sub.connectors if not c.port_set.isdisjoint(swap))
+                and all((frozenset(map(on_ranks.__getitem__, lo)), frozenset(map(on_ranks.__getitem__, hi))) in pairs
+                        for lo, hi in pairs or () if (lo | hi) & moved))
 
     orbits: list[list[int]] = []
     for k, atom in enumerate(sub.atoms):
@@ -791,7 +795,10 @@ def _group(system: SystemModel, owners: list[int], ports: list[str], connectors:
         return AtomicBehavior(atom.name, atom.states, atom.init, tuple(p for p in atom.ports if p in ours),
                               tuple(t for t in atom.transitions if t.label <= ours))
 
-    pr = ExplicitPairs(frozenset(closure)) if isinstance(system.priority, ExplicitPairs) else system.priority
+    pr = system.priority
+    if isinstance(pr, ExplicitPairs):
+        pr = ExplicitPairs(frozenset(closure))
+        vars(pr)["closure"] = pr.pairs  # they are their own closure: none is computed
     sub = SystemModel(system.name, tuple(project(system.atoms[i]) for i in owners),
                       tuple(map(system.connectors.__getitem__, connectors)), pr)
     rank = {p: r for r, p in enumerate(ports)}  # port order is level order
@@ -830,19 +837,21 @@ class SymbolicEngine(Engine):
     """Stepper that works on the encoded system only.
 
     A step draws from the encoding's kept read (`SystemEncoding`): per
-    component its group entries and their summed count.  At a state that
-    is not the kept read's (a reset, a state set from outside, or one
-    `survivors` read since the last step) the step first moves the kept
-    read there (`SystemEncoding.read`, which raises its ValueError).  No
-    positive count is deadlock; with one, its component is taken, else a
-    component is drawn by its count (`_draw`, with a coin), and a uniform
-    survivor of it is picked (`Component.pick`) with coins from the
-    engine's generator; the pool is never enumerated.  A survivor is
-    enabled, so the step moves its owners (`Engine._fire`) without
-    `model.step`'s check against the pool, and then re-reads the drawn
-    component alone at the state fired to, its owners being the only
-    atoms that moved: its class-table entries, at their keys unpacked from
-    one sum over its owners (`Component.entries`), and their summed count.
+    component its summed count, held by the encoding, and its group
+    entries, held by the component.  At a state that is not the kept
+    read's (a reset, a state set from outside, or one `survivors` read
+    since the last step) the step first moves the kept read there
+    (`SystemEncoding.read`, which raises its ValueError).  No positive
+    count is deadlock; with one, its component is taken, else a component
+    is drawn by its count (`_draw`, with a coin), and a uniform survivor
+    of it is picked (`Component.pick`) with coins from the engine's
+    generator; the pool is never enumerated.  A survivor is enabled, so
+    the step moves its owners (`Engine._fire`) without `model.step`'s
+    check against the pool, and then re-reads the drawn component alone
+    at the state fired to, its owners being the only atoms that moved
+    (`Component.read`, which `SystemEncoding.read` calls too): its
+    class-table entries, at their keys unpacked from one sum over its
+    owners, and their summed count.
     """
 
     def __init__(self, system: SystemModel, seed: int = 0):
@@ -861,16 +870,11 @@ class SymbolicEngine(Engine):
         if not live:
             return None
         k = _draw(counts, self._rng) if live > 1 else counts.index(max(counts))
-        reads = enc._reads
-        packed, es = reads[k]
         c = enc.components[k]
-        a = c.pick(packed, es, self._rng)
+        a = c.pick(self._rng)
         self._fire(a)
         # only the drawn component's owners moved: re-read it alone, here
         # rather than through `read`, which would compare every atom
-        state = self.state
-        _, es = reads[k] = c.entries(state)
-        counts[k] = sum(map(_count, es))
-        enc._lists[k] = None
-        enc._last = state
+        state = enc._last = self.state
+        counts[k] = c.read(state)
         return a, state

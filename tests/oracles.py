@@ -485,11 +485,13 @@ def joined_survivor_fn(x, state):
     """The survivor function of a component, or of a whole encoding, at a
     system state as one function over its ports: the disjunction of the
     full cubes of its groups' models, each group's read from its class
-    entry and translated onto its ports (`Component.survivors`); the engine
+    entry and translated onto its ports (`Component.survivors`), after its
+    read at the state (`Component.read`, `SystemEncoding.read`); the engine
     picks from and counts the groups without building it."""
+    x.read(state)
     comps = [x] if isinstance(x, Component) else x.components
     ports = ports_of(x)
-    return x.manager.or_all(x.manager.cube({p: p in a for p in ports}) for c in comps for a in c.survivors(*c.entries(state)))
+    return x.manager.or_all(x.manager.cube({p: p in a for p in ports}) for c in comps for a in c.survivors())
 
 
 def reference_lex(text):

@@ -5,6 +5,7 @@ firing, the enumerative step swaps the labels of the atoms it moved and
 the symbolic step re-reads the drawn component.  Reads in any order,
 interleaved with steps, must give what a read from scratch gives."""
 
+import copy
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from portsync.enumerative import EnumEngine
 from portsync.equivalence import check_equivalence
 from portsync.generators import gen_bus, gen_tasks, modulo8, random_system
 from portsync.model import ExplicitPairs, reachable, survivors
-from portsync.symbolic import SymbolicEngine, build
+from portsync.symbolic import Component, SymbolicEngine, build
 
 from oracles import (cell_system, components, hub_system, pairs_written_out, ports_of, reference_enum_survivors,
                      with_outside_dominator)
@@ -135,24 +136,55 @@ def test_an_undeclared_state_set_from_outside_raises_value_error(sysm):
             assert frozenset(read(state)) == frozenset(fresh_read(state)) == survivors(sysm, state)
 
 
-def test_component_reads_follow_the_moved_atoms():
-    # bus16's clusters are 16 components; a state that differs from the
-    # last one read in one cluster re-lists that cluster alone
+def test_component_read_is_the_only_re_read(monkeypatch):
+    # every re-read goes through `Component.read`; bus16's clusters are 16
+    # components.  A step calls it once, for the drawn component, at the
+    # state fired to; `survivors` calls it once per component that owns an
+    # atom whose state differs from the kept state's, re-lists those
+    # components alone and calls it not at all at the kept state; after a
+    # read that raises ValueError part-way, the next read calls it for
+    # every component
+    calls, read = [], Component.read  # each read that returns
+
+    def counted(self, state):
+        n = read(self, state)
+        calls.append((self, state))
+        return n
+
+    monkeypatch.setattr(Component, "read", counted)
     sysm = gen_bus(16)
-    enc = build(sysm)
-    reads = []
-    for c in enc.components:
-        real = c.survivors
-        c.survivors = lambda *read, real=real, c=c: reads.append(c) or real(*read)
+    eng = SymbolicEngine(sysm, seed=3)
+    enc, comps = eng.encoding, eng.encoding.components
     init = sysm.initial_state()
-    enc.survivors(init)
-    assert len(reads) == 16
-    reads.clear()
-    moved = ("B", *init[1:])
-    assert enc.survivors(moved) == survivors(sysm, moved)
-    assert reads == [enc.components[0]]
-    reads.clear()
-    assert enc.survivors(moved) == survivors(sysm, moved) and reads == []
+    assert enc.survivors(init) == survivors(sysm, init)
+    assert calls == [(c, init) for c in comps]
+    for _ in range(40):
+        calls.clear()
+        a, state = eng.step()
+        (drawn,) = {enc.component_of[sysm.port_owner[p]] for p in a}
+        assert len(calls) == 1 and calls[0][0] is comps[drawn] and calls[0][1] is state is eng.state
+    states = sorted(reachable(sysm, bound=200).states)
+    rng = random.Random(3)
+    for state in [eng.state, init, ("B", *init[1:]), *rng.sample(states, 30)]:  # the third moves one cluster
+        last, listed = enc._last, [c.listed for c in comps]
+        calls.clear()
+        assert enc.survivors(state) == survivors(sysm, state)
+        moved = {enc.component_of[i] for i, (q, r) in enumerate(zip(state, last)) if q != r}
+        assert sorted(comps.index(c) for c, _ in calls) == sorted(moved) and all(s is state for _, s in calls)
+        assert all((c.listed is listed[k]) == (k not in moved and listed[k] is not None) for k, c in enumerate(comps))
+        calls.clear()
+        assert enc.survivors(state) == survivors(sysm, state) and calls == []
+    bad = list(enc._last)  # every fourth atom moved, the last one to an undeclared state
+    for i in range(0, len(bad), 4):
+        bad[i] = next(q for q in sysm.atoms[i].states if q != bad[i])
+    bad[-1] = "nowhere"
+    calls.clear()
+    with pytest.raises(ValueError, match=f"^atom {sysm.atoms[-1].name} declares no state 'nowhere'$"):
+        enc.survivors(tuple(bad))
+    assert 1 < len(calls) < len(comps)  # part-way: some components were read before the raise
+    calls.clear()
+    assert enc.survivors(states[0]) == survivors(sysm, states[0])
+    assert calls == [(c, states[0]) for c in comps]
 
 
 def _assert_kept_read_is_fresh(enc):
@@ -164,13 +196,14 @@ def _assert_kept_read_is_fresh(enc):
     if state is None:
         return
     want = survivors(enc.system, state)
-    for c, (packed, es), n, listed in zip(enc.components, enc._reads, enc._counts, enc._lists):
-        fresh, fresh_es = c.entries(state)
-        assert packed == fresh and list(map(id, es)) == list(map(id, fresh_es)), state
-        assert n == sum(e[1] for e in es), state
-        if listed is not None:
+    for c, n in zip(enc.components, enc._counts):
+        fresh = copy.copy(c)  # shares the class tables, not the kept read
+        fresh.read(state)
+        assert c.packed == fresh.packed and list(map(id, c.entries)) == list(map(id, fresh.entries)), state
+        assert n == sum(e[1] for e in c.entries), state
+        if c.listed is not None:
             ours = frozenset(ports_of(c))
-            assert sorted(map(sorted, listed)) == sorted(sorted(a) for a in want if a <= ours), state
+            assert sorted(map(sorted, c.listed)) == sorted(sorted(a) for a in want if a <= ours), state
 
 
 def _several_components(systems, k):

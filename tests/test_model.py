@@ -503,3 +503,35 @@ def test_walk_matches_the_reference_walk():
             truncated += got.truncated
             saved += len(ref_drawn) - len(drawn)
     assert truncated > 30 and saved > 0
+
+
+def test_an_undeclared_control_state_raises_what_the_engines_raise(monkeypatch):
+    # gen_bus(3)'s initial state with its last atom at a state it does not
+    # declare: the reference's five public reads raise the engines' error,
+    # each after one check of the state (`enabled` none per pool member)
+    sysm = gen_bus(3)
+    init = sysm.initial_state()
+    assert len(survivors(sysm, init)) == 12
+    bad = (*init[:-1], "nowhere")
+    a = min(survivors(sysm, init), key=interaction_key)
+    message = f"^atom {sysm.atoms[-1].name} declares no state 'nowhere'$"
+    assert message == "^atom member4_3 declares no state 'nowhere'$"
+    checks = []
+    check = model._check_state
+    monkeypatch.setattr(model, "_check_state", lambda *args: checks.append(args) or check(*args))
+    for call in (survivors, enabled, lambda s, st: act(s, st, a), lambda s, st: step(s, st, a),
+                 lambda s, st: successors(s, st, a)):
+        checks.clear()
+        with pytest.raises(ValueError, match=message):
+            call(sysm, bad)
+        assert checks == [(sysm, bad)]
+        checks.clear()
+        call(sysm, init)
+        assert checks == [(sysm, init)]
+    for engine in (EnumEngine, SymbolicEngine):
+        eng = engine(sysm)
+        eng.state = bad
+        with pytest.raises(ValueError, match=message):
+            eng.step()
+    with pytest.raises(ValueError, match=message):
+        EnumEngine(sysm).survivors(bad)

@@ -13,7 +13,8 @@ from test_traces import _tasks_twice
 
 def test_each_field_is_its_groups_own_key():
     # at every reachable state up to the bound, each group's field of its
-    # component's packed sum (the key `entries` reads its class table at)
+    # component's packed sum (the key `Component.read` reads its class
+    # table at)
     # is the sum of its own codes, which lies below its field's width: no
     # field carries into the next
     named = {"tasks8x4": gen_tasks(8, 4), "tasks8x2-pairs": pairs_written_out(gen_tasks(8, 2)),
@@ -22,10 +23,11 @@ def test_each_field_is_its_groups_own_key():
     for name, sysm in [*named.items(), *((s, random_system(s)) for s in range(120))]:
         enc = build(sysm)
         for state in reachable(sysm, bound=300).states:
+            enc.read(state)
             for c in enc.components:
                 keys = [key_of(g, state) for g in c.groups]
                 assert all(k >> g.key_bits == 0 for g, k in zip(c.groups, keys))
-                assert all(map(operator.is_, c.entries(state)[1], (g.cls.table[k] for g, k in zip(c.groups, keys))))
+                assert all(map(operator.is_, c.entries, (g.cls.table[k] for g, k in zip(c.groups, keys))))
         comps[name] = enc.components
     # the inputs cover what they are named for: groups with orbits, a
     # component of one group, two components and a sum over 64 bits
@@ -54,8 +56,8 @@ def test_occupancy_reads_each_orbit_place_as_a_stable_sort_does():
 
         def checked(state):
             out = survivors(state)
-            for c in enc.components:
-                packed, entries = c.entries(state)
+            for c in enc.components:  # read at `state` by `survivors`
+                packed, entries = c.packed, c.entries
                 for k, (g, e) in enumerate(zip(c.groups, entries)):
                     if not g.cls.orbits:
                         continue
@@ -76,9 +78,10 @@ def test_occupancy_reads_each_orbit_place_as_a_stable_sort_does():
     assert (orbit_groups, several) == (8 + 53, 8)
     assert all(t < n for n, t in top) and (8, 7) in top
     # all eight tasks idle: one row holds every owner, read in order
-    (c,) = build(gen_tasks(8, 4)).components
-    state = gen_tasks(8, 4).initial_state()
-    packed, entries = c.entries(state)
+    enc = build(gen_tasks(8, 4))
+    (c,) = enc.components
+    enc.read(gen_tasks(8, 4).initial_state())
+    packed, entries = c.packed, c.entries
     for k, (g, e) in enumerate(zip(c.groups, entries)):
         ((first, _),) = {e[2][at] for at in g.cls.orbits[0][:1]}
         assert [e[2][at] for at in g.cls.orbits[0]] == [(first, t) for t in range(8)]

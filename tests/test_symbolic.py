@@ -1,5 +1,6 @@
 """Boolean encoding and the symbolic engine."""
 
+import copy
 import gc
 import operator
 import os
@@ -7,6 +8,7 @@ import random
 import subprocess
 import sys
 from bisect import bisect
+from functools import cached_property
 from itertools import accumulate, product
 from pathlib import Path
 
@@ -281,6 +283,26 @@ def test_node_counts_are_pinned():
         "fs_nodes": 2334, "fb_nodes": 604, "fc_nodes": 1220, "fp_nodes": 356}
 
 
+def test_build_closes_only_the_systems_own_pairs(monkeypatch):
+    # a group's closure pairs are their own closure: one build of the
+    # explicit pairs of tasks 8x2 computes the transitive closure of the
+    # system's own priority alone, and keeps its one class, its orbit and
+    # its node counts
+    closed = []
+    closure = ExplicitPairs.closure
+    counted = cached_property(lambda self: closed.append(self) or closure.func(self))
+    counted.__set_name__(ExplicitPairs, "closure")
+    monkeypatch.setattr(ExplicitPairs, "closure", counted)
+    sysm = pairs_written_out(gen_tasks(8, 2))
+    enc = build(sysm)
+    assert len(closed) == 1 and closed[0] is sysm.priority
+    groups = port_groups_of(enc)
+    (cls,) = {g.cls for g in groups}
+    assert len(groups) == 2 and cls.orbits == (tuple(range(8)),)
+    assert all(g.system.priority.closure is g.system.priority.pairs for g in groups) and len(closed) == 1
+    assert enc.node_counts() == {"fs_nodes": 1536, "fb_nodes": 380, "fc_nodes": 776, "fp_nodes": 1602}
+
+
 def test_build_leaves_what_no_step_reads_unbuilt():
     # the build reads what a step reads: each class encoding's local
     # behaviors, f_C and priority inputs, and each component's pick; a group
@@ -398,9 +420,11 @@ def test_enabled_fn_matches_restricted_system_fn():
             assert active_fn(enc, state) & enc.connector_fn == m.restrict_many(enc.system_fn, asg)
             fn = enc.survivor_fn(state)
             assert enc.survivor_fn(state) == fn
+            enc.read(state)
             for c in enc.components:
-                _, entries = c.entries(state)
-                assert all(map(operator.is_, c.entries(state)[1], entries))
+                entries = c.entries
+                c.read(state)
+                assert all(map(operator.is_, c.entries, entries))
                 assert all(map(operator.is_, entries, (g.cls.table[key_of(g, state)] for g in c.groups)))
             for cls in {g.cls for g in port_groups_of(fresh)}:
                 cls.table.clear()
@@ -477,8 +501,9 @@ def test_survivor_table_counts_models_over_component_ports():
         enc = build(sysm)
         m = enc.manager
         for state in reachable(sysm, bound=300).states:
+            enc.read(state)
             for c in enc.components:
-                _, entries = c.entries(state)
+                entries = c.entries
                 assert all(map(operator.is_, entries, (g.cls.table[key_of(g, state)] for g in c.groups)))
                 assert all((e[1] == 0) == (e[0] == m.false) for e in entries)
                 fn = joined_survivor_fn(c, state)
@@ -693,8 +718,8 @@ def test_group_key_shares_states_that_offer_the_same_labels():
     # the occupancy field names the task whose value each position holds,
     # as a stable sort of the values does
     assert _owners(c, two, waiting) == oracle_orient(two, waiting) == [1, 2, 0, 3]
-    c.entries(waiting)
-    c.entries(running)
+    enc.read(waiting)
+    enc.read(running)
     assert len(one.cls.table) == 3
 
 
@@ -743,8 +768,7 @@ def test_an_encoding_is_only_functions():
     for sysm in (gen_tasks(3, 2), gen_bus(3), pairs_written_out(gen_tasks(3, 2)), modulo8()):
         enc = build(sysm)
         classes = {g.cls for g in port_groups_of(enc)}
-        for c in enc.components:
-            c.entries(sysm.initial_state())
+        enc.read(sysm.initial_state())
         before = {cls: dict(cls.table) for cls in classes}
         assert all(before.values())
         for state in reachable(sysm, bound=50).states:
@@ -765,7 +789,8 @@ def test_one_class_entry_gives_each_group_its_copy():
     enc = build(sysm)
     (c,) = enc.components
     one, two = c.groups
-    _, (first, second) = c.entries(state)
+    enc.read(state)
+    first, second = c.entries
     assert first is second and first[1] > 0
     models = list(enc.manager.iter_models(first[0], one.system.all_ports))
     assert [_read_model(one, m, c, state) for m in models] == models
@@ -800,7 +825,8 @@ def _read_model(g, model, c=None, state=None):
     place = {p: (k, i) for k, atom in enumerate(g.cls.encoding.system.atoms) for i, p in enumerate(atom.ports)}
     if g.cls.orbits:
         perm = oracle_orient(g, state)
-        packed, entries = c.entries(state)
+        c.read(state)
+        packed, entries = c.packed, c.entries
         k = c.groups.index(g)
         a = g.read(packed >> c._occupancy[k], entries[k][2], map(g.cls.place.__getitem__, model))
     else:
@@ -1001,7 +1027,8 @@ def test_copied_group_function_is_its_own_sub_systems():
         seen = set()
         for c in enc.components:
             for state in states:
-                for g, e in zip(c.groups, c.entries(state)[1]):
+                c.read(state)
+                for g, e in zip(c.groups, c.entries):
                     sub, key = own[g], own_state(g, sysm, state)
                     if (sub.port_names, key) not in seen:
                         seen.add((sub.port_names, key))
@@ -1051,7 +1078,7 @@ def test_a_component_miss_whose_groups_hit_allocates_no_node():
         m = engine.encoding.manager
         for c in engine.encoding.components:
             if len(c.groups) > 1:
-                def checked(state, c=c, read=c.entries):
+                def checked(state, c=c, read=c.read):
                     nonlocal reads
                     if all(key_of(g, state) in g.cls.table for g in c.groups):
                         before = m.total_nodes()
@@ -1059,7 +1086,7 @@ def test_a_component_miss_whose_groups_hit_allocates_no_node():
                         assert m.total_nodes() == before
                         reads += 1
                     return read(state)
-                c.entries = checked
+                c.read = checked
         engine.run(3000)
     assert reads > 100
 
@@ -1110,7 +1137,8 @@ def test_every_live_component_gets_picked():
     sysm = gen_bus(3)
     state = ("B", "A", "A", "A", "B", "B", "A", "A", "A", "A", "A", "B")
     enc = build(sysm)
-    live = {k for k, c in enumerate(enc.components) if any(e[1] for e in c.entries(state)[1])}
+    enc.read(state)
+    live = {k for k, c in enumerate(enc.components) if any(e[1] for e in c.entries)}
     assert len(live) == 3
     picked = set()
     for seed in range(60):
@@ -1195,10 +1223,13 @@ def test_incremental_step_equals_a_full_read():
                 full.encoding._last = None  # no kept read: the step reads every component
                 result = eng.step()
                 assert result == full.step()
-                fresh = [c.entries(eng.state) for c in enc.components]
+                fresh = [copy.copy(c) for c in enc.components]  # sharing the class tables, not the kept read
+                for f in fresh:
+                    f.read(eng.state)
                 assert enc._last is eng.state
-                assert [(p, list(map(id, es))) for p, es in enc._reads] == [(p, list(map(id, es))) for p, es in fresh]
-                assert enc._counts == [sum(e[1] for e in es) for _, es in fresh]
+                assert [(c.packed, list(map(id, c.entries))) for c in enc.components] == \
+                    [(f.packed, list(map(id, f.entries))) for f in fresh]
+                assert enc._counts == [sum(e[1] for e in f.entries) for f in fresh]
                 if result is None:
                     return
 
@@ -1361,7 +1392,9 @@ def test_a_class_entry_keeps_each_groups_own_survivors():
     assert len({g.cls for g in groups}) == 1 and all(not g.cls.orbits for g in groups)
     assert len({key_of(g, state) for g in groups}) == 1
     for _ in range(2):  # the second read reuses the entry's listed names
-        got = [(g, c.survivors(*c.entries(state))) for c in enc.components for g in c.groups]
+        for c in enc.components:
+            c.read(state)
+        got = [(g, c.survivors()) for c in enc.components for g in c.groups]
         for g, listed in got:
             ours = set(g.system.all_ports)
             assert listed and all(a <= ours for a in listed)
@@ -1407,11 +1440,10 @@ def test_orbit_free_groups_hand_out_one_object_per_interaction():
         for a, after in trace.steps:
             assert a in survivors(sysm, state)
             assert any(x is a for x in enc.survivors(state)), (sysm.name, state, a)
-            for c in enc.components:
-                packed, entries = c.entries(state)
-                if any(e[1] for e in entries):
-                    first = c.pick(packed, entries, random.Random(1))
-                    assert c.pick(packed, entries, random.Random(1)) is first
+            for c in enc.components:  # read at `state` by `survivors`
+                if any(e[1] for e in c.entries):
+                    first = c.pick(random.Random(1))
+                    assert c.pick(random.Random(1)) is first
             state = after
         groups = port_groups_of(enc)
         assert all(not g.cls.orbits for g in groups)

@@ -16,15 +16,17 @@ tree), parsed by each side.  Measures, each timed once per side per
 round with the collector off, the side that goes first alternating from
 round to round:
 
-- `sym_step_us` / `enum_step_us` on bus16, tasks8x4 and bus128: the
-  mean time per step of a warm run, the least of `REPEATS` runs, of an
+- `sym_step_us` / `enum_step_us` on bus16, tasks8x4, the explicit pairs
+  of tasks 8x2 (the check-pairs workload's model) and bus128: the mean
+  time per step of a warm run, the least of `REPEATS` runs, of an
   engine parsed, built and warmed up afresh in each round (seeded by
   the round), so that no one layout of its objects in memory holds
   for every round;
-- `build_ms` on the same three models: one `symbolic.build` of a model
+- `build_ms` on the same four models: one `symbolic.build` of a model
   parsed afresh, the parse untimed;
-- `check_ms` on bus16 to bound 100, tasks8x4 to bound 30 and the
-  explicit pairs of tasks 8x2 exhaustively: one `check_equivalence` of
+- `check_ms` on bus16 to bound 100, tasks8x4 to bound 30, the explicit
+  pairs of tasks 8x2 exhaustively and bus128 to bound 300, whose states
+  each read `survivors` over 128 components: one `check_equivalence` of
   a model parsed afresh, after one untimed check per side.
 
 It prints one JSON object: per measure each side's median and
@@ -50,9 +52,10 @@ from pair import ROOT, describe, materialize  # noqa: E402
 
 REPEATS = 3
 STEPS = {"sym": 3000, "enum": 300}
-STEPPED = {"bus16": ("bus_text", 16), "tasks8x4": ("tasks_text", 8, 4), "bus128": ("bus_text", 128)}
+STEPPED = {"bus16": ("bus_text", 16), "tasks8x4": ("tasks_text", 8, 4), "tasks8x2-pairs": ("tasks_pairs_text", 8, 2),
+           "bus128": ("bus_text", 128)}
 CHECKED = {"bus16@100": (("bus_text", 16), 100), "tasks8x4@30": (("tasks_text", 8, 4), 30),
-           "tasks8x2-pairs": (("tasks_pairs_text", 8, 2), 10000)}
+           "tasks8x2-pairs": (("tasks_pairs_text", 8, 2), 10000), "bus128@300": (("bus_text", 128), 300)}
 
 
 def load(name: str, src: Path):
