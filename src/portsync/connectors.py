@@ -17,6 +17,10 @@ interactions_of computes that set as a set fold over the factors, which
 merges equal unions as it goes: the triggers' unions first, then each
 synchron joining optionally (or, without triggers, every factor
 joining).  support reads the ports that template_of collects.
+
+The term classes are frozen values with slots and no instance dict: a
+parsed model keeps one node per occurrence in its connectors' terms,
+and a node costs its fields alone.
 """
 
 from __future__ import annotations
@@ -29,29 +33,35 @@ Interaction = frozenset[str]
 AcTerm = Union["PortLeaf", "ZeroLeaf", "OneLeaf", "Fusion"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PortLeaf:
+    """A port; `dsl.parse` gives each name one string object."""
+
     port: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZeroLeaf:
-    pass
+    """The constant with no interaction."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OneLeaf:
-    pass
+    """The constant whose only interaction is the empty one."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Factor:
+    """A term in a fusion, marked as a trigger or not (a synchron)."""
+
     term: AcTerm
     trigger: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fusion:
+    """Factors fused into one connector term; at least one."""
+
     factors: tuple[Factor, ...]
 
     def __post_init__(self):

@@ -234,9 +234,14 @@ class _Parser:
 
 
 def parse(text: str) -> SystemModel:
-    """Parse and validate; raises DslError with located diagnostics."""
-    tokens = _TOKEN_RE.findall(text)
-    if any(map(_stray, set(tokens))):
+    """Parse and validate; raises DslError with located diagnostics.  The
+    model holds one string object per distinct name, however often the
+    text writes it: each token is read through this parse's own table."""
+    names: dict[str, str] = {}
+    found = _TOKEN_RE.findall(text)
+    tokens = list(map(names.setdefault, found, found))
+    del found  # its repeated strings are freed before the model is built
+    if any(map(_stray, names)):
         _lex(text)  # raises at the first stray character
     system = _Parser(text, tokens).system()
     diags = validate(system)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -60,7 +61,7 @@ class Diagnostic:
         return f"{self.location}: {self.message} [{self.invariant}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
     source: str
     label: Interaction
@@ -139,21 +140,25 @@ class ExplicitPairs:
 Priority = Union[MaximalProgress, ExplicitPairs, None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Connector:
+    """A named connector term, a value of its name and term alone.  At
+    construction it computes `template`, the term over port indices and
+    the ports they stand for (`connectors.template_of`), whose text is
+    interned (`sys.intern`) so that connectors of one shape share one
+    string, and `port_set`, the ports the term mentions.  Neither takes
+    part in equality, hash or repr, and `dataclasses.replace` computes
+    both again."""
+
     name: str
     term: AcTerm
+    template: tuple[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
+    port_set: frozenset[str] = field(init=False, compare=False, repr=False)
 
-    @cached_property
-    def template(self) -> tuple[str, tuple[str, ...]]:
-        """The term over port indices and the ports they stand for
-        (`connectors.template_of`), computed once."""
-        return template_of(self.term)
-
-    @cached_property
-    def port_set(self) -> frozenset[str]:
-        """The ports the term mentions, computed once."""
-        return frozenset(self.template[1])
+    def __post_init__(self):
+        text, ports = template_of(self.term)
+        object.__setattr__(self, "template", (sys.intern(text), ports))
+        object.__setattr__(self, "port_set", frozenset(ports))
 
 
 @dataclass(frozen=True)
@@ -209,12 +214,19 @@ class SystemModel:
     def _shares(self) -> dict[Interaction, tuple[tuple[int, Interaction, MoveTable], ...]]:
         return {}
 
+    @cached_property
+    def _triples(self) -> dict[tuple[int, Interaction], tuple[int, Interaction, MoveTable]]:
+        """Per (atom index, share), the one triple `shares` hands out."""
+        return {}
+
     def shares(self, a: Interaction) -> tuple[tuple[int, Interaction, MoveTable], ...]:
         """Per atom owning a port of `a`, in atom order: its index, its share
         a & ports(atom), the atom's own label object where it is one (so a
         label lookup hits by identity), and the atom's move table for that
         label (`AtomicBehavior.moves`; empty where the share is no label);
-        memoised.  ValueError names a port of `a` that no atom owns."""
+        memoised, one triple object per (atom, share) however many
+        interactions hold that share.  ValueError names a port of `a` that
+        no atom owns."""
         out = self._shares.get(a)
         if out is None:
             owner = self.port_owner
@@ -222,11 +234,14 @@ class SystemModel:
                 owners = sorted({owner[p] for p in a})
             except KeyError as exc:
                 raise ValueError(f"port {exc.args[0]!r} does not belong to the system") from None
-            out = []
+            out, triples = [], self._triples
             for i in owners:
                 atom = self.atoms[i]
                 label = atom.label_of.get(share := a & atom.port_set, share)
-                out.append((i, label, atom.moves.get(label, {})))
+                triple = triples.get((i, label))
+                if triple is None:
+                    triple = triples[i, label] = (i, label, atom.moves.get(label, {}))
+                out.append(triple)
             out = self._shares[a] = tuple(out)
         return out
 

@@ -110,10 +110,12 @@ ports where it has.  Without orbits each read maps the names through the
 group's `Group.by_model`, so the step and `survivors` hand out one
 object per interaction.  With orbits the owner at an orbit position
 changes from state to state, so each read takes the places through the
-state's occupancy field (`Group.read`).  Only `survivors` reads these
-lists; the step never does.  Its pick reads the one model it draws in
-the group's `by_model`, which maps it only on a miss, or, where the
-class has orbits, through the occupancy field as `survivors` does.
+state's occupancy field (`Group.read`), which hands out the first
+object it built for each interaction (`Group.handed`).  Only
+`survivors` reads these lists; the step never does.  Its pick reads the
+one model it draws in the group's `by_model`, which maps it only on a
+miss, or, where the class has orbits, through the occupancy field as
+`survivors` does.
 
 The encoding keeps one read of a state, which `survivors` and the step
 share.  Each component holds its own part (`Component.read`): its
@@ -536,7 +538,9 @@ class Group:
     (`width` spans both), so that the field's set bits, in bit order, list
     each orbit's owners as a stable sort by value does; `read` takes each
     owner's ports (`_ports`, in owner order) at the places of a model
-    through it."""
+    through it, and `handed` keeps each interaction it has built, so that
+    every read of one interaction hands out one object here too; it holds
+    at most our interactions."""
 
     def __init__(self, system: SystemModel, cls: GroupClass, readers: tuple[tuple[int, dict[str, str]], ...]):
         self.system, self.cls, self._readers = system, cls, readers
@@ -549,6 +553,7 @@ class Group:
             self.occupancy = tuple((j, {q: 1 << self.key_bits + rows[r] * len(readers) + k for q, r in reader.items()})
                                    for k, ((j, reader), rows) in enumerate(zip(readers, cls.rows)) if rows)
             self._ports = tuple(atom.ports for atom in system.atoms)  # per owner position
+            self.handed: dict[Interaction, Interaction] = {}  # each interaction `read` built, to its first object
         else:
             # the signature fixes each owner position's port ranks, so the
             # representative's ports and ours line up in level order
@@ -570,7 +575,9 @@ class Group:
         `reads` the entry's reads of its canonical positions
         (`GroupClass.fill`): the i-th port of canonical position k is the
         i-th port of owner k where k lies in no orbit, else of the owner
-        that the t-th set bit of k's row names."""
+        that the t-th set bit of k's row names.  Each interaction is handed
+        out as the first object built for it (`handed`), so every pick and
+        `Component.survivors` read of it returns one object."""
         ports, columns = self._ports, self._columns
         out = []
         for k, i in places:
@@ -583,7 +590,8 @@ class Group:
                     t -= 1
                 k = (bits & -bits).bit_length() - 1
             out.append(ports[k][i])
-        return frozenset(out)
+        a = frozenset(out)
+        return self.handed.setdefault(a, a)
 
 
 def _draw(counts: list[int], rng) -> int:

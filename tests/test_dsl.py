@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from portsync.connectors import PortLeaf
 from portsync.dsl import (
     KEYWORDS,
     DslError,
@@ -61,6 +62,9 @@ class TestRoundTrips:
         again = parse(serialize(sysm))
         assert again == sysm
         assert serialize(again) == serialize(sysm)  # idempotent
+        # a connector's template and port set follow from its term
+        assert [(c.template, c.port_set) for c in again.connectors] == \
+            [(c.template, c.port_set) for c in sysm.connectors]
 
     def test_modulo8(self, mod8):
         self.check(mod8)
@@ -70,10 +74,40 @@ class TestRoundTrips:
 
     def test_tasks(self):
         self.check(gen_tasks(3, 2))
+        self.check(parse(_pairs_text()))
 
     def test_random(self):
-        for seed in range(25):
+        for seed in range(120):
             self.check(random_system(seed))
+
+
+def _leaves(term):
+    """The port names of a term's leaves, in order."""
+    if isinstance(term, PortLeaf):
+        return [term.port]
+    return [p for f in getattr(term, "factors", ()) for p in _leaves(f.term)]
+
+
+def test_a_parsed_model_holds_one_string_per_name():
+    # `parse` reads every token through one table, so a name is one str
+    # object wherever the model holds it: atom ports and states,
+    # transition labels and endpoints, connector leaves and priority pairs
+    for text in (serialize(modulo8()), serialize(gen_tasks(3, 2)), serialize(gen_bus(3)), _pairs_text()):
+        sysm = parse(text)
+        held: dict[str, str] = {}
+        kinds = {"port": [p for a in sysm.atoms for p in a.ports],
+                 "state": [q for a in sysm.atoms for q in (*a.states, a.init)],
+                 "label": [p for a in sysm.atoms for t in a.transitions for p in t.label],
+                 "endpoint": [q for a in sysm.atoms for t in a.transitions for q in (t.source, t.target)],
+                 "leaf": [p for c in sysm.connectors for p in _leaves(c.term)],
+                 "pair": [p for lo, hi in getattr(sysm.priority, "pairs", ()) for p in (*lo, *hi)]}
+        for kind, names in kinds.items():
+            for name in names:
+                assert held.setdefault(name, name) is name, (sysm.name, kind, name)
+        assert all(kinds[k] for k in ("port", "state", "label", "endpoint", "leaf"))
+        assert kinds["pair"] or not isinstance(sysm.priority, ExplicitPairs)
+        # every name is held more than once, most as several occurrences
+        assert sum(map(len, kinds.values())) > 2 * len(held)
 
 
 def test_modulo8_connector_text(mod8):

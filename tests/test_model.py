@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from portsync.connectors import PortLeaf, Factor, Fusion, fusion, interaction_key, interactions_of
+from portsync.connectors import (
+    Factor, Fusion, OneLeaf, PortLeaf, ZeroLeaf, fusion, interaction_key, interactions_of, support, template_of,
+)
 from portsync.model import (
     AtomicBehavior,
     Connector,
@@ -31,7 +33,7 @@ from portsync import model
 from portsync.dsl import parse, serialize
 from portsync.enumerative import EnumEngine
 from portsync.equivalence import check_equivalence
-from portsync.generators import gen_bus, gen_tasks, modulo8, random_system
+from portsync.generators import gen_bus, gen_tasks, modulo8, random_monomial_term, random_system
 from portsync.symbolic import SymbolicEngine
 
 from oracles import _oracle_pairs, all_states, hub_system, oracle_enabled, oracle_successors, oracle_survivors, reference_walk
@@ -92,6 +94,16 @@ class TestModulo8Basics:
                 assert all(s is sysm.atoms[i].label_of.get(s, s) for i, s, _ in shares)
                 assert all(table is sysm.atoms[i].moves[s] if s in sysm.atoms[i].moves else table == {}
                            for i, s, table in shares)
+        # one triple object per (atom, share), however many interactions
+        # hold it: tasks8x4's 512 pool members have 1,472 owners
+        tasks = gen_tasks(8, 4)
+        for sysm in (tasks, mod8, *map(random_system, range(20))):
+            triples, owners = {}, 0
+            for a in sysm.gamma:
+                for triple in sysm.shares(a):
+                    assert triples.setdefault(triple[:2], triple) is triple
+                    owners += 1
+            assert sysm is not tasks or (owners, len(triples)) == (1472, 136)
 
     def test_maxprog_pairs(self, mod8):
         pairs = effective_pairs(mod8.priority, mod8.gamma)
@@ -480,6 +492,53 @@ def test_interactions_run_once_per_template(monkeypatch):
     assert len({c.template[0] for c in sysm.connectors}) == len(calls) == 1
     calls.clear()
     assert len(_shared_templates().gamma) == 6 and len(calls) == 3
+
+
+def test_connectors_of_one_shape_share_one_template_text():
+    # tasks8x4's 448 connectors have one shape, `_shared_templates`' five three
+    tasks, shared = gen_tasks(8, 4), _shared_templates()
+    for sysm in (tasks, shared, *map(random_system, range(60))):
+        texts: dict[str, str] = {}
+        for c in sysm.connectors:
+            assert texts.setdefault(c.template[0], c.template[0]) is c.template[0], (sysm.name, c.name)
+        if sysm is tasks or sysm is shared:
+            assert len(texts) == (1 if sysm is tasks else 3)
+
+
+def test_a_connector_is_a_value_of_its_name_and_term():
+    # `template` and `port_set` are computed from the term at construction
+    # and take no part in equality, hash or repr; `replace` computes them
+    # again for the new term
+    rng = random.Random(11)
+    ports = [f"p{i}" for i in range(6)]
+    for _ in range(300):
+        term = random_monomial_term(rng, ports, 3)
+        conn = Connector("c", term)
+        assert conn.template == template_of(term) and conn.port_set == support(term)
+        other = random_monomial_term(rng, ports, 3)
+        moved = dataclasses.replace(conn, term=other)
+        assert moved == Connector("c", other) and moved.name == "c"
+        assert moved.template == template_of(other) and moved.port_set == support(other)
+    a, b = Connector("c", PortLeaf("x")), Connector("c", PortLeaf("x"))
+    object.__setattr__(b, "template", ("elsewhere", ("y",)))
+    object.__setattr__(b, "port_set", frozenset({"y"}))
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b) == "Connector(name='c', term=PortLeaf(port='x'))"
+    assert a != Connector("d", PortLeaf("x")) and a != Connector("c", PortLeaf("y"))
+    with pytest.raises(TypeError):
+        Connector("c", PortLeaf("x"), template=a.template)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.template = b.template
+
+
+def test_terms_transitions_and_connectors_hold_no_instance_dict():
+    leaf = PortLeaf("p")
+    values = (leaf, ZeroLeaf(), OneLeaf(), Factor(leaf, True), Fusion((Factor(leaf, True),)),
+              Transition("s", fz("p"), "t"), Connector("c", leaf))
+    for x in values:
+        assert not hasattr(x, "__dict__"), type(x).__name__
+    sysm = gen_tasks(3, 2)
+    assert not any(hasattr(t, "__dict__") for a in sysm.atoms for t in a.transitions)
+    assert not any(hasattr(c, "__dict__") or hasattr(c.term, "__dict__") for c in sysm.connectors)
 
 
 def test_walk_matches_the_reference_walk():

@@ -147,6 +147,10 @@ def test_ab_imports_a_tree_under_its_own_package_name():
         assert [sorted(a) for a in symbolic.SymbolicEngine(system, seed=1).run(50).interactions] == \
             [sorted(a) for a in portsync.symbolic.SymbolicEngine(gen_bus(3), seed=1).run(50).interactions]
         assert ab.built(symbolic.build, pkg.parse, ab.models().bus_text(3))(1) > 0  # a build's ms
+        # the KiB bus3 keeps: its atoms, connectors, pool and memos, and
+        # nothing of the freed engine and build
+        enumerative = sys.modules["portsync_ab_test.enumerative"]
+        assert 5 < ab.kept(enumerative.EnumEngine, symbolic.build, pkg.parse, ab.models().bus_text(3))(1) < 100
     finally:
         for name in [n for n in sys.modules if n.startswith("portsync_ab_test")]:
             del sys.modules[name]

@@ -1453,3 +1453,33 @@ def test_orbit_free_groups_hand_out_one_object_per_interaction():
             assert all(_read_model(g, m) is a for m, a in list(g.by_model.items()))
         mapped += sum(len(g.by_model) for g in groups)
     assert mapped > 100
+
+
+def test_orbit_groups_hand_out_one_object_per_interaction():
+    # where a class has orbits, `Group.read` builds each interaction from
+    # the places of a model through the state's occupancy field and hands
+    # out the first object it built for it (`Group.handed`): every pick and
+    # every `survivors` read of one interaction returns one object
+    for sysm in (gen_tasks(3, 2), pairs_written_out(gen_tasks(8, 2))):
+        engine = SymbolicEngine(sysm, seed=5)
+        trace = engine.run(500)
+        enc = engine.encoding
+        first: dict = {}
+        state = sysm.initial_state()
+        for a, after in trace.steps:
+            assert first.setdefault(a, a) is a
+            assert any(x is a for x in enc.survivors(state)), (sysm.name, state, a)
+            for x in enc.survivors(state):
+                assert first.setdefault(x, x) is x
+            for c in enc.components:  # read at `state` by `survivors`
+                if any(e[1] for e in c.entries):
+                    x = c.pick(random.Random(len(first)))
+                    assert first.setdefault(x, x) is x
+            state = after
+        groups = port_groups_of(enc)
+        assert all(g.cls.orbits for g in groups)
+        # each group's table holds its own interactions of the pool, once
+        for g in groups:
+            ours = set(g.system.all_ports)
+            assert all(a is b and a in sysm.gamma and a <= ours for a, b in g.handed.items())
+        assert sum(len(g.handed) for g in groups) == len(first) < len(trace.steps)

@@ -24,6 +24,10 @@ round to round:
   for every round;
 - `build_ms` on the same four models: one `symbolic.build` of a model
   parsed afresh, the parse untimed;
+- `model_kb` on the same four models: the KiB that a model parsed
+  afresh keeps after one `EnumEngine` and one `build` on it are made and
+  freed, as tracemalloc traces it (the bytes traced with the model
+  alive, less those traced once it is freed);
 - `check_ms` on bus16 to bound 100, tasks8x4 to bound 30, the explicit
   pairs of tasks 8x2 exhaustively and bus128 to bound 300, whose states
   each read `survivors` over 128 components: one `check_equivalence` of
@@ -45,6 +49,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -102,6 +107,26 @@ def built(build, parse, text: str):
     return measure
 
 
+def kept(engine, build, parse, text: str):
+    """The KiB that the model `text`, parsed afresh, keeps after one
+    `engine` and one `build` on it are made and freed; the seed seeds the
+    engine."""
+    def measure(seed: int) -> float:
+        tracemalloc.start()
+        try:
+            system = parse(text)
+            engine(system, seed=seed)
+            build(system)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del system
+            gc.collect()
+            return (held - tracemalloc.get_traced_memory()[0]) / 1024
+        finally:
+            tracemalloc.stop()
+    return measure
+
+
 def checked(check, parse, text: str, bound: int):
     """The ms of one `check` of the model `text` parsed afresh, after one
     untimed check; the seed is unused."""
@@ -140,6 +165,8 @@ def main(argv: list[str] | None = None) -> int:
             for kind, engine in (("sym", mods["symbolic"].SymbolicEngine), ("enum", mods["enumerative"].EnumEngine)):
                 measures.setdefault(f"{kind}_step_us {model}", {})[side] = stepped(engine, parse, text, STEPS[kind])
             measures.setdefault(f"build_ms {model}", {})[side] = built(mods["symbolic"].build, parse, text)
+            measures.setdefault(f"model_kb {model}", {})[side] = \
+                kept(mods["enumerative"].EnumEngine, mods["symbolic"].build, parse, text)
         for name, ((fn, *size), bound) in CHECKED.items():
             measures.setdefault(f"check_ms {name}", {})[side] = \
                 checked(mods["equivalence"].check_equivalence, parse, getattr(texts, fn)(*size), bound)
