@@ -112,6 +112,7 @@ def kept(engine, build, parse, text: str):
     `engine` and one `build` on it are made and freed; the seed seeds the
     engine."""
     def measure(seed: int) -> float:
+        gc.collect()  # empties the free lists, whose untraced blocks new objects would reuse
         tracemalloc.start()
         try:
             system = parse(text)
