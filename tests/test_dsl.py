@@ -106,7 +106,7 @@ def test_a_parsed_model_holds_one_string_per_name():
                 assert held.setdefault(name, name) is name, (sysm.name, kind, name)
         assert all(kinds[k] for k in ("port", "state", "label", "endpoint", "leaf"))
         assert kinds["pair"] or not isinstance(sysm.priority, ExplicitPairs)
-        # every name is held more than once, most as several occurrences
+        # the names recur: more than two occurrences per name on average
         assert sum(map(len, kinds.values())) > 2 * len(held)
 
 

@@ -495,7 +495,8 @@ def test_interactions_run_once_per_template(monkeypatch):
 
 
 def test_connectors_of_one_shape_share_one_template_text():
-    # tasks8x4's 448 connectors have one shape, `_shared_templates`' five three
+    # tasks8x4's 448 connectors have one shape; `_shared_templates`' five
+    # connectors have three
     tasks, shared = gen_tasks(8, 4), _shared_templates()
     for sysm in (tasks, shared, *map(random_system, range(60))):
         texts: dict[str, str] = {}
